@@ -75,12 +75,18 @@ def generate_posting_list(
     tie-break, matching the frequency-sorted layout.
 
     The (term_id, seed) pair fully determines the output, so lists can be
-    dropped and regenerated at will (lazy materialisation).
+    dropped and regenerated at will (lazy materialisation).  The random
+    draws (kind, order and size) are the contract: everything after them
+    is deterministic post-processing and may change only in ways that
+    leave the arrays identical.  ``num_docs`` may not exceed ``2**32`` —
+    the ordering sorts one int64 key with the doc id in its low half.
     """
     if doc_freq < 0:
         raise ValueError("doc_freq cannot be negative")
     if doc_freq > num_docs:
         raise ValueError(f"doc_freq {doc_freq} exceeds num_docs {num_docs}")
+    if num_docs > 2**32:
+        raise ValueError(f"num_docs {num_docs} exceeds 2**32 (packed sort key)")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(term_id,)))
     if doc_freq == 0:
         return PostingList(
@@ -89,13 +95,24 @@ def generate_posting_list(
     if doc_freq > num_docs // 2:
         doc_ids = rng.permutation(num_docs)[:doc_freq].astype(np.int64)
     else:
-        # Oversample + unique is far cheaper than choice(replace=False)
-        # for sparse lists; top up in the rare shortfall case.
-        cand = np.unique(rng.integers(0, num_docs, size=int(doc_freq * 1.3) + 8))
+        # Oversample + de-duplicate is far cheaper than
+        # choice(replace=False) for sparse lists; top up in the rare
+        # shortfall case.  Marking a num_docs-sized bitmap and reading the
+        # set positions back gives the sorted distinct ids np.unique would,
+        # without a comparison sort.
+        seen = np.zeros(num_docs, dtype=np.bool_)
+        seen[rng.integers(0, num_docs, size=int(doc_freq * 1.3) + 8)] = True
+        cand = np.flatnonzero(seen)
         while cand.size < doc_freq:
-            extra = rng.integers(0, num_docs, size=doc_freq)
-            cand = np.unique(np.concatenate([cand, extra]))
+            seen[rng.integers(0, num_docs, size=doc_freq)] = True
+            cand = np.flatnonzero(seen)
         doc_ids = rng.permutation(cand)[:doc_freq].astype(np.int64)
+    # Descending tf, ascending doc id: one sort of (-tf << 32) + doc_id.
+    # Doc ids are distinct and below 2**32, so keys are distinct and the
+    # order is the one lexsort((doc_ids, -tfs)) gives.
     tfs = (1 + rng.geometric(p=0.45, size=doc_freq)).astype(np.int32)
-    order = np.lexsort((doc_ids, -tfs))
-    return PostingList(term_id, doc_ids[order], tfs[order])
+    key = (-tfs.astype(np.int64) << 32) + doc_ids
+    key.sort()
+    return PostingList(
+        term_id, key & 0xFFFFFFFF, (-(key >> 32)).astype(np.int32)
+    )

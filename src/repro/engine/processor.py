@@ -13,7 +13,6 @@ while end-to-end examples still produce real ranked results.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,7 +147,8 @@ class QueryProcessor:
         With ``materialize=True`` real posting data is fetched and scored
         (tf-idf with accumulators); otherwise a deterministic surrogate
         ranking is returned — byte-identical in size, so cache behaviour
-        is unaffected, but ~100x faster for large sweeps.
+        is unaffected, and no posting list is generated or read, which is
+        what lets large sweeps run.
         """
         if materialize:
             results = self._score(plan)
@@ -166,21 +166,45 @@ class QueryProcessor:
         )
 
     def _score(self, plan: QueryPlan) -> list[SearchResult]:
-        """tf-idf scoring over the traversed prefixes."""
-        acc: dict[int, float] = {}
+        """tf-idf scoring over the traversed prefixes.
+
+        Term-at-a-time as whole-array passes.  The prefixes are laid end
+        to end in demand order and ``np.bincount`` adds weights in array
+        order, so a document's score is the same additions in the same
+        order as a per-posting accumulator loop makes: scores are
+        bit-identical to that loop, not merely close.  Ranking is
+        descending score, ties to the smaller doc id.
+        """
+        docs, parts = [], []
         for demand in plan.demands:
             plist = self.index.postings(demand.term_id)
             prefix_n = min(demand.postings, len(plist))
             if prefix_n == 0:
                 continue
-            HOT.postings_decoded += prefix_n
-            idf = self.index.idf(demand.term_id)
-            doc_ids = plist.doc_ids[:prefix_n]
-            scores = np.sqrt(plist.tfs[:prefix_n].astype(np.float64)) * idf
-            for doc, s in zip(doc_ids.tolist(), scores.tolist()):
-                acc[doc] = acc.get(doc, 0.0) + s
-        top = heapq.nlargest(self.top_k, acc.items(), key=lambda kv: (kv[1], -kv[0]))
-        return [SearchResult(doc_id=d, score=s) for d, s in top]
+            docs.append(plist.doc_ids[:prefix_n])
+            parts.append(
+                np.sqrt(plist.tfs[:prefix_n].astype(np.float64))
+                * self.index.idf(demand.term_id)
+            )
+        if not docs:
+            return []
+        doc = np.concatenate(docs)
+        HOT.postings_decoded += doc.size
+        totals = np.bincount(doc, weights=np.concatenate(parts))
+        # Touched documents come from the counts, not from totals != 0: a
+        # posting that scores 0.0 still makes its document a candidate.
+        touched = np.flatnonzero(np.bincount(doc))
+        totals = totals[touched]
+        cut = touched.size - self.top_k
+        if cut > 0:
+            # Drop everything below the k-th best score before ordering;
+            # ties with it survive and the sort below resolves them.
+            keep = totals >= np.partition(totals, cut)[cut]
+            touched, totals = touched[keep], totals[keep]
+        order = np.lexsort((touched, -totals))[: self.top_k]
+        return list(map(
+            SearchResult, touched[order].tolist(), totals[order].tolist()
+        ))
 
     def _surrogate(self, plan: QueryPlan) -> list[SearchResult]:
         """Deterministic placeholder ranking derived from the query key."""

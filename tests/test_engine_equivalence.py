@@ -1,0 +1,191 @@
+"""The engine's array passes return what the scalar code they replaced did.
+
+``QueryProcessor._score`` and ``generate_posting_list`` are compared with
+the references in ``_engine_reference.py`` under ``==`` and exact array
+equality: the promise is identical results, not close ones.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro._hot import HOT
+from repro.engine.postings import PostingList, generate_posting_list
+from repro.engine.processor import ListDemand, QueryPlan, QueryProcessor
+from repro.engine.query import Query
+
+from ._engine_reference import reference_generate_posting_list, reference_score
+
+
+class FixedIndex:
+    """The two calls ``_score`` makes, over hand-built lists."""
+
+    def __init__(self, lists, idfs):
+        self._lists, self._idfs = lists, idfs
+
+    def postings(self, term_id):
+        return self._lists[term_id]
+
+    def idf(self, term_id):
+        return self._idfs[term_id]
+
+
+def plan_of(prefixes) -> QueryPlan:
+    """A plan demanding ``postings`` of each ``(term_id, postings)``.
+
+    Scoring reads only the demands, so the query is a fixed one (a
+    ``Query`` cannot be empty, a demand tuple can).
+    """
+    demands = tuple(
+        ListDemand(term_id=t, list_bytes=8, needed_bytes=8, pu=1.0, postings=n)
+        for t, n in prefixes
+    )
+    return QueryPlan(Query(0, (0,)), demands)
+
+
+# Few documents, few distinct tf and idf values: documents recur across
+# lists, whole scores tie across documents, and idf 0.0 makes postings
+# that score nothing.  sqrt(2), sqrt(3) and the last idf are inexact, so
+# a sum taken in another order differs in its last bit.
+NUM_DOCS = 12
+TFS = (1, 2, 3, 4)
+IDFS = (0.0, 0.5, 1.0, 1.7320508075688772)
+
+
+@st.composite
+def scoring_cases(draw):
+    num_terms = draw(st.integers(1, 5))
+    lists = []
+    for term in range(num_terms):
+        docs = draw(st.lists(st.integers(0, NUM_DOCS - 1), unique=True,
+                             max_size=NUM_DOCS))
+        tfs = sorted(draw(st.lists(st.sampled_from(TFS), min_size=len(docs),
+                                   max_size=len(docs))), reverse=True)
+        lists.append(PostingList(term, np.array(docs, dtype=np.int64),
+                                 np.array(tfs, dtype=np.int32)))
+    idfs = draw(st.lists(st.sampled_from(IDFS), min_size=num_terms,
+                         max_size=num_terms))
+    # Demand order is free, a term may be demanded twice, a prefix may be
+    # empty or ask for more than the list holds, and there may be no
+    # demand at all.
+    prefixes = draw(st.lists(
+        st.tuples(st.integers(0, num_terms - 1), st.integers(0, NUM_DOCS + 2)),
+        max_size=6))
+    top_k = draw(st.sampled_from((1, 2, 3, NUM_DOCS, 50)))
+    return FixedIndex(lists, idfs), plan_of(prefixes), top_k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scoring_cases())
+def test_score_equals_scalar_reference(case):
+    index, plan, top_k = case
+    before = HOT.postings_decoded
+    got = QueryProcessor(index, top_k=top_k)._score(plan)
+    decoded = HOT.postings_decoded - before
+    assert got == reference_score(index, top_k, plan)
+    assert all(type(r.doc_id) is int and type(r.score) is float for r in got)
+    assert decoded == sum(min(d.postings, len(index.postings(d.term_id)))
+                          for d in plan.demands)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=st.lists(st.integers(0, 499), min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 10**6), top_k=st.sampled_from((1, 10, 50)))
+def test_score_equals_scalar_reference_on_generated_index(small_index, terms,
+                                                          seed, top_k):
+    processor = QueryProcessor(small_index, top_k=top_k, seed=seed)
+    plan = processor.plan(Query(0, tuple(terms)))
+    assert processor._score(plan) == reference_score(small_index, top_k, plan)
+
+
+def test_score_of_all_empty_prefixes_is_empty():
+    index = FixedIndex(
+        [PostingList(0, np.array([3], dtype=np.int64),
+                     np.array([2], dtype=np.int32)),
+         PostingList(1, np.empty(0, dtype=np.int64),
+                     np.empty(0, dtype=np.int32))],
+        [1.0, 1.0])
+    processor = QueryProcessor(index)
+    plan = plan_of([(0, 0), (1, 5)])
+    assert processor._score(plan) == []
+    assert processor.execute(plan, materialize=True).results == ()
+
+
+def assert_same_list(got: PostingList, want: PostingList) -> None:
+    assert got.term_id == want.term_id
+    assert got.doc_ids.dtype == want.doc_ids.dtype
+    assert got.tfs.dtype == want.tfs.dtype
+    assert np.array_equal(got.doc_ids, want.doc_ids)
+    assert np.array_equal(got.tfs, want.tfs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), num_docs=st.integers(1, 200_000),
+       term_id=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1))
+def test_generated_list_equals_unique_lexsort_reference(data, num_docs,
+                                                        term_id, seed):
+    # num_docs // 2 is the largest df the oversample-and-top-up branch
+    # takes, one more the smallest the permutation branch does.
+    doc_freq = data.draw(st.one_of(
+        st.sampled_from((0, 1, num_docs // 2,
+                         min(num_docs, num_docs // 2 + 1), num_docs)),
+        st.integers(0, num_docs)))
+    assert_same_list(
+        generate_posting_list(term_id, doc_freq, num_docs, seed),
+        reference_generate_posting_list(term_id, doc_freq, num_docs, seed))
+
+
+def test_top_up_loop_equals_reference():
+    """df = N // 2 draws 0.65 N ids with replacement, which cover
+    1 - e**-0.65 = 0.48 of N: short of df, so the top-up loop runs."""
+    for num_docs in (5_000, 60_000):
+        df = num_docs // 2
+        first = np.random.default_rng(
+            np.random.SeedSequence(entropy=4, spawn_key=(9,))
+        ).integers(0, num_docs, size=int(df * 1.3) + 8)
+        assert np.unique(first).size < df
+        assert_same_list(
+            generate_posting_list(9, df, num_docs, seed=4),
+            reference_generate_posting_list(9, df, num_docs, seed=4))
+
+
+def test_num_docs_beyond_packed_key_is_rejected():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        generate_posting_list(0, 1, 2**32 + 1, seed=0)
+
+
+def repro_calls(fn) -> int:
+    """Python call events inside ``repro/`` while ``fn`` runs."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and "/repro/" in frame.f_code.co_filename:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_execute_makes_no_python_call_per_posting(small_index):
+    """The timing-free pin on vectorisation: scoring ten times the
+    postings makes the same number of Python calls."""
+    terms = (0, 1, 2)
+    shortest = min(len(small_index.postings(t)) for t in terms)  # and warm
+    assert shortest >= 300
+    processor = QueryProcessor(small_index)
+    counts = []
+    for n in (30, 300):
+        plan = plan_of([(t, n) for t in terms])
+        counts.append(repro_calls(
+            lambda: processor.execute(plan, materialize=True)))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] < 50
