@@ -1,3 +1,8 @@
+# The thread-per-task kernel `repro.sim.kernel` replaced: the parent commit's
+# module, verbatim below this comment.  It is the oracle the property in
+# `test_sim_kernel_equivalence.py` compares the baton-passing kernel against
+# with `==` — the promise is the identical schedule, not a close one.
+
 """Discrete-event concurrency kernel over the virtual clock.
 
 The seed's serving path was strictly closed-loop: one query ran to
@@ -12,16 +17,9 @@ single-actuator seek queue for the HDD, CPU units for scoring.
 **Execution model.**  A :class:`Task` is an arbitrary Python callable
 whose call stack must be able to pause mid-flight (deep inside the cache
 layers, at a device access).  Python generators cannot suspend a nested
-call stack, so a suspended task keeps its stack on an OS thread — but
-threads are *worker stacks*, not tasks, and there is no loop thread.
-Exactly one thread holds the **baton** at any instant and the holder
-*is* the event loop: a task that blocks pops and runs events on its own
-thread until one of them dispatches a task.  If that task is its own
-(the uncontended case: the completion a task waits for dispatches that
-same task) it simply returns — no OS switch.  Otherwise the baton moves
-in one hand-off over a pair of raw locks; a task that has not started
-yet is adopted by the current thread when its own task has finished,
-else started on an idle pooled worker, else on a new one.  Scheduling
+call stack, so tasks run on OS threads with *strict handoff*: at any
+instant exactly one thread — the kernel's event loop or a single task —
+is runnable; every switch goes through a pair of events.  The scheduling
 is therefore fully deterministic (the event heap orders by ``(time,
 sequence)``), the GIL-protected state needs no locks, and the existing
 cache/device code runs unchanged inside tasks.
@@ -46,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from _thread import allocate_lock, get_ident
 from collections import deque
 from dataclasses import dataclass
 
@@ -67,28 +64,7 @@ class KernelError(RuntimeError):
 
 
 class _Abort(BaseException):
-    """Unwinds a suspended task stack when a run fails (never user-visible)."""
-
-
-class _Stack:
-    """One OS thread that can hold the baton: the ``run()`` caller or a
-    pooled worker.
-
-    ``wake`` is a raw lock used as a binary semaphore: its thread sleeps
-    by acquiring it and whoever hands that thread the baton releases it,
-    exactly once per sleep.
-    """
-
-    __slots__ = ("wake", "ident", "task", "thread")
-
-    def __init__(self) -> None:
-        self.wake = allocate_lock()
-        self.wake.acquire()
-        self.ident = None
-        #: The not-yet-started task an idle worker is woken to run; an
-        #: idle worker woken without one has been retired.
-        self.task: Task | None = None
-        self.thread: threading.Thread | None = None
+    """Unwinds a task thread when the kernel aborts (never user-visible)."""
 
 
 class Resource:
@@ -160,13 +136,13 @@ class _Request:
 class Task:
     """One cooperative unit of work, pausable at any ``clock.consume``.
 
-    Created via :meth:`Kernel.spawn`; the callable runs on a worker
-    thread that only ever executes while it holds the kernel's baton.
-    ``result``/``error`` are populated when ``done``.
+    Created via :meth:`Kernel.spawn`; the callable runs on a dedicated
+    thread that only ever executes while the kernel has handed it
+    control.  ``result``/``error`` are populated when ``done``.
     """
 
     __slots__ = ("kernel", "fn", "name", "done", "result", "error",
-                 "_host", "_joiners", "_done_cbs")
+                 "thread", "_resume", "_abort", "_joiners", "_done_cbs")
 
     def __init__(self, kernel: "Kernel", fn, name: str) -> None:
         self.kernel = kernel
@@ -175,11 +151,13 @@ class Task:
         self.done = False
         self.result = None
         self.error: BaseException | None = None
-        #: The worker whose thread holds this task's stack, from its
-        #: first dispatch until it finishes.
-        self._host: _Stack | None = None
+        self._resume = threading.Event()
+        self._abort = False
         self._joiners: list[Task] = []
         self._done_cbs: list = []
+        self.thread = threading.Thread(
+            target=self._run, name=f"kernel-task-{name}", daemon=True
+        )
 
     def add_done_callback(self, fn) -> None:
         """Run ``fn(task)`` at completion time (on the finishing task's
@@ -210,6 +188,30 @@ class Task:
             blame.on_join(caller, self, t0, k.clock.now_us)
         return self.result
 
+    # -- thread body -------------------------------------------------------
+
+    def _run(self) -> None:
+        self._resume.wait()
+        self._resume.clear()
+        if self._abort:
+            return
+        k = self.kernel
+        try:
+            self.result = self.fn()
+        except _Abort:
+            return
+        except BaseException as exc:
+            self.error = exc
+        self.done = True
+        try:
+            k._finish(self)
+        except _Abort:
+            return
+        except BaseException as exc:  # a done-callback failed
+            if self.error is None:
+                self.error = exc
+        k._kernel_wake.set()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else "pending"
         return f"Task({self.name!r}, {state})"
@@ -230,16 +232,9 @@ class Kernel:
         self._seq = 0
         self._resources: dict[str, Resource] = {}
         self._current: Task | None = None
+        self._kernel_wake = threading.Event()
         self._alive: list[Task] = []
         self._running = False
-        self._handled = 0
-        #: The first exception of a run, parked by whichever thread hit it
-        #: until the baton is back with the ``run()`` caller, which
-        #: re-raises it.  While set, nothing pumps events.
-        self._failure: BaseException | None = None
-        self._driver = _Stack()
-        self._workers: list[_Stack] = []
-        self._idle: list[_Stack] = []
         #: Optional :class:`~repro.obs.blame.BlameRecorder` (or anything
         #: with its hook methods).  Purely observational: every hook fires
         #: after the schedule is already decided, so attaching one never
@@ -304,24 +299,24 @@ class Kernel:
         """Create a task running ``fn()`` starting at ``at_us`` (now by
         default); returns the :class:`Task` immediately."""
         task = Task(self, fn, name)
-        # Scheduled first: a start time in the past raises before the
-        # task is registered anywhere.
-        self.at(self.clock.now_us if at_us is None else at_us,
-                lambda: self._dispatch(task))
         self._alive.append(task)
         if self.blame is not None:
-            # Only a live, unfinished task counts as the parent.  Event
-            # callbacks run with no current task and admission-control
-            # done-callbacks run in the *finishing* task's context, so
-            # the jobs they spawn are roots, not children.
+            # Only a live, unfinished task counts as the parent: spawns
+            # from admission-control done-callbacks run on the *finishing*
+            # task's thread and are roots, not children.
             cur = self._current
-            parent = cur if cur is not None and not cur.done else None
+            parent = (cur if cur is not None and not cur.done
+                      and cur.thread is threading.current_thread() else None)
             self.blame.on_spawn(task, parent, self.clock.now_us)
+        task.thread.start()
+        self.at(self.clock.now_us if at_us is None else at_us,
+                lambda: self._dispatch(task))
         return task
 
     def in_task(self) -> bool:
         """True when the calling thread is the currently-running task."""
-        return self._here() is not None
+        t = self._current
+        return t is not None and t.thread is threading.current_thread()
 
     # -- blocking primitives (called from task threads) --------------------
 
@@ -358,192 +353,60 @@ class Kernel:
 
         Raises the first task error encountered, or :class:`KernelError`
         if the heap drains while tasks are still blocked (deadlock).  On
-        any error every suspended task stack is unwound before re-raising;
-        either way no worker thread outlives the call.
+        any error every live task thread is unwound before re-raising.
         """
         if self._running:
             raise KernelError("kernel is already running")
         if self.in_task():
             raise KernelError("Kernel.run cannot be called from a task")
         self._running = True
-        self._handled = 0
+        handled = 0
         try:
-            try:
-                self._pump(self._driver, None)
-            except BaseException as exc:  # raised on this thread itself
-                self._park(exc)
-            if self._failure is None and self._alive:
+            while self._heap:
+                t_us, _, fn = heapq.heappop(self._heap)
+                HOT.kernel_heap_pops += 1
+                self.clock.advance_to(t_us)
+                fn()
+                handled += 1
+            if self._alive:
                 names = ", ".join(t.name for t in self._alive[:8])
-                self._failure = KernelError(
+                raise KernelError(
                     f"deadlock: {len(self._alive)} task(s) blocked with no "
                     f"pending events ({names})"
                 )
-            if self._failure is not None:
-                self._unwind()
-                raise self._failure
-            return self._handled
+        except BaseException:
+            self._abort_all()
+            raise
         finally:
-            self._retire()
-            self._failure = None
             self._running = False
+        return handled
 
     # -- internals ---------------------------------------------------------
 
-    def _here(self) -> Task | None:
-        """The running task, if the calling thread is the one hosting it."""
-        t = self._current
-        if t is not None:
-            host = t._host
-            if host is not None and host.ident == get_ident():
-                return t
-        return None
-
     def _require_current(self, op: str) -> Task:
-        t = self._here()
-        if t is None:
+        t = self._current
+        if t is None or t.thread is not threading.current_thread():
             raise KernelError(f"{op} must be called from inside a kernel task")
         return t
 
     def _dispatch(self, task: Task) -> None:
-        """Name ``task`` as the next to run.  Always an event's last act:
-        the thread pumping that event makes the switch once it returns."""
+        """Hand control to ``task`` until it blocks or finishes."""
         self._current = task
+        task._resume.set()
+        self._kernel_wake.wait()
+        self._kernel_wake.clear()
+        self._current = None
+        if task.done and task.error is not None:
+            error, task.error = task.error, None
+            raise error
 
     def _block(self, task: Task) -> None:
-        """Called on the task's own thread: give up control by becoming
-        the event loop until an event dispatches ``task`` again."""
-        self._current = None
-        self._pump(task._host, task)
-
-    def _park(self, exc: BaseException) -> None:
-        if self._failure is None:
-            self._failure = exc
-
-    def _pump(self, me: _Stack, mine: Task | None) -> Task | None:
-        """Hold the baton: pop and run events on the calling thread.
-
-        ``mine`` is the task suspended on this stack — ``None`` on the
-        driver and on a worker whose task has finished.  With a ``mine``,
-        returns once an event dispatches it, or raises :class:`_Abort`
-        when the run has failed.  A worker without one returns the
-        not-yet-started task it adopts, or ``None`` after going idle.
-        The driver returns when the heap is empty or a failure is parked.
-
-        Event callbacks run here with no current task.  An event that
-        dispatches another task moves the baton: a stack that holds a
-        suspended task never starts a second one (the lower task could
-        not resume until the upper one finished) and the driver never
-        hosts one, so a fresh task goes to an idle worker or a new one.
-        """
-        heap = self._heap
-        clock = self.clock
-        driver = self._driver
-        heappop = heapq.heappop
-        # A worker whose task has finished may adopt a task or go idle.
-        free = mine is None and me is not driver
-        while True:
-            if self._failure is not None:
-                if mine is not None:
-                    raise _Abort()
-                to = driver
-            elif heap:
-                t_us, _, fn = heappop(heap)
-                HOT.kernel_heap_pops += 1
-                try:
-                    clock.advance_to(t_us)
-                    fn()
-                except BaseException as exc:
-                    self._park(exc)
-                    continue
-                self._handled += 1
-                nxt = self._current
-                if nxt is None:
-                    continue
-                if nxt is mine:
-                    return None
-                to = nxt._host
-                if to is None:  # not started yet
-                    if free:
-                        return nxt
-                    to = self._idle.pop() if self._idle else self._new_worker()
-                    to.task = nxt
-            else:
-                # Drained, or deadlocked: the driver tells which.
-                to = driver
-            if to is me:
-                return None
-            if free:
-                self._idle.append(me)
-                to.wake.release()
-                return None
-            to.wake.release()
-            try:
-                me.wake.acquire()
-            except BaseException as exc:
-                # Only a signal on the main thread (Ctrl-C) lands here, and
-                # only the driver can be the main thread.  A worker holds
-                # the baton: stop the run and wait for it to come back.
-                self._park(exc)
-                me.wake.acquire()
-            if mine is not None and self._failure is None:
-                # A suspended stack is woken by its own task's dispatch,
-                # or by the driver to unwind.
-                return None
-
-    def _new_worker(self) -> _Stack:
-        w = _Stack()
-        w.thread = threading.Thread(
-            target=self._work, args=(w,),
-            name=f"kernel-worker-{len(self._workers)}", daemon=True,
-        )
-        w.thread.start()
-        self._workers.append(w)
-        return w
-
-    def _work(self, me: _Stack) -> None:
-        """Worker thread body: host the tasks handed to ``me`` until
-        retired.  The thread exits nowhere else — it cannot die holding
-        the baton."""
-        me.ident = get_ident()
-        while True:
-            me.wake.acquire()
-            task, me.task = me.task, None
-            if task is None:
-                return
-            try:
-                while task is not None:
-                    self._run_task(me, task)
-                    task = self._pump(me, None)
-            except BaseException as exc:
-                # A kernel bug: parked, it fails run() instead of hanging it.
-                self._park(exc)
-                self._idle.append(me)
-                self._driver.wake.release()
-
-    def _run_task(self, me: _Stack, task: Task) -> None:
-        """Run the just-dispatched ``task`` on ``me`` until it finishes,
-        or until a failed run unwinds it (the pump that follows then
-        finds the failure and hands the baton to the driver)."""
-        task._host = me
-        try:
-            try:
-                task.result = task.fn()
-            except _Abort:
-                return
-            except BaseException as exc:
-                task.error = exc
-            task.done = True
-            self._finish(task)
-        except _Abort:
-            return
-        except BaseException as exc:  # a done-callback failed
-            if task.error is None:
-                task.error = exc
-        finally:
-            task._host = None
-            self._current = None
-            if task.error is not None:
-                self._park(task.error)
+        """Called on the task thread: yield to the kernel and wait."""
+        self._kernel_wake.set()
+        task._resume.wait()
+        task._resume.clear()
+        if task._abort:
+            raise _Abort()
 
     def _start_service(self, res: Resource, req: _Request) -> None:
         res.in_service += 1
@@ -579,25 +442,17 @@ class Kernel:
             cb(task)
         task._done_cbs.clear()
 
-    def _unwind(self) -> None:
-        """On the driver, a failure parked: unwind every suspended stack,
-        one at a time, and drop what was still scheduled."""
-        for w in self._workers:
-            if w not in self._idle:
-                w.wake.release()  # its pump sees the failure: _Abort
-                self._driver.wake.acquire()  # unwound, it hands back
+    def _abort_all(self) -> None:
+        """Unwind every live task thread (error/deadlock cleanup)."""
+        for task in list(self._alive):
+            task._abort = True
+            task._resume.set()
+        for task in list(self._alive):
+            task.thread.join(timeout=5.0)
         self._alive.clear()
         self._heap.clear()
+        self._kernel_wake.clear()
         self._current = None
-
-    def _retire(self) -> None:
-        """On the driver, every worker idle: let each exit, and join it."""
-        for w in self._workers:
-            w.wake.release()
-        for w in self._workers:
-            w.thread.join()
-        self._workers.clear()
-        self._idle.clear()
 
 
 # ---------------------------------------------------------------------------
