@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["Policy", "Scheme", "CacheConfig"]
 
@@ -83,28 +84,34 @@ class CacheConfig:
             raise ValueError("ttl_us cannot be negative")
 
     # -- derived ------------------------------------------------------------
+    # The config is frozen, so every derived value is a pure function of
+    # immutable fields: computed on first use and kept in the instance
+    # __dict__ (cached_property stores there directly, which a frozen
+    # dataclass allows).  replace() builds a fresh instance, and ==, hash
+    # and repr look at fields only, so the cache is invisible and can
+    # never be stale.
 
-    @property
+    @cached_property
     def entries_per_rb(self) -> int:
         """Result entries per 128 KB result block (6 with the defaults)."""
         if self.write_buffer_entries:
             return self.write_buffer_entries
         return max(1, self.block_bytes // self.result_entry_bytes)
 
-    @property
+    @cached_property
     def ssd_result_blocks(self) -> int:
         return self.ssd_result_bytes // self.block_bytes
 
-    @property
+    @cached_property
     def ssd_list_blocks(self) -> int:
         return self.ssd_list_bytes // self.block_bytes
 
-    @property
+    @cached_property
     def ssd_cache_bytes(self) -> int:
         """Total SSD space the cache file needs."""
         return (self.ssd_result_blocks + self.ssd_list_blocks) * self.block_bytes
 
-    @property
+    @cached_property
     def uses_ssd(self) -> bool:
         """False for one-level (memory-only) configurations."""
         return self.ssd_cache_bytes > 0

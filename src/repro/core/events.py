@@ -96,17 +96,10 @@ def _dispatch(hooks: list, event) -> None:
     subscribers from receiving the event — every hook runs to completion,
     then the *first* exception is re-raised so a broken observer still
     fails loudly (in tests and benchmarks) instead of silently skewing
-    what it measures.
+    what it measures.  The emitters below handle the unobserved bus
+    (free) and the single subscriber (isolation is moot: the first
+    exception is simply the exception) themselves.
     """
-    if not hooks:
-        # Unobserved bus (telemetry disabled): truly free — no tuple
-        # build, no loop setup.
-        return
-    if len(hooks) == 1:
-        # Single subscriber (the common case): isolation is moot and the
-        # first exception is simply the exception.
-        hooks[0](event)
-        return
     first_exc: Exception | None = None
     # Iterating the live list is safe: subscribing from inside a hook is
     # not a supported pattern, and try/except is free on the no-raise
@@ -165,17 +158,37 @@ class CacheEvents:
 
     # -- emission (called by the cache layers) ---------------------------
 
+    # One subscriber is the common case (the stats recorder), so each
+    # emitter delivers to it in its own frame; _dispatch owns the
+    # several-subscriber isolation contract.
+
     def admit(self, event: AdmitEvent) -> None:
-        _dispatch(self._on_admit, event)
+        hooks = self._on_admit
+        if len(hooks) == 1:
+            hooks[0](event)
+        elif hooks:
+            _dispatch(hooks, event)
 
     def evict(self, event: EvictEvent) -> None:
-        _dispatch(self._on_evict, event)
+        hooks = self._on_evict
+        if len(hooks) == 1:
+            hooks[0](event)
+        elif hooks:
+            _dispatch(hooks, event)
 
     def flush(self, event: FlushEvent) -> None:
-        _dispatch(self._on_flush, event)
+        hooks = self._on_flush
+        if len(hooks) == 1:
+            hooks[0](event)
+        elif hooks:
+            _dispatch(hooks, event)
 
     def l2_victim(self, event: L2VictimEvent) -> None:
-        _dispatch(self._on_l2_victim, event)
+        hooks = self._on_l2_victim
+        if len(hooks) == 1:
+            hooks[0](event)
+        elif hooks:
+            _dispatch(hooks, event)
 
 
 class EventCounter:

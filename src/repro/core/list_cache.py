@@ -209,10 +209,13 @@ class ListCache:
 
     def _read_store_tail(self, term_id: int, needed: int, covered: int) -> None:
         """Read the uncached tail of a list from the index store (HDD)."""
-        for lba, nbytes in self.index.layout.chunk_reads(term_id, needed):
+        reads = self.index.layout.chunk_reads(term_id, needed)
+        if not reads:
+            return
+        base_lba = reads[0][0]  # the first chunk starts at the extent's LBA
+        for lba, nbytes in reads:
             # Skip chunks entirely satisfied by the cached prefix.
-            chunk_start = (lba - self.index.layout.extent(term_id).lba) * SECTOR_BYTES
-            if chunk_start + nbytes <= covered:
+            if (lba - base_lba) * SECTOR_BYTES + nbytes <= covered:
                 continue
             self.store.read(lba, nbytes)
 
@@ -257,7 +260,8 @@ class ListCache:
                                          nbytes=target))
             if cfg.scheme is Scheme.INCLUSIVE and cfg.uses_ssd:
                 self.push_to_l2(entry)
-        self._evict_to_fit(protect=term_id)
+        if self.l1_bytes > cfg.mem_list_bytes:
+            self._evict_to_fit(protect=term_id)
 
     def _evict_to_fit(self, protect: int | None = None) -> None:
         cfg = self.config
@@ -367,7 +371,7 @@ class ListCache:
         lba = region.alloc(nbytes)
         while lba is None and len(self.l2) > 0:
             key, evicted = self.l2.pop_lru()
-            region.free(evicted.lba_byte, evicted.cached_bytes)  # type: ignore[attr-defined]
+            region.free(evicted.lba_byte, evicted.cached_bytes)
             self.events.l2_victim(L2VictimEvent(kind="list", key=key, stage="lru"))
             lba = region.alloc(nbytes)
         if lba is None:
@@ -398,7 +402,7 @@ class ListCache:
                     self.ssd.trim(region.lba_of(b), cfg.block_bytes)
             region.free(entry.blocks)
             entry.blocks = []
-        elif hasattr(entry, "lba_byte"):
+        elif entry.lba_byte is not None:
             if trim:
                 self.ssd.trim(entry.lba_byte, entry.cached_bytes)
             self.byte_region.free(entry.lba_byte, entry.cached_bytes)

@@ -137,10 +137,13 @@ class LruList(Generic[K, V]):
     def replace_first_region(self) -> list[tuple[K, V]]:
         """The W least-recently-used items, LRU first (Fig. 11's RFR)."""
         out: list[tuple[K, V]] = []
-        slot = self._next[_SENTINEL]
-        while slot != _SENTINEL and len(out) < self.replace_window:
-            out.append((self._keys[slot], self._vals[slot]))
-            slot = self._next[slot]
+        nxt, keys, vals = self._next, self._keys, self._vals
+        slot = nxt[_SENTINEL]
+        room = self.replace_window
+        while slot != _SENTINEL and room > 0:
+            out.append((keys[slot], vals[slot]))
+            slot = nxt[slot]
+            room -= 1
         return out
 
     def items_lru_order(self) -> Iterator[tuple[K, V]]:

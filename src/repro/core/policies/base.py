@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
+from repro.core.entries import EntryState
 from repro.core.events import L2VictimEvent
 from repro.core.selection import SelectionDecision, SelectionPolicy
 from repro.obs.audit import NULL_AUDIT
@@ -102,15 +103,20 @@ class BaseReplacementPolicy:
         for key, entry in lists.replace_first_region():
             if key == protect:
                 continue
-            # Formula 1 + 2 inlined (same arithmetic as ssd_cache_blocks /
-            # efficiency_value, whose range checks are guaranteed here by
+            # Formula 1 + 2 inlined (same arithmetic as
+            # CachedList.formula1_pu / ssd_cache_blocks / efficiency_value,
+            # whose range checks are guaranteed here by
             # CachedList.__post_init__): this walk evaluates every RFR
             # candidate on every L1 eviction, so the call + validation
-            # overhead of the module functions dominates it.
+            # overhead of the property and module functions dominates it.
             si = entry.cached_bytes
-            sc = -(-int(si * entry.formula1_pu) // sb) if si > 0 else 0
-            if sc < 1:
-                sc = 1
+            sc = 1
+            if si > 0:
+                mean = entry.mean_needed_bytes
+                pu = min(1.0, mean / si) if mean > 0 else entry.pu
+                sc = -(-int(si * pu) // sb)
+                if sc < 1:
+                    sc = 1
             ev = entry.freq / sc
             if auditing:
                 candidates.append((key, ev))
@@ -163,8 +169,6 @@ class BaseReplacementPolicy:
         RFR entry of exactly the needed size; 3) assembling several RFR
         entries; 4) the whole-list fallback.
         """
-        from repro.core.entries import EntryState
-
         region = cache.region
         if self.audit.enabled:
             # The staged search context; each victim it claims follows as
@@ -173,39 +177,47 @@ class BaseReplacementPolicy:
                 "list.free-space", "list", None,
                 sc_needed=sc_needed, free_blocks=region.free_count,
             )
+        # Free space only moves when a victim is dropped, so each stage
+        # re-reads it after a drop and nowhere else.
+        if region.free_count >= sc_needed:
+            return
         # Stage 1: replaceable entries in the RFR are free wins.
-        for key, entry in cache.l2.replace_first_region():
-            if region.free_count >= sc_needed:
-                return
+        rfr = cache.l2.replace_first_region()
+        dropped = False
+        for key, entry in rfr:
             if entry.state is EntryState.REPLACEABLE:
                 cache.drop_l2(key, trim=True)
                 cache.events.l2_victim(
                     L2VictimEvent(kind="list", key=key, stage="replaceable")
                 )
-        if region.free_count >= sc_needed:
-            return
+                if region.free_count >= sc_needed:
+                    return
+                dropped = True
+        if dropped:
+            rfr = cache.l2.replace_first_region()  # the window slid
         # Stage 2: a NORMAL RFR entry of exactly the missing size.
         deficit = sc_needed - region.free_count
-        for key, entry in cache.l2.replace_first_region():
+        for key, entry in rfr:
             if len(entry.blocks) == deficit:
                 cache.drop_l2(key, trim=True)
                 cache.events.l2_victim(
                     L2VictimEvent(kind="list", key=key, stage="size-match")
                 )
                 return
-        # Stage 3: assemble several RFR entries.
-        for key, _ in cache.l2.replace_first_region():
-            if region.free_count >= sc_needed:
-                return
+        # Stage 3: assemble several RFR entries (stage 2 dropped nothing,
+        # so its window is still the window).
+        for key, _ in rfr:
             cache.drop_l2(key, trim=True)
             cache.events.l2_victim(
                 L2VictimEvent(kind="list", key=key, stage="assemble")
             )
-        # Stage 4: widen to the whole LRU list (the paper's worst case).
-        for key, _ in list(cache.l2.items_lru_order()):
             if region.free_count >= sc_needed:
                 return
+        # Stage 4: widen to the whole LRU list (the paper's worst case).
+        for key, _ in list(cache.l2.items_lru_order()):
             cache.drop_l2(key, trim=True)
             cache.events.l2_victim(
                 L2VictimEvent(kind="list", key=key, stage="fallback")
             )
+            if region.free_count >= sc_needed:
+                return

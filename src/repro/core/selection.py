@@ -13,7 +13,7 @@ Implements the paper's two formulas:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["ssd_cache_blocks", "efficiency_value", "SelectionPolicy", "SelectionDecision"]
 
@@ -44,9 +44,13 @@ def efficiency_value(freq: int, sc_blocks: int) -> float:
     return freq / sc_blocks
 
 
-@dataclass(frozen=True)
-class SelectionDecision:
-    """Outcome of selecting a memory-evicted list for the SSD tier."""
+class SelectionDecision(NamedTuple):
+    """Outcome of selecting a memory-evicted list for the SSD tier.
+
+    A named tuple rather than a frozen dataclass: one is built per L1 list
+    eviction, so construction sits on the miss chain (the same choice as
+    ``ListDemand`` and ``SearchResult``).
+    """
 
     #: admit to SSD at all (False = discard, Fig. 4's HDD band)
     admit: bool

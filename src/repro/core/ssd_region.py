@@ -31,13 +31,10 @@ class BlockRegion:
         self.base_lba = base_lba
         self.num_blocks = num_blocks
         self.block_bytes = block_bytes
+        self.sectors_per_block = block_bytes // SECTOR_BYTES
         # Stack of free block ids; low ids first so the initial fill is a
         # sequential log append.
         self._free: list[int] = list(range(num_blocks - 1, -1, -1))
-
-    @property
-    def sectors_per_block(self) -> int:
-        return self.block_bytes // SECTOR_BYTES
 
     @property
     def free_count(self) -> int:

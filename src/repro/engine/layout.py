@@ -96,18 +96,22 @@ class IndexLayout:
         later chunks are issued as separate (non-coalesced) requests —
         producing the "skipped reads" of Section III.
         """
-        ext = self.extent(term_id)
-        needed = max(1, min(needed_bytes, ext.nbytes))
-        n_chunks = -(-needed // self.chunk_bytes)
+        if not 0 <= term_id < self._lbas.size:
+            self.extent(term_id)  # raises
+        base = int(self._lbas[term_id])
+        nbytes = int(self._sizes[term_id])
+        chunk = self.chunk_bytes
+        needed = max(1, min(needed_bytes, nbytes))
+        n_chunks = -(-needed // chunk)
         reads: list[tuple[int, int]] = []
         for i in range(n_chunks):
-            off = i * self.chunk_bytes
-            size = min(self.chunk_bytes, ext.nbytes - off)
+            off = i * chunk
+            size = min(chunk, nbytes - off)
             if size <= 0:
                 break
-            reads.append((ext.lba + off // SECTOR_BYTES, size))
+            reads.append((base + off // SECTOR_BYTES, size))
         if not skip and len(reads) > 1:
             # Coalesce into one sequential read.
             total = sum(sz for _, sz in reads)
-            reads = [(ext.lba, total)]
+            reads = [(base, total)]
         return reads

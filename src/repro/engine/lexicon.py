@@ -40,6 +40,10 @@ class Lexicon:
         if list_sizes is not None and len(list_sizes) != stats.num_terms:
             raise ValueError("list_sizes length must match vocabulary size")
         self._list_sizes = list_sizes
+        # TermInfo is frozen and a pure function of the (immutable) corpus
+        # statistics and list sizes this lexicon was built over, so one is
+        # built per term id and handed out again on every later miss.
+        self._terms: dict[int, TermInfo] = {}
 
     def __len__(self) -> int:
         return self._stats.num_terms
@@ -48,17 +52,20 @@ class Lexicon:
         return 0 <= term_id < len(self)
 
     def term(self, term_id: int) -> TermInfo:
+        info = self._terms.get(term_id)
+        if info is not None:
+            return info
         if term_id not in self:
             raise KeyError(f"term id {term_id} not in lexicon of size {len(self)}")
-        df = int(self._stats.doc_freqs[term_id])
-        return TermInfo(
+        info = self._terms[term_id] = TermInfo(
             term_id=term_id,
             text=self.spell(term_id),
-            doc_freq=df,
+            doc_freq=int(self._stats.doc_freqs[term_id]),
             coll_freq=int(self._stats.coll_freqs[term_id]),
             list_bytes=self.list_bytes(term_id),
             utilization=float(self._stats.utilization[term_id]),
         )
+        return info
 
     @staticmethod
     def spell(term_id: int) -> str:

@@ -92,7 +92,7 @@ class QueryProcessor:
         # Surrogate rankings are pure functions of the query key (and
         # top_k / corpus size), so repeat misses reuse the entry.
         self._surrogates: dict[tuple[int, ...], ResultEntry] = {}
-        self._surrogate_steps: tuple[tuple[int, ...], tuple[float, ...]] | None = None
+        self._surrogate_steps: tuple[np.ndarray, tuple[float, ...]] | None = None
 
     # -- planning -------------------------------------------------------------
 
@@ -216,12 +216,10 @@ class QueryProcessor:
             # Per-rank constants: the doc-id stride and the descending
             # score ladder only depend on k, not on the query.
             steps = self._surrogate_steps = (
-                tuple(7919 * i for i in range(k)),
+                7919 * np.arange(k, dtype=np.int64),
                 tuple(float(k - i) for i in range(k)),
             )
         strides, scores = steps
-        return list(map(
-            SearchResult,
-            ((base + s) % n_docs for s in strides),
-            scores,
-        ))
+        # base < 2**31 and the largest stride is 7919 * (k - 1): the sum
+        # stays far inside int64, so this is the scalar (base + s) % n.
+        return list(map(SearchResult, ((base + strides) % n_docs).tolist(), scores))

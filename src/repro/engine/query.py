@@ -19,15 +19,18 @@ class Query:
     query_id: int
     terms: tuple[int, ...]
     text: str = field(default="", compare=False)
+    #: canonical cache key: sorted unique term ids.  Derived from
+    #: ``terms`` once, at construction (every cache layer reads it several
+    #: times per query), and kept out of ``==`` / ``hash`` / ``repr``:
+    #: a query's identity is its ``query_id`` and ``terms``.
+    key: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("a query must contain at least one term")
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        """Canonical cache key: sorted unique term ids."""
-        return tuple(sorted(set(self.terms)))
+        # Stored straight into the instance dict: the dataclass is frozen,
+        # and a subclass may still shadow ``key`` with a property.
+        self.__dict__["key"] = tuple(sorted(set(self.terms)))
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -124,36 +124,39 @@ class FTL(ABC):
         victim = self.victim_policy.choose(self.nand, candidates, self._now_us)
         audit = self.audit
         if audit is not None:
-            scores = [
-                [int(b), int(self.nand.valid_counts[b])]
-                for b in candidates[:_AUDIT_SCORE_CAP].tolist()
-            ]
+            head = candidates[:_AUDIT_SCORE_CAP]
+            valid = self.nand.valid_counts
             audit.record(
                 "gc.victim", "gc", int(victim),
                 device=self.audit_device,
                 policy=type(self.victim_policy).__name__,
                 origin=origin,
                 candidates=int(candidates.size),
-                valid_pages=int(self.nand.valid_counts[victim]),
-                scores=scores,
+                valid_pages=int(valid[victim]),
+                scores=[list(pair) for pair in
+                        zip(head.tolist(), valid[head].tolist())],
             )
         return victim
 
     def _gc_candidates(self, exclude: set[int]) -> np.ndarray:
         """Fully- or partially-written blocks eligible as GC victims."""
-        # Only blocks with at least one invalid page are worth reclaiming;
-        # one boolean mask over the per-block count vectors replaces the
-        # old np.isin scan (exclude is a handful of active blocks).
-        mask = (self.nand.write_ptrs > 0) & (self.nand.invalid_counts > 0)
+        # Only blocks with at least one invalid page are worth reclaiming,
+        # and a block with an invalid page has been written (erase zeroes
+        # both counters; NandArray.check_invariants states it), so one
+        # compare over the per-block count vector is the whole test
+        # (exclude is a handful of active blocks).
+        mask = self.nand.invalid_counts > 0
         for b in exclude:
             mask[b] = False
-        return np.nonzero(mask)[0]
+        return mask.nonzero()[0]
 
     # -- reporting ---------------------------------------------------------------
 
     @property
     def erase_count_total(self) -> int:
-        return int(self.nand.erase_counts.sum())
+        # The running total NandArray.erase_block keeps; check_invariants
+        # holds it equal to erase_counts.sum().
+        return self.nand.erases
 
     def utilization(self) -> float:
         """Fraction of logical pages currently mapped (0..1)."""

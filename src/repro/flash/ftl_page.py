@@ -44,8 +44,19 @@ class PageMappingFTL(FTL):
         self._oob_seq = np.zeros(config.total_pages, dtype=np.int64)
         self._write_seq = 0
         # TRIM journal (real FTLs persist trims in metadata blocks; we
-        # model the journal's content, charging nothing extra).
-        self._trim_journal: dict[int, int] = {}
+        # model the journal's content, charging nothing extra): the
+        # sequence number of each lpn's latest trim, 0 = never trimmed.
+        self._trim_seq = np.zeros(self.num_lpns, dtype=np.int64)
+        # ramp[i] == i: the NAND array's page index, which also covers the
+        # (smaller) logical space.  Span paths compare against / store
+        # from slices of it instead of building an np.arange per call.
+        self._ramp = self.nand.page_ramp
+        # Only cost-benefit cleaning wants program timestamps; decided
+        # here, not per programmed run.
+        self._note_program = (
+            self.victim_policy.note_program
+            if isinstance(self.victim_policy, CostBenefitVictimPolicy) else None
+        )
 
     # -- host operations ---------------------------------------------------
 
@@ -92,7 +103,7 @@ class PageMappingFTL(FTL):
         self._mapped -= 1
         self.stats.trimmed_pages += 1
         self._write_seq += 1
-        self._trim_journal[lpn] = self._write_seq
+        self._trim_seq[lpn] = self._write_seq
         return 0.0  # metadata-only; real TRIM cost is deferred to GC savings
 
     def mapped_lpn_count(self) -> int:
@@ -104,10 +115,12 @@ class PageMappingFTL(FTL):
         """Read ``count`` consecutive logical pages; returns service time."""
         if count <= 0:
             raise ValueError("count must be positive")
-        self._check_lpn(lpn_start)
-        self._check_lpn(lpn_start + count - 1)
+        end = lpn_start + count
+        if lpn_start < 0 or end > self.num_lpns:
+            self._check_lpn(lpn_start)
+            self._check_lpn(end - 1)
         HOT.ftl_map_lookups += count
-        ppns = self._l2p[lpn_start:lpn_start + count]
+        ppns = self._l2p[lpn_start:end]
         self.nand.read_pages(ppns[ppns != _UNMAPPED])
         self.stats.host_page_reads += count
         # Multi-channel striping: N pages finish in ceil(N/C) page times.
@@ -123,47 +136,60 @@ class PageMappingFTL(FTL):
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        self._check_lpn(lpn_start)
-        self._check_lpn(lpn_start + count - 1)
+        end = lpn_start + count
+        if lpn_start < 0 or end > self.num_lpns:
+            self._check_lpn(lpn_start)
+            self._check_lpn(end - 1)
         HOT.ftl_map_lookups += count
-        old = self._l2p[lpn_start:lpn_start + count]
+        l2p = self._l2p
+        p2l = self._p2l
+        ramp = self._ramp
+        nand = self.nand
+        old = l2p[lpn_start:end]
         p0 = int(old[0])
+        # A mapped span is one contiguous physical run iff it equals the
+        # ramp slice starting at its first ppn; int64 arrays are equal
+        # exactly when their bytes are, and one bytes compare costs a
+        # tenth of an elementwise compare plus reduction.
         if p0 != _UNMAPPED and int(old[-1]) - p0 == count - 1 and (
-            count == 1 or np.array_equal(old, np.arange(p0, p0 + count))
+            count == 1 or old.tobytes() == ramp[p0:p0 + count].tobytes()
         ):
             # Fully-mapped contiguous span (the shape every whole-block
             # placement produces): the reverse-map clear is a slice store.
-            self.nand.invalidate_run(p0, count)
-            self._p2l[p0:p0 + count] = _UNMAPPED
+            nand.invalidate_run(p0, count)
+            p2l[p0:p0 + count] = _UNMAPPED
         else:
             live = old[old != _UNMAPPED]
             if live.size:
-                self.nand.invalidate_pages(live)
-                self._p2l[live] = _UNMAPPED
+                nand.invalidate_pages(live)
+                p2l[live] = _UNMAPPED
             self._mapped += int(count - live.size)
 
-        latency = -(-count // self.config.channels) * self.config.write_us
+        config = self.config
+        latency = -(-count // config.channels) * config.write_us
+        note_program = self._note_program
         done = 0
         while done < count:
             latency += self._ensure_space()
-            room = self.nand.free_pages_in(self._active_block)
+            room = nand.free_pages_in(self._active_block)
             if room == 0:
                 self._active_block = self._take_free_block()
-                room = self.config.pages_per_block
+                room = config.pages_per_block
             take = min(room, count - done)
             # Programmed runs are contiguous, so every mapping update is a
-            # slice assignment rather than fancy indexing.
-            p0 = self.nand.program_run_start(self._active_block, take)
+            # slice store from the index ramp.
+            p0 = nand.program_run_start(self._active_block, take)
+            p1 = p0 + take
             s = lpn_start + done
-            self._p2l[p0:p0 + take] = np.arange(s, s + take, dtype=np.int64)
-            self._l2p[s:s + take] = np.arange(p0, p0 + take, dtype=np.int64)
-            self._oob_lpn[p0:p0 + take] = self._p2l[p0:p0 + take]
-            self._oob_seq[p0:p0 + take] = np.arange(
-                self._write_seq + 1, self._write_seq + 1 + take
-            )
-            self._write_seq += take
-            if isinstance(self.victim_policy, CostBenefitVictimPolicy):
-                self.victim_policy.note_program(self._active_block, self._now_us)
+            lpns = ramp[s:s + take]
+            p2l[p0:p1] = lpns
+            l2p[s:s + take] = ramp[p0:p1]
+            self._oob_lpn[p0:p1] = lpns
+            seq = self._write_seq
+            np.add(ramp[:take], seq + 1, out=self._oob_seq[p0:p1])
+            self._write_seq = seq + take
+            if note_program is not None:
+                note_program(self._active_block, self._now_us)
             done += take
         self.stats.host_page_writes += count
         return latency
@@ -172,24 +198,26 @@ class PageMappingFTL(FTL):
         """TRIM ``count`` consecutive logical pages."""
         if count <= 0:
             return 0.0
-        self._check_lpn(lpn_start)
-        self._check_lpn(lpn_start + count - 1)
+        end = lpn_start + count
+        if lpn_start < 0 or end > self.num_lpns:
+            self._check_lpn(lpn_start)
+            self._check_lpn(end - 1)
         HOT.ftl_map_lookups += count
-        old = self._l2p[lpn_start:lpn_start + count]
+        old = self._l2p[lpn_start:end]
         p0 = int(old[0])
         if p0 != _UNMAPPED and int(old[-1]) - p0 == count - 1 and (
-            count == 1 or np.array_equal(old, np.arange(p0, p0 + count))
+            count == 1
+            or old.tobytes() == self._ramp[p0:p0 + count].tobytes()
         ):
             # Fully-mapped contiguous span: slice stores on both mapping
-            # directions, journal keys enumerated without a mask scan.
+            # directions and on the journal.
             self.nand.invalidate_run(p0, count)
             self._p2l[p0:p0 + count] = _UNMAPPED
             old[:] = _UNMAPPED  # writes through the l2p view
             self._mapped -= count
             self.stats.trimmed_pages += count
             self._write_seq += 1
-            self._trim_journal.update(dict.fromkeys(
-                range(lpn_start, lpn_start + count), self._write_seq))
+            self._trim_seq[lpn_start:end] = self._write_seq
             return 0.0
         live_mask = old != _UNMAPPED
         live = old[live_mask]
@@ -200,9 +228,7 @@ class PageMappingFTL(FTL):
             self._mapped -= int(live.size)
             self.stats.trimmed_pages += int(live.size)
             self._write_seq += 1
-            journaled = (np.nonzero(live_mask)[0] + lpn_start).tolist()
-            self._trim_journal.update(
-                dict.fromkeys(journaled, self._write_seq))
+            self._trim_seq[lpn_start:end][live_mask] = self._write_seq
         return 0.0
 
     def ppn_of(self, lpn: int) -> int:
@@ -221,18 +247,23 @@ class PageMappingFTL(FTL):
         self._write_seq += 1
         self._oob_lpn[ppn] = lpn
         self._oob_seq[ppn] = self._write_seq
-        if isinstance(self.victim_policy, CostBenefitVictimPolicy):
-            self.victim_policy.note_program(self._active_block, self._now_us)
+        if self._note_program is not None:
+            self._note_program(self._active_block, self._now_us)
         return ppn
 
     def _ensure_space(self) -> float:
         """Run GC until the free pool is above threshold; return GC time in us."""
+        free = self._free_blocks
+        threshold = self.config.gc_free_block_threshold
+        if len(free) >= threshold:
+            # Stocked pool (never empty: FlashConfig keeps threshold >= 1):
+            # nothing to build, nothing to scan.
+            return 0.0
         latency = 0.0
         guard = self.config.num_blocks * 2  # defensive bound; GC must terminate
         while (
-            self.free_block_count < self.config.gc_free_block_threshold
-            or (self.free_block_count == 0
-                and self.nand.free_pages_in(self._active_block) == 0)
+            len(free) < threshold
+            or (not free and self.nand.free_pages_in(self._active_block) == 0)
         ):
             guard -= 1
             if guard < 0:  # pragma: no cover - invariant violation
@@ -254,9 +285,13 @@ class PageMappingFTL(FTL):
         scalar loop would use.  Latency stays ``n*(read+write) + erase``.
         """
         latency = 0.0
-        ppns = self.nand.valid_ppn_array(victim)
-        n = int(ppns.size)
+        # The per-block counter already knows whether anything is left to
+        # copy; a dead victim (every victim, under whole-block placement)
+        # goes straight to the erase without a page-state scan.
+        n = self.nand.valid_count(victim)
         if n:
+            ppns = self.nand.valid_ppn_array(victim)
+            assert ppns.size == n, "valid_count out of sync with page states"
             lpns = self._p2l[ppns]
             assert (lpns != _UNMAPPED).all(), "valid page without reverse mapping"
             self.nand.read_pages(ppns)
@@ -272,16 +307,16 @@ class PageMappingFTL(FTL):
                     room = self.config.pages_per_block
                 take = min(room, n - done)
                 p0 = self.nand.program_run_start(self._active_block, take)
+                p1 = p0 + take
                 chunk = lpns[done:done + take]
-                self._p2l[p0:p0 + take] = chunk
-                self._l2p[chunk] = np.arange(p0, p0 + take, dtype=np.int64)
-                self._oob_lpn[p0:p0 + take] = chunk
-                self._oob_seq[p0:p0 + take] = np.arange(
-                    self._write_seq + 1, self._write_seq + 1 + take
-                )
+                self._p2l[p0:p1] = chunk
+                self._l2p[chunk] = self._ramp[p0:p1]
+                self._oob_lpn[p0:p1] = chunk
+                np.add(self._ramp[:take], self._write_seq + 1,
+                       out=self._oob_seq[p0:p1])
                 self._write_seq += take
-                if isinstance(self.victim_policy, CostBenefitVictimPolicy):
-                    self.victim_policy.note_program(self._active_block, self._now_us)
+                if self._note_program is not None:
+                    self._note_program(self._active_block, self._now_us)
                 done += take
             self.stats.gc_page_writes += n
         self.nand.erase_block(victim)
@@ -342,11 +377,9 @@ class PageMappingFTL(FTL):
             if seq > best_seq[lpn]:
                 best_seq[lpn] = seq
                 rebuilt[lpn] = ppn
-        for lpn, trim_seq in self._trim_journal.items():
-            if rebuilt[lpn] != _UNMAPPED and trim_seq > best_seq[lpn]:
-                rebuilt[lpn] = _UNMAPPED
+        rebuilt[self._trim_seq > best_seq] = _UNMAPPED
         return rebuilt
 
     def verify_recovery(self) -> bool:
         """True when OOB-scan recovery reproduces the live mapping."""
-        return bool(np.array_equal(self.recover_mapping(), self._l2p))
+        return bool((self.recover_mapping() == self._l2p).all())

@@ -36,7 +36,7 @@ class GreedyVictimPolicy:
     def choose(self, nand: NandArray, candidates: np.ndarray, now_us: float) -> int:
         if candidates.size == 0:
             raise ValueError("no GC candidates")
-        idx = int(np.argmin(nand.valid_counts[candidates]))
+        idx = int(nand.valid_counts[candidates].argmin())
         return int(candidates[idx])
 
 

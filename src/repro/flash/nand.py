@@ -37,6 +37,12 @@ class PageState(IntEnum):
 _FREE = int(PageState.FREE)
 _VALID = int(PageState.VALID)
 _INVALID = int(PageState.INVALID)
+# Page-state tests over a run are bytes compares on the uint8 state array:
+# ``states.tobytes() == _VALID_BYTE * n`` says "all VALID" and
+# ``_FREE_BYTE in states.tobytes()`` says "any FREE" at a tenth of the
+# cost of an elementwise compare plus ``.any()`` reduction.
+_VALID_BYTE = bytes([_VALID])
+_FREE_BYTE = bytes([_FREE])
 
 
 class NandArray:
@@ -51,12 +57,23 @@ class NandArray:
         self.config = config
         n_blocks = config.num_blocks
         ppb = config.pages_per_block
+        # Geometry is fixed for the array's lifetime (frozen config); the
+        # run operations read it as attributes, not through properties.
+        self._ppb = ppb
+        self._total_pages = n_blocks * ppb
         self._state = np.full(n_blocks * ppb, _FREE, dtype=np.uint8)
         # next page offset to program in each block (sequential-program rule)
         self._write_ptr = np.zeros(n_blocks, dtype=np.int32)
         self._valid_count = np.zeros(n_blocks, dtype=np.int32)
         self._invalid_count = np.zeros(n_blocks, dtype=np.int32)
         self.erase_counts = np.zeros(n_blocks, dtype=np.int64)
+        #: ``page_ramp[i] == i`` over the physical pages (read-only, shared
+        #: with the FTL).  A contiguous page run ``[a, b)`` *is*
+        #: ``page_ramp[a:b]``, so run tests compare against / run stores
+        #: copy from slices of it instead of building an ``np.arange`` per
+        #: call.
+        self.page_ramp = np.arange(self._total_pages, dtype=np.int64)
+        self.page_ramp.flags.writeable = False
         self.programs = 0
         self.reads = 0
         self.erases = 0
@@ -94,7 +111,7 @@ class NandArray:
         return int(self._invalid_count[block])
 
     def free_pages_in(self, block: int) -> int:
-        return self.config.pages_per_block - int(self._write_ptr[block])
+        return self._ppb - int(self._write_ptr[block])
 
     def is_block_free(self, block: int) -> bool:
         """True when the block has never been programmed since its last erase."""
@@ -169,9 +186,9 @@ class NandArray:
         if count <= 0:
             raise ValueError("count must be positive")
         ptr = int(self._write_ptr[block])
-        if ptr + count > self.config.pages_per_block:
+        if ptr + count > self._ppb:
             raise RuntimeError(f"program_run overflows block {block}")
-        lo = block * self.config.pages_per_block + ptr
+        lo = block * self._ppb + ptr
         self._state[lo:lo + count] = _VALID
         self._write_ptr[block] = ptr + count
         self._valid_count[block] += count
@@ -197,13 +214,13 @@ class NandArray:
         if count <= 0:
             raise ValueError("count must be positive")
         end = start + count - 1
-        if not (0 <= start and end < self.config.total_pages):
+        if not (0 <= start and end < self._total_pages):
             raise IndexError(f"run [{start}, {end}] out of range")
         sl = self._state[start:start + count]
-        if (sl != _VALID).any():
+        if sl.tobytes() != _VALID_BYTE * count:
             raise RuntimeError("invalidate_run on non-VALID page(s)")
         sl[:] = _INVALID
-        ppb = self.config.pages_per_block
+        ppb = self._ppb
         first_b = start // ppb
         last_b = end // ppb
         if first_b == last_b:
@@ -223,17 +240,19 @@ class NandArray:
         if n == 0:
             return
         p0 = int(ppns[0])
+        # int64 arrays are equal exactly when their bytes are; any other
+        # dtype just misses the shortcut and takes the general path.
         if int(ppns[-1]) - p0 == n - 1 and (
-            n == 1 or np.array_equal(ppns, np.arange(p0, p0 + n, dtype=ppns.dtype))
+            n == 1 or ppns.tobytes() == self.page_ramp[p0:p0 + n].tobytes()
         ):
             # Contiguous ascending run (block-aligned placements produce
             # these almost exclusively): slice stores beat fancy indexing.
             self.invalidate_run(p0, n)
             return
-        if (self._state[ppns] != _VALID).any():
+        if self._state[ppns].tobytes() != _VALID_BYTE * n:
             raise RuntimeError("invalidate_pages on non-VALID page(s)")
         self._state[ppns] = _INVALID
-        blocks = ppns // self.config.pages_per_block
+        blocks = ppns // self._ppb
         # bincount beats ufunc.at for the small repeat-heavy block lists
         # GC and trims produce.
         per_block = np.bincount(blocks)
@@ -244,7 +263,7 @@ class NandArray:
         """Vectorised read of many non-FREE pages."""
         if ppns.size == 0:
             return
-        if (self._state[ppns] == _FREE).any():
+        if _FREE_BYTE in self._state[ppns].tobytes():
             raise RuntimeError("read of unwritten (FREE) page in span")
         self.reads += int(ppns.size)
 
@@ -271,8 +290,8 @@ class NandArray:
             raise RuntimeError(
                 f"erase of block {block} with {self._valid_count[block]} valid pages"
             )
-        lo = block * self.config.pages_per_block
-        hi = lo + self.config.pages_per_block
+        lo = block * self._ppb
+        hi = lo + self._ppb
         self._state[lo:hi] = _FREE
         self._write_ptr[block] = 0
         self._invalid_count[block] = 0
@@ -291,6 +310,13 @@ class NandArray:
 
     def check_invariants(self) -> None:
         """Verify the state arrays agree (used by property tests)."""
+        # The two facts the GC fast path leans on instead of recomputing
+        # them per call: the candidate scan tests invalid_count alone, and
+        # the erase total is read from the running counter.
+        if ((self._invalid_count > 0) & (self._write_ptr <= 0)).any():
+            raise AssertionError("invalid pages in a block with write_ptr == 0")
+        if self.erases != int(self.erase_counts.sum()):
+            raise AssertionError("erases out of sync with erase_counts.sum()")
         ppb = self.config.pages_per_block
         states = self._state.reshape(self.config.num_blocks, ppb)
         valid = (states == _VALID).sum(axis=1)

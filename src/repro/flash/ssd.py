@@ -80,6 +80,8 @@ class SimulatedSSD:
         self._write_span = getattr(self.ftl, "write_span", None)
         self._trim_span = getattr(self.ftl, "trim_span", None)
         self._set_time = self.ftl.set_time
+        self._page_bytes = self.config.page_bytes
+        self._capacity_bytes = self.config.logical_bytes
         self._read_ctrs = None
         self._write_ctrs = None
         self._trim_ctrs = None
@@ -105,7 +107,7 @@ class SimulatedSSD:
     @property
     def capacity_bytes(self) -> int:
         """User-visible capacity."""
-        return self.config.logical_bytes
+        return self._capacity_bytes
 
     @property
     def num_sectors(self) -> int:
@@ -114,7 +116,11 @@ class SimulatedSSD:
     # -- host I/O --------------------------------------------------------------
 
     def _page_span(self, lba: int, nbytes: int) -> range:
-        """Logical page numbers touched by ``nbytes`` starting at sector ``lba``."""
+        """Logical page numbers touched by ``nbytes`` starting at sector ``lba``.
+
+        The validating form: :meth:`read` and :meth:`write` do the same
+        arithmetic inline and come here only to raise.
+        """
         if lba < 0 or nbytes <= 0:
             raise ValueError(f"invalid request lba={lba} nbytes={nbytes}")
         start_byte = lba * SECTOR_BYTES
@@ -131,13 +137,18 @@ class SimulatedSSD:
     def read(self, lba: int, nbytes: int) -> float:
         """Read ``nbytes`` at sector ``lba``; returns service time in us."""
         self._set_time(self.clock.now_us)
-        pages = self._page_span(lba, nbytes)
+        start_byte = lba * SECTOR_BYTES
+        end_byte = start_byte + nbytes
+        if lba < 0 or nbytes <= 0 or end_byte > self._capacity_bytes:
+            self._page_span(lba, nbytes)  # raises
+        first = start_byte // self._page_bytes
+        npages = (end_byte - 1) // self._page_bytes - first + 1
         read_span = self._read_span
         if read_span is not None:
-            latency = read_span(pages.start, len(pages))
+            latency = read_span(first, npages)
         else:
             latency = 0.0
-            for lpn in pages:
+            for lpn in range(first, first + npages):
                 latency += self.ftl.read(lpn)
         ctrs = self._read_ctrs
         if ctrs is None:
@@ -145,27 +156,32 @@ class SimulatedSSD:
                                       self.counters["read_pages"],
                                       self.counters["access_time_us"])
         ctrs[0].add(nbytes)
-        ctrs[1].add(0.0, n=len(pages))
+        ctrs[1].add(0.0, n=npages)
         ctrs[2].add(latency)
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
             now = self.clock.now_us
             self.tracer.record(f"{self.name}.read", now - latency, now,
-                               lba=lba, nbytes=nbytes, pages=len(pages))
+                               lba=lba, nbytes=nbytes, pages=npages)
         return latency
 
     def write(self, lba: int, nbytes: int) -> float:
         """Write ``nbytes`` at sector ``lba``; returns service time in us."""
         self._set_time(self.clock.now_us)
-        pages = self._page_span(lba, nbytes)
+        start_byte = lba * SECTOR_BYTES
+        end_byte = start_byte + nbytes
+        if lba < 0 or nbytes <= 0 or end_byte > self._capacity_bytes:
+            self._page_span(lba, nbytes)  # raises
+        first = start_byte // self._page_bytes
+        npages = (end_byte - 1) // self._page_bytes - first + 1
         tr = self.tracer
         erases_before = self.ftl.erase_count_total if tr is not None else 0
         write_span = self._write_span
         if write_span is not None:
-            latency = write_span(pages.start, len(pages))
+            latency = write_span(first, npages)
         else:
             latency = 0.0
-            for lpn in pages:
+            for lpn in range(first, first + npages):
                 latency += self.ftl.write(lpn)
         ctrs = self._write_ctrs
         if ctrs is None:
@@ -173,14 +189,14 @@ class SimulatedSSD:
                                        self.counters["write_pages"],
                                        self.counters["access_time_us"])
         ctrs[0].add(nbytes)
-        ctrs[1].add(0.0, n=len(pages))
+        ctrs[1].add(0.0, n=npages)
         ctrs[2].add(latency)
         self.clock.consume(self.name, latency)
         if tr is not None:
             # FTL activity rides on the span: GC erases triggered by this
             # host write show up as an attribute, not a guess.
             now = self.clock.now_us
-            attrs = {"lba": lba, "nbytes": nbytes, "pages": len(pages)}
+            attrs = {"lba": lba, "nbytes": nbytes, "pages": npages}
             erased = self.ftl.erase_count_total - erases_before
             if erased:
                 attrs["gc_erases"] = erased
@@ -193,8 +209,8 @@ class SimulatedSSD:
         start_byte = lba * SECTOR_BYTES
         end_byte = start_byte + nbytes
         # Only whole pages strictly inside the range may be discarded.
-        first = -(-start_byte // self.config.page_bytes)
-        last = end_byte // self.config.page_bytes
+        first = -(-start_byte // self._page_bytes)
+        last = end_byte // self._page_bytes
         latency = 0.0
         if last > first:
             trim_span = self._trim_span

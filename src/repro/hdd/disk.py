@@ -44,6 +44,12 @@ class SimulatedHDD:
         #: Optional span tracer (repro.obs); None keeps the hot path bare.
         self.tracer = None
         self._head_lba = 0
+        # Read-path caches, as on SimulatedSSD: geometry is frozen, and
+        # counter refs are resolved lazily (first seek, first read) so a
+        # disk that never seeks or reads keeps the same counter snapshot.
+        self._capacity_bytes = self.geometry.capacity_bytes
+        self._seek_ctr = None
+        self._read_ctrs = None
 
     @property
     def service_lanes(self) -> int:
@@ -52,7 +58,7 @@ class SimulatedHDD:
 
     @property
     def capacity_bytes(self) -> int:
-        return self.geometry.capacity_bytes
+        return self._capacity_bytes
 
     @property
     def num_sectors(self) -> int:
@@ -63,7 +69,7 @@ class SimulatedHDD:
     def _service_time_us(self, lba: int, nbytes: int) -> float:
         if lba < 0 or nbytes <= 0:
             raise ValueError(f"invalid request lba={lba} nbytes={nbytes}")
-        if lba * SECTOR_BYTES + nbytes > self.capacity_bytes:
+        if lba * SECTOR_BYTES + nbytes > self._capacity_bytes:
             raise ValueError("request exceeds disk capacity")
         geo = self.geometry
         distance = abs(lba - self._head_lba)
@@ -74,7 +80,10 @@ class SimulatedHDD:
                 latency += geo.mean_rotational_latency_us
             else:
                 latency += float(self.rng.uniform(0.0, geo.rotation_period_us))
-            self.counters.add("seeks", distance)
+            ctr = self._seek_ctr
+            if ctr is None:
+                ctr = self._seek_ctr = self.counters["seeks"]
+            ctr.add(distance)
         latency += geo.transfer_time_us(nbytes)
         self._head_lba = lba + -(-nbytes // SECTOR_BYTES)
         return latency
@@ -84,8 +93,12 @@ class SimulatedHDD:
     def read(self, lba: int, nbytes: int) -> float:
         """Read ``nbytes`` at sector ``lba``; returns service time in us."""
         latency = self._service_time_us(lba, nbytes)
-        self.counters.add("read_ops", nbytes)
-        self.counters.add("access_time_us", latency)
+        ctrs = self._read_ctrs
+        if ctrs is None:
+            ctrs = self._read_ctrs = (self.counters["read_ops"],
+                                      self.counters["access_time_us"])
+        ctrs[0].add(nbytes)
+        ctrs[1].add(latency)
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
             now = self.clock.now_us

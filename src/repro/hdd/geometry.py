@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["DiskGeometry", "SECTOR_BYTES"]
 
@@ -43,16 +44,19 @@ class DiskGeometry:
         if self.sustained_transfer_mb_s <= 0:
             raise ValueError("transfer rate must be positive")
 
-    @property
+    # Frozen dataclass: derived values are pure functions of immutable
+    # fields, computed once per instance (see CacheConfig).
+
+    @cached_property
     def num_sectors(self) -> int:
         return self.capacity_bytes // SECTOR_BYTES
 
-    @property
+    @cached_property
     def rotation_period_us(self) -> float:
         """Time of one full platter revolution."""
         return 60.0 / self.rpm * 1e6
 
-    @property
+    @cached_property
     def mean_rotational_latency_us(self) -> float:
         """Expected wait for the target sector: half a revolution."""
         return self.rotation_period_us / 2.0

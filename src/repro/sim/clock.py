@@ -110,9 +110,14 @@ class VirtualClock:
         if k is not None and k.in_task():
             k.serve(channel, delta_us, charge=charge)
             return self._now_us
-        self.advance(delta_us)
+        # advance + charge, inlined (seven services per cache-miss query);
+        # the methods stay the validating forms and raise for us.
+        if delta_us < 0:
+            self.advance(delta_us)
+        self._now_us += delta_us
         if charge:
-            self.charge(channel, delta_us)
+            busy = self._busy_us
+            busy[channel] = busy.get(channel, 0.0) + delta_us
         return self._now_us
 
     def charge(self, channel: str, delta_us: float) -> None:

@@ -162,3 +162,53 @@ def test_write_buffer_drain_after_run(index):
     assert len(mgr.write_buffer) == 0
     for entry in staged:
         assert entry.nbytes == mgr.config.result_entry_bytes
+
+
+def test_serving_a_query_never_sorts_its_key(index, monkeypatch):
+    """``Query.key`` is fixed at construction, so the serving path — result
+    lookup, planning, admission, surrogate execution — calls ``sorted``
+    zero times, hit or miss."""
+    import builtins
+
+    mgr = build(index)
+    queries = [Query(i % 4, (1 + i % 4, 9, 30 + i % 2, 9)) for i in range(40)]
+    calls = []
+    real_sorted = builtins.sorted
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(args)
+        return real_sorted(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "sorted", counting_sorted)
+    for q in queries:
+        mgr.process_query(q)
+    assert calls == []
+    assert mgr.stats.result_l1_hits > 0 and mgr.stats.result_misses > 0
+
+
+def test_drop_l2_of_an_unplaced_entry_touches_no_device(index, monkeypatch):
+    """An L2 list entry holding neither blocks nor a byte extent has
+    nothing on flash: dropping it must not TRIM or free anything (it used
+    to reach ``ssd.trim(None, ...)`` through an always-true ``hasattr``
+    test) and still announces the eviction."""
+    from repro.core.entries import CachedList
+
+    mgr = build(index, policy=Policy.LRU)
+    cache = mgr.list_cache
+    cache.l2.insert(5, CachedList(term_id=5, cached_bytes=4096,
+                                  total_bytes=8192, pu=0.5))
+    evicted = []
+    mgr.events.subscribe(on_evict=evicted.append)
+    device_calls = []
+    for name in ("read", "write", "trim"):
+        monkeypatch.setattr(
+            mgr.ssd, name, lambda *a, _n=name: device_calls.append((_n, a)))
+    free_before = cache.byte_region.free_sectors
+
+    cache.drop_l2(5, trim=True, reason="invalidate")
+
+    assert device_calls == []
+    assert cache.byte_region.free_sectors == free_before
+    assert cache.l2.get(5) is None
+    assert [(e.kind, e.key, e.level, e.nbytes, e.reason) for e in evicted] == [
+        ("list", 5, "l2", 4096, "invalidate")]

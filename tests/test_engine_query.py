@@ -14,6 +14,37 @@ def test_query_key_is_sorted_unique():
     assert len(q) == 4
 
 
+def test_query_key_is_computed_once_at_construction(monkeypatch):
+    """``key`` is a stored attribute, not a property that sorts per read:
+    no ``sorted`` call happens after the object exists."""
+    import builtins
+
+    q = Query(query_id=0, terms=(9, 2, 9, 4))
+    calls = []
+    real_sorted = builtins.sorted
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(args)
+        return real_sorted(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "sorted", counting_sorted)
+    assert q.key == (2, 4, 9)
+    assert q.key is q.key  # the same tuple object every time
+    assert calls == []
+
+
+def test_query_key_stays_out_of_identity():
+    """Two queries compare, hash and print exactly as they did when
+    ``key`` was a property: by ``query_id`` and ``terms`` only."""
+    a = Query(3, (7, 1, 7), text="x")
+    b = Query(3, (7, 1, 7), text="y")
+    c = Query(3, (1, 7))  # same key, different terms: a different query
+    assert a == b and hash(a) == hash(b)
+    assert a.key == c.key and a != c
+    assert repr(a) == "Query(query_id=3, terms=(7, 1, 7), text='x')"
+    assert len({a, b, c}) == 2
+
+
 def test_query_requires_terms():
     with pytest.raises(ValueError):
         Query(query_id=0, terms=())

@@ -139,3 +139,26 @@ def test_check_invariants_passes_after_mixed_history(nand):
     for ppn in nand.valid_ppns_in(0)[:10]:
         nand.invalidate_page(ppn)
     nand.check_invariants()
+
+
+def test_check_invariants_states_invalid_implies_written(nand):
+    """The GC candidate scan tests ``invalid_count > 0`` alone, leaning on
+    "a block with an invalid page has been written"; a counter that says
+    otherwise is reported in those words."""
+    nand.program_run(0, 4)
+    nand.check_invariants()
+    nand._invalid_count[3] = 2  # block 3 was never programmed
+    with pytest.raises(AssertionError, match="write_ptr == 0"):
+        nand.check_invariants()
+
+
+def test_check_invariants_states_erase_total_matches_per_block_counts(nand):
+    """``FTL.erase_count_total`` reads the running ``erases`` counter
+    instead of summing ``erase_counts``; drift between the two is caught."""
+    nand.program_run(1, 3)
+    nand.invalidate_run(nand.config.pages_per_block, 3)
+    nand.erase_block(1)
+    nand.check_invariants()
+    nand.erase_counts[1] += 1
+    with pytest.raises(AssertionError, match="erases out of sync"):
+        nand.check_invariants()
