@@ -2,16 +2,17 @@
 
 Deterministic end-to-end runs over the simulated stack, summarised into
 a ``BENCH_<n>.json`` document: per-stage latency percentiles, hit
-ratios, write amplification, total erases and wall-clock time per
-scenario.  Because the simulation is fully deterministic, every metric
-except wall clock reproduces bit-for-bit on unchanged code — which is
-what makes :func:`~repro.bench.regression.compare_benches` a usable
-regression gate in CI rather than a noise detector.
+ratios, write amplification and total erases per scenario.  Because the
+simulation is fully deterministic, the whole document reproduces byte
+for byte on unchanged code — which is what makes
+:func:`~repro.bench.regression.compare_benches` a usable regression
+gate in CI rather than a noise detector.  Host time (how fast the
+simulator itself runs) is ``hostbench/``'s job, not this package's.
 
 Typical flow::
 
-    repro bench --suite smoke --out BENCH_0005.json
-    repro bench --suite smoke --against BENCH_0004.json   # exits 1 on regression
+    repro bench --suite smoke --out BENCH_0008.json       # re-record
+    repro bench --suite smoke --against BENCH_0007.json   # exits 1 on regression
 """
 
 from repro.bench.harness import (
@@ -24,12 +25,9 @@ from repro.bench.harness import (
 from repro.bench.regression import (
     BLAME_THRESHOLDS,
     DEFAULT_THRESHOLDS,
-    HOST_WALL_METRIC,
-    HOST_WALL_THRESHOLD,
     Regression,
     compare_benches,
     format_regressions,
-    format_wall_report,
 )
 from repro.bench.scenarios import SUITES, BenchScenario
 
@@ -44,9 +42,6 @@ __all__ = [
     "Regression",
     "BLAME_THRESHOLDS",
     "DEFAULT_THRESHOLDS",
-    "HOST_WALL_METRIC",
-    "HOST_WALL_THRESHOLD",
     "compare_benches",
     "format_regressions",
-    "format_wall_report",
 ]

@@ -4,9 +4,11 @@ Each scenario replays a deterministic query log through the full cached
 stack with a registry-only :class:`~repro.obs.Telemetry` attached (no
 spans, no audit — the cheap configuration) plus a windowed timeline,
 then folds the run result, the stage-latency histograms and the
-flash-device bridge into one flat metrics dict.  Every metric except
-``wall_clock_s`` is a pure function of the code and the seed, so
-unchanged code reproduces the document exactly.
+flash-device bridge into one flat metrics dict.  Every value is
+simulated — a pure function of the code and the seed — so unchanged
+code reproduces the document byte for byte.  How fast the simulator
+itself runs is not recorded here: ``hostbench/`` measures and gates
+host time.
 
 **Steady-state measurement** (methodology ``steady-state/v1``): latency
 and hit-ratio metrics are computed over the timeline windows from the
@@ -19,22 +21,12 @@ methodology is recorded in the document, and
 :func:`~repro.bench.regression.compare_benches` refuses to compare
 documents measured under different methodologies.
 
-**Host-time measurement**: ``wall_clock_s`` times *serving only* —
-corpus/index/manager construction and static warmup are reported
-separately as ``host.build_wall_s``.  Closed-loop scenarios additionally
-run twice more (same seed, so the simulated work is byte-identical): a
-profiled run (:class:`~repro.obs.Profiler`) yielding per-subsystem wall
-shares, hot-op counts and ``wall_ns_per_op``, and a telemetry-off run
-yielding the obs-tax fraction.  The result is the ``host`` block next to
-``metrics``; :func:`~repro.bench.regression.compare_benches` gates
-``host.wall_us_per_query`` with a 30% ratchet.
-
 Document schema (``repro.bench/v1``)::
 
     {"schema": "repro.bench/v1", "suite": "smoke",
      "methodology": {"name": "steady-state/v1", ...},
      "scenarios": {"<name>": {"config": {...}, "metrics": {...},
-                              "measurement": {...}, "host": {...}}}}
+                              "measurement": {...}}}}
 
 Open-loop scenarios additionally carry a ``blame`` block (wait
 fraction, bottleneck, knee estimate, Little's-law self-check and
@@ -44,12 +36,9 @@ per-resource wait/service means from :mod:`repro.obs.blame`), gated by
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import os
 import re
-import time
 
 from repro.bench.scenarios import SUITES, BenchScenario
 
@@ -81,31 +70,6 @@ _STAGE_QS = (50.0, 99.0)
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
 
-@contextlib.contextmanager
-def _serving_gc():
-    """GC discipline for a measured serve.
-
-    The index, caches and FTL mappings built before serving are
-    long-lived; leaving them in the collector's young generations makes
-    every gen-0 pass re-scan a large static object graph (~15% of serve
-    wall at smoke scale).  Collect once, freeze the survivors out of the
-    collector, and disable cycle collection for the (bounded-allocation)
-    serve loop.  Every measured run — telemetry-on, profiled and
-    telemetry-off — serves under the same discipline, so the obs-tax
-    ratio and run-to-run comparisons stay fair.
-    """
-    gc.collect()
-    gc.freeze()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-        gc.unfreeze()
-
-
 def _ratio(counters: dict, name: str, hit_outcomes=("l1_hit", "l2_hit")):
     """Hit ratio over one ``cache_*_lookups_total`` counter family."""
     from repro.obs.timeline import parse_series_key
@@ -121,20 +85,14 @@ def _ratio(counters: dict, name: str, hit_outcomes=("l1_hit", "l2_hit")):
     return (hits / lookups if lookups else 0.0), lookups
 
 
-def run_scenario(scenario: BenchScenario, host_profile: bool = True) -> dict:
+def run_scenario(scenario: BenchScenario) -> dict:
     """Run one scenario; returns its ``{"config", "metrics",
-    "measurement", "host"}`` entry.
-
-    ``host_profile=False`` skips the two extra serving runs behind the
-    host block's profile and obs-tax fields (the block then carries only
-    timing), for callers that just need the simulated metrics fast.
-    """
+    "measurement"}`` entry (plus ``"blame"`` for open-loop scenarios)."""
     from repro.core.config import CacheConfig, Policy
     from repro.obs import Telemetry, merge_windows, steady_state_window
-    from repro.workloads.retrieval import prepare_cached_manager, run_cached
+    from repro.workloads.retrieval import run_cached
     from repro.workloads.sweep import make_log_for, make_scaled_index
 
-    build_t0 = time.perf_counter()
     index = make_scaled_index(scenario.docs)
     log = make_log_for(scenario.queries, seed=scenario.seed)
     cfg = CacheConfig.paper_split(
@@ -143,33 +101,16 @@ def run_scenario(scenario: BenchScenario, host_profile: bool = True) -> dict:
         ttl_us=scenario.ttl_ms * 1000.0,
     )
     if scenario.arrival != "closed":
-        return _run_open_scenario(scenario, index, log, cfg, build_t0)
-
-    def build_manager(telemetry):
-        return prepare_cached_manager(
-            index, log, cfg,
-            static_analyze_queries=scenario.queries // 2,
-            seed=scenario.seed, telemetry=telemetry,
-        )
-
-    def serve(manager):
-        return run_cached(index, log, cfg, seed=scenario.seed,
-                          manager=manager)
+        return _run_open_scenario(scenario, index, log, cfg)
 
     tel = Telemetry(trace=False, audit=False)
     timeline = tel.attach_timeline(window_us=METHODOLOGY["window_us"])
-    manager = build_manager(tel)
-    build_wall = time.perf_counter() - build_t0
-    with _serving_gc():
-        t0 = time.perf_counter()
-        result = serve(manager)
-        wall = time.perf_counter() - t0
+    result = run_cached(
+        index, log, cfg,
+        static_analyze_queries=scenario.queries // 2,
+        seed=scenario.seed, telemetry=tel,
+    )
     timeline.finish()
-    host = _host_block(scenario, wall, build_wall, result.queries,
-                       build_manager, serve) if host_profile else {
-        "wall_us_per_query": wall * 1e6 / max(1, result.queries),
-        "build_wall_s": build_wall,
-    }
 
     windows = list(timeline.windows)
     steady = steady_state_window(
@@ -194,7 +135,6 @@ def run_scenario(scenario: BenchScenario, host_profile: bool = True) -> dict:
         "list_hit_ratio": stats.list_hit_ratio,
         "combined_hit_ratio": stats.combined_hit_ratio,
         "ssd_erases": result.ssd_erases,
-        "wall_clock_s": wall,
     }
     counters = merged["counters"]
     hists = merged["histograms"]
@@ -247,49 +187,10 @@ def run_scenario(scenario: BenchScenario, host_profile: bool = True) -> dict:
         for q in _STAGE_QS:
             metrics[f"stage_{stage}_p{q:g}_us"] = inst.percentile(q)
     return {"config": scenario.to_dict(), "metrics": metrics,
-            "measurement": measurement, "host": host}
+            "measurement": measurement}
 
 
-def _host_block(scenario, wall, build_wall, queries,
-                build_manager, serve) -> dict:
-    """Measure where the serving wall time goes.
-
-    Two extra serving runs with the scenario's seed: one under the
-    profiler (manager built *outside* the capture, so only serving is
-    attributed) and one with telemetry off (the obs tax).  The simulated
-    work is identical in all three runs — the profiler observes, never
-    perturbs — so only host-side numbers differ.
-    """
-    from repro.obs import Profiler, Telemetry
-
-    host = {
-        "wall_us_per_query": wall * 1e6 / max(1, queries),
-        "build_wall_s": build_wall,
-    }
-
-    profiler = Profiler()
-    profiled_manager = build_manager(Telemetry(trace=False, audit=False))
-    with _serving_gc(), profiler.profile():
-        serve(profiled_manager)
-    summary = profiler.summary(top=5)
-    host["subsystem_shares"] = {
-        name: entry["share"] for name, entry in summary["subsystems"].items()
-    }
-    host["counters"] = summary["counters"]
-    host["wall_ns_per_op"] = summary["wall_ns_per_op"]
-
-    bare_manager = build_manager(None)
-    with _serving_gc():
-        t0 = time.perf_counter()
-        serve(bare_manager)
-        wall_off = time.perf_counter() - t0
-    host["obs_tax_fraction"] = (
-        max(0.0, (wall - wall_off) / wall) if wall > 0 else 0.0)
-    return host
-
-
-def _run_open_scenario(scenario: BenchScenario, index, log, cfg,
-                       build_t0: float) -> dict:
+def _run_open_scenario(scenario: BenchScenario, index, log, cfg) -> dict:
     """Open-loop scenario: closed-loop warmup, then kernel-scheduled
     arrivals.  Response metrics include queueing delay by construction;
     saturation indicators (shed fraction, peak queue depth, bottleneck
@@ -324,15 +225,11 @@ def _run_open_scenario(scenario: BenchScenario, index, log, cfg,
         arrivals = DiurnalArrivals(scenario.rate_qps, seed=scenario.seed)
     else:
         raise ValueError(f"unknown arrival {scenario.arrival!r}")
-    build_wall = time.perf_counter() - build_t0
-    with _serving_gc():
-        t0 = time.perf_counter()
-        result = run_open_loop(
-            manager, queries[warm:], arrivals,
-            concurrency=scenario.concurrency, max_queue=scenario.max_queue,
-            label=scenario.name,
-        )
-        wall = time.perf_counter() - t0
+    result = run_open_loop(
+        manager, queries[warm:], arrivals,
+        concurrency=scenario.concurrency, max_queue=scenario.max_queue,
+        label=scenario.name,
+    )
     timeline.finish()
     incidents = flight.finish()
     rec = getattr(tel, "blame", None)
@@ -377,7 +274,6 @@ def _run_open_scenario(scenario: BenchScenario, index, log, cfg,
         "result_hit_ratio": stats.result_hit_ratio,
         "list_hit_ratio": stats.list_hit_ratio,
         "combined_hit_ratio": stats.combined_hit_ratio,
-        "wall_clock_s": wall,
     }
     measurement = {
         "arrival": scenario.arrival,
@@ -393,21 +289,14 @@ def _run_open_scenario(scenario: BenchScenario, index, log, cfg,
     if incidents:
         measurement["incident_triggers"] = sorted(
             {m["trigger"]["detector"] for m in flight.incidents})
-    # Kernel tasks run on OS threads and cProfile is per-thread, so open
-    # scenarios carry only the timing fields of the host block.
-    host = {
-        "wall_us_per_query": wall * 1e6 / max(1, result.completed),
-        "build_wall_s": build_wall,
-    }
     entry = {"config": scenario.to_dict(), "metrics": metrics,
-             "measurement": measurement, "host": host}
+             "measurement": measurement}
     if blame_block is not None:
         entry["blame"] = blame_block
     return entry
 
 
-def run_suite(suite: str = "smoke", progress=None,
-              host_profile: bool = True) -> dict:
+def run_suite(suite: str = "smoke", progress=None) -> dict:
     """Run every scenario of ``suite``; returns the BENCH document."""
     try:
         scenarios = SUITES[suite]
@@ -420,8 +309,7 @@ def run_suite(suite: str = "smoke", progress=None,
     for scenario in scenarios:
         if progress is not None:
             progress(scenario)
-        doc["scenarios"][scenario.name] = run_scenario(
-            scenario, host_profile=host_profile)
+        doc["scenarios"][scenario.name] = run_scenario(scenario)
     return doc
 
 

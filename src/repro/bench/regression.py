@@ -4,18 +4,10 @@ Each gated metric has a direction (is higher or lower worse?) and a
 relative tolerance.  The simulation is deterministic, so on unchanged
 code every gated metric matches exactly; the tolerances exist to absorb
 *intentional* small shifts (a reordered write here, one extra GC pass
-there) without ungated drift.  ``wall_clock_s`` is recorded in the
-document but never gated — it measures the machine, not the code — yet
-its delta is always *reported* (:func:`format_wall_report`), so speed
-drift stays visible in CI logs.
-
-Host time gates through the per-scenario ``host`` block instead:
-``host.wall_us_per_query`` measures serving only (setup excluded) and
-carries a deliberately loose 30% ratchet — machine noise passes, an
-accidental algorithmic slowdown does not.  Improvements never fail; they
-are flagged as re-baseline candidates so the ratchet tightens as the
-raw-speed arc lands optimisations.  Baselines recorded before the host
-block exist simply skip the host gate.
+there) without ungated drift.  Only simulated metrics gate here; a
+metric with no threshold — and any other key a document carries, such
+as the host-time blocks older baselines recorded — is ignored.  Host
+time is measured and compared by ``hostbench/``.
 """
 
 from __future__ import annotations
@@ -23,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["Threshold", "Regression", "DEFAULT_THRESHOLDS",
-           "HOST_WALL_METRIC", "HOST_WALL_THRESHOLD", "BLAME_THRESHOLDS",
-           "compare_benches", "format_regressions", "format_wall_report"]
+           "BLAME_THRESHOLDS", "compare_benches", "format_regressions"]
 
 
 @dataclass(frozen=True)
@@ -78,16 +69,6 @@ DEFAULT_THRESHOLDS: dict[str, Threshold] = {
     "stage_": Threshold("up", 0.20, abs_tol=1.0),
 }
 
-#: Metrics never gated (recorded for humans, not for the gate).
-UNGATED = {"wall_clock_s"}
-
-#: The host-time gate: per-query serving wall time, from the ``host``
-#: block.  30% relative tolerance absorbs machine/load noise on CI
-#: runners; the 200 us absolute slack keeps sub-millisecond scenarios
-#: from gating on scheduler jitter.
-HOST_WALL_METRIC = "host.wall_us_per_query"
-HOST_WALL_THRESHOLD = Threshold("up", 0.30, abs_tol=200.0)
-
 #: Capacity-model gates over the per-scenario ``blame`` block (open-loop
 #: scenarios only).  The knee estimate falling means the modeled
 #: capacity ceiling dropped; wait fraction rising means queueing grew at
@@ -102,8 +83,6 @@ BLAME_THRESHOLDS: dict[str, Threshold] = {
 
 def _threshold_for(metric: str,
                    thresholds: dict[str, Threshold]) -> Threshold | None:
-    if metric in UNGATED:
-        return None
     t = thresholds.get(metric)
     if t is not None:
         return t
@@ -169,18 +148,6 @@ def compare_benches(
             if base_val != 0 and delta / abs(base_val) <= t.rel_tol:
                 continue
             out.append(Regression(name, metric, base_val, cur_val, t))
-        # Host serving time gates through the ratchet when both sides
-        # recorded it; pre-host baselines skip (nothing to ratchet from).
-        base_host = base_entry.get("host") or {}
-        cur_host = cur_entry.get("host") or {}
-        base_wall = base_host.get("wall_us_per_query")
-        cur_wall = cur_host.get("wall_us_per_query")
-        if base_wall and cur_wall is not None:
-            t = HOST_WALL_THRESHOLD
-            delta = cur_wall - base_wall
-            if delta > t.abs_tol and delta / abs(base_wall) > t.rel_tol:
-                out.append(Regression(name, HOST_WALL_METRIC,
-                                      base_wall, cur_wall, t))
         # Capacity model: gated when both sides carry a blame block
         # (open-loop scenarios); pre-blame baselines skip.
         base_blame = base_entry.get("blame") or {}
@@ -200,47 +167,6 @@ def compare_benches(
             out.append(Regression(name, f"blame.{metric}",
                                   base_val, cur_val, t))
     return out
-
-
-def format_wall_report(current: dict, baseline: dict) -> str:
-    """Wall-clock drift report, one line per shared scenario.
-
-    Always printed with the gate output even though ``wall_clock_s``
-    never gates: speed drift should be visible in every CI log, not just
-    when it crosses the host ratchet.  A host improvement past the
-    ratchet's own tolerance is flagged as a re-baseline candidate — the
-    warn-then-ratchet half of the gate.
-    """
-    lines = []
-    for name, base_entry in baseline.get("scenarios", {}).items():
-        cur_entry = current.get("scenarios", {}).get(name)
-        if cur_entry is None:
-            continue
-        base_wall = base_entry["metrics"].get("wall_clock_s")
-        cur_wall = cur_entry["metrics"].get("wall_clock_s")
-        if not base_wall or cur_wall is None:
-            continue
-        pct = (cur_wall - base_wall) / base_wall
-        line = (f"  {name}: wall {base_wall:.2f}s -> {cur_wall:.2f}s "
-                f"({pct:+.1%}, ungated)")
-        base_host = (base_entry.get("host") or {}).get("wall_us_per_query")
-        cur_host = (cur_entry.get("host") or {}).get("wall_us_per_query")
-        if base_host and cur_host is not None:
-            hpct = (cur_host - base_host) / base_host
-            t = HOST_WALL_THRESHOLD
-            if hpct > t.rel_tol and cur_host - base_host > t.abs_tol:
-                status = "FAILS ratchet"
-            elif hpct < -t.rel_tol:
-                status = "improved, re-baseline candidate"
-            else:
-                status = "within ratchet"
-            line += (f"; host {base_host:,.0f} -> {cur_host:,.0f} us/query "
-                     f"({hpct:+.1%}, {status})")
-        lines.append(line)
-    if not lines:
-        return "wall-clock report: no shared scenarios"
-    return "wall-clock report (reported always, gated via host ratchet):\n" \
-        + "\n".join(lines)
 
 
 def format_regressions(regressions: list[Regression]) -> str:

@@ -15,8 +15,8 @@ The subcommands cover the common standalone uses of the library::
     repro compare  --queries 5000                 # all policies side by side
     repro compare  out-a/ out-b/                  # compare saved telemetry dirs
     repro bench    --suite smoke                  # deterministic benchmark run
-    repro bench    --suite smoke --against BENCH_0004.json  # regression gate
-    repro profile  --suite smoke --top 15         # host wall-clock scoreboard
+    repro bench    --suite smoke --against BENCH_0007.json  # regression gate
+    repro profile  --suite smoke --top 15         # host-time attribution
     repro profile  --folded profile.folded --out profile.json  # flamegraph data
 
 Install exposes ``repro`` as a console entry point; ``python -m
@@ -256,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the repro.obs.profile/v1 JSON summary to PATH")
     p.add_argument("--json", action="store_true",
                    help="print the JSON summary instead of the scoreboard")
-    p.add_argument("--no-obs-tax", action="store_true",
-                   help="skip the extra telemetry-off run that measures "
-                        "observability overhead")
-    p.add_argument("--against", type=str, default=None, metavar="BENCH.json",
-                   help="print a before/after wall_ns_per_op delta table "
-                        "against a recorded BENCH document's host blocks")
     return parser
 
 
@@ -818,8 +812,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.dirs:
         return _compare_dirs(args)
 
-    import time
-
     from repro.obs import HOT
 
     index = make_scaled_index(args.docs)
@@ -834,17 +826,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         tel = Telemetry(trace=False, audit=False)
         timeline = tel.attach_timeline(window_us=50_000.0)
         hot_before = HOT.snapshot()
-        t0 = time.perf_counter()
         results[policy.value] = run_cached(
             index, log, cfg, static_analyze_queries=args.queries // 2,
             telemetry=tel,
         )
-        wall = time.perf_counter() - t0
-        host[policy.value] = {
-            "wall_s": wall,
-            "wall_us_per_query": wall * 1e6 / max(1, args.queries),
-            "hot_ops": HOT.delta(hot_before),
-        }
+        host[policy.value] = {"hot_ops": HOT.delta(hot_before)}
         timeline.finish()  # also samples the flash bridges (collect)
         registries[policy.value] = tel.registry
         timelines[policy.value] = list(timeline.windows)
@@ -863,7 +849,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report += "\n\n" + format_stage_comparison(
             registries, title="per-stage latency by policy"
         )
-        report += "\n\n" + _host_time_table(host)
+        report += "\n\n" + _hot_ops_table(host)
         flash_rows = [
             [policy] + row[1:]
             for policy, registry in registries.items()
@@ -885,19 +871,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _host_time_table(host: dict) -> str:
-    """Host wall-clock per policy (real seconds, not virtual time)."""
+def _hot_ops_table(host: dict) -> str:
+    """Exact hot-path operation counts per policy (host work, not time)."""
     rows = [
-        [policy, f"{h['wall_s']:.2f}", f"{h['wall_us_per_query']:,.0f}",
+        [policy,
          f"{h['hot_ops']['ftl_map_lookups']:,}",
          f"{h['hot_ops']['lru_node_moves']:,}",
          f"{h['hot_ops']['postings_decoded']:,}"]
         for policy, h in host.items()
     ]
     return format_table(
-        ["policy", "wall s", "us/query", "ftl lookups", "lru moves",
-         "postings"],
-        rows, title="host time (wall clock; `repro profile` for attribution)")
+        ["policy", "ftl lookups", "lru moves", "postings"],
+        rows, title="hot-path operations (host time: see hostbench/)")
 
 
 def _compare_timelines(timelines: dict) -> dict:
@@ -1067,10 +1052,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _explain_query(dir_path: str, query_id: int) -> int:
     """Chain a tail-latency exemplar to its span tree and audit records."""
-    import json
     import os
 
-    from repro.obs import load_audit_jsonl, load_timeline_jsonl
+    from repro.obs import (
+        load_audit_jsonl,
+        load_spans_jsonl,
+        load_timeline_jsonl,
+    )
 
     if not os.path.isdir(dir_path):
         print(f"error: {dir_path}: --query needs a telemetry directory "
@@ -1083,7 +1071,22 @@ def _explain_query(dir_path: str, query_id: int) -> int:
               f"`repro run --telemetry {dir_path} --timeline`",
               file=sys.stderr)
         return 2
-    tl = load_timeline_jsonl(timeline_path)
+    # Load everything before printing anything: a torn final line (run
+    # killed mid-write) is skipped and counted, anything worse is one
+    # error line instead of a traceback or half a report.
+    spans_path = os.path.join(dir_path, "spans.jsonl")
+    audit_path = os.path.join(dir_path, "audit.jsonl")
+    span_records, torn_spans, audit = [], 0, []
+    try:
+        tl = load_timeline_jsonl(timeline_path)
+        if os.path.exists(spans_path):
+            span_records, torn_spans = load_spans_jsonl(spans_path)
+        if os.path.exists(audit_path):
+            audit = load_audit_jsonl(audit_path)
+    except (ValueError, OSError) as exc:
+        print(f"error: {dir_path}: not a usable telemetry directory ({exc})",
+              file=sys.stderr)
+        return 2
     exemplars = [e for e in tl.exemplars if e.get("query_id") == query_id]
 
     # Kernel blame decomposes every query, not just the tail ones, so a
@@ -1107,21 +1110,13 @@ def _explain_query(dir_path: str, query_id: int) -> int:
               f"the capture percentile are recorded — but the kernel blame "
               f"stream decomposed it:")
 
-    spans = {}
-    spans_path = os.path.join(dir_path, "spans.jsonl")
-    if os.path.exists(spans_path):
-        with open(spans_path) as fh:
-            for line in fh:
-                span = json.loads(line)
-                spans[span["span_id"]] = span
+    if torn_spans:
+        print(f"note: {spans_path}: skipped {torn_spans} torn trailing "
+              f"record(s) (run cut mid-write)")
+    spans = {span["span_id"]: span for span in span_records}
     children: dict = {}
     for span in spans.values():
         children.setdefault(span.get("parent_id"), []).append(span)
-
-    audit = []
-    audit_path = os.path.join(dir_path, "audit.jsonl")
-    if os.path.exists(audit_path):
-        audit = load_audit_jsonl(audit_path)
 
     if exemplars:
         print(f"query {query_id}: {len(exemplars)} tail exemplar(s)")
@@ -1275,64 +1270,49 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
         compare_benches,
         format_regressions,
-        format_wall_report,
         load_bench,
         next_bench_path,
         run_suite,
         write_bench,
     )
 
+    baseline = None
+    if args.against:
+        # Before any scenario runs: a bad baseline must not cost a suite.
+        try:
+            baseline = load_bench(args.against)
+        except (ValueError, OSError) as exc:
+            print(f"error: {args.against}: not a usable bench baseline "
+                  f"({exc})", file=sys.stderr)
+            return 2
     doc = run_suite(args.suite,
                     progress=lambda s: print(f"running {s.name} ..."))
     out = args.out or next_bench_path()
     write_bench(doc, out)
     for name, entry in doc["scenarios"].items():
         m = entry["metrics"]
-        host = entry.get("host", {})
-        wall_txt = f"({m['wall_clock_s']:.1f} s serve"
-        if "wall_us_per_query" in host:
-            wall_txt += f", {host['wall_us_per_query']:,.0f} us/q host"
-        wall_txt += ")"
         if "reject_fraction" in m:  # open-loop saturation scenario
             print(f"  {name:<16s} {m['mean_response_ms']:8.2f} ms/q "
                   f"{m['throughput_qps']:8.1f} q/s "
                   f"p999 {m['p999_response_ms']:8.1f} ms "
                   f"shed {m['reject_fraction']:6.1%} "
-                  f"util {m['bottleneck_utilization']:5.1%} "
-                  f"{wall_txt}")
+                  f"util {m['bottleneck_utilization']:5.1%}")
         else:
             print(f"  {name:<16s} {m['mean_response_ms']:8.2f} ms/q "
                   f"{m['throughput_qps']:8.1f} q/s "
                   f"hit {m['combined_hit_ratio']:6.1%} "
-                  f"erases {m['ssd_erases']:5d} "
-                  f"{wall_txt}")
+                  f"erases {m['ssd_erases']:5d}")
     print(f"wrote {out}")
-    if args.against:
-        baseline = load_bench(args.against)
+    if baseline is not None:
         try:
             regressions = compare_benches(doc, baseline)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(format_wall_report(doc, baseline))
         print(f"gate vs {args.against}: {format_regressions(regressions)}")
         if regressions:
             return 1
     return 0
-
-
-def _sim_fingerprint(result) -> dict:
-    """The simulated metrics that must not move when observability does."""
-    stats = result.stats
-    return {
-        "queries": result.queries,
-        "mean_response_ms": result.mean_response_ms,
-        "throughput_qps": result.throughput_qps,
-        "result_hit_ratio": stats.result_hit_ratio,
-        "list_hit_ratio": stats.list_hit_ratio,
-        "combined_hit_ratio": stats.combined_hit_ratio,
-        "ssd_erases": result.ssd_erases,
-    }
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -1345,7 +1325,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         Profiler,
         Telemetry,
         format_profile,
-        measure_obs_tax,
         write_folded,
         write_profile,
     )
@@ -1368,7 +1347,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler = Profiler()
     start = time.perf_counter()
     total_queries = 0
-    first_run = None
     for sc in scenarios:
         print(f"profiling {sc.name} ...")
         index = make_scaled_index(sc.docs)
@@ -1377,8 +1355,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             sc.mem_mb * MB, sc.ssd_mb * MB,
             policy=Policy(sc.policy), ttl_us=sc.ttl_ms * 1000.0,
         )
-        if first_run is None:
-            first_run = (sc, index, log, cfg)
         mgr = prepare_cached_manager(
             index, log, cfg, static_analyze_queries=sc.queries // 2,
             seed=sc.seed, telemetry=Telemetry(trace=False, audit=False),
@@ -1392,45 +1368,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     doc["queries"] = total_queries
     doc["build_wall_s"] = (time.perf_counter() - start) - profiler.wall_s
 
-    tax = None
-    if not args.no_obs_tax:
-        sc, index, log, cfg = first_run
-
-        def prepared(telemetry):
-            return prepare_cached_manager(
-                index, log, cfg, static_analyze_queries=sc.queries // 2,
-                seed=sc.seed, telemetry=telemetry)
-
-        obs_manager = prepared(Telemetry(trace=False, audit=False))
-        bare_manager = prepared(None)
-        tax = measure_obs_tax(
-            lambda: _sim_fingerprint(run_cached(
-                index, log, cfg, seed=sc.seed, manager=obs_manager)),
-            lambda: _sim_fingerprint(run_cached(
-                index, log, cfg, seed=sc.seed, manager=bare_manager)),
-        )
-        doc["obs_tax"] = tax
-
-    delta_table = None
-    if args.against:
-        from repro.bench.harness import load_bench
-        from repro.obs import baseline_wall_ns_per_op, format_wall_ns_delta
-
-        baseline = load_bench(args.against)
-        doc["against"] = {
-            "path": str(args.against),
-            "wall_ns_per_op": baseline_wall_ns_per_op(baseline),
-        }
-        delta_table = format_wall_ns_delta(doc, baseline, label=args.against)
-
     if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
         print()
         print(format_profile(doc, top=args.top))
-        if delta_table is not None:
-            print()
-            print(delta_table)
     if args.out:
         write_profile(doc, args.out)
         print(f"wrote profile summary to {args.out}")
@@ -1438,11 +1380,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         lines = profiler.folded_lines()
         write_folded(lines, args.folded)
         print(f"wrote {len(lines)} collapsed stacks to {args.folded}")
-    if tax is not None and not tax["simulated_match"]:
-        print("error: simulated metrics diverged between telemetry-on and "
-              "telemetry-off runs — observability is perturbing the "
-              "simulation", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -78,13 +78,10 @@ from repro.obs.instruments import (
 from repro.obs.profiler import (
     PROFILE_SCHEMA,
     Profiler,
-    baseline_wall_ns_per_op,
     format_profile,
-    format_wall_ns_delta,
     func_label,
     load_folded,
     load_profile,
-    measure_obs_tax,
     subsystem_of,
     validate_profile,
     write_folded,
@@ -110,7 +107,6 @@ from repro.obs.slo import (
     evaluate_slos,
     parse_slo,
     run_detectors,
-    window_point,
 )
 from repro.obs.telemetry import Telemetry, stage_of_channel
 from repro.obs.timeline import (
@@ -125,6 +121,7 @@ from repro.obs.timeline import (
     steady_state_window,
     sub_histogram,
     validate_timeline_jsonl,
+    window_point,
     window_series,
 )
 from repro.obs.tracer import (
@@ -225,10 +222,7 @@ __all__ = [
     "Profiler",
     "subsystem_of",
     "func_label",
-    "measure_obs_tax",
-    "baseline_wall_ns_per_op",
     "format_profile",
-    "format_wall_ns_delta",
     "write_profile",
     "load_profile",
     "validate_profile",

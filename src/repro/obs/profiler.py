@@ -1,10 +1,11 @@
 """Host-side profiling: where does *wall-clock* time go?
 
 Everything else in ``repro.obs`` measures the simulated system on the
-virtual clock.  This module measures the simulator itself on the real
-clock, because the raw-speed arc (ROADMAP open item 2: >= 10x wall-clock
-at byte-identical simulated metrics) needs a scoreboard before it needs
-optimisations.  Three layers:
+virtual clock.  This module *attributes* the simulator's own host time
+— which subsystem, which function, which call stack — so an
+optimisation knows where to look.  It is not a ruler: a cProfile'd wall
+is inflated by the profiler itself, so speed is measured, compared and
+gated by ``hostbench/``.  Three layers:
 
 * :class:`Profiler` — a deterministic :mod:`cProfile` capture wrapped so
   repeated ``with profiler.profile():`` sections accumulate into one
@@ -35,7 +36,7 @@ Summary schema (``repro.obs.profile/v1``)::
      "wall_ns_per_op": {"ftl_map_lookups": ..., ...}}
 
 plus optional context keys callers add (``suite``, ``queries``,
-``build_wall_s``, ``obs_tax``).
+``build_wall_s``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "Profiler",
     "subsystem_of",
     "func_label",
-    "measure_obs_tax",
     "write_folded",
     "load_folded",
     "write_profile",
@@ -260,34 +260,6 @@ class Profiler:
 
 
 # ---------------------------------------------------------------------------
-# Observability self-overhead ("obs tax")
-# ---------------------------------------------------------------------------
-
-def measure_obs_tax(run_with_obs, run_without_obs) -> dict:
-    """Time the same deterministic work with observability on vs off.
-
-    Both callables must perform identical simulated work and return a
-    dict of simulated metrics; the returned block reports the wall-time
-    fraction spent on observability and whether the simulated metrics
-    matched (the "observe, never perturb" contract — a mismatch means a
-    telemetry hook leaked into the simulation).
-    """
-    t0 = time.perf_counter()
-    on = run_with_obs()
-    wall_on = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    off = run_without_obs()
-    wall_off = time.perf_counter() - t1
-    fraction = max(0.0, (wall_on - wall_off) / wall_on) if wall_on > 0 else 0.0
-    return {
-        "wall_s_obs_on": wall_on,
-        "wall_s_obs_off": wall_off,
-        "fraction": fraction,
-        "simulated_match": on == off,
-    }
-
-
-# ---------------------------------------------------------------------------
 # File I/O + validation (what the CI artifact step checks)
 # ---------------------------------------------------------------------------
 
@@ -360,9 +332,6 @@ def validate_profile(doc: dict) -> None:
     for op, n in doc["counters"].items():
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"counter {op!r} is not a non-negative int")
-    tax = doc.get("obs_tax")
-    if tax is not None and not 0.0 <= tax["fraction"] <= 1.0:
-        raise ValueError(f"obs-tax fraction {tax['fraction']} outside [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -407,75 +376,4 @@ def format_profile(doc: dict, top: int | None = None) -> str:
     parts.append(format_table(
         ["function", "subsystem", "self s", "cum s", "calls"], fn_rows,
         title=f"top {len(fn_rows)} functions by self time"))
-
-    tax = doc.get("obs_tax")
-    if tax:
-        match = ("simulated metrics identical" if tax["simulated_match"]
-                 else "SIMULATED METRICS DIVERGED — telemetry is perturbing "
-                      "the run")
-        parts.append(
-            f"obs tax: {tax['wall_s_obs_on']:.2f} s with telemetry vs "
-            f"{tax['wall_s_obs_off']:.2f} s without -> "
-            f"{tax['fraction']:.1%} of wall is observability ({match})")
     return "\n\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Before/after comparison against a BENCH document
-# ---------------------------------------------------------------------------
-
-def baseline_wall_ns_per_op(bench_doc: dict) -> dict[str, float]:
-    """Suite-level ``wall_ns_per_op`` from a BENCH document's host blocks.
-
-    A BENCH document records one host block per scenario; the profiler
-    covers a whole suite in one capture, so the per-scenario baselines
-    must be pooled the way the profiler pools them: total serve wall
-    divided by total op count.  Only closed-loop scenarios enter the
-    pool — ``repro profile`` skips open-loop scenarios (cProfile is
-    per-thread), so including them would skew the denominator.
-    """
-    total_wall_ns = 0.0
-    counts: dict[str, int] = {}
-    for sc in bench_doc.get("scenarios", {}).values():
-        host = sc.get("host")
-        config = sc.get("config", {})
-        if not host or config.get("arrival") != "closed":
-            continue
-        total_wall_ns += (
-            host.get("wall_us_per_query", 0.0) * config.get("queries", 0) * 1e3
-        )
-        for op, n in host.get("counters", {}).items():
-            counts[op] = counts.get(op, 0) + int(n)
-    return {op: total_wall_ns / n for op, n in counts.items() if n > 0}
-
-
-def format_wall_ns_delta(doc: dict, bench_doc: dict,
-                         label: str = "baseline") -> str:
-    """The before/after ``wall_ns_per_op`` table vs a BENCH document.
-
-    Current values come from a cProfile capture and therefore include
-    instrumentation overhead the baseline walls do not; a real
-    improvement shows up *despite* that handicap, so negative deltas
-    understate the true gain (noted under the table).
-    """
-    from repro.analysis.tables import format_table
-
-    baseline = baseline_wall_ns_per_op(bench_doc)
-    current = doc.get("wall_ns_per_op", {})
-    rows = []
-    for op in sorted(set(baseline) | set(current)):
-        before = baseline.get(op)
-        now = current.get(op)
-        delta = (f"{(now - before) / before:+.1%}"
-                 if before and now is not None else "-")
-        rows.append([
-            op,
-            f"{before:,.0f}" if before is not None else "-",
-            f"{now:,.0f}" if now is not None else "-",
-            delta,
-        ])
-    table = format_table(
-        ["hot op", f"{label} ns/op", "now ns/op", "delta"], rows,
-        title=f"wall ns/op vs {label}")
-    return (table + "\n(current walls include cProfile overhead; "
-            "negative deltas understate the real improvement)")

@@ -9,7 +9,7 @@ series the timeline records::
 
 Grammar: ``<series> <op> <threshold> [@ <fraction>%]``, where
 ``<series>`` is any derived or raw window series (see
-:func:`~repro.obs.timeline.window_series`), ``<op>`` is one of
+:func:`~repro.obs.timeline.window_point`), ``<op>`` is one of
 ``< <= > >=``, and the optional ``@ N%`` is the *burn-rate budget*:
 the fraction of evaluated windows that must satisfy the comparison for
 the SLO to be met (100% when omitted).  Windows where the series has
@@ -21,6 +21,12 @@ shift), write-amplification spikes (Fig. 13 staged victim search
 degrading to multi-victim assembly), queue buildup (flush path not
 keeping up), and — at the broker level — cross-shard skew (one shard's
 windowed series diverging from the fleet's).
+
+Every state machine exists once, as a ``Streaming*`` class fed one
+closed window at a time — what the flight recorder runs in-run.  The
+post-hoc functions (``evaluate_slos``, ``detect_*``, ``run_detectors``)
+feed the saved windows through the same classes, so an in-run trigger
+and the verdict CI later re-derives from the file cannot disagree.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
-from repro.obs.timeline import derive_window, window_series
+from repro.obs.timeline import window_point
 
 __all__ = [
     "SloSpec",
@@ -45,7 +51,6 @@ __all__ = [
     "detect_shard_skew",
     "run_detectors",
     "DEFAULT_SLOS",
-    "window_point",
     "StreamingHitRatioDrift",
     "StreamingWriteAmpSpike",
     "StreamingQueueBuildup",
@@ -147,36 +152,6 @@ def parse_slo(text: str) -> SloSpec:
     )
 
 
-def evaluate_slo(spec: SloSpec, windows) -> SloResult:
-    """Evaluate one SLO against the window records."""
-    pts = window_series(windows, spec.series)
-    if not pts:
-        return SloResult(spec, 0, 0, "no-data")
-    passed = 0
-    worst_window = worst_value = None
-    for w, v in pts:
-        if spec.check(v):
-            passed += 1
-        else:
-            # "worst" = the failing value farthest past the threshold.
-            miss = abs(v - spec.threshold)
-            if worst_value is None or miss > abs(worst_value - spec.threshold):
-                worst_window, worst_value = w, v
-    verdict = "met" if passed / len(pts) >= spec.min_fraction else "violated"
-    return SloResult(spec, len(pts), passed, verdict,
-                     worst_window=worst_window, worst_value=worst_value)
-
-
-def evaluate_slos(specs, windows) -> list[SloResult]:
-    """Evaluate many SLOs; accepts specs or raw text lines."""
-    out = []
-    for spec in specs:
-        if isinstance(spec, str):
-            spec = parse_slo(spec)
-        out.append(evaluate_slo(spec, windows))
-    return out
-
-
 #: A sane default verdict set for the simulated workloads: tail response
 #: under 100 ms for 95% of windows, cache hit ratio at least 30% once
 #: measurable, write amplification bounded.
@@ -208,175 +183,8 @@ class Anomaly:
                 "severity": self.severity, "detail": self.detail}
 
 
-def detect_hit_ratio_drift(windows, k: int = 5,
-                           drop: float = 0.15) -> list[Anomaly]:
-    """Hit ratio falling ``drop`` (absolute) below its trailing-k mean."""
-    pts = window_series(windows, "hit_ratio")
-    out = []
-    for i in range(k, len(pts)):
-        trail = sum(v for _, v in pts[i - k:i]) / k
-        w, v = pts[i]
-        if trail - v >= drop:
-            out.append(Anomaly(
-                "hit_ratio_drift", w, "warn",
-                f"hit ratio {v:.3f} dropped {trail - v:.3f} below "
-                f"trailing-{k} mean {trail:.3f}"))
-    return out
-
-
-def detect_write_amp_spike(windows, factor: float = 2.0,
-                           min_wa: float = 1.5) -> list[Anomaly]:
-    """Write amplification jumping ``factor``x over its trailing median."""
-    pts = window_series(windows, "write_amp")
-    out = []
-    for i in range(1, len(pts)):
-        trail = sorted(v for _, v in pts[max(0, i - 5):i])
-        median = trail[len(trail) // 2]
-        w, v = pts[i]
-        if v >= min_wa and median > 0 and v >= factor * median:
-            out.append(Anomaly(
-                "write_amp_spike", w, "critical",
-                f"write amp {v:.2f} is {v / median:.1f}x trailing "
-                f"median {median:.2f}"))
-    return out
-
-
-def detect_queue_buildup(windows, k: int = 3,
-                         critical_k: int = 6) -> list[Anomaly]:
-    """Queue depth strictly rising across ``k`` consecutive observations.
-
-    A run of ``k`` flags a ``warn``; a run reaching ``critical_k``
-    escalates to ``critical`` — the unbounded-backlog signature of an
-    open-loop arrival rate past the capacity knee, which strict timeline
-    gating (``repro timeline --strict``) turns into a failure.
-    """
-    pts = window_series(windows, "queue_depth")
-    out = []
-    run = 0
-    for i in range(1, len(pts)):
-        if pts[i][1] > pts[i - 1][1]:
-            run += 1
-            if run >= k:
-                w, v = pts[i]
-                severity = "critical" if run >= critical_k else "warn"
-                out.append(Anomaly(
-                    "queue_buildup", w, severity,
-                    f"queue depth rose {run} windows in a row to {v:g}"))
-        else:
-            run = 0
-    return out
-
-
-def detect_wait_dominated(windows, frac: float = 0.75, k: int = 4,
-                          critical_frac: float = 0.95,
-                          critical_k: int = 8) -> list[Anomaly]:
-    """Queueing wait crowding out service in the kernel's blame counters.
-
-    Watches the derived ``wait_fraction`` series (queue wait / (wait +
-    service), from the blame recorder's per-resource counters).  A run
-    of ``k`` consecutive windows at or above ``frac`` flags a ``warn``
-    — queries now spend most of their time waiting, the leading edge of
-    tail inflation.  Only a run of ``critical_k`` windows at or above
-    ``critical_frac`` escalates to ``critical``: sustained near-total
-    wait domination is the past-the-knee signature, while merely-high
-    fractions are expected when running close to (but under) capacity,
-    so the strict CI gate doesn't fire on a healthy ~80%-load run.
-    """
-    pts = window_series(windows, "wait_fraction")
-    out = []
-    warn_run = crit_run = 0
-    for w, v in pts:
-        warn_run = warn_run + 1 if v >= frac else 0
-        crit_run = crit_run + 1 if v >= critical_frac else 0
-        if crit_run >= critical_k:
-            out.append(Anomaly(
-                "wait_dominated", w, "critical",
-                f"wait fraction >= {critical_frac:.0%} for {crit_run} "
-                f"windows (now {v:.1%})"))
-        elif warn_run >= k:
-            out.append(Anomaly(
-                "wait_dominated", w, "warn",
-                f"wait fraction >= {frac:.0%} for {warn_run} windows "
-                f"(now {v:.1%})"))
-    return out
-
-
-def run_detectors(windows) -> list[Anomaly]:
-    """All single-run detectors, ordered by window."""
-    out = (detect_hit_ratio_drift(windows)
-           + detect_write_amp_spike(windows)
-           + detect_queue_buildup(windows)
-           + detect_wait_dominated(windows))
-    return sorted(out, key=lambda a: (a.window, a.detector))
-
-
-def detect_shard_skew(shard_windows: dict, series: str = "hit_ratio",
-                      rel_tol: float = 0.25) -> list[Anomaly]:
-    """Cross-shard skew: one shard's windowed mean diverging from the fleet.
-
-    ``shard_windows`` maps shard id -> window records.  A shard is
-    skewed when its mean over ``series`` differs from the *median* of
-    all shard means by more than ``rel_tol`` (relative) — the median,
-    not the mean, so a single lagging shard doesn't drag the reference
-    down and flag every healthy shard with it.
-    """
-    means = {}
-    for sid, windows in shard_windows.items():
-        pts = window_series(windows, series)
-        if pts:
-            means[sid] = sum(v for _, v in pts) / len(pts)
-    if len(means) < 2:
-        return []
-    ranked = sorted(means.values())
-    mid = len(ranked) // 2
-    fleet = (ranked[mid] if len(ranked) % 2
-             else (ranked[mid - 1] + ranked[mid]) / 2.0)
-    out = []
-    for sid, m in sorted(means.items()):
-        if fleet != 0 and abs(m - fleet) / abs(fleet) > rel_tol:
-            out.append(Anomaly(
-                "shard_skew", -1, "warn",
-                f"shard {sid} mean {series} {m:.3f} vs fleet "
-                f"median {fleet:.3f} ({(m - fleet) / fleet:+.0%})"))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Streaming (incremental) evaluation
-# ---------------------------------------------------------------------------
-#
-# Each streaming class replicates its post-hoc counterpart's state
-# machine point for point — same trailing structures, same comparison
-# order, same detail formatting — so feeding every closed window through
-# a streaming instance yields the *identical* anomaly/verdict list that
-# the batch function produces over the saved file.  That agreement is
-# what lets the flight recorder trigger in-run on the very verdicts CI
-# later re-derives post-hoc (property-tested in
-# tests/test_obs_slo_streaming.py).
-
-def window_point(rec: dict, series: str) -> tuple[int, float] | None:
-    """The single-record mirror of :func:`~repro.obs.timeline.window_series`.
-
-    Returns ``(window, value)`` for one window record, falling back to
-    raw counters/gauges when ``series`` is not a derived one; None when
-    the record carries no data for the series.
-    """
-    if rec.get("type", "window") != "window":
-        return None
-    derived = rec.get("derived") or derive_window(rec)
-    v = derived.get(series)
-    if v is None:
-        for mapping in (rec.get("counters", {}), rec.get("gauges", {})):
-            if series in mapping:
-                v = mapping[series]
-                break
-    if v is None:
-        return None
-    return rec["window"], v
-
-
 class StreamingHitRatioDrift:
-    """Incremental :func:`detect_hit_ratio_drift`."""
+    """Hit ratio falling ``drop`` (absolute) below its trailing-k mean."""
 
     name = "hit_ratio_drift"
 
@@ -403,7 +211,7 @@ class StreamingHitRatioDrift:
 
 
 class StreamingWriteAmpSpike:
-    """Incremental :func:`detect_write_amp_spike`."""
+    """Write amplification jumping ``factor``x over its trailing median."""
 
     name = "write_amp_spike"
 
@@ -431,7 +239,13 @@ class StreamingWriteAmpSpike:
 
 
 class StreamingQueueBuildup:
-    """Incremental :func:`detect_queue_buildup`."""
+    """Queue depth strictly rising across ``k`` consecutive observations.
+
+    A run of ``k`` flags a ``warn``; a run reaching ``critical_k``
+    escalates to ``critical`` — the unbounded-backlog signature of an
+    open-loop arrival rate past the capacity knee, which strict timeline
+    gating (``repro timeline --strict``) turns into a failure.
+    """
 
     name = "queue_buildup"
 
@@ -464,7 +278,18 @@ class StreamingQueueBuildup:
 
 
 class StreamingWaitDominated:
-    """Incremental :func:`detect_wait_dominated`."""
+    """Queueing wait crowding out service in the kernel's blame counters.
+
+    Watches the derived ``wait_fraction`` series (queue wait / (wait +
+    service), from the blame recorder's per-resource counters).  A run
+    of ``k`` consecutive windows at or above ``frac`` flags a ``warn``
+    — queries now spend most of their time waiting, the leading edge of
+    tail inflation.  Only a run of ``critical_k`` windows at or above
+    ``critical_frac`` escalates to ``critical``: sustained near-total
+    wait domination is the past-the-knee signature, while merely-high
+    fractions are expected when running close to (but under) capacity,
+    so the strict CI gate doesn't fire on a healthy ~80%-load run.
+    """
 
     name = "wait_dominated"
 
@@ -502,11 +327,10 @@ class StreamingWaitDominated:
 class StreamingDetectors:
     """All single-run detectors, fed one closed window at a time.
 
-    :meth:`update` returns the anomalies this window produced (sorted
-    the way :func:`run_detectors` sorts) and accumulates them on
-    :attr:`anomalies` — because window indices strictly increase, the
-    accumulated list is ordered exactly as the post-hoc
-    ``run_detectors`` output over the same windows.
+    :meth:`update` returns the anomalies this window produced, sorted
+    by detector name, and accumulates them on :attr:`anomalies` —
+    window indices strictly increase, so the accumulated list is
+    ordered by ``(window, detector)``.
     """
 
     def __init__(self) -> None:
@@ -528,13 +352,13 @@ class StreamingDetectors:
 
 
 class StreamingShardSkew:
-    """Incremental :func:`detect_shard_skew` over per-shard window feeds.
+    """Cross-shard skew: one shard's windowed mean diverging from the fleet.
 
-    Feed every shard's closed windows through :meth:`update`; the
-    running per-shard sums accumulate in the same order the batch
-    detector's ``window_series`` pass would visit them, so
-    :meth:`anomalies` is float-for-float identical to
-    ``detect_shard_skew`` over the full per-shard window lists.
+    Feed every shard's closed windows through :meth:`update`.  A shard
+    is skewed when its mean over ``series`` differs from the *median*
+    of all shard means by more than ``rel_tol`` (relative) — the median,
+    not the mean, so a single lagging shard doesn't drag the reference
+    down and flag every healthy shard with it.
     """
 
     def __init__(self, series: str = "hit_ratio",
@@ -572,11 +396,12 @@ class StreamingShardSkew:
 
 
 class StreamingSloEvaluator:
-    """Incremental :func:`evaluate_slos`: one window at a time.
+    """SLO evaluation, one closed window at a time.
 
-    :meth:`results` at any point equals ``evaluate_slos(specs,
-    windows_so_far)`` — same pass counts, same worst-window selection
-    (first value farthest past the threshold wins ties), same verdicts.
+    Accepts specs or raw text lines.  :meth:`results` at any point is
+    the verdict over the windows fed so far: windows with no data for a
+    series are skipped, and "worst" is the failing value farthest past
+    the threshold (the first such value wins ties).
     """
 
     def __init__(self, specs) -> None:
@@ -614,3 +439,68 @@ class StreamingSloEvaluator:
                 worst_window=st["worst_window"],
                 worst_value=st["worst_value"]))
         return out
+
+
+# ---------------------------------------------------------------------------
+# Post-hoc evaluation: the streaming classes folded over saved windows
+# ---------------------------------------------------------------------------
+
+def evaluate_slo(spec: SloSpec, windows) -> SloResult:
+    """Evaluate one SLO against the window records."""
+    return evaluate_slos([spec], windows)[0]
+
+
+def evaluate_slos(specs, windows) -> list[SloResult]:
+    """Evaluate many SLOs; accepts specs or raw text lines."""
+    evaluator = StreamingSloEvaluator(specs)
+    for rec in windows:
+        evaluator.update(rec)
+    return evaluator.results()
+
+
+def _fold(detector, windows) -> list[Anomaly]:
+    out: list[Anomaly] = []
+    for rec in windows:
+        out.extend(detector.update(rec))
+    return out
+
+
+def detect_hit_ratio_drift(windows, k: int = 5,
+                           drop: float = 0.15) -> list[Anomaly]:
+    """:class:`StreamingHitRatioDrift` over saved windows."""
+    return _fold(StreamingHitRatioDrift(k, drop), windows)
+
+
+def detect_write_amp_spike(windows, factor: float = 2.0,
+                           min_wa: float = 1.5) -> list[Anomaly]:
+    """:class:`StreamingWriteAmpSpike` over saved windows."""
+    return _fold(StreamingWriteAmpSpike(factor, min_wa), windows)
+
+
+def detect_queue_buildup(windows, k: int = 3,
+                         critical_k: int = 6) -> list[Anomaly]:
+    """:class:`StreamingQueueBuildup` over saved windows."""
+    return _fold(StreamingQueueBuildup(k, critical_k), windows)
+
+
+def detect_wait_dominated(windows, frac: float = 0.75, k: int = 4,
+                          critical_frac: float = 0.95,
+                          critical_k: int = 8) -> list[Anomaly]:
+    """:class:`StreamingWaitDominated` over saved windows."""
+    return _fold(
+        StreamingWaitDominated(frac, k, critical_frac, critical_k), windows)
+
+
+def run_detectors(windows) -> list[Anomaly]:
+    """All single-run detectors, ordered by window."""
+    return _fold(StreamingDetectors(), windows)
+
+
+def detect_shard_skew(shard_windows: dict, series: str = "hit_ratio",
+                      rel_tol: float = 0.25) -> list[Anomaly]:
+    """:class:`StreamingShardSkew` over ``{shard id: window records}``."""
+    skew = StreamingShardSkew(series, rel_tol)
+    for sid, windows in shard_windows.items():
+        for rec in windows:
+            skew.update(sid, rec)
+    return skew.anomalies()

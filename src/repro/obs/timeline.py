@@ -77,6 +77,7 @@ __all__ = [
     "merge_windows",
     "sub_histogram",
     "steady_state_window",
+    "window_point",
     "window_series",
     "load_timeline_jsonl",
     "validate_timeline_jsonl",
@@ -576,22 +577,30 @@ def merge_windows(windows, start_window: int | None = None) -> dict:
             "first_window": first, "last_window": last}
 
 
+def window_point(rec: dict, series: str) -> tuple[int, float] | None:
+    """``(window, value)`` of one derived (or raw) series in one record.
+
+    Falls back to raw counters/gauges when ``series`` is not a derived
+    one; None when the record carries no data for the series.
+    """
+    if rec.get("type", "window") != "window":
+        return None
+    derived = rec.get("derived") or derive_window(rec)
+    v = derived.get(series)
+    if v is None:
+        for mapping in (rec.get("counters", {}), rec.get("gauges", {})):
+            if series in mapping:
+                v = mapping[series]
+                break
+    if v is None:
+        return None
+    return rec["window"], v
+
+
 def window_series(windows, series: str) -> list[tuple[int, float]]:
     """``(window, value)`` points for one derived (or raw) series."""
-    out: list[tuple[int, float]] = []
-    for rec in windows:
-        if rec.get("type", "window") != "window":
-            continue
-        derived = rec.get("derived") or derive_window(rec)
-        v = derived.get(series)
-        if v is None:
-            for mapping in (rec.get("counters", {}), rec.get("gauges", {})):
-                if series in mapping:
-                    v = mapping[series]
-                    break
-        if v is not None:
-            out.append((rec["window"], v))
-    return out
+    return [pt for rec in windows
+            if (pt := window_point(rec, series)) is not None]
 
 
 # ---------------------------------------------------------------------------

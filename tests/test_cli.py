@@ -147,10 +147,15 @@ def test_compare_command_prints_stage_breakdown(capsys):
 def test_compare_command_json_payload(capsys):
     import json
 
-    rc = main(["compare", "--json", "--docs", "100000", "--queries", "150",
-               "--mem-mb", "2", "--ssd-mb", "8"])
+    argv = ["compare", "--json", "--docs", "100000", "--queries", "150",
+            "--mem-mb", "2", "--ssd-mb", "8"]
+    rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 0
+    # Nothing host-timed is in the payload: a second run prints the
+    # same text byte for byte.
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
     payload = json.loads(out.split("wrote report", 1)[0])
     assert payload["schema"] == "repro.compare/v1"
     assert set(payload["policies"]) == {"lru", "cblru", "cbslru"}
@@ -159,6 +164,8 @@ def test_compare_command_json_payload(capsys):
         assert "stage_latency_us" in entry
         assert "ssd-cache" in entry["flash"]
         assert entry["flash"]["ssd-cache"]["flash_erases_total"] >= 0
+    for entry in payload["host"].values():
+        assert set(entry) == {"hot_ops"}
     assert set(payload["timeline"]) == {"lru", "cblru", "cbslru"}
     for entry in payload["timeline"].values():
         assert entry["windows"] > 0
@@ -400,3 +407,18 @@ def test_bench_command_writes_document_and_gates(tmp_path, capsys):
     assert rc == 1
     assert "regression" in stdout
     assert "mean_response_ms rose" in stdout
+
+
+def test_bench_against_validates_baseline_before_running(tmp_path, capsys):
+    out = tmp_path / "BENCH_out.json"
+    not_a_bench = tmp_path / "other.json"
+    not_a_bench.write_text('{"schema": "other/v1"}')
+    for baseline in (tmp_path / "missing.json", not_a_bench):
+        rc = main(["bench", "--suite", "smoke", "--out", str(out),
+                   "--against", str(baseline)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "not a usable bench baseline" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "running" not in captured.out  # no scenario was run
+        assert not out.exists()

@@ -42,6 +42,44 @@ def test_explain_corrupt_audit_is_clean_error(tmp_path, capsys):
     assert "not a usable audit trail" in err
 
 
+def test_explain_query_survives_torn_spans_and_rejects_corruption(
+        tmp_path, capsys):
+    out = tmp_path / "tel"
+    assert main(["run", "--policy", "cblru", "--docs", "100000",
+                 "--queries", "600", "--mem-mb", "2", "--ssd-mb", "8",
+                 "--telemetry", str(out), "--timeline",
+                 "--window-ms", "20"]) == 0
+    timeline = (out / "timeline.jsonl").read_text()
+    qid = [rec["query_id"] for rec in map(json.loads, timeline.splitlines())
+           if rec.get("type") == "exemplar"
+           and rec.get("query_id") is not None][-1]
+    spans = (out / "spans.jsonl").read_text()
+    capsys.readouterr()
+
+    # A run killed mid-write: the torn final record is skipped and counted.
+    (out / "spans.jsonl").write_text(spans + '{"span_id": 99999, "parent')
+    rc = main(["explain", str(out), "--query", str(qid)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "query [" in captured.out  # the span tree still prints
+    assert "skipped 1 torn trailing record" in captured.out
+
+    # Corruption anywhere else is a real error: one line, no traceback.
+    (out / "spans.jsonl").write_text("{bad\n" + spans)
+    rc = main(["explain", str(out), "--query", str(qid)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert "not a usable telemetry directory" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+    (out / "spans.jsonl").write_text(spans)
+    (out / "timeline.jsonl").write_text("{bad\n" + timeline)
+    rc = main(["explain", str(out), "--query", str(qid)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_timeline_missing_file_is_clean_error(tmp_path, capsys):
     rc = main(["timeline", str(tmp_path)])
     err = capsys.readouterr().err

@@ -12,13 +12,10 @@ from repro.obs import (
     HotCounters,
     Profiler,
     Telemetry,
-    baseline_wall_ns_per_op,
     format_profile,
-    format_wall_ns_delta,
     func_label,
     load_folded,
     load_profile,
-    measure_obs_tax,
     subsystem_of,
     validate_profile,
     write_folded,
@@ -148,13 +145,10 @@ def test_validate_profile_rejects_malformed(profiled):
 def test_format_profile_renders(profiled):
     profiler, _ = profiled
     doc = profiler.summary(top=5)
-    doc["obs_tax"] = {"wall_s_obs_on": 0.2, "wall_s_obs_off": 0.18,
-                      "fraction": 0.1, "simulated_match": True}
     text = format_profile(doc)
     assert "wall-clock by subsystem" in text
     assert "repro.core" in text
-    assert "obs tax" in text
-    assert "identical" in text
+    assert "hot-path operations" in text
 
 
 def test_profiler_requires_a_section():
@@ -315,69 +309,24 @@ def test_telemetry_off_runs_stay_byte_identical():
     assert with_obs == without_obs
 
 
-def test_measure_obs_tax_reports_fraction_and_match():
-    tax = measure_obs_tax(
-        lambda: sim_fingerprint(
-            small_run(telemetry=Telemetry(trace=False, audit=False))),
-        lambda: sim_fingerprint(small_run(telemetry=None)),
-    )
-    assert tax["simulated_match"] is True
-    assert 0.0 <= tax["fraction"] <= 1.0
-    assert tax["wall_s_obs_on"] > 0 and tax["wall_s_obs_off"] > 0
+# -- the CLI -----------------------------------------------------------------
 
+def test_profile_command_writes_summary_and_folded(tmp_path, capsys):
+    from repro.cli import main
 
-def test_measure_obs_tax_flags_divergence():
-    tax = measure_obs_tax(lambda: {"m": 1}, lambda: {"m": 2})
-    assert tax["simulated_match"] is False
-
-
-# -- before/after comparison against a BENCH document ------------------------
-
-def _bench_doc():
-    return {
-        "scenarios": {
-            "a": {
-                "config": {"arrival": "closed", "queries": 1000},
-                "host": {
-                    "wall_us_per_query": 100.0,   # 0.1 s total serve wall
-                    "counters": {"ftl_map_lookups": 50_000,
-                                 "idle_op": 0},
-                },
-            },
-            "b": {
-                "config": {"arrival": "closed", "queries": 500},
-                "host": {
-                    "wall_us_per_query": 200.0,   # 0.1 s total serve wall
-                    "counters": {"ftl_map_lookups": 50_000,
-                                 "lru_node_moves": 2_000},
-                },
-            },
-            "open": {  # open-loop scenarios are excluded from the pool
-                "config": {"arrival": "open", "queries": 10_000},
-                "host": {
-                    "wall_us_per_query": 999.0,
-                    "counters": {"ftl_map_lookups": 1},
-                },
-            },
-        },
-    }
-
-
-def test_baseline_wall_ns_per_op_pools_closed_loop_scenarios():
-    base = baseline_wall_ns_per_op(_bench_doc())
-    # 0.2 s pooled wall over 100k lookups = 2000 ns/op.
-    assert base["ftl_map_lookups"] == pytest.approx(2000.0)
-    # 0.2 s over 2k moves = 100_000 ns/op.
-    assert base["lru_node_moves"] == pytest.approx(100_000.0)
-    # Zero-count ops never divide.
-    assert "idle_op" not in base
-
-
-def test_format_wall_ns_delta_reports_improvements():
-    doc = {"wall_ns_per_op": {"ftl_map_lookups": 1000.0,
-                              "new_op": 5.0}}
-    table = format_wall_ns_delta(doc, _bench_doc(), label="BENCH_X")
-    assert "ftl_map_lookups" in table
-    assert "-50.0%" in table          # 2000 -> 1000 ns/op
-    assert "new_op" in table          # present now, absent in baseline
-    assert "cProfile overhead" in table
+    summary, folded = tmp_path / "profile.json", tmp_path / "profile.folded"
+    rc = main(["profile", "--suite", "smoke", "--out", str(summary),
+               "--folded", str(folded)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "wall-clock by subsystem" in out
+    doc = load_profile(summary)
+    assert doc["suite"] == "smoke"
+    assert doc["queries"] == 4500
+    assert load_folded(folded)
+    # Host time is compared by hostbench/, not here: the before/after
+    # and telemetry-off options are gone, not ignored.
+    for flag in (["--against", str(summary)], ["--no-" + "obs-tax"]):
+        with pytest.raises(SystemExit):
+            main(["profile", "--suite", "smoke"] + flag)
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,96 +1,13 @@
-"""Streaming SLO/detector verdicts provably match the post-hoc pass.
+"""The streaming SLO/detector classes' own contract.
 
-The flight recorder triggers off the *streaming* evaluators, so any
-divergence from ``run_detectors``/``evaluate_slos`` would make incident
-bundles lie about the run they came from.  These are property tests:
-arbitrary window sequences (sparse series, missing windows, extreme
-values) must produce verdict-for-verdict identical output both ways.
+The post-hoc functions (``run_detectors``, ``evaluate_slos``,
+``detect_shard_skew``) are folds of these classes over saved windows, so
+the flight recorder's in-run triggers and the verdicts re-derived from
+the file are one implementation; ``tests/test_obs_slo.py`` holds the
+hand-written expectations for every detector.
 """
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.obs import (
-    DEFAULT_SLOS,
-    StreamingDetectors,
-    StreamingShardSkew,
-    StreamingSloEvaluator,
-    detect_shard_skew,
-    evaluate_slos,
-    run_detectors,
-    window_point,
-)
-
-_SERIES = ("hit_ratio", "write_amp", "queue_depth", "wait_fraction",
-           "p99_response_us", "queries")
-
-_value = st.one_of(
-    st.none(),
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
-              allow_infinity=False),
-)
-
-
-@st.composite
-def window_seqs(draw):
-    n = draw(st.integers(min_value=0, max_value=40))
-    start = draw(st.integers(min_value=0, max_value=5))
-    gaps = draw(st.lists(st.integers(min_value=1, max_value=3),
-                         min_size=n, max_size=n))
-    out = []
-    w = start
-    for gap in gaps:
-        derived = {}
-        for series in _SERIES:
-            v = draw(_value)
-            if v is not None:
-                derived[series] = v
-        out.append({"type": "window", "window": w, "start_us": w * 100.0,
-                    "end_us": (w + 1) * 100.0, "counters": {}, "gauges": {},
-                    "histograms": {}, "derived": derived})
-        w += gap
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(window_seqs())
-def test_streaming_detectors_match_posthoc(windows):
-    streaming = StreamingDetectors()
-    for rec in windows:
-        streaming.update(rec)
-    got = [a.to_dict() for a in streaming.anomalies]
-    want = [a.to_dict() for a in run_detectors(windows)]
-    assert got == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(window_seqs())
-def test_streaming_slo_matches_posthoc(windows):
-    streaming = StreamingSloEvaluator(DEFAULT_SLOS)
-    for rec in windows:
-        streaming.update(rec)
-    got = [r.to_dict() for r in streaming.results()]
-    want = [r.to_dict() for r in evaluate_slos(DEFAULT_SLOS, windows)]
-    assert got == want
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3),
-              st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
-    max_size=60))
-def test_streaming_shard_skew_matches_posthoc(points):
-    per_shard: dict = {}
-    streaming = StreamingShardSkew()
-    for i, (shard, ratio) in enumerate(points):
-        rec = {"type": "window", "window": i, "start_us": i * 100.0,
-               "end_us": (i + 1) * 100.0, "counters": {}, "gauges": {},
-               "histograms": {}, "derived": {"hit_ratio": ratio}}
-        per_shard.setdefault(f"shard{shard}", []).append(rec)
-        streaming.update(f"shard{shard}", rec)
-    got = [a.to_dict() for a in streaming.anomalies()]
-    want = [a.to_dict() for a in detect_shard_skew(per_shard)]
-    assert got == want
+from repro.obs import StreamingDetectors, window_point
 
 
 def test_window_point_prefers_derived():
