@@ -62,8 +62,6 @@ METHODOLOGY = {
     "abs_tol": 0.1,
 }
 
-MB = 1024 * 1024
-
 #: Stage-latency percentiles the document keeps per stage.
 _STAGE_QS = (50.0, 99.0)
 
@@ -88,18 +86,10 @@ def _ratio(counters: dict, name: str, hit_outcomes=("l1_hit", "l2_hit")):
 def run_scenario(scenario: BenchScenario) -> dict:
     """Run one scenario; returns its ``{"config", "metrics",
     "measurement"}`` entry (plus ``"blame"`` for open-loop scenarios)."""
-    from repro.core.config import CacheConfig, Policy
     from repro.obs import Telemetry, merge_windows, steady_state_window
     from repro.workloads.retrieval import run_cached
-    from repro.workloads.sweep import make_log_for, make_scaled_index
 
-    index = make_scaled_index(scenario.docs)
-    log = make_log_for(scenario.queries, seed=scenario.seed)
-    cfg = CacheConfig.paper_split(
-        scenario.mem_mb * MB, scenario.ssd_mb * MB,
-        policy=Policy(scenario.policy),
-        ttl_us=scenario.ttl_ms * 1000.0,
-    )
+    index, log, cfg = scenario.inputs()
     if scenario.arrival != "closed":
         return _run_open_scenario(scenario, index, log, cfg)
 
@@ -196,28 +186,25 @@ def _run_open_scenario(scenario: BenchScenario, index, log, cfg) -> dict:
     saturation indicators (shed fraction, peak queue depth, bottleneck
     utilization) are first-class metrics so the gate catches capacity
     regressions, not just latency ones."""
-    from repro.core.config import Policy
-    from repro.core.manager import CacheManager, build_hierarchy_for
-    from repro.obs import Telemetry
+    from repro.obs import FlightRecorder, Telemetry
     from repro.workloads.openloop import (DiurnalArrivals, PoissonArrivals,
                                           run_open_loop)
+    from repro.workloads.retrieval import prepare_cached_manager, run_cached
 
     tel = Telemetry(trace=False, audit=False)
     timeline = tel.attach_timeline(window_us=METHODOLOGY["window_us"])
     # Counting-mode flight recorder (no out_dir): incident counts become
     # bench measurements without writing bundles into the results tree.
-    from repro.obs import FlightRecorder
-
     flight = FlightRecorder(tel, out_dir=None,
                             config=scenario.to_dict()).arm()
-    manager = CacheManager(cfg, build_hierarchy_for(cfg, index), index,
-                           telemetry=tel)
-    if cfg.policy is Policy.CBSLRU and cfg.uses_ssd:
-        manager.warmup_static(log, analyze_queries=scenario.queries // 2)
+    # No seed=: open scenarios have always planned with the processor's
+    # default seed (closed ones pass scenario.seed); BENCH_0007 pins both.
+    manager = prepare_cached_manager(
+        index, log, cfg, static_analyze_queries=scenario.queries // 2,
+        telemetry=tel)
     queries = list(log)
     warm = min(scenario.warmup_queries, max(0, len(queries) - 1))
-    for query in queries[:warm]:
-        manager.process_query(query)
+    run_cached(index, log, cfg, max_queries=warm, manager=manager)
     manager.stats.reset()
     if scenario.arrival == "poisson":
         arrivals = PoissonArrivals(scenario.rate_qps, seed=scenario.seed)

@@ -42,6 +42,19 @@ class BenchScenario:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def inputs(self) -> tuple:
+        """``(index, log, cache_config)``: what every consumer of a
+        scenario (the harness, ``repro profile``) builds first."""
+        from repro.core.config import CacheConfig, Policy
+        from repro.workloads.sweep import make_log_for, make_scaled_index
+
+        mb = 1024 * 1024
+        cfg = CacheConfig.paper_split(
+            self.mem_mb * mb, self.ssd_mb * mb,
+            policy=Policy(self.policy), ttl_us=self.ttl_ms * 1000.0)
+        return (make_scaled_index(self.docs),
+                make_log_for(self.queries, seed=self.seed), cfg)
+
 
 #: CI-sized: every policy touches the SSD enough to exercise admission,
 #: replacement and GC, but the whole suite stays fast.

@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "discrete-event kernel")
     p.add_argument("--concurrency", type=int, default=1,
                    help="max in-flight queries (closed: number of "
-                        "closed-loop clients; open-loop: admission limit)")
+                        "clients, each an admitted kernel task per query; "
+                        "1 = the synchronous loop; open-loop: admission "
+                        "limit)")
     p.add_argument("--rate-qps", type=float, default=None,
                    help="offered arrival rate (poisson) or peak rate "
                         "(diurnal); required for open-loop arrivals")
@@ -97,8 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diurnal-floor", type=float, default=0.2,
                    help="night-time rate as a fraction of the peak")
     p.add_argument("--telemetry", type=str, default=None, metavar="DIR",
-                   help="collect spans + metrics and write them to DIR "
-                        "(spans.jsonl, metrics.json, metrics.prom)")
+                   help="collect telemetry and write it to DIR "
+                        "(spans.jsonl, metrics.json, metrics.prom, "
+                        "audit.jsonl; timeline.jsonl with --timeline; "
+                        "blame.jsonl and incident-<n>/ in kernel modes)")
     p.add_argument("--timeline", action="store_true",
                    help="stream windowed time series to DIR/timeline.jsonl "
                         "(requires --telemetry)")
@@ -403,60 +407,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _run_serve_and_report(args: argparse.Namespace, telemetry,
                           flight) -> int:
     from repro.core.config import CacheConfig, Policy
-    from repro.core.intersections import ThreeLevelCacheManager
-    from repro.core.manager import CacheManager, build_hierarchy_for
+    from repro.workloads.openloop import (DiurnalArrivals, PoissonArrivals,
+                                          run_open_loop)
+    from repro.workloads.retrieval import prepare_cached_manager, run_cached
     from repro.workloads.sweep import make_log_for, make_scaled_index
-
-    index = make_scaled_index(args.docs)
-    log = make_log_for(args.queries, seed=args.seed)
-    cfg = CacheConfig.paper_split(
-        args.mem_mb * MB, args.ssd_mb * MB,
-        policy=Policy(args.policy),
-        ttl_us=args.ttl_ms * 1000.0,
-    )
-    hierarchy = build_hierarchy_for(cfg, index)
-    if args.three_level:
-        manager: CacheManager = ThreeLevelCacheManager(
-            cfg, hierarchy, index, telemetry=telemetry)
-    else:
-        manager = CacheManager(cfg, hierarchy, index, telemetry=telemetry)
-    if cfg.policy is Policy.CBSLRU and cfg.uses_ssd:
-        manager.warmup_static(log)
 
     if args.concurrency < 1:
         print("error: --concurrency must be >= 1", file=sys.stderr)
         return 2
-    open_result = None
-    if args.arrival == "closed" and args.concurrency == 1:
-        # The seed's synchronous loop, byte-for-byte (golden parity).
-        for query in log:
-            manager.process_query(query)
-    elif args.arrival == "closed":
-        # N closed-loop clients: each issues its next query the moment
-        # its previous one completes, contending through the kernel.
-        from repro.sim.kernel import Kernel
-
-        kernel = Kernel(manager.clock)
-        manager.hierarchy.attach_kernel(kernel, cpu_lanes=args.cpu_lanes)
-        if telemetry is not None:
-            telemetry.observe_kernel(kernel)
-        pending = iter(list(log))
-
-        def client():
-            for query in pending:
-                manager.process_query(query)
-
-        for i in range(args.concurrency):
-            kernel.spawn(client, name=f"client{i}")
-        try:
-            kernel.run()
-        finally:
-            manager.clock.bind_kernel(None)
-    else:
-        from repro.workloads.openloop import (DiurnalArrivals,
-                                              PoissonArrivals,
-                                              run_open_loop)
-
+    arrivals = None
+    if args.arrival != "closed":
         if args.rate_qps is None or args.rate_qps <= 0:
             print("error: open-loop arrivals need --rate-qps > 0",
                   file=sys.stderr)
@@ -467,8 +427,25 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
             arrivals = DiurnalArrivals(
                 args.rate_qps, period_s=args.diurnal_period_s,
                 floor_fraction=args.diurnal_floor, seed=args.seed)
+    index = make_scaled_index(args.docs)
+    log = make_log_for(args.queries, seed=args.seed)
+    cfg = CacheConfig.paper_split(
+        args.mem_mb * MB, args.ssd_mb * MB,
+        policy=Policy(args.policy),
+        ttl_us=args.ttl_ms * 1000.0,
+    )
+    manager = prepare_cached_manager(index, log, cfg, telemetry=telemetry,
+                                     three_level=args.three_level)
+    open_result = None
+    if arrivals is None and args.concurrency == 1:
+        # The seed's synchronous loop, byte-for-byte (golden parity); a
+        # kernel task per query would cost more than the query itself.
+        run_cached(index, log, cfg, manager=manager)
+    else:
+        # One admitted, qid-tagged kernel task per query; arrivals=None is
+        # --concurrency closed-loop clients.
         open_result = run_open_loop(
-            manager, list(log), arrivals,
+            manager, log, arrivals,
             concurrency=args.concurrency, max_queue=args.max_queue,
             cpu_lanes=args.cpu_lanes,
             label=f"{args.policy}-{args.arrival}",
@@ -495,9 +472,13 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
     if open_result is not None:
         r = open_result
         bottleneck = max(r.utilization, key=r.utilization.get, default=None)
-        open_rows = [
-            ["arrival process", r.arrival],
-            ["offered rate", f"{r.offered_qps:.1f} q/s"],
+        title = f"closed-loop, {r.concurrency} clients"
+        open_rows = [["arrival process", r.arrival]]
+        if arrivals is not None:
+            title = (f"open-loop @ {r.offered_qps:g} q/s, "
+                     f"concurrency {r.concurrency}")
+            open_rows.append(["offered rate", f"{r.offered_qps:.1f} q/s"])
+        open_rows += [
             ["served throughput", f"{r.throughput_qps:.1f} q/s"],
             ["arrived / completed / shed",
              f"{r.arrived} / {r.completed} / {r.rejected}"],
@@ -513,10 +494,7 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
                  f"{bottleneck} ({r.utilization[bottleneck]:.0%} busy, "
                  f"peak queue {r.peak_resource_depth[bottleneck]})"])
         print()
-        print(format_table(
-            ["metric", "value"], open_rows,
-            title=f"open-loop @ {r.offered_qps:g} q/s, "
-                  f"concurrency {r.concurrency}"))
+        print(format_table(["metric", "value"], open_rows, title=title))
     if telemetry is not None:
         from repro.obs import format_stage_breakdown, write_telemetry_dir
 
@@ -614,15 +592,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         line += (f", {counts['timeline_windows']} timeline windows "
                  f"(see `repro timeline {args.dir}`)")
     print(line)
+    if counts.get("torn_tail"):
+        print(f"note: {args.dir}: skipped {counts['torn_tail']} torn "
+              f"trailing record(s) (run cut mid-write)")
     return 0
 
 
-def _resolve_timeline_path(path: str) -> str:
+def _telemetry_file(path: str, name: str) -> str:
+    """``path`` itself, or ``path/name`` when it is a telemetry dir."""
     import os
 
-    if os.path.isdir(path):
-        return os.path.join(path, "timeline.jsonl")
-    return path
+    return os.path.join(path, name) if os.path.isdir(path) else path
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
@@ -638,7 +618,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     )
     from repro.obs.timeline import DERIVED_SERIES
 
-    path = _resolve_timeline_path(args.path)
+    path = _telemetry_file(args.path, "timeline.jsonl")
     try:
         tl = load_timeline_jsonl(path)
     except (ValueError, OSError) as exc:
@@ -709,14 +689,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_blame_path(path: str) -> str:
-    import os
-
-    if os.path.isdir(path):
-        return os.path.join(path, "blame.jsonl")
-    return path
-
-
 def _load_blame_queries(path: str):
     """Load a blame file and assemble per-query decompositions.
 
@@ -750,7 +722,7 @@ def _cmd_blame(args: argparse.Namespace) -> int:
         format_query_blame,
     )
 
-    path = _resolve_blame_path(args.path)
+    path = _telemetry_file(args.path, "blame.jsonl")
     try:
         log, queries = _load_blame_queries(path)
     except (ValueError, OSError) as exc:
@@ -1025,9 +997,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return _explain_incident(args.path, args.incident)
     if args.query is not None:
         return _explain_query(args.path, args.query)
-    path = args.path
-    if os.path.isdir(path):
-        path = os.path.join(path, "audit.jsonl")
+    path = _telemetry_file(args.path, "audit.jsonl")
     if not os.path.exists(path):
         print(f"error: no audit trail at {path} "
               "(run with --telemetry and auditing enabled)",
@@ -1320,7 +1290,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
     from repro.bench.scenarios import SUITES
-    from repro.core.config import CacheConfig, Policy
     from repro.obs import (
         Profiler,
         Telemetry,
@@ -1329,7 +1298,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_profile,
     )
     from repro.workloads.retrieval import prepare_cached_manager, run_cached
-    from repro.workloads.sweep import make_log_for, make_scaled_index
 
     # cProfile captures the calling thread only; kernel tasks run on OS
     # threads, so open-loop scenarios cannot be attributed and are skipped.
@@ -1349,12 +1317,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     total_queries = 0
     for sc in scenarios:
         print(f"profiling {sc.name} ...")
-        index = make_scaled_index(sc.docs)
-        log = make_log_for(sc.queries, seed=sc.seed)
-        cfg = CacheConfig.paper_split(
-            sc.mem_mb * MB, sc.ssd_mb * MB,
-            policy=Policy(sc.policy), ttl_us=sc.ttl_ms * 1000.0,
-        )
+        index, log, cfg = sc.inputs()
         mgr = prepare_cached_manager(
             index, log, cfg, static_analyze_queries=sc.queries // 2,
             seed=sc.seed, telemetry=Telemetry(trace=False, audit=False),

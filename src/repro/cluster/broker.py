@@ -204,9 +204,8 @@ class Broker:
         fan-out kernel and admission control, so per-query critical
         paths cross the join into the straggler shard's resources.
         """
-        from repro.sim.kernel import AdmissionControl, Kernel
-        from repro.workloads.openloop import (OpenLoopResult,
-                                              schedule_arrivals)
+        from repro.sim.kernel import Kernel
+        from repro.workloads.openloop import drive
 
         queries = list(queries)
         if not queries:
@@ -221,75 +220,27 @@ class Broker:
         for shard in self.shards:
             shard.manager.hierarchy.attach_kernel(kernel, cpu_lanes=cpu_lanes)
         kernel.add_resource("broker", lanes=max(1, cpu_lanes))
-        admission = AdmissionControl(kernel, max_inflight=concurrency,
-                                     max_queue=max_queue)
-        if blame is not None:
-            blame.attach(kernel, admission)
 
-        start_us = clock.now_us
-        responses: list[float] = []
-        waits: list[float] = []
-
-        def submit(i: int, arrival_us: float) -> None:
+        def serve(i: int) -> None:
             query = queries[i]
+            subtasks = [
+                kernel.spawn(
+                    lambda s=shard: s.process_query(query),
+                    name=f"q{i}s{shard.shard_id}",
+                )
+                for shard in self.shards
+            ]
+            for t in subtasks:
+                t.join()
+            clock.consume("broker", self.merge_overhead_us)
 
-            def body():
-                begin = clock.now_us
-                subtasks = [
-                    kernel.spawn(
-                        lambda s=shard: s.process_query(query),
-                        name=f"q{i}s{shard.shard_id}",
-                    )
-                    for shard in self.shards
-                ]
-                for t in subtasks:
-                    t.join()
-                clock.consume("broker", self.merge_overhead_us)
-                waits.append(begin - arrival_us)
-                responses.append(clock.now_us - arrival_us)
-
-            admission.submit(body, name=f"q{i}")
-
-        schedule_arrivals(kernel, arrivals, len(queries), submit)
         try:
-            kernel.run()
-            admission.check_invariants()
+            return drive(kernel, len(queries), arrivals, serve,
+                         concurrency=concurrency, max_queue=max_queue,
+                         label=label,
+                         observe=blame.attach if blame is not None else None)
         finally:
             clock.bind_kernel(None)
-
-        duration = clock.now_us - start_us
-        if responses:
-            from repro.obs.instruments import Histogram
-
-            hist = Histogram(lo=1.0, growth=1.02)
-            hist.record_many(responses)
-            p50, p90, p99, p999 = hist.percentiles((50.0, 90.0, 99.0, 99.9))
-        else:
-            p50 = p90 = p99 = p999 = 0.0
-        mean = (sum(responses) / len(responses)) if responses else 0.0
-        offered = getattr(arrivals, "rate_qps",
-                          getattr(arrivals, "peak_qps", 0.0))
-        return OpenLoopResult(
-            label=label,
-            arrival=getattr(arrivals, "kind", type(arrivals).__name__),
-            offered_qps=float(offered),
-            concurrency=concurrency,
-            duration_us=duration,
-            arrived=admission.stats.arrived,
-            completed=admission.stats.completed,
-            rejected=admission.stats.rejected,
-            mean_response_us=mean,
-            p50_us=p50,
-            p90_us=p90,
-            p99_us=p99,
-            p999_us=p999,
-            mean_wait_us=(sum(waits) / len(waits)) if waits else 0.0,
-            peak_inflight=admission.peak_depth,
-            peak_resource_depth={r.name: r.peak_depth
-                                 for r in kernel.resources()},
-            utilization={r.name: r.utilization(duration)
-                         for r in kernel.resources()},
-        )
 
     # -- reporting ---------------------------------------------------------
 

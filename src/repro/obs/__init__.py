@@ -6,7 +6,7 @@ exact percentile extraction), a :class:`MetricsRegistry` of tagged
 instruments, a zero-cost-when-disabled :class:`Tracer` producing nested
 spans on the simulated clock, a :class:`CacheEventMetrics` bridge from
 the :class:`~repro.core.events.CacheEvents` bus, and exposition as
-Prometheus text, JSON snapshots and JSONL span dumps.
+OpenMetrics text, JSON snapshots and JSONL span dumps.
 
 Everything hangs off one :class:`Telemetry` object::
 
@@ -46,7 +46,6 @@ from repro.obs.cache_metrics import CacheEventMetrics, CacheStatsMetrics
 from repro.obs.export import (
     load_metrics_json,
     openmetrics_text,
-    prometheus_text,
     validate_telemetry_dir,
     write_metrics_json,
     write_telemetry_dir,
@@ -207,7 +206,6 @@ __all__ = [
     "format_query_blame",
     "load_blame_jsonl",
     "validate_blame_jsonl",
-    "prometheus_text",
     "openmetrics_text",
     "write_metrics_json",
     "load_metrics_json",

@@ -31,12 +31,11 @@ a run without an audit log takes one attribute check per decision.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.obs._jsonl import read_jsonl
+from repro.obs._jsonl import read_jsonl, write_jsonl
 
 __all__ = [
     "AuditRecord",
@@ -174,10 +173,7 @@ class AuditLog:
 
     def export_jsonl(self, path) -> int:
         """Write one JSON object per record; returns the record count."""
-        with open(path, "w") as fh:
-            for r in self.records:
-                fh.write(json.dumps(r.to_dict()) + "\n")
-        return len(self.records)
+        return write_jsonl(path, (r.to_dict() for r in self.records))
 
 
 class NullAudit:

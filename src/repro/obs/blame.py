@@ -33,13 +33,11 @@ recorder attached or not (enforced by tests/test_obs_blame.py).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.obs._jsonl import read_jsonl
+from repro.obs._jsonl import JsonlWriter, read_generations, write_jsonl
 
 BLAME_SCHEMA = "repro.obs.blame/v1"
 
@@ -83,11 +81,8 @@ class BlameRecorder:
         #: name -> [count, wait_us_sum, service_us_sum]; survives ring drops.
         self.totals: dict[str, list] = {}
         self.shed_count = 0
-        self._stream = None
-        self._stream_path: str | None = None
-        self._max_stream_records: int | None = None
-        self._stream_records = 0
-        self._rotations = 0
+        #: the :class:`JsonlWriter` once streaming (kept after it closes)
+        self._stream: JsonlWriter | None = None
         self._next_tid = 0
         # id(task) -> meta dict (holds a strong ref to the task so CPython
         # id() reuse cannot alias two tasks to one tid mid-run).
@@ -124,35 +119,14 @@ class BlameRecorder:
         self.close_stream()
         if max_records is not None and max_records < 1:
             raise ValueError("max_records must be >= 1")
-        self._max_stream_records = max_records
-        self._stream_path = path
-        self._stream = open(path, "w", encoding="utf-8")
-        self._stream.write(json.dumps({"schema": BLAME_SCHEMA}) + "\n")
+        self._stream = JsonlWriter(path, header={"schema": BLAME_SCHEMA},
+                                   max_records=max_records)
         for rec in self.records:
-            self._write_stream(rec)
-
-    def _write_stream(self, rec: dict) -> None:
-        self._stream.write(json.dumps(rec) + "\n")
-        self._stream_records += 1
-        if (self._max_stream_records is not None
-                and self._stream_records >= self._max_stream_records):
-            self._rotate_stream()
-
-    def _rotate_stream(self) -> None:
-        self._stream.close()
-        os.replace(self._stream_path, str(self._stream_path) + ".1")
-        self._rotations += 1
-        self._stream = open(self._stream_path, "w", encoding="utf-8")
-        self._stream.write(json.dumps({
-            "schema": BLAME_SCHEMA, "continuation": True,
-            "rotation": self._rotations,
-        }) + "\n")
-        self._stream_records = 0
+            self._stream.write(rec)
 
     def close_stream(self) -> None:
         if self._stream is not None:
             self._stream.close()
-            self._stream = None
 
     # -- hot-path hooks (called by the kernel; keep them lean) -------------
 
@@ -160,8 +134,8 @@ class BlameRecorder:
         if len(self.records) == self.ring_capacity:
             self.dropped += 1
         self.records.append(rec)
-        if self._stream is not None:
-            self._write_stream(rec)
+        if self._stream is not None and not self._stream.closed:
+            self._stream.write(rec)
 
     def _tid(self, task) -> int:
         meta = self._meta.get(id(task))
@@ -306,16 +280,15 @@ class BlameRecorder:
         """Write header plus every retained record to ``path``.
 
         Calls :meth:`finish` first so resource summaries and the footer
-        are present.  When the run already streamed to ``path`` the file
-        is left as-is.  Returns the number of records written/retained.
+        are present.  A streaming run is already on disk: its file is
+        left in place when it *is* ``path``, else its generation(s) are
+        copied there.  Returns the number of records retained.
         """
         self.finish()
-        if self._stream_path == path:
-            return len(self.records)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"schema": BLAME_SCHEMA}) + "\n")
-            for rec in self.records:
-                fh.write(json.dumps(rec) + "\n")
+        if self._stream is not None:
+            self._stream.export_to(path)
+        else:
+            write_jsonl(path, self.records, header={"schema": BLAME_SCHEMA})
         return len(self.records)
 
     def capacity(self, completed: int | None = None,
@@ -354,13 +327,9 @@ def load_blame_jsonl(path: str) -> BlameLog:
     previous generation lives at ``<path>.1``; it is read first so the
     returned records stay in emission order across the rotation.
     """
-    rotated = str(path) + ".1"
-    paths = ([rotated] if os.path.exists(rotated) else []) + [path]
     log = None
-    torn_total = 0
-    for part in paths:
-        records, torn = read_jsonl(part)
-        torn_total += torn
+    parts, torn_total = read_generations(path)
+    for part, records in parts:
         lines = [rec for _, rec in records]
         if not lines or lines[0].get("schema") != BLAME_SCHEMA:
             raise ValueError(f"{part}: not a {BLAME_SCHEMA} file")
@@ -379,7 +348,8 @@ def load_blame_jsonl(path: str) -> BlameLog:
 
 
 def validate_blame_jsonl(path: str) -> dict:
-    """Schema-check a blame JSONL file; returns per-type record counts.
+    """Schema-check a blame JSONL file; returns per-type record counts
+    (plus ``torn_tail`` when a cut final record was skipped).
 
     Raises :class:`ValueError` on a bad header, an unknown record type,
     or a record missing a required field.
@@ -397,6 +367,8 @@ def validate_blame_jsonl(path: str) -> dict:
                 raise ValueError(
                     f"{path}: {kind} record missing field {name!r}: {rec}")
         counts[kind] = counts.get(kind, 0) + 1
+    if log.torn_tail:
+        counts["torn_tail"] = log.torn_tail
     return counts
 
 

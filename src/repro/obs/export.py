@@ -1,10 +1,10 @@
-"""Exposition: Prometheus-style text, JSON snapshots, telemetry dirs.
+"""Exposition: OpenMetrics text, JSON snapshots, telemetry dirs.
 
 A telemetry directory (``repro run --telemetry DIR``) holds::
 
     spans.jsonl     one span object per line (see repro.obs.tracer)
     metrics.json    MetricsRegistry.snapshot() (schema repro.obs.metrics/v1)
-    metrics.prom    the same registry as Prometheus text exposition
+    metrics.prom    the same registry as OpenMetrics text exposition
     audit.jsonl     the decision audit trail (present when auditing is on)
     timeline.jsonl  windowed time series (present when a timeline is
                     attached; schema repro.obs.timeline/v1)
@@ -25,7 +25,6 @@ import os
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
-    "prometheus_text",
     "openmetrics_text",
     "write_metrics_json",
     "write_telemetry_dir",
@@ -39,47 +38,6 @@ _SPAN_FIELDS = {"span_id", "parent_id", "name", "start_us", "end_us",
 
 def _prom_name(name: str) -> str:
     return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-
-
-def _prom_labels(tags: dict, extra: dict | None = None) -> str:
-    labels = dict(tags)
-    if extra:
-        labels.update(extra)
-    if not labels:
-        return ""
-    body = ",".join(f'{_prom_name(k)}="{v}"' for k, v in sorted(labels.items()))
-    return "{" + body + "}"
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """Render a registry in the Prometheus text exposition format.
-
-    Histograms are rendered summary-style: ``{quantile="0.5"}`` lines
-    plus ``_sum`` and ``_count`` (quantiles are what the latency series
-    mean; cumulative ``le`` buckets would just re-encode the log layout).
-    """
-    lines: list[str] = []
-    typed: set[str] = set()
-    for name, tags, inst in registry.items():
-        pname = _prom_name(name)
-        if inst.kind in ("counter", "gauge"):
-            if pname not in typed:
-                lines.append(f"# TYPE {pname} {inst.kind}")
-                typed.add(pname)
-            lines.append(f"{pname}{_prom_labels(tags)} {inst.value}")
-        else:
-            if pname not in typed:
-                lines.append(f"# TYPE {pname} summary")
-                typed.add(pname)
-            if inst.count:
-                for q, v in zip((0.5, 0.9, 0.95, 0.99, 0.999),
-                                inst.percentiles()):
-                    lines.append(
-                        f"{pname}{_prom_labels(tags, {'quantile': q})} {v}"
-                    )
-            lines.append(f"{pname}_sum{_prom_labels(tags)} {inst.sum}")
-            lines.append(f"{pname}_count{_prom_labels(tags)} {inst.count}")
-    return "\n".join(lines) + "\n"
 
 
 _OM_QUANTILES = ("0.5", "0.9", "0.95", "0.99", "0.999")
@@ -188,11 +146,13 @@ def load_metrics_json(path) -> dict:
 
 
 def write_telemetry_dir(telemetry, out_dir) -> dict:
-    """Write spans.jsonl / metrics.json / metrics.prom / audit.jsonl.
+    """Write spans.jsonl / metrics.json / metrics.prom / audit.jsonl
+    (plus timeline.jsonl / blame.jsonl when recorded).
 
     Flash-device bridges are sampled first (so wear/GC/WA gauges are
-    current), and a tracer streaming to the directory is finalized in
-    place instead of re-exported.  Returns a summary dict.
+    current).  A recorder streaming into ``out_dir`` is finalized in
+    place; one streaming elsewhere has its file(s) copied here.
+    Returns a summary dict.
     """
     os.makedirs(out_dir, exist_ok=True)
     collect = getattr(telemetry, "collect", None)
@@ -201,7 +161,7 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
     spans = telemetry.tracer.export_jsonl(os.path.join(out_dir, "spans.jsonl"))
     write_metrics_json(telemetry.registry, os.path.join(out_dir, "metrics.json"))
     with open(os.path.join(out_dir, "metrics.prom"), "w") as fh:
-        fh.write(prometheus_text(telemetry.registry))
+        fh.write(openmetrics_text(telemetry.registry))
     audit = getattr(telemetry, "audit", None)
     audit_records = 0
     if audit is not None and audit.enabled:
@@ -229,7 +189,9 @@ def validate_telemetry_dir(out_dir) -> dict:
     """Check a telemetry dir is non-empty and schema-valid.
 
     Raises ``ValueError`` on any violation; returns ``{"spans": n,
-    "metrics": m}`` on success.  Used by the CI smoke job.
+    "metrics": m, ...}`` on success, with ``torn_tail`` counting the
+    trailing records skipped over all four JSONL files (a run cut
+    mid-write).  Used by the CI smoke job.
     """
     spans_path = os.path.join(out_dir, "spans.jsonl")
     metrics_path = os.path.join(out_dir, "metrics.json")
@@ -269,7 +231,9 @@ def validate_telemetry_dir(out_dir) -> dict:
     if os.path.exists(audit_path):
         from repro.obs.audit import load_audit_jsonl
 
-        counts["audit_records"] = len(load_audit_jsonl(audit_path))
+        audit, audit_torn = load_audit_jsonl(audit_path, return_torn=True)
+        counts["audit_records"] = len(audit)
+        torn += audit_torn
     timeline_path = os.path.join(out_dir, "timeline.jsonl")
     if os.path.exists(timeline_path):
         from repro.obs.timeline import validate_timeline_jsonl
@@ -277,12 +241,14 @@ def validate_telemetry_dir(out_dir) -> dict:
         tl = validate_timeline_jsonl(timeline_path)
         counts["timeline_windows"] = tl["windows"]
         counts["exemplars"] = tl["exemplars"]
+        torn += tl.get("torn_tail", 0)
     blame_path = os.path.join(out_dir, "blame.jsonl")
     if os.path.exists(blame_path):
         from repro.obs.blame import validate_blame_jsonl
 
-        counts["blame_records"] = sum(validate_blame_jsonl(blame_path)
-                                      .values())
+        blame = validate_blame_jsonl(blame_path)
+        torn += blame.pop("torn_tail", 0)
+        counts["blame_records"] = sum(blame.values())
     if torn:
         counts["torn_tail"] = torn
     from repro.obs.flightrecorder import list_incidents, validate_incident_dir

@@ -45,7 +45,9 @@ import json
 import os
 import re
 from collections import deque
+from itertools import chain
 
+from repro.obs._jsonl import write_jsonl
 from repro.obs.blame import BLAME_SCHEMA, QueryBlame, assemble_queries
 from repro.obs.slo import (DEFAULT_SLOS, StreamingDetectors,
                            StreamingSloEvaluator)
@@ -261,30 +263,19 @@ class FlightRecorder:
             return
         bundle = os.path.join(self.out_dir, f"incident-{n}")
         os.makedirs(bundle, exist_ok=True)
-        with open(os.path.join(bundle, "windows.jsonl"), "w") as fh:
-            fh.write(json.dumps({
-                "type": "header", "schema": TIMELINE_SCHEMA,
-                "window_us": self.telemetry.timeline.window_us,
-            }) + "\n")
-            for rec in windows:
-                fh.write(json.dumps(rec) + "\n")
-            for row in exemplar_rows:
-                fh.write(json.dumps(row) + "\n")
-            fh.write(json.dumps({
-                "type": "footer", "windows": len(windows),
-                "dropped_windows": 0,
-            }) + "\n")
-        with open(os.path.join(bundle, "spans.jsonl"), "w") as fh:
-            for row in span_rows:
-                fh.write(json.dumps(row) + "\n")
+        footer = {"type": "footer", "windows": len(windows),
+                  "dropped_windows": 0}
+        write_jsonl(os.path.join(bundle, "windows.jsonl"),
+                    chain(windows, exemplar_rows, [footer]),
+                    header={"type": "header", "schema": TIMELINE_SCHEMA,
+                            "window_us": self.telemetry.timeline.window_us})
+        write_jsonl(os.path.join(bundle, "spans.jsonl"), span_rows)
         with open(os.path.join(bundle, "blame.json"), "w") as fh:
             json.dump({"schema": BLAME_SCHEMA,
                        "queries": [q.to_dict() for q in blame_queries]},
                       fh, indent=1)
             fh.write("\n")
-        with open(os.path.join(bundle, "audit.jsonl"), "w") as fh:
-            for row in audit_rows:
-                fh.write(json.dumps(row) + "\n")
+        write_jsonl(os.path.join(bundle, "audit.jsonl"), audit_rows)
         with open(os.path.join(bundle, "incident.json"), "w") as fh:
             json.dump(manifest, fh, indent=1)
             fh.write("\n")

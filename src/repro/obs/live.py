@@ -39,7 +39,7 @@ from urllib.request import urlopen
 from repro.obs.export import openmetrics_text
 from repro.obs.slo import (DEFAULT_SLOS, StreamingDetectors,
                            StreamingSloEvaluator)
-from repro.obs.timeline import TIMELINE_SCHEMA, sparkline
+from repro.obs.timeline import TIMELINE_SCHEMA, derive_window, sparkline
 
 __all__ = [
     "LIVE_SCHEMA",
@@ -130,39 +130,19 @@ class LiveServer:
 
     def status(self) -> dict:
         tl = self.telemetry.timeline
-        recent = [{"window": rec["window"],
-                   "derived": rec.get("derived", {})}
-                  for rec in list(self.windows)[-32:]]
-        anomalies = self._detectors.anomalies
-        doc = {
-            "schema": LIVE_SCHEMA,
-            "run": self.run_info,
-            "now_us": (self.telemetry.clock.now_us
-                       if self.telemetry.clock is not None else None),
-            "window_us": tl.window_us if tl is not None else None,
-            "windows_seen": self.windows_seen,
-            "recent": recent,
-            "slo": [r.to_dict() for r in self._slo.results()],
-            "anomalies": {
-                "total": len(anomalies),
-                "critical": sum(1 for a in anomalies
-                                if a.severity == "critical"),
-                "recent": [a.to_dict() for a in anomalies[-8:]],
-            },
-        }
-        if self.flight is not None:
-            doc["incidents"] = {
-                "open": self.flight._open is not None,
-                "dumped": [
-                    {"incident": m["incident"],
-                     "trigger": m["trigger"],
-                     "windows": m["windows"],
-                     "qids": m["qids"]}
-                    for m in self.flight.incidents],
-            }
-        else:
-            doc["incidents"] = {"open": False, "dumped": []}
-        return doc
+        clock = self.telemetry.clock
+        return _status_doc(
+            self.run_info,
+            now_us=clock.now_us if clock is not None else None,
+            window_us=tl.window_us if tl is not None else None,
+            windows_seen=self.windows_seen,
+            recent=list(self.windows)[-32:],
+            slo=self._slo.results(),
+            anomalies=self._detectors.anomalies,
+            incident_open=(self.flight is not None
+                           and self.flight._open is not None),
+            manifests=self.flight.incidents if self.flight is not None else [],
+        )
 
     def windows_ndjson(self, since: int = -1) -> str:
         tl = self.telemetry.timeline
@@ -230,6 +210,35 @@ def _make_handler(live: LiveServer):
 # Consuming a plane: live or post-hoc
 # ---------------------------------------------------------------------------
 
+def _status_doc(run: dict, now_us, window_us, windows_seen: int, recent,
+                slo, anomalies, incident_open: bool, manifests) -> dict:
+    """The ``repro.obs.live/v1`` status document, from live state or a
+    saved directory alike."""
+    return {
+        "schema": LIVE_SCHEMA,
+        "run": run,
+        "now_us": now_us,
+        "window_us": window_us,
+        "windows_seen": windows_seen,
+        "recent": [{"window": rec["window"],
+                    "derived": rec.get("derived") or derive_window(rec)}
+                   for rec in recent],
+        "slo": [r.to_dict() for r in slo],
+        "anomalies": {
+            "total": len(anomalies),
+            "critical": sum(1 for a in anomalies
+                            if a.severity == "critical"),
+            "recent": [a.to_dict() for a in anomalies[-8:]],
+        },
+        "incidents": {
+            "open": incident_open,
+            "dumped": [{"incident": m["incident"], "trigger": m["trigger"],
+                        "windows": m["windows"], "qids": m["qids"]}
+                       for m in manifests],
+        },
+    }
+
+
 def fetch_status(target: str, timeout: float = 5.0) -> dict:
     """GET ``/status`` from ``PORT`` or ``HOST:PORT`` or a full URL."""
     if "://" not in target:
@@ -243,40 +252,28 @@ def status_from_dir(telemetry_dir) -> dict:
     """Build the same status document post-hoc from a telemetry dir."""
     from repro.obs.flightrecorder import list_incidents
     from repro.obs.slo import evaluate_slos, run_detectors
-    from repro.obs.timeline import derive_window, load_timeline_jsonl
+    from repro.obs.timeline import load_timeline_jsonl
 
     path = os.path.join(telemetry_dir, "timeline.jsonl")
     if not os.path.exists(path):
         raise ValueError(
             f"no timeline at {path} (run with --timeline to record one)")
     tl = load_timeline_jsonl(path)
-    anomalies = run_detectors(tl.windows)
-    recent = [{"window": rec["window"],
-               "derived": rec.get("derived") or derive_window(rec)}
-              for rec in tl.windows[-32:]]
-    dumped = []
+    manifests = []
     for bundle in list_incidents(telemetry_dir):
         with open(os.path.join(bundle, "incident.json")) as fh:
-            m = json.load(fh)
-        dumped.append({"incident": m["incident"], "trigger": m["trigger"],
-                       "windows": m["windows"], "qids": m["qids"]})
-    return {
-        "schema": LIVE_SCHEMA,
-        "run": {"dir": str(telemetry_dir)},
-        "now_us": tl.windows[-1]["end_us"] if tl.windows else None,
-        "window_us": tl.window_us,
-        "windows_seen": len(tl.windows),
-        "recent": recent,
-        "slo": [r.to_dict() for r in evaluate_slos(DEFAULT_SLOS,
-                                                   tl.windows)],
-        "anomalies": {
-            "total": len(anomalies),
-            "critical": sum(1 for a in anomalies
-                            if a.severity == "critical"),
-            "recent": [a.to_dict() for a in anomalies[-8:]],
-        },
-        "incidents": {"open": False, "dumped": dumped},
-    }
+            manifests.append(json.load(fh))
+    return _status_doc(
+        {"dir": str(telemetry_dir)},
+        now_us=tl.windows[-1]["end_us"] if tl.windows else None,
+        window_us=tl.window_us,
+        windows_seen=len(tl.windows),
+        recent=tl.windows[-32:],
+        slo=evaluate_slos(DEFAULT_SLOS, tl.windows),
+        anomalies=run_detectors(tl.windows),
+        incident_open=False,
+        manifests=manifests,
+    )
 
 
 def format_top_frame(status: dict, width: int = 60) -> str:

@@ -55,13 +55,12 @@ measurements.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
-from repro.obs._jsonl import read_jsonl
+from repro.obs._jsonl import JsonlWriter, read_generations, write_jsonl
 from repro.obs.instruments import Histogram
 from repro.obs.registry import MetricsRegistry
 
@@ -238,11 +237,8 @@ class TimelineRecorder:
         self.emitted = 0
         self._open = 0
         self._finished = False
-        self._stream = None
-        self._stream_path = None
-        self._max_stream_windows = None
-        self._stream_windows = 0
-        self._rotations = 0
+        #: the :class:`JsonlWriter` once streaming (kept after it closes)
+        self._stream: JsonlWriter | None = None
         self._callbacks: list = []
         self._last_counters: dict[str, float] = {}
         self._last_gauges: dict[str, float] = {}
@@ -256,7 +252,11 @@ class TimelineRecorder:
 
     @property
     def streaming(self) -> bool:
-        return self._stream_path is not None
+        return self._stream is not None
+
+    def _header(self) -> dict:
+        return {"type": "header", "schema": TIMELINE_SCHEMA,
+                "window_us": self.window_us}
 
     def open_stream(self, path, max_windows: int | None = None) -> None:
         """Write windows to ``path`` as they close (header first).
@@ -272,36 +272,12 @@ class TimelineRecorder:
             raise RuntimeError("timeline is already streaming")
         if max_windows is not None and max_windows < 1:
             raise ValueError("max_windows must be >= 1")
-        self._max_stream_windows = max_windows
-        self._stream = open(path, "w")
-        self._stream_path = path
-        self._stream.write(json.dumps({
-            "type": "header", "schema": TIMELINE_SCHEMA,
-            "window_us": self.window_us,
-        }) + "\n")
+        self._stream = JsonlWriter(path, header=self._header(),
+                                   max_records=max_windows)
         for rec in self.windows:
             if "derived" not in rec:
                 rec["derived"] = derive_window(rec)
-            self._write_stream(rec)
-
-    def _write_stream(self, rec: dict) -> None:
-        self._stream.write(json.dumps(rec) + "\n")
-        self._stream_windows += 1
-        if (self._max_stream_windows is not None
-                and self._stream_windows >= self._max_stream_windows):
-            self._rotate_stream()
-
-    def _rotate_stream(self) -> None:
-        self._stream.close()
-        os.replace(self._stream_path, str(self._stream_path) + ".1")
-        self._rotations += 1
-        self._stream = open(self._stream_path, "w")
-        self._stream.write(json.dumps({
-            "type": "header", "schema": TIMELINE_SCHEMA,
-            "window_us": self.window_us, "continuation": True,
-            "rotation": self._rotations,
-        }) + "\n")
-        self._stream_windows = 0
+            self._stream.write(rec)
 
     # -- window callbacks ----------------------------------------------------
 
@@ -341,22 +317,21 @@ class TimelineRecorder:
             if "derived" not in rec:
                 rec["derived"] = derive_window(rec)
         if self._stream is not None:
-            if self.exemplars is not None:
-                for rec in self.exemplars.to_dicts():
-                    self._stream.write(json.dumps(rec) + "\n")
-            self._stream.write(json.dumps(self._footer()) + "\n")
+            for rec in self._trailer():
+                self._stream.write_trailer(rec)
             self._stream.close()
-            self._stream = None
 
-    def _footer(self) -> dict:
-        out = {"type": "footer", "windows": self.emitted,
-               "dropped_windows": self.dropped_windows}
-        if self._rotations:
-            out["rotated"] = self._rotations
-        if self.exemplars is not None:
-            out["exemplars"] = len(self.exemplars.exemplars)
-            out["dropped_exemplars"] = self.exemplars.dropped
-        return out
+    def _trailer(self) -> list[dict]:
+        """What follows the windows: the exemplars, then the footer."""
+        footer = {"type": "footer", "windows": self.emitted,
+                  "dropped_windows": self.dropped_windows}
+        if self._stream is not None and self._stream.rotations:
+            footer["rotated"] = self._stream.rotations
+        if self.exemplars is None:
+            return [footer]
+        footer["exemplars"] = len(self.exemplars.exemplars)
+        footer["dropped_exemplars"] = self.exemplars.dropped
+        return self.exemplars.to_dicts() + [footer]
 
     def _close_open_window(self) -> None:
         if self.collect is not None:
@@ -403,7 +378,10 @@ class TimelineRecorder:
             "gauges": gauges,
             "histograms": hists,
         }
-        if self._stream is not None or self._callbacks:
+        stream = self._stream
+        if stream is not None and stream.closed:
+            stream = None  # finished: later windows are only retained
+        if stream is not None or self._callbacks:
             # Streamed records leave the process now (and callbacks see
             # them now), so they must carry their derived block; retained
             # records defer derivation to finish() — pure post-processing
@@ -414,33 +392,26 @@ class TimelineRecorder:
         if len(self.windows) == self.windows.maxlen:
             self.dropped_windows += 1
         self.windows.append(rec)
-        if self._stream is not None:
-            self._write_stream(rec)
+        if stream is not None:
+            stream.write(rec)
         for cb in self._callbacks:
             cb(rec)
 
     # -- export --------------------------------------------------------------
 
     def export_jsonl(self, path) -> int:
-        """Write the retained timeline as JSONL; returns the window count.
+        """Write the timeline to ``path``; returns the window count.
 
-        In streaming mode the windows are already on disk; exporting
-        just finalizes the stream (via :meth:`finish`).
+        In streaming mode the windows are already on disk: the stream is
+        finalized (via :meth:`finish`) and, when ``path`` is another
+        file, the streamed generation(s) are copied there.
         """
         self.finish()
-        if self.streaming:
+        if self._stream is not None:
+            self._stream.export_to(path)
             return self.emitted
-        with open(path, "w") as fh:
-            fh.write(json.dumps({
-                "type": "header", "schema": TIMELINE_SCHEMA,
-                "window_us": self.window_us,
-            }) + "\n")
-            for rec in self.windows:
-                fh.write(json.dumps(rec) + "\n")
-            if self.exemplars is not None:
-                for rec in self.exemplars.to_dicts():
-                    fh.write(json.dumps(rec) + "\n")
-            fh.write(json.dumps(self._footer()) + "\n")
+        write_jsonl(path, chain(self.windows, self._trailer()),
+                    header=self._header())
         return len(self.windows)
 
 
@@ -665,12 +636,8 @@ def load_timeline_jsonl(path) -> Timeline:
     exemplars: list[dict] = []
     footer = None
     window_us = None
-    torn_total = 0
-    rotated = str(path) + ".1"
-    paths = ([rotated] if os.path.exists(rotated) else []) + [path]
-    for part in paths:
-        records, torn = read_jsonl(part)
-        torn_total += torn
+    parts, torn_total = read_generations(path)
+    for part, records in parts:
         if not records:
             raise ValueError(f"{part}: empty timeline file")
         for pos, (lineno, rec) in enumerate(records):

@@ -19,11 +19,9 @@ shared :data:`NULL_TRACER` (or a plain ``None`` device hook), whose
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
-from repro.obs._jsonl import read_jsonl
+from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER",
            "load_spans_jsonl"]
@@ -120,9 +118,8 @@ class Tracer:
         self.span_sink = None
         self._stack: list[int] = []
         self._next_id = 1
-        self._stream = None
-        self._stream_path = None
-        self._streamed = 0
+        #: the :class:`JsonlWriter` once streaming (kept after it closes)
+        self._stream: JsonlWriter | None = None
 
     def span(self, name: str, **attrs) -> _SpanCtx:
         """Open a nested span: ``with tracer.span("query", qid=7) as sp:``."""
@@ -145,9 +142,8 @@ class Tracer:
         sink = self.span_sink
         if sink is not None:
             sink(span)
-        if self._stream is not None:
-            self._stream.write(json.dumps(span.to_dict()) + "\n")
-            self._streamed += 1
+        if self._stream is not None and not self._stream.closed:
+            self._stream.write(span.to_dict())
             return
         if len(self.spans) >= self.max_spans:
             self.dropped += 1
@@ -158,12 +154,12 @@ class Tracer:
 
     @property
     def streaming(self) -> bool:
-        return self._stream_path is not None
+        return self._stream is not None
 
     @property
     def span_count(self) -> int:
         """Spans recorded so far (stored or already streamed to disk)."""
-        return self._streamed if self.streaming else len(self.spans)
+        return self._stream.written if self.streaming else len(self.spans)
 
     def open_stream(self, path) -> None:
         """Start writing finished spans straight to ``path`` as JSONL.
@@ -173,18 +169,15 @@ class Tracer:
         """
         if self._stream is not None:
             raise RuntimeError("tracer is already streaming")
-        self._stream = open(path, "w")
-        self._stream_path = path
+        self._stream = JsonlWriter(path)
         for span in self.spans:
-            self._stream.write(json.dumps(span.to_dict()) + "\n")
-        self._streamed = len(self.spans)
+            self._stream.write(span.to_dict())
         self.spans = []
 
     def close_stream(self) -> None:
         """Flush and close the streaming file (path/count stay queryable)."""
         if self._stream is not None:
             self._stream.close()
-            self._stream = None
 
     # -- export --------------------------------------------------------------
 
@@ -198,17 +191,10 @@ class Tracer:
         the stream's own path just finalizes the file; exporting to a
         different path copies the streamed file there.
         """
-        if self.streaming:
-            self.close_stream()
-            if os.path.abspath(str(path)) != os.path.abspath(str(self._stream_path)):
-                with open(self._stream_path) as src, open(path, "w") as dst:
-                    for line in src:
-                        dst.write(line)
-            return self._streamed
-        with open(path, "w") as fh:
-            for span in self.spans:
-                fh.write(json.dumps(span.to_dict()) + "\n")
-        return len(self.spans)
+        if self._stream is not None:
+            self._stream.export_to(path)
+            return self._stream.written
+        return write_jsonl(path, (s.to_dict() for s in self.spans))
 
 
 class NullTracer:
@@ -245,9 +231,7 @@ class NullTracer:
         pass
 
     def export_jsonl(self, path) -> int:
-        with open(path, "w"):
-            pass
-        return 0
+        return write_jsonl(path, ())
 
 
 #: Shared do-nothing tracer; components default to this so tracing costs

@@ -1,6 +1,6 @@
-"""Open-loop serving: arrival processes and the concurrent driver.
+"""Kernel-mode serving: arrival processes and the one concurrent driver.
 
-Two generations of open-loop analysis live here:
+Two generations of load analysis live here:
 
 * **Analytic reference** — :func:`collect_service_times` +
   :func:`load_sweep` couple a closed-loop replay (pure service times)
@@ -9,9 +9,11 @@ Two generations of open-loop analysis live here:
   server and no cache-state feedback.  Kept as the reference curve the
   kernel path is validated against.
 * **Emergent** — :class:`PoissonArrivals` / :class:`DiurnalArrivals`
-  feed :func:`run_open_loop`, which schedules real arrival events on the
-  discrete-event kernel (:mod:`repro.sim.kernel`) and runs up to N
-  queries concurrently through the live cache manager.  Queueing delay,
+  (or ``None``: closed-loop clients) feed :func:`drive`, which admits
+  every query as its own task on the discrete-event kernel
+  (:mod:`repro.sim.kernel`) and runs up to N concurrently —
+  :func:`run_open_loop` through the live cache manager,
+  ``Broker.run_open_loop`` through a shard fan-out.  Queueing delay,
   saturation, and tail growth emerge from per-device contention, and the
   cache state evolves under the same interleaving that produced the
   latencies.
@@ -24,14 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import CacheConfig, Policy
-from repro.core.manager import CacheManager, build_hierarchy_for
+from repro.core.config import CacheConfig
+from repro.core.manager import CacheManager
 from repro.engine.index import InvertedIndex
 from repro.engine.querylog import QueryLog
 from repro.obs.instruments import Histogram
 from repro.sim.kernel import AdmissionControl, Kernel
 from repro.sim.queueing import QueueResult, simulate_fifo_queue
 from repro.sim.rng import make_rng
+from repro.workloads.retrieval import prepare_cached_manager
 
 __all__ = [
     "collect_service_times",
@@ -39,6 +42,7 @@ __all__ = [
     "PoissonArrivals",
     "DiurnalArrivals",
     "OpenLoopResult",
+    "drive",
     "run_open_loop",
     "schedule_arrivals",
 ]
@@ -60,10 +64,10 @@ def collect_service_times(
     the measured (post-warmup) sample, so the open-loop driver's inputs
     are inspectable through the same registry as everything else.
     """
-    hierarchy = build_hierarchy_for(cache_config, index)
-    manager = CacheManager(cache_config, hierarchy, index, telemetry=telemetry)
-    if cache_config.policy is Policy.CBSLRU and cache_config.uses_ssd:
-        manager.warmup_static(log, analyze_queries=static_analyze_queries)
+    manager = prepare_cached_manager(
+        index, log, cache_config,
+        static_analyze_queries=static_analyze_queries, seed=seed,
+        telemetry=telemetry)
     service_hist = (telemetry.registry.histogram("service_time_us")
                     if telemetry is not None else None)
     times: list[float] = []
@@ -244,73 +248,63 @@ def schedule_arrivals(kernel: Kernel, arrivals, count: int, submit) -> None:
         kernel.at(arrivals.next_after(kernel.clock.now_us), arrive)
 
 
-def run_open_loop(
-    manager: CacheManager,
-    queries,
+def drive(
+    kernel: Kernel,
+    count: int,
     arrivals,
+    serve,
     concurrency: int = 4,
     max_queue: int = 64,
-    cpu_lanes: int = 1,
     label: str = "open-loop",
-    kernel: Kernel | None = None,
+    observe=None,
 ) -> OpenLoopResult:
-    """Serve ``queries`` under an open-loop arrival process.
+    """The one kernel-mode serve driver: admit ``count`` queries, run
+    ``serve(i)`` for each as its own kernel task ``q<i>``, drain, report.
 
-    Each arrival event submits one query to admission control
-    (``concurrency`` in flight, ``max_queue`` waiting, beyond that shed);
-    admitted queries run as kernel tasks through the live ``manager``,
-    contending for the hierarchy's device resources.  Response time is
-    arrival to completion, so admission wait and device queueing are
-    included — tails grow past the knee because of contention, not a
-    model.
-
-    The manager's cache state carries over: pre-warm with a closed-loop
-    replay first when steady-state behaviour is wanted.  Detaches the
-    kernel from the clock before returning so later closed-loop use of
-    the same hierarchy is unaffected.
+    ``arrivals`` is an arrival process (open loop: ``concurrency`` in
+    flight, ``max_queue`` waiting, beyond that shed) or ``None`` for a
+    closed loop: ``concurrency`` clients, each submitting its next query
+    through the same admission path the moment its previous one
+    completes.  ``observe(kernel, admission)`` is called once before
+    anything is scheduled.  The caller attaches devices to ``kernel``
+    first and unbinds the clock afterwards.
     """
-    queries = list(queries)
-    if not queries:
-        raise ValueError("no queries to serve")
-    clock = manager.clock
-    own_kernel = kernel is None
-    if kernel is None:
-        kernel = Kernel(clock)
-    manager.hierarchy.attach_kernel(kernel, cpu_lanes=cpu_lanes)
+    clock = kernel.clock
     admission = AdmissionControl(kernel, max_inflight=concurrency,
                                  max_queue=max_queue)
-    tel = manager.telemetry
-    if tel is not None and hasattr(tel, "observe_kernel"):
-        tel.observe_kernel(kernel, admission)
-    blame = getattr(tel, "blame", None)
-
+    if observe is not None:
+        observe(kernel, admission)
     start_us = clock.now_us
     responses: list[float] = []
     waits: list[float] = []
 
     def submit(i: int, arrival_us: float) -> None:
-        query = queries[i]
-
         def body():
             begin = clock.now_us
-            if blame is not None:
-                # No yield point between here and process_query's own
-                # stats read (strict handoff), so this qid is exactly
-                # the one the query's spans and exemplars will carry.
-                blame.tag_current(qid=manager.stats.queries)
-            manager.process_query(query)
+            serve(i)
             waits.append(begin - arrival_us)
             responses.append(clock.now_us - arrival_us)
+            if arrivals is None:
+                kernel.at(clock.now_us, next_client_query)
 
         admission.submit(body, name=f"q{i}")
 
-    schedule_arrivals(kernel, arrivals, len(queries), submit)
-    try:
-        kernel.run()
-        admission.check_invariants()
-    finally:
-        if own_kernel:
-            clock.bind_kernel(None)
+    if arrivals is None:
+        pending = iter(range(count))
+
+        def next_client_query() -> None:
+            # An event, not a call from the finishing task: the slot is
+            # free by the time it runs and the new task is a root.
+            i = next(pending, None)
+            if i is not None:
+                submit(i, clock.now_us)
+
+        for _ in range(min(concurrency, count)):
+            kernel.at(start_us, next_client_query)
+    else:
+        schedule_arrivals(kernel, arrivals, count, submit)
+    kernel.run()
+    admission.check_invariants()
 
     duration = clock.now_us - start_us
     if responses:
@@ -324,7 +318,8 @@ def run_open_loop(
         offered = getattr(arrivals, "peak_qps", 0.0)
     return OpenLoopResult(
         label=label,
-        arrival=getattr(arrivals, "kind", type(arrivals).__name__),
+        arrival=("closed" if arrivals is None
+                 else getattr(arrivals, "kind", type(arrivals).__name__)),
         offered_qps=float(offered),
         concurrency=concurrency,
         duration_us=duration,
@@ -342,3 +337,61 @@ def run_open_loop(
         utilization={r.name: r.utilization(duration)
                      for r in kernel.resources()},
     )
+
+
+def run_open_loop(
+    manager: CacheManager,
+    queries,
+    arrivals=None,
+    concurrency: int = 4,
+    max_queue: int = 64,
+    cpu_lanes: int = 1,
+    label: str = "open-loop",
+    kernel: Kernel | None = None,
+) -> OpenLoopResult:
+    """Serve ``queries`` through the live ``manager`` on the kernel.
+
+    :func:`drive` with ``serve(i) = manager.process_query(queries[i])``:
+    admitted queries contend for the hierarchy's device resources, and
+    response time is arrival to completion, so admission wait and device
+    queueing are included — tails grow past the knee because of
+    contention, not a model.  ``arrivals=None`` is the closed loop
+    (``concurrency`` clients, no think time).
+
+    The manager's cache state carries over: pre-warm with a closed-loop
+    replay first when steady-state behaviour is wanted.  Detaches the
+    kernel from the clock before returning so later closed-loop use of
+    the same hierarchy is unaffected.
+    """
+    queries = list(queries)
+    if not queries:
+        raise ValueError("no queries to serve")
+    clock = manager.clock
+    own_kernel = kernel is None
+    if kernel is None:
+        kernel = Kernel(clock)
+    manager.hierarchy.attach_kernel(kernel, cpu_lanes=cpu_lanes)
+    tel = manager.telemetry
+    blame = None
+
+    def observe(kernel, admission) -> None:
+        nonlocal blame
+        if hasattr(tel, "observe_kernel"):
+            tel.observe_kernel(kernel, admission)
+        blame = getattr(tel, "blame", None)
+
+    def serve(i: int) -> None:
+        if blame is not None:
+            # No yield point between here and process_query's own
+            # stats read (strict handoff), so this qid is exactly
+            # the one the query's spans and exemplars will carry.
+            blame.tag_current(qid=manager.stats.queries)
+        manager.process_query(queries[i])
+
+    try:
+        return drive(kernel, len(queries), arrivals, serve,
+                     concurrency=concurrency, max_queue=max_queue,
+                     label=label, observe=observe)
+    finally:
+        if own_kernel:
+            clock.bind_kernel(None)

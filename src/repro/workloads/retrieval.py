@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import CacheConfig, Policy
+from repro.core.intersections import ThreeLevelCacheManager
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.core.stats import CacheStats
 from repro.engine.index import InvertedIndex
 from repro.engine.processor import QueryProcessor
 from repro.engine.querylog import QueryLog
-from repro.storage.hierarchy import HierarchyConfig, StorageHierarchy
 
 __all__ = ["RunResult", "run_uncached", "run_cached", "sample_flash_series",
            "prepare_cached_manager"]
@@ -85,21 +85,6 @@ def run_uncached(
     )
 
 
-def _build_manager(
-    index: InvertedIndex,
-    cache_config: CacheConfig,
-    index_on: str,
-    seed: int,
-    hierarchy: StorageHierarchy | None = None,
-    telemetry=None,
-) -> CacheManager:
-    if hierarchy is None:
-        hierarchy = build_hierarchy_for(cache_config, index, index_on=index_on)
-    processor = QueryProcessor(index, top_k=cache_config.top_k, seed=seed)
-    return CacheManager(cache_config, hierarchy, index, processor,
-                        telemetry=telemetry)
-
-
 def prepare_cached_manager(
     index: InvertedIndex,
     log: QueryLog,
@@ -108,13 +93,17 @@ def prepare_cached_manager(
     static_analyze_queries: int | None = None,
     seed: int = 1234,
     telemetry=None,
+    three_level: bool = False,
 ) -> CacheManager:
-    """Build the manager exactly as :func:`run_cached` would, stopping
-    just before serving: hierarchy, processor (same ``seed``, so query
-    plans reproduce), and the CBSLRU static warmup.  Pass the result to
-    ``run_cached(..., manager=...)`` to time serving without setup."""
-    mgr = _build_manager(index, cache_config, index_on, seed,
-                         telemetry=telemetry)
+    """The one build recipe — hierarchy, processor (same ``seed``, so
+    query plans reproduce), manager (``three_level`` adds the
+    intersection cache), CBSLRU static warmup — stopping just before
+    serving.  Pass the result to ``run_cached(..., manager=...)`` or
+    :func:`~repro.workloads.openloop.run_open_loop`."""
+    hierarchy = build_hierarchy_for(cache_config, index, index_on=index_on)
+    processor = QueryProcessor(index, top_k=cache_config.top_k, seed=seed)
+    cls = ThreeLevelCacheManager if three_level else CacheManager
+    mgr = cls(cache_config, hierarchy, index, processor, telemetry=telemetry)
     if cache_config.policy is Policy.CBSLRU and cache_config.uses_ssd:
         mgr.warmup_static(log, analyze_queries=static_analyze_queries)
     return mgr
@@ -148,13 +137,10 @@ def run_cached(
     the bench harness uses this to time serving separately from setup;
     ``cache_config`` must be the config the manager was built with.
     """
-    if manager is not None:
-        mgr = manager
-    else:
-        mgr = _build_manager(index, cache_config, index_on, seed,
-                             telemetry=telemetry)
-        if cache_config.policy is Policy.CBSLRU and cache_config.uses_ssd:
-            mgr.warmup_static(log, analyze_queries=static_analyze_queries)
+    mgr = manager if manager is not None else prepare_cached_manager(
+        index, log, cache_config, index_on=index_on,
+        static_analyze_queries=static_analyze_queries, seed=seed,
+        telemetry=telemetry)
     queries = log.head(max_queries) if max_queries is not None else list(log)
     erase_base = mgr.ssd.erase_count if mgr.ssd else 0
     for i, query in enumerate(queries):
@@ -196,11 +182,11 @@ def sample_flash_series(
         raise ValueError("sample_points must be non-empty")
     if sorted(sample_points) != list(sample_points):
         raise ValueError("sample_points must be increasing")
-    mgr = _build_manager(index, cache_config, index_on, seed)
+    mgr = prepare_cached_manager(
+        index, log, cache_config, index_on=index_on,
+        static_analyze_queries=static_analyze_queries, seed=seed)
     if mgr.ssd is None:
         raise ValueError("flash series needs an SSD tier")
-    if cache_config.policy is Policy.CBSLRU:
-        mgr.warmup_static(log, analyze_queries=static_analyze_queries)
     # Fig. 19 counts flash activity during the measured workload only.
     erase_base = mgr.ssd.erase_count
     mgr.ssd.reset_counters()

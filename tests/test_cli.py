@@ -360,6 +360,48 @@ def test_run_open_loop_streams_blame_and_blame_command(tmp_path, capsys):
     assert "residual 0.000 us" in out
 
 
+def test_closed_loop_clients_are_admitted_qid_tagged_queries(tmp_path,
+                                                             capsys):
+    """--arrival closed --concurrency N goes through the one kernel-mode
+    driver: one blame record per served query (not per client), a knee
+    at the served throughput (the HDD saturates), and qid tags that
+    `explain --query` can match."""
+    import re
+
+    from repro.obs import load_blame_jsonl
+
+    out_dir = tmp_path / "tel"
+    rc = main(["run", "--policy", "cblru", "--docs", "20000",
+               "--queries", "300", "--mem-mb", "2", "--ssd-mb", "8",
+               "--arrival", "closed", "--concurrency", "4",
+               "--telemetry", str(out_dir), "--timeline"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "closed-loop, 4 clients" in out
+    assert "300 / 300 / 0" in out  # arrived / completed / shed
+
+    log = load_blame_jsonl(out_dir / "blame.jsonl")
+    footer = log.footer
+    assert footer["arrived"] == footer["completed"] == 300
+    served_qps = 300 / ((footer["end_us"] - footer["start_us"]) / 1e6)
+
+    rc = main(["blame", str(out_dir)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[0] == "blame: 300 queries"
+    knee = float(re.search(r"knee ~([0-9.]+) qps", out).group(1))
+    assert knee == pytest.approx(served_qps, rel=0.05)
+
+    qid = next(r["qid"] for r in log.records
+               if r.get("type") == "task" and r.get("qid") is not None
+               and r["name"] == "q150")
+    rc = main(["explain", str(out_dir), "--query", str(qid)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "kernel blame (wait vs service per resource):" in out
+    assert f"qid {qid}" in out
+
+
 def test_blame_command_fails_cleanly_without_blame_file(tmp_path, capsys):
     rc = main(["blame", str(tmp_path / "nothing")])
     captured = capsys.readouterr()

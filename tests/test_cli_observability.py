@@ -80,6 +80,36 @@ def test_explain_query_survives_torn_spans_and_rejects_corruption(
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_torn_tails_of_every_jsonl_file_are_counted_and_reported(
+        tmp_path, capsys):
+    # What the observer skips is itself reported -- for all four JSONL
+    # files, not just spans.jsonl.
+    from repro.obs import validate_telemetry_dir
+
+    out = tmp_path / "tel"
+    assert main(["run", "--policy", "cblru", "--docs", "20000",
+                 "--queries", "200", "--mem-mb", "2", "--ssd-mb", "8",
+                 "--arrival", "poisson", "--rate-qps", "60",
+                 "--concurrency", "2", "--telemetry", str(out),
+                 "--timeline", "--no-flight"]) == 0
+    whole = validate_telemetry_dir(out)
+    assert "torn_tail" not in whole
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    assert "trailing record" not in capsys.readouterr().out
+
+    for name in ("blame.jsonl", "audit.jsonl", "timeline.jsonl"):
+        path = out / name
+        path.write_bytes(path.read_bytes()[:-25])
+    cut = validate_telemetry_dir(out)
+    assert cut["torn_tail"] == 3
+    assert cut["blame_records"] == whole["blame_records"] - 1
+    assert cut["audit_records"] == whole["audit_records"] - 1
+    assert cut["timeline_windows"] == whole["timeline_windows"]  # footer lost
+    assert main(["report", str(out)]) == 0
+    assert "skipped 3 torn trailing record(s)" in capsys.readouterr().out
+
+
 def test_timeline_missing_file_is_clean_error(tmp_path, capsys):
     rc = main(["timeline", str(tmp_path)])
     err = capsys.readouterr().err

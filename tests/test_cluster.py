@@ -313,3 +313,37 @@ def test_broker_shard_timelines_and_skew(log):
     # A generous tolerance never fires; a zero tolerance flags any
     # difference at all (shards hold different partitions).
     assert broker.detect_skew(rel_tol=10.0) == []
+
+
+# -- the shared kernel-mode driver -----------------------------------------------
+
+def test_one_shard_broker_and_run_open_loop_share_the_admission_path(log):
+    """Broker.run_open_loop and run_open_loop are both `drive` plus a
+    serve body, so on the same Poisson draws the admission ledger agrees
+    (service times differ by the fan-out and merge; admission does not)."""
+    from repro.workloads.openloop import PoissonArrivals, run_open_loop
+
+    def pair():
+        return (Broker.build(BASE, 1, cache_cfg(), shared_clock=True),
+                Broker.build(BASE, 1, cache_cfg()).shards[0].manager)
+
+    queries = list(log)[:40]
+    # Light load: everything is admitted and completes.
+    broker, manager = pair()
+    a = broker.run_open_loop(queries, PoissonArrivals(5.0, seed=11),
+                             concurrency=4, max_queue=8)
+    b = run_open_loop(manager, queries, PoissonArrivals(5.0, seed=11),
+                      concurrency=4, max_queue=8)
+    assert (a.arrived, a.completed, a.rejected) == (40, 40, 0)
+    assert (b.arrived, b.completed, b.rejected) == (40, 40, 0)
+    # A burst far faster than any service time: every arrival lands
+    # before the first completion, so the ledger is fixed by admission.
+    broker, manager = pair()
+    a = broker.run_open_loop(queries, PoissonArrivals(1e6, seed=11),
+                             concurrency=2, max_queue=3)
+    b = run_open_loop(manager, queries, PoissonArrivals(1e6, seed=11),
+                      concurrency=2, max_queue=3)
+    for r in (a, b):
+        assert (r.arrived, r.completed, r.rejected, r.peak_inflight) == (
+            40, 5, 35, 5)
+    assert (a.arrival, a.offered_qps) == (b.arrival, b.offered_qps)

@@ -12,7 +12,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     openmetrics_text,
-    prometheus_text,
 )
 
 # -- counters and gauges -----------------------------------------------------
@@ -234,23 +233,6 @@ def test_registry_merge_sums_counters_and_histograms():
     assert a.get("n", shard="1").value == 7
     assert a.get("lat").count == 3
     assert a.get("occ").value == 0.5
-
-
-# -- prometheus text exposition ----------------------------------------------
-
-def test_prometheus_text_renders_all_kinds():
-    reg = MetricsRegistry()
-    reg.counter("hits_total", level="l1").inc(4)
-    reg.gauge("occupancy").set(0.75)
-    reg.histogram("latency_us").record_many([10.0, 20.0])
-    text = prometheus_text(reg)
-    assert '# TYPE hits_total counter' in text
-    assert 'hits_total{level="l1"} 4' in text
-    assert '# TYPE occupancy gauge' in text
-    assert '# TYPE latency_us summary' in text
-    assert 'quantile="0.5"' in text
-    assert 'latency_us_count 2' in text
-    assert text.endswith("\n")
 
 
 # -- openmetrics text exposition ---------------------------------------------

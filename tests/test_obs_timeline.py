@@ -310,6 +310,37 @@ def test_streaming_timeline_matches_retained(small_index, tmp_path):
     assert tl.windows == list(tel.timeline.windows)
 
 
+def test_streaming_run_exported_to_another_dir_keeps_its_timeline(
+        small_index, tmp_path):
+    # One rule for every streamed file: exporting to the stream's own
+    # path finalises in place, exporting elsewhere copies it.  The
+    # timeline used to return early and leave the second dir without one.
+    a, b = tmp_path / "t_a", tmp_path / "t_b"
+    a.mkdir()
+    tel = Telemetry()
+    tel.tracer.open_stream(a / "spans.jsonl")
+    tel.attach_timeline(window_us=5_000.0,
+                        stream_path=a / "timeline.jsonl", max_windows=8)
+    replay(make_manager(small_index, telemetry=tel))
+    written = write_telemetry_dir(tel, b)
+    assert tel.timeline._stream.rotations > 0
+    for name in ("timeline.jsonl", "timeline.jsonl.1", "spans.jsonl"):
+        assert (b / name).read_bytes() == (a / name).read_bytes()
+    counts = validate_telemetry_dir(b)
+    assert counts["spans"] == written["spans"]
+    assert counts["timeline_windows"] == len(
+        load_timeline_jsonl(a / "timeline.jsonl").windows)
+    # Unrotated: the copy validates with the summary's window count.
+    c, d = tmp_path / "t_c", tmp_path / "t_d"
+    c.mkdir()
+    tel = Telemetry()
+    tel.attach_timeline(window_us=5_000.0, stream_path=c / "timeline.jsonl")
+    replay(make_manager(small_index, telemetry=tel))
+    written = write_telemetry_dir(tel, d)
+    assert validate_telemetry_dir(d)["timeline_windows"] == \
+        written["timeline_windows"] > 0
+
+
 def test_validate_timeline_rejects_corruption(tmp_path):
     path = tmp_path / "timeline.jsonl"
     path.write_text(json.dumps({"type": "header", "schema": "nope"}) + "\n")

@@ -141,6 +141,41 @@ def test_run_open_loop_sheds_past_the_knee(index, log):
     assert result.peak_inflight <= 2 + 2  # inflight + bounded queue
 
 
+def test_closed_loop_one_client_matches_the_synchronous_loop(index, log):
+    # arrivals=None, one client: one kernel task per query, served back
+    # to back -- the same accounting as run_cached on a twin manager.
+    from repro.workloads.retrieval import run_cached
+
+    kernel_mgr, sync_mgr = make_manager(index), make_manager(index)
+    result = run_open_loop(kernel_mgr, list(log), None, concurrency=1)
+    run_cached(index, log, sync_mgr.config, manager=sync_mgr)
+    assert result.arrival == "closed"
+    assert result.arrived == result.completed == len(log)
+    assert kernel_mgr.stats == sync_mgr.stats
+    assert kernel_mgr.clock.now_us == sync_mgr.clock.now_us
+    assert result.duration_us == sync_mgr.clock.now_us
+    assert kernel_mgr.clock.kernel is None
+
+
+def test_closed_loop_clients_are_admitted_without_waiting(index, log):
+    tel = Telemetry(trace=False)
+    manager = make_manager(index, telemetry=tel)
+    result = run_open_loop(manager, list(log), None, concurrency=4)
+    assert result.arrived == result.completed == len(log)
+    assert result.rejected == 0
+    assert 1 < result.peak_inflight <= 4
+    assert result.mean_wait_us == 0.0
+    assert result.offered_qps == 0.0
+    assert manager.stats.queries == len(log)
+    # Every query is its own admitted, qid-tagged root task.
+    tasks = [r for r in tel.blame.records if r["type"] == "task"]
+    assert [t["name"] for t in sorted(tasks, key=lambda t: t["task"])] == [
+        f"q{i}" for i in range(len(log))]
+    assert all(t["parent"] is None and "qid" in t for t in tasks)
+    jobs = [r for r in tel.blame.records if r["type"] == "job"]
+    assert len(jobs) == len(log) and all(j["wait_us"] == 0.0 for j in jobs)
+
+
 def test_run_open_loop_rejects_empty_queries(index):
     with pytest.raises(ValueError):
         run_open_loop(make_manager(index), [], PoissonArrivals(10.0))
