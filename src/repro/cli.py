@@ -592,6 +592,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         line += (f", {counts['timeline_windows']} timeline windows "
                  f"(see `repro timeline {args.dir}`)")
     print(line)
+    lost = [f"{m['value']} {m['tags']['what']}" for m in snapshot["metrics"]
+            if m["name"] == "obs_dropped_total"]
+    if lost:
+        print(f"observer losses (obs_dropped_total): {', '.join(lost)}")
     if counts.get("torn_tail"):
         print(f"note: {args.dir}: skipped {counts['torn_tail']} torn "
               f"trailing record(s) (run cut mid-write)")

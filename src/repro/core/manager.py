@@ -210,16 +210,17 @@ class CacheManager:
         tel = self.telemetry
         if tel is None:
             return self._process_query(query)
-        busy0 = tel.busy_snapshot(self.clock)
+        clock = self.clock
+        busy0 = clock.busy_snapshot()
         qid = self.stats.queries
         with self._tracer.span("query", qid=qid,
                                terms=len(query.key)) as span:
             outcome = self._process_query(query)
-            span.set(situation=outcome.situation.name,
+            situation = outcome.situation.name
+            span.set(situation=situation,
                      hit_level=outcome.result_hit_level)
-        tel.record_query(outcome.situation.name, outcome.response_us,
-                         busy0, self.clock, qid=qid,
-                         span_id=getattr(span, "span_id", None))
+        tel.record_query(situation, outcome.response_us, busy0, clock,
+                         qid=qid, span_id=getattr(span, "span_id", None))
         return outcome
 
     def _process_query(self, query: Query) -> QueryOutcome:

@@ -133,8 +133,9 @@ class FTL(ABC):
                 origin=origin,
                 candidates=int(candidates.size),
                 valid_pages=int(valid[victim]),
-                scores=[list(pair) for pair in
-                        zip(head.tolist(), valid[head].tolist())],
+                # [[block, valid pages], ...] snapshotted by numpy, not
+                # assembled row by row on every SSD write.
+                scores=np.array((head, valid[head])).T.tolist(),
             )
         return victim
 

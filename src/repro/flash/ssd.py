@@ -175,7 +175,7 @@ class SimulatedSSD:
         first = start_byte // self._page_bytes
         npages = (end_byte - 1) // self._page_bytes - first + 1
         tr = self.tracer
-        erases_before = self.ftl.erase_count_total if tr is not None else 0
+        erases_before = self.ftl.nand.erases if tr is not None else 0
         write_span = self._write_span
         if write_span is not None:
             latency = write_span(first, npages)
@@ -197,7 +197,7 @@ class SimulatedSSD:
             # host write show up as an attribute, not a guess.
             now = self.clock.now_us
             attrs = {"lba": lba, "nbytes": nbytes, "pages": npages}
-            erased = self.ftl.erase_count_total - erases_before
+            erased = self.ftl.nand.erases - erases_before
             if erased:
                 attrs["gc_erases"] = erased
             tr.record(f"{self.name}.write", now - latency, now, **attrs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WearReport", "wear_report"]
+__all__ = ["WearReport", "wear_projection", "wear_report"]
 
 #: Typical MLC endurance of the paper's era (Intel SSD 320 class).
 DEFAULT_ENDURANCE_CYCLES = 5000
@@ -43,6 +43,17 @@ class WearReport:
         return (1.0 - self.lifetime_consumed) / rate_per_day
 
 
+def wear_projection(max_erases: int, mean_erases: float,
+                    endurance_cycles: int) -> tuple[float, float]:
+    """``(skew, lifetime_consumed)`` from a max and a mean the caller
+    already holds: :func:`wear_report`, and the per-window flash gauges
+    (which get the mean from ``NandArray.erases``, not a reduction)."""
+    if endurance_cycles <= 0:
+        raise ValueError("endurance_cycles must be positive")
+    return ((max_erases / mean_erases) if mean_erases > 0 else 1.0,
+            min(1.0, max_erases / endurance_cycles))
+
+
 def wear_report(
     erase_counts: np.ndarray,
     endurance_cycles: int = DEFAULT_ENDURANCE_CYCLES,
@@ -51,16 +62,15 @@ def wear_report(
     counts = np.asarray(erase_counts, dtype=np.int64)
     if counts.size == 0:
         raise ValueError("erase_counts must be non-empty")
-    if endurance_cycles <= 0:
-        raise ValueError("endurance_cycles must be positive")
     mean = float(counts.mean())
     max_c = int(counts.max())
+    skew, lifetime_consumed = wear_projection(max_c, mean, endurance_cycles)
     return WearReport(
         total_erases=int(counts.sum()),
         max_erases=max_c,
         min_erases=int(counts.min()),
         mean_erases=mean,
         std_erases=float(counts.std()),
-        skew=(max_c / mean) if mean > 0 else 1.0,
-        lifetime_consumed=min(1.0, max_c / endurance_cycles),
+        skew=skew,
+        lifetime_consumed=lifetime_consumed,
     )

@@ -32,8 +32,7 @@ a run without an audit log takes one attribute check per decision.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.obs._jsonl import read_jsonl, write_jsonl
 
@@ -57,9 +56,9 @@ DECISION_TYPES = (
 )
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    """One audited decision (or mirrored life-cycle event)."""
+class AuditRecord(NamedTuple):
+    """One audited decision (or mirrored life-cycle event): a fixed-shape
+    tuple on the serving path, a dict (:meth:`to_dict`) for its readers."""
 
     #: monotonically increasing sequence number (gap-free per log)
     seq: int
@@ -72,20 +71,13 @@ class AuditRecord:
     #: subject key: term id, query-key tuple, rb id, or block number
     key: Any
     #: decision inputs and the chosen branch
-    data: dict = field(default_factory=dict)
+    data: dict
 
     def to_dict(self) -> dict:
-        key = self.key
-        if isinstance(key, tuple):
-            key = list(key)
-        return {
-            "seq": self.seq,
-            "t_us": self.t_us,
-            "type": self.type,
-            "kind": self.kind,
-            "key": key,
-            "data": self.data,
-        }
+        out = self._asdict()
+        if isinstance(self.key, tuple):
+            out["key"] = list(self.key)
+        return out
 
 
 class AuditLog:
@@ -105,7 +97,6 @@ class AuditLog:
         self.capacity = capacity
         self.clock = clock
         self.records: deque[AuditRecord] = deque(maxlen=capacity)
-        self.dropped = 0
         self._seq = 0
         self._unsubscribes: list = []
 
@@ -121,36 +112,44 @@ class AuditLog:
 
     def record(self, type: str, kind: str, key: Any, **data) -> None:
         """Append one decision record."""
-        self._seq += 1
-        if len(self.records) == self.capacity:
-            self.dropped += 1
-        self.records.append(AuditRecord(
-            seq=self._seq,
-            t_us=self.clock.now_us if self.clock is not None else 0.0,
-            type=type,
-            kind=kind,
-            key=key,
-            data=data,
-        ))
+        self._seq = seq = self._seq + 1
+        clock = self.clock
+        # tuple.__new__: AuditRecord(...) minus its generated __new__ frame
+        self.records.append(tuple.__new__(AuditRecord, (
+            seq, clock._now_us if clock is not None else 0.0,
+            type, kind, key, data)))
+
+    @property
+    def dropped(self) -> int:
+        """Records that fell off the ring (each took a sequence number)."""
+        return max(0, self._seq - self.capacity)
+
+    # The event mirror, one body per hook: subscribed by observe_events,
+    # or called by Telemetry's fused observer (CacheEventMetrics).
+
+    def on_admit(self, e) -> None:
+        self.record("admit", e.kind, e.key, level=e.level, nbytes=e.nbytes,
+                    reason=e.reason or "insert")
+
+    def on_evict(self, e) -> None:
+        self.record("evict", e.kind, e.key, level=e.level, nbytes=e.nbytes,
+                    reason=e.reason or "unspecified")
+
+    def on_flush(self, e) -> None:
+        # A flush writes a block, not a subject: the key is always None.
+        self.record("flush", e.kind, None, lba=e.lba, nbytes=e.nbytes,
+                    entries=e.entries)
+
+    def on_l2_victim(self, e) -> None:
+        self.record("l2-victim", e.kind, e.key, stage=e.stage)
 
     def observe_events(self, events) -> None:
         """Mirror a :class:`~repro.core.events.CacheEvents` bus into the
         trail, so decision records sit in a complete admit/evict/flush
         timeline."""
-        unsubscribe = events.subscribe(
-            on_admit=lambda e: self.record(
-                "admit", e.kind, e.key, level=e.level, nbytes=e.nbytes,
-                reason=e.reason or "insert"),
-            on_evict=lambda e: self.record(
-                "evict", e.kind, e.key, level=e.level, nbytes=e.nbytes,
-                reason=e.reason or "unspecified"),
-            on_flush=lambda e: self.record(
-                "flush", e.kind, e.key if hasattr(e, "key") else None,
-                lba=e.lba, nbytes=e.nbytes, entries=e.entries),
-            on_l2_victim=lambda e: self.record(
-                "l2-victim", e.kind, e.key, stage=e.stage),
-        )
-        self._unsubscribes.append(unsubscribe)
+        self._unsubscribes.append(events.subscribe(
+            on_admit=self.on_admit, on_evict=self.on_evict,
+            on_flush=self.on_flush, on_l2_victim=self.on_l2_victim))
 
     def close(self) -> None:
         """Detach every event-bus subscription."""
@@ -165,9 +164,6 @@ class AuditLog:
         if isinstance(key, list):
             key = tuple(key)
         return [r for r in self.records if r.kind == kind and r.key == key]
-
-    def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.records]
 
     # -- export --------------------------------------------------------------
 
@@ -192,16 +188,10 @@ class NullAudit:
     def record(self, type: str, kind: str, key: Any, **data) -> None:
         pass
 
-    def observe_events(self, events) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
     def records_for(self, kind: str, key: Any) -> list:
-        return []
-
-    def to_dicts(self) -> list:
         return []
 
     def export_jsonl(self, path) -> int:

@@ -128,6 +128,11 @@ class BlameRecorder:
         if self._stream is not None:
             self._stream.close()
 
+    @property
+    def rotations(self) -> int:
+        """Times the streamed file was rotated (older records left disk)."""
+        return self._stream.rotations if self._stream is not None else 0
+
     # -- hot-path hooks (called by the kernel; keep them lean) -------------
 
     def _emit(self, rec: dict) -> None:

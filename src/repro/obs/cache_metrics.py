@@ -9,7 +9,7 @@ quantifiable without touching cache internals.
 from __future__ import annotations
 
 from repro.core.events import CacheEvents
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, delta_counter
 
 __all__ = ["CacheEventMetrics", "CacheStatsMetrics"]
 
@@ -30,61 +30,75 @@ class CacheEventMetrics:
       stages.
     """
 
-    def __init__(self, registry: MetricsRegistry, events: CacheEvents) -> None:
+    def __init__(self, registry: MetricsRegistry, events: CacheEvents,
+                 audit=None) -> None:
         self.registry = registry
-        # Counter refs cached per tag combination — events fire for
-        # every admit/evict on the serving path, so the (name, tags)
-        # registry lookup is paid once per distinct series, not per event.
+        #: an enabled AuditLog mirrored right after each bump: one
+        #: subscriber per hook does metrics, then audit (``finally``:
+        #: on the bus a failing observer never starves the next).
+        self.audit = audit
+        # Counter refs cached per tag combination (flushes and victims
+        # here, admits/evicts inside their observer): the (name, tags)
+        # registry lookup is paid once per series, not per event.
         self._counters: dict[tuple, object] = {}
         self._unsubscribe = events.subscribe(
-            on_admit=self._on_admit,
-            on_evict=self._on_evict,
+            on_admit=self._lifecycle("cache_admits_total", "insert",
+                                     "on_admit"),
+            on_evict=self._lifecycle("cache_evicts_total", "unspecified",
+                                     "on_evict"),
             on_flush=self._on_flush,
             on_l2_victim=self._on_l2_victim,
         )
 
-    def _on_admit(self, event) -> None:
-        reason = event.reason or "insert"
-        key = ("admit", event.kind, event.level, reason)
-        c = self._counters.get(key)
-        if c is None:
-            c = self._counters[key] = self.registry.counter(
-                "cache_admits_total", kind=event.kind, level=event.level,
-                reason=reason,
-            )
-        c.inc()
+    def _lifecycle(self, metric: str, no_reason: str, hook: str):
+        """The admit/evict observer: ``metric{kind, level, reason}``."""
+        counters: dict[tuple, object] = {}
+        registry = self.registry
+        mirror = None if self.audit is None else getattr(self.audit, hook)
 
-    def _on_evict(self, event) -> None:
-        reason = event.reason or "unspecified"
-        key = ("evict", event.kind, event.level, reason)
-        c = self._counters.get(key)
-        if c is None:
-            c = self._counters[key] = self.registry.counter(
-                "cache_evicts_total", kind=event.kind, level=event.level,
-                reason=reason,
-            )
-        c.inc()
+        def observe(event) -> None:
+            try:
+                reason = event.reason or no_reason
+                key = (event.kind, event.level, reason)
+                c = counters.get(key)
+                if c is None:
+                    c = counters[key] = registry.counter(
+                        metric, kind=event.kind, level=event.level,
+                        reason=reason)
+                c.value += 1
+            finally:
+                if mirror is not None:
+                    mirror(event)
+        return observe
 
     def _on_flush(self, event) -> None:
-        key = ("flush", event.kind)
-        pair = self._counters.get(key)
-        if pair is None:
-            pair = self._counters[key] = (
-                self.registry.counter("cache_flushes_total", kind=event.kind),
-                self.registry.counter("cache_flush_bytes_total",
-                                      kind=event.kind),
-            )
-        pair[0].inc()
-        pair[1].inc(event.nbytes)
+        try:
+            pair = self._counters.get(event.kind)
+            if pair is None:
+                pair = self._counters[event.kind] = (
+                    self.registry.counter("cache_flushes_total",
+                                          kind=event.kind),
+                    self.registry.counter("cache_flush_bytes_total",
+                                          kind=event.kind),
+                )
+            pair[0].value += 1
+            pair[1].inc(event.nbytes)
+        finally:
+            if self.audit is not None:
+                self.audit.on_flush(event)
 
     def _on_l2_victim(self, event) -> None:
-        key = ("l2_victim", event.kind, event.stage)
-        c = self._counters.get(key)
-        if c is None:
-            c = self._counters[key] = self.registry.counter(
-                "cache_l2_victims_total", kind=event.kind, stage=event.stage
-            )
-        c.inc()
+        try:
+            key = (event.kind, event.stage)
+            c = self._counters.get(key)
+            if c is None:
+                c = self._counters[key] = self.registry.counter(
+                    "cache_l2_victims_total", kind=event.kind,
+                    stage=event.stage)
+            c.value += 1
+        finally:
+            if self.audit is not None:
+                self.audit.on_l2_victim(event)
 
     def close(self) -> None:
         self._unsubscribe()
@@ -118,21 +132,11 @@ class CacheStatsMetrics:
     def __init__(self, registry: MetricsRegistry, stats) -> None:
         self.registry = registry
         self.stats = stats
-        self._last = {attr: 0 for _, _, attr in self._SERIES}
-        # Lazily cached counter refs — created (as before) only on the
-        # first nonzero delta, so no zero-valued series appear in dumps.
-        self._counters: dict[str, object] = {}
+        self._series = [(attr, delta_counter(registry, name, outcome=outcome))
+                        for name, outcome, attr in self._SERIES]
 
     def collect(self) -> None:
         """Advance the counters to the stats object's current values."""
-        for name, outcome, attr in self._SERIES:
-            cur = getattr(self.stats, attr)
-            last = self._last[attr]
-            delta = cur - last if cur >= last else cur
-            if delta:
-                c = self._counters.get(attr)
-                if c is None:
-                    c = self._counters[attr] = self.registry.counter(
-                        name, outcome=outcome)
-                c.inc(delta)
-            self._last[attr] = cur
+        stats = self.stats
+        for attr, advance in self._series:
+            advance(getattr(stats, attr))

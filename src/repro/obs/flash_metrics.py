@@ -32,7 +32,8 @@ sum correctly across shards.
 
 from __future__ import annotations
 
-from repro.obs.registry import MetricsRegistry
+from repro.flash.wear import wear_projection
+from repro.obs.registry import MetricsRegistry, delta_counter
 
 __all__ = ["FlashDeviceMetrics"]
 
@@ -62,19 +63,14 @@ class FlashDeviceMetrics:
         self.registry = registry
         self.ssd = ssd
         self.endurance_cycles = endurance_cycles
-        self._last: dict[str, int] = {f: 0 for f in _COUNTER_FIELDS}
-        # Instrument refs, cached because collect() runs per timeline
-        # window.  Counters stay lazy (created on the first nonzero
-        # delta, as always) so idle series never appear in dumps.
-        self._counters: dict[str, object] = {}
+        self._counters = [
+            (fld, delta_counter(registry, metric, device=ssd.name))
+            for fld, metric in _COUNTER_FIELDS.items()]
+        # Gauge refs, cached because collect() runs per timeline window.
         self._gauges: dict[str, object] = {}
         # nand.erases at the last wear sample: -1 forces the first
         # collect() to publish the wear gauges even on a pristine device.
         self._wear_erases = -1
-
-    @property
-    def device(self) -> str:
-        return self.ssd.name
 
     def _gauge(self, name: str, merge_mode: str | None = None):
         g = self._gauges.get(name)
@@ -85,35 +81,26 @@ class FlashDeviceMetrics:
 
     def collect(self) -> None:
         """Sample the device's current counters into the registry."""
-        dev = self.ssd.name
         stats = self.ssd.ftl.stats
-        last = self._last
-        counters = self._counters
-        for fld, metric in _COUNTER_FIELDS.items():
-            now = getattr(stats, fld, 0)
-            delta = now - last[fld]
-            if delta > 0:
-                c = counters.get(fld)
-                if c is None:
-                    c = counters[fld] = self.registry.counter(
-                        metric, device=dev)
-                c.inc(delta)
-                last[fld] = now
+        for fld, advance in self._counters:
+            advance(getattr(stats, fld, 0))
         # Ratio/projection gauges have no natural cross-shard sum, so
         # they declare their cluster-merge mode; free_blocks is
         # occupancy-style and keeps the "sum" default.
         self._gauge("flash_write_amplification", "last").set(
             stats.write_amplification)
         self._gauge("flash_free_blocks").set(self.ssd.ftl.free_block_count)
-        # Wear projections (Fig. 19a / Griffin [3] lifetime argument).
-        # The report is a pure function of nand.erase_counts, so windows
-        # with no erase since the last sample skip the numpy reductions:
-        # the gauges already hold the identical values.
+        # Wear projections (Fig. 19a / Griffin [3] lifetime argument):
+        # WearReport's max / skew / lifetime, a function of erase_counts.
+        # No erase since the last sample skips them; otherwise one
+        # reduction — the mean comes from NandArray's running total.
         nand = self.ssd.ftl.nand
         if nand.erase_counts.size and nand.erases != self._wear_erases:
             self._wear_erases = nand.erases
-            wear = self.ssd.wear(self.endurance_cycles)
-            self._gauge("flash_wear_max_erases", "max").set(wear.max_erases)
-            self._gauge("flash_wear_skew", "last").set(wear.skew)
-            self._gauge("flash_lifetime_consumed", "max").set(
-                wear.lifetime_consumed)
+            max_erases = int(nand.erase_counts.max())
+            skew, consumed = wear_projection(
+                max_erases, nand.erases / nand.erase_counts.size,
+                self.endurance_cycles)
+            self._gauge("flash_wear_max_erases", "max").set(max_erases)
+            self._gauge("flash_wear_skew", "last").set(skew)
+            self._gauge("flash_lifetime_consumed", "max").set(consumed)

@@ -121,7 +121,9 @@ class FlightRecorder:
         self.incidents: list[dict] = []
         self.truncated_incidents = 0
         self._window_ring: deque[dict] = deque(maxlen=pre_windows + 1)
-        self._spans: deque[dict] = deque(maxlen=span_ring)
+        #: finished Span objects, as the tracer made them; rendered to
+        #: dicts only for the ones an incident dump keeps.
+        self._spans: deque = deque(maxlen=span_ring)
         self._open: dict | None = None
         self._armed = False
         self._finished = False
@@ -140,15 +142,12 @@ class FlightRecorder:
         tl.add_window_callback(self._on_window)
         tracer = self.telemetry.tracer
         if getattr(tracer, "enabled", False):
-            tracer.span_sink = self._on_span
+            tracer.set_span_sink(self._spans.append)
         self.telemetry.flight = self
         self._armed = True
         return self
 
     # -- seam callbacks ------------------------------------------------------
-
-    def _on_span(self, span) -> None:
-        self._spans.append(span.to_dict())
 
     def _on_window(self, rec: dict) -> None:
         self.slo.update(rec)
@@ -301,28 +300,22 @@ class FlightRecorder:
         if not qids:
             return []
         want = set(qids)
-        keep_ids: set[int] = set()
-        rows: list[dict] = []
         # The ring is append-ordered and parents finish *after* their
         # children under the context-manager discipline, so resolve
         # membership in two passes: roots first, then descendants by
         # walking parent links upward.
         spans = list(self._spans)
-        for span in spans:
-            if span["attrs"].get("qid") in want:
-                keep_ids.add(span["span_id"])
+        keep_ids = {span.span_id for span in spans
+                    if span.attrs.get("qid") in want}
         grew = True
         while grew:
             grew = False
             for span in spans:
-                if (span["span_id"] not in keep_ids
-                        and span["parent_id"] in keep_ids):
-                    keep_ids.add(span["span_id"])
+                if (span.span_id not in keep_ids
+                        and span.parent_id in keep_ids):
+                    keep_ids.add(span.span_id)
                     grew = True
-        for span in spans:
-            if span["span_id"] in keep_ids:
-                rows.append(span)
-        return rows
+        return [span.to_dict() for span in spans if span.span_id in keep_ids]
 
     def _audit_rows(self, start_us: float, end_us: float) -> list[dict]:
         audit = self.telemetry.audit

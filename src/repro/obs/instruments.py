@@ -203,7 +203,10 @@ class Histogram:
         if value < 0:
             raise ValueError(f"histogram samples must be non-negative, got {value}")
         HOT.histogram_records += 1
-        b = self.bucket_index(value)
+        bounds = self._bounds
+        # bucket_index, minus its frame when the table already covers value
+        b = (bisect_right(bounds, value) if value < bounds[-1]
+             else self.bucket_index(value))
         self._counts[b] = self._counts.get(b, 0) + 1
         self._pending[b] = self._pending.get(b, 0) + 1
         self.count += 1

@@ -34,7 +34,7 @@ sampling and cluster merges stay correct.
 
 from __future__ import annotations
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, delta_counter
 
 __all__ = ["KernelMetrics"]
 
@@ -51,48 +51,45 @@ class KernelMetrics:
         self.registry = registry
         self.kernel = kernel
         self.admission = admission
-        self._served: dict[str, int] = {}
-        self._busy: dict[str, float] = {}
-        self._area: dict[str, float] = {}
-        self._arrived = 0
-        self._rejected = 0
-        self._completed = 0
+        # Per-resource (depth gauge, served, busy, depth-area) and the
+        # admission instruments, resolved once: collect() runs at every
+        # window close.
+        self._resource_insts: dict[str, tuple] = {}
+        self._admission_insts: tuple | None = None
 
     def collect(self) -> None:
         reg = self.registry
+        now_us = self.kernel.clock.now_us
         for res in self.kernel.resources():
-            reg.gauge("queue_depth", resource=res.name).set(res.depth)
-            prev = self._served.get(res.name, 0)
-            if res.served > prev:
-                reg.counter("kernel_served_total", resource=res.name).inc(
-                    res.served - prev
-                )
-                self._served[res.name] = res.served
-            prev_busy = self._busy.get(res.name, 0.0)
-            if res.busy_us > prev_busy:
-                reg.counter("kernel_busy_us_total", resource=res.name).inc(
-                    res.busy_us - prev_busy
-                )
-                self._busy[res.name] = res.busy_us
-            res.accrue_depth(self.kernel.clock.now_us)
-            prev_area = self._area.get(res.name, 0.0)
-            if res.depth_area_us > prev_area:
-                reg.counter("kernel_depth_area_us_total",
-                            resource=res.name).inc(
-                    res.depth_area_us - prev_area
-                )
-                self._area[res.name] = res.depth_area_us
+            insts = self._resource_insts.get(res.name)
+            if insts is None:
+                insts = self._resource_insts[res.name] = (
+                    reg.gauge("queue_depth", resource=res.name),
+                    delta_counter(reg, "kernel_served_total",
+                                  resource=res.name),
+                    delta_counter(reg, "kernel_busy_us_total",
+                                  resource=res.name),
+                    delta_counter(reg, "kernel_depth_area_us_total",
+                                  resource=res.name))
+            depth, served, busy, area = insts
+            depth.set(res.depth)
+            served(res.served)
+            busy(res.busy_us)
+            res.accrue_depth(now_us)
+            area(res.depth_area_us)
         ad = self.admission
         if ad is None:
             return
-        reg.gauge("queue_depth", resource="admission").set(ad.depth)
-        reg.gauge("inflight_queries").set(ad.inflight)
-        s = ad.stats
-        for attr, name in (("arrived", "arrivals_total"),
-                           ("rejected", "admission_rejected_total"),
-                           ("completed", "admission_completed_total")):
-            value = getattr(s, attr)
-            prev = getattr(self, f"_{attr}")
-            if value > prev:
-                reg.counter(name).inc(value - prev)
-                setattr(self, f"_{attr}", value)
+        if self._admission_insts is None:
+            self._admission_insts = (
+                reg.gauge("queue_depth", resource="admission"),
+                reg.gauge("inflight_queries"),
+                delta_counter(reg, "arrivals_total"),
+                delta_counter(reg, "admission_rejected_total"),
+                delta_counter(reg, "admission_completed_total"))
+        depth, inflight, arrived, rejected, completed = self._admission_insts
+        depth.set(ad.depth)
+        inflight.set(ad.inflight)
+        arrived(ad.stats.arrived)
+        rejected(ad.stats.rejected)
+        completed(ad.stats.completed)

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from repro.obs.instruments import Counter, Gauge, Histogram
 
-__all__ = ["MetricsRegistry"]
+__all__ = ["MetricsRegistry", "delta_counter"]
 
 _TagKey = tuple[tuple[str, str], ...]
 
@@ -123,3 +123,25 @@ class MetricsRegistry:
                                       **tags)
             mine.merge(inst)
         return self
+
+
+def delta_counter(registry: MetricsRegistry, name: str, **tags):
+    """``advance(total)`` for a counter that follows a cumulative total
+    kept elsewhere (device, kernel, stats, the observer's own rings).
+
+    Each call moves the counter by the change since the previous one.
+    It is created on the first non-zero delta (idle series never appear
+    in dumps); a source reset below its last sample re-baselines.
+    """
+    counter: Counter | None = None
+    last = 0
+
+    def advance(total) -> None:
+        nonlocal counter, last
+        delta = total - last if total >= last else total
+        last = total
+        if delta:
+            if counter is None:
+                counter = registry.counter(name, **tags)
+            counter.inc(delta)
+    return advance

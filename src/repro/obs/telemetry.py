@@ -22,8 +22,8 @@ from __future__ import annotations
 from repro.obs.audit import NULL_AUDIT, AuditLog
 from repro.obs.cache_metrics import CacheEventMetrics, CacheStatsMetrics
 from repro.obs.flash_metrics import FlashDeviceMetrics
-from repro.obs.registry import MetricsRegistry
-from repro.obs.timeline import ExemplarStore, TimelineRecorder
+from repro.obs.registry import MetricsRegistry, delta_counter
+from repro.obs.timeline import ExemplarStore, TimelineRecorder, series_key
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["Telemetry", "stage_of_channel"]
@@ -31,6 +31,12 @@ __all__ = ["Telemetry", "stage_of_channel"]
 #: Sentinel distinguishing "channel not seen yet" from the legitimate
 #: None stage (background channels) in the per-channel stage cache.
 _UNRESOLVED = object()
+#: ``obs_dropped_total{what=...}``: what the observer itself lost, in the
+#: order :meth:`Telemetry.collect` samples it.
+_LOSSES = ("spans", "audit_records", "windows", "exemplars", "blame_records",
+           "timeline_generations", "blame_generations")
+#: Key of the ``cpu`` residual stage in that cache (no channel is an object).
+_CPU = object()
 
 
 def stage_of_channel(channel: str) -> str | None:
@@ -73,11 +79,9 @@ class Telemetry:
         self.timeline: TimelineRecorder | None = None
         self.exemplars: ExemplarStore | None = None
         self._bridges: list[CacheEventMetrics] = []
-        self._flash: list[FlashDeviceMetrics] = []
-        self._kernels: list = []
-        self._stats: list[CacheStatsMetrics] = []
+        #: flash / kernel / cache-stats bridges, sampled by collect()
+        self._collectors: list = []
         self._occupancy: list = []
-        self._exemplar_hists: set[int] = set()
         self.blame = None
         self._blame_stream_path: str | None = None
         self._blame_stream_max: int | None = None
@@ -85,13 +89,15 @@ class Telemetry:
         #: if any — flushed by close()/write_telemetry_dir.
         self.flight = None
         # Hot-path instrument caches: record_query runs once per query,
-        # so channel->stage mapping and the per-stage / per-situation
-        # instruments are resolved once and reused instead of going
-        # through the registry's (name, tags) lookup every time.
-        self._channel_stages: dict[str, str | None] = {}
-        self._stage_hists: dict = {}
+        # so each busy channel's stage histogram (None for background
+        # channels) and the per-situation instruments are resolved once
+        # instead of going through the registry's (name, tags) lookup.
+        self._channel_hists: dict = {}
         self._situation_insts: dict = {}
         self._occupancy_gauges: dict = {}
+        self._dropped = [delta_counter(self.registry, "obs_dropped_total",
+                                      what=what) for what in _LOSSES]
+        self._losses = (0,) * len(_LOSSES)
 
     def bind_clock(self, clock) -> None:
         """Late-bind the tracer and audit log to a clock (managers own
@@ -120,6 +126,8 @@ class Telemetry:
         if self.timeline is not None:
             raise RuntimeError("a timeline is already attached")
         self.exemplars = ExemplarStore(threshold_q=exemplar_q)
+        # re-resolved (and registered for exemplars) on their next query
+        self._situation_insts.clear()
         self.timeline = TimelineRecorder(
             self.registry, window_us, clock=self.clock, retain=retain,
             collect=self.collect, exemplars=self.exemplars,
@@ -132,7 +140,7 @@ class Telemetry:
         """Register a :class:`~repro.core.stats.CacheStats` for windowed
         hit/lookup counters (collected with the other bridges)."""
         bridge = CacheStatsMetrics(self.registry, stats)
-        self._stats.append(bridge)
+        self._collectors.append(bridge)
         return bridge
 
     def observe_occupancy(self, fn) -> None:
@@ -142,11 +150,12 @@ class Telemetry:
 
     def observe_cache_events(self, events) -> CacheEventMetrics:
         """Subscribe the registry (and the audit timeline) to a
-        cache-event bus."""
-        bridge = CacheEventMetrics(self.registry, events)
+        cache-event bus: one observer per hook bumps the counter, then
+        mirrors the event into the audit trail."""
+        bridge = CacheEventMetrics(
+            self.registry, events,
+            audit=self.audit if self.audit.enabled else None)
         self._bridges.append(bridge)
-        if self.audit.enabled:
-            self.audit.observe_events(events)
         return bridge
 
     def observe_kernel(self, kernel, admission=None):
@@ -161,7 +170,7 @@ class Telemetry:
         from repro.obs.kernel_metrics import KernelMetrics
 
         bridge = KernelMetrics(self.registry, kernel, admission=admission)
-        self._kernels.append(bridge)
+        self._collectors.append(bridge)
         if self.blame is None:
             from repro.obs.blame import BlameRecorder
 
@@ -196,7 +205,7 @@ class Telemetry:
             return None
         bridge = FlashDeviceMetrics(self.registry, ssd,
                                     endurance_cycles=endurance_cycles)
-        self._flash.append(bridge)
+        self._collectors.append(bridge)
         return bridge
 
     def collect(self) -> None:
@@ -206,35 +215,35 @@ class Telemetry:
         dump and by the timeline before every window close; safe to call
         repeatedly (counters advance by delta).
         """
-        for bridge in self._flash:
+        for bridge in self._collectors:
             bridge.collect()
-        for kernel_bridge in self._kernels:
-            kernel_bridge.collect()
-        for stats_bridge in self._stats:
-            stats_bridge.collect()
         gauges = self._occupancy_gauges
         for fn in self._occupancy:
-            occ = fn()
-            depth = occ.pop("write_buffer", None)
-            if depth is not None:
-                g = gauges.get("write_buffer")
-                if g is None:
-                    g = gauges["write_buffer"] = self.registry.gauge(
-                        "cache_write_buffer_entries")
-                g.set(depth)
-            for slot, value in occ.items():
+            for slot, value in fn().items():
                 g = gauges.get(slot)
                 if g is None:
-                    g = gauges[slot] = self.registry.gauge(
-                        "cache_occupancy", slot=slot)
+                    g = gauges[slot] = (
+                        self.registry.gauge("cache_write_buffer_entries")
+                        if slot == "write_buffer" else
+                        self.registry.gauge("cache_occupancy", slot=slot))
                 g.set(value)
+        # The observer's own losses: ring drops, and file generations a
+        # second rotation discarded.  A lossless run creates no series.
+        tl, blame = self.timeline, self.blame
+        losses = (self.tracer.dropped, self.audit.dropped,
+                  tl.dropped_windows if tl else 0,
+                  self.exemplars.dropped if tl else 0,
+                  blame.dropped if blame else 0,
+                  max(0, tl.rotations - 1) if tl else 0,
+                  max(0, blame.rotations - 1) if blame else 0)
+        if losses != self._losses:
+            self._losses = losses
+            for advance, value in zip(self._dropped, losses):
+                advance(value)
 
     def busy_snapshot(self, clock) -> dict[str, float]:
         """Per-channel busy time now; pass to :meth:`record_query` later."""
-        snap = getattr(clock, "busy_snapshot", None)
-        if snap is not None:
-            return snap()
-        return {ch: clock.busy_us(ch) for ch in clock.channels()}
+        return clock.busy_snapshot()
 
     def record_query(self, situation: str, response_us: float,
                      busy_before: dict[str, float], clock,
@@ -256,56 +265,44 @@ class Telemetry:
         absorbs queueing wait.  End-to-end ``query_latency_us`` stays
         exact either way.
         """
-        reg = self.registry
         store = self.exemplars
         if self.timeline is not None:
-            self.timeline.tick()
-            if store is not None:
-                store.set_context(qid, span_id,
-                                  self.timeline.current_window(),
-                                  clock.now_us)
-        stages = self._channel_stages
-        stage_hists = self._stage_hists
-        busy_items = getattr(clock, "busy_items", None)
-        if busy_items is None:  # duck-typed clocks without the fast view
-            busy_items = lambda: ((ch, clock.busy_us(ch))  # noqa: E731
-                                  for ch in clock.channels())
+            # Registered histograms are recorded only below, so the
+            # context is stamped per query and never needs clearing.
+            store.context = (qid, span_id, self.timeline.tick(), clock._now_us)
+        hists = self._channel_hists
         devices = 0.0
-        for ch, busy in busy_items():
-            stage = stages.get(ch, _UNRESOLVED)
-            if stage is _UNRESOLVED:
-                stage = stages[ch] = stage_of_channel(ch)
-            if stage is None:
-                continue
+        for ch, busy in clock.busy_items():
             delta = busy - busy_before.get(ch, 0.0)
             if delta > 0.0:
-                h = stage_hists.get(stage)
-                if h is None:
-                    h = stage_hists[stage] = reg.histogram(
-                        "stage_latency_us", stage=stage)
-                h.record(delta)
-                devices += delta
+                h = hists.get(ch, _UNRESOLVED)
+                if h is _UNRESOLVED:
+                    stage = stage_of_channel(ch)
+                    h = hists[ch] = None if stage is None else (
+                        self.registry.histogram("stage_latency_us",
+                                                stage=stage))
+                if h is not None:
+                    h.record(delta)
+                    devices += delta
         cpu = response_us - devices
         if cpu > 1e-9:
-            h = stage_hists.get("cpu")
+            h = hists.get(_CPU)
             if h is None:
-                h = stage_hists["cpu"] = reg.histogram(
+                h = hists[_CPU] = self.registry.histogram(
                     "stage_latency_us", stage="cpu")
             h.record(cpu)
         insts = self._situation_insts.get(situation)
         if insts is None:
             insts = self._situation_insts[situation] = (
-                reg.histogram("query_latency_us", situation=situation),
-                reg.counter("queries_total", situation=situation),
+                self.registry.histogram("query_latency_us",
+                                        situation=situation),
+                self.registry.counter("queries_total", situation=situation),
             )
-        hist, queries_total = insts
-        if store is not None and id(hist) not in self._exemplar_hists:
-            store.register(hist, f"query_latency_us{{situation={situation}}}")
-            self._exemplar_hists.add(id(hist))
-        hist.record(response_us)
-        queries_total.inc()
-        if store is not None:
-            store.clear_context()
+            if store is not None:
+                store.register(insts[0], series_key(
+                    "query_latency_us", {"situation": situation}))
+        insts[0].record(response_us)
+        insts[1].value += 1
 
     def close(self) -> None:
         """Detach every event-bus subscription and finish the timeline."""

@@ -55,10 +55,11 @@ measurements.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 from repro.obs._jsonl import JsonlWriter, read_generations, write_jsonl
 from repro.obs.instruments import Histogram
@@ -117,8 +118,7 @@ def parse_series_key(key: str) -> tuple[str, dict]:
 # Exemplars
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Exemplar:
+class Exemplar(NamedTuple):
     """One tail sample worth explaining: value + the trail back to it."""
 
     metric: str
@@ -129,15 +129,7 @@ class Exemplar:
     t_us: float
 
     def to_dict(self) -> dict:
-        return {
-            "type": "exemplar",
-            "metric": self.metric,
-            "value_us": self.value_us,
-            "query_id": self.query_id,
-            "span_id": self.span_id,
-            "window": self.window,
-            "t_us": self.t_us,
-        }
+        return {"type": "exemplar", **self._asdict()}
 
 
 class ExemplarStore:
@@ -146,8 +138,8 @@ class ExemplarStore:
     A histogram registered via :meth:`register` gets this store as its
     ``exemplar_sink``: every :meth:`~repro.obs.instruments.Histogram.
     record` above the ``threshold_q``-th percentile of *that* histogram
-    captures the ambient context (query id, span id, timeline window)
-    set by :meth:`set_context`.  The percentile threshold is cached per
+    captures the ambient :attr:`context` (query id, span id, timeline
+    window, time) its owner assigns.  The percentile threshold is cached per
     histogram and refreshed as the distribution grows, so the hot path
     is one comparison; the store itself is a bounded ring
     (``capacity``), counting what it drops.
@@ -163,21 +155,14 @@ class ExemplarStore:
         self.dropped = 0
         self._labels: dict[int, str] = {}
         self._thresholds: dict[int, tuple[int, float]] = {}
-        self._ctx: tuple[int | None, int | None, int, float] = (None, None,
-                                                                0, 0.0)
+        #: ``(query_id, span_id, window, t_us)`` of the samples offered next
+        self.context: tuple[int | None, int | None, int, float] = (
+            None, None, 0, 0.0)
 
     def register(self, hist: Histogram, label: str) -> None:
         """Attach this store to ``hist`` as its exemplar sink."""
         hist.exemplar_sink = self
         self._labels[id(hist)] = label
-
-    def set_context(self, query_id: int | None, span_id: int | None,
-                    window: int, t_us: float) -> None:
-        """The ambient context the next offered samples belong to."""
-        self._ctx = (query_id, span_id, window, t_us)
-
-    def clear_context(self) -> None:
-        self._ctx = (None, None, self._ctx[2], self._ctx[3])
 
     def offer(self, hist: Histogram, value: float) -> None:
         """Called by ``Histogram.record``; captures tail samples."""
@@ -190,7 +175,7 @@ class ExemplarStore:
             self._thresholds[hid] = cached
         if value < cached[1]:
             return
-        qid, span_id, window, t_us = self._ctx
+        qid, span_id, window, t_us = self.context
         if len(self.exemplars) == self.exemplars.maxlen:
             self.dropped += 1
         self.exemplars.append(Exemplar(
@@ -240,19 +225,17 @@ class TimelineRecorder:
         #: the :class:`JsonlWriter` once streaming (kept after it closes)
         self._stream: JsonlWriter | None = None
         self._callbacks: list = []
-        self._last_counters: dict[str, float] = {}
-        self._last_gauges: dict[str, float] = {}
-        self._last_hists: dict[str, tuple[int, float]] = {}
-        # series_key(name, tags) per instrument, keyed by identity —
-        # instruments are immortal within a registry, so the key never
-        # needs recomputing once built.
-        self._series_keys: dict[int, str] = {}
+        # [series key, instrument, value at last close] rows per kind, in
+        # registry order; rebuilt when the append-only registry has grown.
+        self._by_kind: tuple[list, list, list] = ([], [], [])
+        self._planned = 0
 
     # -- streaming -----------------------------------------------------------
 
     @property
-    def streaming(self) -> bool:
-        return self._stream is not None
+    def rotations(self) -> int:
+        """Times the streamed file was rotated (older windows left disk)."""
+        return self._stream.rotations if self._stream is not None else 0
 
     def _header(self) -> dict:
         return {"type": "header", "schema": TIMELINE_SCHEMA,
@@ -296,16 +279,14 @@ class TimelineRecorder:
 
     # -- recording -----------------------------------------------------------
 
-    def current_window(self) -> int:
-        """The window index containing the clock's current time."""
-        return int(self.clock.now_us // self.window_us)
-
-    def tick(self) -> None:
-        """Close every window whose right edge the clock has passed."""
+    def tick(self) -> int:
+        """Close every window whose right edge the clock has passed;
+        returns the index of the window the clock is in."""
         idx = int(self.clock.now_us // self.window_us)
         if idx > self._open:
             self._close_open_window()
             self._open = idx
+        return idx
 
     def finish(self) -> None:
         """Close the final partial window and the stream (idempotent)."""
@@ -325,8 +306,8 @@ class TimelineRecorder:
         """What follows the windows: the exemplars, then the footer."""
         footer = {"type": "footer", "windows": self.emitted,
                   "dropped_windows": self.dropped_windows}
-        if self._stream is not None and self._stream.rotations:
-            footer["rotated"] = self._stream.rotations
+        if self.rotations:
+            footer["rotated"] = self.rotations
         if self.exemplars is None:
             return [footer]
         footer["exemplars"] = len(self.exemplars.exemplars)
@@ -336,37 +317,41 @@ class TimelineRecorder:
     def _close_open_window(self) -> None:
         if self.collect is not None:
             self.collect()
+        if len(self.registry) != self._planned:
+            start = {"counter": 0, "gauge": None, "histogram": (0, 0.0)}
+            seen = {row[0]: row[2] for rows in self._by_kind for row in rows}
+            rows = [[key := series_key(name, tags), inst,
+                     seen.get(key, start[inst.kind])]
+                    for name, tags, inst in self.registry.items()]
+            self._by_kind = tuple([row for row in rows if row[1].kind == kind]
+                                  for kind in start)
+            self._planned = len(rows)
+        # Only series that moved since the previous close are recorded.
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         hists: dict[str, dict] = {}
-        skeys = self._series_keys
-        for name, tags, inst in self.registry.items():
-            key = skeys.get(id(inst))
-            if key is None:
-                key = skeys[id(inst)] = series_key(name, tags)
-            if inst.kind == "counter":
-                prev = self._last_counters.get(key, 0)
-                if inst.value != prev:
-                    counters[key] = inst.value - prev
-                    self._last_counters[key] = inst.value
-            elif inst.kind == "gauge":
-                prev_g = self._last_gauges.get(key)
-                if prev_g is None or inst.value != prev_g:
-                    gauges[key] = inst.value
-                    self._last_gauges[key] = inst.value
-            else:
-                prev_c, prev_s = self._last_hists.get(key, (0, 0.0))
-                if inst.count != prev_c:
-                    delta_b = inst.take_bucket_deltas()
-                    hists[key] = {
-                        "count": inst.count - prev_c,
-                        "sum": inst.sum - prev_s,
-                        "lo": inst.lo,
-                        "growth": inst.growth,
-                        "buckets": {str(b): c
-                                    for b, c in sorted(delta_b.items())},
-                    }
-                    self._last_hists[key] = (inst.count, inst.sum)
+        for row in self._by_kind[0]:
+            value = row[1].value
+            if value != row[2]:
+                counters[row[0]] = value - row[2]
+                row[2] = value
+        for row in self._by_kind[1]:
+            value = row[1].value
+            if value != row[2]:
+                gauges[row[0]] = row[2] = value
+        for row in self._by_kind[2]:
+            inst = row[1]
+            prev_c, prev_s = row[2]
+            if inst.count != prev_c:
+                delta_b = inst.take_bucket_deltas()
+                hists[row[0]] = {
+                    "count": inst.count - prev_c,
+                    "sum": inst.sum - prev_s,
+                    "lo": inst.lo,
+                    "growth": inst.growth,
+                    "buckets": {str(b): delta_b[b] for b in sorted(delta_b)},
+                }
+                row[2] = (inst.count, inst.sum)
         if not (counters or gauges or hists):
             return  # sparse: nothing happened in this window
         rec = {
@@ -419,11 +404,6 @@ class TimelineRecorder:
 # Derived series
 # ---------------------------------------------------------------------------
 
-def _sum_matching(mapping: dict, prefix: str) -> float:
-    return sum(v for k, v in mapping.items()
-               if k == prefix or k.startswith(prefix + "{"))
-
-
 def sub_histogram(entry: dict) -> Histogram:
     """Reconstruct a :class:`Histogram` from a sub-histogram record.
 
@@ -442,74 +422,104 @@ def sub_histogram(entry: dict) -> Histogram:
     return h
 
 
-def _merged_response_hist(hists: dict) -> Histogram | None:
-    merged: Histogram | None = None
-    for key, entry in hists.items():
-        if not (key == "query_latency_us"
-                or key.startswith("query_latency_us{")):
-            continue
-        h = sub_histogram(entry)
-        if merged is None:
-            merged = h
-        else:
-            merged.merge(h)
-    return merged if merged is not None and merged.count else None
+#: Metric names the derived block is computed from.
+_DERIVED_SOURCES = frozenset((
+    "queries_total", "cache_result_lookups_total", "cache_list_lookups_total",
+    "flash_host_page_writes_total", "flash_gc_page_writes_total",
+    "flash_erases_total", "blame_wait_us_total", "blame_service_us_total",
+    "queue_depth", "cache_write_buffer_entries", "query_latency_us"))
+
+
+@lru_cache(maxsize=4096)
+def _series_role(key: str) -> tuple[str, ...]:
+    """The names :func:`derive_window` files the series at ``key`` under:
+    its metric (plus ``<metric>:hits`` for a cache-hit outcome), or
+    nothing.  Memoised: a run has a few dozen series keys and every
+    window asks about the same ones."""
+    name, tags = parse_series_key(key)
+    if name not in _DERIVED_SOURCES:
+        return ()
+    if name.endswith("_lookups_total") and "{" not in key:
+        return ()  # hit ratio is defined over the outcome-tagged series
+    if tags.get("outcome") in ("l1_hit", "l2_hit"):
+        return name, name + ":hits"
+    return (name,)
+
+
+def _by_metric(mapping: dict) -> dict[str, list]:
+    """One pass over a window's counters, gauges or sub-histograms: each
+    value filed under the metric(s) it feeds."""
+    filed: dict[str, list] = {}
+    for key, v in mapping.items():
+        for name in _series_role(key):
+            if name in filed:
+                filed[name].append(v)
+            else:
+                filed[name] = [v]
+    return filed
 
 
 def derive_window(rec: dict) -> dict:
     """The standard derived series for one window record.
 
     Computed from the window's own deltas; series whose source
-    instruments are absent are simply omitted.
+    instruments are absent are simply omitted.  The one implementation,
+    used at window close and over loaded files alike.
     """
-    counters = rec.get("counters", {})
-    gauges = rec.get("gauges", {})
-    hists = rec.get("histograms", {})
+    counters = _by_metric(rec.get("counters", {})).get
+    gauges = _by_metric(rec.get("gauges", {}))
     out: dict = {}
 
-    queries = _sum_matching(counters, "queries_total")
+    queries = sum(counters("queries_total", ()))
     if queries:
         out["queries"] = queries
 
     hits = lookups = 0.0
     for name in ("cache_result_lookups_total", "cache_list_lookups_total"):
-        for key, v in counters.items():
-            if not key.startswith(name + "{"):
-                continue
+        for v in counters(name, ()):
             lookups += v
-            _, tags = parse_series_key(key)
-            if tags.get("outcome") in ("l1_hit", "l2_hit"):
-                hits += v
+        for v in counters(name + ":hits", ()):
+            hits += v
     if lookups:
         out["hit_ratio"] = hits / lookups
 
-    merged = _merged_response_hist(hists)
-    if merged is not None:
-        p50, p99, p999 = merged.percentiles((50.0, 99.0, 99.9))
-        out["p50_response_us"] = p50
-        out["p99_response_us"] = p99
-        out["p999_response_us"] = p999
+    # Bucket deltas are summed first: one histogram rebuilt per window.
+    entries = _by_metric(rec.get("histograms", {})).get("query_latency_us")
+    if entries:
+        count, buckets = 0, {}
+        for e in entries:
+            if (e.get("lo", 0.5) != entries[0].get("lo", 0.5)
+                    or e.get("growth", 1.04) != entries[0].get("growth", 1.04)):
+                raise ValueError("cannot merge sub-histograms with "
+                                 "different bucket layouts")
+            count += e["count"]
+            for b, c in e["buckets"].items():
+                buckets[b] = buckets.get(b, 0) + c
+        if count:
+            merged = sub_histogram(
+                dict(entries[0], count=count, buckets=buckets))
+            (out["p50_response_us"], out["p99_response_us"],
+             out["p999_response_us"]) = merged.percentiles((50.0, 99.0, 99.9))
 
-    host = _sum_matching(counters, "flash_host_page_writes_total")
-    gc = _sum_matching(counters, "flash_gc_page_writes_total")
+    host = sum(counters("flash_host_page_writes_total", ()))
     if host:
-        out["write_amp"] = (host + gc) / host
+        out["write_amp"] = (
+            host + sum(counters("flash_gc_page_writes_total", ()))) / host
 
-    erases = _sum_matching(counters, "flash_erases_total")
+    erases = sum(counters("flash_erases_total", ()))
     if erases:
         out["erases"] = erases
 
     depth = None
-    for prefix in ("queue_depth", "cache_write_buffer_entries"):
-        matched = [v for k, v in gauges.items()
-                   if k == prefix or k.startswith(prefix + "{")]
-        if matched:
-            depth = sum(matched) if depth is None else depth + sum(matched)
+    for name in ("queue_depth", "cache_write_buffer_entries"):
+        if name in gauges:
+            matched = sum(gauges[name])
+            depth = matched if depth is None else depth + matched
     if depth is not None:
         out["queue_depth"] = depth
 
-    wait = _sum_matching(counters, "blame_wait_us_total")
-    service = _sum_matching(counters, "blame_service_us_total")
+    wait = sum(counters("blame_wait_us_total", ()))
+    service = sum(counters("blame_service_us_total", ()))
     if wait + service > 0:
         out["wait_fraction"] = wait / (wait + service)
     return out

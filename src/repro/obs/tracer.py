@@ -19,24 +19,42 @@ shared :data:`NULL_TRACER` (or a plain ``None`` device hook), whose
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER",
            "load_spans_jsonl"]
 
 
-@dataclass
 class Span:
-    """One finished span."""
+    """One span: its own context manager while open, the finished record
+    once closed.  Only :meth:`Tracer.span` / :meth:`Tracer.record` make
+    one (they fill the slots; there is no constructor); :meth:`to_dict`
+    is for whoever reads it — stream writer, export, incident dump.
+    """
 
-    span_id: int
-    parent_id: int | None
-    name: str
-    start_us: float
-    end_us: float
-    attrs: dict = field(default_factory=dict)
+    __slots__ = ("_tracer", "span_id", "parent_id", "name", "start_us",
+                 "end_us", "attrs")
+
+    def set(self, **attrs) -> None:
+        """Attach attributes to an in-flight span."""
+        self.attrs.update(attrs)
+
+    def __enter__(self) -> "Span":
+        t = self._tracer
+        stack = t._stack
+        self.span_id = t._next_id
+        t._next_id += 1
+        self.parent_id = stack[-1] if stack else None
+        stack.append(self.span_id)
+        self.start_us = t.clock._now_us  # the slot: no property frame
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        t = self._tracer
+        t._stack.pop()
+        self.end_us = t.clock._now_us
+        t._append(self)
+        return False
 
     @property
     def dur_us(self) -> float:
@@ -49,50 +67,13 @@ class Span:
             "name": self.name,
             "start_us": self.start_us,
             "end_us": self.end_us,
-            "dur_us": self.dur_us,
+            "dur_us": self.end_us - self.start_us,
             "attrs": self.attrs,
         }
 
 
-class _SpanCtx:
-    """An open span; a context manager that finishes it on exit."""
-
-    __slots__ = ("_tracer", "name", "attrs", "span_id", "parent_id", "start_us")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.attrs = attrs
-
-    def set(self, **attrs) -> None:
-        """Attach attributes to an in-flight span."""
-        self.attrs.update(attrs)
-
-    def __enter__(self) -> "_SpanCtx":
-        t = self._tracer
-        self.span_id = t._next_id
-        t._next_id += 1
-        self.parent_id = t._stack[-1] if t._stack else None
-        t._stack.append(self.span_id)
-        self.start_us = t.clock.now_us
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        t = self._tracer
-        t._stack.pop()
-        t._append(Span(
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            name=self.name,
-            start_us=self.start_us,
-            end_us=t.clock.now_us,
-            attrs=self.attrs,
-        ))
-        return False
-
-
 class Tracer:
-    """Collects nested spans stamped with a virtual clock.
+    """Collects nested spans stamped with a :class:`VirtualClock`.
 
     ``max_spans`` bounds memory on long runs: past the cap new spans are
     counted in :attr:`dropped` instead of stored (open-span nesting keeps
@@ -112,54 +93,66 @@ class Tracer:
         self.max_spans = max_spans
         self.spans: list[Span] = []
         self.dropped = 0
-        #: optional callable fed every finished span *before* storage or
-        #: streaming — the flight recorder's ring hangs off this, so it
-        #: sees spans even when streaming mode retains nothing.
-        self.span_sink = None
+        self._sink = None
         self._stack: list[int] = []
         self._next_id = 1
         #: the :class:`JsonlWriter` once streaming (kept after it closes)
         self._stream: JsonlWriter | None = None
+        self._route()
 
-    def span(self, name: str, **attrs) -> _SpanCtx:
+    def set_span_sink(self, sink) -> None:
+        """Feed every finished span to ``sink`` *before* storage or
+        streaming — the flight recorder's ring hangs off this, so it
+        sees spans even when streaming mode retains nothing."""
+        self._sink = sink
+        self._route()
+
+    def _route(self) -> None:
+        """Bind :attr:`_append`: sink and open stream are looked up when
+        one of them changes, not per span (list and cap are read live)."""
+        sink = self._sink
+        streaming = self._stream is not None and not self._stream.closed
+        write = self._stream.write if streaming else None
+
+        def append(span: Span) -> None:
+            if sink is not None:
+                sink(span)
+            if write is not None:
+                write(span.to_dict())
+            elif len(self.spans) < self.max_spans:
+                self.spans.append(span)
+            else:
+                self.dropped += 1
+        self._append = append
+
+    def span(self, name: str, **attrs) -> Span:
         """Open a nested span: ``with tracer.span("query", qid=7) as sp:``."""
-        return _SpanCtx(self, name, attrs)
+        span = Span()
+        span._tracer = self
+        span.name = name
+        span.attrs = attrs
+        return span
 
     def record(self, name: str, start_us: float, end_us: float, **attrs) -> None:
         """Append a leaf span measured externally (e.g. a device access)."""
-        span_id = self._next_id
+        span = Span()
+        span.name = name
+        span.attrs = attrs
+        span.span_id = self._next_id
         self._next_id += 1
-        self._append(Span(
-            span_id=span_id,
-            parent_id=self._stack[-1] if self._stack else None,
-            name=name,
-            start_us=start_us,
-            end_us=end_us,
-            attrs=attrs,
-        ))
-
-    def _append(self, span: Span) -> None:
-        sink = self.span_sink
-        if sink is not None:
-            sink(span)
-        if self._stream is not None and not self._stream.closed:
-            self._stream.write(span.to_dict())
-            return
-        if len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            return
-        self.spans.append(span)
+        span.parent_id = self._stack[-1] if self._stack else None
+        span.start_us = start_us
+        span.end_us = end_us
+        self._append(span)
 
     # -- streaming -----------------------------------------------------------
 
     @property
-    def streaming(self) -> bool:
-        return self._stream is not None
-
-    @property
     def span_count(self) -> int:
-        """Spans recorded so far (stored or already streamed to disk)."""
-        return self._stream.written if self.streaming else len(self.spans)
+        """Spans recorded so far: streamed to disk plus held in memory
+        (spans finishing after :meth:`close_stream` are stored again)."""
+        streamed = self._stream.written if self._stream is not None else 0
+        return streamed + len(self.spans)
 
     def open_stream(self, path) -> None:
         """Start writing finished spans straight to ``path`` as JSONL.
@@ -173,16 +166,15 @@ class Tracer:
         for span in self.spans:
             self._stream.write(span.to_dict())
         self.spans = []
+        self._route()
 
     def close_stream(self) -> None:
         """Flush and close the streaming file (path/count stay queryable)."""
         if self._stream is not None:
             self._stream.close()
+            self._route()
 
     # -- export --------------------------------------------------------------
-
-    def to_dicts(self) -> list[dict]:
-        return [s.to_dict() for s in self.spans]
 
     def export_jsonl(self, path) -> int:
         """Write one JSON object per span; returns the span count.
@@ -192,7 +184,8 @@ class Tracer:
         different path copies the streamed file there.
         """
         if self._stream is not None:
-            self._stream.export_to(path)
+            self._stream.export_to(path)  # closes the writer
+            self._route()
             return self._stream.written
         return write_jsonl(path, (s.to_dict() for s in self.spans))
 
@@ -217,9 +210,7 @@ class NullTracer:
     _SPAN = _NullSpan()
     spans: tuple = ()
     dropped = 0
-    streaming = False
     span_count = 0
-    span_sink = None
 
     def span(self, name: str, **attrs):
         return self._SPAN

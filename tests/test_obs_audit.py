@@ -49,6 +49,45 @@ def test_record_stamps_clock_and_sequences():
     assert log.records[0].data == {"ev": 1.5}
 
 
+def test_event_mirror_standalone_and_flush_key_is_none():
+    # Regression: the flush mirror read `e.key if hasattr(e, "key")`, but
+    # FlushEvent has no key — a flush writes a block, not a subject.
+    from repro.core.events import (AdmitEvent, CacheEvents, EvictEvent,
+                                   FlushEvent, L2VictimEvent)
+
+    events = CacheEvents()
+    log = AuditLog()
+    log.observe_events(events)
+    events.admit(AdmitEvent(kind="list", key=7, level="l2", nbytes=4096))
+    events.evict(EvictEvent(kind="result", key=(1, 2), level="l1"))
+    events.flush(FlushEvent(kind="list", lba=64, nbytes=131072, entries=2))
+    events.l2_victim(L2VictimEvent(kind="list", key=7, stage="size-match"))
+    assert [r.to_dict() for r in log.records] == [
+        {"seq": 1, "t_us": 0.0, "type": "admit", "kind": "list", "key": 7,
+         "data": {"level": "l2", "nbytes": 4096, "reason": "insert"}},
+        {"seq": 2, "t_us": 0.0, "type": "evict", "kind": "result",
+         "key": [1, 2],
+         "data": {"level": "l1", "nbytes": 0, "reason": "unspecified"}},
+        {"seq": 3, "t_us": 0.0, "type": "flush", "kind": "list", "key": None,
+         "data": {"lba": 64, "nbytes": 131072, "entries": 2}},
+        {"seq": 4, "t_us": 0.0, "type": "l2-victim", "kind": "list",
+         "key": 7, "data": {"stage": "size-match"}},
+    ]
+    log.close()
+    events.admit(AdmitEvent(kind="list", key=8, level="l1"))
+    assert len(log) == 4  # detached
+
+
+def test_audit_record_is_tuple_shaped_with_named_fields():
+    log = AuditLog()
+    log.record("list.select", "list", 7, ev=1.5)
+    [rec] = log.records
+    seq, t_us, type_, kind, key, data = rec
+    assert (seq, t_us, type_, kind, key, data) == (
+        1, 0.0, "list.select", "list", 7, {"ev": 1.5})
+    assert rec.data is data and rec.key == 7
+
+
 def test_ring_drops_oldest_past_capacity():
     log = AuditLog(capacity=3)
     for i in range(5):

@@ -124,6 +124,81 @@ def test_cache_event_metrics_agree_with_event_counter(small_index):
         assert admits == counter.get("admit", kind)
 
 
+def test_one_fused_observer_per_hook_metrics_then_audit(small_index):
+    tel = Telemetry()
+    mgr = make_manager(small_index, telemetry=tel)
+    # The stats recorder plus one observer doing metrics and audit.
+    for hooks in (mgr.events._on_admit, mgr.events._on_evict,
+                  mgr.events._on_flush, mgr.events._on_l2_victim):
+        assert len(hooks) == 2
+    replay(mgr)
+    mirrored = {"admit": "cache_admits_total", "evict": "cache_evicts_total",
+                "flush": "cache_flushes_total",
+                "l2-victim": "cache_l2_victims_total"}
+    for rtype, metric in mirrored.items():
+        counted = sum(inst.value for name, _, inst in tel.registry.items()
+                      if name == metric)
+        assert counted == sum(r.type == rtype for r in tel.audit.records) > 0
+    tel.close()
+    assert all(len(h) == 1 for h in (mgr.events._on_admit,
+                                     mgr.events._on_flush))
+
+
+def test_fused_observer_still_audits_when_the_metrics_half_raises():
+    from repro.core.events import AdmitEvent, CacheEvents
+
+    tel = Telemetry()
+    events = CacheEvents()
+    tel.observe_cache_events(events)
+    # Same identity already taken by a gauge: the counter bump raises.
+    tel.registry.gauge("cache_admits_total", kind="list", level="l1",
+                       reason="insert")
+    with pytest.raises(TypeError):
+        events.admit(AdmitEvent(kind="list", key=3, level="l1", nbytes=10))
+    assert [r.type for r in tel.audit.records] == ["admit"]
+
+
+# -- the observer reports its own losses -------------------------------------
+
+def test_lossless_run_has_no_obs_dropped_series(small_index):
+    tel = Telemetry()
+    tel.attach_timeline(window_us=5_000.0)
+    mgr = make_manager(small_index, telemetry=tel)
+    replay(mgr)
+    tel.collect()
+    assert not [name for name, _, _ in tel.registry.items()
+                if name == "obs_dropped_total"]
+
+
+def test_obs_dropped_total_counts_what_the_observer_lost(small_index,
+                                                         tmp_path, capsys):
+    tel = Telemetry(max_spans=50, audit_capacity=40)
+    tel.attach_timeline(window_us=2_000.0, retain=3,
+                        stream_path=tmp_path / "timeline.jsonl",
+                        max_windows=4)
+    mgr = make_manager(small_index, telemetry=tel)
+    replay(mgr, n=300)
+    tel.collect()
+    tel.collect()  # deltas, not re-adds: sampling twice changes nothing
+    got = {tags["what"]: inst.value for name, tags, inst in
+           tel.registry.items() if name == "obs_dropped_total"}
+    assert got == {
+        "spans": tel.tracer.dropped,
+        "audit_records": tel.audit.dropped,
+        "windows": tel.timeline.dropped_windows,
+        # the first rotation only moves the file to `.1`: nothing lost yet
+        "timeline_generations": tel.timeline.rotations - 1,
+    }
+    assert min(got.values()) > 0
+    # ... and `repro report` says so.
+    from repro.cli import main
+
+    out = tmp_path / "tel"
+    write_telemetry_dir(tel, out)
+    assert main(["report", str(out)]) == 0
+    assert "observer losses (obs_dropped_total):" in capsys.readouterr().out
+
+
 # -- export and validation ---------------------------------------------------
 
 def test_write_and_validate_telemetry_dir(tmp_path, small_index):

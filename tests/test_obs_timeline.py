@@ -24,6 +24,8 @@ from repro.obs import (
     window_series,
     write_telemetry_dir,
 )
+from repro.obs.timeline import derive_window
+from tests._obs_reference import derive_window_reference
 
 KB = 1024
 
@@ -204,8 +206,7 @@ def test_exemplar_store_captures_tail_samples_with_context():
     h = Histogram()
     store.register(h, "lat")
     for i in range(1, 101):
-        store.set_context(query_id=i, span_id=1000 + i, window=i // 10,
-                          t_us=float(i))
+        store.context = (i, 1000 + i, i // 10, float(i))
         h.record(float(i))
     assert store.exemplars, "no tail samples captured"
     values = [ex.value_us for ex in store.exemplars]
@@ -241,6 +242,93 @@ def test_exemplar_traceable_to_span_and_audit(small_index):
     inside = [r for r in tel.audit.records
               if root.start_us <= r.t_us <= root.end_us]
     assert inside, "no audit records during the exemplar's span"
+
+
+# -- derived series: the single pass equals the parent's implementation ------
+
+# Every series derive_window reads, tagged and untagged, plus near-miss
+# names that share a prefix and must be ignored.
+_COUNTER_KEYS = [
+    "queries_total", "queries_total{situation=S1}",
+    "queries_total{situation=S8}", "queries_totals{situation=S1}",
+    "cache_result_lookups_total", "cache_result_lookups_total{outcome=l1_hit}",
+    "cache_result_lookups_total{outcome=l2_hit}",
+    "cache_result_lookups_total{outcome=miss}",
+    "cache_list_lookups_total{outcome=l1_hit}",
+    "cache_list_lookups_total{outcome=partial_hit}",
+    "cache_list_lookups_total{outcome=miss,shard=2}",
+    "flash_host_page_writes_total{device=ssd-cache}",
+    "flash_host_page_writes_total", "flash_gc_page_writes_total{device=a}",
+    "flash_gc_page_writes_total{device=b}", "flash_erases_total{device=a}",
+    "flash_erases_total_x", "blame_wait_us_total{resource=index-hdd}",
+    "blame_wait_us_total{resource=cpu}",
+    "blame_service_us_total{resource=index-hdd}", "queue_depth",
+    "cache_admits_total{kind=list,level=l1,reason=insert}",
+]
+_GAUGE_KEYS = [
+    "queue_depth{resource=index-hdd}", "queue_depth{resource=admission}",
+    "queue_depth", "queue_depths", "cache_write_buffer_entries",
+    "cache_write_buffer_entries{shard=1}", "inflight_queries",
+    "queries_total", "flash_free_blocks{device=ssd-cache}",
+]
+_HIST_KEYS = [
+    "query_latency_us", "query_latency_us{situation=S1}",
+    "query_latency_us{situation=S8}", "query_latency_us_x",
+    "stage_latency_us{stage=l2}", "service_time_us",
+]
+
+_values = st.one_of(
+    st.integers(min_value=0, max_value=10**9),
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False))
+
+
+@st.composite
+def _sub_histograms(draw):
+    buckets = draw(st.dictionaries(st.integers(min_value=0, max_value=400),
+                                   st.integers(min_value=1, max_value=50),
+                                   max_size=8))
+    return {"count": sum(buckets.values()),
+            "sum": draw(st.floats(min_value=0.0, max_value=1e9)),
+            "lo": 0.5, "growth": 1.04,
+            "buckets": {str(b): c for b, c in buckets.items()}}
+
+
+_window_records = st.fixed_dictionaries({
+    "type": st.just("window"), "window": st.integers(0, 99),
+    "counters": st.dictionaries(st.sampled_from(_COUNTER_KEYS), _values),
+    "gauges": st.dictionaries(st.sampled_from(_GAUGE_KEYS), _values),
+    "histograms": st.dictionaries(st.sampled_from(_HIST_KEYS),
+                                  _sub_histograms()),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(rec=_window_records)
+def test_derive_window_equals_the_parent_implementation(rec):
+    got, want = derive_window(rec), derive_window_reference(rec)
+    assert got == want
+    # The block is written to timeline.jsonl: key order is bytes too.
+    assert list(got) == list(want)
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+def test_derive_window_on_sparse_and_partial_records():
+    assert derive_window({}) == derive_window_reference({}) == {}
+    only_gauge = {"gauges": {"cache_write_buffer_entries": 3}}
+    assert derive_window(only_gauge) == {"queue_depth": 3}
+    empty_hist = {"histograms": {"query_latency_us{situation=S1}": {
+        "count": 0, "sum": 0.0, "lo": 0.5, "growth": 1.04, "buckets": {}}}}
+    assert derive_window(empty_hist) == derive_window_reference(empty_hist)
+    mixed = {"histograms": {
+        "query_latency_us{situation=S1}": {
+            "count": 1, "sum": 1.0, "lo": 0.5, "growth": 1.04,
+            "buckets": {"3": 1}},
+        "query_latency_us{situation=S2}": {
+            "count": 1, "sum": 1.0, "lo": 1.0, "growth": 1.04,
+            "buckets": {"3": 1}}}}
+    for derive in (derive_window, derive_window_reference):
+        with pytest.raises(ValueError, match="bucket layouts"):
+            derive(mixed)
 
 
 # -- steady-state detection --------------------------------------------------

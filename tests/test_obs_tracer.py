@@ -60,6 +60,77 @@ def test_max_spans_cap_counts_drops(clock):
     assert tr.dropped == 3
 
 
+def test_span_count_counts_spans_stored_after_the_stream_closed(tmp_path, clock):
+    # Regression: once close_stream() ran, late spans fall back to the
+    # in-memory list but span_count kept returning the stream's total.
+    tr = Tracer(clock)
+    tr.open_stream(tmp_path / "spans.jsonl")
+    for _ in range(3):
+        with tr.span("streamed"):
+            pass
+    assert (tr.span_count, len(tr.spans)) == (3, 0)
+    tr.close_stream()
+    with tr.span("late"):
+        pass
+    tr.record("late-leaf", 0.0, 1.0)
+    assert [s.name for s in tr.spans] == ["late", "late-leaf"]
+    assert tr.span_count == 5
+    assert len((tmp_path / "spans.jsonl").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("elsewhere", [False, True])
+def test_spans_after_a_mid_run_export_are_stored_and_counted(
+        tmp_path, clock, elsewhere):
+    # Regression: export_jsonl() on a streaming tracer closes the writer
+    # (write_telemetry_dir always takes this path); the next span must
+    # fall back to the in-memory list, not write to the closed file.
+    tr = Tracer(clock)
+    tr.open_stream(tmp_path / "spans.jsonl")
+    with tr.span("streamed"):
+        pass
+    target = tmp_path / ("copy.jsonl" if elsewhere else "spans.jsonl")
+    assert tr.export_jsonl(target) == 1
+    with tr.span("late"):
+        pass
+    tr.record("late-leaf", 0.0, 1.0)
+    assert [s.name for s in tr.spans] == ["late", "late-leaf"]
+    assert tr.span_count == 3
+    assert len(target.read_text().splitlines()) == 1
+
+
+def test_span_store_and_cap_are_read_live(clock):
+    # spans / max_spans are public attributes: reassigning them after
+    # construction must take effect on the next span.
+    tr = Tracer(clock)
+    with tr.span("a"):
+        pass
+    tr.spans = fresh = []
+    tr.max_spans = 1
+    with tr.span("b"):
+        pass
+    with tr.span("c"):
+        pass
+    assert [s.name for s in fresh] == ["b"]
+    assert tr.dropped == 1
+
+
+def test_span_is_context_manager_and_record_in_one(clock):
+    tr = Tracer(clock)
+    seen = []
+    tr.set_span_sink(seen.append)
+    with tr.span("query", qid=1) as open_span:
+        clock.advance(2.0)
+    tr.record("leaf", 0.5, 1.5, lba=3)
+    # The object handed out by span() *is* the stored record, and the
+    # sink sees the same objects (no copy, no dict) before storage.
+    assert tr.spans[0] is open_span
+    assert seen == tr.spans
+    assert open_span.to_dict() == {
+        "span_id": 1, "parent_id": None, "name": "query",
+        "start_us": 0.0, "end_us": 2.0, "dur_us": 2.0, "attrs": {"qid": 1}}
+    assert tr.spans[1].to_dict()["attrs"] == {"lba": 3}
+
+
 def test_export_jsonl_roundtrip(tmp_path, clock):
     tr = Tracer(clock)
     with tr.span("query", qid=1):
