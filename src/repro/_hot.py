@@ -8,7 +8,9 @@ primitive operation the host executed.  Together they yield
 node move).
 
 Counting happens at the source with a plain attribute increment
-(``HOT.ftl_map_lookups += 1``), cheap enough to stay unconditional.
+(``HOT.ftl_map_lookups += 1``), cheap enough to stay unconditional
+(the kernel keeps its own per-run event count and adds it here when
+``run()`` ends).
 The counters are host-side bookkeeping only: they never touch the
 virtual clock or any simulated state, so reading or resetting them
 cannot perturb simulated metrics.
@@ -24,7 +26,11 @@ Several counters reconcile exactly with existing simulation counters
 (tested in ``tests/test_obs_profiler.py``):
 
 * ``kernel_heap_pops`` equals :meth:`repro.sim.kernel.Kernel.run`'s
-  handled-event count;
+  handled-event count.  That includes *elided* events: the completion
+  of an uncontended ``serve`` is provably the next event the heap would
+  pop, so the kernel performs it inline without the push and the pop —
+  and still counts it, because it is an event of the simulated
+  schedule, not of the host's data structure;
 * ``histogram_records`` equals the summed ``count`` of every histogram
   recorded into;
 * ``ftl_map_lookups`` covers every host read/write/trim an FTL serves
@@ -46,7 +52,7 @@ class HotCounters:
         "daat_advance_steps",    # DAAT driver advances + skip probes
         "ftl_map_lookups",       # FTL host read/write/trim translations
         "lru_node_moves",        # LruList touch/insert/pop recency ops
-        "kernel_heap_pops",      # discrete-event loop events handled
+        "kernel_heap_pops",      # kernel events handled (popped or elided)
         "histogram_records",     # obs histogram samples (obs self-cost)
     )
 

@@ -159,12 +159,11 @@ class BlameRecorder:
         return meta
 
     def _counter_pair(self, resource: str):
-        pair = self._counters.get(resource)
-        if pair is None:
-            reg = self.registry
-            pair = (reg.counter("blame_wait_us_total", resource=resource),
-                    reg.counter("blame_service_us_total", resource=resource))
-            self._counters[resource] = pair
+        """First bill on ``resource``: make (and cache) its two counters."""
+        reg = self.registry
+        pair = self._counters[resource] = (
+            reg.counter("blame_wait_us_total", resource=resource),
+            reg.counter("blame_service_us_total", resource=resource))
         return pair
 
     def _account(self, resource: str, wait_us: float,
@@ -176,11 +175,12 @@ class BlameRecorder:
         tot[1] += wait_us
         tot[2] += service_us
         if self.registry is not None:
-            waits, services = self._counter_pair(resource)
+            pair = self._counters.get(resource) or self._counter_pair(resource)
+            # Counter.inc, less the sign test just made.
             if wait_us > 0:
-                waits.inc(wait_us)
+                pair[0].value += wait_us
             if service_us > 0:
-                services.inc(service_us)
+                pair[1].value += service_us
 
     def on_spawn(self, task, parent, now_us: float) -> None:
         self._register(task, parent, now_us)
@@ -199,7 +199,9 @@ class BlameRecorder:
         wait = start_us - enqueue_us
         service = end_us - start_us
         self._account(resource, wait, service)
-        self._emit({"type": "serve", "task": self._tid(task),
+        meta = self._meta.get(id(task))
+        self._emit({"type": "serve",
+                    "task": self._tid(task) if meta is None else meta["tid"],
                     "resource": resource, "enqueue_us": enqueue_us,
                     "start_us": start_us, "end_us": end_us,
                     "wait_us": wait, "service_us": service})

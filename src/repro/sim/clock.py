@@ -39,7 +39,7 @@ class VirtualClock:
     __slots__ = ("_now_us", "_busy_us", "_kernel")
 
     def __init__(self, start_us: float = 0.0) -> None:
-        if start_us < 0:
+        if not start_us >= 0:
             raise ValueError(f"clock cannot start at negative time: {start_us}")
         self._now_us = float(start_us)
         self._busy_us: dict[str, float] = {}
@@ -63,9 +63,11 @@ class VirtualClock:
     def advance(self, delta_us: float) -> float:
         """Move simulated time forward by ``delta_us`` and return the new now.
 
-        Negative deltas are rejected: simulated time never flows backwards.
+        Negative deltas are rejected: simulated time never flows backwards
+        (and a NaN, which no ``x < 0`` test catches, would poison every
+        later reading — all guards here are written ``not x >= 0``).
         """
-        if delta_us < 0:
+        if not delta_us >= 0:
             raise ValueError(f"cannot advance clock by negative time: {delta_us}")
         self._now_us += delta_us
         return self._now_us
@@ -76,7 +78,7 @@ class VirtualClock:
         Rejects times in the past (monotonicity): an event scheduled
         before the current "now" is a scheduler bug, not a valid jump.
         """
-        if t_us < self._now_us:
+        if not t_us >= self._now_us:
             raise ValueError(
                 f"cannot move clock backwards: {t_us} < now {self._now_us}"
             )
@@ -105,14 +107,19 @@ class VirtualClock:
         delay plus service time.  ``charge=False`` advances without
         attributing busy time (used for CPU work whose attribution is
         derived as the response-time residual).
+
+        The seam is one test: a kernel that has a current task gets the
+        call, through its public ``serve`` (which checks, once, that the
+        caller really is that task).  The kernel names no task while an
+        event callback runs, so those take the closed-loop branch.
         """
         k = self._kernel
-        if k is not None and k.in_task():
-            k.serve(channel, delta_us, charge=charge)
+        if k is not None and k._current is not None:
+            k.serve(channel, delta_us, charge)
             return self._now_us
         # advance + charge, inlined (seven services per cache-miss query);
         # the methods stay the validating forms and raise for us.
-        if delta_us < 0:
+        if not delta_us >= 0:
             self.advance(delta_us)
         self._now_us += delta_us
         if charge:
@@ -122,7 +129,7 @@ class VirtualClock:
 
     def charge(self, channel: str, delta_us: float) -> None:
         """Accumulate ``delta_us`` of busy time on ``channel``."""
-        if delta_us < 0:
+        if not delta_us >= 0:
             raise ValueError(f"cannot charge negative time: {delta_us}")
         self._busy_us[channel] = self._busy_us.get(channel, 0.0) + delta_us
 

@@ -27,13 +27,27 @@ sequence)``), the GIL-protected state needs no locks, and the existing
 cache/device code runs unchanged inside tasks.
 
 **The yield point.**  Devices do not call the kernel directly.  They
-call :meth:`VirtualClock.consume`, which — when a kernel is bound and
-the caller is inside a kernel task — turns the service time into an I/O
-request queued on the channel's :class:`Resource` and blocks the task
-until the completion event fires.  Outside any task the same call
-degenerates to ``advance`` + ``charge``, which is byte-for-byte the
-seed's closed-loop accounting; `tests/test_core_parity.py` proves that
-a single closed-loop task reproduces the golden fixtures exactly.
+call :meth:`VirtualClock.consume`, which — when the bound kernel names a
+current task — hands the service time to :meth:`Kernel.serve`: an I/O
+request on the channel's :class:`Resource`, completed by a heap event
+that resumes the task.  Outside any task the same call degenerates to
+``advance`` + ``charge``, which is byte-for-byte the seed's closed-loop
+accounting; `tests/test_core_parity.py` proves that a single closed-loop
+task reproduces the golden fixtures exactly.
+
+**An elided event.**  When ``serve`` finds a free lane, nothing queued,
+no failure parked and no heap entry due at or before ``end = now +
+service_us``, the completion it would push is provably the next event
+popped: the heap orders by ``(time, seq)`` and an entry *at* ``end``
+would carry a smaller ``seq``; no callback runs between the push and
+that pop, so nothing can schedule ahead of it or see the task blocked.
+So ``serve`` does the completion's work on the spot — same float
+operations in the same order, the clock moved to ``end``, the blame hook
+called with no current task as from an event — and returns.  The event
+still *happened*: it counts in :meth:`Kernel.run`'s return value and in
+``HOT.kernel_heap_pops`` as if it had gone through the heap.  Anything
+contended does go through it, so the schedule is the same one, event for
+event (`tests/test_sim_kernel_equivalence.py`).
 
 **Admission control.**  :class:`AdmissionControl` bounds concurrency the
 way a real index server does: at most ``max_inflight`` queries running,
@@ -49,6 +63,7 @@ import threading
 from _thread import allocate_lock, get_ident
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from repro._hot import HOT
 
@@ -145,18 +160,6 @@ class Resource:
                 f"depth={self.depth}, served={self.served})")
 
 
-@dataclass
-class _Request:
-    task: "Task"
-    service_us: float
-    charge: bool
-    #: When the request joined the resource (queue or lane) — set by
-    #: :meth:`Kernel.serve`; ``start_us`` is set when a lane picks it up.
-    #: ``start_us - enqueue_us`` is therefore the *exact* queue wait.
-    enqueue_us: float = 0.0
-    start_us: float = 0.0
-
-
 class Task:
     """One cooperative unit of work, pausable at any ``clock.consume``.
 
@@ -204,10 +207,10 @@ class Task:
             raise KernelError(f"task {self.name!r} cannot join itself")
         self._joiners.append(caller)
         blame = k.blame
-        t0 = k.clock.now_us if blame is not None else 0.0
+        t0 = k.clock._now_us if blame is not None else 0.0
         k._block(caller)
         if blame is not None:
-            blame.on_join(caller, self, t0, k.clock.now_us)
+            blame.on_join(caller, self, t0, k.clock._now_us)
         return self.result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -230,7 +233,8 @@ class Kernel:
         self._seq = 0
         self._resources: dict[str, Resource] = {}
         self._current: Task | None = None
-        self._alive: list[Task] = []
+        #: Spawned and not finished: an ordered set (spawn order, O(1) removal).
+        self._alive: dict[Task, None] = {}
         self._running = False
         self._handled = 0
         #: The first exception of a run, parked by whichever thread hit it
@@ -286,19 +290,19 @@ class Kernel:
         advance_to` applies at scheduling time too, so the bug surfaces
         where it was made.
         """
-        if t_us < self.clock.now_us:
+        if not t_us >= self.clock._now_us:  # a NaN is in the past too
             raise KernelError(
                 f"event scheduled in the past: t={t_us} < now "
-                f"{self.clock.now_us}"
+                f"{self.clock._now_us}"
             )
         heapq.heappush(self._heap, (t_us, self._seq, fn))
         self._seq += 1
 
     def after(self, delay_us: float, fn) -> None:
         """Schedule ``fn()`` ``delay_us`` from now."""
-        if delay_us < 0:
+        if not delay_us >= 0:
             raise KernelError(f"negative delay: {delay_us}")
-        self.at(self.clock.now_us + delay_us, fn)
+        self.at(self.clock._now_us + delay_us, fn)
 
     def spawn(self, fn, name: str = "task", at_us: float | None = None) -> Task:
         """Create a task running ``fn()`` starting at ``at_us`` (now by
@@ -306,9 +310,9 @@ class Kernel:
         task = Task(self, fn, name)
         # Scheduled first: a start time in the past raises before the
         # task is registered anywhere.
-        self.at(self.clock.now_us if at_us is None else at_us,
-                lambda: self._dispatch(task))
-        self._alive.append(task)
+        self.at(self.clock._now_us if at_us is None else at_us,
+                partial(self._dispatch, task))
+        self._alive[task] = None
         if self.blame is not None:
             # Only a live, unfinished task counts as the parent.  Event
             # callbacks run with no current task and admission-control
@@ -316,7 +320,7 @@ class Kernel:
             # the jobs they spawn are roots, not children.
             cur = self._current
             parent = cur if cur is not None and not cur.done else None
-            self.blame.on_spawn(task, parent, self.clock.now_us)
+            self.blame.on_spawn(task, parent, self.clock._now_us)
         return task
 
     def in_task(self) -> bool:
@@ -330,25 +334,64 @@ class Kernel:
         """Queue ``service_us`` of work on ``channel``; blocks the calling
         task until the service completes (FIFO behind earlier requests
         when all lanes are busy)."""
-        task = self._require_current("Kernel.serve")
-        if service_us < 0:
+        task = self._current
+        host = task and task._host
+        if not host or host.ident != get_ident():
+            raise KernelError(
+                "Kernel.serve must be called from inside a kernel task")
+        if not service_us >= 0:  # negative, or NaN
             raise ValueError(f"negative service time: {service_us}")
-        res = self.resource(channel)
-        res.accrue_depth(self.clock.now_us)
-        req = _Request(task, float(service_us), charge,
-                       enqueue_us=self.clock.now_us)
-        if res.in_service < res.lanes:
-            self._start_service(res, req)
-        else:
-            res.queue.append(req)
-        if res.depth > res.peak_depth:
-            res.peak_depth = res.depth
-        self._block(task)
+        service_us = float(service_us)
+        try:
+            res = self._resources[channel]
+        except KeyError:
+            res = self.resource(channel)
+        clock = self.clock
+        now = clock._now_us
+        end = now + service_us
+        heap = self._heap
+        depth = res.in_service
+        if (depth >= res.lanes or res.queue or self._failure is not None
+                or (heap and heap[0][0] <= end)):  # a tie pops first
+            res.accrue_depth(now)
+            req = (task, service_us, charge, now)
+            if depth < res.lanes:
+                self._start_service(res, req)
+            else:
+                res.queue.append(req)
+            if res.depth > res.peak_depth:
+                res.peak_depth = res.depth
+            self._block(task)
+            return
+        # An elided event (module docstring): accrue_depth at ``now`` and at
+        # ``end``, then _complete's float operations in _complete's order.
+        area_t = res._area_t_us
+        if now > area_t:
+            res.depth_area_us += depth * (now - area_t)
+            area_t = now
+        depth += 1
+        if depth > res.peak_depth:
+            res.peak_depth = depth
+        if end > area_t:
+            res.depth_area_us += depth * (end - area_t)
+            area_t = end
+        res._area_t_us = area_t
+        res.served += 1
+        res.busy_us += service_us
+        if charge:
+            busy = clock._busy_us
+            busy[channel] = busy.get(channel, 0.0) + service_us
+        clock._now_us = end
+        self._handled += 1
+        if self.blame is not None:
+            self._current = None  # what a completion event's hook sees
+            self.blame.on_serve(task, channel, now, now, end)
+            self._current = task
 
     def sleep(self, delay_us: float) -> None:
         """Suspend the calling task for ``delay_us`` of simulated time."""
         task = self._require_current("Kernel.sleep")
-        self.after(delay_us, lambda: self._dispatch(task))
+        self.after(delay_us, partial(self._dispatch, task))
         self._block(task)
 
     # -- engine ------------------------------------------------------------
@@ -373,7 +416,7 @@ class Kernel:
             except BaseException as exc:  # raised on this thread itself
                 self._park(exc)
             if self._failure is None and self._alive:
-                names = ", ".join(t.name for t in self._alive[:8])
+                names = ", ".join(t.name for t in list(self._alive)[:8])
                 self._failure = KernelError(
                     f"deadlock: {len(self._alive)} task(s) blocked with no "
                     f"pending events ({names})"
@@ -383,6 +426,8 @@ class Kernel:
                 raise self._failure
             return self._handled
         finally:
+            # Once per run: every reader takes a delta around whole runs.
+            HOT.kernel_heap_pops += self._handled
             self._retire()
             self._failure = None
             self._running = False
@@ -448,9 +493,11 @@ class Kernel:
                 to = driver
             elif heap:
                 t_us, _, fn = heappop(heap)
-                HOT.kernel_heap_pops += 1
                 try:
-                    clock.advance_to(t_us)
+                    if t_us > clock._now_us:
+                        clock._now_us = float(t_us)
+                    elif t_us < clock._now_us:
+                        clock.advance_to(t_us)  # raises: time ran past it
                     fn()
                 except BaseException as exc:
                     self._park(exc)
@@ -545,35 +592,35 @@ class Kernel:
             if task.error is not None:
                 self._park(task.error)
 
-    def _start_service(self, res: Resource, req: _Request) -> None:
+    def _start_service(self, res: Resource, req: tuple) -> None:
+        """A lane takes ``req``: ``(task, service_us, charge, enqueue_us)``."""
         res.in_service += 1
-        req.start_us = self.clock.now_us
-        end_us = self.clock.now_us + req.service_us
-        self.at(end_us, lambda: self._complete(res, req))
+        now = self.clock._now_us
+        self.at(now + req[1], partial(self._complete, res, req, now))
 
-    def _complete(self, res: Resource, req: _Request) -> None:
-        now = self.clock.now_us
+    def _complete(self, res: Resource, req: tuple, start_us: float) -> None:
+        task, service_us, charge, enqueue_us = req
+        now = self.clock._now_us
         res.accrue_depth(now)
         res.in_service -= 1
         res.served += 1
-        res.busy_us += req.service_us
-        if req.charge:
-            self.clock.charge(res.name, req.service_us)
+        res.busy_us += service_us
+        if charge:
+            self.clock.charge(res.name, service_us)
         if self.blame is not None:
-            self.blame.on_serve(req.task, res.name,
-                                req.enqueue_us, req.start_us, now)
+            self.blame.on_serve(task, res.name, enqueue_us, start_us, now)
         if res.queue and res.in_service < res.lanes:
             self._start_service(res, res.queue.popleft())
-        self._dispatch(req.task)
+        self._dispatch(task)
 
     def _finish(self, task: Task) -> None:
         """Completion bookkeeping, run on the finishing task's thread."""
-        self._alive.remove(task)
-        now = self.clock.now_us
+        del self._alive[task]
+        now = self.clock._now_us
         if self.blame is not None:
             self.blame.on_task_end(task, now)
         for joiner in task._joiners:
-            self.at(now, lambda j=joiner: self._dispatch(j))
+            self.at(now, partial(self._dispatch, joiner))
         task._joiners.clear()
         for cb in task._done_cbs:
             cb(task)
@@ -651,7 +698,7 @@ class AdmissionControl:
     def submit(self, fn, name: str = "job") -> bool:
         """Admit or shed one job; returns False when shed (rejected)."""
         self.stats.arrived += 1
-        arrival = self.kernel.clock.now_us
+        arrival = self.kernel.clock._now_us
         if self.inflight < self.max_inflight:
             self._start(fn, name, arrival)
         elif len(self._waiting) < self.max_queue:
@@ -661,8 +708,9 @@ class AdmissionControl:
             if self.blame is not None:
                 self.blame.on_shed(name, arrival)
             return False
-        if self.depth > self.peak_depth:
-            self.peak_depth = self.depth
+        depth = len(self._waiting) + self.inflight
+        if depth > self.peak_depth:
+            self.peak_depth = depth
         return True
 
     def _start(self, fn, name: str, arrival_us: float) -> None:
@@ -671,14 +719,14 @@ class AdmissionControl:
         task = self.kernel.spawn(fn, name=name)
         if self.blame is not None:
             self.blame.on_job_start(task, name, arrival_us,
-                                    self.kernel.clock.now_us)
+                                    self.kernel.clock._now_us)
         task.add_done_callback(self._job_done)
 
     def _job_done(self, task: Task) -> None:
         self.inflight -= 1
         self.stats.completed += 1
         if self.blame is not None:
-            self.blame.on_job_done(task, self.kernel.clock.now_us)
+            self.blame.on_job_done(task, self.kernel.clock._now_us)
         if self._waiting and self.inflight < self.max_inflight:
             fn, name, arrival = self._waiting.popleft()
             self._start(fn, name, arrival)

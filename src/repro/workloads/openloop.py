@@ -239,7 +239,7 @@ def schedule_arrivals(kernel: Kernel, arrivals, count: int, submit) -> None:
         i = next(remaining, None)
         if i is None:
             return
-        now = kernel.clock.now_us
+        now = kernel.clock._now_us
         submit(i, now)
         if i + 1 < count:
             kernel.at(arrivals.next_after(now), arrive)
@@ -280,12 +280,12 @@ def drive(
 
     def submit(i: int, arrival_us: float) -> None:
         def body():
-            begin = clock.now_us
+            begin = clock._now_us
             serve(i)
             waits.append(begin - arrival_us)
-            responses.append(clock.now_us - arrival_us)
+            responses.append(clock._now_us - arrival_us)
             if arrivals is None:
-                kernel.at(clock.now_us, next_client_query)
+                kernel.at(clock._now_us, next_client_query)
 
         admission.submit(body, name=f"q{i}")
 
@@ -297,7 +297,7 @@ def drive(
             # free by the time it runs and the new task is a root.
             i = next(pending, None)
             if i is not None:
-                submit(i, clock.now_us)
+                submit(i, clock._now_us)
 
         for _ in range(min(concurrency, count)):
             kernel.at(start_us, next_client_query)

@@ -96,17 +96,44 @@ def test_advance_to_rejects_time_travel():
     assert clock.now_us == 10.0  # a rejected jump leaves the clock untouched
 
 
+# -- NaN is not a time -------------------------------------------------------
+# ``nan < 0`` is false, so a guard written that way lets it through and
+# every later reading of the clock is nan.  All four entry points refuse.
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("poison", [
+    lambda clock: clock.advance(NAN),
+    lambda clock: clock.advance_to(NAN),
+    lambda clock: clock.consume("ssd", NAN),
+    lambda clock: clock.consume("cpu", NAN, charge=False),
+    lambda clock: clock.charge("ssd", NAN),
+], ids=["advance", "advance_to", "consume", "consume_uncharged", "charge"])
+def test_nan_is_rejected_and_leaves_the_clock_untouched(poison):
+    clock = VirtualClock()
+    clock.consume("ssd", 10.0)
+    with pytest.raises(ValueError):
+        poison(clock)
+    assert clock.now_us == 10.0
+    assert clock.busy_us("ssd") == 10.0
+
+
+def test_nan_start_rejected():
+    with pytest.raises(ValueError):
+        VirtualClock(NAN)
+
+
 # -- the consume seam --------------------------------------------------------
 
 class _StubKernel:
-    """Records serve() calls; ``in_task`` is scripted per test."""
+    """Records serve() calls.  The seam is one test — "does the kernel
+    name a current task?" — scripted per test; ``serve`` itself is where
+    the real kernel checks that the caller is that task."""
 
     def __init__(self, in_task: bool) -> None:
-        self._in_task = in_task
+        self._current = object() if in_task else None
         self.calls = []
-
-    def in_task(self) -> bool:
-        return self._in_task
 
     def serve(self, channel, delta_us, charge=True):
         self.calls.append((channel, delta_us, charge))

@@ -131,6 +131,36 @@ def test_past_event_rejected():
         k.after(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("poison, error", [
+    (lambda k: k.clock.consume("dev", float("nan")), ValueError),
+    (lambda k: k.serve("dev", float("nan")), ValueError),
+    (lambda k: k.sleep(float("nan")), KernelError),
+    (lambda k: k.at(float("nan"), lambda: None), KernelError),
+    (lambda k: k.after(float("nan"), lambda: None), KernelError),
+    (lambda k: k.clock.advance(float("nan")), ValueError),
+    (lambda k: k.clock.charge("dev", float("nan")), ValueError),
+], ids=["consume", "serve", "sleep", "at", "after", "advance", "charge"])
+def test_nan_inside_a_task_fails_the_run_where_it_was_made(poison, error):
+    # ``nan < 0`` is false: the old guards let it through, the run
+    # returned normally and left now_us and busy_us("dev") as nan.
+    k = fresh_kernel()
+    seen = []
+
+    def body():
+        k.serve("dev", 5.0)
+        try:
+            poison(k)
+        finally:
+            seen.append((k.now_us, k.clock.busy_us("dev")))
+        k.serve("dev", 5.0)
+
+    k.spawn(body, name="poisoned")
+    with pytest.raises(error):
+        k.run()
+    assert seen == [(5.0, 5.0)]
+    assert k.now_us == 5.0 and k.resource("dev").busy_us == 5.0
+
+
 def test_serve_outside_task_rejected():
     k = fresh_kernel()
     with pytest.raises(KernelError):
@@ -191,6 +221,23 @@ def test_mutual_join_deadlock_raises():
     tasks["b"] = k.spawn(b, name="b")
     with pytest.raises(KernelError, match="deadlock"):
         k.run()
+
+
+def test_deadlock_names_the_first_eight_tasks_in_spawn_order():
+    k = fresh_kernel()
+    tasks = []
+    # Each joins its successor, the last joins the first; the middle
+    # ones finish nothing either, and two that do finish are not named.
+    k.spawn(lambda: None, name="done-early")
+    for i in range(10):
+        tasks.append(k.spawn(lambda i=i: tasks[(i + 1) % 10].join(),
+                             name=f"stuck{i}"))
+    k.spawn(lambda: k.serve("dev", 1.0), name="done-late")
+    with pytest.raises(KernelError) as err:
+        k.run()
+    assert str(err.value) == (
+        "deadlock: 10 task(s) blocked with no pending events ("
+        + ", ".join(f"stuck{i}" for i in range(8)) + ")")
 
 
 def test_task_error_propagates_and_unwinds():

@@ -202,6 +202,32 @@ def test_sigint_stops_the_run_at_the_next_yield_point():
         signal.signal(signal.SIGINT, previous)
     assert len(served) < 1_000_000
     assert threading.active_count() == before
+    # Nothing else was ever due, so every one of those serves completed
+    # inline — except the first after the interrupt was parked, which
+    # took the heap so that the task reached the pump and was unwound.
+    assert k._seq == 2  # the spawn, and that one
+
+
+def test_a_parked_failure_stops_inline_serves_at_the_next_one():
+    """The same stop, made deterministic: the failure is parked (as the
+    interrupted driver parks it) between two serves nothing contends."""
+    before = threading.active_count()
+    k = fresh_kernel()
+    served = []
+
+    def body():
+        for i in range(10):
+            if i == 5:
+                k._park(KeyboardInterrupt())
+            k.serve("dev", 1.0)
+            served.append(i)
+
+    k.spawn(body, name="long")
+    with pytest.raises(KeyboardInterrupt):
+        k.run()
+    assert served == [0, 1, 2, 3, 4]
+    assert k.now_us == 5.0  # the sixth service never completed
+    assert threading.active_count() == before
 
 
 # -- spawn validates before it registers -----------------------------------
@@ -267,3 +293,28 @@ def test_callback_on_a_blocked_tasks_thread_is_not_that_task():
     assert tasks["job"]["who"] == "job"
     assert tasks["blocked"]["who"] == "blocked"
     assert "who" not in tasks["shard0"]
+
+
+def test_the_serve_hook_sees_the_same_kernel_inline_and_from_the_heap():
+    """An observer cannot tell an elided completion from a popped one:
+    clock at the end of service, no current task, the lane released."""
+    k = fresh_kernel()
+    seen = []
+
+    class Hook(BlameRecorder):
+        def on_serve(self, task, resource, enqueue_us, start_us, end_us):
+            res = k.resource(resource)
+            seen.append((k._seq, k._current, k.now_us == end_us,
+                         res.in_service, res.served))
+
+    Hook().attach(k)
+
+    def body():
+        k.serve("dev", 1.0)           # nothing else due: inline
+        k.at(k.now_us + 0.5, lambda: None)
+        k.serve("dev", 1.0)           # an event falls inside: the heap
+
+    k.spawn(body, name="t")
+    k.run()
+    # (heap entries pushed so far, current task, clock, in service, served)
+    assert seen == [(1, None, True, 0, 1), (3, None, True, 0, 2)]

@@ -5,8 +5,15 @@ kernel it replaced did.
 verbatim.  Random programs run under both and everything observable is
 compared with ``==`` — floats included: the claim is the same events in
 the same order at the same times, not a close schedule.
+
+The reference queues every ``serve`` as a heap event; the kernel under
+test completes an uncontended one inline (an *elided* event, see its
+module docstring).  The random programs mix both kinds freely; the
+directed cases at the bottom sit on the edges of that rule and also say
+how many events were elided: events handled minus heap entries pushed.
 """
 
+import math
 import threading
 from dataclasses import asdict
 
@@ -125,6 +132,7 @@ def execute(mod, program, with_blame: bool) -> dict:
     out["admission"] = (asdict(admission.stats), admission.peak_depth,
                         admission.inflight, admission.queue_depth)
     out["results"] = [(t.name, t.done, t.result) for t in tasks]
+    out["pushed"] = k._seq
     if blame is not None:
         out["blame"] = (list(blame.records), blame.totals, blame.shed_count)
     return out
@@ -135,6 +143,14 @@ def assert_same_schedule(program, with_blame: bool) -> dict:
     got = execute(baton, program, with_blame)
     assert threading.active_count() == threads
     want = execute(reference, program, with_blame)
+    # The one thing allowed to differ: the reference pushes every event.
+    pushed = got.pop("pushed")
+    if "handled" in want:
+        assert want.pop("pushed") == want["handled"]
+        got["elided"] = got["handled"] - pushed
+        want["elided"] = got["elided"]
+    else:
+        del want["pushed"]
     # Key by key, so a failure names what diverged.
     assert got.keys() == want.keys()
     for key in want:
@@ -156,3 +172,84 @@ def test_a_failing_task_stops_both_kernels_at_the_same_event(program,
     # Either the poisoned task got to run (same error, same trace up to
     # it) or admission shed it (both kernels drain normally).
     assert_same_schedule(program, with_blame)
+
+
+# -- directed cases at the edges of the elision rule ---------------------------
+
+def program(tasks, ticks=(), lanes=(1,)):
+    return {"lanes": list(lanes), "max_inflight": 1, "max_queue": 0,
+            "tasks": [(start, "spawn", ops) for start, ops in tasks],
+            "ticks": list(ticks)}
+
+
+def serve(us, res=0):
+    return ("serve", res, us, True)
+
+
+def both_ways(prog) -> dict:
+    got = assert_same_schedule(prog, with_blame=True)
+    assert assert_same_schedule(prog, with_blame=False)["elided"] == \
+        got["elided"]
+    return got
+
+
+def test_an_event_due_at_the_completion_instant_runs_before_it():
+    # The tick was pushed first, so at equal times it pops first: the
+    # serve may not be completed inline.
+    got = both_ways(program([(0.0, [serve(1.0)])], ticks=[1.0]))
+    assert got["trace"] == [(1.0, "tick", 0), (1.0, "t0", 0)]
+    assert got["elided"] == 0
+
+
+def test_an_event_due_one_ulp_after_the_completion_runs_after_it():
+    later = math.nextafter(1.0, math.inf)
+    got = both_ways(program([(0.0, [serve(1.0)])], ticks=[later]))
+    assert got["trace"] == [(1.0, "t0", 0), (later, "tick", 0)]
+    assert got["elided"] == 1
+
+
+def test_a_zero_length_service_alone_is_elided():
+    got = both_ways(program([(0.0, [serve(0.0), serve(0.0)])]))
+    assert got["trace"] == [(0.0, "t0", 0), (0.0, "t0", 1)]
+    assert got["resources"] == [("r0", 1, 2, 0.0, 1, 0.0)]
+    assert got["elided"] == 2
+
+
+def test_a_zero_length_service_yields_to_a_same_time_event():
+    got = both_ways(program([(0.0, [serve(0.0)])], ticks=[0.0]))
+    assert got["trace"] == [(0.0, "tick", 0), (0.0, "t0", 0)]
+    assert got["elided"] == 0
+
+
+def test_a_free_lane_beside_a_busy_one_still_elides():
+    # t0 holds one of two lanes until 10 (queued: t1's start is due
+    # first); t1's 2us on the other lane has nothing due before it ends.
+    got = both_ways(program([(0.0, [serve(10.0)]), (1.0, [serve(2.0)])],
+                            lanes=(2,)))
+    assert got["trace"] == [(3.0, "t1", 0), (10.0, "t0", 0)]
+    # depth 1 over [0,1) and [3,10), depth 2 over [1,3)
+    assert got["resources"] == [("r0", 2, 2, 12.0, 2, 12.0)]
+    assert got["elided"] == 1
+
+
+def test_queued_requests_after_an_elided_one_keep_the_depth_integral():
+    # t0's first serve is elided (heap empty).  Its fork is then due
+    # inside the second serve, which is queued on the heap; the child's
+    # request waits behind it for the single lane.
+    got = both_ways(program([(0.0, [serve(1.0), ("fork", [serve(2.0)]),
+                                    serve(5.0)])]))
+    assert got["trace"] == [(1.0, "t0", 0), (1.0, "t0", 1), (6.0, "t0", 2),
+                            (8.0, "t0.1", 0)]
+    # depth 1 over [0,1), 2 over [1,6), 1 over [6,8)
+    assert got["resources"] == [("r0", 1, 3, 8.0, 2, 13.0)]
+    assert got["elided"] == 1
+
+
+def test_a_task_that_raises_stops_a_run_of_elidable_serves():
+    # t0's serves end at 1, 2, ... and are elided until t1's start (5.5)
+    # falls inside one; t1 raises, and t0 is unwound where it blocked.
+    prog = program([(0.0, [serve(1.0)] * 50), (5.5, [("boom",)])])
+    for with_blame in (False, True):
+        got = assert_same_schedule(prog, with_blame)
+        assert got["raised"] == "boom in t1"
+        assert got["trace"] == [(float(i + 1), "t0", i) for i in range(5)]
