@@ -152,13 +152,18 @@ class ResultBlock:
         """Invalid result entry number — Fig. 11's victim-ranking key."""
         return self.num_slots - self.valid_count
 
+    # Hot (an L2 result hit clears, its L1 victim may set): the range is
+    # tested inline and _check_slot called only to raise.
+
     def set_valid(self, slot: int, key: tuple[int, ...]) -> None:
-        self._check_slot(slot)
+        if not 0 <= slot < self.num_slots:
+            self._check_slot(slot)
         self.flags |= 1 << slot
         self.entries[slot] = key
 
     def clear_valid(self, slot: int) -> None:
-        self._check_slot(slot)
+        if not 0 <= slot < self.num_slots:
+            self._check_slot(slot)
         self.flags &= ~(1 << slot)
 
     def is_valid(self, slot: int) -> bool:

@@ -192,7 +192,7 @@ class ThreeLevelCacheManager(CacheManager):
         for demand in plan.demands:
             if demand.term_id in served:
                 continue
-            src_mem, src_ssd, src_hdd = self._fetch_list(
+            src_mem, src_ssd, src_hdd = self.list_cache.fetch(
                 demand.term_id, demand.needed_bytes, demand.list_bytes, demand.pu
             )
             used_mem |= src_mem
@@ -206,14 +206,15 @@ class ThreeLevelCacheManager(CacheManager):
                + costs.per_posting_us * (remaining_postings + inter_postings)
                + costs.per_result_us * self.processor.top_k)
         self.clock.consume(self.hierarchy.cpu_channel, cpu, charge=False)
-        self.processor.execute(plan, materialize=self.materialize_results)
+        if self.materialize_results:
+            self.processor.execute(plan, materialize=True)
         entry = CachedResult(
             query_key=query.key,
             nbytes=self.config.result_entry_bytes,
             created_us=self.clock.now_us,
         )
-        self._admit_result_l1(entry, from_lower=False)
-        self._maybe_refresh_static_result(query.key, entry)
+        self.result_cache.admit_l1(entry, from_lower=False)
+        self.result_cache.maybe_refresh_static(query.key, entry)
 
         self._admit_intersections(query, plan, served)
 

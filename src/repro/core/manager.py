@@ -21,7 +21,8 @@ out of one replay loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from repro.core.config import CacheConfig
 from repro.core.entries import CachedResult
@@ -41,10 +42,13 @@ from repro.storage.hierarchy import HierarchyConfig, StorageHierarchy
 
 __all__ = ["QueryOutcome", "CacheManager", "build_hierarchy_for"]
 
+# Read once: a member read off the Enum class goes through the metaclass.
+_S1 = Situation.S1
+_S3 = Situation.S3
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """What happened to one query."""
+
+class QueryOutcome(NamedTuple):
+    """What happened to one query (built once per query: a tuple)."""
 
     query: Query
     situation: Situation
@@ -224,27 +228,18 @@ class CacheManager:
         return outcome
 
     def _process_query(self, query: Query) -> QueryOutcome:
-        t0 = self.clock.now_us
-        key = query.key
-
-        hit_level = self._lookup_result(key)
+        clock = self.clock
+        t0 = clock._now_us  # the slot: no property frame
+        hit_level = self.result_cache.lookup(query.key)
         if hit_level == 1:
-            situation = Situation.S1
+            situation = _S1
         elif hit_level == 2:
-            situation = Situation.S3
+            situation = _S3
         else:
             situation = self._compute_query(query)
-        response = self.clock.now_us - t0
+        response = clock._now_us - t0
         self.stats.record_query(situation, response)
-        return QueryOutcome(
-            query=query,
-            situation=situation,
-            response_us=response,
-            result_hit_level=hit_level,
-        )
-
-    def _lookup_result(self, key: tuple[int, ...]) -> int:
-        return self.result_cache.lookup(key)
+        return QueryOutcome(query, situation, response, hit_level)
 
     def _compute_query(self, query: Query) -> Situation:
         """Result miss: fetch lists, score, cache the new result entry."""
@@ -252,7 +247,7 @@ class CacheManager:
         plan = self.processor.plan(query)
         used_mem = used_ssd = used_hdd = False
         for demand in plan.demands:
-            src_mem, src_ssd, src_hdd = self._fetch_list(
+            src_mem, src_ssd, src_hdd = self.list_cache.fetch(
                 demand.term_id, demand.needed_bytes, demand.list_bytes, demand.pu
             )
             used_mem |= src_mem
@@ -264,33 +259,20 @@ class CacheManager:
         # work still contends for the shard's CPU lanes.
         self.clock.consume(self.hierarchy.cpu_channel,
                            self.processor.cpu_time_us(plan), charge=False)
-        self.processor.execute(plan, materialize=self.materialize_results)
+        if self.materialize_results:
+            # (CPU time came from cpu_time_us; a surrogate has no reader.)
+            self.processor.execute(plan, materialize=True)
         entry = CachedResult(
             query_key=query.key,
             nbytes=self.config.result_entry_bytes,
             created_us=self.clock.now_us,
         )
-        self._admit_result_l1(entry, from_lower=False)
-        self._maybe_refresh_static_result(query.key, entry)
+        self.result_cache.admit_l1(entry, from_lower=False)
+        self.result_cache.maybe_refresh_static(query.key, entry)
         if not (used_mem or used_ssd or used_hdd):
             # Degenerate: every demand was zero bytes — treat as memory.
             used_mem = True
         return Situation.for_lists(used_mem, used_ssd, used_hdd)
-
-    # Delegates kept for subclasses (e.g. ThreeLevelCacheManager) and
-    # behaviour parity with the pre-decomposition manager.
-
-    def _fetch_list(
-        self, term_id: int, needed: int, total_bytes: int, pu: float
-    ) -> tuple[bool, bool, bool]:
-        return self.list_cache.fetch(term_id, needed, total_bytes, pu)
-
-    def _admit_result_l1(self, entry: CachedResult, from_lower: bool) -> None:
-        self.result_cache.admit_l1(entry, from_lower)
-
-    def _maybe_refresh_static_result(self, key: tuple[int, ...],
-                                     fresh: CachedResult) -> None:
-        self.result_cache.maybe_refresh_static(key, fresh)
 
     # ------------------------------------------------------------------
     # CBSLRU static partition (Section VI.C.2)
@@ -370,14 +352,6 @@ class CacheManager:
     @property
     def l1_lists(self):
         return self.list_cache.l1
-
-    @property
-    def _l1_result_bytes(self) -> int:
-        return self.result_cache.l1_bytes
-
-    @property
-    def _l1_list_bytes(self) -> int:
-        return self.list_cache.l1_bytes
 
     @property
     def l2_result_map(self):

@@ -31,6 +31,10 @@ if TYPE_CHECKING:
 
 __all__ = ["ResultCache"]
 
+# Read once: a member read off the Enum class goes through the metaclass.
+_NORMAL = EntryState.NORMAL
+_REPLACEABLE = EntryState.REPLACEABLE
+
 
 class ResultCache:
     """Two-level result cache (query management + replacement, result side)."""
@@ -87,8 +91,13 @@ class ResultCache:
 
         self.write_buffer = WriteBuffer(config.entries_per_rb)
         self._next_rb_id = 0
+        # The config is frozen: what it rules out is decided here, once.
+        self._ttl_us = config.ttl_us
+        self._exclusive = config.scheme is Scheme.EXCLUSIVE
+        self._inclusive = config.scheme is Scheme.INCLUSIVE
 
     def _expired(self, entry) -> bool:
+        """The cold form; ``_lookup`` makes the same compare inline."""
         return entry.expired(self.clock.now_us, self.config.ttl_us)
 
     # ------------------------------------------------------------------
@@ -111,10 +120,13 @@ class ResultCache:
         return level
 
     def _lookup(self, key: tuple[int, ...]) -> int:
-        cfg = self.config
+        # Expiry is ``CachedResult.expired`` inline (ttl 0: nothing expires);
+        # the clock is re-read per test, a dropped stale copy can move it.
+        ttl = self._ttl_us
+        clock = self.clock
         entry = self.l1.get(key)
         if entry is not None:
-            if self._expired(entry):
+            if ttl > 0 and clock._now_us - entry.created_us > ttl:
                 self.l1.pop(key)
                 self.l1_bytes -= entry.nbytes
                 self.events.evict(EvictEvent(kind="result", key=key, level="l1",
@@ -123,7 +135,7 @@ class ResultCache:
                 self.stats.expired_results += 1
             else:
                 self.l1.touch(key)
-                entry.touch()
+                entry.freq += 1
                 self.mem.read(0, entry.nbytes)
                 self.stats.result_l1_hits += 1
                 return 1
@@ -131,22 +143,23 @@ class ResultCache:
         # Entries staged in the write buffer still live in DRAM.
         staged = self.write_buffer.take(key)
         if staged is not None:
-            if self._expired(staged):
+            if ttl > 0 and clock._now_us - staged.created_us > ttl:
                 self.stats.expired_results += 1
             else:
-                staged.touch()
+                staged.freq += 1
                 self.mem.read(0, staged.nbytes)
                 self.admit_l1(staged, from_lower=True)
                 self.stats.result_l1_hits += 1
                 return 1
 
-        if not cfg.uses_ssd:
+        if not self.config.uses_ssd:
             return 0
 
         static = self.static.get(key)
-        if static is not None and not self._expired(static):
+        if static is not None and not (
+                ttl > 0 and clock._now_us - static.created_us > ttl):
             self.ssd.read(static.lba, static.nbytes)
-            static.touch()
+            static.freq += 1
             copy = CachedResult(query_key=key, nbytes=static.nbytes,
                                 freq=static.freq, created_us=static.created_us)
             self.admit_l1(copy, from_lower=True)
@@ -154,27 +167,30 @@ class ResultCache:
             return 2
 
         entry = self.l2_map.get(key)
-        if entry is not None and self._expired(entry):
+        if (entry is not None and ttl > 0
+                and clock._now_us - entry.created_us > ttl):
             self.drop_l2(key, trim=True, reason="expired")
             self.stats.expired_results += 1
             entry = None
         if entry is not None:
             self.ssd.read(entry.lba, entry.nbytes)
-            entry.touch()
+            entry.freq += 1
             copy = CachedResult(query_key=key, nbytes=entry.nbytes,
                                 freq=entry.freq, created_us=entry.created_us)
-            if cfg.scheme is Scheme.EXCLUSIVE:
+            if self._exclusive:
                 self.drop_l2(key, trim=True, reason="exclusive-promote")
             else:
                 # Hybrid/inclusive: the SSD copy turns REPLACEABLE but keeps
                 # its mapping so a later eviction can skip the rewrite.
-                entry.state = EntryState.REPLACEABLE
+                entry.state = _REPLACEABLE
                 if entry.rb_id is not None:
-                    rb = self.rb_map[entry.rb_id]
-                    if entry.slot is not None and rb.is_valid(entry.slot):
-                        rb.clear_valid(entry.slot)
-                    if entry.rb_id in self.rb_lru:
+                    if entry.slot is not None:
+                        # (clearing an already clear bit is a no-op)
+                        self.rb_map[entry.rb_id].clear_valid(entry.slot)
+                    try:
                         self.rb_lru.touch(entry.rb_id)
+                    except KeyError:
+                        pass  # an RB still being assembled is not ranked yet
                 elif key in self.l2_lru:
                     self.l2_lru.touch(key)
             self.admit_l1(copy, from_lower=True)
@@ -197,42 +213,43 @@ class ResultCache:
 
     def admit_l1(self, entry: CachedResult, from_lower: bool) -> None:
         """Insert a result entry into the memory result cache."""
-        cfg = self.config
-        if entry.nbytes > cfg.mem_result_bytes:
+        nbytes = entry.nbytes
+        budget = self.config.mem_result_bytes
+        if nbytes > budget:
             return  # cache too small for even one entry
-        while self.l1_bytes + entry.nbytes > cfg.mem_result_bytes:
+        events = self.events
+        while self.l1_bytes + nbytes > budget:
             _, victim = self.l1.pop_lru()
             self.l1_bytes -= victim.nbytes
-            self.events.evict(EvictEvent(kind="result", key=victim.query_key,
-                                         level="l1", nbytes=victim.nbytes,
-                                         reason="capacity"))
+            events.evict(EvictEvent(kind="result", key=victim.query_key,
+                                    level="l1", nbytes=victim.nbytes,
+                                    reason="capacity"))
             self._on_evicted(victim)
         self.l1.insert(entry.query_key, entry)
-        self.l1_bytes += entry.nbytes
-        self.events.admit(AdmitEvent(kind="result", key=entry.query_key,
-                                     level="l1", nbytes=entry.nbytes))
-        if cfg.scheme is Scheme.INCLUSIVE and cfg.uses_ssd and not from_lower:
+        self.l1_bytes += nbytes
+        events.admit(AdmitEvent(kind="result", key=entry.query_key,
+                                level="l1", nbytes=nbytes))
+        if self._inclusive and not from_lower and self.config.uses_ssd:
             # Write-through: an inclusive L2 always holds what L1 holds.
             self.push_to_l2(entry)
 
     def _on_evicted(self, victim: CachedResult) -> None:
-        cfg = self.config
-        if not cfg.uses_ssd or victim.query_key in self.static:
+        key = victim.query_key
+        if not self.config.uses_ssd or key in self.static:
             return
-        if cfg.scheme is Scheme.INCLUSIVE:
+        if self._inclusive:
             return  # already written through
         if not self.policy.cost_based:
             self._lru_to_ssd(victim)
             return
-        if self._copy_usable(victim.query_key):
+        entry = self.l2_map.get(key)
+        if entry is not None and entry.state is _REPLACEABLE:
             # Re-validate the REPLACEABLE SSD copy instead of rewriting.
-            entry = self.l2_map[victim.query_key]
-            entry.state = EntryState.NORMAL
+            entry.state = _NORMAL
             entry.freq = max(entry.freq, victim.freq)
             if entry.rb_id is not None:
-                rb = self.rb_map[entry.rb_id]
-                rb.set_valid(entry.slot, victim.query_key)
-            self.events.admit(AdmitEvent(kind="result", key=victim.query_key,
+                self.rb_map[entry.rb_id].set_valid(entry.slot, key)
+            self.events.admit(AdmitEvent(kind="result", key=key,
                                          level="l2", nbytes=entry.nbytes,
                                          reason="revalidate"))
             self.write_buffer.dropped_replaceable += 1
@@ -240,10 +257,6 @@ class ResultCache:
         batch = self.write_buffer.add(victim, already_on_ssd=False)
         if batch is not None:
             self._flush_block(batch)
-
-    def _copy_usable(self, key: tuple[int, ...]) -> bool:
-        entry = self.l2_map.get(key)
-        return entry is not None and entry.state is EntryState.REPLACEABLE
 
     # ------------------------------------------------------------------
     # L2 result cache (SSD side)
@@ -254,10 +267,11 @@ class ResultCache:
         if not self.policy.cost_based:
             self._lru_to_ssd(entry)
         else:
+            old = self.l2_map.get(entry.query_key)
             batch = self.write_buffer.add(
                 CachedResult(query_key=entry.query_key, nbytes=entry.nbytes,
                              freq=entry.freq, created_us=entry.created_us),
-                already_on_ssd=self._copy_usable(entry.query_key),
+                already_on_ssd=old is not None and old.state is _REPLACEABLE,
             )
             if batch is not None:
                 self._flush_block(batch)

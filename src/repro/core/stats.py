@@ -28,6 +28,12 @@ class Situation(enum.Enum):
     S8 = "lists from HDD"
     S9 = "lists from memory+SSD+HDD"
 
+    # Members are singletons: hashing by identity keeps the dicts that
+    # ``record_query`` updates per query out of the Python-level
+    # ``Enum.__hash__``.  Never iterate a *set* of situations (address
+    # order); dicts iterate in insertion order regardless.
+    __hash__ = object.__hash__
+
     @staticmethod
     def for_lists(mem: bool, ssd: bool, hdd: bool) -> "Situation":
         """Classify a computed query by the sources that served its lists."""

@@ -84,6 +84,8 @@ class InvertedIndex:
 
     def idf(self, term_id: int) -> float:
         """Lucene-style idf: 1 + ln(N / (df + 1))."""
+        if not 0 <= term_id < self.num_terms:
+            raise KeyError(f"term id {term_id} out of range")
         df = int(self.stats.doc_freqs[term_id])
         return 1.0 + math.log(self.num_docs / (df + 1))
 

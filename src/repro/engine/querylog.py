@@ -104,11 +104,37 @@ def generate_query_log(config: QueryLogConfig | None = None) -> QueryLog:
     damp = np.minimum(1.0, np.arange(1, config.vocab_size + 1) / 25.0) ** 0.5
     term_pick = term_probs * damp
     term_pick /= term_pick.sum()
+    term_cdf = np.cumsum(term_pick)
+    term_cdf /= term_cdf[-1]
+
+    def draw_terms(n: int) -> list[int]:
+        """``rng.choice(vocab_size, size=n, replace=False, p=term_pick)``
+        draw for draw (same terms, same generator state afterwards) without
+        re-validating ``p`` and re-running its cumsum for every query."""
+        new = term_cdf.searchsorted(rng.random(n), side="right")
+        terms = new.tolist()
+        if len(set(terms)) == n:
+            return terms
+        # A term came up twice.  Carry on as numpy's own loop does: keep
+        # first occurrences in draw order, zero what was found, redraw the
+        # shortfall from the renormalised distribution.
+        found, p = new[:0], term_pick.copy()
+        while True:
+            first = np.unique(new, return_index=True)[1]
+            first.sort()
+            found = np.concatenate((found, new.take(first)))
+            if found.size == n:
+                return found.tolist()
+            x = rng.random(n - found.size)
+            p[found] = 0
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            new = cdf.searchsorted(x, side="right")
 
     def draw_query(qid: int, seen_keys: dict) -> Query:
         n = int(rng.integers(config.min_terms, config.max_terms + 1))
-        terms = rng.choice(config.vocab_size, size=n, replace=False, p=term_pick)
-        q = Query(query_id=qid, terms=tuple(int(t) for t in terms),
+        terms = draw_terms(n)
+        q = Query(query_id=qid, terms=tuple(terms),
                   text=" ".join(f"term{t:05d}" for t in terms))
         key = q.key
         if key in seen_keys:

@@ -136,7 +136,7 @@ class SimulatedSSD:
 
     def read(self, lba: int, nbytes: int) -> float:
         """Read ``nbytes`` at sector ``lba``; returns service time in us."""
-        self._set_time(self.clock.now_us)
+        self._set_time(self.clock._now_us)  # the slot: no property frame
         start_byte = lba * SECTOR_BYTES
         end_byte = start_byte + nbytes
         if lba < 0 or nbytes <= 0 or end_byte > self._capacity_bytes:
@@ -155,12 +155,16 @@ class SimulatedSSD:
             ctrs = self._read_ctrs = (self.counters["read_ops"],
                                       self.counters["read_pages"],
                                       self.counters["access_time_us"])
-        ctrs[0].add(nbytes)
-        ctrs[1].add(0.0, n=npages)
-        ctrs[2].add(latency)
+        # The three Counter.add calls, inline: every L2 result hit reads.
+        ops, pages, busy = ctrs
+        ops.count += 1
+        ops.total += nbytes
+        pages.count += npages
+        busy.count += 1
+        busy.total += latency
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
-            now = self.clock.now_us
+            now = self.clock._now_us
             self.tracer.record(f"{self.name}.read", now - latency, now,
                                lba=lba, nbytes=nbytes, pages=npages)
         return latency
@@ -195,7 +199,7 @@ class SimulatedSSD:
         if tr is not None:
             # FTL activity rides on the span: GC erases triggered by this
             # host write show up as an attribute, not a guess.
-            now = self.clock.now_us
+            now = self.clock._now_us
             attrs = {"lba": lba, "nbytes": nbytes, "pages": npages}
             erased = self.ftl.nand.erases - erases_before
             if erased:
@@ -245,7 +249,7 @@ class SimulatedSSD:
         self.clock.charge(f"{self.name}-bg", used)
         if self.tracer is not None and used > 0:
             # Overlapped with host think time: zero-duration marker span.
-            now = self.clock.now_us
+            now = self.clock._now_us
             self.tracer.record(f"{self.name}.bg-gc", now, now, used_us=used)
         return used
 

@@ -101,7 +101,7 @@ class SimulatedHDD:
         ctrs[1].add(latency)
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
-            now = self.clock.now_us
+            now = self.clock._now_us
             self.tracer.record(f"{self.name}.read", now - latency, now,
                                lba=lba, nbytes=nbytes)
         return latency
@@ -113,7 +113,7 @@ class SimulatedHDD:
         self.counters.add("access_time_us", latency)
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
-            now = self.clock.now_us
+            now = self.clock._now_us
             self.tracer.record(f"{self.name}.write", now - latency, now,
                                lba=lba, nbytes=nbytes)
         return latency

@@ -200,7 +200,8 @@ class Histogram:
         return hi - lo
 
     def record(self, value: float) -> None:
-        if value < 0:
+        # ``not >=`` also rejects NaN (an arbitrary bucket, a NaN ``sum``).
+        if not value >= 0:
             raise ValueError(f"histogram samples must be non-negative, got {value}")
         HOT.histogram_records += 1
         bounds = self._bounds

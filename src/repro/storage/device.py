@@ -60,23 +60,36 @@ class DramModel:
         self.counters = CounterSet()
         #: Optional span tracer (repro.obs); None keeps the hot path bare.
         self.tracer = None
+        # (read_ops, access_time_us), resolved at the first read as
+        # SimulatedSSD does: no read, no change to the counter snapshot.
+        self._read_ctrs = None
 
     @property
     def capacity_bytes(self) -> int:
         return self._capacity
 
     def _cost_us(self, nbytes: int) -> float:
+        """The validating form: ``read`` inlines this and calls it to raise."""
         if nbytes < 0:
             raise ValueError("nbytes cannot be negative")
         return self.access_overhead_us + nbytes / (self.bandwidth_gb_s * 1e3)
 
     def read(self, lba: int, nbytes: int) -> float:
-        latency = self._cost_us(nbytes)
-        self.counters.add("read_ops", nbytes)
-        self.counters.add("access_time_us", latency)
+        if nbytes < 0:
+            self._cost_us(nbytes)  # raises
+        latency = self.access_overhead_us + nbytes / (self.bandwidth_gb_s * 1e3)
+        ctrs = self._read_ctrs
+        if ctrs is None:
+            ctrs = self._read_ctrs = (self.counters["read_ops"],
+                                      self.counters["access_time_us"])
+        ops, busy = ctrs
+        ops.count += 1
+        ops.total += nbytes
+        busy.count += 1
+        busy.total += latency
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
-            now = self.clock.now_us
+            now = self.clock._now_us
             self.tracer.record(f"{self.name}.read", now - latency, now,
                                nbytes=nbytes)
         return latency
@@ -87,7 +100,7 @@ class DramModel:
         self.counters.add("access_time_us", latency)
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
-            now = self.clock.now_us
+            now = self.clock._now_us
             self.tracer.record(f"{self.name}.write", now - latency, now,
                                nbytes=nbytes)
         return latency

@@ -142,15 +142,24 @@ def run_cached(
         static_analyze_queries=static_analyze_queries, seed=seed,
         telemetry=telemetry)
     queries = log.head(max_queries) if max_queries is not None else list(log)
-    erase_base = mgr.ssd.erase_count if mgr.ssd else 0
-    for i, query in enumerate(queries):
-        if i == warmup_queries:
-            mgr.stats.reset()
-            if mgr.ssd is not None:
-                erase_base = mgr.ssd.erase_count
-        mgr.process_query(query)
-        if idle_gc_us > 0 and mgr.ssd is not None:
-            mgr.ssd.idle_collect(idle_gc_us)
+    if warmup_queries < 0:
+        raise ValueError("warmup_queries cannot be negative")
+    ssd = mgr.ssd
+    # Decided once, not per query: idle GC is off unless asked for.
+    idle_gc = idle_gc_us > 0 and ssd is not None
+
+    def replay(batch) -> None:
+        process = mgr.process_query
+        for query in batch:
+            process(query)
+            if idle_gc:
+                ssd.idle_collect(idle_gc_us)
+
+    # A warm-up covering the whole log leaves zero measured queries.
+    replay(queries[:warmup_queries])
+    mgr.stats.reset()
+    erase_base = ssd.erase_count if ssd else 0
+    replay(queries[warmup_queries:])
     s = mgr.stats
     return RunResult(
         label=label or f"{cache_config.policy.value}-{index_on}",

@@ -2,7 +2,9 @@
 
 ``QueryProcessor._score`` and ``generate_posting_list`` are compared with
 the references in ``_engine_reference.py`` under ``==`` and exact array
-equality: the promise is identical results, not close ones.
+equality: the promise is identical results, not close ones.  So is
+``generate_query_log`` with ``_querylog_reference.py``, down to the state
+its random generator is left in.
 """
 
 import sys
@@ -15,8 +17,12 @@ from hypothesis import strategies as st
 from repro._hot import HOT
 from repro.engine.postings import PostingList, generate_posting_list
 from repro.engine.processor import ListDemand, QueryPlan, QueryProcessor
+from repro.engine import querylog
 from repro.engine.query import Query
+from repro.engine.querylog import QueryLogConfig, generate_query_log
+from repro.sim.rng import make_rng
 
+from . import _querylog_reference
 from ._engine_reference import reference_generate_posting_list, reference_score
 
 
@@ -189,3 +195,75 @@ def test_execute_makes_no_python_call_per_posting(small_index):
             lambda: processor.execute(plan, materialize=True)))
     assert counts[0] == counts[1]
     assert 0 < counts[0] < 50
+
+
+def _generated(module, generate, config, monkeypatch):
+    """The log ``generate`` builds and its generator's final state."""
+    made = []
+
+    def capturing(seed):
+        made.append(make_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(module, "make_rng", capturing)
+    log = generate(config)
+    (rng,) = made
+    return log, rng.bit_generator.state
+
+
+def assert_same_log(config, monkeypatch):
+    new, new_state = _generated(querylog, generate_query_log, config,
+                                monkeypatch)
+    ref, ref_state = _generated(
+        _querylog_reference, _querylog_reference.reference_generate_query_log,
+        config, monkeypatch)
+    def rows(log):
+        return [(q.query_id, q.terms, q.key, q.text) for q in log.pool]
+
+    assert rows(new) == rows(ref)
+    assert all(type(t) is int for q in new.pool for t in q.terms)
+    assert new.stream_ids.dtype == ref.stream_ids.dtype
+    assert new.stream_ids.tolist() == ref.stream_ids.tolist()
+    assert new_state == ref_state
+
+
+@st.composite
+def log_configs(draw):
+    max_terms = draw(st.integers(1, 5))
+    min_terms = draw(st.sampled_from([1, max_terms]))
+    # From exactly max_terms words (every max-length query must collect
+    # the whole vocabulary, colliding on the way) to a realistic head.
+    vocab = draw(st.one_of(st.integers(max_terms, max_terms + 3),
+                           st.integers(max_terms + 4, 400)))
+    return QueryLogConfig(
+        num_queries=draw(st.integers(1, 120)),
+        distinct_queries=draw(st.integers(1, 60)),
+        vocab_size=vocab,
+        query_zipf_s=draw(st.sampled_from([0.6, 0.9, 1.2])),
+        term_zipf_s=draw(st.sampled_from([0.7, 1.0, 1.4])),
+        min_terms=min_terms, max_terms=max_terms,
+        singleton_fraction=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=log_configs())
+def test_query_log_equals_the_choice_per_query_reference(config):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_log(config, monkeypatch)
+
+
+@pytest.mark.parametrize("config", [
+    # Five words, queries of exactly five: every draw is a permutation of
+    # the vocabulary and all but a few collide on the way there.
+    QueryLogConfig(num_queries=200, distinct_queries=50, vocab_size=5,
+                   min_terms=5, max_terms=5, seed=1),
+    QueryLogConfig(num_queries=300, distinct_queries=80, vocab_size=6,
+                   min_terms=1, max_terms=4, singleton_fraction=1.0, seed=2),
+    # The shape the benchmarks draw from.
+    QueryLogConfig(num_queries=1500, distinct_queries=400, vocab_size=10_000,
+                   seed=7),
+])
+def test_query_log_reference_cases(config, monkeypatch):
+    assert_same_log(config, monkeypatch)

@@ -143,6 +143,17 @@ def test_index_postings_bounds(small_index):
         small_index.postings(small_index.num_terms)
 
 
+def test_index_idf_bounds_match_postings(small_index):
+    """idf(-1) used to answer with the last term's idf, idf(num_terms) to
+    raise IndexError; postings() raises KeyError for both."""
+    for term_id in (-1, small_index.num_terms):
+        with pytest.raises(KeyError, match="out of range"):
+            small_index.idf(term_id)
+        with pytest.raises(KeyError, match="out of range"):
+            small_index.postings(term_id)
+    assert small_index.idf(small_index.num_terms - 1) > 0
+
+
 def test_index_idf_decreasing_in_df(small_index):
     df = small_index.stats.doc_freqs
     frequent = int(np.argmax(df))

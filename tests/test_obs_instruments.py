@@ -87,6 +87,10 @@ def test_histogram_validation():
     h = Histogram()
     with pytest.raises(ValueError):
         h.record(-1.0)
+    # NaN passes ``value < 0``; it must not pick a bucket or reach sum.
+    with pytest.raises(ValueError, match="non-negative"):
+        h.record(float("nan"))
+    assert (h.count, h.sum, h.snapshot()["buckets"]) == (0, 0.0, {})
     with pytest.raises(ValueError):
         h.percentile(50.0)  # empty
     h.record(1.0)

@@ -10,7 +10,8 @@ from repro.workloads.cost import (
     cost_performance,
     server_cost_usd,
 )
-from repro.workloads.retrieval import run_cached, run_uncached, sample_flash_series
+from repro.workloads.retrieval import (prepare_cached_manager, run_cached,
+                                       run_uncached, sample_flash_series)
 from repro.workloads.sweep import document_sweep, make_log_for, make_scaled_index
 
 MB = 1024 * 1024
@@ -79,6 +80,38 @@ def test_cached_warmup_excluded_from_stats(small_index, small_log):
     result = run_cached(small_index, small_log, cfg,
                         warmup_queries=100, max_queries=300)
     assert result.queries == 200  # warmup not counted
+
+
+@pytest.mark.parametrize("warmup", [300, 301, 10_000])
+def test_warmup_covering_the_whole_log_measures_nothing(small_index, small_log,
+                                                        warmup):
+    """It used to report the warm-up itself as the measurement."""
+    cfg = CacheConfig.paper_split(mem_bytes=1 * MB, ssd_bytes=2 * MB,
+                                  policy=Policy.LRU)
+    result = run_cached(small_index, small_log, cfg,
+                        warmup_queries=warmup, max_queries=300)
+    assert result.queries == 0
+    assert result.mean_response_ms == 0.0
+    assert result.throughput_qps == 0.0
+    assert result.ssd_erases == 0
+    assert result.stats.result_lookups == 0
+    # The warm-up did run: its device traffic is in the busy breakdown.
+    assert sum(result.busy_us.values()) > 0
+
+
+def test_idle_gc_runs_in_both_halves_and_negative_warmup_is_refused(
+        small_index, small_log):
+    cfg = CacheConfig.paper_split(mem_bytes=1 * MB, ssd_bytes=2 * MB,
+                                  policy=Policy.LRU)
+    mgr = prepare_cached_manager(small_index, small_log, cfg)
+    budgets = []
+    mgr.ssd.idle_collect = lambda budget_us: budgets.append(budget_us)
+    result = run_cached(small_index, small_log, cfg, warmup_queries=40,
+                        max_queries=100, idle_gc_us=250.0, manager=mgr)
+    assert result.queries == 60
+    assert budgets == [250.0] * 100
+    with pytest.raises(ValueError, match="warmup_queries"):
+        run_cached(small_index, small_log, cfg, warmup_queries=-1)
 
 
 def test_cached_beats_uncached(small_index, small_log):
