@@ -358,10 +358,6 @@ class CacheManager:
         return self.result_cache.l2_map
 
     @property
-    def l2_result_lru(self):
-        return self.result_cache.l2_lru
-
-    @property
     def l2_lists(self):
         return self.list_cache.l2
 
@@ -386,17 +382,5 @@ class CacheManager:
         return self.result_cache.write_buffer
 
     @property
-    def result_region(self):
-        return self.result_cache.region
-
-    @property
-    def byte_result_region(self):
-        return self.result_cache.byte_region
-
-    @property
     def list_region(self):
         return self.list_cache.region
-
-    @property
-    def byte_list_region(self):
-        return self.list_cache.byte_region

@@ -11,12 +11,11 @@ work on built indexes unchanged.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.engine.corpus import CorpusConfig, CorpusStats
 from repro.engine.documents import DocumentStore
+from repro.engine.index import InvertedIndex
 from repro.engine.layout import IndexLayout
 from repro.engine.lexicon import Lexicon
 from repro.engine.postings import PostingList
@@ -78,9 +77,8 @@ class MaterializedIndex:
             )
         return plist
 
-    def idf(self, term_id: int) -> float:
-        df = int(self.stats.doc_freqs[term_id])
-        return 1.0 + math.log(self.num_docs / (df + 1))
+    #: the same idf and range check (``KeyError``) as the synthetic index
+    idf = InvertedIndex.idf
 
     def describe(self) -> str:
         cfg = self.stats.config

@@ -1,5 +1,7 @@
 """Documents, the index builder and the query parser."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,19 @@ def test_built_index_works_with_processor(built):
     plan = processor.plan(Query(0, (0, 1)))
     entry = processor.execute(plan, materialize=True)
     assert len(entry) > 0
+
+
+def test_built_index_idf_bounds_match_postings(built):
+    """idf(-1) used to answer with the last term's idf and idf(num_terms)
+    to raise IndexError; postings() raises KeyError for both."""
+    for term_id in (-1, built.num_terms):
+        with pytest.raises(KeyError, match="out of range"):
+            built.idf(term_id)
+        with pytest.raises(KeyError, match="out of range"):
+            built.postings(term_id)
+    last = built.num_terms - 1
+    df = int(built.stats.doc_freqs[last])
+    assert built.idf(last) == 1.0 + math.log(built.num_docs / (df + 1))
 
 
 def test_build_empty_store_rejected():

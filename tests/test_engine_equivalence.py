@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._hot import HOT
-from repro.engine.postings import PostingList, generate_posting_list
+from repro.engine import postings as postings_module
+from repro.engine.postings import (PostingList, _draw_geometric,
+                                   generate_posting_list)
 from repro.engine.processor import ListDemand, QueryPlan, QueryProcessor
 from repro.engine import querylog
 from repro.engine.query import Query
@@ -161,6 +163,65 @@ def test_top_up_loop_equals_reference():
 def test_num_docs_beyond_packed_key_is_rejected():
     with pytest.raises(ValueError, match="2\\*\\*32"):
         generate_posting_list(0, 1, 2**32 + 1, seed=0)
+
+
+# The tf draw is a table lookup over ``rng.random``; these pin it to
+# ``Generator.geometric(0.45)`` itself, so a numpy whose geometric
+# changes fails here rather than in a digest.
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.one_of(st.integers(0, 8), st.integers(0, 10**5)),
+       seed=st.integers(0, 2**63))
+def test_tf_draw_equals_generator_geometric(size, seed):
+    want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
+    want = want_rng.geometric(p=0.45, size=size)
+    got = _draw_geometric(got_rng, size)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def numpy_geometric_search(u: float, p: float = 0.45) -> int:
+    """numpy's ``random_geometric_search`` (used for p >= 1/3), given the
+    uniform it would draw."""
+    x, total, prod, q = 1, p, p, 1.0 - p
+    while u > total:
+        prod *= q
+        total += prod
+        x += 1
+    return x
+
+
+class FixedUniforms:
+    """Stands in for a generator whose ``random`` returns chosen values."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+def test_tf_draw_at_bucket_edges_and_cumulative_sums():
+    buckets = 1 << 16
+    # The first and last double of every bucket, the 19 split ones
+    # included, and each cumulative sum with its neighbours either side.
+    edges = np.arange(buckets + 1) / buckets
+    sums, prod, q = [0.45], 0.45, 1.0 - 0.45
+    while sums[-1] < np.nextafter(1.0, 0.0):
+        prod *= q
+        sums.append(sums[-1] + prod)
+    sums = np.array(sums)
+    uniforms = np.concatenate([
+        edges[:-1], np.nextafter(edges[1:], 0.0),
+        sums, np.nextafter(sums, 0.0), np.nextafter(sums, 1.0)])
+    uniforms = uniforms[uniforms < 1.0]
+    split = np.flatnonzero(postings_module._TF_TABLE == 0)
+    assert split.size == 19
+    assert np.isin(split, np.floor(sums * buckets)).all()
+    got = _draw_geometric(FixedUniforms(uniforms), uniforms.size)
+    assert got.tolist() == [numpy_geometric_search(u) for u in uniforms.tolist()]
 
 
 def repro_calls(fn) -> int:

@@ -84,7 +84,35 @@ def test_constructor_rejects_unsorted_tfs():
             np.array([1, 2], dtype=np.int64),
             np.array([1, 5], dtype=np.int32),
         )
+    # A rise after a tie is caught too; ties alone are sorted.
+    with pytest.raises(ValueError, match="sorted non-increasing"):
+        PostingList(0, np.array([1, 2, 3], dtype=np.int64),
+                    np.array([4, 4, 5], dtype=np.int32))
+    PostingList(0, np.array([1, 2, 3], dtype=np.int64),
+                np.array([5, 4, 4], dtype=np.int32))
 
+
+def test_equality_is_content_equality_and_never_raises():
+    a = generate_posting_list(7, 100, 1000, seed=5)
+    b = generate_posting_list(7, 100, 1000, seed=5)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    # Same arrays under another term id, one posting changed, one posting
+    # short, another dtype: unequal, and no ambiguous-truth ValueError.
+    assert a != PostingList(8, a.doc_ids, a.tfs)
+    changed = a.doc_ids.copy()
+    changed[-1] = 999 if changed[-1] != 999 else 998
+    assert a != PostingList(7, changed, a.tfs)
+    assert a != a.prefix(0.5)
+    assert a != PostingList(7, a.doc_ids.astype(np.int32), a.tfs)
+    assert a != (7, a.doc_ids, a.tfs)
+    one = PostingList(0, np.array([3], dtype=np.int64),
+                      np.array([2], dtype=np.int32))
+    assert one == PostingList(0, np.array([3], dtype=np.int64),
+                              np.array([2], dtype=np.int32))
+    empty = generate_posting_list(0, 0, 100, seed=0)
+    assert empty == generate_posting_list(0, 0, 100, seed=0) != one
+    assert hash(empty) == hash(generate_posting_list(0, 0, 100, seed=0))
 
 def test_skip_offsets():
     plist = generate_posting_list(0, 100, 1000, seed=1)
