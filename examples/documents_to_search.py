@@ -62,7 +62,7 @@ def main() -> None:
     # 5. Real ranked results for one query (scored from built postings).
     processor = QueryProcessor(index, top_k=5, seed=1)
     plan = processor.plan(queries[0])
-    entry = processor.execute(plan, materialize=True)
+    entry = processor.execute(plan)
     print(f"\ntop hits for {queries[0].text!r}:")
     for rank, hit in enumerate(entry.results[:5], start=1):
         doc = store.get(hit.doc_id)

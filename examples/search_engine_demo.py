@@ -33,7 +33,7 @@ def main() -> None:
               f"{demand.postings} postings)")
     print(f"  CPU cost: {processor.cpu_time_us(plan):.0f} us")
 
-    entry = processor.execute(plan, materialize=True)
+    entry = processor.execute(plan)
     print(f"\ntop {len(entry)} results (tf-idf over traversed prefixes):")
     for rank, hit in enumerate(entry.results, start=1):
         print(f"  {rank:2d}. doc {hit.doc_id:6d}  score {hit.score:.3f}")

@@ -48,10 +48,10 @@ from repro.obs import (
     format_query_blame,
     format_stage_breakdown,
     list_incidents,
+    load_incident,
     run_detectors,
     sparkline,
     steady_state_window,
-    validate_incident_dir,
     window_series,
     write_telemetry_dir,
 )
@@ -240,7 +240,7 @@ def main() -> None:
         n = flight.finish()
         print(f"\nflight recorder: {n} incident(s) under overload")
         for bundle, man in zip(list_incidents(out), flight.incidents):
-            counts = validate_incident_dir(bundle)  # raises if not valid
+            counts = load_incident(bundle).counts  # raises if not valid
             print(f"  trigger [{man['trigger']['severity']}] "
                   f"{man['trigger']['detector']} @ window "
                   f"{man['trigger_window']}: {man['trigger']['detail']}")

@@ -26,7 +26,10 @@ repro.cli`` works without installation.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
+import time
 from typing import Sequence
 
 import numpy as np
@@ -263,6 +266,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _CliError(Exception):
+    """A command cannot go on: ``main`` prints ``error: <message>`` and
+    exits 2."""
+
+
+def _load(loader, path, what: str | None = None, hint: str = ""):
+    """``loader(path)``: how every read command parses an artifact.
+
+    A ``ValueError``/``OSError`` becomes the one ``error: PATH: WHAT
+    (EXC)HINT`` line and exit status 2; each file behind the result that
+    lost a torn trailing record gets its ``note:`` line.
+    """
+    try:
+        loaded = loader(path)
+    except (ValueError, OSError) as exc:
+        raise _CliError(f"{path}: {what} ({exc}){hint}" if what
+                        else f"{path}: {exc}") from None
+    _note_torn(loaded)
+    return loaded
+
+
+def _note_torn(loaded) -> None:
+    for part in getattr(loaded, "parts", [loaded]):
+        if getattr(part, "torn_tail", 0):
+            print(f"note: {part.path}: skipped {part.torn_tail} torn "
+                  f"trailing record(s) (run cut mid-write)", file=sys.stderr)
+
+
+def _telemetry_file(path: str, name: str) -> str:
+    """``path`` itself, or ``path/name`` when it is a telemetry dir."""
+    return os.path.join(path, name) if os.path.isdir(path) else path
+
+
 def _cmd_corpus(args: argparse.Namespace) -> int:
     from repro.engine.corpus import CorpusConfig, build_corpus_stats
     from repro.engine.postings import POSTING_BYTES
@@ -328,17 +364,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.timeline and not args.telemetry:
-        print("error: --timeline requires --telemetry DIR", file=sys.stderr)
-        return 2
+        raise _CliError("--timeline requires --telemetry DIR")
     if not args.timeline and (args.live_port is not None
                               or args.max_windows is not None):
-        print("error: --live-port/--max-windows require --timeline",
-              file=sys.stderr)
-        return 2
+        raise _CliError("--live-port/--max-windows require --timeline")
     telemetry = None
     if args.telemetry:
-        import os
-
         from repro.obs import Telemetry
 
         telemetry = Telemetry()
@@ -413,14 +444,11 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
     from repro.workloads.sweep import make_log_for, make_scaled_index
 
     if args.concurrency < 1:
-        print("error: --concurrency must be >= 1", file=sys.stderr)
-        return 2
+        raise _CliError("--concurrency must be >= 1")
     arrivals = None
     if args.arrival != "closed":
         if args.rate_qps is None or args.rate_qps <= 0:
-            print("error: open-loop arrivals need --rate-qps > 0",
-                  file=sys.stderr)
-            return 2
+            raise _CliError("open-loop arrivals need --rate-qps > 0")
         if args.arrival == "poisson":
             arrivals = PoissonArrivals(args.rate_qps, seed=args.seed)
         else:
@@ -566,47 +594,31 @@ def _flash_rows(registry) -> list[list]:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import os
-
     from repro.obs import (
         format_stage_breakdown,
-        load_metrics_json,
+        load_telemetry_dir,
         openmetrics_text,
-        validate_telemetry_dir,
     )
 
-    try:
-        counts = validate_telemetry_dir(args.dir)
-        snapshot = load_metrics_json(os.path.join(args.dir, "metrics.json"))
-    except (ValueError, OSError) as exc:
-        print(f"error: {args.dir}: not a usable telemetry directory ({exc})",
-              file=sys.stderr)
-        return 2
+    loaded = _load(load_telemetry_dir, args.dir,
+                   "not a usable telemetry directory")
+    snapshot = loaded.metrics
     if args.format == "openmetrics":
         sys.stdout.write(openmetrics_text(snapshot))
         return 0
     print(format_stage_breakdown(
         snapshot, title=f"per-stage latency ({args.dir})"))
-    line = f"\n{counts['spans']} spans, {counts['metrics']} metrics"
-    if "timeline_windows" in counts:
-        line += (f", {counts['timeline_windows']} timeline windows "
+    line = (f"\n{len(loaded.spans.spans)} spans, "
+            f"{len(snapshot['metrics'])} metrics")
+    if loaded.timeline is not None:
+        line += (f", {len(loaded.timeline.windows)} timeline windows "
                  f"(see `repro timeline {args.dir}`)")
     print(line)
     lost = [f"{m['value']} {m['tags']['what']}" for m in snapshot["metrics"]
             if m["name"] == "obs_dropped_total"]
     if lost:
         print(f"observer losses (obs_dropped_total): {', '.join(lost)}")
-    if counts.get("torn_tail"):
-        print(f"note: {args.dir}: skipped {counts['torn_tail']} torn "
-              f"trailing record(s) (run cut mid-write)")
     return 0
-
-
-def _telemetry_file(path: str, name: str) -> str:
-    """``path`` itself, or ``path/name`` when it is a telemetry dir."""
-    import os
-
-    return os.path.join(path, name) if os.path.isdir(path) else path
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
@@ -623,16 +635,10 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.obs.timeline import DERIVED_SERIES
 
     path = _telemetry_file(args.path, "timeline.jsonl")
-    try:
-        tl = load_timeline_jsonl(path)
-    except (ValueError, OSError) as exc:
-        print(f"error: {path}: not a usable timeline ({exc}); "
-              f"record one with `repro run --telemetry DIR --timeline`",
-              file=sys.stderr)
-        return 2
+    tl = _load(load_timeline_jsonl, path, "not a usable timeline",
+               "; record one with `repro run --telemetry DIR --timeline`")
     if not tl.windows:
-        print(f"error: {path}: timeline holds no windows", file=sys.stderr)
-        return 2
+        raise _CliError(f"{path}: timeline holds no windows")
 
     first = tl.windows[0]["window"]
     last = tl.windows[-1]["window"]
@@ -665,8 +671,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         slos = [parse_slo(s) for s in args.slo] if args.slo \
             else list(DEFAULT_SLOS)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(str(exc)) from None
     results = evaluate_slos(slos, tl.windows)
     print("SLOs:")
     for res in results:
@@ -693,17 +698,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_blame_queries(path: str):
-    """Load a blame file and assemble per-query decompositions.
-
-    Returns ``(log, queries)`` or raises ValueError/OSError.
-    """
-    from repro.obs import assemble_queries, load_blame_jsonl
-
-    log = load_blame_jsonl(path)
-    return log, assemble_queries(log.records)
-
-
 def _match_blame_query(queries, query_id: int):
     """Blame entries for one query id.
 
@@ -720,24 +714,21 @@ def _match_blame_query(queries, query_id: int):
 
 def _cmd_blame(args: argparse.Namespace) -> int:
     from repro.obs import (
+        assemble_queries,
         blame_profiles,
         capacity_model,
         format_blame_report,
         format_query_blame,
+        load_blame_jsonl,
     )
 
     path = _telemetry_file(args.path, "blame.jsonl")
-    try:
-        log, queries = _load_blame_queries(path)
-    except (ValueError, OSError) as exc:
-        print(f"error: {path}: not a usable blame file ({exc}); record one "
-              f"with `repro run --arrival poisson ... --telemetry DIR`",
-              file=sys.stderr)
-        return 2
+    log = _load(load_blame_jsonl, path, "not a usable blame file",
+                "; record one with `repro run --arrival poisson ... "
+                "--telemetry DIR`")
+    queries = assemble_queries(log.records)
     if not queries:
-        print(f"error: {path}: no completed queries recorded",
-              file=sys.stderr)
-        return 2
+        raise _CliError(f"{path}: no completed queries recorded")
 
     profiles = blame_profiles(queries, tail_pct=args.tail_pct)
     footer = log.footer or {}
@@ -812,8 +803,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         timelines[policy.value] = list(timeline.windows)
 
     if args.json:
-        import json
-
         payload = _compare_payload(results, registries)
         payload["timeline"] = _compare_timelines(timelines)
         payload["host"] = host
@@ -899,50 +888,38 @@ def _timeline_table(timelines: dict) -> str:
 
 def _compare_dirs(args: argparse.Namespace) -> int:
     """Compare previously-written telemetry dirs side by side."""
-    import os
-
     from repro.obs import (
-        load_metrics_json,
-        load_timeline_jsonl,
+        load_telemetry_dir,
         sparkline,
         steady_state_window,
         sub_histogram,
-        validate_telemetry_dir,
         window_series,
     )
 
     rows = []
     for d in args.dirs:
-        try:
-            validate_telemetry_dir(d)
-            snapshot = load_metrics_json(os.path.join(d, "metrics.json"))
-        except (ValueError, OSError) as exc:
-            print(f"error: {d}: not a usable telemetry directory ({exc})",
-                  file=sys.stderr)
-            return 2
+        loaded = _load(load_telemetry_dir, d,
+                       "not a usable telemetry directory")
+        snapshot = loaded.metrics
         queries = sum(
             m["value"] for m in snapshot["metrics"]
             if m["name"] == "queries_total")
         mean_ms = p99_ms = None
-        merged = None
-        for m in snapshot["metrics"]:
-            if m["name"] == "query_latency_us" and m["kind"] == "histogram" \
-                    and m["count"]:
-                h = sub_histogram(m)  # snapshot carries the same fields
-                if merged is None:
-                    merged = h
-                else:
-                    merged.merge(h)
-        if merged is not None:
-            mean_ms = merged.mean / 1000.0
-            p99_ms = merged.percentile(99.0) / 1000.0
-        timeline_path = os.path.join(d, "timeline.jsonl")
+        # A snapshot histogram carries the same fields as a sub-histogram.
+        hists = [sub_histogram(m) for m in snapshot["metrics"]
+                 if m["name"] == "query_latency_us"
+                 and m["kind"] == "histogram" and m["count"]]
+        if hists:
+            for h in hists[1:]:
+                hists[0].merge(h)
+            mean_ms = hists[0].mean / 1000.0
+            p99_ms = hists[0].percentile(99.0) / 1000.0
         spark = steady = "-"
-        if os.path.exists(timeline_path):
-            tl = load_timeline_jsonl(timeline_path)
-            pts = window_series(tl.windows, "hit_ratio")
+        if loaded.timeline is not None:
+            windows = loaded.timeline.windows
+            pts = window_series(windows, "hit_ratio")
             spark = sparkline([v for _, v in pts], width=24) or "-"
-            s = steady_state_window(tl.windows)
+            s = steady_state_window(windows)
             steady = s if s is not None else "-"
         rows.append([
             d,
@@ -993,8 +970,6 @@ def _compare_payload(results: dict, registries: dict) -> dict:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    import os
-
     from repro.obs import explain_subject, format_explanation, load_audit_jsonl
 
     if args.incident is not None:
@@ -1003,16 +978,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return _explain_query(args.path, args.query)
     path = _telemetry_file(args.path, "audit.jsonl")
     if not os.path.exists(path):
-        print(f"error: no audit trail at {path} "
-              "(run with --telemetry and auditing enabled)",
-              file=sys.stderr)
-        return 2
-    try:
-        records = load_audit_jsonl(path)
-    except (ValueError, OSError) as exc:
-        print(f"error: {path}: not a usable audit trail ({exc})",
-              file=sys.stderr)
-        return 2
+        raise _CliError(f"no audit trail at {path} "
+                        "(run with --telemetry and auditing enabled)")
+    records = _load(load_audit_jsonl, path, "not a usable audit trail").records
     if args.term is not None:
         kind, key = "list", args.term
     elif args.rb is not None:
@@ -1026,53 +994,31 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _explain_query(dir_path: str, query_id: int) -> int:
     """Chain a tail-latency exemplar to its span tree and audit records."""
-    import os
-
-    from repro.obs import (
-        load_audit_jsonl,
-        load_spans_jsonl,
-        load_timeline_jsonl,
-    )
+    from repro.obs import (assemble_queries, format_query_blame,
+                           load_telemetry_dir)
 
     if not os.path.isdir(dir_path):
-        print(f"error: {dir_path}: --query needs a telemetry directory "
-              f"(written by `repro run --telemetry DIR --timeline`)",
-              file=sys.stderr)
-        return 2
+        raise _CliError(f"{dir_path}: --query needs a telemetry directory "
+                        f"(written by `repro run --telemetry DIR --timeline`)")
     timeline_path = os.path.join(dir_path, "timeline.jsonl")
     if not os.path.exists(timeline_path):
-        print(f"error: {timeline_path} missing; exemplars are recorded by "
-              f"`repro run --telemetry {dir_path} --timeline`",
-              file=sys.stderr)
-        return 2
+        raise _CliError(f"{timeline_path} missing; exemplars are recorded by "
+                        f"`repro run --telemetry {dir_path} --timeline`")
     # Load everything before printing anything: a torn final line (run
-    # killed mid-write) is skipped and counted, anything worse is one
+    # killed mid-write) is skipped and noted, anything worse is one
     # error line instead of a traceback or half a report.
-    spans_path = os.path.join(dir_path, "spans.jsonl")
-    audit_path = os.path.join(dir_path, "audit.jsonl")
-    span_records, torn_spans, audit = [], 0, []
-    try:
-        tl = load_timeline_jsonl(timeline_path)
-        if os.path.exists(spans_path):
-            span_records, torn_spans = load_spans_jsonl(spans_path)
-        if os.path.exists(audit_path):
-            audit = load_audit_jsonl(audit_path)
-    except (ValueError, OSError) as exc:
-        print(f"error: {dir_path}: not a usable telemetry directory ({exc})",
-              file=sys.stderr)
-        return 2
-    exemplars = [e for e in tl.exemplars if e.get("query_id") == query_id]
+    loaded = _load(load_telemetry_dir, dir_path,
+                   "not a usable telemetry directory")
+    exemplars = [e for e in loaded.timeline.exemplars
+                 if e.get("query_id") == query_id]
+    audit = loaded.audit.records if loaded.audit is not None else []
 
     # Kernel blame decomposes every query, not just the tail ones, so a
     # blame match keeps the command useful even without an exemplar.
     blame_match = []
-    blame_path = os.path.join(dir_path, "blame.jsonl")
-    if os.path.exists(blame_path):
-        try:
-            _, blame_queries = _load_blame_queries(blame_path)
-        except (ValueError, OSError):
-            blame_queries = []
-        blame_match = _match_blame_query(blame_queries, query_id)
+    if loaded.blame is not None:
+        blame_match = _match_blame_query(
+            assemble_queries(loaded.blame.records), query_id)
 
     if not exemplars and not blame_match:
         print(f"no tail exemplars for query {query_id} — only samples above "
@@ -1084,10 +1030,7 @@ def _explain_query(dir_path: str, query_id: int) -> int:
               f"the capture percentile are recorded — but the kernel blame "
               f"stream decomposed it:")
 
-    if torn_spans:
-        print(f"note: {spans_path}: skipped {torn_spans} torn trailing "
-              f"record(s) (run cut mid-write)")
-    spans = {span["span_id"]: span for span in span_records}
+    spans = {span["span_id"]: span for span in loaded.spans.spans}
     children: dict = {}
     for span in spans.values():
         children.setdefault(span.get("parent_id"), []).append(span)
@@ -1124,8 +1067,6 @@ def _explain_query(dir_path: str, query_id: int) -> int:
     # Kernel blame: where the microseconds queued vs served, when the
     # run went through the concurrency kernel (blame.jsonl present).
     if blame_match:
-        from repro.obs import format_query_blame
-
         print("\nkernel blame (wait vs service per resource):")
         for q in blame_match:
             print(format_query_blame(q))
@@ -1134,43 +1075,32 @@ def _explain_query(dir_path: str, query_id: int) -> int:
 
 def _explain_incident(dir_path: str, n: int) -> int:
     """Walk one flight-recorder incident bundle end to end."""
-    import os
-
     from repro.obs import format_incident, list_incidents, load_incident
 
     if not os.path.isdir(dir_path):
-        print(f"error: {dir_path}: --incident needs a telemetry directory "
-              f"(written by a kernel-mode `repro run --telemetry DIR "
-              f"--timeline`)", file=sys.stderr)
-        return 2
+        raise _CliError(f"{dir_path}: --incident needs a telemetry directory "
+                        f"(written by a kernel-mode `repro run --telemetry "
+                        f"DIR --timeline`)")
     bundles = list_incidents(dir_path)
     want = os.path.join(dir_path, f"incident-{n}")
     if want not in bundles:
         have = ", ".join(os.path.basename(b) for b in bundles) or "none"
-        print(f"error: no incident-{n} under {dir_path} (have: {have})",
-              file=sys.stderr)
-        return 2
-    try:
-        incident = load_incident(want)
-    except (ValueError, OSError) as exc:
-        print(f"error: {want}: unreadable incident bundle ({exc})",
-              file=sys.stderr)
-        return 2
-    print(format_incident(incident))
+        raise _CliError(f"no incident-{n} under {dir_path} (have: {have})")
+    print(format_incident(
+        _load(load_incident, want, "unreadable incident bundle")))
     return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    import os
-    import time
-
-    from repro.obs import fetch_status, format_top_frame, status_from_dir
+    from repro.obs import (fetch_status, format_top_frame,
+                           load_telemetry_dir, status_from_dir)
 
     def frame() -> str:
         if os.path.isdir(args.target):
-            status = status_from_dir(args.target)
+            loaded = _load(load_telemetry_dir, args.target)
+            status = _load(lambda _: status_from_dir(loaded), args.target)
         else:
-            status = fetch_status(args.target)
+            status = _load(fetch_status, args.target)
         return format_top_frame(status, width=args.width)
 
     try:
@@ -1184,35 +1114,28 @@ def _cmd_top(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {args.target}: {exc}", file=sys.stderr)
-        return 2
 
 
 def _cmd_incidents(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.obs import list_incidents, validate_incident_dir
+    from repro.obs import list_incidents, load_incident
 
     if not os.path.isdir(args.dir):
-        print(f"error: {args.dir}: not a directory", file=sys.stderr)
-        return 2
+        raise _CliError(f"{args.dir}: not a directory")
     rows = []
     docs = []
     valid = 0
     for bundle in list_incidents(args.dir):
         name = os.path.basename(bundle)
         try:
-            counts = validate_incident_dir(bundle)
+            incident = load_incident(bundle)
         except (ValueError, OSError) as exc:
             rows.append([name, f"INVALID: {exc}", "-", "-", "-"])
             docs.append({"bundle": name, "valid": False,
                          "error": str(exc)})
             continue
+        _note_torn(incident)
         valid += 1
-        with open(os.path.join(bundle, "incident.json")) as fh:
-            manifest = json.load(fh)
+        manifest, counts = incident.manifest, incident.counts
         trig = manifest["trigger"]
         rows.append([
             name,
@@ -1253,12 +1176,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     baseline = None
     if args.against:
         # Before any scenario runs: a bad baseline must not cost a suite.
-        try:
-            baseline = load_bench(args.against)
-        except (ValueError, OSError) as exc:
-            print(f"error: {args.against}: not a usable bench baseline "
-                  f"({exc})", file=sys.stderr)
-            return 2
+        baseline = _load(load_bench, args.against,
+                         "not a usable bench baseline")
     doc = run_suite(args.suite,
                     progress=lambda s: print(f"running {s.name} ..."))
     out = args.out or next_bench_path()
@@ -1281,8 +1200,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         try:
             regressions = compare_benches(doc, baseline)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _CliError(str(exc)) from None
         print(f"gate vs {args.against}: {format_regressions(regressions)}")
         if regressions:
             return 1
@@ -1290,9 +1208,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-    import time
-
     from repro.bench.scenarios import SUITES
     from repro.obs import (
         Profiler,
@@ -1308,10 +1223,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     scenarios = [s for s in SUITES[args.suite] if s.arrival == "closed"]
     skipped = len(SUITES[args.suite]) - len(scenarios)
     if not scenarios:
-        print(f"error: suite {args.suite!r} has only open-loop scenarios; "
-              f"cProfile cannot attribute kernel task threads",
-              file=sys.stderr)
-        return 2
+        raise _CliError(f"suite {args.suite!r} has only open-loop "
+                        f"scenarios; cProfile cannot attribute kernel task "
+                        f"threads")
     if skipped:
         print(f"(skipping {skipped} open-loop scenario(s): cProfile is "
               f"per-thread)")
@@ -1367,7 +1281,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench": _cmd_bench,
         "profile": _cmd_profile,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,8 +8,6 @@ the regime the paper's per-server cache operates in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.config import CacheConfig
 from repro.core.events import EventCounter
 from repro.core.manager import CacheManager, QueryOutcome, build_hierarchy_for
@@ -46,12 +44,6 @@ def partition_corpus(
         )
         for shard in range(num_shards)
     ]
-
-
-@dataclass
-class _ShardResult:
-    outcome: QueryOutcome
-    response_us: float
 
 
 class IndexShard:

@@ -207,7 +207,7 @@ class ThreeLevelCacheManager(CacheManager):
                + costs.per_result_us * self.processor.top_k)
         self.clock.consume(self.hierarchy.cpu_channel, cpu, charge=False)
         if self.materialize_results:
-            self.processor.execute(plan, materialize=True)
+            self.processor.execute(plan)
         entry = CachedResult(
             query_key=query.key,
             nbytes=self.config.result_entry_bytes,

@@ -260,8 +260,8 @@ class CacheManager:
         self.clock.consume(self.hierarchy.cpu_channel,
                            self.processor.cpu_time_us(plan), charge=False)
         if self.materialize_results:
-            # (CPU time came from cpu_time_us; a surrogate has no reader.)
-            self.processor.execute(plan, materialize=True)
+            # (CPU time came from cpu_time_us; the entry has no reader.)
+            self.processor.execute(plan)
         entry = CachedResult(
             query_key=query.key,
             nbytes=self.config.result_entry_bytes,

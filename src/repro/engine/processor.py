@@ -89,10 +89,6 @@ class QueryProcessor:
         self.costs = costs or ProcessorCosts()
         self.top_k = top_k
         self._rng = make_rng(seed)
-        # Surrogate rankings are pure functions of the query key (and
-        # top_k / corpus size), so repeat misses reuse the entry.
-        self._surrogates: dict[tuple[int, ...], ResultEntry] = {}
-        self._surrogate_steps: tuple[np.ndarray, tuple[float, ...]] | None = None
 
     # -- planning -------------------------------------------------------------
 
@@ -141,28 +137,12 @@ class QueryProcessor:
 
     # -- execution ----------------------------------------------------------------
 
-    def execute(self, plan: QueryPlan, materialize: bool = False) -> ResultEntry:
-        """Produce the top-k result entry for a planned query.
-
-        With ``materialize=True`` real posting data is fetched and scored
-        (tf-idf with accumulators); otherwise a deterministic surrogate
-        ranking is returned — byte-identical in size, so cache behaviour
-        is unaffected, and no posting list is generated or read, which is
-        what lets large sweeps run.
-        """
-        if materialize:
-            results = self._score(plan)
-        else:
-            key = plan.query.key
-            cached = self._surrogates.get(key)
-            if cached is None:
-                cached = self._surrogates[key] = ResultEntry(
-                    query_key=key, results=tuple(self._surrogate(plan)),
-                    top_k=self.top_k,
-                )
-            return cached
+    def execute(self, plan: QueryPlan) -> ResultEntry:
+        """Produce the top-k result entry for a planned query: real
+        posting data fetched and scored (tf-idf with accumulators)."""
         return ResultEntry(
-            query_key=plan.query.key, results=tuple(results), top_k=self.top_k
+            query_key=plan.query.key, results=tuple(self._score(plan)),
+            top_k=self.top_k,
         )
 
     def _score(self, plan: QueryPlan) -> list[SearchResult]:
@@ -208,21 +188,3 @@ class QueryProcessor:
         return list(map(
             SearchResult, touched[order].tolist(), totals[order].tolist()
         ))
-
-    def _surrogate(self, plan: QueryPlan) -> list[SearchResult]:
-        """Deterministic placeholder ranking derived from the query key."""
-        base = hash(plan.query.key) & 0x7FFFFFFF
-        n_docs = self.index.num_docs
-        k = min(self.top_k, n_docs)
-        steps = self._surrogate_steps
-        if steps is None or len(steps[1]) != k:
-            # Per-rank constants: the doc-id stride and the descending
-            # score ladder only depend on k, not on the query.
-            steps = self._surrogate_steps = (
-                7919 * np.arange(k, dtype=np.int64),
-                tuple(float(k - i) for i in range(k)),
-            )
-        strides, scores = steps
-        # base < 2**31 and the largest stride is 7919 * (k - 1): the sum
-        # stays far inside int64, so this is the scalar (base + s) % n.
-        return list(map(SearchResult, ((base + strides) % n_docs).tolist(), scores))

@@ -24,6 +24,7 @@ from repro.obs.audit import (
     NULL_AUDIT,
     AuditLog,
     AuditRecord,
+    AuditTrail,
     NullAudit,
     explain_subject,
     format_explanation,
@@ -40,13 +41,13 @@ from repro.obs.blame import (
     format_blame_report,
     format_query_blame,
     load_blame_jsonl,
-    validate_blame_jsonl,
 )
 from repro.obs.cache_metrics import CacheEventMetrics, CacheStatsMetrics
 from repro.obs.export import (
+    TelemetryDir,
     load_metrics_json,
+    load_telemetry_dir,
     openmetrics_text,
-    validate_telemetry_dir,
     write_metrics_json,
     write_telemetry_dir,
 )
@@ -54,10 +55,10 @@ from repro.obs.flash_metrics import FlashDeviceMetrics
 from repro.obs.flightrecorder import (
     INCIDENT_SCHEMA,
     FlightRecorder,
+    Incident,
     format_incident,
     list_incidents,
     load_incident,
-    validate_incident_dir,
 )
 from repro.obs.kernel_metrics import KernelMetrics
 from repro.obs.live import (
@@ -82,7 +83,6 @@ from repro.obs.profiler import (
     load_folded,
     load_profile,
     subsystem_of,
-    validate_profile,
     write_folded,
     write_profile,
 )
@@ -119,7 +119,6 @@ from repro.obs.timeline import (
     sparkline,
     steady_state_window,
     sub_histogram,
-    validate_timeline_jsonl,
     window_point,
     window_series,
 )
@@ -127,6 +126,7 @@ from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
     Span,
+    SpanLog,
     Tracer,
     load_spans_jsonl,
 )
@@ -139,11 +139,13 @@ __all__ = [
     "DEFAULT_PERCENTILES",
     "MetricsRegistry",
     "Span",
+    "SpanLog",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "AuditLog",
     "AuditRecord",
+    "AuditTrail",
     "NullAudit",
     "NULL_AUDIT",
     "load_audit_jsonl",
@@ -162,7 +164,6 @@ __all__ = [
     "Exemplar",
     "ExemplarStore",
     "load_timeline_jsonl",
-    "validate_timeline_jsonl",
     "merge_windows",
     "sub_histogram",
     "steady_state_window",
@@ -184,9 +185,9 @@ __all__ = [
     "StreamingSloEvaluator",
     "INCIDENT_SCHEMA",
     "FlightRecorder",
+    "Incident",
     "list_incidents",
     "load_incident",
-    "validate_incident_dir",
     "format_incident",
     "LIVE_SCHEMA",
     "LiveServer",
@@ -205,12 +206,12 @@ __all__ = [
     "format_blame_report",
     "format_query_blame",
     "load_blame_jsonl",
-    "validate_blame_jsonl",
     "openmetrics_text",
     "write_metrics_json",
     "load_metrics_json",
     "write_telemetry_dir",
-    "validate_telemetry_dir",
+    "TelemetryDir",
+    "load_telemetry_dir",
     "stage_summary",
     "format_stage_breakdown",
     "format_stage_comparison",
@@ -223,7 +224,6 @@ __all__ = [
     "format_profile",
     "write_profile",
     "load_profile",
-    "validate_profile",
     "write_folded",
     "load_folded",
 ]

@@ -32,6 +32,7 @@ a run without an audit log takes one attribute check per decision.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
 from repro.obs._jsonl import read_jsonl, write_jsonl
@@ -41,19 +42,11 @@ __all__ = [
     "AuditLog",
     "NullAudit",
     "NULL_AUDIT",
+    "AuditTrail",
     "load_audit_jsonl",
     "explain_subject",
     "format_explanation",
 ]
-
-#: Record types emitted at decision sites (not via the event bridge).
-DECISION_TYPES = (
-    "list.select",
-    "list.l1-victim",
-    "list.free-space",
-    "rb.victim",
-    "gc.victim",
-)
 
 
 class AuditRecord(NamedTuple):
@@ -210,13 +203,18 @@ NULL_AUDIT = NullAudit()
 _RECORD_FIELDS = {"seq", "t_us", "type", "kind", "key", "data"}
 
 
-def load_audit_jsonl(path, return_torn: bool = False):
-    """Load an ``audit.jsonl`` file, validating the record schema.
+@dataclass
+class AuditTrail:
+    """A parsed ``audit.jsonl``: record dicts in file order; ``torn_tail``
+    counts the cut final record skipped (a run killed mid-write)."""
 
-    A torn final line (a live run cut mid-write) is skipped, not fatal;
-    pass ``return_torn=True`` to receive ``(records, torn_tail)``.
-    """
-    out: list[dict] = []
+    path: str
+    records: list[dict]
+    torn_tail: int = 0
+
+
+def load_audit_jsonl(path) -> AuditTrail:
+    """Load an ``audit.jsonl`` file, validating the record schema."""
     records, torn = read_jsonl(path)
     for lineno, rec in records:
         missing = _RECORD_FIELDS - rec.keys()
@@ -225,8 +223,7 @@ def load_audit_jsonl(path, return_torn: bool = False):
                 f"{path}:{lineno}: audit record missing fields "
                 f"{sorted(missing)}"
             )
-        out.append(rec)
-    return (out, torn) if return_torn else out
+    return AuditTrail(path, [rec for _, rec in records], torn)
 
 
 def _normalise_key(key: Any) -> Any:

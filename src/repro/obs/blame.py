@@ -309,17 +309,15 @@ class BlameRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Loading / validation
+# Loading
 
 
 @dataclass
 class BlameLog:
-    """A parsed ``repro.obs.blame/v1`` JSONL file.
+    """A parsed ``repro.obs.blame/v1`` JSONL file; ``torn_tail`` counts
+    cut final records skipped (a run killed mid-write)."""
 
-    ``torn_tail`` counts records lost to a mid-write cut (a live run
-    killed mid-line); the loader skips such a tail rather than raise.
-    """
-
+    path: str
     header: dict
     records: list = field(default_factory=list)
     resources: list = field(default_factory=list)
@@ -328,11 +326,13 @@ class BlameLog:
 
 
 def load_blame_jsonl(path: str) -> BlameLog:
-    """Parse a blame JSONL file (see :data:`BLAME_SCHEMA`).
+    """Parse and schema-check a blame JSONL file (see :data:`BLAME_SCHEMA`).
 
-    When the stream was rotated (``open_stream(max_records=...)``), the
-    previous generation lives at ``<path>.1``; it is read first so the
-    returned records stay in emission order across the rotation.
+    Raises :class:`ValueError` on a bad header, an unknown record type,
+    or a record missing a required field.  When the stream was rotated
+    (``open_stream(max_records=...)``), the previous generation lives at
+    ``<path>.1``; it is read first so the returned records stay in
+    emission order across the rotation.
     """
     log = None
     parts, torn_total = read_generations(path)
@@ -341,42 +341,24 @@ def load_blame_jsonl(path: str) -> BlameLog:
         if not lines or lines[0].get("schema") != BLAME_SCHEMA:
             raise ValueError(f"{part}: not a {BLAME_SCHEMA} file")
         if log is None:
-            log = BlameLog(header=lines[0])
+            log = BlameLog(path, header=lines[0], torn_tail=torn_total)
         for rec in lines[1:]:
             kind = rec.get("type")
+            fields = _RECORD_FIELDS.get(kind)
+            if fields is None:
+                raise ValueError(f"{path}: unknown record type {kind!r}")
+            for name in fields:
+                if name not in rec:
+                    raise ValueError(
+                        f"{path}: {kind} record missing field {name!r}: "
+                        f"{rec}")
             if kind == "resource":
                 log.resources.append(rec)
             elif kind == "footer":
                 log.footer = rec
             else:
                 log.records.append(rec)
-    log.torn_tail = torn_total
     return log
-
-
-def validate_blame_jsonl(path: str) -> dict:
-    """Schema-check a blame JSONL file; returns per-type record counts
-    (plus ``torn_tail`` when a cut final record was skipped).
-
-    Raises :class:`ValueError` on a bad header, an unknown record type,
-    or a record missing a required field.
-    """
-    log = load_blame_jsonl(path)
-    counts: dict[str, int] = {}
-    for rec in log.records + log.resources + ([log.footer] if log.footer
-                                              else []):
-        kind = rec.get("type")
-        fields = _RECORD_FIELDS.get(kind)
-        if fields is None:
-            raise ValueError(f"{path}: unknown record type {kind!r}")
-        for name in fields:
-            if name not in rec:
-                raise ValueError(
-                    f"{path}: {kind} record missing field {name!r}: {rec}")
-        counts[kind] = counts.get(kind, 0) + 1
-    if log.torn_tail:
-        counts["torn_tail"] = log.torn_tail
-    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -13,27 +13,31 @@ A telemetry directory (``repro run --telemetry DIR``) holds::
     incident-<n>/   flight-recorder incident bundles (present when the
                     recorder triggered; schema repro.obs.incident/v1)
 
-:func:`validate_telemetry_dir` is the schema check used by both the CI
-smoke job and ``repro report``.
+:func:`load_telemetry_dir` parses every one of them once, through the
+one loader of each kind, and is what every reader of a directory uses.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 
+from repro.obs.audit import AuditTrail, load_audit_jsonl
+from repro.obs.blame import BlameLog, load_blame_jsonl
+from repro.obs.flightrecorder import list_incidents, load_incident
 from repro.obs.registry import MetricsRegistry
+from repro.obs.timeline import Timeline, load_timeline_jsonl
+from repro.obs.tracer import SpanLog, load_spans_jsonl
 
 __all__ = [
     "openmetrics_text",
     "write_metrics_json",
     "write_telemetry_dir",
     "load_metrics_json",
-    "validate_telemetry_dir",
+    "TelemetryDir",
+    "load_telemetry_dir",
 ]
-
-_SPAN_FIELDS = {"span_id", "parent_id", "name", "start_us", "end_us",
-                "dur_us", "attrs"}
 
 
 def _prom_name(name: str) -> str:
@@ -138,10 +142,17 @@ def write_metrics_json(registry: MetricsRegistry, path) -> None:
 
 
 def load_metrics_json(path) -> dict:
+    """Load and schema-check a ``metrics.json`` snapshot."""
     with open(path) as fh:
         snapshot = json.load(fh)
     if snapshot.get("schema") != "repro.obs.metrics/v1":
         raise ValueError(f"{path}: not a repro.obs metrics snapshot")
+    for m in snapshot.get("metrics", []):
+        for fld in ("name", "tags", "kind"):
+            if fld not in m:
+                raise ValueError(f"{path}: metric missing {fld!r}: {m}")
+        if m["kind"] not in ("counter", "gauge", "histogram"):
+            raise ValueError(f"{path}: unknown metric kind {m['kind']!r}")
     return snapshot
 
 
@@ -185,77 +196,62 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
     return summary
 
 
-def validate_telemetry_dir(out_dir) -> dict:
-    """Check a telemetry dir is non-empty and schema-valid.
+@dataclass
+class TelemetryDir:
+    """Every artifact of one telemetry directory, each parsed once.
 
-    Raises ``ValueError`` on any violation; returns ``{"spans": n,
-    "metrics": m, ...}`` on success, with ``torn_tail`` counting the
-    trailing records skipped over all four JSONL files (a run cut
-    mid-write).  Used by the CI smoke job.
+    ``audit``, ``timeline`` and ``blame`` are None when the run wrote no
+    such file; ``incidents`` holds every ``incident-<n>/`` bundle.
     """
-    spans_path = os.path.join(out_dir, "spans.jsonl")
-    metrics_path = os.path.join(out_dir, "metrics.json")
-    for path in (spans_path, metrics_path):
-        if not os.path.exists(path):
-            raise ValueError(f"missing telemetry file: {path}")
 
-    from repro.obs._jsonl import read_jsonl
+    path: str
+    spans: SpanLog
+    metrics: dict
+    audit: AuditTrail | None
+    timeline: Timeline | None
+    blame: BlameLog | None
+    incidents: list
 
-    span_records, torn = read_jsonl(spans_path)
-    n_spans = 0
-    for lineno, span in span_records:
-        missing = _SPAN_FIELDS - span.keys()
-        if missing:
-            raise ValueError(
-                f"{spans_path}:{lineno}: span missing fields {sorted(missing)}"
-            )
-        if span["end_us"] < span["start_us"]:
-            raise ValueError(f"{spans_path}:{lineno}: span ends before it starts")
-        n_spans += 1
-    if n_spans == 0:
-        raise ValueError(f"{spans_path}: no spans recorded")
+    @property
+    def parts(self) -> list:
+        """The JSONL-backed artifacts, incident evidence included."""
+        own = [self.spans, self.audit, self.timeline, self.blame]
+        return ([p for p in own if p is not None]
+                + [p for inc in self.incidents for p in inc.parts])
 
-    snapshot = load_metrics_json(metrics_path)
-    metrics = snapshot.get("metrics", [])
-    if not metrics:
-        raise ValueError(f"{metrics_path}: no metrics recorded")
-    for m in metrics:
-        for fld in ("name", "tags", "kind"):
-            if fld not in m:
-                raise ValueError(f"{metrics_path}: metric missing {fld!r}: {m}")
-        if m["kind"] not in ("counter", "gauge", "histogram"):
-            raise ValueError(f"{metrics_path}: unknown metric kind {m['kind']!r}")
+    @property
+    def torn_tail(self) -> int:
+        """Trailing records skipped over every file (a run cut mid-write)."""
+        return sum(p.torn_tail for p in self.parts)
 
-    counts = {"spans": n_spans, "metrics": len(metrics)}
-    audit_path = os.path.join(out_dir, "audit.jsonl")
-    if os.path.exists(audit_path):
-        from repro.obs.audit import load_audit_jsonl
 
-        audit, audit_torn = load_audit_jsonl(audit_path, return_torn=True)
-        counts["audit_records"] = len(audit)
-        torn += audit_torn
-    timeline_path = os.path.join(out_dir, "timeline.jsonl")
-    if os.path.exists(timeline_path):
-        from repro.obs.timeline import validate_timeline_jsonl
+def load_telemetry_dir(out_dir) -> TelemetryDir:
+    """Load a telemetry dir: every file through its kind's loader.
 
-        tl = validate_timeline_jsonl(timeline_path)
-        counts["timeline_windows"] = tl["windows"]
-        counts["exemplars"] = tl["exemplars"]
-        torn += tl.get("torn_tail", 0)
-    blame_path = os.path.join(out_dir, "blame.jsonl")
-    if os.path.exists(blame_path):
-        from repro.obs.blame import validate_blame_jsonl
+    Raises ``ValueError`` on any violation, including a directory that
+    recorded no span, no metric or (with a timeline) no window.
+    """
+    def path(name):
+        return os.path.join(out_dir, name)
 
-        blame = validate_blame_jsonl(blame_path)
-        torn += blame.pop("torn_tail", 0)
-        counts["blame_records"] = sum(blame.values())
-    if torn:
-        counts["torn_tail"] = torn
-    from repro.obs.flightrecorder import list_incidents, validate_incident_dir
+    for name in ("spans.jsonl", "metrics.json"):
+        if not os.path.exists(path(name)):
+            raise ValueError(f"missing telemetry file: {path(name)}")
+    spans = load_spans_jsonl(path("spans.jsonl"))
+    if not spans.spans:
+        raise ValueError(f"{path('spans.jsonl')}: no spans recorded")
+    metrics = load_metrics_json(path("metrics.json"))
+    if not metrics.get("metrics"):
+        raise ValueError(f"{path('metrics.json')}: no metrics recorded")
 
-    incident_dirs = list_incidents(out_dir)
-    if incident_dirs:
-        for inc_dir in incident_dirs:
-            validate_incident_dir(inc_dir)
-        counts["incidents"] = len(incident_dirs)
-    return counts
+    def optional(name, loader):
+        return loader(path(name)) if os.path.exists(path(name)) else None
+
+    audit = optional("audit.jsonl", load_audit_jsonl)
+    timeline = optional("timeline.jsonl", load_timeline_jsonl)
+    if timeline is not None and not timeline.windows:
+        raise ValueError(f"{timeline.path}: no windows recorded")
+    return TelemetryDir(
+        out_dir, spans, metrics, audit, timeline,
+        optional("blame.jsonl", load_blame_jsonl),
+        [load_incident(b) for b in list_incidents(out_dir)])

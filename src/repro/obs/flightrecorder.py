@@ -45,20 +45,24 @@ import json
 import os
 import re
 from collections import deque
+from dataclasses import dataclass
 from itertools import chain
 
 from repro.obs._jsonl import write_jsonl
-from repro.obs.blame import BLAME_SCHEMA, QueryBlame, assemble_queries
+from repro.obs.audit import AuditTrail, load_audit_jsonl
+from repro.obs.blame import (BLAME_SCHEMA, QueryBlame, assemble_queries,
+                             format_query_blame)
 from repro.obs.slo import (DEFAULT_SLOS, StreamingDetectors,
                            StreamingSloEvaluator)
-from repro.obs.timeline import TIMELINE_SCHEMA
+from repro.obs.timeline import TIMELINE_SCHEMA, Timeline, load_timeline_jsonl
+from repro.obs.tracer import SpanLog, load_spans_jsonl
 
 __all__ = [
     "INCIDENT_SCHEMA",
     "FlightRecorder",
+    "Incident",
     "list_incidents",
     "load_incident",
-    "validate_incident_dir",
     "format_incident",
 ]
 
@@ -345,35 +349,47 @@ def list_incidents(telemetry_dir) -> list[str]:
     return [path for _, path in sorted(found)]
 
 
-def load_incident(bundle_dir) -> dict:
-    """Load one bundle: the manifest plus parsed evidence files."""
-    with open(os.path.join(bundle_dir, "incident.json")) as fh:
-        manifest = json.load(fh)
-    if manifest.get("schema") != INCIDENT_SCHEMA:
-        raise ValueError(f"{bundle_dir}: not a {INCIDENT_SCHEMA} bundle")
-    from repro.obs.timeline import load_timeline_jsonl
-    from repro.obs.tracer import load_spans_jsonl
-
-    out = {"manifest": manifest, "dir": bundle_dir}
-    out["timeline"] = load_timeline_jsonl(
-        os.path.join(bundle_dir, "windows.jsonl"))
-    out["spans"], _ = load_spans_jsonl(os.path.join(bundle_dir,
-                                                    "spans.jsonl"))
-    with open(os.path.join(bundle_dir, "blame.json")) as fh:
-        out["blame"] = json.load(fh)
-    from repro.obs.audit import load_audit_jsonl
-
-    out["audit"] = load_audit_jsonl(os.path.join(bundle_dir, "audit.jsonl"))
-    return out
-
-
 _MANIFEST_FIELDS = ("schema", "incident", "trigger", "anomalies", "slo",
                     "window_us", "trigger_window", "windows", "start_us",
                     "end_us", "qids", "resources", "config", "counts")
 
 
-def validate_incident_dir(bundle_dir) -> dict:
-    """Schema-check one bundle; raises ValueError, returns its counts.
+@dataclass
+class Incident:
+    """One parsed ``incident-<n>/`` bundle: the manifest plus its
+    evidence files, each parsed once."""
+
+    dir: str
+    manifest: dict
+    timeline: Timeline
+    spans: SpanLog
+    blame: dict
+    audit: AuditTrail
+
+    @property
+    def parts(self) -> list:
+        """The bundle's JSONL-backed artifacts."""
+        return [self.timeline, self.spans, self.audit]
+
+    @property
+    def torn_tail(self) -> int:
+        """Trailing records skipped over the bundle's JSONL files."""
+        return sum(p.torn_tail for p in self.parts)
+
+    @property
+    def counts(self) -> dict:
+        """Evidence per file, as ``repro incidents`` lists it."""
+        return {
+            "windows": len(self.timeline.windows),
+            "spans": len(self.spans.spans),
+            "blame_queries": len(self.blame.get("queries", [])),
+            "audit_records": len(self.audit.records),
+            "qids": len(self.manifest["qids"]),
+        }
+
+
+def load_incident(bundle_dir) -> Incident:
+    """Load and cross-check one bundle; raises ValueError.
 
     Beyond field presence this checks the *cross-references* that make
     a bundle self-contained evidence: the captured windows are exactly
@@ -396,11 +412,7 @@ def validate_incident_dir(bundle_dir) -> dict:
     if "fingerprint" not in manifest["config"]:
         raise ValueError(f"{bundle_dir}: config missing fingerprint")
 
-    from repro.obs.timeline import validate_timeline_jsonl, load_timeline_jsonl
-
-    windows_path = os.path.join(bundle_dir, "windows.jsonl")
-    validate_timeline_jsonl(windows_path)
-    tl = load_timeline_jsonl(windows_path)
+    tl = load_timeline_jsonl(os.path.join(bundle_dir, "windows.jsonl"))
     indices = [rec["window"] for rec in tl.windows]
     if indices != manifest["windows"]:
         raise ValueError(
@@ -411,10 +423,8 @@ def validate_incident_dir(bundle_dir) -> dict:
             f"{bundle_dir}: trigger window {manifest['trigger_window']} "
             f"not captured")
 
-    from repro.obs.tracer import load_spans_jsonl
-
-    spans, _ = load_spans_jsonl(os.path.join(bundle_dir, "spans.jsonl"))
-    span_qids = {s["attrs"].get("qid") for s in spans}
+    spans = load_spans_jsonl(os.path.join(bundle_dir, "spans.jsonl"))
+    span_qids = {s["attrs"].get("qid") for s in spans.spans}
     with open(os.path.join(bundle_dir, "blame.json")) as fh:
         blame_doc = json.load(fh)
     if blame_doc.get("schema") != BLAME_SCHEMA:
@@ -441,21 +451,13 @@ def validate_incident_dir(bundle_dir) -> dict:
             f"{bundle_dir}: blame resources {resources} != manifest "
             f"{manifest['resources']}")
 
-    from repro.obs.audit import load_audit_jsonl
-
     audit = load_audit_jsonl(os.path.join(bundle_dir, "audit.jsonl"))
-    return {
-        "windows": len(tl.windows),
-        "spans": len(spans),
-        "blame_queries": len(blame_doc.get("queries", [])),
-        "audit_records": len(audit),
-        "qids": len(manifest["qids"]),
-    }
+    return Incident(bundle_dir, manifest, tl, spans, blame_doc, audit)
 
 
-def format_incident(incident: dict) -> str:
+def format_incident(incident: Incident) -> str:
     """Render a loaded bundle as the ``repro explain --incident`` walk."""
-    man = incident["manifest"]
+    man = incident.manifest
     trig = man["trigger"]
     lines = [
         f"incident {man['incident']}: [{trig['severity']}] "
@@ -491,9 +493,7 @@ def format_incident(incident: dict) -> str:
     if man["resources"]:
         lines.append(f"  resources on the critical paths: "
                      f"{man['resources']}")
-    from repro.obs.blame import QueryBlame, format_query_blame
-
-    for row in incident.get("blame", {}).get("queries", [])[:3]:
+    for row in incident.blame.get("queries", [])[:3]:
         lines.append("")
         lines.append(format_query_blame(QueryBlame.from_dict(row)))
     counts = man["counts"]

@@ -36,7 +36,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 from urllib.request import urlopen
 
-from repro.obs.export import openmetrics_text
+from repro.obs.export import (TelemetryDir, load_telemetry_dir,
+                              openmetrics_text)
 from repro.obs.slo import (DEFAULT_SLOS, StreamingDetectors,
                            StreamingSloEvaluator)
 from repro.obs.timeline import TIMELINE_SCHEMA, derive_window, sparkline
@@ -249,22 +250,21 @@ def fetch_status(target: str, timeout: float = 5.0) -> dict:
 
 
 def status_from_dir(telemetry_dir) -> dict:
-    """Build the same status document post-hoc from a telemetry dir."""
-    from repro.obs.flightrecorder import list_incidents
+    """Build the same status document post-hoc from a telemetry dir: a
+    path, or the :class:`~repro.obs.export.TelemetryDir` loaded from one."""
     from repro.obs.slo import evaluate_slos, run_detectors
-    from repro.obs.timeline import load_timeline_jsonl
 
-    path = os.path.join(telemetry_dir, "timeline.jsonl")
+    loaded = isinstance(telemetry_dir, TelemetryDir)
+    path = os.path.join(telemetry_dir.path if loaded else telemetry_dir,
+                        "timeline.jsonl")
     if not os.path.exists(path):
         raise ValueError(
             f"no timeline at {path} (run with --timeline to record one)")
-    tl = load_timeline_jsonl(path)
-    manifests = []
-    for bundle in list_incidents(telemetry_dir):
-        with open(os.path.join(bundle, "incident.json")) as fh:
-            manifests.append(json.load(fh))
+    if not loaded:
+        telemetry_dir = load_telemetry_dir(telemetry_dir)
+    tl = telemetry_dir.timeline
     return _status_doc(
-        {"dir": str(telemetry_dir)},
+        {"dir": str(telemetry_dir.path)},
         now_us=tl.windows[-1]["end_us"] if tl.windows else None,
         window_us=tl.window_us,
         windows_seen=len(tl.windows),
@@ -272,7 +272,7 @@ def status_from_dir(telemetry_dir) -> dict:
         slo=evaluate_slos(DEFAULT_SLOS, tl.windows),
         anomalies=run_detectors(tl.windows),
         incident_open=False,
-        manifests=manifests,
+        manifests=[inc.manifest for inc in telemetry_dir.incidents],
     )
 
 

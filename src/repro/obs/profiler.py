@@ -58,7 +58,6 @@ __all__ = [
     "load_folded",
     "write_profile",
     "load_profile",
-    "validate_profile",
     "format_profile",
 ]
 
@@ -295,20 +294,21 @@ def load_folded(path) -> list[tuple[str, int]]:
 
 
 def write_profile(doc: dict, path) -> None:
-    validate_profile(doc)
+    _check_profile(doc)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_profile(path) -> dict:
+    """Load and schema-check a profile summary."""
     with open(path) as fh:
         doc = json.load(fh)
-    validate_profile(doc)
+    _check_profile(doc)
     return doc
 
 
-def validate_profile(doc: dict) -> None:
+def _check_profile(doc: dict) -> None:
     """Raise ``ValueError`` unless ``doc`` is a usable profile summary."""
     if not isinstance(doc, dict) or doc.get("schema") != PROFILE_SCHEMA:
         raise ValueError(f"not a {PROFILE_SCHEMA} document")

@@ -80,7 +80,6 @@ __all__ = [
     "window_point",
     "window_series",
     "load_timeline_jsonl",
-    "validate_timeline_jsonl",
     "sparkline",
 ]
 
@@ -616,23 +615,16 @@ def steady_state_window(windows, series: str = "hit_ratio", k: int = 5,
 
 @dataclass
 class Timeline:
-    """A parsed ``timeline.jsonl``: header + windows + exemplars.
+    """A parsed ``timeline.jsonl``: header + windows + exemplars;
+    ``torn_tail`` counts cut final records skipped (a run killed
+    mid-write)."""
 
-    ``torn_tail`` counts records lost to a mid-write cut (a live run
-    killed mid-line); the loaders skip such a tail rather than raise.
-    """
-
+    path: str
     window_us: float
     windows: list[dict]
     exemplars: list[dict]
     footer: dict | None = None
     torn_tail: int = 0
-
-    def series(self, name: str) -> list[tuple[int, float]]:
-        return window_series(self.windows, name)
-
-    def steady_state(self, **kw) -> int | None:
-        return steady_state_window(self.windows, **kw)
 
 
 def load_timeline_jsonl(path) -> Timeline:
@@ -640,7 +632,10 @@ def load_timeline_jsonl(path) -> Timeline:
 
     When the stream was rotated (``open_stream(max_windows=...)``), the
     previous generation lives at ``<path>.1``; it is read first so the
-    returned windows stay in order across the rotation boundary.
+    returned windows stay in order across the rotation boundary.  Beyond
+    record shapes it checks that the footer's window count matches,
+    counter deltas are non-negative and every sub-histogram's count is
+    its buckets' sum.
     """
     windows: list[dict] = []
     exemplars: list[dict] = []
@@ -691,31 +686,21 @@ def load_timeline_jsonl(path) -> Timeline:
                     f"{part}:{lineno}: unknown record type {kind!r}")
     if window_us is None:
         raise ValueError(f"{path}: empty timeline file")
-    return Timeline(window_us=window_us, windows=windows,
-                    exemplars=exemplars, footer=footer,
-                    torn_tail=torn_total)
-
-
-def validate_timeline_jsonl(path) -> dict:
-    """Schema check used by CI; returns summary counts."""
-    tl = load_timeline_jsonl(path)
-    if not tl.windows:
-        raise ValueError(f"{path}: no windows recorded")
-    if tl.footer is not None:
-        claimed = tl.footer.get("windows")
-        if tl.footer.get("rotated") or tl.torn_tail:
+    if footer is not None:
+        claimed = footer.get("windows")
+        if footer.get("rotated") or torn_total:
             # Rotation discards generations before <path>.1 and a torn
             # tail loses its record, so the file can hold fewer windows
             # than the run emitted — never more.
-            if claimed is not None and len(tl.windows) > claimed:
+            if claimed is not None and len(windows) > claimed:
                 raise ValueError(
                     f"{path}: footer claims {claimed} windows, file "
-                    f"holds {len(tl.windows)}")
-        elif claimed != len(tl.windows):
+                    f"holds {len(windows)}")
+        elif claimed != len(windows):
             raise ValueError(
                 f"{path}: footer claims {claimed} windows, "
-                f"file holds {len(tl.windows)}")
-    for rec in tl.windows:
+                f"file holds {len(windows)}")
+    for rec in windows:
         for key, v in rec["counters"].items():
             if v < 0:
                 raise ValueError(
@@ -726,10 +711,7 @@ def validate_timeline_jsonl(path) -> dict:
                 raise ValueError(
                     f"{path}: sub-histogram {key} count mismatch in window "
                     f"{rec['window']}")
-    counts = {"windows": len(tl.windows), "exemplars": len(tl.exemplars)}
-    if tl.torn_tail:
-        counts["torn_tail"] = tl.torn_tail
-    return counts
+    return Timeline(path, window_us, windows, exemplars, footer, torn_total)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,15 @@ shared :data:`NULL_TRACER` (or a plain ``None`` device hook), whose
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER",
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "SpanLog",
            "load_spans_jsonl"]
+
+_SPAN_FIELDS = {"span_id", "parent_id", "name", "start_us", "end_us",
+                "dur_us", "attrs"}
 
 
 class Span:
@@ -230,11 +235,25 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-def load_spans_jsonl(path) -> tuple[list[dict], int]:
-    """Load a ``spans.jsonl`` file; returns ``(spans, torn_tail)``.
+@dataclass
+class SpanLog:
+    """A parsed ``spans.jsonl``: span dicts in file order; ``torn_tail``
+    counts the cut final record skipped (a run killed mid-write)."""
 
-    A torn final line (a live run cut mid-write) is skipped and counted
-    rather than raised.
-    """
+    path: str
+    spans: list[dict]
+    torn_tail: int = 0
+
+
+def load_spans_jsonl(path) -> SpanLog:
+    """Load and schema-check a ``spans.jsonl`` file: every span carries
+    every field and ends no earlier than it starts."""
     records, torn = read_jsonl(path)
-    return [rec for _, rec in records], torn
+    for lineno, span in records:
+        missing = _SPAN_FIELDS - span.keys()
+        if missing:
+            raise ValueError(
+                f"{path}:{lineno}: span missing fields {sorted(missing)}")
+        if span["end_us"] < span["start_us"]:
+            raise ValueError(f"{path}:{lineno}: span ends before it starts")
+    return SpanLog(path, [rec for _, rec in records], torn)

@@ -166,7 +166,7 @@ def test_write_buffer_drain_after_run(index):
 
 def test_serving_a_query_never_sorts_its_key(index, monkeypatch):
     """``Query.key`` is fixed at construction, so the serving path — result
-    lookup, planning, admission, surrogate execution — calls ``sorted``
+    lookup, planning, admission — calls ``sorted``
     zero times, hit or miss."""
     import builtins
 

@@ -130,7 +130,6 @@ def test_daat_and_taat_agree_on_exhaustive_single_term(small_index):
                 postings=int(small_index.stats.doc_freqs[term]),
             ),
         )),
-        materialize=True,
     )
     d_entry = daat.execute(daat.plan(q), materialize=True)
     assert {r.doc_id for r in t_entry.results} == {r.doc_id for r in d_entry.results}

@@ -112,7 +112,7 @@ def test_built_index_layout_consistent(built):
 def test_built_index_works_with_processor(built):
     processor = QueryProcessor(built, top_k=5, seed=3)
     plan = processor.plan(Query(0, (0, 1)))
-    entry = processor.execute(plan, materialize=True)
+    entry = processor.execute(plan)
     assert len(entry) > 0
 
 

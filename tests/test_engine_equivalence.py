@@ -119,7 +119,7 @@ def test_score_of_all_empty_prefixes_is_empty():
     processor = QueryProcessor(index)
     plan = plan_of([(0, 0), (1, 5)])
     assert processor._score(plan) == []
-    assert processor.execute(plan, materialize=True).results == ()
+    assert processor.execute(plan).results == ()
 
 
 def assert_same_list(got: PostingList, want: PostingList) -> None:
@@ -253,7 +253,7 @@ def test_execute_makes_no_python_call_per_posting(small_index):
     for n in (30, 300):
         plan = plan_of([(t, n) for t in terms])
         counts.append(repro_calls(
-            lambda: processor.execute(plan, materialize=True)))
+            lambda: processor.execute(plan)))
     assert counts[0] == counts[1]
     assert 0 < counts[0] < 50
 

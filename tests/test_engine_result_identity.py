@@ -34,8 +34,8 @@ class RecordingProcessor(QueryProcessor):
         super().__init__(*args, **kwargs)
         self.entries = []
 
-    def execute(self, plan, materialize=False):
-        entry = super().execute(plan, materialize)
+    def execute(self, plan):
+        entry = super().execute(plan)
         self.entries.append(entry)
         return entry
 

@@ -28,7 +28,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import CacheConfig, Policy
-from repro.obs import (Telemetry, list_incidents, validate_telemetry_dir,
+from repro.obs import (Telemetry, list_incidents, load_telemetry_dir,
                        write_telemetry_dir)
 from repro.workloads.retrieval import prepare_cached_manager, run_cached
 from repro.workloads.sweep import make_log_for, make_scaled_index
@@ -143,7 +143,7 @@ def test_every_artifact_is_byte_identical_to_the_parent(name, tmp_path,
     out = str(tmp_path / name)
     SCENARIOS[name](out)
     capsys.readouterr()
-    validate_telemetry_dir(out)
+    load_telemetry_dir(out)
     got = digest_dir(out)
     want = PARENT_DIGESTS[name]
     assert sorted(got) == sorted(want), "the set of files written moved"

@@ -115,7 +115,7 @@ def test_export_load_roundtrip_and_validation(tmp_path):
     path = tmp_path / "audit.jsonl"
     assert log.export_jsonl(path) == 2
     loaded = load_audit_jsonl(path)
-    assert [r["key"] for r in loaded] == [5, [1, 2]]
+    assert [r["key"] for r in loaded.records] == [5, [1, 2]]
     with open(path, "w") as fh:
         fh.write(json.dumps({"seq": 1, "type": "x"}) + "\n")
     with pytest.raises(ValueError, match="missing fields"):
@@ -245,7 +245,7 @@ def test_explain_unknown_subject():
 # -- telemetry dir export ----------------------------------------------------
 
 def test_telemetry_dir_contains_audit_jsonl(tmp_path, small_index):
-    from repro.obs import validate_telemetry_dir, write_telemetry_dir
+    from repro.obs import load_telemetry_dir, write_telemetry_dir
 
     tel = Telemetry()
     mgr = make_manager(small_index, telemetry=tel)
@@ -253,7 +253,6 @@ def test_telemetry_dir_contains_audit_jsonl(tmp_path, small_index):
     out = tmp_path / "t"
     written = write_telemetry_dir(tel, out)
     assert written["audit_records"] == len(tel.audit)
-    counts = validate_telemetry_dir(out)
-    assert counts["audit_records"] == written["audit_records"]
-    loaded = load_audit_jsonl(out / "audit.jsonl")
+    loaded = load_telemetry_dir(out).audit.records
+    assert len(loaded) == written["audit_records"]
     assert {r["type"] for r in loaded} >= {"list.select", "admit", "evict"}

@@ -26,7 +26,6 @@ from repro.obs.blame import (
     format_blame_report,
     format_query_blame,
     load_blame_jsonl,
-    validate_blame_jsonl,
 )
 from repro.obs.timeline import derive_window
 from repro.sim.clock import VirtualClock
@@ -306,12 +305,11 @@ def test_jsonl_stream_roundtrip_and_validation(tmp_path):
     rec.open_stream(path)
     _synthetic_run(rec, jobs=5)
     rec.finish()
-    counts = validate_blame_jsonl(path)
-    assert counts["serve"] == 5
-    assert counts["task"] == 5
-    assert counts["resource"] == 1
-    assert counts["footer"] == 1
     log = load_blame_jsonl(path)
+    kinds = [r["type"] for r in log.records]
+    assert kinds.count("serve") == 5
+    assert kinds.count("task") == 5
+    assert len(log.resources) == 1
     assert log.header["schema"] == BLAME_SCHEMA
     assert log.footer["dropped"] == 0
     # Re-export to the streamed path is a no-op; a fresh path round-trips.
@@ -326,17 +324,17 @@ def test_validate_rejects_bad_files(tmp_path):
     bad_header = tmp_path / "bad1.jsonl"
     bad_header.write_text('{"schema": "nope/v9"}\n')
     with pytest.raises(ValueError, match="not a"):
-        validate_blame_jsonl(str(bad_header))
+        load_blame_jsonl(str(bad_header))
     bad_type = tmp_path / "bad2.jsonl"
     bad_type.write_text(json.dumps({"schema": BLAME_SCHEMA}) + "\n"
                         + '{"type": "mystery"}\n')
     with pytest.raises(ValueError, match="unknown record type"):
-        validate_blame_jsonl(str(bad_type))
+        load_blame_jsonl(str(bad_type))
     missing = tmp_path / "bad3.jsonl"
     missing.write_text(json.dumps({"schema": BLAME_SCHEMA}) + "\n"
                        + '{"type": "serve", "task": 0}\n')
     with pytest.raises(ValueError, match="missing field"):
-        validate_blame_jsonl(str(missing))
+        load_blame_jsonl(str(missing))
 
 
 def test_shed_and_footer_account_every_arrival():

@@ -12,8 +12,7 @@ from repro.obs import (
     Telemetry,
     list_incidents,
     load_incident,
-    validate_incident_dir,
-    validate_telemetry_dir,
+    load_telemetry_dir,
 )
 
 
@@ -47,8 +46,8 @@ def test_sustained_overload_is_one_incident(tmp_path):
     assert flight.finish() == 1
     assert flight.finish() == 1  # idempotent
     [bundle] = list_incidents(tmp_path)
-    counts = validate_incident_dir(bundle)
-    manifest = load_incident(bundle)["manifest"]
+    incident = load_incident(bundle)
+    counts, manifest = incident.counts, incident.manifest
     assert manifest["trigger"]["detector"] == "queue_buildup"
     assert manifest["trigger"]["severity"] == "critical"
     assert manifest["trigger_window"] in manifest["windows"]
@@ -121,17 +120,17 @@ def test_past_knee_run_emits_valid_bundle(tmp_path, capsys):
     capsys.readouterr()
     bundles = list_incidents(out)
     assert bundles, "past-knee run must trigger at least one incident"
-    counts = validate_telemetry_dir(out)
-    assert counts["incidents"] == len(bundles)
-    incident = load_incident(bundles[0])
-    man = incident["manifest"]
+    loaded = load_telemetry_dir(out)
+    assert len(loaded.incidents) == len(bundles)
+    incident = loaded.incidents[0]
+    man = incident.manifest
     # The bundle is self-contained evidence for the triggering window:
     # captured windows bracket it, and the affected qids resolve to
     # blame critical paths and/or span trees inside the bundle.
     assert man["trigger_window"] in man["windows"]
     assert man["qids"], "a saturated capture should name affected qids"
-    blame_qids = {q["qid"] for q in incident["blame"]["queries"]}
-    span_qids = {s["attrs"].get("qid") for s in incident["spans"]}
+    blame_qids = {q["qid"] for q in incident.blame["queries"]}
+    span_qids = {s["attrs"].get("qid") for s in incident.spans.spans}
     for qid in man["qids"]:
         assert qid in blame_qids or qid in span_qids
     assert man["resources"], "critical paths should name resources"
@@ -166,4 +165,4 @@ def test_validate_rejects_tampered_bundle(tmp_path):
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
     with pytest.raises(ValueError, match="windows"):
-        validate_incident_dir(bundle)
+        load_incident(bundle)

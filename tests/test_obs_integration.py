@@ -12,8 +12,8 @@ from repro.obs import (
     Telemetry,
     format_stage_breakdown,
     format_stage_comparison,
+    load_telemetry_dir,
     stage_summary,
-    validate_telemetry_dir,
     write_telemetry_dir,
 )
 
@@ -210,15 +210,17 @@ def test_write_and_validate_telemetry_dir(tmp_path, small_index):
     assert written["spans"] > 0
     assert written["metrics"] > 0
     assert written["dropped_spans"] == 0
-    counts = validate_telemetry_dir(out)
-    assert counts == {"spans": written["spans"], "metrics": written["metrics"],
-                      "audit_records": written["audit_records"]}
-    assert written["audit_records"] > 0
+    loaded = load_telemetry_dir(out)
+    assert len(loaded.spans.spans) == written["spans"]
+    assert len(loaded.metrics["metrics"]) == written["metrics"]
+    assert len(loaded.audit.records) == written["audit_records"] > 0
+    assert loaded.timeline is None and loaded.blame is None
+    assert loaded.incidents == [] and loaded.torn_tail == 0
 
 
 def test_validate_rejects_missing_and_malformed(tmp_path, small_index):
     with pytest.raises(ValueError, match="missing"):
-        validate_telemetry_dir(tmp_path / "nowhere")
+        load_telemetry_dir(tmp_path / "nowhere")
     tel = Telemetry()
     mgr = make_manager(small_index, telemetry=tel)
     replay(mgr, n=50)
@@ -228,10 +230,10 @@ def test_validate_rejects_missing_and_malformed(tmp_path, small_index):
            "start_us": 5.0, "end_us": 1.0, "dur_us": -4.0, "attrs": {}}
     (out / "spans.jsonl").write_text(json.dumps(bad) + "\n")
     with pytest.raises(ValueError, match="ends before"):
-        validate_telemetry_dir(out)
+        load_telemetry_dir(out)
     (out / "spans.jsonl").write_text('{"span_id": 1}\n')
     with pytest.raises(ValueError, match="missing fields"):
-        validate_telemetry_dir(out)
+        load_telemetry_dir(out)
 
 
 # -- breakdown tables --------------------------------------------------------

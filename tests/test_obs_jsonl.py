@@ -77,13 +77,10 @@ def test_timeline_loader_tolerates_torn_tail(tmp_path):
 
 def test_blame_loader_tolerates_torn_tail(tmp_path):
     path = tmp_path / "blame.jsonl"
-    recs = [
-        {"schema": BLAME_SCHEMA},
-        {"type": "span", "task": 1, "name": "q0", "resource": "cpu",
-         "enq_us": 0.0, "start_us": 1.0, "end_us": 2.0, "qid": 0},
-        {"type": "span", "task": 2, "name": "q1", "resource": "cpu",
-         "enq_us": 2.0, "start_us": 3.0, "end_us": 4.0, "qid": 1},
-    ]
+    recs = [{"schema": BLAME_SCHEMA}] + [
+        {"type": "serve", "task": i, "resource": "cpu",
+         "enqueue_us": 2.0 * i, "start_us": 2.0 * i + 1, "end_us": 2.0 * i + 2,
+         "wait_us": 1.0, "service_us": 1.0} for i in (1, 2)]
     _write_lines(path, [json.dumps(r) for r in recs])
     _truncate_last_line(path)
     log = load_blame_jsonl(path)
@@ -97,11 +94,9 @@ def test_audit_loader_tolerates_torn_tail(tmp_path):
              "key": i, "data": {}} for i in range(3)]
     _write_lines(path, [json.dumps(r) for r in recs])
     _truncate_last_line(path)
-    out, torn = load_audit_jsonl(path, return_torn=True)
-    assert torn == 1
-    assert len(out) == 2
-    # Default signature stays list-returning for existing callers.
-    assert len(load_audit_jsonl(path)) == 2
+    trail = load_audit_jsonl(path)
+    assert trail.torn_tail == 1
+    assert len(trail.records) == 2
 
 
 def test_span_loader_tolerates_torn_tail(tmp_path):
@@ -110,9 +105,9 @@ def test_span_loader_tolerates_torn_tail(tmp_path):
              "end_us": 1.0, "dur_us": 1.0, "attrs": {}} for i in range(3)]
     _write_lines(path, [json.dumps(r) for r in recs])
     _truncate_last_line(path)
-    spans, torn = load_spans_jsonl(path)
-    assert torn == 1
-    assert len(spans) == 2
+    log = load_spans_jsonl(path)
+    assert log.torn_tail == 1
+    assert len(log.spans) == 2
 
 
 # -- the one writer -----------------------------------------------------------

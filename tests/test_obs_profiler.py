@@ -17,7 +17,6 @@ from repro.obs import (
     load_folded,
     load_profile,
     subsystem_of,
-    validate_profile,
     write_folded,
     write_profile,
 )
@@ -88,10 +87,17 @@ def test_func_label_compact_forms():
 
 # -- summary schema ----------------------------------------------------------
 
-def test_summary_schema_and_shares(profiled):
+def _loaded(tmp_path, doc):
+    """``doc`` as ``load_profile`` reads it back from disk."""
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    return load_profile(path)
+
+
+def test_summary_schema_and_shares(tmp_path, profiled):
     profiler, _ = profiled
     doc = profiler.summary(top=10)
-    validate_profile(doc)  # raises on malformed output
+    _loaded(tmp_path, doc)  # raises on malformed output
     assert doc["schema"] == PROFILE_SCHEMA
     assert doc["wall_s"] > 0
     assert 0 < doc["cpu_s"]
@@ -122,24 +128,28 @@ def test_profile_json_roundtrip(tmp_path, profiled):
     assert load_profile(path)["suite"] == "test"
 
 
-def test_validate_profile_rejects_malformed(profiled):
+def test_validate_profile_rejects_malformed(tmp_path, profiled):
     profiler, _ = profiled
     good = profiler.summary()
     with pytest.raises(ValueError, match="not a"):
-        validate_profile({"schema": "other/v1"})
+        _loaded(tmp_path, {"schema": "other/v1"})
     for field in ("wall_s", "subsystems", "top", "counters"):
         bad = dict(good)
         del bad[field]
         with pytest.raises(ValueError, match=field):
-            validate_profile(bad)
+            _loaded(tmp_path, bad)
     bad = json.loads(json.dumps(good))
     next(iter(bad["subsystems"].values()))["share"] += 0.5
     with pytest.raises(ValueError, match="sum"):
-        validate_profile(bad)
+        _loaded(tmp_path, bad)
+    # The writer runs the same check before anything reaches disk.
+    with pytest.raises(ValueError, match="sum"):
+        write_profile(bad, tmp_path / "never.json")
+    assert not (tmp_path / "never.json").exists()
     bad = json.loads(json.dumps(good))
     bad["counters"]["ftl_map_lookups"] = -1
     with pytest.raises(ValueError, match="non-negative"):
-        validate_profile(bad)
+        _loaded(tmp_path, bad)
 
 
 def test_format_profile_renders(profiled):

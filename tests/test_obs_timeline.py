@@ -20,7 +20,7 @@ from repro.obs import (
     sparkline,
     steady_state_window,
     sub_histogram,
-    validate_telemetry_dir,
+    load_telemetry_dir,
     window_series,
     write_telemetry_dir,
 )
@@ -371,10 +371,7 @@ def test_timeline_export_load_validate_roundtrip(small_index, tmp_path):
     written = write_telemetry_dir(tel, out)
     assert written["timeline_windows"] > 0
 
-    counts = validate_telemetry_dir(out)
-    assert counts["timeline_windows"] == written["timeline_windows"]
-
-    tl = load_timeline_jsonl(out / "timeline.jsonl")
+    tl = load_telemetry_dir(out).timeline
     assert tl.window_us == 5_000.0
     assert len(tl.windows) == written["timeline_windows"]
     assert tl.footer["windows"] == len(tl.windows)
@@ -414,10 +411,10 @@ def test_streaming_run_exported_to_another_dir_keeps_its_timeline(
     assert tel.timeline._stream.rotations > 0
     for name in ("timeline.jsonl", "timeline.jsonl.1", "spans.jsonl"):
         assert (b / name).read_bytes() == (a / name).read_bytes()
-    counts = validate_telemetry_dir(b)
-    assert counts["spans"] == written["spans"]
-    assert counts["timeline_windows"] == len(
-        load_timeline_jsonl(a / "timeline.jsonl").windows)
+    loaded = load_telemetry_dir(b)
+    assert len(loaded.spans.spans) == written["spans"]
+    assert loaded.timeline.windows == \
+        load_timeline_jsonl(a / "timeline.jsonl").windows
     # Unrotated: the copy validates with the summary's window count.
     c, d = tmp_path / "t_c", tmp_path / "t_d"
     c.mkdir()
@@ -425,7 +422,7 @@ def test_streaming_run_exported_to_another_dir_keeps_its_timeline(
     tel.attach_timeline(window_us=5_000.0, stream_path=c / "timeline.jsonl")
     replay(make_manager(small_index, telemetry=tel))
     written = write_telemetry_dir(tel, d)
-    assert validate_telemetry_dir(d)["timeline_windows"] == \
+    assert len(load_telemetry_dir(d).timeline.windows) == \
         written["timeline_windows"] > 0
 
 
@@ -443,6 +440,22 @@ def test_validate_timeline_rejects_corruption(tmp_path):
     path.write_text(good_header + "\n" + bad_window + "\n")
     with pytest.raises(ValueError):
         load_timeline_jsonl(path)
+
+    def window(**fields):
+        return json.dumps({"type": "window", "window": 0, "start_us": 0.0,
+                           "end_us": 100.0, "counters": {}, "gauges": {},
+                           "histograms": {}, **fields})
+
+    footer = json.dumps({"type": "footer", "windows": 2})
+    for body, message in (
+            ([window(), footer], "footer claims 2 windows"),
+            ([window(counters={"x_total": -1})], "negative counter delta"),
+            ([window(histograms={"h": {"count": 2, "sum": 1.0,
+                                       "buckets": {"3": 1}}})],
+             "count mismatch")):
+        path.write_text("\n".join([good_header, *body]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_timeline_jsonl(path)
 
 
 # -- rendering ---------------------------------------------------------------
