@@ -23,6 +23,7 @@ shards and ad-hoc observability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 __all__ = [
@@ -96,9 +97,8 @@ def _dispatch(hooks: list, event) -> None:
     subscribers from receiving the event — every hook runs to completion,
     then the *first* exception is re-raised so a broken observer still
     fails loudly (in tests and benchmarks) instead of silently skewing
-    what it measures.  The emitters below handle the unobserved bus
-    (free) and the single subscriber (isolation is moot: the first
-    exception is simply the exception) themselves.
+    what it measures.  :func:`_emitter` keeps this contract for a bus
+    with one or two subscribers without the loop.
     """
     first_exc: Exception | None = None
     # Iterating the live list is safe: subscribing from inside a hook is
@@ -114,20 +114,71 @@ def _dispatch(hooks: list, event) -> None:
         raise first_exc
 
 
+def _unobserved(event) -> None:
+    """The emitter of a hook nobody subscribed to."""
+
+
+def _pair(first: Callable, second: Callable) -> Callable:
+    """Deliver to two hooks in one frame, under :func:`_dispatch`'s
+    contract: the second runs even when the first raises, and the first
+    exception is the one that propagates."""
+
+    def emit(event) -> None:
+        try:
+            first(event)
+        except Exception:
+            try:
+                second(event)
+            except Exception:  # noqa: BLE001 - the first exception wins
+                pass
+            raise
+        second(event)
+    return emit
+
+
+def _emitter(hooks: list) -> Callable:
+    """The cheapest callable delivering to ``hooks`` as _dispatch would:
+    the lone subscriber itself (the unobserved bus: the stats recorder),
+    a :func:`_pair` (the armed bus: the stats recorder, then Telemetry's
+    fused observer), or _dispatch over the list for three or more."""
+    if not hooks:
+        return _unobserved
+    if len(hooks) == 1:
+        return hooks[0]
+    if len(hooks) == 2:
+        return _pair(*hooks)
+    return partial(_dispatch, hooks)
+
+
 class CacheEvents:
     """Synchronous fan-out of the four cache hooks.
 
-    Subscribers must not mutate cache state; they observe.  A raising
-    subscriber never starves the ones registered after it (see
-    :func:`_dispatch`): all hooks are notified first, then the first
-    exception propagates.
+    The cache layers emit through ``admit(event)``, ``evict(event)``,
+    ``flush(event)`` and ``l2_victim(event)``.  Each emitter is bound to
+    its subscribers whenever they change (see :func:`_emitter`), never
+    chosen per event.  Subscribers must not mutate cache state; they
+    observe.  A raising subscriber never starves the ones registered
+    after it (see :func:`_dispatch`): all hooks are notified first, then
+    the first exception propagates.
     """
+
+    admit: Callable[[AdmitEvent], None]
+    evict: Callable[[EvictEvent], None]
+    flush: Callable[[FlushEvent], None]
+    l2_victim: Callable[[L2VictimEvent], None]
 
     def __init__(self) -> None:
         self._on_admit: list[Callable[[AdmitEvent], None]] = []
         self._on_evict: list[Callable[[EvictEvent], None]] = []
         self._on_flush: list[Callable[[FlushEvent], None]] = []
         self._on_l2_victim: list[Callable[[L2VictimEvent], None]] = []
+        self._bind()
+
+    def _bind(self) -> None:
+        self.admit = _emitter(self._on_admit)
+        self.evict = _emitter(self._on_evict)
+        self.flush = _emitter(self._on_flush)
+        self.l2_victim = _emitter(self._on_l2_victim)
 
     def subscribe(
         self,
@@ -148,47 +199,15 @@ class CacheEvents:
             if cb is not None:
                 hooks.append(cb)
                 attached.append((hooks, cb))
+        self._bind()
 
         def unsubscribe() -> None:
             for hooks, cb in attached:
                 if cb in hooks:
                     hooks.remove(cb)
+            self._bind()
 
         return unsubscribe
-
-    # -- emission (called by the cache layers) ---------------------------
-
-    # One subscriber is the common case (the stats recorder), so each
-    # emitter delivers to it in its own frame; _dispatch owns the
-    # several-subscriber isolation contract.
-
-    def admit(self, event: AdmitEvent) -> None:
-        hooks = self._on_admit
-        if len(hooks) == 1:
-            hooks[0](event)
-        elif hooks:
-            _dispatch(hooks, event)
-
-    def evict(self, event: EvictEvent) -> None:
-        hooks = self._on_evict
-        if len(hooks) == 1:
-            hooks[0](event)
-        elif hooks:
-            _dispatch(hooks, event)
-
-    def flush(self, event: FlushEvent) -> None:
-        hooks = self._on_flush
-        if len(hooks) == 1:
-            hooks[0](event)
-        elif hooks:
-            _dispatch(hooks, event)
-
-    def l2_victim(self, event: L2VictimEvent) -> None:
-        hooks = self._on_l2_victim
-        if len(hooks) == 1:
-            hooks[0](event)
-        elif hooks:
-            _dispatch(hooks, event)
 
 
 class EventCounter:

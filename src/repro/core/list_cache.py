@@ -104,9 +104,17 @@ class ListCache:
         tracer = self.tracer
         if not tracer.enabled:
             return self._fetch(term_id, needed, total_bytes, pu)
-        with tracer.span("list.fetch", term=term_id, needed=needed) as span:
+        # A span at one frame: opened inline (repro.obs.tracer).
+        stack = tracer.stack
+        parent, sid = stack[-1], next(tracer.ids)
+        stack.append(sid)
+        attrs = {"term": term_id, "needed": needed}
+        start = tracer.clock._now_us
+        try:
             flags = self._fetch(term_id, needed, total_bytes, pu)
-            span.set(mem=flags[0], ssd=flags[1], hdd=flags[2])
+            attrs["mem"], attrs["ssd"], attrs["hdd"] = flags
+        finally:
+            tracer.close(sid, parent, "list.fetch", start, attrs)
         return flags
 
     def _fetch(

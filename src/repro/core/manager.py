@@ -209,22 +209,36 @@ class CacheManager:
         With telemetry attached, the whole flow runs inside a ``query``
         span and the per-device busy-time deltas become the per-stage
         latency histograms (``stage_latency_us``); stage durations sum
-        exactly to the query's response time.
+        exactly to the query's response time.  That costs two frames
+        over the unobserved query: the span's ``close`` (it is opened
+        inline, see :mod:`repro.obs.tracer`) and ``record_query``.
         """
         tel = self.telemetry
         if tel is None:
             return self._process_query(query)
         clock = self.clock
-        busy0 = clock.busy_snapshot()
+        busy0 = dict(clock._busy_us)  # busy_snapshot(), minus its frame
         qid = self.stats.queries
-        with self._tracer.span("query", qid=qid,
-                               terms=len(query.key)) as span:
+        tracer = self._tracer
+        if not tracer.enabled:
             outcome = self._process_query(query)
-            situation = outcome.situation.name
-            span.set(situation=situation,
-                     hit_level=outcome.result_hit_level)
+            tel.record_query(outcome.situation._name_, outcome.response_us,
+                             busy0, clock, qid=qid)
+            return outcome
+        stack = tracer.stack
+        parent, sid = stack[-1], next(tracer.ids)
+        stack.append(sid)
+        attrs = {"qid": qid, "terms": len(query.key)}
+        start = tracer.clock._now_us
+        try:
+            outcome = self._process_query(query)
+            # _name_: the member's name without enum's property frame
+            attrs["situation"] = situation = outcome.situation._name_
+            attrs["hit_level"] = outcome.result_hit_level
+        finally:
+            tracer.close(sid, parent, "query", start, attrs)
         tel.record_query(situation, outcome.response_us, busy0, clock,
-                         qid=qid, span_id=getattr(span, "span_id", None))
+                         qid=qid, span_id=sid)
         return outcome
 
     def _process_query(self, query: Query) -> QueryOutcome:

@@ -114,9 +114,16 @@ class ResultCache:
         tracer = self.tracer
         if not tracer.enabled:
             return self._lookup(key)
-        with tracer.span("result.lookup") as span:
-            level = self._lookup(key)
-            span.set(hit_level=level)
+        # A span at one frame: opened inline (repro.obs.tracer).
+        stack = tracer.stack
+        parent, sid = stack[-1], next(tracer.ids)
+        stack.append(sid)
+        attrs = {}
+        start = tracer.clock._now_us
+        try:
+            attrs["hit_level"] = level = self._lookup(key)
+        finally:
+            tracer.close(sid, parent, "result.lookup", start, attrs)
         return level
 
     def _lookup(self, key: tuple[int, ...]) -> int:

@@ -23,6 +23,9 @@ __all__ = ["Counter", "Gauge", "Histogram", "DEFAULT_PERCENTILES",
 #: The percentile set every latency summary reports.
 DEFAULT_PERCENTILES = (50.0, 90.0, 95.0, 99.0, 99.9)
 
+#: The exemplar gate of a histogram nothing captures from.
+_CLOSED_GATE = (math.inf, math.inf)
+
 
 class Counter:
     """A monotonically increasing count (events, bytes, queries)."""
@@ -110,7 +113,8 @@ class Histogram:
     """
 
     __slots__ = ("lo", "growth", "_log_growth", "_bounds", "_counts",
-                 "count", "sum", "min", "max", "exemplar_sink", "_pending")
+                 "count", "sum", "min", "max", "exemplar_sink",
+                 "exemplar_gate", "_pending")
 
     kind = "histogram"
 
@@ -136,9 +140,12 @@ class Histogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        #: Optional tail-exemplar capture (see repro.obs.timeline.
-        #: ExemplarStore); None keeps the hot path to one attribute check.
+        #: Optional tail-exemplar capture, set by repro.obs.timeline.
+        #: ExemplarStore.register: the sink, and the gate ``(count,
+        #: value)`` a sample must reach (either) to be offered to it —
+        #: closed by default, so the hot path is two compares.
         self.exemplar_sink = None
+        self.exemplar_gate = _CLOSED_GATE
 
     # -- recording -----------------------------------------------------------
 
@@ -216,7 +223,8 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if self.exemplar_sink is not None:
+        gate = self.exemplar_gate
+        if self.count >= gate[0] or value >= gate[1]:
             self.exemplar_sink.offer(self, value)
 
     def record_many(self, values) -> None:

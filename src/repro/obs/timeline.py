@@ -153,32 +153,33 @@ class ExemplarStore:
         self.exemplars: deque[Exemplar] = deque(maxlen=capacity)
         self.dropped = 0
         self._labels: dict[int, str] = {}
-        self._thresholds: dict[int, tuple[int, float]] = {}
         #: ``(query_id, span_id, window, t_us)`` of the samples offered next
         self.context: tuple[int | None, int | None, int, float] = (
             None, None, 0, 0.0)
 
     def register(self, hist: Histogram, label: str) -> None:
-        """Attach this store to ``hist`` as its exemplar sink."""
+        """Attach this store to ``hist`` as its exemplar sink; nothing is
+        offered before ``min_count`` samples."""
         hist.exemplar_sink = self
+        hist.exemplar_gate = (self.min_count, float("inf"))
         self._labels[id(hist)] = label
 
     def offer(self, hist: Histogram, value: float) -> None:
-        """Called by ``Histogram.record``; captures tail samples."""
-        if hist.count < self.min_count:
-            return
-        hid = id(hist)
-        cached = self._thresholds.get(hid)
-        if cached is None or hist.count >= cached[0] + max(64, cached[0] // 2):
-            cached = (hist.count, hist.percentile(self.threshold_q))
-            self._thresholds[hid] = cached
-        if value < cached[1]:
+        """Called by ``Histogram.record`` for a sample that passed the
+        histogram's gate: refreshes the threshold once the count reaches
+        the gate's, then captures the sample if it is in the tail."""
+        count = hist.count
+        refresh_at, threshold = hist.exemplar_gate
+        if count >= refresh_at:
+            threshold = hist.percentile(self.threshold_q)
+            hist.exemplar_gate = (count + max(64, count // 2), threshold)
+        if value < threshold:
             return
         qid, span_id, window, t_us = self.context
         if len(self.exemplars) == self.exemplars.maxlen:
             self.dropped += 1
         self.exemplars.append(Exemplar(
-            metric=self._labels.get(hid, "histogram"),
+            metric=self._labels.get(id(hist), "histogram"),
             value_us=value,
             query_id=qid,
             span_id=span_id,

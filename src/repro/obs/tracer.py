@@ -15,11 +15,30 @@ Span JSONL schema (one object per line)::
 The hot path is zero-cost when tracing is off: components hold the
 shared :data:`NULL_TRACER` (or a plain ``None`` device hook), whose
 ``span``/``record`` are constant no-ops that allocate nothing.
+
+Armed, a span costs one frame.  :meth:`Tracer.record` (a leaf measured
+outside: every device access) builds and keeps its span in its own
+frame.  A scoped span on the serving path — the manager's ``query``,
+the caches' ``result.lookup`` and ``list.fetch`` — is opened by its
+caller inline, with C calls only, and finished by :meth:`Tracer.close`::
+
+    stack = tracer.stack
+    parent, sid = stack[-1], next(tracer.ids)
+    stack.append(sid)
+    start = tracer.clock._now_us
+    try:
+        ...
+    finally:
+        tracer.close(sid, parent, "result.lookup", start, attrs)
+
+Ids are issued in open order and the parent is the innermost span open
+at that moment, exactly as ``with tracer.span(...)`` does it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
 
@@ -32,9 +51,9 @@ _SPAN_FIELDS = {"span_id", "parent_id", "name", "start_us", "end_us",
 
 class Span:
     """One span: its own context manager while open, the finished record
-    once closed.  Only :meth:`Tracer.span` / :meth:`Tracer.record` make
-    one (they fill the slots; there is no constructor); :meth:`to_dict`
-    is for whoever reads it — stream writer, export, incident dump.
+    once closed.  Only the :class:`Tracer` makes one (it fills the slots;
+    there is no constructor); :meth:`to_dict` is for whoever reads it —
+    stream writer, export, incident dump.
     """
 
     __slots__ = ("_tracer", "span_id", "parent_id", "name", "start_us",
@@ -46,19 +65,18 @@ class Span:
 
     def __enter__(self) -> "Span":
         t = self._tracer
-        stack = t._stack
-        self.span_id = t._next_id
-        t._next_id += 1
-        self.parent_id = stack[-1] if stack else None
-        stack.append(self.span_id)
+        stack = t.stack
+        self.parent_id = stack[-1]
+        self.span_id = sid = next(t.ids)
+        stack.append(sid)
         self.start_us = t.clock._now_us  # the slot: no property frame
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         t = self._tracer
-        t._stack.pop()
+        t.stack.pop()
         self.end_us = t.clock._now_us
-        t._append(self)
+        t._keep(self)
         return False
 
     @property
@@ -98,37 +116,41 @@ class Tracer:
         self.max_spans = max_spans
         self.spans: list[Span] = []
         self.dropped = 0
+        #: ids of the open spans, innermost last, above a ``None``
+        #: sentinel: ``stack[-1]`` is the parent of the next span
+        self.stack: list[int | None] = [None]
+        #: span ids, issued in open order
+        self.ids = count(1)
         self._sink = None
-        self._stack: list[int] = []
-        self._next_id = 1
+        #: the open stream's ``write``, or None: spans are stored
+        self._write = None
         #: the :class:`JsonlWriter` once streaming (kept after it closes)
         self._stream: JsonlWriter | None = None
-        self._route()
 
     def set_span_sink(self, sink) -> None:
         """Feed every finished span to ``sink`` *before* storage or
         streaming — the flight recorder's ring hangs off this, so it
         sees spans even when streaming mode retains nothing."""
         self._sink = sink
-        self._route()
 
     def _route(self) -> None:
-        """Bind :attr:`_append`: sink and open stream are looked up when
-        one of them changes, not per span (list and cap are read live)."""
-        sink = self._sink
-        streaming = self._stream is not None and not self._stream.closed
-        write = self._stream.write if streaming else None
+        """Bind :attr:`_write` when the stream opens or closes, not per
+        span (the store and its cap are read live)."""
+        stream = self._stream
+        self._write = (stream.write if stream is not None
+                       and not stream.closed else None)
 
-        def append(span: Span) -> None:
-            if sink is not None:
-                sink(span)
-            if write is not None:
-                write(span.to_dict())
-            elif len(self.spans) < self.max_spans:
-                self.spans.append(span)
-            else:
-                self.dropped += 1
-        self._append = append
+    def _keep(self, span: Span) -> None:
+        """Hand a finished span to the sink, then to the stream or the
+        capped store.  :meth:`close` and :meth:`record` run this inline."""
+        if self._sink is not None:
+            self._sink(span)
+        if self._write is not None:
+            self._write(span.to_dict())
+        elif len(self.spans) < self.max_spans:
+            self.spans.append(span)
+        else:
+            self.dropped += 1
 
     def span(self, name: str, **attrs) -> Span:
         """Open a nested span: ``with tracer.span("query", qid=7) as sp:``."""
@@ -138,17 +160,44 @@ class Tracer:
         span.attrs = attrs
         return span
 
+    def close(self, span_id: int, parent_id: int | None, name: str,
+              start_us: float, attrs: dict) -> None:
+        """Finish the innermost span a caller opened inline (see the
+        module docstring) and keep it."""
+        self.stack.pop()
+        span = Span()
+        span.span_id = span_id
+        span.parent_id = parent_id
+        span.name = name
+        span.start_us = start_us
+        span.end_us = self.clock._now_us
+        span.attrs = attrs
+        if self._sink is not None:
+            self._sink(span)
+        if self._write is not None:
+            self._write(span.to_dict())
+        elif len(self.spans) < self.max_spans:
+            self.spans.append(span)
+        else:
+            self.dropped += 1
+
     def record(self, name: str, start_us: float, end_us: float, **attrs) -> None:
         """Append a leaf span measured externally (e.g. a device access)."""
         span = Span()
+        span.span_id = next(self.ids)
+        span.parent_id = self.stack[-1]
         span.name = name
-        span.attrs = attrs
-        span.span_id = self._next_id
-        self._next_id += 1
-        span.parent_id = self._stack[-1] if self._stack else None
         span.start_us = start_us
         span.end_us = end_us
-        self._append(span)
+        span.attrs = attrs
+        if self._sink is not None:
+            self._sink(span)
+        if self._write is not None:
+            self._write(span.to_dict())
+        elif len(self.spans) < self.max_spans:
+            self.spans.append(span)
+        else:
+            self.dropped += 1
 
     # -- streaming -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Exact call-count pin for what armed telemetry adds (noise-free).
+"""Exact call-count pins for what armed telemetry adds (noise-free).
 
 The companion of ``test_miss_chain_callcount.py``: that one counts the
 Python calls the simulator makes for a fixed window of
@@ -10,12 +10,16 @@ hostbench arms it (``Telemetry()`` spans + audit, a 100 ms timeline, the
 flight recorder in counting mode).  The difference in ``call`` events
 whose code lives in ``repro/`` is the observer's own work.
 
-The commit before the append-now/render-at-the-reader pass added
+Before the append-now/render-at-the-reader pass the armed run added
 94 639 calls over the window (189.3/query) on Python 3.11 — Python
 frames only: cProfile's 465/query also counts C calls and the frames of
-generated ``<string>`` code — and the ceiling is 60 % of that.  The armed
-stack must also land on the same simulated outcome as the unobserved one
-(observe, never perturb).
+generated ``<string>`` code.  That pass brought it to 53 973 (107.9);
+pricing each record at one frame (a span, a cache event's observer, a
+query record) brought it to 30 768 (61.5), and the ceiling is 58 % of
+53 973.  The armed stack must also land on the same simulated outcome
+as the unobserved one (observe, never perturb).
+
+The second test prices one armed result hit exactly, frame by frame.
 """
 
 from repro.core.config import CacheConfig, Policy
@@ -23,21 +27,23 @@ from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.corpus import CorpusConfig, build_corpus_stats
 from repro.engine.index import InvertedIndex
 from repro.engine.processor import QueryProcessor
+from repro.engine.query import Query
 from repro.obs import FlightRecorder, Telemetry
 from repro.workloads.sweep import make_log_for
 from tests.test_miss_chain_callcount import _count_repro_calls
 
-MB = 1024 * 1024
+KB = 1024
+MB = 1024 * KB
 WARM, COUNTED = 1000, 500
 
 #: Extra calls of the armed pass at the parent commit (Python 3.11).
-PARENT_EXTRA_CALLS = 94_639
-EXTRA_CALL_CEILING = PARENT_EXTRA_CALLS * 60 // 100
+PARENT_EXTRA_CALLS = 53_973
+EXTRA_CALL_CEILING = PARENT_EXTRA_CALLS * 58 // 100
 
 
-def _armed_telemetry() -> Telemetry:
+def _armed_telemetry(window_us: float = 100_000.0) -> Telemetry:
     tel = Telemetry()
-    tel.attach_timeline(window_us=100_000.0)
+    tel.attach_timeline(window_us=window_us)
     FlightRecorder(tel, out_dir=None).arm()
     return tel
 
@@ -83,5 +89,42 @@ def test_armed_pass_extra_calls_are_pinned():
     assert extra <= EXTRA_CALL_CEILING, (
         f"{extra} extra Python calls inside repro/ for {COUNTED} armed "
         f"steady-state queries ({extra / COUNTED:.1f}/query); ceiling "
-        f"{EXTRA_CALL_CEILING} = 60 % of the parent's {PARENT_EXTRA_CALLS}"
+        f"{EXTRA_CALL_CEILING} = 58 % of the parent's {PARENT_EXTRA_CALLS}"
     )
+
+
+def _hit_stack(telemetry):
+    """``test_hit_path_callcount``'s hand-built stack, primed so that both
+    devices, every histogram and every counter a hit touches exist."""
+    index = InvertedIndex(CorpusConfig(num_docs=4000, vocab_size=80, seed=13))
+    config = CacheConfig(mem_result_bytes=40 * KB, mem_list_bytes=512 * KB,
+                         ssd_result_bytes=512 * KB, ssd_list_bytes=4 * MB,
+                         policy=Policy.CBLRU)
+    manager = CacheManager(config, build_hierarchy_for(config, index), index,
+                           telemetry=telemetry)
+    k = [Query(query_id=i, terms=(3 + i,)) for i in range(9)]
+    for query in k + [k[8], k[0], k[1], k[8]]:
+        manager.process_query(query)
+    return manager, k
+
+
+def test_an_armed_hit_pays_one_frame_per_record():
+    """Armed − unobserved frames of one hit = one per span (the query,
+    its ``result.lookup`` and the device read) + two per cache event (the
+    two-subscriber delivery and the fused observer) + one query record.
+    """
+    off, k = _hit_stack(None)
+    # A window that never closes: what is priced is the per-query path.
+    armed, _ = _hit_stack(_armed_telemetry(window_us=1e15))
+    spans, record = 3, 1
+    # k2 back from SSD: its L1 victim's evict, the victim's REPLACEABLE
+    # SSD copy re-validated (an L2 admit) and k2's own L1 admit.  Then k8
+    # from memory: no event.
+    for query, level, events in ((k[2], 2, 3), (k[8], 1, 0)):
+        out = []
+        calls = []
+        for manager in (off, armed):
+            calls.append(_count_repro_calls(
+                lambda m=manager: out.append(m.process_query(query))))
+        assert out[0] == out[1] and out[0].result_hit_level == level
+        assert calls[1] - calls[0] == spans + 2 * events + record, calls
