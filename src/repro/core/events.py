@@ -97,8 +97,7 @@ def _dispatch(hooks: list, event) -> None:
     subscribers from receiving the event — every hook runs to completion,
     then the *first* exception is re-raised so a broken observer still
     fails loudly (in tests and benchmarks) instead of silently skewing
-    what it measures.  :func:`_emitter` keeps this contract for a bus
-    with one or two subscribers without the loop.
+    what it measures.
     """
     first_exc: Exception | None = None
     # Iterating the live list is safe: subscribing from inside a hook is
@@ -114,40 +113,11 @@ def _dispatch(hooks: list, event) -> None:
         raise first_exc
 
 
-def _unobserved(event) -> None:
-    """The emitter of a hook nobody subscribed to."""
-
-
-def _pair(first: Callable, second: Callable) -> Callable:
-    """Deliver to two hooks in one frame, under :func:`_dispatch`'s
-    contract: the second runs even when the first raises, and the first
-    exception is the one that propagates."""
-
-    def emit(event) -> None:
-        try:
-            first(event)
-        except Exception:
-            try:
-                second(event)
-            except Exception:  # noqa: BLE001 - the first exception wins
-                pass
-            raise
-        second(event)
-    return emit
-
-
 def _emitter(hooks: list) -> Callable:
-    """The cheapest callable delivering to ``hooks`` as _dispatch would:
-    the lone subscriber itself (the unobserved bus: the stats recorder),
-    a :func:`_pair` (the armed bus: the stats recorder, then Telemetry's
-    fused observer), or _dispatch over the list for three or more."""
-    if not hooks:
-        return _unobserved
-    if len(hooks) == 1:
-        return hooks[0]
-    if len(hooks) == 2:
-        return _pair(*hooks)
-    return partial(_dispatch, hooks)
+    """The callable delivering to ``hooks``: the lone subscriber itself
+    (isolation is moot: its exception is the first), else _dispatch over
+    the live list — one Python frame either way."""
+    return hooks[0] if len(hooks) == 1 else partial(_dispatch, hooks)
 
 
 class CacheEvents:

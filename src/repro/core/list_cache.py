@@ -23,7 +23,7 @@ from repro.core.selection import efficiency_value, ssd_cache_blocks
 from repro.core.ssd_region import BlockRegion, ByteRegion
 from repro.flash.constants import SECTOR_BYTES
 from repro.obs.audit import NULL_AUDIT
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Span
 
 if TYPE_CHECKING:
     from repro.core.config import CacheConfig
@@ -105,16 +105,19 @@ class ListCache:
         if not tracer.enabled:
             return self._fetch(term_id, needed, total_bytes, pu)
         # A span at one frame: opened inline (repro.obs.tracer).
+        span = Span()
         stack = tracer.stack
-        parent, sid = stack[-1], next(tracer.ids)
-        stack.append(sid)
-        attrs = {"term": term_id, "needed": needed}
-        start = tracer.clock._now_us
+        span.parent_id = stack[-1]
+        span.span_id = next(tracer.ids)
+        stack.append(span.span_id)
+        span.name = "list.fetch"
+        span.attrs = attrs = {"term": term_id, "needed": needed}
+        span.start_us = tracer.clock._now_us
         try:
             flags = self._fetch(term_id, needed, total_bytes, pu)
             attrs["mem"], attrs["ssd"], attrs["hdd"] = flags
         finally:
-            tracer.close(sid, parent, "list.fetch", start, attrs)
+            tracer.close(span)
         return flags
 
     def _fetch(

@@ -33,7 +33,7 @@ from repro.core.result_cache import ResultCache
 from repro.core.stats import CacheStats, Situation, StatsRecorder
 from repro.engine.index import InvertedIndex
 from repro.obs.audit import NULL_AUDIT
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Span
 from repro.engine.processor import QueryProcessor
 from repro.engine.query import Query
 from repro.engine.querylog import QueryLog
@@ -209,9 +209,8 @@ class CacheManager:
         With telemetry attached, the whole flow runs inside a ``query``
         span and the per-device busy-time deltas become the per-stage
         latency histograms (``stage_latency_us``); stage durations sum
-        exactly to the query's response time.  That costs two frames
-        over the unobserved query: the span's ``close`` (it is opened
-        inline, see :mod:`repro.obs.tracer`) and ``record_query``.
+        exactly to the query's response time.  The span costs one frame,
+        its ``close``: it is opened inline (see :mod:`repro.obs.tracer`).
         """
         tel = self.telemetry
         if tel is None:
@@ -225,18 +224,21 @@ class CacheManager:
             tel.record_query(outcome.situation._name_, outcome.response_us,
                              busy0, clock, qid=qid)
             return outcome
+        span = Span()
         stack = tracer.stack
-        parent, sid = stack[-1], next(tracer.ids)
+        span.parent_id = stack[-1]
+        span.span_id = sid = next(tracer.ids)
         stack.append(sid)
-        attrs = {"qid": qid, "terms": len(query.key)}
-        start = tracer.clock._now_us
+        span.name = "query"
+        span.attrs = attrs = {"qid": qid, "terms": len(query.key)}
+        span.start_us = tracer.clock._now_us
         try:
             outcome = self._process_query(query)
             # _name_: the member's name without enum's property frame
             attrs["situation"] = situation = outcome.situation._name_
             attrs["hit_level"] = outcome.result_hit_level
         finally:
-            tracer.close(sid, parent, "query", start, attrs)
+            tracer.close(span)
         tel.record_query(situation, outcome.response_us, busy0, clock,
                          qid=qid, span_id=sid)
         return outcome

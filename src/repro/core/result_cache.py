@@ -22,7 +22,7 @@ from repro.core.placement import WriteBuffer
 from repro.core.ssd_region import BlockRegion, ByteRegion
 from repro.flash.constants import SECTOR_BYTES
 from repro.obs.audit import NULL_AUDIT
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Span
 
 if TYPE_CHECKING:
     from repro.core.config import CacheConfig
@@ -115,15 +115,18 @@ class ResultCache:
         if not tracer.enabled:
             return self._lookup(key)
         # A span at one frame: opened inline (repro.obs.tracer).
+        span = Span()
         stack = tracer.stack
-        parent, sid = stack[-1], next(tracer.ids)
-        stack.append(sid)
-        attrs = {}
-        start = tracer.clock._now_us
+        span.parent_id = stack[-1]
+        span.span_id = next(tracer.ids)
+        stack.append(span.span_id)
+        span.name = "result.lookup"
+        span.attrs = attrs = {}
+        span.start_us = tracer.clock._now_us
         try:
             attrs["hit_level"] = level = self._lookup(key)
         finally:
-            tracer.close(sid, parent, "result.lookup", start, attrs)
+            tracer.close(span)
         return level
 
     def _lookup(self, key: tuple[int, ...]) -> int:

@@ -9,13 +9,9 @@ quantifiable without touching cache internals.
 from __future__ import annotations
 
 from repro.core.events import CacheEvents
-from repro.obs.audit import AuditRecord
 from repro.obs.registry import MetricsRegistry, delta_counter
 
 __all__ = ["CacheEventMetrics", "CacheStatsMetrics"]
-
-#: AuditRecord(...) minus its generated ``__new__`` frame
-_new_record = tuple.__new__
 
 
 class CacheEventMetrics:
@@ -32,40 +28,37 @@ class CacheEventMetrics:
       — physical SSD cache-file writes;
     * ``cache_l2_victims_total{kind, stage}`` — Fig. 11/13 victim-search
       stages.
-
-    Given an enabled :class:`~repro.obs.audit.AuditLog`, the same
-    observer mirrors the event into the trail, so an armed event costs
-    one observer frame: the cached counter bump, then — ``finally``: a
-    failing bump never starves the trail — the record
-    ``AuditLog.on_admit`` (or its sibling) would append, with the same
-    sequence number, timestamp and data, appended in place.
     """
 
     def __init__(self, registry: MetricsRegistry, events: CacheEvents,
                  audit=None) -> None:
         self.registry = registry
+        #: an enabled AuditLog mirrored right after each bump: one
+        #: subscriber per hook does metrics, then audit (``finally``:
+        #: on the bus a failing observer never starves the next).
         self.audit = audit
         # Counter refs cached per tag combination (flushes and victims
         # here, admits/evicts inside their observer): the (name, tags)
         # registry lookup is paid once per series, not per event.
         self._counters: dict[tuple, object] = {}
         self._unsubscribe = events.subscribe(
-            on_admit=self._lifecycle("cache_admits_total", "admit", "insert"),
-            on_evict=self._lifecycle("cache_evicts_total", "evict",
-                                     "unspecified"),
+            on_admit=self._lifecycle("cache_admits_total", "insert",
+                                     "on_admit"),
+            on_evict=self._lifecycle("cache_evicts_total", "unspecified",
+                                     "on_evict"),
             on_flush=self._on_flush,
             on_l2_victim=self._on_l2_victim,
         )
 
-    def _lifecycle(self, metric: str, rtype: str, no_reason: str):
+    def _lifecycle(self, metric: str, no_reason: str, hook: str):
         """The admit/evict observer: ``metric{kind, level, reason}``."""
         counters: dict[tuple, object] = {}
         registry = self.registry
-        audit = self.audit
+        mirror = None if self.audit is None else getattr(self.audit, hook)
 
         def observe(event) -> None:
-            reason = event.reason or no_reason
             try:
+                reason = event.reason or no_reason
                 key = (event.kind, event.level, reason)
                 c = counters.get(key)
                 if c is None:
@@ -74,14 +67,8 @@ class CacheEventMetrics:
                         reason=reason)
                 c.value += 1
             finally:
-                if audit is not None:
-                    audit._seq = seq = audit._seq + 1
-                    clock = audit.clock
-                    audit.records.append(_new_record(AuditRecord, (
-                        seq, clock._now_us if clock is not None else 0.0,
-                        rtype, event.kind, event.key,
-                        {"level": event.level, "nbytes": event.nbytes,
-                         "reason": reason})))
+                if mirror is not None:
+                    mirror(event)
         return observe
 
     def _on_flush(self, event) -> None:
@@ -95,21 +82,10 @@ class CacheEventMetrics:
                                           kind=event.kind),
                 )
             pair[0].value += 1
-            nbytes = event.nbytes
-            if nbytes < 0:
-                pair[1].inc(nbytes)  # raises
-            pair[1].value += nbytes
+            pair[1].inc(event.nbytes)
         finally:
-            audit = self.audit
-            if audit is not None:
-                # A flush writes a block, not a subject: the key is None.
-                audit._seq = seq = audit._seq + 1
-                clock = audit.clock
-                audit.records.append(_new_record(AuditRecord, (
-                    seq, clock._now_us if clock is not None else 0.0,
-                    "flush", event.kind, None,
-                    {"lba": event.lba, "nbytes": event.nbytes,
-                     "entries": event.entries})))
+            if self.audit is not None:
+                self.audit.on_flush(event)
 
     def _on_l2_victim(self, event) -> None:
         try:
@@ -121,14 +97,8 @@ class CacheEventMetrics:
                     stage=event.stage)
             c.value += 1
         finally:
-            audit = self.audit
-            if audit is not None:
-                audit._seq = seq = audit._seq + 1
-                clock = audit.clock
-                audit.records.append(_new_record(AuditRecord, (
-                    seq, clock._now_us if clock is not None else 0.0,
-                    "l2-victim", event.kind, event.key,
-                    {"stage": event.stage})))
+            if self.audit is not None:
+                self.audit.on_l2_victim(event)
 
     def close(self) -> None:
         self._unsubscribe()

@@ -19,9 +19,6 @@ per-query sum equals the query's response time.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
-from repro._hot import HOT
 from repro.obs.audit import NULL_AUDIT, AuditLog
 from repro.obs.cache_metrics import CacheEventMetrics, CacheStatsMetrics
 from repro.obs.flash_metrics import FlashDeviceMetrics
@@ -267,23 +264,13 @@ class Telemetry:
         include other queries' device work, and the ``cpu`` residual
         absorbs queueing wait.  End-to-end ``query_latency_us`` stays
         exact either way.
-
-        One frame per query: the timeline's tick, the walk of the
-        clock's busy view and ``Histogram.record`` with its exemplar
-        gate run here inline; a window close and a tail sample's capture
-        are the only calls out.
         """
         store = self.exemplars
-        tl = self.timeline
-        window = 0
-        if tl is not None:
-            # TimelineRecorder.tick, inline: it is called only when the
-            # query completed past the open window's right edge.
-            window = int(tl.clock._now_us // tl.window_us)
-            if window > tl._open:
-                tl.tick()
+        if self.timeline is not None:
+            # Registered histograms are recorded only below, so the
+            # context is stamped per query and never needs clearing.
+            store.context = (qid, span_id, self.timeline.tick(), clock._now_us)
         hists = self._channel_hists
-        samples = []
         devices = 0.0
         for ch, busy in clock._busy_us.items():
             delta = busy - busy_before.get(ch, 0.0)
@@ -295,7 +282,7 @@ class Telemetry:
                         self.registry.histogram("stage_latency_us",
                                                 stage=stage))
                 if h is not None:
-                    samples.append((h, delta))
+                    h.record(delta)
                     devices += delta
         cpu = response_us - devices
         if cpu > 1e-9:
@@ -303,7 +290,7 @@ class Telemetry:
             if h is None:
                 h = hists[_CPU] = self.registry.histogram(
                     "stage_latency_us", stage="cpu")
-            samples.append((h, cpu))
+            h.record(cpu)
         insts = self._situation_insts.get(situation)
         if insts is None:
             insts = self._situation_insts[situation] = (
@@ -314,32 +301,7 @@ class Telemetry:
             if store is not None:
                 store.register(insts[0], series_key(
                     "query_latency_us", {"situation": situation}))
-        samples.append((insts[0], response_us))
-        for h, value in samples:
-            # Histogram.record, inline (same operations, same order)
-            if not value >= 0:
-                h.record(value)  # raises
-            HOT.histogram_records += 1
-            bounds = h._bounds
-            b = (bisect_right(bounds, value) if value < bounds[-1]
-                 else h.bucket_index(value))
-            counts = h._counts
-            counts[b] = counts.get(b, 0) + 1
-            pending = h._pending
-            pending[b] = pending.get(b, 0) + 1
-            h.count = count = h.count + 1
-            h.sum += value
-            if value < h.min:
-                h.min = value
-            if value > h.max:
-                h.max = value
-            gate = h.exemplar_gate
-            if count >= gate[0] or value >= gate[1]:
-                if store is not None:
-                    # Registered histograms are recorded only here, so
-                    # the context is stamped just before a capture.
-                    store.context = (qid, span_id, window, clock._now_us)
-                h.exemplar_sink.offer(h, value)
+        insts[0].record(response_us)
         insts[1].value += 1
 
     def close(self) -> None:

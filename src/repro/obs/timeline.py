@@ -138,10 +138,11 @@ class ExemplarStore:
     ``exemplar_sink``: every :meth:`~repro.obs.instruments.Histogram.
     record` above the ``threshold_q``-th percentile of *that* histogram
     captures the ambient :attr:`context` (query id, span id, timeline
-    window, time) its owner assigns.  The percentile threshold is cached per
-    histogram and refreshed as the distribution grows, so the hot path
-    is one comparison; the store itself is a bounded ring
-    (``capacity``), counting what it drops.
+    window, time) its owner assigns.  The percentile threshold lives in
+    the histogram's ``exemplar_gate`` with the count at which it is
+    refreshed next, so ``record`` offers only a tail sample or a due
+    refresh; the store itself is a bounded ring (``capacity``), counting
+    what it drops.
     """
 
     def __init__(self, threshold_q: float = 99.0, min_count: int = 64,

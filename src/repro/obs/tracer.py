@@ -18,18 +18,24 @@ shared :data:`NULL_TRACER` (or a plain ``None`` device hook), whose
 
 Armed, a span costs one frame.  :meth:`Tracer.record` (a leaf measured
 outside: every device access) builds and keeps its span in its own
-frame.  A scoped span on the serving path — the manager's ``query``,
-the caches' ``result.lookup`` and ``list.fetch`` — is opened by its
-caller inline, with C calls only, and finished by :meth:`Tracer.close`::
+frame.  A scoped span is finished by :meth:`Tracer.close`; ``with
+tracer.span(...)`` opens it in ``Span.__enter__``, and a span on the
+serving path — the manager's ``query``, the caches' ``result.lookup``
+and ``list.fetch`` — is opened by its caller inline, with the same C
+calls::
 
+    span = Span()
     stack = tracer.stack
-    parent, sid = stack[-1], next(tracer.ids)
-    stack.append(sid)
-    start = tracer.clock._now_us
+    span.parent_id = stack[-1]
+    span.span_id = next(tracer.ids)
+    stack.append(span.span_id)
+    span.name = "result.lookup"
+    span.attrs = attrs = {}
+    span.start_us = tracer.clock._now_us
     try:
         ...
     finally:
-        tracer.close(sid, parent, "result.lookup", start, attrs)
+        tracer.close(span)
 
 Ids are issued in open order and the parent is the innermost span open
 at that moment, exactly as ``with tracer.span(...)`` does it.
@@ -51,9 +57,10 @@ _SPAN_FIELDS = {"span_id", "parent_id", "name", "start_us", "end_us",
 
 class Span:
     """One span: its own context manager while open, the finished record
-    once closed.  Only the :class:`Tracer` makes one (it fills the slots;
-    there is no constructor); :meth:`to_dict` is for whoever reads it —
-    stream writer, export, incident dump.
+    once closed.  There is no constructor: :meth:`Tracer.span`,
+    :meth:`Tracer.record` or an inline open (module docstring) fill the
+    slots; :meth:`to_dict` is for whoever reads it — stream writer,
+    export, incident dump.
     """
 
     __slots__ = ("_tracer", "span_id", "parent_id", "name", "start_us",
@@ -73,10 +80,7 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        t = self._tracer
-        t.stack.pop()
-        self.end_us = t.clock._now_us
-        t._keep(self)
+        self._tracer.close(self)
         return False
 
     @property
@@ -140,18 +144,6 @@ class Tracer:
         self._write = (stream.write if stream is not None
                        and not stream.closed else None)
 
-    def _keep(self, span: Span) -> None:
-        """Hand a finished span to the sink, then to the stream or the
-        capped store.  :meth:`close` and :meth:`record` run this inline."""
-        if self._sink is not None:
-            self._sink(span)
-        if self._write is not None:
-            self._write(span.to_dict())
-        elif len(self.spans) < self.max_spans:
-            self.spans.append(span)
-        else:
-            self.dropped += 1
-
     def span(self, name: str, **attrs) -> Span:
         """Open a nested span: ``with tracer.span("query", qid=7) as sp:``."""
         span = Span()
@@ -160,18 +152,11 @@ class Tracer:
         span.attrs = attrs
         return span
 
-    def close(self, span_id: int, parent_id: int | None, name: str,
-              start_us: float, attrs: dict) -> None:
-        """Finish the innermost span a caller opened inline (see the
-        module docstring) and keep it."""
+    def close(self, span: Span) -> None:
+        """Finish the innermost open span (see the module docstring) and
+        keep it: the sink first, then the stream or the capped store."""
         self.stack.pop()
-        span = Span()
-        span.span_id = span_id
-        span.parent_id = parent_id
-        span.name = name
-        span.start_us = start_us
         span.end_us = self.clock._now_us
-        span.attrs = attrs
         if self._sink is not None:
             self._sink(span)
         if self._write is not None:
@@ -182,7 +167,8 @@ class Tracer:
             self.dropped += 1
 
     def record(self, name: str, start_us: float, end_us: float, **attrs) -> None:
-        """Append a leaf span measured externally (e.g. a device access)."""
+        """Append a leaf span measured externally (e.g. a device access),
+        kept as :meth:`close` keeps one."""
         span = Span()
         span.span_id = next(self.ids)
         span.parent_id = self.stack[-1]

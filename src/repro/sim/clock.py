@@ -150,10 +150,6 @@ class VirtualClock:
         """
         return dict(self._busy_us)
 
-    def busy_items(self):
-        """Live ``(channel, busy_us)`` view for read-only iteration."""
-        return self._busy_us.items()
-
     def reset(self) -> None:
         """Zero the clock and all busy-time channels."""
         self._now_us = 0.0
