@@ -41,6 +41,23 @@ __all__ = ["main", "build_parser"]
 MB = 1024 * 1024
 
 
+def _checked(cast, ok, what: str):
+    """An argparse ``type=``: ``cast(text)``, rejected unless ``ok``."""
+    def parse(text: str):
+        if not ok(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_SIZE = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
+_NON_NEGATIVE = _checked(float, lambda v: v >= 0, ">= 0")
+_FRACTION = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -68,11 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a cached retrieval experiment")
     p.add_argument("--policy", choices=("lru", "cblru", "cbslru"),
                    default="cbslru")
-    p.add_argument("--docs", type=int, default=1_000_000)
-    p.add_argument("--queries", type=int, default=4_000)
-    p.add_argument("--mem-mb", type=int, default=16)
-    p.add_argument("--ssd-mb", type=int, default=64)
-    p.add_argument("--ttl-ms", type=float, default=0.0,
+    p.add_argument("--docs", type=_COUNT, default=1_000_000)
+    p.add_argument("--queries", type=_COUNT, default=4_000)
+    p.add_argument("--mem-mb", type=_SIZE, default=16)
+    p.add_argument("--ssd-mb", type=_SIZE, default=64)
+    p.add_argument("--ttl-ms", type=_NON_NEGATIVE, default=0.0,
                    help="dynamic scenario: data TTL in milliseconds (0=static)")
     p.add_argument("--three-level", action="store_true",
                    help="enable the intersection cache (Long & Suel [19])")
@@ -82,24 +99,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arrival process: closed-loop replay (default) or "
                         "open-loop Poisson/diurnal arrivals on the "
                         "discrete-event kernel")
-    p.add_argument("--concurrency", type=int, default=1,
+    p.add_argument("--concurrency", type=_COUNT, default=1,
                    help="max in-flight queries (closed: number of "
                         "clients, each an admitted kernel task per query; "
                         "1 = the synchronous loop; open-loop: admission "
                         "limit)")
-    p.add_argument("--rate-qps", type=float, default=None,
+    p.add_argument("--rate-qps", type=_POSITIVE, default=None,
                    help="offered arrival rate (poisson) or peak rate "
                         "(diurnal); required for open-loop arrivals")
-    p.add_argument("--max-queue", type=int, default=64,
+    p.add_argument("--max-queue", type=_SIZE, default=64,
                    help="admission wait-queue bound; arrivals beyond "
                         "concurrency + max-queue are shed (open-loop)")
-    p.add_argument("--cpu-lanes", type=int, default=1,
+    p.add_argument("--cpu-lanes", type=_COUNT, default=1,
                    help="CPU units per server for the kernel's scoring "
                         "resource")
-    p.add_argument("--diurnal-period-s", type=float, default=10.0,
+    p.add_argument("--diurnal-period-s", type=_POSITIVE, default=10.0,
                    help="compressed diurnal cycle length in simulated "
                         "seconds")
-    p.add_argument("--diurnal-floor", type=float, default=0.2,
+    p.add_argument("--diurnal-floor", type=_FRACTION, default=0.2,
                    help="night-time rate as a fraction of the peak")
     p.add_argument("--telemetry", type=str, default=None, metavar="DIR",
                    help="collect telemetry and write it to DIR "
@@ -109,14 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeline", action="store_true",
                    help="stream windowed time series to DIR/timeline.jsonl "
                         "(requires --telemetry)")
-    p.add_argument("--window-ms", type=float, default=50.0,
+    p.add_argument("--window-ms", type=_POSITIVE, default=50.0,
                    help="timeline window width in virtual-clock "
                         "milliseconds (default 50)")
-    p.add_argument("--max-windows", type=int, default=None, metavar="N",
+    p.add_argument("--max-windows", type=_COUNT, default=None, metavar="N",
                    help="rotate DIR/timeline.jsonl after N streamed "
                         "windows (bounds on-disk growth; one .1 "
                         "generation is kept; requires --timeline)")
-    p.add_argument("--max-blame-records", type=int, default=None,
+    p.add_argument("--max-blame-records", type=_COUNT, default=None,
                    metavar="N",
                    help="rotate DIR/blame.jsonl after N streamed records")
     p.add_argument("--live-port", type=int, default=None, metavar="PORT",
@@ -368,6 +385,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.timeline and (args.live_port is not None
                               or args.max_windows is not None):
         raise _CliError("--live-port/--max-windows require --timeline")
+    if args.arrival != "closed" and args.rate_qps is None:
+        raise _CliError("open-loop arrivals need --rate-qps > 0")
     telemetry = None
     if args.telemetry:
         from repro.obs import Telemetry
@@ -443,18 +462,13 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
     from repro.workloads.retrieval import prepare_cached_manager, run_cached
     from repro.workloads.sweep import make_log_for, make_scaled_index
 
-    if args.concurrency < 1:
-        raise _CliError("--concurrency must be >= 1")
     arrivals = None
-    if args.arrival != "closed":
-        if args.rate_qps is None or args.rate_qps <= 0:
-            raise _CliError("open-loop arrivals need --rate-qps > 0")
-        if args.arrival == "poisson":
-            arrivals = PoissonArrivals(args.rate_qps, seed=args.seed)
-        else:
-            arrivals = DiurnalArrivals(
-                args.rate_qps, period_s=args.diurnal_period_s,
-                floor_fraction=args.diurnal_floor, seed=args.seed)
+    if args.arrival == "poisson":
+        arrivals = PoissonArrivals(args.rate_qps, seed=args.seed)
+    elif args.arrival == "diurnal":
+        arrivals = DiurnalArrivals(
+            args.rate_qps, period_s=args.diurnal_period_s,
+            floor_fraction=args.diurnal_floor, seed=args.seed)
     index = make_scaled_index(args.docs)
     log = make_log_for(args.queries, seed=args.seed)
     cfg = CacheConfig.paper_split(

@@ -219,7 +219,7 @@ class Broker:
         kernel = Kernel(clock)
         for shard in self.shards:
             shard.manager.hierarchy.attach_kernel(kernel, cpu_lanes=cpu_lanes)
-        kernel.add_resource("broker", lanes=max(1, cpu_lanes))
+        kernel.add_resource("broker", lanes=cpu_lanes)
 
         def serve(i: int) -> None:
             query = queries[i]

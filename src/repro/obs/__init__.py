@@ -101,7 +101,6 @@ from repro.obs.slo import (
     StreamingShardSkew,
     StreamingSloEvaluator,
     detect_shard_skew,
-    detect_wait_dominated,
     evaluate_slo,
     evaluate_slos,
     parse_slo,
@@ -177,7 +176,6 @@ __all__ = [
     "evaluate_slos",
     "run_detectors",
     "detect_shard_skew",
-    "detect_wait_dominated",
     "DEFAULT_SLOS",
     "window_point",
     "StreamingDetectors",

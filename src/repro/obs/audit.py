@@ -73,23 +73,24 @@ class AuditRecord(NamedTuple):
         return out
 
 
+#: Records the ring holds (drop-oldest, counted in ``dropped``).
+AUDIT_CAPACITY = 200_000
+
+
 class AuditLog:
     """Ring-buffered structured decision log.
 
-    ``capacity`` bounds memory: past it the oldest records are dropped
-    (``dropped`` counts them) — an audit trail is recent history, not an
-    archive.  Bind a clock with :meth:`bind_clock` so records carry
-    virtual-clock timestamps; without one they are stamped 0.0.
+    :data:`AUDIT_CAPACITY` bounds memory: past it the oldest records are
+    dropped (``dropped`` counts them) — an audit trail is recent history,
+    not an archive.  Bind a clock with :meth:`bind_clock` so records
+    carry virtual-clock timestamps; without one they are stamped 0.0.
     """
 
     enabled = True
 
-    def __init__(self, capacity: int = 200_000, clock=None) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self, clock=None) -> None:
         self.clock = clock
-        self.records: deque[AuditRecord] = deque(maxlen=capacity)
+        self.records: deque[AuditRecord] = deque(maxlen=AUDIT_CAPACITY)
         self._seq = 0
         self._unsubscribes: list = []
 
@@ -115,7 +116,7 @@ class AuditLog:
     @property
     def dropped(self) -> int:
         """Records that fell off the ring (each took a sequence number)."""
-        return max(0, self._seq - self.capacity)
+        return max(0, self._seq - AUDIT_CAPACITY)
 
     # The event mirror, one body per hook: subscribed by observe_events,
     # or called by Telemetry's fused observer (CacheEventMetrics).

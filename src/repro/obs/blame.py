@@ -43,6 +43,12 @@ BLAME_SCHEMA = "repro.obs.blame/v1"
 
 #: Pseudo-resource name under which admission-queue wait is billed.
 ADMISSION = "admission"
+#: Records the ring holds (drop-oldest, counted in ``dropped``).
+RING_CAPACITY = 200_000
+#: :func:`blame_profiles`' median cohort, as latency percentiles.
+MEDIAN_BAND = (25.0, 75.0)
+#: :func:`capacity_model`'s Little's-law self-check tolerance (relative).
+LITTLE_LAW_TOL = 0.05
 
 _RECORD_FIELDS = {
     "serve": ("task", "resource", "enqueue_us", "start_us", "end_us",
@@ -69,9 +75,8 @@ class BlameRecorder:
     exact even when the ring overflows.
     """
 
-    def __init__(self, registry=None, capacity: int = 200_000) -> None:
-        self.ring_capacity = capacity
-        self.records: deque = deque(maxlen=capacity)
+    def __init__(self, registry=None) -> None:
+        self.records: deque = deque(maxlen=RING_CAPACITY)
         self.dropped = 0
         self.registry = registry
         self.kernel = None
@@ -136,7 +141,7 @@ class BlameRecorder:
     # -- hot-path hooks (called by the kernel; keep them lean) -------------
 
     def _emit(self, rec: dict) -> None:
-        if len(self.records) == self.ring_capacity:
+        if len(self.records) == RING_CAPACITY:
             self.dropped += 1
         self.records.append(rec)
         if self._stream is not None and not self._stream.closed:
@@ -298,14 +303,13 @@ class BlameRecorder:
             write_jsonl(path, self.records, header={"schema": BLAME_SCHEMA})
         return len(self.records)
 
-    def capacity(self, completed: int | None = None,
-                 tol: float = 0.05) -> dict:
+    def capacity(self, completed: int | None = None) -> dict:
         """Operational capacity model over the live kernel state."""
         if self.kernel is None:
             raise ValueError("recorder not attached to a kernel")
         horizon = self.kernel.clock.now_us - (self.start_us or 0.0)
         return capacity_model(self.resource_rows(), horizon,
-                              completed=completed, tol=tol)
+                              completed=completed)
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +524,14 @@ def _cohort_means(cohort) -> tuple[dict, dict]:
             {k: v / n for k, v in services.items()})
 
 
-def blame_profiles(queries, tail_pct: float = 99.0,
-                   band: tuple = (25.0, 75.0)) -> dict:
+def blame_profiles(queries, tail_pct: float = 99.0) -> dict:
     """Differential blame: which resource's *wait* grew in the tail.
 
     Splits queries (by end-to-end latency) into a tail cohort — at or
     above the ``tail_pct`` percentile — and a median cohort between the
-    ``band`` percentiles, then reports each cohort's mean per-resource
-    wait and the growth between them.  ``verdict`` names the resource
-    whose wait grew most.
+    :data:`MEDIAN_BAND` percentiles, then reports each cohort's mean
+    per-resource wait and the growth between them.  ``verdict`` names
+    the resource whose wait grew most.
     """
     qs = sorted(queries, key=lambda q: q.total_us)
     n = len(qs)
@@ -536,8 +539,8 @@ def blame_profiles(queries, tail_pct: float = 99.0,
         return {"queries": 0, "tail": [], "verdict": None}
     cut = min(n - 1, int(math.floor(n * tail_pct / 100.0)))
     tail = qs[cut:]
-    lo = int(math.floor(n * band[0] / 100.0))
-    hi = max(lo + 1, int(math.ceil(n * band[1] / 100.0)))
+    lo = int(math.floor(n * MEDIAN_BAND[0] / 100.0))
+    hi = max(lo + 1, int(math.ceil(n * MEDIAN_BAND[1] / 100.0)))
     median = qs[lo:hi]
     t_wait, t_service = _cohort_means(tail)
     m_wait, _m_service = _cohort_means(median)
@@ -565,8 +568,7 @@ def blame_profiles(queries, tail_pct: float = 99.0,
 
 
 def capacity_model(resources, horizon_us: float,
-                   completed: int | None = None,
-                   tol: float = 0.05) -> dict:
+                   completed: int | None = None) -> dict:
     """Per-resource operational laws over a measurement horizon.
 
     For each resource row (as written by the recorder's ``resource``
@@ -574,10 +576,10 @@ def capacity_model(resources, horizon_us: float,
     Little's-law self-check — ``L`` measured as the queue's depth-time
     integral divided by the horizon vs ``lambda * W`` from the sojourn
     sums.  The two sides come from independent instrumentation (depth
-    accounting vs per-request timestamps), so a mismatch beyond ``tol``
-    flags a broken recorder, not a broken queue.  ``knee_qps``
-    extrapolates the capacity knee by scaling completed throughput to
-    100% bottleneck utilization.
+    accounting vs per-request timestamps), so a mismatch beyond
+    :data:`LITTLE_LAW_TOL` flags a broken recorder, not a broken queue.
+    ``knee_qps`` extrapolates the capacity knee by scaling completed
+    throughput to 100% bottleneck utilization.
     """
     per_resource: dict[str, dict] = {}
     bottleneck = None
@@ -623,8 +625,8 @@ def capacity_model(resources, horizon_us: float,
         "bottleneck_utilization": bu,
         "knee_qps": knee,
         "little_law_max_rel_err": max_rel_err,
-        "little_law_ok": max_rel_err <= tol,
-        "little_law_tol": tol,
+        "little_law_ok": max_rel_err <= LITTLE_LAW_TOL,
+        "little_law_tol": LITTLE_LAW_TOL,
     }
 
 

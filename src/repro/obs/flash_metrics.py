@@ -32,7 +32,7 @@ sum correctly across shards.
 
 from __future__ import annotations
 
-from repro.flash.wear import wear_projection
+from repro.flash.wear import DEFAULT_ENDURANCE_CYCLES, wear_projection
 from repro.obs.registry import MetricsRegistry, delta_counter
 
 __all__ = ["FlashDeviceMetrics"]
@@ -56,13 +56,13 @@ class FlashDeviceMetrics:
 
     Purely observational: reading the counters never touches the device
     clock or NAND state, so attaching the bridge cannot perturb a run.
+    The wear projections assume :data:`~repro.flash.wear.
+    DEFAULT_ENDURANCE_CYCLES`, as ``SimulatedSSD.wear()`` does.
     """
 
-    def __init__(self, registry: MetricsRegistry, ssd,
-                 endurance_cycles: int = 5000) -> None:
+    def __init__(self, registry: MetricsRegistry, ssd) -> None:
         self.registry = registry
         self.ssd = ssd
-        self.endurance_cycles = endurance_cycles
         self._counters = [
             (fld, delta_counter(registry, metric, device=ssd.name))
             for fld, metric in _COUNTER_FIELDS.items()]
@@ -100,7 +100,7 @@ class FlashDeviceMetrics:
             max_erases = int(nand.erase_counts.max())
             skew, consumed = wear_projection(
                 max_erases, nand.erases / nand.erase_counts.size,
-                self.endurance_cycles)
+                DEFAULT_ENDURANCE_CYCLES)
             self._gauge("flash_wear_max_erases", "max").set(max_erases)
             self._gauge("flash_wear_skew", "last").set(skew)
             self._gauge("flash_lifetime_consumed", "max").set(consumed)

@@ -8,10 +8,10 @@ closed window is fed to the *streaming* SLO evaluator and anomaly
 detectors (:mod:`repro.obs.slo`), whose verdicts provably match the
 post-hoc ``run_detectors``/``evaluate_slos`` over the saved timeline;
 when a fresh anomaly at or above the trigger severity fires, the
-recorder opens an **incident**: it snapshots the ±K surrounding windows,
-waits ``post_windows`` more closes (re-triggering resets the countdown,
-so one sustained overload is one incident, not dozens), then dumps a
-self-contained bundle::
+recorder opens an **incident**: it snapshots the :data:`PRE_WINDOWS`
+windows before the trigger, waits :data:`POST_WINDOWS` more closes
+(re-triggering resets the countdown, so one sustained overload is one
+incident, not dozens), then dumps a self-contained bundle::
 
     incident-<n>/
         incident.json   the manifest (schema repro.obs.incident/v1):
@@ -70,6 +70,16 @@ INCIDENT_SCHEMA = "repro.obs.incident/v1"
 
 _SEVERITY_RANK = {"warn": 0, "critical": 1}
 
+# An incident's context (windows before the trigger, quiet windows
+# before it closes), the bundles per run, the span ring, and a bundle's
+# heaviest blame queries (exemplar qids join them) and latest audit rows.
+PRE_WINDOWS = 4
+POST_WINDOWS = 2
+MAX_INCIDENTS = 16
+SPAN_RING = 4096
+MAX_QIDS = 8
+MAX_AUDIT_RECORDS = 512
+
 _INCIDENT_DIR_RE = re.compile(r"^incident-(\d+)$")
 
 
@@ -84,50 +94,36 @@ class FlightRecorder:
     out_dir:
         Directory receiving ``incident-<n>/`` bundles; None switches to
         counting mode (manifests kept in memory, nothing written).
-    slos:
-        SLO spec lines evaluated incrementally (state is snapshotted
-        into each manifest).
-    pre_windows / post_windows:
-        Context captured around the trigger: up to ``pre_windows``
-        windows before it plus ``post_windows`` after.
     trigger_severity:
         "warn" opens incidents on any anomaly; "critical" (default)
         only on critical ones.
-    max_incidents:
-        Hard cap on bundles per run (a sustained pathology should not
-        fill the disk).
     config:
         The run's configuration dict, embedded in each manifest under a
         SHA-256 fingerprint so a bundle is attributable to the exact
         run that produced it.
+
+    The :data:`~repro.obs.slo.DEFAULT_SLOS` are evaluated incrementally
+    and their state is snapshotted into each manifest.
     """
 
-    def __init__(self, telemetry, out_dir=None, slos=DEFAULT_SLOS,
-                 pre_windows: int = 4, post_windows: int = 2,
+    def __init__(self, telemetry, out_dir=None,
                  trigger_severity: str = "critical",
-                 max_incidents: int = 16, span_ring: int = 4096,
-                 max_qids: int = 8, max_audit_records: int = 512,
                  config: dict | None = None) -> None:
         if trigger_severity not in _SEVERITY_RANK:
             raise ValueError("trigger_severity must be 'warn' or 'critical'")
         self.telemetry = telemetry
         self.out_dir = out_dir
-        self.pre_windows = pre_windows
-        self.post_windows = post_windows
         self.trigger_severity = trigger_severity
-        self.max_incidents = max_incidents
-        self.max_qids = max_qids
-        self.max_audit_records = max_audit_records
         self.config = config or {}
-        self.slo = StreamingSloEvaluator(slos)
+        self.slo = StreamingSloEvaluator(DEFAULT_SLOS)
         self.detectors = StreamingDetectors()
         #: manifests of dumped incidents, in trigger order.
         self.incidents: list[dict] = []
         self.truncated_incidents = 0
-        self._window_ring: deque[dict] = deque(maxlen=pre_windows + 1)
+        self._window_ring: deque[dict] = deque(maxlen=PRE_WINDOWS + 1)
         #: finished Span objects, as the tracer made them; rendered to
         #: dicts only for the ones an incident dump keeps.
-        self._spans: deque = deque(maxlen=span_ring)
+        self._spans: deque = deque(maxlen=SPAN_RING)
         self._open: dict | None = None
         self._armed = False
         self._finished = False
@@ -164,14 +160,14 @@ class FlightRecorder:
         if inc is None:
             if not triggers:
                 return
-            if (len(self.incidents) >= self.max_incidents):
+            if len(self.incidents) >= MAX_INCIDENTS:
                 self.truncated_incidents += 1
                 return
             self._open = {
                 "trigger": triggers[0],
                 "anomalies": list(new),
                 "windows": list(self._window_ring),
-                "post_remaining": self.post_windows,
+                "post_remaining": POST_WINDOWS,
             }
             return
         inc["windows"].append(rec)
@@ -179,7 +175,7 @@ class FlightRecorder:
         if triggers:
             # Still hot: restart the post-trigger countdown so one
             # sustained pathology collapses into one incident.
-            inc["post_remaining"] = self.post_windows
+            inc["post_remaining"] = POST_WINDOWS
         else:
             inc["post_remaining"] -= 1
             if inc["post_remaining"] <= 0:
@@ -291,12 +287,10 @@ class FlightRecorder:
         queries = [q for q in assemble_queries(blame.records)
                    if start_us <= q.end_us <= end_us]
         queries.sort(key=lambda q: -q.total_us)
-        kept = queries[:self.max_qids]
-        kept_ids = {id(q) for q in kept}
-        for q in queries[self.max_qids:]:
+        kept = queries[:MAX_QIDS]
+        for q in queries[MAX_QIDS:]:
             if q.qid is not None and q.qid in exemplar_qids:
                 kept.append(q)
-                kept_ids.add(id(q))
         return kept
 
     def _span_trees(self, qids: list) -> list[dict]:
@@ -327,7 +321,7 @@ class FlightRecorder:
             return []
         rows = [r.to_dict() for r in audit.records
                 if start_us <= r.t_us <= end_us]
-        return rows[-self.max_audit_records:]
+        return rows[-MAX_AUDIT_RECORDS:]
 
 
 # ---------------------------------------------------------------------------

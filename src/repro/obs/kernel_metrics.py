@@ -26,7 +26,7 @@ metric                             kind    source
 
 The ``queue_depth`` gauges matter most: the timeline recorder's derived
 ``queue_depth`` series sums every gauge with that prefix, so the
-queue-buildup detector (:func:`repro.obs.slo.detect_queue_buildup`)
+queue-buildup detector (:class:`repro.obs.slo.StreamingQueueBuildup`)
 watches *emergent* backlogs instead of a model.  Counters advance by
 delta per :meth:`collect`, matching the other bridges, so repeated
 sampling and cluster merges stay correct.

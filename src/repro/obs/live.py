@@ -59,18 +59,19 @@ OPENMETRICS_CONTENT_TYPE = ("application/openmetrics-text; "
 #: Derived series `repro top` draws sparklines for, in display order.
 TOP_SERIES = ("queries", "hit_ratio", "p99_response_us", "write_amp",
               "queue_depth", "wait_fraction")
+#: Closed windows the server holds for ``/windows`` (drop-oldest).
+LIVE_WINDOWS = 512
 
 
 class LiveServer:
     """Serve a run's registry, window stream, and incident state."""
 
     def __init__(self, telemetry, port: int = 0, host: str = "127.0.0.1",
-                 flight=None, max_windows: int = 512,
-                 run_info: dict | None = None) -> None:
+                 flight=None, run_info: dict | None = None) -> None:
         self.telemetry = telemetry
         self.flight = flight
         self.run_info = run_info or {}
-        self.windows: deque[dict] = deque(maxlen=max_windows)
+        self.windows: deque[dict] = deque(maxlen=LIVE_WINDOWS)
         self.windows_seen = 0
         if flight is None:
             self._slo = StreamingSloEvaluator(DEFAULT_SLOS)

@@ -63,6 +63,11 @@ __all__ = [
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
 
+# :meth:`Profiler.folded_lines` prunes paths below this share of total
+# time and stops stacks at this depth.
+FOLDED_MIN_FRAC = 1e-4
+FOLDED_MAX_DEPTH = 64
+
 
 def subsystem_of(filename: str) -> str:
     """Map a frame's filename onto the subsystem taxonomy.
@@ -204,16 +209,16 @@ class Profiler:
 
     # -- collapsed stacks --------------------------------------------------
 
-    def folded_lines(self, min_frac: float = 1e-4,
-                     max_depth: int = 64) -> list[str]:
+    def folded_lines(self) -> list[str]:
         """Collapsed call stacks, ``frame;frame;frame usec`` per line.
 
         cProfile keeps a caller graph, not full stacks, so stacks are
         reconstructed by walking callees from the roots and splitting
         each function's time across its callers proportionally to the
         per-edge cumulative time — the standard cProfile->flamegraph
-        approximation.  Paths below ``min_frac`` of total time are
-        pruned; recursion is cut at the first repeated frame.
+        approximation.  Paths below :data:`FOLDED_MIN_FRAC` of total time
+        are pruned, stacks stop at :data:`FOLDED_MAX_DEPTH` frames, and
+        recursion is cut at the first repeated frame.
         """
         stats = self._stats()
         children: dict[tuple, list[tuple[tuple, float]]] = {}
@@ -225,7 +230,7 @@ class Profiler:
             else:
                 roots.append(func)
         total = sum(stats[r][3] for r in roots) or 1.0
-        cutoff = total * min_frac
+        cutoff = total * FOLDED_MIN_FRAC
         acc: dict[tuple, float] = {}
 
         def walk(func: tuple, path: tuple, share_s: float) -> None:
@@ -235,7 +240,7 @@ class Profiler:
             self_s = share_s * (tt / ct)
             if self_s > 0:
                 acc[path] = acc.get(path, 0.0) + self_s
-            if len(path) >= max_depth:
+            if len(path) >= FOLDED_MAX_DEPTH:
                 return
             for child, edge_ct in children.get(func, ()):
                 if child in path_set:

@@ -24,9 +24,11 @@ windowed series diverging from the fleet's).
 
 Every state machine exists once, as a ``Streaming*`` class fed one
 closed window at a time — what the flight recorder runs in-run.  The
-post-hoc functions (``evaluate_slos``, ``detect_*``, ``run_detectors``)
-feed the saved windows through the same classes, so an in-run trigger
-and the verdict CI later re-derives from the file cannot disagree.
+post-hoc functions (``evaluate_slos``, ``run_detectors``,
+``detect_shard_skew``) feed the saved windows through the same classes,
+so an in-run trigger and the verdict CI later re-derives from the file
+cannot disagree.  One detector's anomalies are ``run_detectors``'
+filtered by :attr:`Anomaly.detector`.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ __all__ = [
     "parse_slo",
     "evaluate_slo",
     "evaluate_slos",
-    "detect_hit_ratio_drift",
-    "detect_write_amp_spike",
-    "detect_queue_buildup",
-    "detect_wait_dominated",
     "detect_shard_skew",
     "run_detectors",
     "DEFAULT_SLOS",
@@ -166,6 +164,19 @@ DEFAULT_SLOS = (
 # Anomaly detectors
 # ---------------------------------------------------------------------------
 
+# The detectors' thresholds; each class's docstring says how it applies them.
+DRIFT_K = 5
+DRIFT_DROP = 0.15
+SPIKE_FACTOR = 2.0
+SPIKE_MIN_WA = 1.5
+BUILDUP_K = 3
+BUILDUP_CRITICAL_K = 6
+WAIT_FRAC = 0.75
+WAIT_K = 4
+WAIT_CRITICAL_FRAC = 0.95
+WAIT_CRITICAL_K = 8
+
+
 @dataclass(frozen=True)
 class Anomaly:
     """One detector firing at one window."""
@@ -184,14 +195,13 @@ class Anomaly:
 
 
 class StreamingHitRatioDrift:
-    """Hit ratio falling ``drop`` (absolute) below its trailing-k mean."""
+    """Hit ratio falling :data:`DRIFT_DROP` (absolute) below its
+    trailing-:data:`DRIFT_K` mean."""
 
     name = "hit_ratio_drift"
 
-    def __init__(self, k: int = 5, drop: float = 0.15) -> None:
-        self.k = k
-        self.drop = drop
-        self._trail: deque[float] = deque(maxlen=k)
+    def __init__(self) -> None:
+        self._trail: deque[float] = deque(maxlen=DRIFT_K)
 
     def update(self, rec: dict) -> list[Anomaly]:
         pt = window_point(rec, "hit_ratio")
@@ -199,25 +209,24 @@ class StreamingHitRatioDrift:
             return []
         w, v = pt
         out = []
-        if len(self._trail) == self.k:
-            trail = sum(self._trail) / self.k
-            if trail - v >= self.drop:
+        if len(self._trail) == DRIFT_K:
+            trail = sum(self._trail) / DRIFT_K
+            if trail - v >= DRIFT_DROP:
                 out.append(Anomaly(
                     self.name, w, "warn",
                     f"hit ratio {v:.3f} dropped {trail - v:.3f} below "
-                    f"trailing-{self.k} mean {trail:.3f}"))
+                    f"trailing-{DRIFT_K} mean {trail:.3f}"))
         self._trail.append(v)
         return out
 
 
 class StreamingWriteAmpSpike:
-    """Write amplification jumping ``factor``x over its trailing median."""
+    """Write amplification jumping :data:`SPIKE_FACTOR` x over its
+    trailing median, to at least :data:`SPIKE_MIN_WA`."""
 
     name = "write_amp_spike"
 
-    def __init__(self, factor: float = 2.0, min_wa: float = 1.5) -> None:
-        self.factor = factor
-        self.min_wa = min_wa
+    def __init__(self) -> None:
         self._trail: deque[float] = deque(maxlen=5)
 
     def update(self, rec: dict) -> list[Anomaly]:
@@ -229,7 +238,8 @@ class StreamingWriteAmpSpike:
         if self._trail:
             trail = sorted(self._trail)
             median = trail[len(trail) // 2]
-            if v >= self.min_wa and median > 0 and v >= self.factor * median:
+            if (v >= SPIKE_MIN_WA and median > 0
+                    and v >= SPIKE_FACTOR * median):
                 out.append(Anomaly(
                     self.name, w, "critical",
                     f"write amp {v:.2f} is {v / median:.1f}x trailing "
@@ -239,19 +249,18 @@ class StreamingWriteAmpSpike:
 
 
 class StreamingQueueBuildup:
-    """Queue depth strictly rising across ``k`` consecutive observations.
+    """Queue depth strictly rising across consecutive observations.
 
-    A run of ``k`` flags a ``warn``; a run reaching ``critical_k``
-    escalates to ``critical`` — the unbounded-backlog signature of an
-    open-loop arrival rate past the capacity knee, which strict timeline
-    gating (``repro timeline --strict``) turns into a failure.
+    A run of :data:`BUILDUP_K` flags a ``warn``; a run reaching
+    :data:`BUILDUP_CRITICAL_K` escalates to ``critical`` — the
+    unbounded-backlog signature of an open-loop arrival rate past the
+    capacity knee, which strict timeline gating (``repro timeline
+    --strict``) turns into a failure.
     """
 
     name = "queue_buildup"
 
-    def __init__(self, k: int = 3, critical_k: int = 6) -> None:
-        self.k = k
-        self.critical_k = critical_k
+    def __init__(self) -> None:
         self._prev: float | None = None
         self._run = 0
 
@@ -264,8 +273,8 @@ class StreamingQueueBuildup:
         if self._prev is not None:
             if v > self._prev:
                 self._run += 1
-                if self._run >= self.k:
-                    severity = ("critical" if self._run >= self.critical_k
+                if self._run >= BUILDUP_K:
+                    severity = ("critical" if self._run >= BUILDUP_CRITICAL_K
                                 else "warn")
                     out.append(Anomaly(
                         self.name, w, severity,
@@ -282,23 +291,20 @@ class StreamingWaitDominated:
 
     Watches the derived ``wait_fraction`` series (queue wait / (wait +
     service), from the blame recorder's per-resource counters).  A run
-    of ``k`` consecutive windows at or above ``frac`` flags a ``warn``
-    — queries now spend most of their time waiting, the leading edge of
-    tail inflation.  Only a run of ``critical_k`` windows at or above
-    ``critical_frac`` escalates to ``critical``: sustained near-total
-    wait domination is the past-the-knee signature, while merely-high
-    fractions are expected when running close to (but under) capacity,
-    so the strict CI gate doesn't fire on a healthy ~80%-load run.
+    of :data:`WAIT_K` consecutive windows at or above :data:`WAIT_FRAC`
+    flags a ``warn`` — queries now spend most of their time waiting, the
+    leading edge of tail inflation.  Only a run of
+    :data:`WAIT_CRITICAL_K` windows at or above
+    :data:`WAIT_CRITICAL_FRAC` escalates to ``critical``: sustained
+    near-total wait domination is the past-the-knee signature, while
+    merely-high fractions are expected when running close to (but under)
+    capacity, so the strict CI gate doesn't fire on a healthy ~80%-load
+    run.
     """
 
     name = "wait_dominated"
 
-    def __init__(self, frac: float = 0.75, k: int = 4,
-                 critical_frac: float = 0.95, critical_k: int = 8) -> None:
-        self.frac = frac
-        self.k = k
-        self.critical_frac = critical_frac
-        self.critical_k = critical_k
+    def __init__(self) -> None:
         self._warn_run = 0
         self._crit_run = 0
 
@@ -307,19 +313,19 @@ class StreamingWaitDominated:
         if pt is None:
             return []
         w, v = pt
-        self._warn_run = self._warn_run + 1 if v >= self.frac else 0
-        self._crit_run = (self._crit_run + 1 if v >= self.critical_frac
+        self._warn_run = self._warn_run + 1 if v >= WAIT_FRAC else 0
+        self._crit_run = (self._crit_run + 1 if v >= WAIT_CRITICAL_FRAC
                           else 0)
         out = []
-        if self._crit_run >= self.critical_k:
+        if self._crit_run >= WAIT_CRITICAL_K:
             out.append(Anomaly(
                 self.name, w, "critical",
-                f"wait fraction >= {self.critical_frac:.0%} for "
+                f"wait fraction >= {WAIT_CRITICAL_FRAC:.0%} for "
                 f"{self._crit_run} windows (now {v:.1%})"))
-        elif self._warn_run >= self.k:
+        elif self._warn_run >= WAIT_K:
             out.append(Anomaly(
                 self.name, w, "warn",
-                f"wait fraction >= {self.frac:.0%} for {self._warn_run} "
+                f"wait fraction >= {WAIT_FRAC:.0%} for {self._warn_run} "
                 f"windows (now {v:.1%})"))
         return out
 
@@ -458,42 +464,13 @@ def evaluate_slos(specs, windows) -> list[SloResult]:
     return evaluator.results()
 
 
-def _fold(detector, windows) -> list[Anomaly]:
-    out: list[Anomaly] = []
-    for rec in windows:
-        out.extend(detector.update(rec))
-    return out
-
-
-def detect_hit_ratio_drift(windows, k: int = 5,
-                           drop: float = 0.15) -> list[Anomaly]:
-    """:class:`StreamingHitRatioDrift` over saved windows."""
-    return _fold(StreamingHitRatioDrift(k, drop), windows)
-
-
-def detect_write_amp_spike(windows, factor: float = 2.0,
-                           min_wa: float = 1.5) -> list[Anomaly]:
-    """:class:`StreamingWriteAmpSpike` over saved windows."""
-    return _fold(StreamingWriteAmpSpike(factor, min_wa), windows)
-
-
-def detect_queue_buildup(windows, k: int = 3,
-                         critical_k: int = 6) -> list[Anomaly]:
-    """:class:`StreamingQueueBuildup` over saved windows."""
-    return _fold(StreamingQueueBuildup(k, critical_k), windows)
-
-
-def detect_wait_dominated(windows, frac: float = 0.75, k: int = 4,
-                          critical_frac: float = 0.95,
-                          critical_k: int = 8) -> list[Anomaly]:
-    """:class:`StreamingWaitDominated` over saved windows."""
-    return _fold(
-        StreamingWaitDominated(frac, k, critical_frac, critical_k), windows)
-
-
 def run_detectors(windows) -> list[Anomaly]:
-    """All single-run detectors, ordered by window."""
-    return _fold(StreamingDetectors(), windows)
+    """All single-run detectors, ordered by window; one detector's are
+    those whose :attr:`Anomaly.detector` is its name."""
+    detectors = StreamingDetectors()
+    for rec in windows:
+        detectors.update(rec)
+    return detectors.anomalies
 
 
 def detect_shard_skew(shard_windows: dict, series: str = "hit_ratio",

@@ -68,14 +68,12 @@ class Telemetry:
     shared :data:`~repro.obs.audit.NULL_AUDIT` on every decision site.
     """
 
-    def __init__(self, clock=None, trace: bool = True,
-                 max_spans: int = 1_000_000, audit: bool = True,
-                 audit_capacity: int = 200_000) -> None:
+    def __init__(self, trace: bool = True, audit: bool = True) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock, max_spans=max_spans) if trace else NULL_TRACER
-        self.audit = (AuditLog(capacity=audit_capacity, clock=clock)
-                      if audit else NULL_AUDIT)
-        self.clock = clock
+        self.tracer = Tracer() if trace else NULL_TRACER
+        self.audit = AuditLog() if audit else NULL_AUDIT
+        #: the manager's clock, once :meth:`bind_clock` hands it over
+        self.clock = None
         self.timeline: TimelineRecorder | None = None
         self.exemplars: ExemplarStore | None = None
         self._bridges: list[CacheEventMetrics] = []
@@ -110,26 +108,23 @@ class Telemetry:
             self.timeline.clock = clock
 
     def attach_timeline(self, window_us: float = 50_000.0,
-                        stream_path=None, exemplar_q: float = 99.0,
-                        retain: int = 4096,
+                        stream_path=None,
                         max_windows: int | None = None) -> TimelineRecorder:
         """Attach a windowed recorder (and tail-exemplar capture).
 
         ``window_us`` is the fixed window width on the virtual clock;
         ``stream_path`` turns on streaming (each window written to
-        ``timeline.jsonl`` the moment it closes); ``exemplar_q`` is the
-        percentile above which query-latency samples capture exemplars;
-        ``max_windows`` caps the streamed file's growth by rotation.
-        Call before the run starts; the manager ticks the recorder once
-        per query.
+        ``timeline.jsonl`` the moment it closes); ``max_windows`` caps
+        the streamed file's growth by rotation.  Call before the run
+        starts; the manager ticks the recorder once per query.
         """
         if self.timeline is not None:
             raise RuntimeError("a timeline is already attached")
-        self.exemplars = ExemplarStore(threshold_q=exemplar_q)
+        self.exemplars = ExemplarStore()
         # re-resolved (and registered for exemplars) on their next query
         self._situation_insts.clear()
         self.timeline = TimelineRecorder(
-            self.registry, window_us, clock=self.clock, retain=retain,
+            self.registry, window_us, clock=self.clock,
             collect=self.collect, exemplars=self.exemplars,
         )
         if stream_path is not None:
@@ -194,7 +189,7 @@ class Telemetry:
         if self.blame is not None:
             self.blame.open_stream(path, max_records=max_records)
 
-    def observe_flash(self, ssd, endurance_cycles: int = 5000):
+    def observe_flash(self, ssd):
         """Register a flash device for wear/GC/WA collection.
 
         Returns the :class:`~repro.obs.flash_metrics.FlashDeviceMetrics`
@@ -203,8 +198,7 @@ class Telemetry:
         """
         if ssd is None:
             return None
-        bridge = FlashDeviceMetrics(self.registry, ssd,
-                                    endurance_cycles=endurance_cycles)
+        bridge = FlashDeviceMetrics(self.registry, ssd)
         self._collectors.append(bridge)
         return bridge
 

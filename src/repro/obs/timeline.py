@@ -22,8 +22,9 @@ since the previous close to the closing window.  Activity is therefore
 quantized at query granularity — a query's samples land in the window
 containing its completion time — while the sum-over-windows identities
 above hold exactly.  Windows with no activity are skipped (*sparse*);
-retained records live in a bounded ring (``retain``), and streaming
-mode writes each window to ``timeline.jsonl`` the moment it closes.
+retained records live in a bounded ring (:data:`RETAIN_WINDOWS`), and
+streaming mode writes each window to ``timeline.jsonl`` the moment it
+closes.
 
 Timeline JSONL schema (``repro.obs.timeline/v1``), one object per line::
 
@@ -43,9 +44,9 @@ Timeline JSONL schema (``repro.obs.timeline/v1``), one object per line::
 **Exemplars** answer *why was this sample slow?*: an
 :class:`ExemplarStore` hooks ``Histogram.record`` (via the instrument's
 ``exemplar_sink``) and captures ``(query_id, span_id, window)`` for
-samples landing above a configurable percentile of their own histogram,
-so ``repro explain --query`` can chain a tail latency to its tracer
-span and the audit-trail decisions made inside it.
+samples landing above the :data:`EXEMPLAR_Q` percentile of their own
+histogram, so ``repro explain --query`` can chain a tail latency to its
+tracer span and the audit-trail decisions made inside it.
 
 The **steady-state detector** (:func:`steady_state_window`) is a
 sliding-window mean-stability test on the windowed hit ratio; the bench
@@ -117,6 +118,12 @@ def parse_series_key(key: str) -> tuple[str, dict]:
 # Exemplars
 # ---------------------------------------------------------------------------
 
+# What :class:`ExemplarStore` captures and keeps (see its docstring).
+EXEMPLAR_Q = 99.0
+EXEMPLAR_MIN_COUNT = 64
+EXEMPLAR_CAPACITY = 512
+
+
 class Exemplar(NamedTuple):
     """One tail sample worth explaining: value + the trail back to it."""
 
@@ -136,22 +143,17 @@ class ExemplarStore:
 
     A histogram registered via :meth:`register` gets this store as its
     ``exemplar_sink``: every :meth:`~repro.obs.instruments.Histogram.
-    record` above the ``threshold_q``-th percentile of *that* histogram
-    captures the ambient :attr:`context` (query id, span id, timeline
-    window, time) its owner assigns.  The percentile threshold lives in
-    the histogram's ``exemplar_gate`` with the count at which it is
-    refreshed next, so ``record`` offers only a tail sample or a due
-    refresh; the store itself is a bounded ring (``capacity``), counting
-    what it drops.
+    record` at or above the :data:`EXEMPLAR_Q`-th percentile of *that*
+    histogram captures the ambient :attr:`context` (query id, span id,
+    timeline window, time) its owner assigns.  The percentile threshold
+    lives in the histogram's ``exemplar_gate`` with the count at which it
+    is refreshed next, so ``record`` offers only a tail sample or a due
+    refresh; the store itself is a bounded ring
+    (:data:`EXEMPLAR_CAPACITY`), counting what it drops.
     """
 
-    def __init__(self, threshold_q: float = 99.0, min_count: int = 64,
-                 capacity: int = 512) -> None:
-        if not 0.0 < threshold_q < 100.0:
-            raise ValueError("threshold_q must be in (0, 100)")
-        self.threshold_q = threshold_q
-        self.min_count = min_count
-        self.exemplars: deque[Exemplar] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.exemplars: deque[Exemplar] = deque(maxlen=EXEMPLAR_CAPACITY)
         self.dropped = 0
         self._labels: dict[int, str] = {}
         #: ``(query_id, span_id, window, t_us)`` of the samples offered next
@@ -160,9 +162,9 @@ class ExemplarStore:
 
     def register(self, hist: Histogram, label: str) -> None:
         """Attach this store to ``hist`` as its exemplar sink; nothing is
-        offered before ``min_count`` samples."""
+        offered before :data:`EXEMPLAR_MIN_COUNT` samples."""
         hist.exemplar_sink = self
-        hist.exemplar_gate = (self.min_count, float("inf"))
+        hist.exemplar_gate = (EXEMPLAR_MIN_COUNT, float("inf"))
         self._labels[id(hist)] = label
 
     def offer(self, hist: Histogram, value: float) -> None:
@@ -172,7 +174,7 @@ class ExemplarStore:
         count = hist.count
         refresh_at, threshold = hist.exemplar_gate
         if count >= refresh_at:
-            threshold = hist.percentile(self.threshold_q)
+            threshold = hist.percentile(EXEMPLAR_Q)
             hist.exemplar_gate = (count + max(64, count // 2), threshold)
         if value < threshold:
             return
@@ -196,6 +198,10 @@ class ExemplarStore:
 # The recorder
 # ---------------------------------------------------------------------------
 
+#: Closed windows held in memory (drop-oldest, counted in ``dropped_windows``).
+RETAIN_WINDOWS = 4096
+
+
 class TimelineRecorder:
     """Samples a registry into fixed-width virtual-clock windows.
 
@@ -209,7 +215,7 @@ class TimelineRecorder:
     """
 
     def __init__(self, registry: MetricsRegistry, window_us: float,
-                 clock=None, retain: int = 4096, collect=None,
+                 clock=None, collect=None,
                  exemplars: ExemplarStore | None = None) -> None:
         if window_us <= 0:
             raise ValueError("window_us must be positive")
@@ -218,7 +224,7 @@ class TimelineRecorder:
         self.clock = clock
         self.collect = collect
         self.exemplars = exemplars
-        self.windows: deque[dict] = deque(maxlen=retain)
+        self.windows: deque[dict] = deque(maxlen=RETAIN_WINDOWS)
         self.dropped_windows = 0
         self.emitted = 0
         self._open = 0

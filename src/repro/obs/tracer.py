@@ -54,6 +54,9 @@ __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "SpanLog",
 _SPAN_FIELDS = {"span_id", "parent_id", "name", "start_us", "end_us",
                 "dur_us", "attrs"}
 
+#: Spans the in-memory store holds (past it, counted in ``dropped``).
+MAX_SPANS = 1_000_000
+
 
 class Span:
     """One span: its own context manager while open, the finished record
@@ -102,22 +105,21 @@ class Span:
 class Tracer:
     """Collects nested spans stamped with a :class:`VirtualClock`.
 
-    ``max_spans`` bounds memory on long runs: past the cap new spans are
-    counted in :attr:`dropped` instead of stored (open-span nesting keeps
-    working, so parent ids stay correct for what is kept).
+    :data:`MAX_SPANS` bounds memory on long runs: past the cap new spans
+    are counted in :attr:`dropped` instead of stored (open-span nesting
+    keeps working, so parent ids stay correct for what is kept).
 
     :meth:`open_stream` switches the tracer to **streaming mode**: each
     finished span is written to a JSONL file immediately instead of
     accumulating in memory, so an arbitrarily long ``repro run
-    --telemetry`` holds zero spans resident.  ``max_spans`` does not
-    apply while streaming (nothing is stored, nothing is dropped).
+    --telemetry`` holds zero spans resident.  The cap does not apply
+    while streaming (nothing is stored, nothing is dropped).
     """
 
     enabled = True
 
-    def __init__(self, clock=None, max_spans: int = 1_000_000) -> None:
+    def __init__(self, clock=None) -> None:
         self.clock = clock
-        self.max_spans = max_spans
         self.spans: list[Span] = []
         self.dropped = 0
         #: ids of the open spans, innermost last, above a ``None``
@@ -139,7 +141,7 @@ class Tracer:
 
     def _route(self) -> None:
         """Bind :attr:`_write` when the stream opens or closes, not per
-        span (the store and its cap are read live)."""
+        span (the store and :data:`MAX_SPANS` are read per span)."""
         stream = self._stream
         self._write = (stream.write if stream is not None
                        and not stream.closed else None)
@@ -161,7 +163,7 @@ class Tracer:
             self._sink(span)
         if self._write is not None:
             self._write(span.to_dict())
-        elif len(self.spans) < self.max_spans:
+        elif len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:
             self.dropped += 1
@@ -180,7 +182,7 @@ class Tracer:
             self._sink(span)
         if self._write is not None:
             self._write(span.to_dict())
-        elif len(self.spans) < self.max_spans:
+        elif len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:
             self.dropped += 1

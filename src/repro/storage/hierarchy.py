@@ -100,8 +100,8 @@ class StorageHierarchy:
         issuing it.  Also binds the kernel to the shared clock so device
         ``consume`` calls route through it inside tasks.
         """
-        kernel.add_resource(self.memory.name, lanes=max(1, cpu_lanes))
-        kernel.add_resource(self.cpu_channel, lanes=max(1, cpu_lanes))
+        kernel.add_resource(self.memory.name, lanes=cpu_lanes)
+        kernel.add_resource(self.cpu_channel, lanes=cpu_lanes)
         if self.ssd is not None:
             kernel.add_resource(self.ssd.name, lanes=self.ssd.service_lanes)
         kernel.add_resource(

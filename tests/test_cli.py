@@ -237,6 +237,38 @@ def test_run_timeline_requires_telemetry(capsys):
     assert "--timeline requires --telemetry" in captured.err
 
 
+_OPEN = ["--arrival", "poisson", "--rate-qps", "50"]
+
+
+@pytest.mark.parametrize("bad", [
+    ["--concurrency", "0"],
+    ["--arrival", "poisson"],
+    _OPEN + ["--max-blame-records", "0"],
+    ["--ttl-ms", "-1"],
+    ["--mem-mb", "-1"],
+    ["--timeline", "--window-ms", "0"],
+    ["--timeline", "--max-windows", "0"],
+    _OPEN + ["--max-queue", "-1"],
+    ["--arrival", "diurnal", "--rate-qps", "50", "--diurnal-floor", "0"],
+    ["--queries", "0"],
+    ["--docs", "0"],
+    _OPEN + ["--cpu-lanes", "0"],
+    _OPEN + ["--cpu-lanes", "-3"],
+], ids=" ".join)
+def test_run_rejects_bad_flags_before_touching_disk(tmp_path, capsys, bad):
+    out_dir = tmp_path / "tel"
+    argv = ["run", "--docs", "20000", "--queries", "50", "--mem-mb", "2",
+            "--ssd-mb", "8", *bad, "--telemetry", str(out_dir)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert not out_dir.exists()
+
+
 def test_run_timeline_streams_schema_valid_jsonl(tmp_path, capsys):
     from repro.obs import load_telemetry_dir
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.obs.flash_metrics as flash_metrics
 from repro.flash.ssd import SimulatedSSD
 from repro.flash.wear import wear_projection, wear_report
 from repro.obs.flash_metrics import FlashDeviceMetrics
@@ -62,7 +63,8 @@ def test_wear_projection_is_the_report_s_definition():
         wear_projection(1, 1.0, 0)
 
 
-def test_flash_gauges_publish_the_report_s_wear_figures(tiny_flash):
+def test_flash_gauges_publish_the_report_s_wear_figures(tiny_flash,
+                                                        monkeypatch):
     # The per-window gauges take the mean from the running erase total,
     # not a reduction; they must equal what ssd.wear() reports, and a bad
     # endurance is the same ValueError, not a ZeroDivisionError.
@@ -71,12 +73,14 @@ def test_flash_gauges_publish_the_report_s_wear_figures(tiny_flash):
         ssd.write(0, ssd.capacity_bytes // 2)
     assert ssd.erase_count > 0
     registry = MetricsRegistry()
-    FlashDeviceMetrics(registry, ssd, endurance_cycles=50).collect()
+    monkeypatch.setattr(flash_metrics, "DEFAULT_ENDURANCE_CYCLES", 50)
+    FlashDeviceMetrics(registry, ssd).collect()
     wear = ssd.wear(50)
     gauges = {name: inst.value for name, _, inst in registry.items()
               if name.startswith(("flash_wear", "flash_lifetime"))}
     assert gauges == {"flash_wear_max_erases": wear.max_erases,
                       "flash_wear_skew": wear.skew,
                       "flash_lifetime_consumed": wear.lifetime_consumed}
+    monkeypatch.setattr(flash_metrics, "DEFAULT_ENDURANCE_CYCLES", 0)
     with pytest.raises(ValueError):
-        FlashDeviceMetrics(MetricsRegistry(), ssd, endurance_cycles=0).collect()
+        FlashDeviceMetrics(MetricsRegistry(), ssd).collect()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.obs.audit as audit_module
 from repro.core.config import CacheConfig, Policy
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.query import Query
@@ -88,8 +89,9 @@ def test_audit_record_is_tuple_shaped_with_named_fields():
     assert rec.data is data and rec.key == 7
 
 
-def test_ring_drops_oldest_past_capacity():
-    log = AuditLog(capacity=3)
+def test_ring_drops_oldest_past_capacity(monkeypatch):
+    monkeypatch.setattr(audit_module, "AUDIT_CAPACITY", 3)
+    log = AuditLog()
     for i in range(5):
         log.record("admit", "list", i)
     assert len(log) == 3

@@ -14,6 +14,7 @@ from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.corpus import CorpusConfig
 from repro.engine.index import InvertedIndex
 from repro.engine.querylog import QueryLogConfig, generate_query_log
+import repro.obs.blame as blame_module
 from repro.obs import Telemetry
 from repro.obs.blame import (
     ADMISSION,
@@ -289,8 +290,9 @@ def _synthetic_run(rec, jobs=20, service=10.0):
     return k
 
 
-def test_ring_drops_oldest_but_totals_survive():
-    rec = BlameRecorder(capacity=8)
+def test_ring_drops_oldest_but_totals_survive(monkeypatch):
+    monkeypatch.setattr(blame_module, "RING_CAPACITY", 8)
+    rec = BlameRecorder()
     _synthetic_run(rec, jobs=20)
     assert len(rec.records) == 8
     assert rec.dropped > 0

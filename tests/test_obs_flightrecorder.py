@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import repro.obs.flightrecorder as flightrecorder_module
 from repro.cli import main
 from repro.obs import (
     FlightRecorder,
@@ -51,7 +52,8 @@ def test_sustained_overload_is_one_incident(tmp_path):
     assert manifest["trigger"]["detector"] == "queue_buildup"
     assert manifest["trigger"]["severity"] == "critical"
     assert manifest["trigger_window"] in manifest["windows"]
-    # pre_windows=4 context before the trigger, then every later window.
+    # PRE_WINDOWS of context before the trigger, then every later window.
+    assert flightrecorder_module.PRE_WINDOWS == 4
     assert manifest["windows"][0] == manifest["trigger_window"] - 4
     assert counts["windows"] == len(manifest["windows"])
     assert manifest["config"]["policy"] == "lru"
@@ -59,7 +61,8 @@ def test_sustained_overload_is_one_incident(tmp_path):
 
 
 def test_incident_closes_after_quiet_windows(tmp_path):
-    flight = _armed(tmp_path, post_windows=2)
+    assert flightrecorder_module.POST_WINDOWS == 2
+    flight = _armed(tmp_path)
     for i in range(8):
         flight._on_window(_window(i, queue_depth=float(i)))
     # Depth flat: the buildup run resets, countdown drains, dump happens
@@ -87,16 +90,19 @@ def test_counting_mode_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_warn_severity_triggers_earlier(tmp_path):
-    flight = _armed(tmp_path, trigger_severity="warn", post_windows=1)
+def test_warn_severity_triggers_earlier(tmp_path, monkeypatch):
+    monkeypatch.setattr(flightrecorder_module, "POST_WINDOWS", 1)
+    flight = _armed(tmp_path, trigger_severity="warn")
     for i in range(5):
         flight._on_window(_window(i, queue_depth=float(i)))
     # queue_buildup warns at the 3rd consecutive rise.
     assert flight._open is not None or flight.incidents
 
 
-def test_max_incidents_caps_bundles(tmp_path):
-    flight = _armed(tmp_path, max_incidents=1, post_windows=1)
+def test_max_incidents_caps_bundles(tmp_path, monkeypatch):
+    monkeypatch.setattr(flightrecorder_module, "MAX_INCIDENTS", 1)
+    monkeypatch.setattr(flightrecorder_module, "POST_WINDOWS", 1)
+    flight = _armed(tmp_path)
     for burst in range(3):
         base = burst * 12
         for i in range(base, base + 8):

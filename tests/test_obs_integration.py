@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import repro.obs.audit as audit_module
+import repro.obs.timeline as timeline_module
+import repro.obs.tracer as tracer_module
 from repro.core.config import CacheConfig, Policy
 from repro.core.events import EventCounter
 from repro.core.manager import CacheManager, build_hierarchy_for
@@ -171,9 +174,13 @@ def test_lossless_run_has_no_obs_dropped_series(small_index):
 
 
 def test_obs_dropped_total_counts_what_the_observer_lost(small_index,
-                                                         tmp_path, capsys):
-    tel = Telemetry(max_spans=50, audit_capacity=40)
-    tel.attach_timeline(window_us=2_000.0, retain=3,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(tracer_module, "MAX_SPANS", 50)
+    monkeypatch.setattr(audit_module, "AUDIT_CAPACITY", 40)
+    monkeypatch.setattr(timeline_module, "RETAIN_WINDOWS", 3)
+    tel = Telemetry()
+    tel.attach_timeline(window_us=2_000.0,
                         stream_path=tmp_path / "timeline.jsonl",
                         max_windows=4)
     mgr = make_manager(small_index, telemetry=tel)

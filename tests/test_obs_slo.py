@@ -9,12 +9,6 @@ from repro.obs import (
     parse_slo,
     run_detectors,
 )
-from repro.obs.slo import (
-    detect_hit_ratio_drift,
-    detect_queue_buildup,
-    detect_wait_dominated,
-    detect_write_amp_spike,
-)
 
 
 def windows(series_values: dict):
@@ -28,6 +22,12 @@ def windows(series_values: dict):
                     "end_us": (i + 1) * 100.0, "counters": {}, "gauges": {},
                     "histograms": {}, "derived": derived})
     return out
+
+
+def fired(detector: str, series_values: dict):
+    """``run_detectors`` over synthetic windows, one detector's anomalies."""
+    return [a for a in run_detectors(windows(series_values))
+            if a.detector == detector]
 
 
 # -- the grammar -------------------------------------------------------------
@@ -82,53 +82,54 @@ def test_evaluate_slos_accepts_text_lines():
 
 def test_detect_hit_ratio_drift_fires_on_drop():
     stable = [0.7] * 6
-    assert not detect_hit_ratio_drift(windows({"hit_ratio": stable}))
+    assert not fired("hit_ratio_drift", {"hit_ratio": stable})
     dropped = stable + [0.3]
-    hits = detect_hit_ratio_drift(windows({"hit_ratio": dropped}))
+    hits = fired("hit_ratio_drift", {"hit_ratio": dropped})
     assert hits and hits[0].window == 6
     assert hits[0].detector == "hit_ratio_drift"
 
 
 def test_detect_write_amp_spike():
     calm = [1.2] * 6
-    assert not detect_write_amp_spike(windows({"write_amp": calm}))
+    assert not fired("write_amp_spike", {"write_amp": calm})
     spiked = calm + [3.0]
-    hits = detect_write_amp_spike(windows({"write_amp": spiked}))
+    hits = fired("write_amp_spike", {"write_amp": spiked})
     assert hits and hits[0].severity == "critical"
-    # A spike below min_wa is noise, not an anomaly.
+    # A spike below SPIKE_MIN_WA is noise, not an anomaly.
     tiny = [0.5] * 6 + [1.2]
-    assert not detect_write_amp_spike(windows({"write_amp": tiny}))
+    assert not fired("write_amp_spike", {"write_amp": tiny})
 
 
 def test_detect_queue_buildup_needs_consecutive_rise():
     sawtooth = [1, 3, 1, 3, 1, 3]
-    assert not detect_queue_buildup(windows({"queue_depth": sawtooth}))
+    assert not fired("queue_buildup", {"queue_depth": sawtooth})
     rising = [1, 2, 3, 4, 5]
-    hits = detect_queue_buildup(windows({"queue_depth": rising}))
+    hits = fired("queue_buildup", {"queue_depth": rising})
     assert hits and hits[0].window == 3
 
 
 def test_detect_queue_buildup_escalates_to_critical():
-    """A run reaching critical_k is the unbounded-backlog signature of an
-    offered rate past the knee; --strict turns critical into a failure."""
+    """A run reaching BUILDUP_CRITICAL_K is the unbounded-backlog
+    signature of an offered rate past the knee; --strict turns critical
+    into a failure."""
     rising = list(range(1, 9))  # runs of length 3..7
-    hits = detect_queue_buildup(windows({"queue_depth": rising}))
+    hits = fired("queue_buildup", {"queue_depth": rising})
     assert [h.severity for h in hits] == [
         "warn", "warn", "warn", "critical", "critical"]
     # A dip resets the run: no escalation without consecutive growth.
     interrupted = [1, 2, 3, 4, 1, 2, 3, 4, 5]
-    hits = detect_queue_buildup(windows({"queue_depth": interrupted}))
+    hits = fired("queue_buildup", {"queue_depth": interrupted})
     assert all(h.severity == "warn" for h in hits)
 
 
 def test_detect_wait_dominated_warns_after_sustained_run():
     calm = [0.3] * 8
-    assert not detect_wait_dominated(windows({"wait_fraction": calm}))
+    assert not fired("wait_dominated", {"wait_fraction": calm})
     # Three high windows are not a run of four; the fourth flags warn.
     short = [0.8, 0.8, 0.8, 0.3, 0.8]
-    assert not detect_wait_dominated(windows({"wait_fraction": short}))
+    assert not fired("wait_dominated", {"wait_fraction": short})
     sustained = [0.8] * 5
-    hits = detect_wait_dominated(windows({"wait_fraction": sustained}))
+    hits = fired("wait_dominated", {"wait_fraction": sustained})
     assert [(h.window, h.severity) for h in hits] == [(3, "warn"),
                                                      (4, "warn")]
     assert hits[0].detector == "wait_dominated"
@@ -138,16 +139,16 @@ def test_detect_wait_dominated_escalates_only_past_the_knee():
     # High-but-under-capacity fractions never reach critical: 0.90 for
     # many windows stays warn, so --strict passes a healthy loaded run.
     loaded = [0.90] * 12
-    hits = detect_wait_dominated(windows({"wait_fraction": loaded}))
+    hits = fired("wait_dominated", {"wait_fraction": loaded})
     assert hits and all(h.severity == "warn" for h in hits)
-    # Near-total wait domination sustained for critical_k escalates.
+    # Near-total wait domination sustained for WAIT_CRITICAL_K escalates.
     saturated = [0.97] * 9
-    hits = detect_wait_dominated(windows({"wait_fraction": saturated}))
+    hits = fired("wait_dominated", {"wait_fraction": saturated})
     assert hits[-1].severity == "critical"
     assert [h.severity for h in hits].count("critical") == 2  # windows 7, 8
     # A single dip resets the critical run but not necessarily the warn.
     interrupted = [0.97] * 7 + [0.80] + [0.97] * 7
-    hits = detect_wait_dominated(windows({"wait_fraction": interrupted}))
+    hits = fired("wait_dominated", {"wait_fraction": interrupted})
     assert all(h.severity == "warn" for h in hits)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs.timeline as timeline_module
 from repro.core.config import CacheConfig, Policy
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.query import Query
@@ -202,7 +203,9 @@ def test_timeline_derived_series_present(small_index):
 # -- exemplars ---------------------------------------------------------------
 
 def test_exemplar_store_captures_tail_samples_with_context():
-    store = ExemplarStore(threshold_q=99.0, min_count=64)
+    assert (timeline_module.EXEMPLAR_Q,
+            timeline_module.EXEMPLAR_MIN_COUNT) == (99.0, 64)
+    store = ExemplarStore()
     h = Histogram()
     store.register(h, "lat")
     for i in range(1, 101):
@@ -214,7 +217,8 @@ def test_exemplar_store_captures_tail_samples_with_context():
     for ex in store.exemplars:
         assert ex.metric == "lat"
         # Tail relative to the distribution *at capture time*: nothing
-        # below the p99 of the first min_count samples ever qualifies.
+        # below the p99 of the first EXEMPLAR_MIN_COUNT samples ever
+        # qualifies.
         assert ex.value_us >= 63.0
         assert ex.query_id == int(ex.value_us)  # context travelled with it
         assert ex.span_id == 1000 + ex.query_id

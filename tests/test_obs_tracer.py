@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.obs.tracer as tracer_module
 from repro.obs import NULL_TRACER, NullTracer, Tracer
 from repro.sim.clock import VirtualClock
 
@@ -51,8 +52,9 @@ def test_span_ids_are_unique_and_increasing(clock):
     assert len(set(ids)) == 5
 
 
-def test_max_spans_cap_counts_drops(clock):
-    tr = Tracer(clock, max_spans=2)
+def test_max_spans_cap_counts_drops(clock, monkeypatch):
+    monkeypatch.setattr(tracer_module, "MAX_SPANS", 2)
+    tr = Tracer(clock)
     for _ in range(5):
         with tr.span("x"):
             pass
@@ -98,14 +100,14 @@ def test_spans_after_a_mid_run_export_are_stored_and_counted(
     assert len(target.read_text().splitlines()) == 1
 
 
-def test_span_store_and_cap_are_read_live(clock):
-    # spans / max_spans are public attributes: reassigning them after
-    # construction must take effect on the next span.
+def test_span_store_and_cap_are_read_live(clock, monkeypatch):
+    # spans is a public attribute and MAX_SPANS is read per span:
+    # changing either after construction takes effect on the next span.
     tr = Tracer(clock)
     with tr.span("a"):
         pass
     tr.spans = fresh = []
-    tr.max_spans = 1
+    monkeypatch.setattr(tracer_module, "MAX_SPANS", 1)
     with tr.span("b"):
         pass
     with tr.span("c"):

@@ -6,6 +6,7 @@ from repro.flash.constants import FlashConfig
 from repro.flash.ssd import SimulatedSSD
 from repro.hdd.disk import SimulatedHDD
 from repro.sim.clock import VirtualClock
+from repro.sim.kernel import Kernel
 from repro.storage.device import BlockDevice, DramModel, NullDevice
 from repro.storage.hierarchy import HierarchyConfig, StorageHierarchy
 
@@ -76,6 +77,13 @@ def test_hierarchy_validation():
         HierarchyConfig(index_on="tape")
     with pytest.raises(ValueError):
         HierarchyConfig(memory_bytes=0)
+
+
+@pytest.mark.parametrize("cpu_lanes", [0, -3])
+def test_attach_kernel_rejects_fewer_than_one_cpu_lane(cpu_lanes):
+    h = StorageHierarchy()
+    with pytest.raises(ValueError, match="lane"):
+        h.attach_kernel(Kernel(h.clock), cpu_lanes=cpu_lanes)
 
 
 def test_busy_breakdown_accumulates():
