@@ -81,7 +81,7 @@ class IndexShard:
 
     def warmup_static(self, log: QueryLog, analyze_queries: int | None = None):
         """Provision the static partition when the policy supports one."""
-        if self.manager.policy.supports_static and self.cache_config.uses_ssd:
+        if self.cache_config.uses_static:
             return self.manager.warmup_static(log, analyze_queries=analyze_queries)
         return None
 
@@ -103,8 +103,7 @@ class IndexShard:
                 + self.cache_events.get("flush", "list"))
 
     def describe(self) -> str:
-        policy = self.cache_config.policy
         return (
             f"shard {self.shard_id}: {self.index.num_docs:,} docs, "
-            f"{getattr(policy, 'value', str(policy))} cache"
+            f"{self.cache_config.policy.value} cache"
         )

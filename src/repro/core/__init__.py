@@ -6,10 +6,11 @@
   2's efficiency value EV, the TEV threshold).
 * :mod:`repro.core.placement` — data placement (write buffer, result
   block (RB) assembly, block-aligned log layout on SSD).
-* :mod:`repro.core.policies` — pluggable admission/replacement policies
-  (LRU baseline, CBLRU's working/replace-first regions with IREN and
-  size-matched victims, CBSLRU's static partition) plus the registry
-  for third-party policies.
+* :mod:`repro.core.replacement` — the victim rules ``CacheConfig.policy``
+  selects: the LRU baseline's recency order, or CBLRU/CBSLRU's Fig. 12
+  min-EV memory victim, Fig. 11 max-IREN result block and Fig. 13
+  staged list search (CBSLRU's static partition is
+  ``CacheConfig.uses_static``).
 * :mod:`repro.core.result_cache` / :mod:`repro.core.list_cache` — the
   layered L1<->L2 flows for results and inverted lists.
 * :mod:`repro.core.events` — the cache life-cycle hook bus (on_admit,
@@ -32,17 +33,7 @@ from repro.core.lru import LruList
 from repro.core.selection import SelectionPolicy, efficiency_value, ssd_cache_blocks
 from repro.core.stats import CacheStats, Situation, StatsRecorder
 from repro.core.placement import WriteBuffer
-from repro.core.policies import (
-    AdmissionPolicy,
-    BaseReplacementPolicy,
-    CblruPolicy,
-    CbslruPolicy,
-    LruPolicy,
-    ReplacementPolicy,
-    available_policies,
-    create_policy,
-    register_policy,
-)
+from repro.core.replacement import Replacement
 from repro.core.result_cache import ResultCache
 from repro.core.list_cache import ListCache
 from repro.core.ssd_region import BlockRegion, ByteRegion
@@ -83,15 +74,7 @@ __all__ = [
     "CacheEvents",
     "EventCounter",
     "StatsRecorder",
-    "AdmissionPolicy",
-    "ReplacementPolicy",
-    "BaseReplacementPolicy",
-    "LruPolicy",
-    "CblruPolicy",
-    "CbslruPolicy",
-    "register_policy",
-    "create_policy",
-    "available_policies",
+    "Replacement",
     "ResultCache",
     "ListCache",
 ]

@@ -9,7 +9,7 @@ split between result and inverted-list caches.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 __all__ = ["Policy", "Scheme", "CacheConfig"]
@@ -64,6 +64,17 @@ class CacheConfig:
     ttl_us: float = 0.0
 
     def __post_init__(self) -> None:
+        # A name ("cbslru") is as good as the member; anything else fails
+        # here, not as a silent default deep inside the caches.
+        for field_name, kind in (("policy", Policy), ("scheme", Scheme)):
+            value = getattr(self, field_name)
+            if not isinstance(value, kind):
+                try:
+                    object.__setattr__(self, field_name, kind(value))
+                except ValueError:
+                    choices = ", ".join(member.value for member in kind)
+                    raise ValueError(f"unknown {field_name} {value!r}; "
+                                     f"choose from {choices}") from None
         for field_name in ("mem_result_bytes", "mem_list_bytes",
                            "ssd_result_bytes", "ssd_list_bytes"):
             if getattr(self, field_name) < 0:
@@ -116,6 +127,11 @@ class CacheConfig:
         """False for one-level (memory-only) configurations."""
         return self.ssd_cache_bytes > 0
 
+    @cached_property
+    def uses_static(self) -> bool:
+        """True when CBSLRU's pinned static partition is provisioned."""
+        return self.policy is Policy.CBSLRU and self.uses_ssd
+
     # -- convenience constructors -----------------------------------------------
 
     @classmethod
@@ -155,18 +171,4 @@ class CacheConfig:
 
     def one_level(self) -> "CacheConfig":
         """The same configuration without the SSD tier (1LC baseline)."""
-        return CacheConfig(
-            mem_result_bytes=self.mem_result_bytes,
-            mem_list_bytes=self.mem_list_bytes,
-            ssd_result_bytes=0,
-            ssd_list_bytes=0,
-            block_bytes=self.block_bytes,
-            result_entry_bytes=self.result_entry_bytes,
-            top_k=self.top_k,
-            policy=self.policy,
-            scheme=self.scheme,
-            replace_window=self.replace_window,
-            tev=self.tev,
-            static_fraction=self.static_fraction,
-            write_buffer_entries=self.write_buffer_entries,
-        )
+        return replace(self, ssd_result_bytes=0, ssd_list_bytes=0)

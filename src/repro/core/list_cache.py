@@ -5,10 +5,10 @@ list cache holding frequency-sorted prefixes, the SSD list region (whole
 flash blocks sized by Formula 1 for the cost-based policies, byte-granular
 extents for the LRU baseline), CBSLRU's pinned static lists, and the HDD
 tail reads for whatever the caches do not cover.  Admission decisions
-come from the :class:`~repro.core.policies.AdmissionPolicy` (Formula 1/2
-plus the TEV filter); victim selection is delegated to the active
-:class:`~repro.core.policies.ReplacementPolicy`; life-cycle changes are
-announced on the :class:`~repro.core.events.CacheEvents` bus.
+come from the :class:`~repro.core.selection.SelectionPolicy` (Formula 1/2
+plus the TEV filter); victims come from
+:class:`~repro.core.replacement.Replacement` (Figs. 12 and 13); life-cycle
+changes are announced on the :class:`~repro.core.events.CacheEvents` bus.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from repro.obs.tracer import NULL_TRACER, Span
 
 if TYPE_CHECKING:
     from repro.core.config import CacheConfig
-    from repro.core.policies import AdmissionPolicy, ReplacementPolicy
+    from repro.core.replacement import Replacement
+    from repro.core.selection import SelectionPolicy
     from repro.core.stats import CacheStats
     from repro.engine.index import InvertedIndex
 
@@ -40,8 +41,8 @@ class ListCache:
     def __init__(
         self,
         config: CacheConfig,
-        policy: ReplacementPolicy,
-        selection: AdmissionPolicy,
+        policy: Replacement,
+        selection: SelectionPolicy,
         index: InvertedIndex,
         clock,
         mem,
@@ -132,7 +133,7 @@ class ListCache:
             self.l1_bytes -= l1.cached_bytes
             self.events.evict(EvictEvent(kind="list", key=term_id, level="l1",
                                          nbytes=l1.cached_bytes, reason="expired"))
-            self.drop_l2(term_id, trim=self.policy.trim_on_drop, reason="expired")
+            self.drop_l2(term_id, trim=self.policy.cost_based, reason="expired")
             self.stats.expired_lists += 1
             l1 = None
         if l1 is not None:
@@ -161,7 +162,7 @@ class ListCache:
             if l2 is None and not stale_static:
                 l2 = self.l2.get(term_id)
                 if l2 is not None and self._expired(l2):
-                    self.drop_l2(term_id, trim=self.policy.trim_on_drop,
+                    self.drop_l2(term_id, trim=self.policy.cost_based,
                                  reason="expired")
                     self.stats.expired_lists += 1
                     l2 = None
@@ -175,7 +176,7 @@ class ListCache:
                     self.l2.touch(term_id)
                     if self.config.scheme is Scheme.EXCLUSIVE:
                         self.drop_l2(term_id, trim=True, reason="exclusive-promote")
-                    elif self.policy.tracks_replaceable:
+                    elif self.policy.cost_based:
                         # The baseline has no replaceable-state tracking:
                         # a read-back entry stays NORMAL and gets fully
                         # rewritten on its next eviction (Section VI.C).
@@ -325,7 +326,7 @@ class ListCache:
                 victim.total_bytes, decision.sc_blocks * cfg.block_bytes
             )
             if (existing.state is EntryState.REPLACEABLE and covers
-                    and self.policy.tracks_replaceable):
+                    and self.policy.cost_based):
                 # The data is still on flash: re-validate, skip the write.
                 existing.state = EntryState.NORMAL
                 existing.freq = max(existing.freq, victim.freq)
@@ -335,7 +336,7 @@ class ListCache:
                                              nbytes=existing.cached_bytes,
                                              reason="revalidate"))
                 return
-            self.drop_l2(victim.term_id, trim=self.policy.trim_on_drop,
+            self.drop_l2(victim.term_id, trim=self.policy.cost_based,
                          reason="replaced")
 
         if not self.policy.cost_based:

@@ -7,8 +7,9 @@ composable layers:
   (memory entries, the write buffer, SSD result blocks, static results);
 * :class:`repro.core.list_cache.ListCache` — the L1<->L2 inverted-list
   flow (memory prefixes, the SSD list region, static lists, HDD tails);
-* :mod:`repro.core.policies` — pluggable admission (Formula 1/2 + TEV)
-  and replacement (LRU / CBLRU / CBSLRU, or anything registered);
+* :class:`repro.core.selection.SelectionPolicy` — admission (Formula
+  1/2 + TEV) and :class:`repro.core.replacement.Replacement` — the victim
+  rules of LRU / CBLRU / CBSLRU, both fixed by ``config.policy``;
 * :class:`repro.core.events.CacheEvents` — the observability seam that
   :class:`~repro.core.stats.StatsRecorder`, cluster shards and custom
   subscribers consume instead of reaching into cache internals.
@@ -24,12 +25,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import NamedTuple
 
-from repro.core.config import CacheConfig
+from repro.core.config import CacheConfig, Policy
 from repro.core.entries import CachedResult
 from repro.core.events import CacheEvents
 from repro.core.list_cache import ListCache
-from repro.core.policies import create_policy
+from repro.core.replacement import Replacement
 from repro.core.result_cache import ResultCache
+from repro.core.selection import SelectionPolicy
 from repro.core.stats import CacheStats, Situation, StatsRecorder
 from repro.engine.index import InvertedIndex
 from repro.obs.audit import NULL_AUDIT
@@ -109,8 +111,8 @@ class CacheManager:
     """Two-level cache over a storage hierarchy and an inverted index.
 
     A thin facade: query management (the Table I flow) plus the wiring of
-    the result/list cache layers, the replacement policy resolved from
-    ``config.policy`` via :mod:`repro.core.policies`, and the event bus.
+    the result/list cache layers, the admission and replacement rules
+    ``config.policy`` selects, and the event bus.
     """
 
     def __init__(
@@ -168,11 +170,12 @@ class CacheManager:
                 f"device offers {self.ssd.capacity_bytes} B"
             )
 
-        self.policy = create_policy(config.policy)
-        # Policies are instantiated fresh per manager (create_policy), so
-        # handing this instance the manager's audit log is safe.
-        self.policy.audit = self._audit
-        self.selection = self.policy.build_admission(config)
+        self.policy = Replacement(config, self._audit)
+        self.selection = SelectionPolicy(
+            block_bytes=config.block_bytes,
+            tev=config.tev,
+            cost_based=self.policy.cost_based,
+        )
         self.result_cache = ResultCache(
             config=config,
             policy=self.policy,
@@ -305,10 +308,9 @@ class CacheManager:
         log predicting today's traffic); queries seen once are never
         pinned — a singleton tells the analysis nothing about the future.
         """
-        cfg = self.config
-        if not self.policy.supports_static:
-            raise ValueError("warmup_static only applies to the CBSLRU policy")
-        if not cfg.uses_ssd:
+        if not self.config.uses_static:
+            if self.config.policy is not Policy.CBSLRU:
+                raise ValueError("warmup_static only applies to the CBSLRU policy")
             raise ValueError("warmup_static needs an SSD tier")
 
         n = analyze_queries if analyze_queries is not None else len(log) // 2

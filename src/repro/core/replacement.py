@@ -1,29 +1,29 @@
-"""Admission and replacement policy protocols.
+"""Replacement management (Section VI): the paper's victim rules.
 
-A cache policy splits into two pluggable pieces:
+The three policies of Figs. 14(b)/17/19 are one setting,
+``CacheConfig.policy``, not three classes:
 
-* an :class:`AdmissionPolicy` decides *whether and how much* of a
-  memory-evicted entry goes to the SSD tier (the paper's selection
-  management: Formula 1 sizing, Formula 2's EV, the TEV filter);
-* a :class:`ReplacementPolicy` decides *which victims make room* — in
-  the memory tier (L1 list victims), the SSD result region (Fig. 11's
-  IREN-ranked RBs) and the SSD list region (Fig. 13's staged search).
+* ``LRU`` — the conventional baseline: strict recency-order memory
+  victims, byte-granular SSD extents, no REPLACEABLE state, no TRIM on
+  drop;
+* ``CBLRU`` — cost-based: Fig. 12's min-EV memory victim, Fig. 11's
+  max-IREN result block, Fig. 13's staged list search, whole-block
+  placement (Formula 1), REPLACEABLE tracking and TRIM on drop;
+* ``CBSLRU`` — CBLRU plus the pinned static partition
+  (``CacheConfig.uses_static``), which no victim rule here ever touches.
 
-:class:`BaseReplacementPolicy` supplies the shared cost-based defaults
-so a concrete policy only overrides what differs.  Third-party policies
-subclass it (or implement the protocol structurally) and register a
-factory with :func:`repro.core.policies.register_policy`; the cache
-manager resolves ``CacheConfig.policy`` through that registry, so no
-manager code changes when a policy is added.
+Under LRU the SSD victims are chosen by the caches' own recency paths
+(``ResultCache._lru_to_ssd`` / ``ListCache._lru_to_ssd``), so only the
+memory victim has an LRU branch here.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
+from repro.core.config import Policy
 from repro.core.entries import EntryState
 from repro.core.events import L2VictimEvent
-from repro.core.selection import SelectionDecision, SelectionPolicy
 from repro.obs.audit import NULL_AUDIT
 
 if TYPE_CHECKING:
@@ -31,70 +31,36 @@ if TYPE_CHECKING:
     from repro.core.list_cache import ListCache
     from repro.core.lru import LruList
 
-__all__ = ["AdmissionPolicy", "ReplacementPolicy", "BaseReplacementPolicy"]
+__all__ = ["Replacement"]
 
 
-@runtime_checkable
-class AdmissionPolicy(Protocol):
-    """Selection management: SSD admission of memory-evicted lists."""
+class Replacement:
+    """The victim rules of one cache manager, fixed by its config."""
 
-    def select_list(self, si_bytes: int, pu: float, freq: int) -> SelectionDecision:
-        """Decide admission, placement size (SC blocks) and EV."""
-        ...
-
-
-@runtime_checkable
-class ReplacementPolicy(Protocol):
-    """Replacement management: victim selection across both tiers."""
-
-    #: registry key and display name
-    name: str
-    #: True -> whole-block SSD placement (Formula 1); False -> the
-    #: byte-granular baseline layout
-    cost_based: bool
-    #: True -> SSD copies read back to memory turn REPLACEABLE and can be
-    #: re-validated without a rewrite (Section VI.C)
-    tracks_replaceable: bool
-    #: True -> dropped SSD entries are TRIMmed so FTL GC can skip them
-    trim_on_drop: bool
-    #: True -> the policy uses warmup_static's pinned partition (CBSLRU)
-    supports_static: bool
-
-    def build_admission(self, config: CacheConfig) -> AdmissionPolicy: ...
-
-    def pick_l1_list_victim(
-        self, lists: LruList, protect: int | None, config: CacheConfig
-    ) -> int | None: ...
-
-    def pick_rb_victim(self, rb_lru: LruList) -> int: ...
-
-    def free_list_space(self, cache: ListCache, sc_needed: int) -> None: ...
-
-
-class BaseReplacementPolicy:
-    """Shared victim-search machinery of the cost-based policies."""
-
-    name = "base"
-    cost_based = True
-    tracks_replaceable = True
-    trim_on_drop = True
-    supports_static = False
-    #: Decision audit log (repro.obs.audit); the manager replaces this
-    #: per instance when telemetry is attached.  Disabled by default so
-    #: victim walks stay allocation-free.
-    audit = NULL_AUDIT
-
-    def build_admission(self, config: CacheConfig) -> AdmissionPolicy:
-        return SelectionPolicy(
-            block_bytes=config.block_bytes,
-            tev=config.tev,
-            cost_based=self.cost_based,
-        )
+    def __init__(self, config: CacheConfig, audit=NULL_AUDIT) -> None:
+        #: False only for the LRU baseline: byte-granular SSD placement,
+        #: read-back SSD copies stay NORMAL, dropped entries are not
+        #: TRIMmed, and memory victims follow strict recency.
+        self.cost_based = config.policy is not Policy.LRU
+        #: Decision audit log (repro.obs.audit); NULL_AUDIT keeps victim
+        #: walks allocation-free.
+        self.audit = audit
 
     def pick_l1_list_victim(
         self, lists: LruList, protect: int | None, config: CacheConfig
     ) -> int | None:
-        """Fig. 12: the minimum-EV entry inside the replace-first region."""
+        """Fig. 12: the minimum-EV entry inside the replace-first region.
+
+        Under LRU, the least recent entry other than ``protect``.
+        """
+        if not self.cost_based:
+            for key, _ in lists.items_lru_order():
+                if key != protect:
+                    if self.audit.enabled:
+                        self.audit.record("list.l1-victim", "list", key,
+                                          branch="lru", protect=protect)
+                    return key
+            return None
         auditing = self.audit.enabled
         candidates: list[tuple[int, float]] = [] if auditing else None
         best_key = None

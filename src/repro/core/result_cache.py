@@ -4,8 +4,8 @@ Owns the full L1<->L2 flow for query results (Figs. 6a/7a/7b): the
 memory result cache, the DRAM write buffer assembling evicted entries
 into 128 KB result blocks, the SSD result region (whole RBs for the
 cost-based policies, byte-granular extents for the LRU baseline), and
-CBSLRU's pinned static results.  Victim choices are delegated to the
-active :class:`~repro.core.policies.ReplacementPolicy`; life-cycle
+CBSLRU's pinned static results.  Result-block victims come from
+:class:`~repro.core.replacement.Replacement` (Fig. 11); life-cycle
 changes are announced on the :class:`~repro.core.events.CacheEvents`
 bus.
 """
@@ -26,7 +26,7 @@ from repro.obs.tracer import NULL_TRACER, Span
 
 if TYPE_CHECKING:
     from repro.core.config import CacheConfig
-    from repro.core.policies import ReplacementPolicy
+    from repro.core.replacement import Replacement
     from repro.core.stats import CacheStats
 
 __all__ = ["ResultCache"]
@@ -42,7 +42,7 @@ class ResultCache:
     def __init__(
         self,
         config: CacheConfig,
-        policy: ReplacementPolicy,
+        policy: Replacement,
         clock,
         mem,
         ssd,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import CacheConfig, Policy
+from repro.core.config import CacheConfig
 from repro.core.intersections import ThreeLevelCacheManager
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.core.stats import CacheStats
@@ -104,7 +104,7 @@ def prepare_cached_manager(
     processor = QueryProcessor(index, top_k=cache_config.top_k, seed=seed)
     cls = ThreeLevelCacheManager if three_level else CacheManager
     mgr = cls(cache_config, hierarchy, index, processor, telemetry=telemetry)
-    if cache_config.policy is Policy.CBSLRU and cache_config.uses_ssd:
+    if cache_config.uses_static:
         mgr.warmup_static(log, analyze_queries=static_analyze_queries)
     return mgr
 

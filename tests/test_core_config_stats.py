@@ -1,9 +1,13 @@
 """Cache configuration and statistics."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import CacheConfig, Policy, Scheme
 from repro.core.stats import CacheStats, Situation
+from repro.workloads.retrieval import prepare_cached_manager, run_cached
+from repro.workloads.sweep import make_log_for, make_scaled_index
 
 MB = 1024 * 1024
 
@@ -58,11 +62,66 @@ def test_paper_split_memory_only():
 
 def test_one_level_strips_ssd():
     cfg = CacheConfig.paper_split(mem_bytes=10 * MB, ssd_bytes=100 * MB,
-                                  policy=Policy.CBLRU)
+                                  policy=Policy.CBLRU, scheme=Scheme.EXCLUSIVE,
+                                  replace_window=7, static_fraction=0.25,
+                                  write_buffer_entries=3, ttl_us=5000.0)
     one = cfg.one_level()
     assert not one.uses_ssd
-    assert one.mem_result_bytes == cfg.mem_result_bytes
-    assert one.policy is Policy.CBLRU
+    assert one.ssd_result_bytes == one.ssd_list_bytes == 0
+    # Every other field is kept: a dynamic-scenario (TTL) 1LC baseline
+    # stays dynamic.
+    for f in fields(CacheConfig):
+        if f.name not in ("ssd_result_bytes", "ssd_list_bytes"):
+            assert getattr(one, f.name) == getattr(cfg, f.name), f.name
+    assert one.ttl_us == 5000.0
+
+
+def test_policy_and_scheme_names_coerce_to_members():
+    cfg = CacheConfig(policy="cbslru", scheme="exclusive")
+    assert cfg.policy is Policy.CBSLRU
+    assert cfg.scheme is Scheme.EXCLUSIVE
+    assert cfg == CacheConfig(policy=Policy.CBSLRU, scheme=Scheme.EXCLUSIVE)
+
+
+def test_unknown_policy_or_scheme_lists_the_choices():
+    with pytest.raises(ValueError, match="unknown policy 'fifo'; "
+                                         "choose from lru, cblru, cbslru"):
+        CacheConfig(policy="fifo")
+    with pytest.raises(ValueError, match="unknown scheme 'both'; "
+                                         "choose from inclusive, exclusive, hybrid"):
+        CacheConfig(scheme="both")
+
+
+@pytest.fixture(scope="module")
+def scaled():
+    """One small paper-scale index and log: 2 MB memory, 8 MB SSD."""
+    index, log = make_scaled_index(100_000), make_log_for(600, seed=3)
+
+    def build(**overrides):
+        """A manager built (and CBSLRU-warmed) the way ``run_cached`` does."""
+        cfg = CacheConfig.paper_split(mem_bytes=2 * MB, ssd_bytes=8 * MB,
+                                      **overrides)
+        return prepare_cached_manager(index, log, cfg)
+
+    def mean_ms(mgr):
+        return run_cached(index, log, mgr.config, manager=mgr).mean_response_ms
+
+    return build, mean_ms
+
+
+def test_string_policy_provisions_the_static_partition(scaled):
+    build, mean_ms = scaled
+    by_name, by_enum = build(policy="cbslru"), build(policy=Policy.CBSLRU)
+    assert len(by_name.result_cache.static) == len(by_enum.result_cache.static) > 0
+    assert mean_ms(by_name) == mean_ms(by_enum)
+
+
+def test_string_scheme_runs_that_scheme(scaled):
+    build, mean_ms = scaled
+    by_name = mean_ms(build(policy=Policy.CBLRU, scheme="exclusive"))
+    by_enum = mean_ms(build(policy=Policy.CBLRU, scheme=Scheme.EXCLUSIVE))
+    hybrid = mean_ms(build(policy=Policy.CBLRU, scheme=Scheme.HYBRID))
+    assert by_name == by_enum != hybrid
 
 
 def test_write_buffer_entries_override():
