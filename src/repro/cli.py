@@ -1296,10 +1296,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         "profile": _cmd_profile,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early (``repro blame DIR | head``): the rest of
+        # the output has nowhere to go.  Point stdout at devnull so the
+        # interpreter's exit-time flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

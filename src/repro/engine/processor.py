@@ -14,6 +14,7 @@ while end-to-end examples still produce real ranked results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,11 @@ from repro.engine.results import DEFAULT_TOP_K, ResultEntry, SearchResult
 from repro.sim.rng import make_rng
 
 __all__ = ["ProcessorCosts", "ListDemand", "QueryPlan", "QueryProcessor"]
+
+#: Wobbles drawn per ``Generator.lognormal`` call.  The generator keeps no
+#: state between calls, so a block of draws is the same stream, bit for
+#: bit, as one call per query of ``size=len(key)``.
+WOBBLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,13 @@ class QueryProcessor:
         self.costs = costs or ProcessorCosts()
         self.top_k = top_k
         self._rng = make_rng(seed)
+        #: The endless wobble stream: ``plan`` takes one per term, and
+        #: the stream refills itself a block at a time.
+        self._wobbles = chain.from_iterable(iter(self._draw_wobbles, None))
+
+    def _draw_wobbles(self) -> list[float]:
+        return self._rng.lognormal(mean=0.0, sigma=0.30,
+                                   size=WOBBLE_BLOCK).tolist()
 
     # -- planning -------------------------------------------------------------
 
@@ -104,11 +117,10 @@ class QueryProcessor:
         # Traversal depth varies query to query around the term's base
         # utilization: different query mixes terminate at different
         # depths (sigma 0.3 spreads realized PU roughly 0.55x-1.8x).
-        # One vectorized draw per query consumes the identical RNG
-        # stream as per-term scalar draws.
-        wobbles = self._rng.lognormal(mean=0.0, sigma=0.30, size=len(key))
+        # zip stops at the key's end before taking another wobble, so
+        # each query consumes exactly one wobble per term.
         term = self.index.lexicon.term
-        for term_id, wobble in zip(key, wobbles.tolist()):
+        for term_id, wobble in zip(key, self._wobbles):
             info = term(term_id)
             pu = info.utilization * wobble
             pu = 0.01 if pu < 0.01 else (1.0 if pu > 1.0 else pu)

@@ -71,6 +71,9 @@ class FTL(ABC):
         self.config = config
         self.nand = NandArray(config)
         self.victim_policy = victim_policy or GreedyVictimPolicy()
+        # Greedy reads its victim off the dead-block index; decided here,
+        # not per GC.
+        self._greedy = type(self.victim_policy) is GreedyVictimPolicy
         self.stats = FtlStats()
         self.num_lpns = config.logical_pages
         # Free-block pool: every block starts free.
@@ -115,17 +118,46 @@ class FTL(ABC):
     def _release_block(self, block: int) -> None:
         self._free_blocks.append(block)
 
-    def _choose_victim(self, candidates: np.ndarray, origin: str) -> int:
-        """Delegate victim selection to the policy, auditing the choice.
+    def _gc_victim(self, active: int, origin: str) -> int | None:
+        """The block GC reclaims next, or None when no block other than
+        ``active`` holds an invalid page.
 
-        ``origin`` distinguishes foreground GC (inline with a host write)
-        from background reclamation.
+        The whole decision in one frame: candidates, the policy's choice
+        and the ``gc.victim`` audit record.  ``origin`` distinguishes
+        foreground GC (inline with a host write) from background
+        reclamation.  Greedy takes the lowest dead block other than
+        ``active``: a dead block has the fewest valid pages possible (0)
+        and ``argmin`` breaks ties to the lowest block, so that is exactly
+        what ``GreedyVictimPolicy.choose`` returns over the full scan.  The
+        scan runs when no such block exists, for the other policies, and
+        to list the candidates in the audit record.
         """
-        victim = self.victim_policy.choose(self.nand, candidates, self._now_us)
+        nand = self.nand
         audit = self.audit
+        if self._greedy and audit is None:
+            dead = nand.dead
+            if dead:
+                victim = min(dead)
+                if victim != active:
+                    return victim
+                if len(dead) > 1:
+                    return min(dead - {active})
+        # Only blocks with at least one invalid page are worth reclaiming,
+        # and a block with an invalid page has been written (erase zeroes
+        # both counters; NandArray.check_invariants states it), so one
+        # compare over the per-block count vector is the whole test.
+        mask = nand.invalid_counts > 0
+        mask[active] = False
+        candidates = mask.nonzero()[0]
+        if not candidates.size:
+            return None
+        valid = nand.valid_counts
+        if self._greedy:
+            victim = int(candidates[valid[candidates].argmin()])
+        else:
+            victim = self.victim_policy.choose(nand, candidates, self._now_us)
         if audit is not None:
             head = candidates[:_AUDIT_SCORE_CAP]
-            valid = self.nand.valid_counts
             audit.record(
                 "gc.victim", "gc", int(victim),
                 device=self.audit_device,
@@ -138,18 +170,6 @@ class FTL(ABC):
                 scores=np.array((head, valid[head])).T.tolist(),
             )
         return victim
-
-    def _gc_candidates(self, exclude: set[int]) -> np.ndarray:
-        """Fully- or partially-written blocks eligible as GC victims."""
-        # Only blocks with at least one invalid page are worth reclaiming,
-        # and a block with an invalid page has been written (erase zeroes
-        # both counters; NandArray.check_invariants states it), so one
-        # compare over the per-block count vector is the whole test
-        # (exclude is a handful of active blocks).
-        mask = self.nand.invalid_counts > 0
-        for b in exclude:
-            mask[b] = False
-        return mask.nonzero()[0]
 
     # -- reporting ---------------------------------------------------------------
 

@@ -189,10 +189,9 @@ class DFTL(FTL):
             guard -= 1
             if guard < 0:  # pragma: no cover
                 raise RuntimeError("DFTL GC livelock")
-            candidates = self._gc_candidates(exclude={self._active_block})
-            if candidates.size == 0:
+            victim = self._gc_victim(self._active_block, "foreground")
+            if victim is None:
                 break
-            victim = self._choose_victim(candidates, origin="foreground")
             latency += self._collect(victim)
         return latency
 

@@ -268,10 +268,9 @@ class PageMappingFTL(FTL):
             guard -= 1
             if guard < 0:  # pragma: no cover - invariant violation
                 raise RuntimeError("GC failed to reclaim space (livelock)")
-            candidates = self._gc_candidates(exclude={self._active_block})
-            if candidates.size == 0:
+            victim = self._gc_victim(self._active_block, "foreground")
+            if victim is None:
                 break  # nothing reclaimable; pool is as good as it gets
-            victim = self._choose_victim(candidates, origin="foreground")
             latency += self._collect(victim)
         return latency
 
@@ -347,10 +346,9 @@ class PageMappingFTL(FTL):
             target_free_blocks = 4 * self.config.gc_free_block_threshold
         used = 0.0
         while used < budget_us and self.free_block_count < target_free_blocks:
-            candidates = self._gc_candidates(exclude={self._active_block})
-            if candidates.size == 0:
+            victim = self._gc_victim(self._active_block, "background")
+            if victim is None:
                 break
-            victim = self._choose_victim(candidates, origin="background")
             # Skip victims that cost more copy-work than they reclaim.
             if self.nand.invalid_count(victim) < self.config.pages_per_block // 8:
                 break

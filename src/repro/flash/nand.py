@@ -8,7 +8,9 @@ Enforces the invariants FTLs must respect:
 
 The array tracks page states and per-block valid/invalid counts with numpy
 arrays so garbage-collection victim scans stay O(num_blocks) vectorised
-operations instead of Python loops.
+operations instead of Python loops, and keeps the set of *dead* blocks
+(no valid page, some invalid page) current at every count change, so the
+greedy victim — a dead block whenever one exists — needs no scan at all.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class NandArray:
         self._valid_count = np.zeros(n_blocks, dtype=np.int32)
         self._invalid_count = np.zeros(n_blocks, dtype=np.int32)
         self.erase_counts = np.zeros(n_blocks, dtype=np.int64)
+        #: Blocks with no VALID and at least one INVALID page: erasable
+        #: without copy-back, and greedy GC's answer whenever one exists.
+        #: Every operation that moves a block's counts keeps it current
+        #: (:meth:`check_invariants` cross-checks it against the states).
+        self.dead: set[int] = set()
         #: ``page_ramp[i] == i`` over the physical pages (read-only, shared
         #: with the FTL).  A contiguous page run ``[a, b)`` *is*
         #: ``page_ramp[a:b]``, so run tests compare against / run stores
@@ -153,6 +160,7 @@ class NandArray:
         self._state[ppn] = _VALID
         self._write_ptr[block] = ptr + 1
         self._valid_count[block] += 1
+        self.dead.discard(block)
         self.programs += 1
         return ppn
 
@@ -173,6 +181,7 @@ class NandArray:
         self._state[ppn] = _VALID
         self._write_ptr[block] += 1
         self._valid_count[block] += 1
+        self.dead.discard(block)
         self.programs += 1
         return ppn
 
@@ -192,6 +201,7 @@ class NandArray:
         self._state[lo:lo + count] = _VALID
         self._write_ptr[block] = ptr + count
         self._valid_count[block] += count
+        self.dead.discard(block)
         self.programs += count
         return lo
 
@@ -221,18 +231,25 @@ class NandArray:
             raise RuntimeError("invalidate_run on non-VALID page(s)")
         sl[:] = _INVALID
         ppb = self._ppb
+        valid = self._valid_count
         first_b = start // ppb
         last_b = end // ppb
         if first_b == last_b:
-            self._valid_count[first_b] -= count
+            left = valid[first_b] - count
+            valid[first_b] = left
             self._invalid_count[first_b] += count
+            if not left:
+                self.dead.add(first_b)
             return
         for blk in range(first_b, last_b + 1):
             lo = max(start, blk * ppb)
             hi = min(end + 1, (blk + 1) * ppb)
             n = hi - lo
-            self._valid_count[blk] -= n
+            left = valid[blk] - n
+            valid[blk] = left
             self._invalid_count[blk] += n
+            if not left:
+                self.dead.add(blk)
 
     def invalidate_pages(self, ppns: np.ndarray) -> None:
         """Vectorised invalidate of many VALID pages (may repeat blocks)."""
@@ -258,6 +275,8 @@ class NandArray:
         per_block = np.bincount(blocks)
         self._valid_count[: per_block.size] -= per_block
         self._invalid_count[: per_block.size] += per_block
+        touched = per_block.nonzero()[0]
+        self.dead.update(touched[self._valid_count[touched] == 0].tolist())
 
     def read_pages(self, ppns: np.ndarray) -> None:
         """Vectorised read of many non-FREE pages."""
@@ -275,8 +294,11 @@ class NandArray:
                                f"(state={PageState(self._state[ppn]).name})")
         block = self.block_of(ppn)
         self._state[ppn] = _INVALID
-        self._valid_count[block] -= 1
+        left = self._valid_count[block] - 1
+        self._valid_count[block] = left
         self._invalid_count[block] += 1
+        if not left:
+            self.dead.add(int(block))
 
     def erase_block(self, block: int) -> None:
         """Erase a whole block: all pages return to FREE, wear count +1.
@@ -295,6 +317,7 @@ class NandArray:
         self._state[lo:hi] = _FREE
         self._write_ptr[block] = 0
         self._invalid_count[block] = 0
+        self.dead.discard(block)
         self.erase_counts[block] += 1
         self.erases += 1
 
@@ -328,3 +351,7 @@ class NandArray:
             raise AssertionError("invalid_count out of sync with page states")
         if not np.array_equal(used, self._write_ptr):
             raise AssertionError("write pointers out of sync with page states")
+        # The index greedy GC reads instead of scanning the counts.
+        dead = np.flatnonzero((valid == 0) & (invalid > 0)).tolist()
+        if self.dead != set(dead):
+            raise AssertionError("dead blocks out of sync with page states")

@@ -171,7 +171,7 @@ class SimulatedSSD:
 
     def write(self, lba: int, nbytes: int) -> float:
         """Write ``nbytes`` at sector ``lba``; returns service time in us."""
-        self._set_time(self.clock.now_us)
+        self._set_time(self.clock._now_us)  # the slot: no property frame
         start_byte = lba * SECTOR_BYTES
         end_byte = start_byte + nbytes
         if lba < 0 or nbytes <= 0 or end_byte > self._capacity_bytes:
@@ -192,9 +192,13 @@ class SimulatedSSD:
             ctrs = self._write_ctrs = (self.counters["write_ops"],
                                        self.counters["write_pages"],
                                        self.counters["access_time_us"])
-        ctrs[0].add(nbytes)
-        ctrs[1].add(0.0, n=npages)
-        ctrs[2].add(latency)
+        # The three Counter.add calls, inline, as in read.
+        ops, pages, busy = ctrs
+        ops.count += 1
+        ops.total += nbytes
+        pages.count += npages
+        busy.count += 1
+        busy.total += latency
         self.clock.consume(self.name, latency)
         if tr is not None:
             # FTL activity rides on the span: GC erases triggered by this
@@ -209,7 +213,7 @@ class SimulatedSSD:
 
     def trim(self, lba: int, nbytes: int) -> float:
         """TRIM ``nbytes`` at sector ``lba``.  Partial pages are kept."""
-        self._set_time(self.clock.now_us)
+        self._set_time(self.clock._now_us)  # the slot: no property frame
         start_byte = lba * SECTOR_BYTES
         end_byte = start_byte + nbytes
         # Only whole pages strictly inside the range may be discarded.
@@ -227,8 +231,12 @@ class SimulatedSSD:
         if ctrs is None:
             ctrs = self._trim_ctrs = (self.counters["trim_ops"],
                                       self.counters["access_time_us"])
-        ctrs[0].add(nbytes)
-        ctrs[1].add(latency)
+        # The two Counter.add calls, inline, as in read.
+        ops, busy = ctrs
+        ops.count += 1
+        ops.total += nbytes
+        busy.count += 1
+        busy.total += latency
         self.clock.consume(self.name, latency)
         return latency
 

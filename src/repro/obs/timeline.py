@@ -573,7 +573,9 @@ def window_point(rec: dict, series: str) -> tuple[int, float] | None:
     """
     if rec.get("type", "window") != "window":
         return None
-    derived = rec.get("derived") or derive_window(rec)
+    derived = rec.get("derived")
+    if derived is None:  # an empty derived block is a derived block
+        derived = derive_window(rec)
     v = derived.get(series)
     if v is None:
         for mapping in (rec.get("counters", {}), rec.get("gauges", {})):

@@ -181,3 +181,24 @@ def test_timeline_readers_reject_a_wrong_footer_count(kernel_dir, tmp_path,
                  ["compare", str(out)]):
         assert main(argv) == 2
         assert "footer claims" in _one_error_line(capsys.readouterr())
+
+
+def test_reader_closing_the_pipe_early_is_not_a_traceback(kernel_dir):
+    """``repro blame DIR | head``: the reader leaves before the report is
+    written.  The command exits 1 quietly instead of ending in a
+    ``BrokenPipeError`` traceback (at the print or at shutdown)."""
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "blame", str(kernel_dir),
+         "--top", "50"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the first line
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1, err
+    assert "Traceback" not in err and "BrokenPipe" not in err, err

@@ -1,7 +1,13 @@
 """Query planning and execution."""
 
-import pytest
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.engine import processor as processor_module
 from repro.engine.postings import POSTING_BYTES
 from repro.engine.processor import ProcessorCosts, QueryProcessor
 from repro.engine.query import Query
@@ -77,3 +83,54 @@ def test_custom_costs(small_index):
     proc = QueryProcessor(small_index, costs=costs, seed=2)
     plan = proc.plan(Query(0, (0,)))
     assert proc.cpu_time_us(plan) == pytest.approx(plan.total_postings)
+
+
+# -- block-drawn wobbles ------------------------------------------------------
+
+def _per_query_plan(index, rng, query):
+    """``plan`` as it read with one ``lognormal(size=len(key))`` call and
+    one ``tolist`` per query: the stream the block draws must reproduce."""
+    demands = []
+    key = query.key
+    wobbles = rng.lognormal(mean=0.0, sigma=0.30, size=len(key))
+    for term_id, wobble in zip(key, wobbles.tolist()):
+        info = index.lexicon.term(term_id)
+        pu = info.utilization * wobble
+        pu = 0.01 if pu < 0.01 else (1.0 if pu > 1.0 else pu)
+        postings = max(1, int(round(info.doc_freq * pu)))
+        needed = max(1, round(postings * info.list_bytes / info.doc_freq))
+        demands.append((term_id, info.list_bytes, needed,
+                        needed / info.list_bytes, postings))
+    return demands
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=st.sampled_from((1, 3, 7, processor_module.WOBBLE_BLOCK)),
+       seed=st.integers(0, 2**32 - 1),
+       keys=st.lists(st.lists(st.integers(0, 499), min_size=1, max_size=12),
+                     min_size=1, max_size=60))
+def test_block_drawn_wobbles_equal_per_query_draws(small_index, block, seed,
+                                                   keys):
+    """Plans from the block-drawing processor equal per-query draws, bit
+    for bit, whatever the key lengths and wherever the block boundaries
+    (a key longer than the block refills mid-query)."""
+    with mock.patch.object(processor_module, "WOBBLE_BLOCK", block):
+        processor = QueryProcessor(small_index, seed=seed)
+        rng = np.random.default_rng(seed)
+        for i, terms in enumerate(keys):
+            query = Query(i, tuple(terms))
+            got = [tuple(d) for d in processor.plan(query).demands]
+            assert got == _per_query_plan(small_index, rng, query), i
+
+
+def test_block_drawn_wobbles_cross_the_real_block_boundary(small_index):
+    """Over 1 024 wobbles, on the committed block size."""
+    processor = QueryProcessor(small_index, seed=9)
+    rng = np.random.default_rng(9)
+    lengths = np.random.default_rng(0).integers(1, 8, size=600)
+    assert lengths.sum() > 2 * processor_module.WOBBLE_BLOCK
+    for i, n in enumerate(lengths.tolist()):
+        query = Query(i, tuple(range(i % 400, i % 400 + n)))
+        got = [tuple(d) for d in processor.plan(query).demands]
+        assert got == _per_query_plan(small_index, rng, query), i

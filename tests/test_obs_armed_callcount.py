@@ -17,7 +17,12 @@ generated ``<string>`` code.  That pass brought it to 53 973 (107.9).
 Opening the serving path's scoped spans inline, keeping a leaf span in
 one frame, binding the bus's emitters at (un)subscribe and gating
 exemplar offers brought it to 43 001 (86.0); the ceiling is 82 % of
-53 973.  The armed stack must also land on the same simulated outcome
+53 973.  Greedy GC reading its victim off the dead-block index took four
+frames per GC out of the unobserved run but only three out of the armed
+one (an audited decision still scans, to list its candidates), so the
+difference rose to 43 740 (87.5); folding scan, choice and audit record
+into one decision frame is what kept it under the ceiling (keeping the
+old scan and choose frames on the audited path read 46 696).  The armed stack must also land on the same simulated outcome
 as the unobserved one (observe, never perturb).
 
 The second test prices one armed result hit exactly, frame by frame.
