@@ -6,6 +6,7 @@ import collections
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 import pytest
@@ -187,8 +188,6 @@ def test_reader_closing_the_pipe_early_is_not_a_traceback(kernel_dir):
     """``repro blame DIR | head``: the reader leaves before the report is
     written.  The command exits 1 quietly instead of ending in a
     ``BrokenPipeError`` traceback (at the print or at shutdown)."""
-    import subprocess
-
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
