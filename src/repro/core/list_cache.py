@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro._row import shape
 from repro.core.config import Scheme
 from repro.core.entries import CachedList, EntryState
 from repro.core.events import AdmitEvent, CacheEvents, EvictEvent, FlushEvent, L2VictimEvent
@@ -33,6 +34,10 @@ if TYPE_CHECKING:
     from repro.engine.index import InvertedIndex
 
 __all__ = ["ListCache"]
+
+# The ``list.fetch`` span's attributes (repro._row): closed, or raised out of.
+_FETCH = shape(("term", "needed", "mem", "ssd", "hdd"))
+_FETCH_OPEN = shape(("term", "needed"))
 
 
 class ListCache:
@@ -112,13 +117,15 @@ class ListCache:
         span.span_id = next(tracer.ids)
         stack.append(span.span_id)
         span.name = "list.fetch"
-        span.attrs = attrs = {"term": term_id, "needed": needed}
         span.start_us = tracer.clock._now_us
         try:
             flags = self._fetch(term_id, needed, total_bytes, pu)
-            attrs["mem"], attrs["ssd"], attrs["hdd"] = flags
-        finally:
+        except BaseException:
+            span.attrs = _FETCH_OPEN((term_id, needed))
             tracer.close(span)
+            raise
+        span.attrs = _FETCH((term_id, needed, *flags))
+        tracer.close(span)
         return flags
 
     def _fetch(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import NamedTuple
 
+from repro._row import shape
 from repro.core.config import CacheConfig, Policy
 from repro.core.entries import CachedResult
 from repro.core.events import CacheEvents
@@ -47,6 +48,9 @@ __all__ = ["QueryOutcome", "CacheManager", "build_hierarchy_for"]
 # Read once: a member read off the Enum class goes through the metaclass.
 _S1 = Situation.S1
 _S3 = Situation.S3
+# The ``query`` span's attributes (repro._row): closed, or raised out of.
+_QUERY = shape(("qid", "terms", "situation", "hit_level"))
+_QUERY_OPEN = shape(("qid", "terms"))
 
 
 class QueryOutcome(NamedTuple):
@@ -233,15 +237,18 @@ class CacheManager:
         span.span_id = sid = next(tracer.ids)
         stack.append(sid)
         span.name = "query"
-        span.attrs = attrs = {"qid": qid, "terms": len(query.key)}
+        terms = len(query.key)
         span.start_us = tracer.clock._now_us
         try:
             outcome = self._process_query(query)
-            # _name_: the member's name without enum's property frame
-            attrs["situation"] = situation = outcome.situation._name_
-            attrs["hit_level"] = outcome.result_hit_level
-        finally:
+        except BaseException:
+            span.attrs = _QUERY_OPEN((qid, terms))
             tracer.close(span)
+            raise
+        # _name_: the member's name without enum's property frame
+        situation = outcome.situation._name_
+        span.attrs = _QUERY((qid, terms, situation, outcome.result_hit_level))
+        tracer.close(span)
         tel.record_query(situation, outcome.response_us, busy0, clock,
                          qid=qid, span_id=sid)
         return outcome

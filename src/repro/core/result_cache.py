@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro._row import shape
 from repro.core.config import Scheme
 from repro.core.entries import CachedResult, EntryState, ResultBlock
 from repro.core.events import AdmitEvent, CacheEvents, EvictEvent, FlushEvent, L2VictimEvent
@@ -34,6 +35,9 @@ __all__ = ["ResultCache"]
 # Read once: a member read off the Enum class goes through the metaclass.
 _NORMAL = EntryState.NORMAL
 _REPLACEABLE = EntryState.REPLACEABLE
+# The ``result.lookup`` span's attributes (repro._row): closed, or raised out of.
+_LOOKUP = shape(("hit_level",))
+_NO_ATTRS = shape(())
 
 
 class ResultCache:
@@ -121,12 +125,15 @@ class ResultCache:
         span.span_id = next(tracer.ids)
         stack.append(span.span_id)
         span.name = "result.lookup"
-        span.attrs = attrs = {}
         span.start_us = tracer.clock._now_us
         try:
-            attrs["hit_level"] = level = self._lookup(key)
-        finally:
+            level = self._lookup(key)
+        except BaseException:
+            span.attrs = _NO_ATTRS(())
             tracer.close(span)
+            raise
+        span.attrs = _LOOKUP((level,))
+        tracer.close(span)
         return level
 
     def _lookup(self, key: tuple[int, ...]) -> int:

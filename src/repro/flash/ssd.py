@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro._row import shape
 from repro.flash.constants import SECTOR_BYTES, FlashConfig
 from repro.flash.ftl_base import FTL
 from repro.flash.ftl_block import BlockMappingFTL
@@ -29,6 +30,11 @@ FTL_FACTORIES: dict[str, Callable[[FlashConfig], FTL]] = {
     "fast": FastFTL,
     "dftl": DFTL,
 }
+
+# A host access's leaf-span attributes (repro._row); a write that set off
+# foreground GC erases also carries their count.
+_ACCESS = shape(("lba", "nbytes", "pages"))
+_ACCESS_GC = shape(("lba", "nbytes", "pages", "gc_erases"))
 
 
 class SimulatedSSD:
@@ -71,6 +77,9 @@ class SimulatedSSD:
         self.counters = CounterSet()
         #: Optional span tracer (repro.obs); None keeps the hot path bare.
         self.tracer = None
+        # Leaf-span names, formed once, not per access.
+        self._read_name = f"{name}.read"
+        self._write_name = f"{name}.write"
         self.ftl.audit_device = name
         # Hot-path caches: the FTL and clock are fixed for the device's
         # lifetime, so the span entry points are resolved once.  Counter
@@ -165,8 +174,8 @@ class SimulatedSSD:
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
             now = self.clock._now_us
-            self.tracer.record(f"{self.name}.read", now - latency, now,
-                               lba=lba, nbytes=nbytes, pages=npages)
+            self.tracer.leaf(self._read_name, now - latency, now,
+                             _ACCESS((lba, nbytes, npages)))
         return latency
 
     def write(self, lba: int, nbytes: int) -> float:
@@ -204,11 +213,10 @@ class SimulatedSSD:
             # FTL activity rides on the span: GC erases triggered by this
             # host write show up as an attribute, not a guess.
             now = self.clock._now_us
-            attrs = {"lba": lba, "nbytes": nbytes, "pages": npages}
             erased = self.ftl.nand.erases - erases_before
-            if erased:
-                attrs["gc_erases"] = erased
-            tr.record(f"{self.name}.write", now - latency, now, **attrs)
+            tr.leaf(self._write_name, now - latency, now,
+                    _ACCESS_GC((lba, nbytes, npages, erased)) if erased
+                    else _ACCESS((lba, nbytes, npages)))
         return latency
 
     def trim(self, lba: int, nbytes: int) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._row import shape
 from repro.hdd.geometry import SECTOR_BYTES, DiskGeometry
 from repro.sim.clock import VirtualClock
 from repro.sim.counters import CounterSet
@@ -19,6 +20,9 @@ __all__ = ["SimulatedHDD"]
 #: Requests that continue within this many sectors of the previous request's
 #: end are treated as sequential (track buffer / read-ahead absorbs them).
 _SEQUENTIAL_SLACK_SECTORS = 256
+
+# A disk access's leaf-span attributes (repro._row).
+_ACCESS = shape(("lba", "nbytes"))
 
 
 class SimulatedHDD:
@@ -43,6 +47,9 @@ class SimulatedHDD:
         self.counters = CounterSet()
         #: Optional span tracer (repro.obs); None keeps the hot path bare.
         self.tracer = None
+        # Leaf-span names, formed once, not per access.
+        self._read_name = f"{name}.read"
+        self._write_name = f"{name}.write"
         self._head_lba = 0
         # Read-path caches, as on SimulatedSSD: geometry is frozen, and
         # counter refs are resolved lazily (first seek, first read) so a
@@ -102,8 +109,8 @@ class SimulatedHDD:
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
             now = self.clock._now_us
-            self.tracer.record(f"{self.name}.read", now - latency, now,
-                               lba=lba, nbytes=nbytes)
+            self.tracer.leaf(self._read_name, now - latency, now,
+                             _ACCESS((lba, nbytes)))
         return latency
 
     def write(self, lba: int, nbytes: int) -> float:
@@ -114,8 +121,8 @@ class SimulatedHDD:
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
             now = self.clock._now_us
-            self.tracer.record(f"{self.name}.write", now - latency, now,
-                               lba=lba, nbytes=nbytes)
+            self.tracer.leaf(self._write_name, now - latency, now,
+                             _ACCESS((lba, nbytes)))
         return latency
 
     def trim(self, lba: int, nbytes: int) -> float:

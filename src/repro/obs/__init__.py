@@ -20,6 +20,7 @@ Everything hangs off one :class:`Telemetry` object::
 """
 
 from repro._hot import HOT, HotCounters
+from repro._row import Row, row_of
 from repro.obs.audit import (
     NULL_AUDIT,
     AuditLog,
@@ -215,6 +216,8 @@ __all__ = [
     "format_stage_comparison",
     "HOT",
     "HotCounters",
+    "Row",
+    "row_of",
     "PROFILE_SCHEMA",
     "Profiler",
     "subsystem_of",

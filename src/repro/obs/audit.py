@@ -27,6 +27,11 @@ t=T?*
 The disabled path is :data:`NULL_AUDIT`, whose ``record`` is a constant
 no-op; hot paths gate on ``audit.enabled`` exactly like the tracer, so
 a run without an audit log takes one attribute check per decision.
+
+A record's ``data`` is a :class:`~repro._row.Row`, values under keys
+shared by every record of its shape: the event mirror (over 99 % of a
+result-hit run's records) builds it from the event's fields, and
+:meth:`AuditLog.record` converts its keywords in its own frame.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
+from repro._row import SHAPES, Row, shape
 from repro.obs._jsonl import read_jsonl, write_jsonl
 
 __all__ = [
@@ -51,7 +57,8 @@ __all__ = [
 
 class AuditRecord(NamedTuple):
     """One audited decision (or mirrored life-cycle event): a fixed-shape
-    tuple on the serving path, a dict (:meth:`to_dict`) for its readers."""
+    tuple on the serving path, ``data`` a read-only row, and a dict
+    (:meth:`to_dict`) for its readers."""
 
     #: monotonically increasing sequence number (gap-free per log)
     seq: int
@@ -64,17 +71,23 @@ class AuditRecord(NamedTuple):
     #: subject key: term id, query-key tuple, rb id, or block number
     key: Any
     #: decision inputs and the chosen branch
-    data: dict
+    data: Row
 
     def to_dict(self) -> dict:
         out = self._asdict()
         if isinstance(self.key, tuple):
             out["key"] = list(self.key)
+        out["data"] = self.data.to_dict()
         return out
 
 
 #: Records the ring holds (drop-oldest, counted in ``dropped``).
 AUDIT_CAPACITY = 200_000
+
+# The event mirror's payload shapes (repro._row).
+_LIFECYCLE = shape(("level", "nbytes", "reason"))
+_FLUSH = shape(("lba", "nbytes", "entries"))
+_STAGE = shape(("stage",))
 
 
 class AuditLog:
@@ -108,34 +121,53 @@ class AuditLog:
         """Append one decision record."""
         self._seq = seq = self._seq + 1
         clock = self.clock
+        keys = tuple(data)
         # tuple.__new__: AuditRecord(...) minus its generated __new__ frame
         self.records.append(tuple.__new__(AuditRecord, (
             seq, clock._now_us if clock is not None else 0.0,
-            type, kind, key, data)))
+            type, kind, key,
+            (SHAPES.get(keys) or shape(keys))(data.values()))))
 
     @property
     def dropped(self) -> int:
         """Records that fell off the ring (each took a sequence number)."""
         return max(0, self._seq - AUDIT_CAPACITY)
 
-    # The event mirror, one body per hook: subscribed by observe_events,
-    # or called by Telemetry's fused observer (CacheEventMetrics).
+    # The event mirror, one body per hook and one frame per event (the
+    # record is appended here, its row built from the event's fields):
+    # subscribed by observe_events, or called by Telemetry's fused
+    # observer (CacheEventMetrics).
 
     def on_admit(self, e) -> None:
-        self.record("admit", e.kind, e.key, level=e.level, nbytes=e.nbytes,
-                    reason=e.reason or "insert")
+        self._seq = seq = self._seq + 1
+        clock = self.clock
+        self.records.append(tuple.__new__(AuditRecord, (
+            seq, clock._now_us if clock is not None else 0.0,
+            "admit", e.kind, e.key,
+            _LIFECYCLE((e.level, e.nbytes, e.reason or "insert")))))
 
     def on_evict(self, e) -> None:
-        self.record("evict", e.kind, e.key, level=e.level, nbytes=e.nbytes,
-                    reason=e.reason or "unspecified")
+        self._seq = seq = self._seq + 1
+        clock = self.clock
+        self.records.append(tuple.__new__(AuditRecord, (
+            seq, clock._now_us if clock is not None else 0.0,
+            "evict", e.kind, e.key,
+            _LIFECYCLE((e.level, e.nbytes, e.reason or "unspecified")))))
 
     def on_flush(self, e) -> None:
         # A flush writes a block, not a subject: the key is always None.
-        self.record("flush", e.kind, None, lba=e.lba, nbytes=e.nbytes,
-                    entries=e.entries)
+        self._seq = seq = self._seq + 1
+        clock = self.clock
+        self.records.append(tuple.__new__(AuditRecord, (
+            seq, clock._now_us if clock is not None else 0.0,
+            "flush", e.kind, None, _FLUSH((e.lba, e.nbytes, e.entries)))))
 
     def on_l2_victim(self, e) -> None:
-        self.record("l2-victim", e.kind, e.key, stage=e.stage)
+        self._seq = seq = self._seq + 1
+        clock = self.clock
+        self.records.append(tuple.__new__(AuditRecord, (
+            seq, clock._now_us if clock is not None else 0.0,
+            "l2-victim", e.kind, e.key, _STAGE((e.stage,)))))
 
     def observe_events(self, events) -> None:
         """Mirror a :class:`~repro.core.events.CacheEvents` bus into the

@@ -28,7 +28,12 @@ Three consumers sit on top of the raw records:
 Records are ring-buffered (drop-oldest, counted) and optionally
 streamed as JSONL with schema ``repro.obs.blame/v1``; recording is
 observation-only — simulated metrics are byte-identical with a
-recorder attached or not (enforced by tests/test_obs_blame.py).
+recorder attached or not (enforced by tests/test_obs_blame.py).  A
+retained record is a :class:`~repro._row.Row` (values under keys shared
+by its shape, ``type`` first): ``serve`` records — most of a run's —
+and the other fixed-shape kinds are built from the hook's values, a
+``task`` record and the end-of-run kinds convert their dict, and
+writers render with ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro._row import SHAPES, shape
 from repro.obs._jsonl import JsonlWriter, read_generations, write_jsonl
 
 BLAME_SCHEMA = "repro.obs.blame/v1"
@@ -61,6 +67,11 @@ _RECORD_FIELDS = {
                  "service_us", "depth_area_us", "peak_depth"),
     "footer": ("records", "dropped", "start_us", "end_us"),
 }
+
+# The fixed-shape kinds are built as rows from the hook's values; a
+# ``task`` record (its tags vary) and the end-of-run kinds convert.
+_SERVE, _JOIN, _JOB, _SHED = (shape(("type",) + _RECORD_FIELDS[kind])
+                              for kind in ("serve", "join", "job", "shed"))
 
 
 class BlameRecorder:
@@ -127,7 +138,7 @@ class BlameRecorder:
         self._stream = JsonlWriter(path, header={"schema": BLAME_SCHEMA},
                                    max_records=max_records)
         for rec in self.records:
-            self._stream.write(rec)
+            self._stream.write(rec.to_dict())
 
     def close_stream(self) -> None:
         if self._stream is not None:
@@ -140,12 +151,17 @@ class BlameRecorder:
 
     # -- hot-path hooks (called by the kernel; keep them lean) -------------
 
-    def _emit(self, rec: dict) -> None:
+    def _emit(self, rec) -> None:
+        """Keep one record: a row, or the dict of a ``task`` or
+        end-of-run record, converted here."""
+        if type(rec) is dict:
+            keys = tuple(rec)
+            rec = (SHAPES.get(keys) or shape(keys))(rec.values())
         if len(self.records) == RING_CAPACITY:
             self.dropped += 1
         self.records.append(rec)
         if self._stream is not None and not self._stream.closed:
-            self._stream.write(rec)
+            self._stream.write(rec.to_dict())
 
     def _tid(self, task) -> int:
         meta = self._meta.get(id(task))
@@ -205,18 +221,15 @@ class BlameRecorder:
         service = end_us - start_us
         self._account(resource, wait, service)
         meta = self._meta.get(id(task))
-        self._emit({"type": "serve",
-                    "task": self._tid(task) if meta is None else meta["tid"],
-                    "resource": resource, "enqueue_us": enqueue_us,
-                    "start_us": start_us, "end_us": end_us,
-                    "wait_us": wait, "service_us": service})
+        self._emit(_SERVE((
+            "serve", self._tid(task) if meta is None else meta["tid"],
+            resource, enqueue_us, start_us, end_us, wait, service)))
 
     def on_join(self, caller, child, start_us: float, end_us: float) -> None:
         if end_us <= start_us:
             return  # child already done: nothing to attribute
-        self._emit({"type": "join", "task": self._tid(caller),
-                    "child": self._tid(child), "start_us": start_us,
-                    "end_us": end_us, "wait_us": end_us - start_us})
+        self._emit(_JOIN(("join", self._tid(caller), self._tid(child),
+                          start_us, end_us, end_us - start_us)))
 
     def on_task_end(self, task, now_us: float) -> None:
         meta = self._meta.get(id(task))
@@ -239,13 +252,12 @@ class BlameRecorder:
         if job is None:
             return
         name, arrival, start = job
-        self._emit({"type": "job", "task": tid, "name": name,
-                    "arrival_us": arrival, "start_us": start,
-                    "end_us": now_us, "wait_us": start - arrival})
+        self._emit(_JOB(("job", tid, name, arrival, start, now_us,
+                         start - arrival)))
 
     def on_shed(self, name: str, arrival_us: float) -> None:
         self.shed_count += 1
-        self._emit({"type": "shed", "name": name, "arrival_us": arrival_us})
+        self._emit(_SHED(("shed", name, arrival_us)))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -300,7 +312,8 @@ class BlameRecorder:
         if self._stream is not None:
             self._stream.export_to(path)
         else:
-            write_jsonl(path, self.records, header={"schema": BLAME_SCHEMA})
+            write_jsonl(path, (rec.to_dict() for rec in self.records),
+                        header={"schema": BLAME_SCHEMA})
         return len(self.records)
 
     def capacity(self, completed: int | None = None) -> dict:

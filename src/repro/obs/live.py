@@ -216,15 +216,19 @@ def _status_doc(run: dict, now_us, window_us, windows_seen: int, recent,
                 slo, anomalies, incident_open: bool, manifests) -> dict:
     """The ``repro.obs.live/v1`` status document, from live state or a
     saved directory alike."""
+    recent_rows = []
+    for rec in recent:
+        derived = rec.get("derived")
+        if derived is None:  # an empty derived block is a derived block
+            derived = derive_window(rec)
+        recent_rows.append({"window": rec["window"], "derived": derived})
     return {
         "schema": LIVE_SCHEMA,
         "run": run,
         "now_us": now_us,
         "window_us": window_us,
         "windows_seen": windows_seen,
-        "recent": [{"window": rec["window"],
-                    "derived": rec.get("derived") or derive_window(rec)}
-                   for rec in recent],
+        "recent": recent_rows,
         "slo": [r.to_dict() for r in slo],
         "anomalies": {
             "total": len(anomalies),

@@ -16,7 +16,7 @@ The hot path is zero-cost when tracing is off: components hold the
 shared :data:`NULL_TRACER` (or a plain ``None`` device hook), whose
 ``span``/``record`` are constant no-ops that allocate nothing.
 
-Armed, a span costs one frame.  :meth:`Tracer.record` (a leaf measured
+Armed, a span costs one frame.  :meth:`Tracer.leaf` (a leaf measured
 outside: every device access) builds and keeps its span in its own
 frame.  A scoped span is finished by :meth:`Tracer.close`; ``with
 tracer.span(...)`` opens it in ``Span.__enter__``, and a span on the
@@ -30,15 +30,26 @@ calls::
     span.span_id = next(tracer.ids)
     stack.append(span.span_id)
     span.name = "result.lookup"
-    span.attrs = attrs = {}
     span.start_us = tracer.clock._now_us
     try:
-        ...
-    finally:
+        level = ...
+    except BaseException:
+        span.attrs = _NO_ATTRS(())  # what was known when it opened
         tracer.close(span)
+        raise
+    span.attrs = _LOOKUP((level,))
+    tracer.close(span)
 
 Ids are issued in open order and the parent is the innermost span open
 at that moment, exactly as ``with tracer.span(...)`` does it.
+
+A kept span's ``attrs`` is a :class:`~repro._row.Row`: the values as one
+tuple under keys shared by every span of its shape, read as a read-only
+mapping and rendered by :meth:`Span.to_dict`.  The serving path's spans
+and the device leaves build their row from the values they hold (the
+shape is a module constant, the leaf's name is formed once per device);
+``tracer.span(...)`` keeps a dict while the span is open, for
+:meth:`Span.set`, and :meth:`Span.__exit__` converts it.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
+from repro._row import SHAPES, shape
 from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "SpanLog",
@@ -63,7 +75,8 @@ class Span:
     once closed.  There is no constructor: :meth:`Tracer.span`,
     :meth:`Tracer.record` or an inline open (module docstring) fill the
     slots; :meth:`to_dict` is for whoever reads it — stream writer,
-    export, incident dump.
+    export, incident dump.  ``attrs`` is a dict only while a
+    ``tracer.span(...)`` is open; a kept span's is a read-only row.
     """
 
     __slots__ = ("_tracer", "span_id", "parent_id", "name", "start_us",
@@ -83,6 +96,9 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        attrs = self.attrs
+        keys = tuple(attrs)
+        self.attrs = (SHAPES.get(keys) or shape(keys))(attrs.values())
         self._tracer.close(self)
         return False
 
@@ -98,7 +114,7 @@ class Span:
             "start_us": self.start_us,
             "end_us": self.end_us,
             "dur_us": self.end_us - self.start_us,
-            "attrs": self.attrs,
+            "attrs": self.attrs.to_dict(),
         }
 
 
@@ -169,8 +185,16 @@ class Tracer:
             self.dropped += 1
 
     def record(self, name: str, start_us: float, end_us: float, **attrs) -> None:
-        """Append a leaf span measured externally (e.g. a device access),
-        kept as :meth:`close` keeps one."""
+        """Append a leaf span measured externally, its attributes given
+        as keywords (:meth:`leaf` takes them as a row)."""
+        keys = tuple(attrs)
+        self.leaf(name, start_us, end_us,
+                  (SHAPES.get(keys) or shape(keys))(attrs.values()))
+
+    def leaf(self, name: str, start_us: float, end_us: float, attrs) -> None:
+        """Append a leaf span measured externally (every device access),
+        ``attrs`` a :class:`~repro._row.Row`; kept as :meth:`close`
+        keeps one."""
         span = Span()
         span.span_id = next(self.ids)
         span.parent_id = self.stack[-1]
@@ -258,6 +282,9 @@ class NullTracer:
         return self._SPAN
 
     def record(self, name: str, start_us: float, end_us: float, **attrs) -> None:
+        pass
+
+    def leaf(self, name: str, start_us: float, end_us: float, attrs) -> None:
         pass
 
     def close_stream(self) -> None:

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+from repro._row import shape
 from repro.sim.clock import VirtualClock
 from repro.sim.counters import CounterSet
 
 __all__ = ["BlockDevice", "DramModel", "NullDevice"]
+
+# A DRAM access's leaf-span attributes (repro._row).
+_NBYTES = shape(("nbytes",))
 
 
 @runtime_checkable
@@ -60,6 +64,9 @@ class DramModel:
         self.counters = CounterSet()
         #: Optional span tracer (repro.obs); None keeps the hot path bare.
         self.tracer = None
+        # Leaf-span names, formed once, not per access.
+        self._read_name = f"{name}.read"
+        self._write_name = f"{name}.write"
         # (read_ops, access_time_us), resolved at the first read as
         # SimulatedSSD does: no read, no change to the counter snapshot.
         self._read_ctrs = None
@@ -90,8 +97,8 @@ class DramModel:
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
             now = self.clock._now_us
-            self.tracer.record(f"{self.name}.read", now - latency, now,
-                               nbytes=nbytes)
+            self.tracer.leaf(self._read_name, now - latency, now,
+                             _NBYTES((nbytes,)))
         return latency
 
     def write(self, lba: int, nbytes: int) -> float:
@@ -101,8 +108,8 @@ class DramModel:
         self.clock.consume(self.name, latency)
         if self.tracer is not None:
             now = self.clock._now_us
-            self.tracer.record(f"{self.name}.write", now - latency, now,
-                               nbytes=nbytes)
+            self.tracer.leaf(self._write_name, now - latency, now,
+                             _NBYTES((nbytes,)))
         return latency
 
     def trim(self, lba: int, nbytes: int) -> float:

@@ -109,3 +109,27 @@ def test_status_from_dir_matches_live_shape(tmp_path, capsys):
 def test_status_from_dir_without_timeline(tmp_path):
     with pytest.raises(ValueError, match="no timeline"):
         status_from_dir(tmp_path)
+
+
+def test_status_derives_only_windows_without_a_derived_block(monkeypatch):
+    """An empty ``derived`` block is a derived block (a window whose
+    sources were all absent): the status document reads it as it is and
+    derives only a record that carries none."""
+    from repro.obs import live as live_module
+    from repro.obs.timeline import derive_window
+
+    calls = []
+
+    def counting(rec):
+        calls.append(rec["window"])
+        return derive_window(rec)
+
+    monkeypatch.setattr(live_module, "derive_window", counting)
+    bare = _window(2)
+    del bare["derived"]
+    recent = [_window(0), _window(1, hit_ratio=0.5), bare]
+    doc = live_module._status_doc({}, 0.0, 100.0, 3, recent, [], [], False,
+                                  [])
+    assert calls == [2]
+    assert [r["derived"] for r in doc["recent"]] == [{}, {"hit_ratio": 0.5},
+                                                     {}]

@@ -1,0 +1,147 @@
+"""Exact pins of the bytes a retained observer record keeps (tracemalloc).
+
+Each case serves N records through the real writer on a fixed stack and
+divides the memory still allocated afterwards by N: the record itself,
+its payload, the numbers only it refers to and its slot in the ring.
+Inputs are built before tracing starts, so only what the writer
+allocates and keeps is counted.  The figures repeat exactly for a
+Python version (CPython 3.11 below).
+
+| record | parent (B) | rows (B) | fall |
+|---|---|---|---|
+| audit mirror (``on_admit``) | 319.86 | 207.86 | 35 % |
+| device leaf span (``dram.read``) | 414.29 | 228.29 | 45 % |
+| ``query`` span (an S1 hit) | 363.91 | 259.91 | 29 % |
+| blame ``serve`` record | 328.26 | 168.26 | 49 % |
+
+The parent kept every payload as a dict (184 B for one to five keys,
+more past that) and formatted each device span's name per access; a row
+is the values as one tuple (``40 + 8n`` B) under keys shared by its
+shape, and the name is formed once per device.  Each ceiling is the
+measured figure + 2 %.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.core.config import CacheConfig, Policy
+from repro.core.events import AdmitEvent
+from repro.core.manager import CacheManager, build_hierarchy_for
+from repro.engine.corpus import CorpusConfig
+from repro.engine.index import InvertedIndex
+from repro.engine.query import Query
+from repro.obs import AuditLog, BlameRecorder, Telemetry, Tracer
+from repro.obs.tracer import NULL_TRACER
+from repro.sim.clock import VirtualClock
+from repro.storage.device import DramModel
+
+KB = 1024
+MB = 1024 * KB
+N = 20_000
+
+#: bytes per record at the parent commit (dict payloads), for the record
+PARENT = {"audit_admit": 319.86, "device_leaf": 414.29, "query_span": 363.91,
+          "blame_serve": 328.26}
+#: bytes per record now; the ceilings are these + 2 %
+MEASURED = {"audit_admit": 207.86, "device_leaf": 228.29, "query_span": 259.91,
+            "blame_serve": 168.26}
+
+
+def _retained(serve) -> int:
+    """Bytes still allocated after ``serve()`` that were not before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        serve()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _audit_admit() -> float:
+    log = AuditLog(clock=VirtualClock())
+    events = [AdmitEvent(kind="list", key=i, level="l1", nbytes=4096 + i)
+              for i in range(N + 1)]
+    log.on_admit(events.pop())  # the shape, the ring's first block
+
+    def serve():
+        on_admit = log.on_admit
+        for e in events:
+            on_admit(e)
+    return _retained(serve) / N
+
+
+def _device_leaf() -> float:
+    clock = VirtualClock()
+    dram = DramModel(clock=clock)
+    dram.tracer = Tracer(clock)
+    dram.read(0, 4096)  # counters resolved, the store's first slots
+
+    def serve():
+        read = dram.read
+        for _ in range(N):
+            read(0, 4096)
+    return _retained(serve) / N
+
+
+def _hit_stack(telemetry):
+    """An S1 hit served over and over; only its ``query`` span is
+    traced (the lookup and device spans are priced separately)."""
+    index = InvertedIndex(CorpusConfig(num_docs=4000, vocab_size=80, seed=13))
+    config = CacheConfig(mem_result_bytes=40 * KB, mem_list_bytes=512 * KB,
+                         ssd_result_bytes=512 * KB, ssd_list_bytes=4 * MB,
+                         policy=Policy.CBLRU)
+    manager = CacheManager(config, build_hierarchy_for(config, index), index,
+                           telemetry=telemetry)
+    query = Query(query_id=0, terms=(3,))
+    for _ in range(3):
+        manager.process_query(query)
+    manager.result_cache.tracer = NULL_TRACER
+    manager.hierarchy.attach_tracer(None)
+
+    def serve():
+        process = manager.process_query
+        for _ in range(N):
+            process(query)
+    return serve
+
+
+def _query_span() -> float:
+    off = _retained(_hit_stack(None))
+    armed = _retained(_hit_stack(Telemetry()))
+    return (armed - off) / N
+
+
+class _Task:
+    name = "q"
+
+
+def _blame_serve() -> float:
+    rec = BlameRecorder()
+    task = _Task()
+    rec.on_spawn(task, None, 0.0)
+    times = [(float(i), i + 0.25, i + 1.5) for i in range(N + 1)]
+    rec.on_serve(task, "ssd", *times.pop())  # the shape, the first block
+
+    def serve():
+        on_serve = rec.on_serve
+        for t in times:
+            on_serve(task, "ssd", *t)
+    return _retained(serve) / N
+
+
+CASES = {"audit_admit": _audit_admit, "device_leaf": _device_leaf,
+         "query_span": _query_span, "blame_serve": _blame_serve}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bytes_retained_per_record_are_pinned(name):
+    got = CASES[name]()
+    ceiling = MEASURED[name] * 1.02
+    assert got <= ceiling, (
+        f"{name}: {got:.1f} B retained per record, ceiling {ceiling:.1f} "
+        f"(measured {MEASURED[name]}, parent {PARENT[name]})")
