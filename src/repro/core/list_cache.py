@@ -38,6 +38,9 @@ __all__ = ["ListCache"]
 # The ``list.fetch`` span's attributes (repro._row): closed, or raised out of.
 _FETCH = shape(("term", "needed", "mem", "ssd", "hdd"))
 _FETCH_OPEN = shape(("term", "needed"))
+# The Formula 1/2 admission record's inputs (repro.obs.audit).
+_SELECT = shape(("si_bytes", "pu", "freq", "sc_blocks", "ev", "tev", "admit",
+                 "branch"))
 
 
 class ListCache:
@@ -315,13 +318,10 @@ class ListCache:
         if self.audit.enabled:
             # The Formula 1/2 admission verdict with its exact inputs: this
             # is the record `repro explain` reconstructs EV-vs-TEV from.
-            self.audit.record(
-                "list.select", "list", victim.term_id,
-                si_bytes=victim.cached_bytes, pu=victim.formula1_pu,
-                freq=victim.freq, sc_blocks=decision.sc_blocks,
-                ev=decision.ev, tev=cfg.tev, admit=decision.admit,
-                branch="admit" if decision.admit else "tev-discard",
-            )
+            self.audit.append("list.select", "list", victim.term_id, _SELECT((
+                victim.cached_bytes, victim.formula1_pu, victim.freq,
+                decision.sc_blocks, decision.ev, cfg.tev, decision.admit,
+                "admit" if decision.admit else "tev-discard")))
         if not decision.admit:
             self.events.evict(EvictEvent(kind="list", key=victim.term_id,
                                          level="l1", nbytes=victim.cached_bytes,

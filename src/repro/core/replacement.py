@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro._row import shape
 from repro.core.config import Policy
 from repro.core.entries import EntryState
 from repro.core.events import L2VictimEvent
@@ -32,6 +33,12 @@ if TYPE_CHECKING:
     from repro.core.lru import LruList
 
 __all__ = ["Replacement"]
+
+# The audited victim walks' inputs (repro._row), by record shape.
+_LRU_VICTIM = shape(("branch", "protect"))
+_L1_VICTIM = shape(("branch", "protect", "candidates", "ev"))
+_RB_VICTIM = shape(("branch", "candidates", "iren"))
+_FREE_SPACE = shape(("sc_needed", "free_blocks"))
 
 
 class Replacement:
@@ -57,8 +64,8 @@ class Replacement:
             for key, _ in lists.items_lru_order():
                 if key != protect:
                     if self.audit.enabled:
-                        self.audit.record("list.l1-victim", "list", key,
-                                          branch="lru", protect=protect)
+                        self.audit.append("list.l1-victim", "list", key,
+                                          _LRU_VICTIM(("lru", protect)))
                     return key
             return None
         auditing = self.audit.enabled
@@ -97,11 +104,9 @@ class Replacement:
                     best_key = key
                     break
         if auditing and best_key is not None:
-            self.audit.record(
-                "list.l1-victim", "list", best_key,
-                branch=branch, protect=protect, candidates=candidates,
-                ev=best_ev if branch == "rfr-min-ev" else None,
-            )
+            self.audit.append("list.l1-victim", "list", best_key, _L1_VICTIM((
+                branch, protect, candidates,
+                best_ev if branch == "rfr-min-ev" else None)))
         return best_key
 
     def pick_rb_victim(self, rb_lru: LruList) -> int:
@@ -121,11 +126,9 @@ class Replacement:
             branch = "lru-fallback"
             victim_id, _ = rb_lru.peek_lru()
         if auditing:
-            self.audit.record(
-                "rb.victim", "rb", victim_id,
-                branch=branch, candidates=candidates,
-                iren=best_iren if branch == "rfr-max-iren" else None,
-            )
+            self.audit.append("rb.victim", "rb", victim_id, _RB_VICTIM((
+                branch, candidates,
+                best_iren if branch == "rfr-max-iren" else None)))
         return victim_id
 
     def free_list_space(self, cache: ListCache, sc_needed: int) -> None:
@@ -139,10 +142,8 @@ class Replacement:
         if self.audit.enabled:
             # The staged search context; each victim it claims follows as
             # an `l2-victim` record carrying its Fig. 13 stage.
-            self.audit.record(
-                "list.free-space", "list", None,
-                sc_needed=sc_needed, free_blocks=region.free_count,
-            )
+            self.audit.append("list.free-space", "list", None,
+                              _FREE_SPACE((sc_needed, region.free_count)))
         # Free space only moves when a victim is dropped, so each stage
         # re-reads it after a drop and nowhere else.
         if region.free_count >= sc_needed:

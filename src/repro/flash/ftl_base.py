@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._row import shape
 from repro.flash.constants import FlashConfig
 from repro.flash.gc import GreedyVictimPolicy, VictimPolicy
 from repro.flash.nand import NandArray
@@ -51,6 +52,9 @@ class FtlStats:
 #: Candidate scores kept per audited GC decision (the full candidate set
 #: can be thousands of blocks; the trail keeps the head plus the choice).
 _AUDIT_SCORE_CAP = 16
+#: An audited GC decision's inputs (repro._row).
+_GC_VICTIM = shape(("device", "policy", "origin", "candidates", "valid_pages",
+                    "scores"))
 
 
 class FTL(ABC):
@@ -158,17 +162,12 @@ class FTL(ABC):
             victim = self.victim_policy.choose(nand, candidates, self._now_us)
         if audit is not None:
             head = candidates[:_AUDIT_SCORE_CAP]
-            audit.record(
-                "gc.victim", "gc", int(victim),
-                device=self.audit_device,
-                policy=type(self.victim_policy).__name__,
-                origin=origin,
-                candidates=int(candidates.size),
-                valid_pages=int(valid[victim]),
+            audit.append("gc.victim", "gc", int(victim), _GC_VICTIM((
+                self.audit_device, type(self.victim_policy).__name__,
+                origin, int(candidates.size), int(valid[victim]),
                 # [[block, valid pages], ...] snapshotted by numpy, not
                 # assembled row by row on every SSD write.
-                scores=np.array((head, valid[head])).T.tolist(),
-            )
+                np.array((head, valid[head])).T.tolist())))
         return victim
 
     # -- reporting ---------------------------------------------------------------

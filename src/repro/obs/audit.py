@@ -30,8 +30,9 @@ a run without an audit log takes one attribute check per decision.
 
 A record's ``data`` is a :class:`~repro._row.Row`, values under keys
 shared by every record of its shape: the event mirror (over 99 % of a
-result-hit run's records) builds it from the event's fields, and
-:meth:`AuditLog.record` converts its keywords in its own frame.
+result-hit run's records) builds it from the event's fields, the
+decision sites build theirs and call :meth:`AuditLog.append`, and
+:meth:`AuditLog.record` converts its keywords.
 """
 
 from __future__ import annotations
@@ -118,15 +119,21 @@ class AuditLog:
     # -- recording -----------------------------------------------------------
 
     def record(self, type: str, kind: str, key: Any, **data) -> None:
-        """Append one decision record."""
+        """Append one decision record, its inputs given as keywords
+        (converted to a row here; a decision site on the serving path
+        builds its row and calls :meth:`append`)."""
+        keys = tuple(data)
+        self.append(type, kind, key,
+                    (SHAPES.get(keys) or shape(keys))(data.values()))
+
+    def append(self, type: str, kind: str, key: Any, data: Row) -> None:
+        """Append one decision record whose inputs are already a row."""
         self._seq = seq = self._seq + 1
         clock = self.clock
-        keys = tuple(data)
         # tuple.__new__: AuditRecord(...) minus its generated __new__ frame
         self.records.append(tuple.__new__(AuditRecord, (
             seq, clock._now_us if clock is not None else 0.0,
-            type, kind, key,
-            (SHAPES.get(keys) or shape(keys))(data.values()))))
+            type, kind, key, data)))
 
     @property
     def dropped(self) -> int:
@@ -212,6 +219,9 @@ class NullAudit:
         pass
 
     def record(self, type: str, kind: str, key: Any, **data) -> None:
+        pass
+
+    def append(self, type: str, kind: str, key: Any, data) -> None:
         pass
 
     def close(self) -> None:

@@ -73,8 +73,8 @@ MAX_SPANS = 1_000_000
 class Span:
     """One span: its own context manager while open, the finished record
     once closed.  There is no constructor: :meth:`Tracer.span`,
-    :meth:`Tracer.record` or an inline open (module docstring) fill the
-    slots; :meth:`to_dict` is for whoever reads it — stream writer,
+    :meth:`Tracer.leaf` (or :meth:`Tracer.record`) or an inline open
+    (module docstring) fill the slots; :meth:`to_dict` is for whoever reads it — stream writer,
     export, incident dump.  ``attrs`` is a dict only while a
     ``tracer.span(...)`` is open; a kept span's is a read-only row.
     """

@@ -94,7 +94,7 @@ def test_a_shape_may_not_repeat_a_key():
         shape(("a", "a"))
 
 
-def test_the_event_mirror_builds_what_record_converts():
+def test_the_event_mirror_and_append_keep_what_record_converts():
     built, converted = AuditLog(), AuditLog()
     events = [
         ("on_admit", AdmitEvent(kind="list", key=3, level="l2", nbytes=9)),
@@ -118,6 +118,10 @@ def test_the_event_mirror_builds_what_record_converts():
                      entries=e.entries)
     e = events[4][1]
     converted.record("l2-victim", e.kind, e.key, stage=e.stage)
+    built.append("list.free-space", "list", None,
+                 shape(("sc_needed", "free_blocks"))((2, 1)))
+    converted.record("list.free-space", "list", None, sc_needed=2,
+                     free_blocks=1)
     assert ([r.to_dict() for r in built.records]
             == [r.to_dict() for r in converted.records])
     assert [type(r.data) for r in built.records] == [
