@@ -13,7 +13,9 @@ time series from the same counters the end-of-run report uses:
 * **histograms** are recorded as per-window *sub-histograms* (bucket-
   wise deltas of the cumulative log-bucketed counts), so merging the
   sub-histograms bucket-wise reproduces the run-level histogram;
-* **gauges** are sampled at each window close (recorded when changed).
+* **gauges** are sampled at each window close (recorded when changed;
+  the depth gauges behind the derived ``queue_depth`` are recorded in
+  every non-sparse window, so that sum is exact from the record alone).
 
 Windows are closed *lazily*: the recorder checks the clock at each
 :meth:`tick` (the cache manager ticks once per query) and closes every
@@ -327,16 +329,21 @@ class TimelineRecorder:
         if len(self.registry) != self._planned:
             start = {"counter": 0, "gauge": None, "histogram": (0, 0.0)}
             seen = {row[0]: row[2] for rows in self._by_kind for row in rows}
+            # The fourth field: a depth gauge, recorded in every
+            # non-sparse window.
             rows = [[key := series_key(name, tags), inst,
-                     seen.get(key, start[inst.kind])]
+                     seen.get(key, start[inst.kind]),
+                     not _DEPTH_SERIES.isdisjoint(_series_role(key))]
                     for name, tags, inst in self.registry.items()]
             self._by_kind = tuple([row for row in rows if row[1].kind == kind]
                                   for kind in start)
             self._planned = len(rows)
-        # Only series that moved since the previous close are recorded.
+        # Only series that moved since the previous close are recorded,
+        # and the depth gauges (derive_window sums all of them).
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         hists: dict[str, dict] = {}
+        moved = False
         for row in self._by_kind[0]:
             value = row[1].value
             if value != row[2]:
@@ -346,6 +353,9 @@ class TimelineRecorder:
             value = row[1].value
             if value != row[2]:
                 gauges[row[0]] = row[2] = value
+                moved = True
+            elif row[3]:
+                gauges[row[0]] = value
         for row in self._by_kind[2]:
             inst = row[1]
             prev_c, prev_s = row[2]
@@ -359,7 +369,7 @@ class TimelineRecorder:
                     "buckets": {str(b): delta_b[b] for b in sorted(delta_b)},
                 }
                 row[2] = (inst.count, inst.sum)
-        if not (counters or gauges or hists):
+        if not (counters or moved or hists):
             return  # sparse: nothing happened in this window
         rec = {
             "type": "window",
@@ -428,6 +438,9 @@ def sub_histogram(entry: dict) -> Histogram:
         h.max = h.bucket_bounds(max(buckets))[1]
     return h
 
+
+#: The gauges the derived ``queue_depth`` sums (every one, every window).
+_DEPTH_SERIES = frozenset(("queue_depth", "cache_write_buffer_entries"))
 
 #: Metric names the derived block is computed from.
 _DERIVED_SOURCES = frozenset((

@@ -84,7 +84,10 @@ def digest_dir(root: str) -> dict[str, str]:
     return dict(sorted(out.items()))
 
 
-#: Recorded at commit 0bbc6b5 (PR 21), before anything under src/ moved.
+#: Recorded at commit 0bbc6b5, before anything under src/ moved,
+#: except the timeline files (``timeline.jsonl``, an incident's
+#: ``windows.jsonl``), re-recorded when every non-sparse window began to
+#: carry each depth gauge behind the derived ``queue_depth``.
 PARENT_DIGESTS: dict[str, dict[str, str]] = {
     "closed_retained": {
         "audit.jsonl":
@@ -96,7 +99,7 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
         "spans.jsonl":
             "3401d26694d609ea6d71e12fdc93e3a366c352294ac5d837d7fa69b4165011c3",
         "timeline.jsonl":
-            "82ffa704d3bad725010fe6b9631e55c01186a07ee982f4d4eea7b5947e074404",
+            "1605f35e957a2a5d366298b9fb275a5a9876660252baf88287f1c0d379ceb730",
     },
     "closed_streamed": {
         "audit.jsonl":
@@ -108,7 +111,7 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
         "spans.jsonl":
             "3401d26694d609ea6d71e12fdc93e3a366c352294ac5d837d7fa69b4165011c3",
         "timeline.jsonl":
-            "789b6973bc8d3fed2c593c8432514a7a0473c8bb628fcba98e2d7d14553f7709",
+            "8566f43f1723e1b5d8fbdb856f9638512e242316ceadacf4e28acd13b0d83919",
     },
     "knee_kernel": {
         "audit.jsonl":
@@ -124,7 +127,7 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
         "incident-1/spans.jsonl":
             "d6e326dbf0b6db8a6fca4573357a263199aac1dcabd2d4ec4772f033add8c35d",
         "incident-1/windows.jsonl":
-            "de37f09bf3ba772ebce35058444ba5df14f9ebd24c446602b747e951410058d0",
+            "bb2f57514b9ec07c9c996dee2a82f000921db28f60bdb1d89ca5f87b6ea3b27d",
         "metrics.json":
             "20b841f017d922e400c2f2734a46ce1bf243d1f11bd6c462627a9115130bc3ab",
         "metrics.prom":
@@ -132,7 +135,7 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
         "spans.jsonl":
             "be78f701bca0484703998261277cb338cd95f7c63f15aac9be12757f42201c57",
         "timeline.jsonl":
-            "af0586e77b2daff752bdf6d280ae20df4445dfe21e5834f1d7f27c421a11bd8e",
+            "08a7bd091f8912d240db948f6bdb2abdf5aef026125d05deeea8c39d1293d76f",
     },
 }
 

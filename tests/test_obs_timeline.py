@@ -12,6 +12,7 @@ from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.query import Query
 from repro.obs import (
     ExemplarStore,
+    FlightRecorder,
     Histogram,
     MetricsRegistry,
     Telemetry,
@@ -26,6 +27,7 @@ from repro.obs import (
     write_telemetry_dir,
 )
 from repro.obs.timeline import derive_window
+from repro.workloads.openloop import PoissonArrivals, run_open_loop
 from tests._obs_reference import derive_window_reference
 
 KB = 1024
@@ -472,3 +474,29 @@ def test_sparkline_shapes():
     assert line[1] == "·"
     assert line[0] < line[2]
     assert len(sparkline(list(range(200)), width=40)) == 40
+
+
+def test_kernel_window_queue_depth_is_the_full_depth_gauge_sum(small_index):
+    """A gauge lands in a window record only when it changed, but the
+    derived ``queue_depth`` sums *every* depth gauge: a non-sparse window
+    records each depth-role gauge, so ``derive_window(rec)`` is exact
+    from the record alone.  Checked on every window of an armed
+    kernel-mode run, against the registry at the moment it closes."""
+    tel = Telemetry()
+    timeline = tel.attach_timeline(window_us=5_000.0)
+    FlightRecorder(tel, out_dir=None).arm()
+    manager = make_manager(small_index, telemetry=tel)
+    seen = []
+
+    def full_sum(rec):
+        depths = [inst.value for name, _, inst in tel.registry.items()
+                  if name in ("queue_depth", "cache_write_buffer_entries")]
+        seen.append((rec["window"], rec["derived"].get("queue_depth"),
+                     sum(depths) if depths else None))
+
+    timeline.add_window_callback(full_sum)
+    queries = [Query(i % 60, (1 + i % 25, 26 + i % 20)) for i in range(400)]
+    run_open_loop(manager, queries, PoissonArrivals(400.0, seed=3),
+                  concurrency=1, max_queue=64)
+    assert len(seen) > 20
+    assert [s for s in seen if s[1] != s[2]] == []
