@@ -19,9 +19,10 @@ memory victim has an LRU branch here.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING
 
-from repro._row import shape
+from repro._row import pairs, shape
 from repro.core.config import Policy
 from repro.core.entries import EntryState
 from repro.core.events import L2VictimEvent
@@ -34,11 +35,14 @@ if TYPE_CHECKING:
 
 __all__ = ["Replacement"]
 
-# The audited victim walks' inputs (repro._row), by record shape.
+# The audited victim walks' inputs (repro._row), by record shape; their
+# ``candidates`` are pair columns: term ids and EVs, RB ids and IRENs.
 _LRU_VICTIM = shape(("branch", "protect"))
 _L1_VICTIM = shape(("branch", "protect", "candidates", "ev"))
 _RB_VICTIM = shape(("branch", "candidates", "iren"))
 _FREE_SPACE = shape(("sc_needed", "free_blocks"))
+_EV_PAIRS = pairs("i", "d")
+_IREN_PAIRS = pairs("q", "i")
 
 
 class Replacement:
@@ -52,6 +56,9 @@ class Replacement:
         #: Decision audit log (repro.obs.audit); NULL_AUDIT keeps victim
         #: walks allocation-free.
         self.audit = audit
+        # The audited Fig. 12 walk's candidate columns, cleared per walk
+        # and packed into its record's pair column.
+        self._keys, self._evs = array("i"), array("d")
 
     def pick_l1_list_victim(
         self, lists: LruList, protect: int | None, config: CacheConfig
@@ -69,7 +76,10 @@ class Replacement:
                     return key
             return None
         auditing = self.audit.enabled
-        candidates: list[tuple[int, float]] = [] if auditing else None
+        if auditing:
+            keys, evs = self._keys, self._evs
+            del keys[:], evs[:]
+            add_key, add_ev = keys.append, evs.append
         best_key = None
         best_ev = float("inf")
         sb = config.block_bytes
@@ -92,7 +102,8 @@ class Replacement:
                     sc = 1
             ev = entry.freq / sc
             if auditing:
-                candidates.append((key, ev))
+                add_key(key)
+                add_ev(ev)
             if ev < best_ev:
                 best_ev = ev
                 best_key = key
@@ -105,19 +116,21 @@ class Replacement:
                     break
         if auditing and best_key is not None:
             self.audit.append("list.l1-victim", "list", best_key, _L1_VICTIM((
-                branch, protect, candidates,
+                branch, protect, _EV_PAIRS(b"".join((keys, evs))),
                 best_ev if branch == "rfr-min-ev" else None)))
         return best_key
 
     def pick_rb_victim(self, rb_lru: LruList) -> int:
         """Fig. 11: the maximum-IREN result block in the RFR."""
         auditing = self.audit.enabled
-        candidates: list[tuple[int, int]] = [] if auditing else None
+        if auditing:
+            ids, irens = array("q"), array("i")
         victim_id = None
         best_iren = -1
         for rb_id, rb in rb_lru.replace_first_region():
             if auditing:
-                candidates.append((rb_id, rb.iren))
+                ids.append(rb_id)
+                irens.append(rb.iren)
             if rb.iren > best_iren:
                 best_iren = rb.iren
                 victim_id = rb_id
@@ -127,7 +140,7 @@ class Replacement:
             victim_id, _ = rb_lru.peek_lru()
         if auditing:
             self.audit.append("rb.victim", "rb", victim_id, _RB_VICTIM((
-                branch, candidates,
+                branch, _IREN_PAIRS(b"".join((ids, irens))),
                 best_iren if branch == "rfr-max-iren" else None)))
         return victim_id
 

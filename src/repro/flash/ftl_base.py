@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._row import shape
+from repro._row import pairs, shape
 from repro.flash.constants import FlashConfig
 from repro.flash.gc import GreedyVictimPolicy, VictimPolicy
 from repro.flash.nand import NandArray
@@ -52,9 +52,12 @@ class FtlStats:
 #: Candidate scores kept per audited GC decision (the full candidate set
 #: can be thousands of blocks; the trail keeps the head plus the choice).
 _AUDIT_SCORE_CAP = 16
-#: An audited GC decision's inputs (repro._row).
+#: An audited GC decision's inputs (repro._row); ``scores`` is a pair
+#: column of block ids and valid-page counts, both int32 like the
+#: NandArray counters the ids index.
 _GC_VICTIM = shape(("device", "policy", "origin", "candidates", "valid_pages",
                     "scores"))
+_GC_SCORES = pairs("i", "i")
 
 
 class FTL(ABC):
@@ -134,18 +137,19 @@ class FTL(ABC):
         and ``argmin`` breaks ties to the lowest block, so that is exactly
         what ``GreedyVictimPolicy.choose`` returns over the full scan.  The
         scan runs when no such block exists, for the other policies, and
-        to list the candidates in the audit record.
+        to count the candidates and list their head in the audit record.
         """
         nand = self.nand
         audit = self.audit
-        if self._greedy and audit is None:
+        victim = None
+        if self._greedy:
             dead = nand.dead
             if dead:
                 victim = min(dead)
-                if victim != active:
+                if victim == active:
+                    victim = min(dead - {active}) if len(dead) > 1 else None
+                if audit is None and victim is not None:
                     return victim
-                if len(dead) > 1:
-                    return min(dead - {active})
         # Only blocks with at least one invalid page are worth reclaiming,
         # and a block with an invalid page has been written (erase zeroes
         # both counters; NandArray.check_invariants states it), so one
@@ -156,18 +160,21 @@ class FTL(ABC):
         if not candidates.size:
             return None
         valid = nand.valid_counts
-        if self._greedy:
-            victim = int(candidates[valid[candidates].argmin()])
-        else:
-            victim = self.victim_policy.choose(nand, candidates, self._now_us)
+        if victim is None:
+            if self._greedy:
+                victim = int(candidates[valid[candidates].argmin()])
+            else:
+                victim = self.victim_policy.choose(nand, candidates,
+                                                   self._now_us)
         if audit is not None:
             head = candidates[:_AUDIT_SCORE_CAP]
             audit.append("gc.victim", "gc", int(victim), _GC_VICTIM((
                 self.audit_device, type(self.victim_policy).__name__,
                 origin, int(candidates.size), int(valid[victim]),
-                # [[block, valid pages], ...] snapshotted by numpy, not
-                # assembled row by row on every SSD write.
-                np.array((head, valid[head])).T.tolist())))
+                # the head's block ids and valid pages packed straight
+                # from numpy: one bytes object, not 16 lists
+                _GC_SCORES(b"".join((head.astype(np.int32),
+                                     valid[head]))))))
         return victim
 
     # -- reporting ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash.constants import FlashConfig
+from repro.flash.ftl_base import _AUDIT_SCORE_CAP
 from repro.flash.ftl_dftl import DFTL
 from repro.flash.ftl_page import PageMappingFTL
 from repro.flash.gc import GreedyVictimPolicy
@@ -142,6 +143,87 @@ def test_dead_active_block_is_skipped(kind, audited):
     if log is not None:
         victims = [r.key for r in log.records if r.type == "gc.victim"]
         assert victims == [v for _, v, _ in seen if v is not None]
+
+
+#: 40 blocks: more candidates than an audit record lists.
+WIDE = FlashConfig(num_blocks=40, pages_per_block=8, overprovision=0.25,
+                   gc_free_block_threshold=2)
+
+
+def _record_as_before(ftl, active, victim):
+    """The ``gc.victim`` payload as the builder before pair columns made
+    it, from the full scan: the candidate count, the victim's valid
+    pages and the ``[[block, valid pages], ...]`` head."""
+    mask = ftl.nand.invalid_counts > 0
+    mask[active] = False
+    candidates = mask.nonzero()[0]
+    valid = ftl.nand.valid_counts
+    head = candidates[:_AUDIT_SCORE_CAP]
+    return {"candidates": int(candidates.size),
+            "valid_pages": int(valid[victim]),
+            "scores": np.array((head, valid[head])).T.tolist()}
+
+
+def _check_records(ftl):
+    """Wrap ``ftl._gc_victim`` so every audited decision is compared with
+    the full scan and the old builder; returns each named decision's
+    candidate count."""
+    log = ftl.audit = AuditLog()
+    decide = ftl._gc_victim
+    counts = []
+
+    def checked(active, origin):
+        want = _scanned_choice(ftl, active)
+        expected = (None if want is None
+                    else _record_as_before(ftl, active, want))
+        got = decide(active, origin)
+        assert got == want
+        if got is not None:
+            record = log.records[-1]
+            assert (record.type, record.key) == ("gc.victim", want)
+            data = record.data.to_dict()
+            assert {k: data[k] for k in expected} == expected
+            assert record.data["scores"] == expected["scores"]
+            counts.append(expected["candidates"])
+        return got
+
+    ftl._gc_victim = checked
+    return counts
+
+
+def _wide(kind):
+    # DFTL at its default mapping cache: sustained churn through an
+    # 8-entry one livelocks GC at this size (ROADMAP, DFTL).
+    return PageMappingFTL(WIDE) if kind == "page" else DFTL(WIDE)
+
+
+@pytest.mark.parametrize("kind", ["page", "dftl"])
+@settings(max_examples=30, deadline=None)
+@given(lpns=st.lists(st.integers(0, WIDE.logical_pages - 1),
+                     min_size=WIDE.total_pages,
+                     max_size=3 * WIDE.total_pages))
+def test_audited_record_equals_the_full_scan_builder(kind, lpns):
+    """Every audited decision's victim, candidate count and 16-entry
+    head equal what the full scan and the old builder give."""
+    ftl = _wide(kind)
+    counts = _check_records(ftl)
+    for lpn in lpns:
+        ftl.write(lpn)
+    ftl.nand.check_invariants()
+    assert counts, "churn past capacity must reach GC"
+
+
+@pytest.mark.parametrize("kind", ["page", "dftl"])
+def test_audited_record_lists_only_the_head(kind):
+    """Seeded churn that leaves more candidates than a record lists."""
+    ftl = _wide(kind)
+    counts = _check_records(ftl)
+    rng = np.random.default_rng(5)
+    for lpn in rng.integers(0, WIDE.logical_pages, size=4 * WIDE.total_pages):
+        ftl.write(int(lpn))
+    assert max(counts) > _AUDIT_SCORE_CAP
+    assert max(len(r.data["scores"]) for r in ftl.audit.records) == (
+        _AUDIT_SCORE_CAP)
 
 
 def test_dead_active_block_alone_leaves_nothing_to_collect():

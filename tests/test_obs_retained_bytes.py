@@ -17,8 +17,19 @@ Python version (CPython 3.11 below).
 The parent kept every payload as a dict (184 B for one to five keys,
 more past that) and formatted each device span's name per access; a row
 is the values as one tuple (``40 + 8n`` B) under keys shared by its
-shape, and the name is formed once per device.  Each ceiling is the
-measured figure + 2 %.
+shape, and the name is formed once per device.
+
+The victim decisions then kept their candidates as pair columns:
+
+| record | lists of pairs (B) | pair column (B) | fall |
+|---|---|---|---|
+| ``gc.victim`` (16-entry head) | 1567.86 | 415.86 | 73 % |
+| ``list.l1-victim`` (5 candidates) | 735.86 | 351.86 | 52 % |
+
+Lists of pairs were 16 ``[block, valid]`` lists (72 B each) under a
+184 B list, or five ``(term, ev)`` tuples with their boxed EVs; a pair
+column is one ``bytes`` object of packed keys then packed values.  Each
+ceiling is the measured figure + 2 %.
 """
 
 import gc
@@ -26,12 +37,19 @@ import tracemalloc
 
 import pytest
 
+import numpy as np
+
 from repro.core.config import CacheConfig, Policy
+from repro.core.entries import CachedList
 from repro.core.events import AdmitEvent
+from repro.core.lru import LruList
 from repro.core.manager import CacheManager, build_hierarchy_for
+from repro.core.replacement import Replacement
 from repro.engine.corpus import CorpusConfig
 from repro.engine.index import InvertedIndex
 from repro.engine.query import Query
+from repro.flash.constants import FlashConfig
+from repro.flash.ftl_page import PageMappingFTL
 from repro.obs import AuditLog, BlameRecorder, Telemetry, Tracer
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import VirtualClock
@@ -41,12 +59,13 @@ KB = 1024
 MB = 1024 * KB
 N = 20_000
 
-#: bytes per record at the parent commit (dict payloads), for the record
+#: bytes per record before rows (dict payloads) and, for the victim
+#: decisions, before pair columns (lists of pairs), for the record
 PARENT = {"audit_admit": 319.86, "device_leaf": 414.29, "query_span": 363.91,
-          "blame_serve": 328.26}
+          "blame_serve": 328.26, "gc_victim": 1567.86, "l1_victim": 735.86}
 #: bytes per record now; the ceilings are these + 2 %
 MEASURED = {"audit_admit": 207.86, "device_leaf": 228.29, "query_span": 259.91,
-            "blame_serve": 168.26}
+            "blame_serve": 168.26, "gc_victim": 415.86, "l1_victim": 351.86}
 
 
 def _retained(serve) -> int:
@@ -134,8 +153,51 @@ def _blame_serve() -> float:
     return _retained(serve) / N
 
 
+def _gc_victim() -> float:
+    """An audited greedy GC decision on ``closed_miss``'s SSD geometry
+    (16 MB of cache file, 149 blocks), churned until most blocks are
+    candidates: a 16-entry head of block ids and valid-page counts."""
+    config = FlashConfig(num_blocks=149, overprovision=0.12)
+    ftl = PageMappingFTL(config)
+    rng = np.random.default_rng(7)
+    for lpn in rng.integers(0, config.logical_pages,
+                            size=2 * config.total_pages).tolist():
+        ftl.write(lpn)
+    ftl.audit = AuditLog(clock=VirtualClock())
+    active = ftl._active_block
+    ftl._gc_victim(active, "foreground")  # the shape, the first block
+    assert len(ftl.audit.records[-1].data["scores"]) == 16
+
+    def serve():
+        decide = ftl._gc_victim
+        for _ in range(N):
+            decide(active, "foreground")
+    return _retained(serve) / N
+
+
+def _l1_victim() -> float:
+    """An audited Fig. 12 walk over a full replace-first region: five
+    candidate term ids and their EVs."""
+    config = CacheConfig(policy=Policy.CBLRU)
+    replacement = Replacement(config, AuditLog(clock=VirtualClock()))
+    lists = LruList(config.replace_window)
+    for term in range(1000, 1010):
+        lists.insert(term, CachedList(
+            term_id=term, cached_bytes=300_000 + term, total_bytes=600_000,
+            pu=0.7, freq=3 + term % 4, mean_needed_bytes=150_000.0 + term))
+    replacement.pick_l1_list_victim(lists, None, config)
+    assert len(replacement.audit.records[-1].data["candidates"]) == 5
+
+    def serve():
+        pick = replacement.pick_l1_list_victim
+        for _ in range(N):
+            pick(lists, None, config)
+    return _retained(serve) / N
+
+
 CASES = {"audit_admit": _audit_admit, "device_leaf": _device_leaf,
-         "query_span": _query_span, "blame_serve": _blame_serve}
+         "query_span": _query_span, "blame_serve": _blame_serve,
+         "gc_victim": _gc_victim, "l1_victim": _l1_victim}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -5,20 +5,23 @@ Spans' ``attrs``, audit records' ``data`` and blame records are
 keys, ``None`` values, nested lists like ``list.l1-victim``'s
 ``candidates`` — a row renders to the same dict in the same key order,
 compares equal to it both ways, and answers ``get``, ``[]``, ``in``,
-``items`` and ``len`` as the dict does.  The hot writers that build
-rows from their own values must land on what the ``**kwargs`` entry
-points convert.
+``items`` and ``len`` as the dict does.  A value kept as a pair column
+(:func:`~repro._row.pairs`) reads, renders, compares and pickles as its
+``[[key, value], ...]`` list.  The hot writers that build rows from
+their own values must land on what the ``**kwargs`` entry points
+convert.
 """
 
 import copy
 import json
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro._row import Row, row_of, shape
+from repro._row import Pairs, Row, pairs, row_of, shape
 from repro.core.events import AdmitEvent, EvictEvent, FlushEvent, L2VictimEvent
 from repro.obs import AuditLog, BlameRecorder, Tracer
 from repro.sim.clock import VirtualClock
@@ -63,6 +66,72 @@ def test_a_row_reads_and_renders_as_its_dict(d):
     assert dict(row) == d and {**row} == d
     for clone in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
         assert clone == row and type(clone) is type(row)
+
+
+_CODES = {"i": st.integers(-2**31, 2**31 - 1),
+          "q": st.integers(-2**63, 2**63 - 1),
+          "d": st.floats(allow_nan=False)}
+
+
+@st.composite
+def _pair_columns(draw):
+    """(a pair column, the list it stands for)."""
+    key_code = draw(st.sampled_from("iq"))
+    value_code = draw(st.sampled_from("iqd"))
+    keys = draw(st.lists(_CODES[key_code], max_size=17))
+    values = draw(st.lists(_CODES[value_code], min_size=len(keys),
+                           max_size=len(keys)))
+    column = pairs(key_code, value_code)(
+        b"".join((array(key_code, keys), array(value_code, values))))
+    return column, [[k, v] for k, v in zip(keys, values)]
+
+
+#: (what a row keeps, the dict it stands for): some values pair columns
+_KEPT = st.dictionaries(
+    _KEYS, st.one_of(_VALUES.map(lambda v: (v, v)), _pair_columns()),
+    max_size=7).map(lambda d: ({k: kept for k, (kept, _) in d.items()},
+                               {k: shown for k, (_, shown) in d.items()}))
+
+
+@given(_KEPT)
+def test_a_row_with_pair_columns_reads_as_the_nested_lists(kept_and_shown):
+    kept, d = kept_and_shown
+    row = row_of(kept)
+    rendered = row.to_dict()
+    assert rendered == d and list(rendered) == list(d)
+    assert not any(isinstance(v, Pairs) for v in rendered.values())
+    if all(isinstance(k, str) for k in d):
+        assert json.dumps(rendered) == json.dumps(d)
+    assert row == d and d == row and not (row != d) and not (d != row)
+    assert row == row_of(d) and row_of(d) == row
+    assert list(row.values()) == list(d.values())
+    assert list(row.items()) == list(d.items())
+    for key, value in d.items():
+        assert row[key] == value and row.get(key) == value
+        assert type(row[key]) is type(value)
+    assert dict(row) == d and {**row} == d
+    for clone in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+        assert clone == row and type(clone) is type(row)
+        assert clone.to_dict() == d
+
+
+@given(_pair_columns(), _pair_columns())
+def test_pair_columns_compare_as_their_lists(a, b):
+    (column_a, list_a), (column_b, list_b) = a, b
+    assert column_a == list_a and list_a == column_a
+    assert (column_a == column_b) == (list_a == list_b)
+    assert (column_a != column_b) == (list_a != list_b)
+    assert column_a.tolist() == list_a
+    assert pickle.loads(pickle.dumps(column_a)) == column_a
+    assert repr(column_a) == f"Pairs({list_a!r})"
+
+
+def test_a_pair_column_is_unhashable_and_one_class_per_codec():
+    column = pairs("i", "d")(b"".join((array("i", [3]), array("d", [0.5]))))
+    with pytest.raises(TypeError):
+        hash(column)
+    assert type(column) is pairs("i", "d") is not pairs("q", "d")
+    assert column != [(3, 0.5)] and column != b"" and column != "x"
 
 
 @given(_DICTS, _DICTS)
