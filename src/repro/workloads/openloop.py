@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -104,6 +105,12 @@ def load_sweep(
 # Arrival processes (event sources for the kernel)
 # ---------------------------------------------------------------------------
 
+#: Gaps drawn per ``Generator.exponential`` call.  The generator keeps no
+#: state between calls, so a block of draws is the same stream, bit for
+#: bit, as one scalar draw per arrival.
+GAP_BLOCK = 1024
+
+
 class PoissonArrivals:
     """Homogeneous Poisson arrivals at ``rate_qps``.
 
@@ -120,9 +127,16 @@ class PoissonArrivals:
         self.rate_qps = rate_qps
         self._mean_gap_us = 1e6 / rate_qps
         self._rng = make_rng(seed)
+        #: The endless gap stream: one gap per arrival, refilled a block
+        #: at a time.
+        self._gaps = chain.from_iterable(iter(self._draw_gaps, None))
+
+    def _draw_gaps(self) -> list[float]:
+        return self._rng.exponential(self._mean_gap_us,
+                                     size=GAP_BLOCK).tolist()
 
     def next_after(self, t_us: float) -> float:
-        return t_us + float(self._rng.exponential(self._mean_gap_us))
+        return t_us + next(self._gaps)
 
 
 class DiurnalArrivals:

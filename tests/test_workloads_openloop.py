@@ -1,6 +1,10 @@
 """Open-loop arrivals and the emergent concurrent driver."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.broker import Broker
 from repro.core.config import CacheConfig, Policy
@@ -11,6 +15,8 @@ from repro.engine.querylog import QueryLogConfig, generate_query_log
 from repro.obs import KernelMetrics, MetricsRegistry, Telemetry
 from repro.sim.clock import VirtualClock
 from repro.sim.kernel import AdmissionControl, Kernel
+from repro.sim.rng import make_rng
+from repro.workloads import openloop as openloop_module
 from repro.workloads.openloop import (
     DiurnalArrivals,
     PoissonArrivals,
@@ -57,6 +63,46 @@ def test_poisson_arrivals_deterministic_with_correct_mean_gap():
         t1, t2 = n1, n2
     mean_gap = sum(gaps) / len(gaps)
     assert mean_gap == pytest.approx(1e6 / 1000.0, rel=0.1)
+
+
+def _scalar_arrivals(rate_qps, seed, count):
+    """Arrival instants with one scalar exponential draw per arrival."""
+    rng = make_rng(seed)
+    mean_gap = 1e6 / rate_qps
+    t, out = 0.0, []
+    for _ in range(count):
+        t += float(rng.exponential(mean_gap))
+        out.append(t)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(block=st.sampled_from((1, 2, 5, 64)),
+       seed=st.integers(0, 2**32 - 1),
+       rate_qps=st.floats(0.5, 5000.0),
+       count=st.integers(1, 400))
+def test_block_drawn_gaps_equal_scalar_draws(block, seed, rate_qps, count):
+    """Block-drawn arrivals equal one scalar draw per arrival, bit for
+    bit, wherever the block boundaries fall."""
+    with mock.patch.object(openloop_module, "GAP_BLOCK", block):
+        arrivals = PoissonArrivals(rate_qps, seed=seed)
+        t, got = 0.0, []
+        for _ in range(count):
+            t = arrivals.next_after(t)
+            got.append(t)
+    assert got == _scalar_arrivals(rate_qps, seed, count)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 2**31 + 5])
+def test_block_drawn_gaps_cross_the_real_block_boundary(seed):
+    """Three committed blocks and a bit, on several seeds."""
+    count = 3 * openloop_module.GAP_BLOCK + 77
+    arrivals = PoissonArrivals(20.0, seed=seed)
+    t, got = 0.0, []
+    for _ in range(count):
+        t = arrivals.next_after(t)
+        got.append(t)
+    assert got == _scalar_arrivals(20.0, seed, count)
 
 
 def test_poisson_validation():
