@@ -290,9 +290,14 @@ def explain_subject(
     want = _normalise_key(key)
     rows: list[dict] = []
     for r in records:
-        rec = r.to_dict() if isinstance(r, AuditRecord) else r
-        if rec["kind"] != kind or _normalise_key(rec["key"]) != want:
+        # A live record is rendered only once it is known to be about
+        # this subject.
+        live = isinstance(r, AuditRecord)
+        if (r.kind if live else r["kind"]) != kind:
             continue
+        if _normalise_key(r.key if live else r["key"]) != want:
+            continue
+        rec = r.to_dict() if live else r
         if at_us is not None and rec["t_us"] > at_us:
             continue
         rows.append(rec)

@@ -237,6 +237,29 @@ def test_explain_at_us_cuts_later_history():
     assert len(past["events"]) == 1
 
 
+def test_explain_renders_only_the_subjects_records(monkeypatch, small_index):
+    """Live records are filtered on kind and key before ``to_dict``: one
+    render per record about the subject, none for the rest of the trail
+    (a pair column makes a render dearer than a filter)."""
+    tel = Telemetry(trace=False)
+    replay(make_manager(small_index, telemetry=tel))
+    records = list(tel.audit.records)
+    term = next(r.key for r in records if r.type == "list.l1-victim")
+    want = [r.to_dict() for r in records
+            if r.kind == "list" and r.key == term]
+    renders = []
+    render = audit_module.AuditRecord.to_dict
+
+    def counting(self):
+        renders.append(self.seq)
+        return render(self)
+
+    monkeypatch.setattr(audit_module.AuditRecord, "to_dict", counting)
+    exp = explain_subject(records, "list", term)
+    assert exp["events"] == want
+    assert len(renders) == len(want) < len(records) // 10
+
+
 def test_explain_unknown_subject():
     exp = explain_subject([], "list", 42)
     assert exp["events"] == []
