@@ -25,11 +25,13 @@ The victim decisions then kept their candidates as pair columns:
 |---|---|---|---|
 | ``gc.victim`` (16-entry head) | 1567.86 | 415.86 | 73 % |
 | ``list.l1-victim`` (5 candidates) | 735.86 | 351.86 | 52 % |
+| ``rb.victim`` (5 candidates) | 607.86 | 319.86 | 47 % |
 
 Lists of pairs were 16 ``[block, valid]`` lists (72 B each) under a
-184 B list, or five ``(term, ev)`` tuples with their boxed EVs; a pair
-column is one ``bytes`` object of packed keys then packed values.  Each
-ceiling is the measured figure + 2 %.
+184 B list, or five ``(term, ev)`` tuples with their boxed EVs (``(rb,
+iren)`` tuples for an RB walk) under a list; a pair column is one
+``bytes`` object of packed keys then packed values.  Each ceiling is the
+measured figure + 2 %.
 """
 
 import gc
@@ -40,7 +42,7 @@ import pytest
 import numpy as np
 
 from repro.core.config import CacheConfig, Policy
-from repro.core.entries import CachedList
+from repro.core.entries import CachedList, ResultBlock
 from repro.core.events import AdmitEvent
 from repro.core.lru import LruList
 from repro.core.manager import CacheManager, build_hierarchy_for
@@ -62,10 +64,12 @@ N = 20_000
 #: bytes per record before rows (dict payloads) and, for the victim
 #: decisions, before pair columns (lists of pairs), for the record
 PARENT = {"audit_admit": 319.86, "device_leaf": 414.29, "query_span": 363.91,
-          "blame_serve": 328.26, "gc_victim": 1567.86, "l1_victim": 735.86}
+          "blame_serve": 328.26, "gc_victim": 1567.86, "l1_victim": 735.86,
+          "rb_victim": 607.86}
 #: bytes per record now; the ceilings are these + 2 %
 MEASURED = {"audit_admit": 207.86, "device_leaf": 228.29, "query_span": 259.91,
-            "blame_serve": 168.26, "gc_victim": 415.86, "l1_victim": 351.86}
+            "blame_serve": 168.26, "gc_victim": 415.86, "l1_victim": 351.86,
+            "rb_victim": 319.86}
 
 
 def _retained(serve) -> int:
@@ -195,9 +199,29 @@ def _l1_victim() -> float:
     return _retained(serve) / N
 
 
+def _rb_victim() -> float:
+    """An audited Fig. 11 walk over a full replace-first region: five
+    RB ids and their IRENs."""
+    config = CacheConfig(policy=Policy.CBLRU)
+    replacement = Replacement(config, AuditLog(clock=VirtualClock()))
+    blocks = LruList(config.replace_window)
+    for rb in range(1000, 1010):
+        blocks.insert(rb, ResultBlock(rb_id=rb, lba=64 * rb, num_slots=6,
+                                      flags=rb * 7 % 64))
+    replacement.pick_rb_victim(blocks)
+    assert len(replacement.audit.records[-1].data["candidates"]) == 5
+
+    def serve():
+        pick = replacement.pick_rb_victim
+        for _ in range(N):
+            pick(blocks)
+    return _retained(serve) / N
+
+
 CASES = {"audit_admit": _audit_admit, "device_leaf": _device_leaf,
          "query_span": _query_span, "blame_serve": _blame_serve,
-         "gc_victim": _gc_victim, "l1_victim": _l1_victim}
+         "gc_victim": _gc_victim, "l1_victim": _l1_victim,
+         "rb_victim": _rb_victim}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
