@@ -56,8 +56,10 @@ class Replacement:
         #: Decision audit log (repro.obs.audit); NULL_AUDIT keeps victim
         #: walks allocation-free.
         self.audit = audit
-        # The audited Fig. 12 walk's candidate columns, cleared per walk
-        # and packed into its record's pair column.
+        # The audited Fig. 12 walk's candidate columns, packed into its
+        # record's pair column and cleared for the next walk: there is
+        # one per L1 eviction, and building two arrays each time costs
+        # more than the walk's appends.
         self._keys, self._evs = array("i"), array("d")
 
     def pick_l1_list_victim(

@@ -171,8 +171,6 @@ class FTL(ABC):
             audit.append("gc.victim", "gc", int(victim), _GC_VICTIM((
                 self.audit_device, type(self.victim_policy).__name__,
                 origin, int(candidates.size), int(valid[victim]),
-                # the head's block ids and valid pages packed straight
-                # from numpy: one bytes object, not 16 lists
                 _GC_SCORES(b"".join((head.astype(np.int32),
                                      valid[head]))))))
         return victim
