@@ -168,7 +168,7 @@ class Replacement:
         dropped = False
         for key, entry in rfr:
             if entry.state is EntryState.REPLACEABLE:
-                cache.drop_l2(key, trim=True)
+                cache.drop_l2(key, trim=True, reason="capacity")
                 cache.events.l2_victim(
                     L2VictimEvent(kind="list", key=key, stage="replaceable")
                 )
@@ -181,7 +181,7 @@ class Replacement:
         deficit = sc_needed - region.free_count
         for key, entry in rfr:
             if len(entry.blocks) == deficit:
-                cache.drop_l2(key, trim=True)
+                cache.drop_l2(key, trim=True, reason="capacity")
                 cache.events.l2_victim(
                     L2VictimEvent(kind="list", key=key, stage="size-match")
                 )
@@ -189,7 +189,7 @@ class Replacement:
         # Stage 3: assemble several RFR entries (stage 2 dropped nothing,
         # so its window is still the window).
         for key, _ in rfr:
-            cache.drop_l2(key, trim=True)
+            cache.drop_l2(key, trim=True, reason="capacity")
             cache.events.l2_victim(
                 L2VictimEvent(kind="list", key=key, stage="assemble")
             )
@@ -197,7 +197,7 @@ class Replacement:
                 return
         # Stage 4: widen to the whole LRU list (the paper's worst case).
         for key, _ in list(cache.l2.items_lru_order()):
-            cache.drop_l2(key, trim=True)
+            cache.drop_l2(key, trim=True, reason="capacity")
             cache.events.l2_victim(
                 L2VictimEvent(kind="list", key=key, stage="fallback")
             )

@@ -14,6 +14,7 @@ from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.core.replacement import Replacement
 from repro.engine.corpus import CorpusConfig
 from repro.engine.index import InvertedIndex
+from repro.obs import Telemetry
 
 KB = 1024
 
@@ -124,3 +125,35 @@ def test_fig13_takes_a_size_match_before_assembling(index):
     assert stages == [(3, "size-match")]
     assert 1 in lc.l2 and 2 in lc.l2
     assert lc.region.free_count == 2
+
+
+@pytest.mark.parametrize("entries, needed, stage", [
+    ([(1, 2, EntryState.NORMAL), (2, 2, EntryState.REPLACEABLE)], 2,
+     "replaceable"),
+    ([(1, 1, EntryState.NORMAL), (2, 2, EntryState.NORMAL)], 2, "size-match"),
+    ([(1, 1, EntryState.NORMAL), (2, 1, EntryState.NORMAL),
+      (3, 1, EntryState.NORMAL)], 2, "assemble"),
+    ([(t, 1, EntryState.NORMAL) for t in range(1, 8)], 6, "fallback"),
+])
+def test_fig13_victims_are_capacity_evictions(index, entries, needed, stage):
+    """Every entry a Fig. 13 stage drops is evicted for capacity, in its
+    ``evict`` event and in ``cache_evicts_total``, as an L1 capacity
+    eviction is: the search frees room, nothing invalidated the data."""
+    tel = Telemetry(trace=False)
+    cfg = CacheConfig(mem_result_bytes=100 * KB, mem_list_bytes=384 * KB,
+                      ssd_result_bytes=512 * KB,
+                      ssd_list_bytes=sum(n for _, n, _ in entries) * 128 * KB,
+                      policy=Policy.CBLRU)
+    mgr = CacheManager(cfg, build_hierarchy_for(cfg, index), index,
+                       telemetry=tel)
+    lc, stages = _plant_l2(mgr, entries)
+    evicts = []
+    mgr.events.subscribe(on_evict=lambda e: evicts.append((e.key, e.reason)))
+    mgr.policy.free_list_space(lc, needed)
+    assert stage in {s for _, s in stages}
+    assert evicts == [(key, "capacity") for key, _ in stages]
+    counts = {tuple(sorted(tags.items())): c.value
+              for name, tags, c in tel.registry.items()
+              if name == "cache_evicts_total"}
+    assert counts == {(("kind", "list"), ("level", "l2"),
+                       ("reason", "capacity")): len(stages)}

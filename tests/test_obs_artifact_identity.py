@@ -87,39 +87,41 @@ def digest_dir(root: str) -> dict[str, str]:
 #: Recorded at commit 0bbc6b5, before anything under src/ moved,
 #: except the timeline files (``timeline.jsonl``, an incident's
 #: ``windows.jsonl``), re-recorded when every non-sparse window began to
-#: carry each depth gauge behind the derived ``queue_depth``.
+#: carry each depth gauge behind the derived ``queue_depth``, and the
+#: audit, metrics and timeline files, re-recorded when the Fig. 13
+#: victims' evictions took the reason ``capacity``.
 PARENT_DIGESTS: dict[str, dict[str, str]] = {
     "closed_retained": {
         "audit.jsonl":
-            "15269db9a3759a645b899d727f975740e67fccc202d3f440dae9f98b20b61794",
+            "023b15031609270f8644bcd1113803818e1bcd220bff76ecef3318775b7d557c",
         "metrics.json":
-            "ce6fd6de9093514f85db608a9bd59b56961c0a351c0c8487fa23d451de14e4a2",
+            "211d1608f398754773d6a4618ea5527eaff5187c8408615d9ae6dbb31ece110d",
         "metrics.prom":
-            "79633fd22b34dd6f90e2eb03b0ebf67766aaadb0e50c894d3b6308097a99f4cb",
+            "bd45dd09566c429391f42c935bb75de8c002791cb1a22f2533ac1ee5b3b58023",
         "spans.jsonl":
             "3401d26694d609ea6d71e12fdc93e3a366c352294ac5d837d7fa69b4165011c3",
         "timeline.jsonl":
-            "1605f35e957a2a5d366298b9fb275a5a9876660252baf88287f1c0d379ceb730",
+            "9b7e327ed2d4a22c7c3152131b74ed000cc231470a1042e8d069b68f8827162d",
     },
     "closed_streamed": {
         "audit.jsonl":
-            "15269db9a3759a645b899d727f975740e67fccc202d3f440dae9f98b20b61794",
+            "023b15031609270f8644bcd1113803818e1bcd220bff76ecef3318775b7d557c",
         "metrics.json":
-            "ce6fd6de9093514f85db608a9bd59b56961c0a351c0c8487fa23d451de14e4a2",
+            "211d1608f398754773d6a4618ea5527eaff5187c8408615d9ae6dbb31ece110d",
         "metrics.prom":
-            "79633fd22b34dd6f90e2eb03b0ebf67766aaadb0e50c894d3b6308097a99f4cb",
+            "bd45dd09566c429391f42c935bb75de8c002791cb1a22f2533ac1ee5b3b58023",
         "spans.jsonl":
             "3401d26694d609ea6d71e12fdc93e3a366c352294ac5d837d7fa69b4165011c3",
         "timeline.jsonl":
-            "8566f43f1723e1b5d8fbdb856f9638512e242316ceadacf4e28acd13b0d83919",
+            "1b83e7d938625cd05374da1d64901d13b2cec6c43719443a75e8f862ccc7f382",
     },
     "knee_kernel": {
         "audit.jsonl":
-            "a086a157f847ad558415e8cb01383bf263ca4ef60d6e628dbbeb471b4106b4d5",
+            "fb3952b367e68590e16a125d8b3c937d43638967409ed3441b407b8798a66a0a",
         "blame.jsonl":
             "575ba5f74f9da2531a76b7d603f202d8a49bef5bc4798a12b2aea136fee3110e",
         "incident-1/audit.jsonl":
-            "a956449d6439c8936046cc7afdaf177b22e8cf7a39816280c810c56c749400aa",
+            "d0db8f1000316d7c1c29db27ab5f1aa541a2d5ddaaee2f80738105b69ea5acbd",
         "incident-1/blame.json":
             "a2a41b349940d04968abc0f8bb38f2911aa0a627ec61c89c140b2695214286f7",
         "incident-1/incident.json":
@@ -127,15 +129,15 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
         "incident-1/spans.jsonl":
             "d6e326dbf0b6db8a6fca4573357a263199aac1dcabd2d4ec4772f033add8c35d",
         "incident-1/windows.jsonl":
-            "bb2f57514b9ec07c9c996dee2a82f000921db28f60bdb1d89ca5f87b6ea3b27d",
+            "97fd2ef924f3fc0c944c9a9227a095fbf1373aecceda44d58f14a3b6b72cdbc9",
         "metrics.json":
-            "20b841f017d922e400c2f2734a46ce1bf243d1f11bd6c462627a9115130bc3ab",
+            "08c95b0f81c36c4d4940c71aa0702802e64440809e25d6f9280658de35a96240",
         "metrics.prom":
-            "3eaa3dc6d03cc8417a04b0f32a19ed8865c7ab655be59c88b4a997ce0640d0c6",
+            "f3210065bee29b0fa3043688acbbad09538b186031c54266c1df224fc6524997",
         "spans.jsonl":
             "be78f701bca0484703998261277cb338cd95f7c63f15aac9be12757f42201c57",
         "timeline.jsonl":
-            "08a7bd091f8912d240db948f6bdb2abdf5aef026125d05deeea8c39d1293d76f",
+            "32cfd5f9deb665d3b536b452853b4d7e659d9b41b67b4d5e3d91ad768db5d5ba",
     },
 }
 
