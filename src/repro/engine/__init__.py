@@ -13,7 +13,8 @@ from repro.engine.corpus import CorpusConfig, CorpusStats, build_corpus_stats
 from repro.engine.documents import Document, DocumentStore, generate_documents
 from repro.engine.parser import QueryParser
 from repro.engine.lexicon import Lexicon, TermInfo
-from repro.engine.postings import POSTING_BYTES, PostingList, generate_posting_list
+from repro.engine.postings import (DOC_ID_DTYPE, POSTING_BYTES, TF_DTYPE,
+                                   PostingList, generate_posting_list)
 from repro.engine.layout import IndexLayout, TermExtent
 from repro.engine.index import InvertedIndex
 from repro.engine.query import Query
@@ -34,6 +35,8 @@ __all__ = [
     "Lexicon",
     "TermInfo",
     "POSTING_BYTES",
+    "DOC_ID_DTYPE",
+    "TF_DTYPE",
     "PostingList",
     "generate_posting_list",
     "IndexLayout",

@@ -18,7 +18,7 @@ from repro.engine.documents import DocumentStore
 from repro.engine.index import InvertedIndex
 from repro.engine.layout import IndexLayout
 from repro.engine.lexicon import Lexicon
-from repro.engine.postings import PostingList
+from repro.engine.postings import DOC_ID_DTYPE, TF_DTYPE, PostingList
 
 __all__ = ["MaterializedIndex", "build_index"]
 
@@ -71,9 +71,7 @@ class MaterializedIndex:
         plist = self._postings.get(term_id)
         if plist is None:
             return PostingList(
-                term_id,
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int32),
+                term_id, np.empty(0, DOC_ID_DTYPE), np.empty(0, TF_DTYPE)
             )
         return plist
 
@@ -105,7 +103,9 @@ def build_index(
 
     Terms of the vocabulary absent from the collection keep df = 1
     placeholders (downstream size arithmetic assumes non-empty lists)
-    while their posting lists are empty.
+    while their posting lists are empty.  A tf must fit the 2-byte tf
+    field (``TF_DTYPE``): a term occurring more than 65 535 times in one
+    document raises ``ValueError``.
     """
     if len(store) == 0:
         raise ValueError("cannot build an index from an empty store")
@@ -125,12 +125,16 @@ def build_index(
     doc_freqs = np.ones(vocab_size, dtype=np.int64)
     coll_freqs = np.ones(vocab_size, dtype=np.int64)
     postings: dict[int, PostingList] = {}
+    max_tf = np.iinfo(TF_DTYPE).max
     for term, pairs in accum.items():
         if term >= vocab_size:
             raise ValueError(f"document term {term} exceeds vocab_size {vocab_size}")
         pairs.sort(key=lambda p: (-p[0], p[1]))
-        tfs = np.array([tf for tf, _ in pairs], dtype=np.int32)
-        doc_ids = np.array([d for _, d in pairs], dtype=np.int64)
+        if pairs[0][0] > max_tf:
+            raise ValueError(f"term {term} has tf {pairs[0][0]} in document "
+                             f"{pairs[0][1]}, beyond the 2-byte tf field")
+        tfs = np.array([tf for tf, _ in pairs], dtype=TF_DTYPE)
+        doc_ids = np.array([d for _, d in pairs], dtype=DOC_ID_DTYPE)
         postings[term] = PostingList(term, doc_ids, tfs)
         doc_freqs[term] = len(pairs)
         coll_freqs[term] = int(tfs.sum())

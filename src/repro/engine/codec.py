@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._hot import HOT
-from repro.engine.postings import PostingList
+from repro.engine.postings import DOC_ID_DTYPE, TF_DTYPE, PostingList
 
 __all__ = [
     "varbyte_encode",
@@ -44,6 +44,10 @@ __all__ = [
 #: runs are delegated to the scalar reference so corrupt streams fail
 #: exactly as they always did (64-bit guard, OverflowError).
 _MAX_VECTOR_RUN = 9
+
+#: The largest doc id and tf a decoded posting can hold.
+_DOC_ID_MAX = int(np.iinfo(DOC_ID_DTYPE).max)
+_TF_MAX = int(np.iinfo(TF_DTYPE).max)
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +193,12 @@ def varbyte_decode(data: bytes, count: int | None = None) -> np.ndarray:
 
 def _gaps_within_tf_runs(plist: PostingList) -> np.ndarray:
     """Doc-gap transform: within each equal-tf run, ascending doc ids are
-    replaced by deltas (first of a run keeps its absolute id)."""
-    doc_ids = plist.doc_ids
-    if doc_ids.size == 0:
-        return doc_ids.copy()
-    gaps = doc_ids.copy()
-    tfs = plist.tfs
-    same_run = np.zeros(doc_ids.size, dtype=bool)
-    same_run[1:] = tfs[1:] == tfs[:-1]
-    gaps[same_run] = doc_ids[same_run] - np.where(
-        same_run, np.concatenate([[0], doc_ids[:-1]]), 0
-    )[same_run]
+    replaced by deltas (first of a run keeps its absolute id).  Computed
+    in int64, so no difference of unsigned doc ids can wrap."""
+    doc_ids, tfs = plist.doc_ids, plist.tfs
+    gaps = doc_ids.astype(np.int64)
+    same_run = np.flatnonzero(tfs[1:] == tfs[:-1]) + 1
+    gaps[same_run] -= doc_ids[same_run - 1]
     return gaps
 
 
@@ -238,7 +237,8 @@ def decode_posting_list(data: bytes) -> PostingList:
     One pass over the stream: header and body decode together, so the
     body is never re-scanned.  The stream must contain *exactly* the
     header plus ``2 * n`` body values — truncation and trailing bytes
-    both raise.
+    both raise, as does a doc id or tf too wide for ``DOC_ID_DTYPE`` or
+    ``TF_DTYPE``.
     """
     values, offset = varbyte_decode_stream(data)
     if values.size < 2:
@@ -251,9 +251,12 @@ def decode_posting_list(data: bytes) -> PostingList:
         raise ValueError("trailing bytes after posting-list payload")
     body = values[2:]
     gaps = body[0::2]
-    tfs = body[1::2].astype(np.int32)
+    tfs = body[1::2]
     doc_ids = _undo_gaps_within_runs(gaps, tfs)
-    return PostingList(term_id, doc_ids, tfs)
+    if n and (tfs.max() > _TF_MAX or doc_ids.max() > _DOC_ID_MAX):
+        raise ValueError("posting value beyond the doc id or tf field width")
+    return PostingList(term_id, doc_ids.astype(DOC_ID_DTYPE),
+                       tfs.astype(TF_DTYPE))
 
 
 def estimate_compressed_list_bytes(

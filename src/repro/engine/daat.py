@@ -107,7 +107,9 @@ class DaatQueryProcessor:
         for term in key:
             plist = self.index.postings(term)
             order = np.argsort(plist.doc_ids, kind="stable")
-            lists[term] = (plist.doc_ids[order], plist.tfs[order])
+            # float64 tfs: np.sqrt of a uint16 scalar rounds in float32.
+            lists[term] = (plist.doc_ids[order],
+                           plist.tfs[order].astype(np.float64))
         driver = min(key, key=lambda t: lists[t][0].size)
         drv_docs, drv_tfs = lists[driver]
         idfs = {t: self.index.idf(t) for t in key}

@@ -16,10 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["POSTING_BYTES", "SKIP_INTERVAL", "PostingList", "generate_posting_list"]
+__all__ = ["DOC_ID_DTYPE", "POSTING_BYTES", "SKIP_INTERVAL", "TF_DTYPE",
+           "PostingList", "generate_posting_list"]
 
 #: on-disk bytes per posting: 4 B doc id + 2 B tf + 2 B amortised skip data
 POSTING_BYTES = 8
+
+#: In-memory posting layout, the on-disk fields' widths: every
+#: ``PostingList`` holds its doc ids as DOC_ID_DTYPE and its tfs as TF_DTYPE.
+DOC_ID_DTYPE = np.dtype(np.uint32)
+TF_DTYPE = np.dtype(np.uint16)
 
 #: postings between consecutive skip pointers (Lucene 3.x default is 16)
 SKIP_INTERVAL = 16
@@ -65,13 +71,17 @@ def _draw_geometric(rng: np.random.Generator, size: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PostingList:
     """An immutable frequency-sorted posting list; equal means equal
-    term ids, dtypes and contents."""
+    term ids and contents."""
 
     term_id: int
-    doc_ids: np.ndarray  # int64, aligned with tfs
-    tfs: np.ndarray      # int32, non-increasing
+    doc_ids: np.ndarray  # DOC_ID_DTYPE, aligned with tfs
+    tfs: np.ndarray      # TF_DTYPE, non-increasing
 
     def __post_init__(self) -> None:
+        if self.doc_ids.dtype != DOC_ID_DTYPE or self.tfs.dtype != TF_DTYPE:
+            raise TypeError(
+                f"posting arrays must be {DOC_ID_DTYPE} doc ids and {TF_DTYPE} "
+                f"tfs, got {self.doc_ids.dtype} and {self.tfs.dtype}")
         if self.doc_ids.shape != self.tfs.shape:
             raise ValueError("doc_ids and tfs must be parallel arrays")
         if (self.tfs[1:] > self.tfs[:-1]).any():
@@ -81,8 +91,6 @@ class PostingList:
         if not isinstance(other, PostingList):
             return NotImplemented
         return (self.term_id == other.term_id
-                and self.doc_ids.dtype == other.doc_ids.dtype
-                and self.tfs.dtype == other.tfs.dtype
                 and np.array_equal(self.doc_ids, other.doc_ids)
                 and np.array_equal(self.tfs, other.tfs))
 
@@ -130,7 +138,9 @@ def generate_posting_list(
     and the values derived from it; how they are computed (the tf draw is
     a table lookup, not ``rng.geometric``) may change only in ways that
     leave the arrays identical.  ``num_docs`` may not exceed ``2**32`` —
-    the ordering sorts one int64 key with the doc id in its low half.
+    the ordering sorts one int64 key with the doc id in its low half, and
+    a doc id is a ``DOC_ID_DTYPE``.  A tf is at most ``_TF_SUMS.size + 1``
+    (61), well inside ``TF_DTYPE``.
     """
     if doc_freq < 0:
         raise ValueError("doc_freq cannot be negative")
@@ -141,7 +151,7 @@ def generate_posting_list(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(term_id,)))
     if doc_freq == 0:
         return PostingList(
-            term_id, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+            term_id, np.empty(0, DOC_ID_DTYPE), np.empty(0, TF_DTYPE)
         )
     if doc_freq > num_docs // 2:
         doc_ids = rng.permutation(num_docs)[:doc_freq]
@@ -161,12 +171,14 @@ def generate_posting_list(
     # Descending tf, ascending doc id: one sort of (-tf << 32) + doc_id, built
     # in the draw's int64 buffer.  Doc ids are distinct and below 2**32, so
     # keys are distinct and the order is the one lexsort((doc_ids, -tfs)) gives.
+    # The narrowing casts read the halves back: the low 32 bits are the doc
+    # id, the high half is -tf.
     key = _draw_geometric(rng, doc_freq)
     key += 1
     key <<= 32
     np.subtract(doc_ids, key, out=key)
     key.sort()
-    doc_ids = key & 0xFFFFFFFF
+    doc_ids = key.astype(DOC_ID_DTYPE)
     key >>= 32
     np.negative(key, out=key)
-    return PostingList(term_id, doc_ids, key.astype(np.int32))
+    return PostingList(term_id, doc_ids, key.astype(TF_DTYPE))

@@ -179,7 +179,9 @@ class QueryProcessor:
             parts.append(part)
         if not docs:
             return []
-        doc = np.concatenate(docs)
+        # Index dtype straight from the uint32 prefixes: bincount and the
+        # bitmap below then take no conversion pass of their own.
+        doc = np.concatenate(docs, dtype=np.intp)
         HOT.postings_decoded += doc.size
         totals = np.bincount(doc, weights=np.concatenate(parts))
         # Touched documents come from the postings, not from totals != 0: a

@@ -14,7 +14,6 @@ import heapq
 
 import numpy as np
 
-from repro.engine.postings import PostingList
 from repro.engine.results import SearchResult
 
 
@@ -40,17 +39,19 @@ def reference_generate_posting_list(
     doc_freq: int,
     num_docs: int,
     seed: int,
-) -> PostingList:
-    """``np.unique`` de-duplication + ``np.lexsort`` ordering."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` de-duplication + ``np.lexsort`` ordering.
+
+    Returns the ``(doc_ids, tfs)`` arrays at the width the generator
+    once held them in, int64 and int32, so a comparison checks values
+    across the narrowing to ``PostingList``'s dtypes."""
     if doc_freq < 0:
         raise ValueError("doc_freq cannot be negative")
     if doc_freq > num_docs:
         raise ValueError(f"doc_freq {doc_freq} exceeds num_docs {num_docs}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(term_id,)))
     if doc_freq == 0:
-        return PostingList(
-            term_id, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-        )
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
     if doc_freq > num_docs // 2:
         doc_ids = rng.permutation(num_docs)[:doc_freq].astype(np.int64)
     else:
@@ -63,4 +64,4 @@ def reference_generate_posting_list(
         doc_ids = rng.permutation(cand)[:doc_freq].astype(np.int64)
     tfs = (1 + rng.geometric(p=0.45, size=doc_freq)).astype(np.int32)
     order = np.lexsort((doc_ids, -tfs))
-    return PostingList(term_id, doc_ids[order], tfs[order])
+    return doc_ids[order], tfs[order]

@@ -1,13 +1,17 @@
 """DAAT query processing."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core.config import CacheConfig
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.daat import DaatQueryProcessor
-from repro.engine.postings import POSTING_BYTES
-from repro.engine.processor import QueryProcessor
+from repro.engine.postings import (DOC_ID_DTYPE, POSTING_BYTES, TF_DTYPE,
+                                   PostingList)
+from repro.engine.processor import QueryPlan, QueryProcessor
 from repro.engine.query import Query
 
 
@@ -90,6 +94,23 @@ def test_daat_scores_match_taat_on_driving_term_docs(small_index):
         if mask.any():
             expected += float(np.sqrt(plist.tfs[mask][0])) * small_index.idf(term)
     assert top.score == pytest.approx(expected)
+
+
+def test_materialized_scores_take_float64_square_roots():
+    """A uint16 tf's square root is taken in float64 (a numpy uint16
+    scalar would round it in float32): scores are exact sums."""
+    def plist(term, docs, tfs):
+        return PostingList(term, np.array(docs, dtype=DOC_ID_DTYPE),
+                           np.array(tfs, dtype=TF_DTYPE))
+
+    lists = {0: plist(0, [4, 9], [3, 2]), 1: plist(1, [9], [5])}
+    idfs = {0: 1.0, 1: 0.7}
+    index = SimpleNamespace(postings=lists.__getitem__, idf=idfs.__getitem__)
+    results = DaatQueryProcessor(index, top_k=2)._score(
+        QueryPlan(Query(0, (0, 1)), ()))
+    # Term 1's single posting drives the scan; term 0 is probed at doc 9.
+    assert [(r.doc_id, r.score) for r in results] == [
+        (9, math.sqrt(5) * 0.7 + math.sqrt(2) * 1.0)]
 
 
 def test_surrogate_mode_deterministic(daat, small_log):

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro._hot import HOT
 from repro.engine import postings as postings_module
-from repro.engine.postings import (PostingList, _draw_geometric,
-                                   generate_posting_list)
+from repro.engine.postings import (DOC_ID_DTYPE, TF_DTYPE, PostingList,
+                                   _draw_geometric, generate_posting_list)
 from repro.engine.processor import ListDemand, QueryPlan, QueryProcessor
 from repro.engine import querylog
 from repro.engine.query import Query
@@ -72,8 +72,8 @@ def scoring_cases(draw):
                              max_size=NUM_DOCS))
         tfs = sorted(draw(st.lists(st.sampled_from(TFS), min_size=len(docs),
                                    max_size=len(docs))), reverse=True)
-        lists.append(PostingList(term, np.array(docs, dtype=np.int64),
-                                 np.array(tfs, dtype=np.int32)))
+        lists.append(PostingList(term, np.array(docs, dtype=DOC_ID_DTYPE),
+                                 np.array(tfs, dtype=TF_DTYPE)))
     idfs = draw(st.lists(st.sampled_from(IDFS), min_size=num_terms,
                          max_size=num_terms))
     # Demand order is free, a term may be demanded twice, a prefix may be
@@ -111,10 +111,10 @@ def test_score_equals_scalar_reference_on_generated_index(small_index, terms,
 
 def test_score_of_all_empty_prefixes_is_empty():
     index = FixedIndex(
-        [PostingList(0, np.array([3], dtype=np.int64),
-                     np.array([2], dtype=np.int32)),
-         PostingList(1, np.empty(0, dtype=np.int64),
-                     np.empty(0, dtype=np.int32))],
+        [PostingList(0, np.array([3], dtype=DOC_ID_DTYPE),
+                     np.array([2], dtype=TF_DTYPE)),
+         PostingList(1, np.empty(0, dtype=DOC_ID_DTYPE),
+                     np.empty(0, dtype=TF_DTYPE))],
         [1.0, 1.0])
     processor = QueryProcessor(index)
     plan = plan_of([(0, 0), (1, 5)])
@@ -122,12 +122,15 @@ def test_score_of_all_empty_prefixes_is_empty():
     assert processor.execute(plan).results == ()
 
 
-def assert_same_list(got: PostingList, want: PostingList) -> None:
-    assert got.term_id == want.term_id
-    assert got.doc_ids.dtype == want.doc_ids.dtype
-    assert got.tfs.dtype == want.tfs.dtype
-    assert np.array_equal(got.doc_ids, want.doc_ids)
-    assert np.array_equal(got.tfs, want.tfs)
+def assert_same_list(got: PostingList, term_id: int, want) -> None:
+    """``got`` holds the canonical dtypes and the values of the
+    reference's int64 doc ids and int32 tfs."""
+    want_doc_ids, want_tfs = want
+    assert got.term_id == term_id
+    assert got.doc_ids.dtype == DOC_ID_DTYPE and got.tfs.dtype == TF_DTYPE
+    assert want_doc_ids.dtype == np.int64 and want_tfs.dtype == np.int32
+    assert np.array_equal(got.doc_ids, want_doc_ids)
+    assert np.array_equal(got.tfs, want_tfs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,7 +145,7 @@ def test_generated_list_equals_unique_lexsort_reference(data, num_docs,
                          min(num_docs, num_docs // 2 + 1), num_docs)),
         st.integers(0, num_docs)))
     assert_same_list(
-        generate_posting_list(term_id, doc_freq, num_docs, seed),
+        generate_posting_list(term_id, doc_freq, num_docs, seed), term_id,
         reference_generate_posting_list(term_id, doc_freq, num_docs, seed))
 
 
@@ -156,7 +159,7 @@ def test_top_up_loop_equals_reference():
         ).integers(0, num_docs, size=int(df * 1.3) + 8)
         assert np.unique(first).size < df
         assert_same_list(
-            generate_posting_list(9, df, num_docs, seed=4),
+            generate_posting_list(9, df, num_docs, seed=4), 9,
             reference_generate_posting_list(9, df, num_docs, seed=4))
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.engine.postings import (
+    DOC_ID_DTYPE,
     POSTING_BYTES,
+    TF_DTYPE,
     PostingList,
     generate_posting_list,
 )
@@ -25,7 +27,7 @@ def test_doc_ids_unique_and_in_range():
 
 def test_frequency_sorted_invariant():
     plist = generate_posting_list(1, 300, 5000, seed=3)
-    assert (np.diff(plist.tfs) <= 0).all()
+    assert (plist.tfs[1:] <= plist.tfs[:-1]).all()
 
 
 def test_dense_list_path():
@@ -74,22 +76,34 @@ def test_prefix_contains_highest_tf():
 
 def test_constructor_rejects_mismatched_arrays():
     with pytest.raises(ValueError):
-        PostingList(0, np.array([1, 2]), np.array([1], dtype=np.int32))
+        PostingList(0, np.array([1, 2], dtype=DOC_ID_DTYPE),
+                    np.array([1], dtype=TF_DTYPE))
+
+
+def test_constructor_rejects_other_dtypes():
+    """The in-memory layout is uint32 doc ids and uint16 tfs, no other."""
+    docs, tfs = np.array([1, 2]), np.array([5, 4])
+    for doc_dtype, tf_dtype in ((np.int64, np.int32), (np.int64, TF_DTYPE),
+                                (DOC_ID_DTYPE, np.int32),
+                                (DOC_ID_DTYPE, np.uint32)):
+        with pytest.raises(TypeError, match="uint32 doc ids and uint16 tfs"):
+            PostingList(0, docs.astype(doc_dtype), tfs.astype(tf_dtype))
+    PostingList(0, docs.astype(DOC_ID_DTYPE), tfs.astype(TF_DTYPE))
 
 
 def test_constructor_rejects_unsorted_tfs():
     with pytest.raises(ValueError):
         PostingList(
             0,
-            np.array([1, 2], dtype=np.int64),
-            np.array([1, 5], dtype=np.int32),
+            np.array([1, 2], dtype=DOC_ID_DTYPE),
+            np.array([1, 5], dtype=TF_DTYPE),
         )
     # A rise after a tie is caught too; ties alone are sorted.
     with pytest.raises(ValueError, match="sorted non-increasing"):
-        PostingList(0, np.array([1, 2, 3], dtype=np.int64),
-                    np.array([4, 4, 5], dtype=np.int32))
-    PostingList(0, np.array([1, 2, 3], dtype=np.int64),
-                np.array([5, 4, 4], dtype=np.int32))
+        PostingList(0, np.array([1, 2, 3], dtype=DOC_ID_DTYPE),
+                    np.array([4, 4, 5], dtype=TF_DTYPE))
+    PostingList(0, np.array([1, 2, 3], dtype=DOC_ID_DTYPE),
+                np.array([5, 4, 4], dtype=TF_DTYPE))
 
 
 def test_equality_is_content_equality_and_never_raises():
@@ -98,18 +112,17 @@ def test_equality_is_content_equality_and_never_raises():
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b) and len({a, b}) == 1
     # Same arrays under another term id, one posting changed, one posting
-    # short, another dtype: unequal, and no ambiguous-truth ValueError.
+    # short, not a list: unequal, and no ambiguous-truth ValueError.
     assert a != PostingList(8, a.doc_ids, a.tfs)
     changed = a.doc_ids.copy()
     changed[-1] = 999 if changed[-1] != 999 else 998
     assert a != PostingList(7, changed, a.tfs)
     assert a != a.prefix(0.5)
-    assert a != PostingList(7, a.doc_ids.astype(np.int32), a.tfs)
     assert a != (7, a.doc_ids, a.tfs)
-    one = PostingList(0, np.array([3], dtype=np.int64),
-                      np.array([2], dtype=np.int32))
-    assert one == PostingList(0, np.array([3], dtype=np.int64),
-                              np.array([2], dtype=np.int32))
+    one = PostingList(0, np.array([3], dtype=DOC_ID_DTYPE),
+                      np.array([2], dtype=TF_DTYPE))
+    assert one == PostingList(0, np.array([3], dtype=DOC_ID_DTYPE),
+                              np.array([2], dtype=TF_DTYPE))
     empty = generate_posting_list(0, 0, 100, seed=0)
     assert empty == generate_posting_list(0, 0, 100, seed=0) != one
     assert hash(empty) == hash(generate_posting_list(0, 0, 100, seed=0))

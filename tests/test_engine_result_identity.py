@@ -4,15 +4,25 @@ One fixed compressed index and about a hundred distinct queries served
 through ``CacheManager(materialize_results=True)``: each list
 ``generate_posting_list`` makes (term id, dtypes, raw bytes, in the order
 they are made) and each executed ranking (``doc_id`` and ``score.hex()``)
-feed one SHA-256.  The digest was recorded before the generator's tf draw
-and the scorer's candidate set were rewritten; a change to either that
-moves a single bit of a single list or score fails here, wherever the
-Hypothesis properties in ``test_engine_equivalence.py`` happen not to look.
-When the synthetic lists are *meant* to change, replace ``EXPECTED`` with
-the digest the failure prints and say so in the changelog.
+feed a SHA-256.  Two digests are kept:
+
+* ``EXPECTED`` hashes the lists widened back to the int64 doc ids and
+  int32 tfs they were held in before postings took the on-disk field
+  widths.  It was recorded before the generator's tf draw and the
+  scorer's candidate set were rewritten, and it still matches: the
+  narrowing moved no value of any list and no bit of any score.
+* ``EXPECTED_RAW`` hashes the lists as they are held, uint32 and uint16.
+
+A change that moves a single bit of a single list or score fails here,
+wherever the Hypothesis properties in ``test_engine_equivalence.py``
+happen not to look.  When the synthetic lists are *meant* to change,
+replace both digests with the ones the failure prints and say so in the
+changelog.
 """
 
 import hashlib
+
+import numpy as np
 
 from repro.core.config import CacheConfig, Policy
 from repro.core.manager import CacheManager, build_hierarchy_for
@@ -25,6 +35,7 @@ from repro.engine.querylog import QueryLogConfig, generate_query_log
 MB = 1024 * 1024
 
 EXPECTED = "43d9d118a157c16ba901f9929a8fde2421e092d2d1e68ef0d742d4b82d64dd42"
+EXPECTED_RAW = "310c9d3f38f68487366ad8915765635467f5c32a2f971a336b5ba5a889858165"
 
 
 class RecordingProcessor(QueryProcessor):
@@ -66,14 +77,24 @@ def test_generated_lists_and_executed_results_are_unchanged(monkeypatch):
     # A few pool queries share a term set, so their repeat is a result hit.
     assert 90 <= len(processor.entries) <= len(log.pool)
     assert len(generated) > 100
+    lists_as_held = [(p.term_id, p.doc_ids, p.tfs) for p in generated]
+    widened = [(t, d.astype(np.int64), f.astype(np.int32))
+               for t, d, f in lists_as_held]
+    assert (digest_of(widened, processor.entries),
+            digest_of(lists_as_held, processor.entries)) == (EXPECTED,
+                                                             EXPECTED_RAW)
+
+
+def digest_of(lists, entries) -> str:
+    """SHA-256 over ``(term_id, doc_ids, tfs)`` lists, then rankings."""
     digest = hashlib.sha256()
-    for plist in generated:
-        digest.update(f"{plist.term_id}:{plist.doc_ids.dtype.str}:"
-                      f"{plist.tfs.dtype.str}:{len(plist)}".encode())
-        digest.update(plist.doc_ids.tobytes())
-        digest.update(plist.tfs.tobytes())
-    for entry in processor.entries:
+    for term_id, doc_ids, tfs in lists:
+        digest.update(f"{term_id}:{doc_ids.dtype.str}:"
+                      f"{tfs.dtype.str}:{doc_ids.size}".encode())
+        digest.update(doc_ids.tobytes())
+        digest.update(tfs.tobytes())
+    for entry in entries:
         digest.update(repr(entry.query_key).encode())
         for result in entry.results:
             digest.update(f"{result.doc_id}:{result.score.hex()};".encode())
-    assert digest.hexdigest() == EXPECTED
+    return digest.hexdigest()

@@ -257,10 +257,10 @@ def test_postings_decoded_matches_codec():
     import numpy as np
 
     from repro.engine.codec import decode_posting_list, encode_posting_list
-    from repro.engine.postings import PostingList
+    from repro.engine.postings import DOC_ID_DTYPE, TF_DTYPE, PostingList
 
-    plist = PostingList(3, np.array([1, 5, 9], dtype=np.int64),
-                        np.array([2, 2, 1], dtype=np.int32))
+    plist = PostingList(3, np.array([1, 5, 9], dtype=DOC_ID_DTYPE),
+                        np.array([2, 2, 1], dtype=TF_DTYPE))
     blob = encode_posting_list(plist)
     before = HOT.snapshot()
     decoded = decode_posting_list(blob)
