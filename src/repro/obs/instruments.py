@@ -26,6 +26,11 @@ DEFAULT_PERCENTILES = (50.0, 90.0, 95.0, 99.0, 99.9)
 #: The exemplar gate of a histogram nothing captures from.
 _CLOSED_GATE = (math.inf, math.inf)
 
+#: One exact boundary table per bucket layout ``(lo, growth)``, shared by
+#: every histogram of that layout: extending it is deterministic, so a
+#: table one histogram grew serves the next one as it would have grown it.
+_BOUNDS: dict[tuple[float, float], list[float]] = {}
+
 
 class Counter:
     """A monotonically increasing count (events, bytes, queries)."""
@@ -129,8 +134,8 @@ class Histogram:
         # Exact bucket-boundary table: _bounds[i] is the smallest float
         # whose reference bucket index is i+1, so bisect_right gives the
         # same index as the log formula (see bucket_index).  Grown lazily
-        # as larger samples arrive.
-        self._bounds: list[float] = [lo]
+        # as larger samples arrive, and shared per layout (_BOUNDS).
+        self._bounds: list[float] = _BOUNDS.setdefault((lo, growth), [lo])
         self._counts: dict[int, int] = {}
         # Bucket increments since the last take_bucket_deltas() drain —
         # lets the timeline recorder emit per-window sub-histograms in

@@ -262,6 +262,23 @@ def test_histogram_bucket_index_matches_reference(value, lo, growth):
 
 
 @settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(min_value=0.0, max_value=1e9,
+                                 allow_nan=False), min_size=1, max_size=40),
+       growth=st.sampled_from([1.02, 1.04, 1.5]))
+def test_histograms_of_one_layout_share_one_boundary_table(values, growth):
+    """Two histograms of one ``(lo, growth)`` share one table; whichever
+    of them extends it, both still bucket as the log formula does."""
+    a, b = Histogram(lo=1.0, growth=growth), Histogram(lo=1.0, growth=growth)
+    assert a._bounds is b._bounds
+    assert Histogram(lo=2.0, growth=growth)._bounds is not a._bounds
+    for i, v in enumerate(values):
+        (a if i % 2 else b).record(v)
+        for h in (a, b):
+            for w in values[:i + 1]:
+                assert h.bucket_index(w) == h._reference_bucket_index(w)
+
+
+@settings(max_examples=60, deadline=None)
 @given(values=st.lists(
     st.floats(min_value=0.0, max_value=1e9, allow_nan=False), max_size=100))
 def test_histogram_record_and_drain_consistency(values):
