@@ -16,7 +16,6 @@ import numpy as np
 
 from repro._row import pairs, shape
 from repro.flash.constants import FlashConfig
-from repro.flash.gc import GreedyVictimPolicy, VictimPolicy
 from repro.flash.nand import NandArray
 
 __all__ = ["FtlStats", "FTL"]
@@ -58,6 +57,9 @@ _AUDIT_SCORE_CAP = 16
 _GC_VICTIM = shape(("device", "policy", "origin", "candidates", "valid_pages",
                     "scores"))
 _GC_SCORES = pairs("i", "i")
+#: The ``policy`` field of every ``gc.victim`` record: greedy is the one
+#: victim rule, and the name keeps the audit trail's format.
+_GC_POLICY = "GreedyVictimPolicy"
 
 
 class FTL(ABC):
@@ -70,22 +72,13 @@ class FTL(ABC):
     #: Device name stamped into audit records (set alongside ``audit``).
     audit_device = ""
 
-    def __init__(
-        self,
-        config: FlashConfig,
-        victim_policy: VictimPolicy | None = None,
-    ) -> None:
+    def __init__(self, config: FlashConfig) -> None:
         self.config = config
         self.nand = NandArray(config)
-        self.victim_policy = victim_policy or GreedyVictimPolicy()
-        # Greedy reads its victim off the dead-block index; decided here,
-        # not per GC.
-        self._greedy = type(self.victim_policy) is GreedyVictimPolicy
         self.stats = FtlStats()
         self.num_lpns = config.logical_pages
         # Free-block pool: every block starts free.
         self._free_blocks: list[int] = list(range(config.num_blocks - 1, -1, -1))
-        self._now_us = 0.0  # advanced by the SSD front-end for age-based policies
 
     # -- host interface ------------------------------------------------------
 
@@ -100,10 +93,6 @@ class FTL(ABC):
     @abstractmethod
     def trim(self, lpn: int) -> float:
         """Discard one logical page (TRIM); return service time in us."""
-
-    def set_time(self, now_us: float) -> None:
-        """Inform the FTL of current simulated time (for age-based GC)."""
-        self._now_us = now_us
 
     def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.num_lpns:
@@ -129,27 +118,26 @@ class FTL(ABC):
         """The block GC reclaims next, or None when no block other than
         ``active`` holds an invalid page.
 
-        The whole decision in one frame: candidates, the policy's choice
-        and the ``gc.victim`` audit record.  ``origin`` distinguishes
-        foreground GC (inline with a host write) from background
-        reclamation.  Greedy takes the lowest dead block other than
-        ``active``: a dead block has the fewest valid pages possible (0)
-        and ``argmin`` breaks ties to the lowest block, so that is exactly
-        what ``GreedyVictimPolicy.choose`` returns over the full scan.  The
-        scan runs when no such block exists, for the other policies, and
-        to count the candidates and list their head in the audit record.
+        Greedy, the one victim rule: the candidate with the fewest valid
+        pages, ties to the lowest block.  The whole decision is one frame:
+        candidates, choice and the ``gc.victim`` audit record.  ``origin``
+        distinguishes foreground GC (inline with a host write) from
+        background reclamation.  The lowest dead block other than
+        ``active`` is that choice without a scan: a dead block has the
+        fewest valid pages possible (0) and ``argmin`` breaks ties to the
+        lowest block.  The scan runs when no such block exists, and to
+        count the candidates and list their head in the audit record.
         """
         nand = self.nand
         audit = self.audit
         victim = None
-        if self._greedy:
-            dead = nand.dead
-            if dead:
-                victim = min(dead)
-                if victim == active:
-                    victim = min(dead - {active}) if len(dead) > 1 else None
-                if audit is None and victim is not None:
-                    return victim
+        dead = nand.dead
+        if dead:
+            victim = min(dead)
+            if victim == active:
+                victim = min(dead - {active}) if len(dead) > 1 else None
+            if audit is None and victim is not None:
+                return victim
         # Only blocks with at least one invalid page are worth reclaiming,
         # and a block with an invalid page has been written (erase zeroes
         # both counters; NandArray.check_invariants states it), so one
@@ -161,16 +149,12 @@ class FTL(ABC):
             return None
         valid = nand.valid_counts
         if victim is None:
-            if self._greedy:
-                victim = int(candidates[valid[candidates].argmin()])
-            else:
-                victim = self.victim_policy.choose(nand, candidates,
-                                                   self._now_us)
+            victim = int(candidates[valid[candidates].argmin()])
         if audit is not None:
             head = candidates[:_AUDIT_SCORE_CAP]
             audit.append("gc.victim", "gc", int(victim), _GC_VICTIM((
-                self.audit_device, type(self.victim_policy).__name__,
-                origin, int(candidates.size), int(valid[victim]),
+                self.audit_device, _GC_POLICY, origin, int(candidates.size),
+                int(valid[victim]),
                 _GC_SCORES(b"".join((head.astype(np.int32),
                                      valid[head]))))))
         return victim

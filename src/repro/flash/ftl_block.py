@@ -15,7 +15,6 @@ import numpy as np
 from repro._hot import HOT
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_base import FTL
-from repro.flash.gc import VictimPolicy
 from repro.flash.nand import PageState
 
 __all__ = ["BlockMappingFTL"]
@@ -26,12 +25,8 @@ _UNMAPPED = -1
 class BlockMappingFTL(FTL):
     """Classic block-level mapping with copy-merge on overwrite."""
 
-    def __init__(
-        self,
-        config: FlashConfig,
-        victim_policy: VictimPolicy | None = None,
-    ) -> None:
-        super().__init__(config, victim_policy)
+    def __init__(self, config: FlashConfig) -> None:
+        super().__init__(config)
         ppb = config.pages_per_block
         self.num_lblocks = self.num_lpns // ppb
         self._l2b = np.full(self.num_lblocks, _UNMAPPED, dtype=np.int64)

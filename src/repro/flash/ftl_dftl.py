@@ -20,7 +20,6 @@ import numpy as np
 from repro._hot import HOT
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_base import FTL
-from repro.flash.gc import VictimPolicy
 from repro.flash.nand import PageState
 
 __all__ = ["DFTL"]
@@ -40,13 +39,8 @@ class DFTL(FTL):
     #: bytes per mapping entry in a translation page (4 B lpn + 4 B ppn)
     ENTRY_BYTES = 8
 
-    def __init__(
-        self,
-        config: FlashConfig,
-        victim_policy: VictimPolicy | None = None,
-        cmt_entries: int = 4096,
-    ) -> None:
-        super().__init__(config, victim_policy)
+    def __init__(self, config: FlashConfig, cmt_entries: int = 4096) -> None:
+        super().__init__(config)
         if cmt_entries < 1:
             raise ValueError("cmt_entries must be >= 1")
         self.cmt_entries = cmt_entries
@@ -150,8 +144,11 @@ class DFTL(FTL):
 
         Also clears the dirty bit of every other cached entry belonging to
         the same translation page (batch update — DFTL's key optimisation).
+        Room is made before the old page is read: foreground GC can
+        relocate a data page of ``tvpn`` that is not in the CMT and flush
+        ``tvpn`` itself, which moves ``_gtd[tvpn]``.
         """
-        latency = 0.0
+        latency = 0.0 if self._in_gc else self._ensure_space()
         old = self._gtd.get(tvpn)
         if old is not None:
             self.nand.read_page(old)
@@ -159,8 +156,6 @@ class DFTL(FTL):
             latency += self.config.read_us
             self.nand.invalidate_page(old)
             self._p2l[old] = _UNMAPPED
-        if not self._in_gc:
-            latency += self._ensure_space()
         ppn = self._program_active(-(tvpn + 2))
         self._gtd[tvpn] = ppn
         self.stats.translation_page_writes += 1

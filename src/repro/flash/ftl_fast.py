@@ -21,7 +21,6 @@ import numpy as np
 from repro._hot import HOT
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_base import FTL
-from repro.flash.gc import VictimPolicy
 from repro.flash.nand import PageState
 
 __all__ = ["FastFTL"]
@@ -35,10 +34,9 @@ class FastFTL(FTL):
     def __init__(
         self,
         config: FlashConfig,
-        victim_policy: VictimPolicy | None = None,
         num_log_blocks: int | None = None,
     ) -> None:
-        super().__init__(config, victim_policy)
+        super().__init__(config)
         ppb = config.pages_per_block
         self.num_lblocks = self.num_lpns // ppb
         spare = config.num_blocks - self.num_lblocks

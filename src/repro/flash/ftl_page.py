@@ -16,7 +16,6 @@ import numpy as np
 from repro._hot import HOT
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_base import FTL
-from repro.flash.gc import CostBenefitVictimPolicy, VictimPolicy
 
 __all__ = ["PageMappingFTL"]
 
@@ -24,14 +23,10 @@ _UNMAPPED = -1
 
 
 class PageMappingFTL(FTL):
-    """Page-level mapping with greedy (or pluggable) garbage collection."""
+    """Page-level mapping with greedy garbage collection."""
 
-    def __init__(
-        self,
-        config: FlashConfig,
-        victim_policy: VictimPolicy | None = None,
-    ) -> None:
-        super().__init__(config, victim_policy)
+    def __init__(self, config: FlashConfig) -> None:
+        super().__init__(config)
         self._l2p = np.full(self.num_lpns, _UNMAPPED, dtype=np.int64)
         self._p2l = np.full(config.total_pages, _UNMAPPED, dtype=np.int64)
         self._active_block = self._take_free_block()
@@ -51,12 +46,6 @@ class PageMappingFTL(FTL):
         # (smaller) logical space.  Span paths compare against / store
         # from slices of it instead of building an np.arange per call.
         self._ramp = self.nand.page_ramp
-        # Only cost-benefit cleaning wants program timestamps; decided
-        # here, not per programmed run.
-        self._note_program = (
-            self.victim_policy.note_program
-            if isinstance(self.victim_policy, CostBenefitVictimPolicy) else None
-        )
 
     # -- host operations ---------------------------------------------------
 
@@ -167,7 +156,6 @@ class PageMappingFTL(FTL):
 
         config = self.config
         latency = -(-count // config.channels) * config.write_us
-        note_program = self._note_program
         done = 0
         while done < count:
             latency += self._ensure_space()
@@ -188,8 +176,6 @@ class PageMappingFTL(FTL):
             seq = self._write_seq
             np.add(ramp[:take], seq + 1, out=self._oob_seq[p0:p1])
             self._write_seq = seq + take
-            if note_program is not None:
-                note_program(self._active_block, self._now_us)
             done += take
         self.stats.host_page_writes += count
         return latency
@@ -247,8 +233,6 @@ class PageMappingFTL(FTL):
         self._write_seq += 1
         self._oob_lpn[ppn] = lpn
         self._oob_seq[ppn] = self._write_seq
-        if self._note_program is not None:
-            self._note_program(self._active_block, self._now_us)
         return ppn
 
     def _ensure_space(self) -> float:
@@ -314,8 +298,6 @@ class PageMappingFTL(FTL):
                 np.add(self._ramp[:take], self._write_seq + 1,
                        out=self._oob_seq[p0:p1])
                 self._write_seq += take
-                if self._note_program is not None:
-                    self._note_program(self._active_block, self._now_us)
                 done += take
             self.stats.gc_page_writes += n
         self.nand.erase_block(victim)

@@ -126,7 +126,7 @@ class NandArray:
 
     @property
     def valid_counts(self) -> np.ndarray:
-        """Per-block valid-page counts (read-only view for victim policies)."""
+        """Per-block valid-page counts (read-only view)."""
         return self._valid_count
 
     @property

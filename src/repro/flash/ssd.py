@@ -88,7 +88,6 @@ class SimulatedSSD:
         self._read_span = getattr(self.ftl, "read_span", None)
         self._write_span = getattr(self.ftl, "write_span", None)
         self._trim_span = getattr(self.ftl, "trim_span", None)
-        self._set_time = self.ftl.set_time
         self._page_bytes = self.config.page_bytes
         self._capacity_bytes = self.config.logical_bytes
         self._read_ctrs = None
@@ -145,7 +144,6 @@ class SimulatedSSD:
 
     def read(self, lba: int, nbytes: int) -> float:
         """Read ``nbytes`` at sector ``lba``; returns service time in us."""
-        self._set_time(self.clock._now_us)  # the slot: no property frame
         start_byte = lba * SECTOR_BYTES
         end_byte = start_byte + nbytes
         if lba < 0 or nbytes <= 0 or end_byte > self._capacity_bytes:
@@ -180,7 +178,6 @@ class SimulatedSSD:
 
     def write(self, lba: int, nbytes: int) -> float:
         """Write ``nbytes`` at sector ``lba``; returns service time in us."""
-        self._set_time(self.clock._now_us)  # the slot: no property frame
         start_byte = lba * SECTOR_BYTES
         end_byte = start_byte + nbytes
         if lba < 0 or nbytes <= 0 or end_byte > self._capacity_bytes:
@@ -221,7 +218,6 @@ class SimulatedSSD:
 
     def trim(self, lba: int, nbytes: int) -> float:
         """TRIM ``nbytes`` at sector ``lba``.  Partial pages are kept."""
-        self._set_time(self.clock._now_us)  # the slot: no property frame
         start_byte = lba * SECTOR_BYTES
         end_byte = start_byte + nbytes
         # Only whole pages strictly inside the range may be discarded.
@@ -256,7 +252,6 @@ class SimulatedSSD:
         wear is accounted normally.  Returns the idle time consumed
         (0.0 when the installed FTL has no background GC).
         """
-        self.ftl.set_time(self.clock.now_us)
         bg = getattr(self.ftl, "background_collect", None)
         if bg is None:
             return 0.0

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_page import PageMappingFTL
-from repro.flash.gc import VictimPolicy
 
 __all__ = ["WearLevelingFTL"]
 
@@ -36,11 +35,10 @@ class WearLevelingFTL(PageMappingFTL):
     def __init__(
         self,
         config: FlashConfig,
-        victim_policy: VictimPolicy | None = None,
         wear_delta_threshold: int = 8,
         check_interval: int = 64,
     ) -> None:
-        super().__init__(config, victim_policy)
+        super().__init__(config)
         if wear_delta_threshold < 1:
             raise ValueError("wear_delta_threshold must be >= 1")
         if check_interval < 1:

@@ -1,8 +1,9 @@
 # The page-mapping FTL `repro.flash.ftl_page` replaced in place: the parent
 # commit's `flash/ftl_page.py`, verbatim below (the HOT counter lines aside),
 # preceded by what it needs from the parent's `flash/nand.py` (`NandArray`)
-# and `flash/ftl_base.py` (`FTL`).  `PageState`, `FtlStats`, `FlashConfig`
-# and the victim policies did not change and are imported.  It is the oracle
+# and `flash/ftl_base.py` (`FTL`).  `PageState`, `FtlStats` and
+# `FlashConfig` did not change and are imported; of the parent's victim
+# policies only greedy is kept, inline (`greedy_victim`).  It is the oracle
 # the property in `test_flash_equivalence.py` compares the constant-work FTL
 # against with `==` — same latencies, maps, page states, counters and
 # recovered mapping after every operation, not close ones.
@@ -15,7 +16,6 @@ import numpy as np
 
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_base import FtlStats
-from repro.flash.gc import CostBenefitVictimPolicy, GreedyVictimPolicy, VictimPolicy
 from repro.flash.nand import PageState
 
 # ---------------------------------------------------------------------------
@@ -300,6 +300,12 @@ class NandArray:
 # parent flash/ftl_base.py
 # ---------------------------------------------------------------------------
 
+def greedy_victim(nand, candidates: np.ndarray) -> int:
+    """Greedy GC over a non-empty candidate array: the block with the
+    fewest valid pages, ties to the lowest (``argmin`` takes the first)."""
+    return int(candidates[nand.valid_counts[candidates].argmin()])
+
+
 #: Candidate scores kept per audited GC decision (the full candidate set
 #: can be thousands of blocks; the trail keeps the head plus the choice).
 _AUDIT_SCORE_CAP = 16
@@ -315,19 +321,13 @@ class FTL(ABC):
     #: Device name stamped into audit records (set alongside ``audit``).
     audit_device = ""
 
-    def __init__(
-        self,
-        config: FlashConfig,
-        victim_policy: VictimPolicy | None = None,
-    ) -> None:
+    def __init__(self, config: FlashConfig) -> None:
         self.config = config
         self.nand = NandArray(config)
-        self.victim_policy = victim_policy or GreedyVictimPolicy()
         self.stats = FtlStats()
         self.num_lpns = config.logical_pages
         # Free-block pool: every block starts free.
         self._free_blocks: list[int] = list(range(config.num_blocks - 1, -1, -1))
-        self._now_us = 0.0  # advanced by the SSD front-end for age-based policies
 
     # -- host interface ------------------------------------------------------
 
@@ -342,10 +342,6 @@ class FTL(ABC):
     @abstractmethod
     def trim(self, lpn: int) -> float:
         """Discard one logical page (TRIM); return service time in us."""
-
-    def set_time(self, now_us: float) -> None:
-        """Inform the FTL of current simulated time (for age-based GC)."""
-        self._now_us = now_us
 
     def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.num_lpns:
@@ -368,12 +364,12 @@ class FTL(ABC):
         self._free_blocks.append(block)
 
     def _choose_victim(self, candidates: np.ndarray, origin: str) -> int:
-        """Delegate victim selection to the policy, auditing the choice.
+        """Greedy victim selection, auditing the choice.
 
         ``origin`` distinguishes foreground GC (inline with a host write)
         from background reclamation.
         """
-        victim = self.victim_policy.choose(self.nand, candidates, self._now_us)
+        victim = greedy_victim(self.nand, candidates)
         audit = self.audit
         if audit is not None:
             scores = [
@@ -383,7 +379,7 @@ class FTL(ABC):
             audit.record(
                 "gc.victim", "gc", int(victim),
                 device=self.audit_device,
-                policy=type(self.victim_policy).__name__,
+                policy="GreedyVictimPolicy",
                 origin=origin,
                 candidates=int(candidates.size),
                 valid_pages=int(self.nand.valid_counts[victim]),
@@ -424,14 +420,10 @@ _UNMAPPED = -1
 
 
 class PageMappingFTL(FTL):
-    """Page-level mapping with greedy (or pluggable) garbage collection."""
+    """Page-level mapping with greedy garbage collection."""
 
-    def __init__(
-        self,
-        config: FlashConfig,
-        victim_policy: VictimPolicy | None = None,
-    ) -> None:
-        super().__init__(config, victim_policy)
+    def __init__(self, config: FlashConfig) -> None:
+        super().__init__(config)
         self._l2p = np.full(self.num_lpns, _UNMAPPED, dtype=np.int64)
         self._p2l = np.full(config.total_pages, _UNMAPPED, dtype=np.int64)
         self._active_block = self._take_free_block()
@@ -557,8 +549,6 @@ class PageMappingFTL(FTL):
                 self._write_seq + 1, self._write_seq + 1 + take
             )
             self._write_seq += take
-            if isinstance(self.victim_policy, CostBenefitVictimPolicy):
-                self.victim_policy.note_program(self._active_block, self._now_us)
             done += take
         self.stats.host_page_writes += count
         return latency
@@ -615,8 +605,6 @@ class PageMappingFTL(FTL):
         self._write_seq += 1
         self._oob_lpn[ppn] = lpn
         self._oob_seq[ppn] = self._write_seq
-        if isinstance(self.victim_policy, CostBenefitVictimPolicy):
-            self.victim_policy.note_program(self._active_block, self._now_us)
         return ppn
 
     def _ensure_space(self) -> float:
@@ -674,8 +662,6 @@ class PageMappingFTL(FTL):
                     self._write_seq + 1, self._write_seq + 1 + take
                 )
                 self._write_seq += take
-                if isinstance(self.victim_policy, CostBenefitVictimPolicy):
-                    self.victim_policy.note_program(self._active_block, self._now_us)
                 done += take
             self.stats.gc_page_writes += n
         self.nand.erase_block(victim)

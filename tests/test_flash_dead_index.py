@@ -4,11 +4,11 @@
 kept current at every count change; greedy GC takes the lowest of them
 outside the active block instead of scanning the per-block counts.  The
 promise is that nothing observable moves: at every foreground and
-background GC the decision equals what ``GreedyVictimPolicy.choose``
-returns over the full ``invalid_counts > 0`` scan, audited or not, on
-the page-mapping FTL and on DFTL, including when the active block is
-itself dead.  ``tests/test_flash_equivalence.py`` holds the whole FTL
-against the parent's, after every operation and under every policy.
+background GC the decision equals greedy (``_ftl_reference.greedy_victim``)
+over the full ``invalid_counts > 0`` scan, audited or not, on the
+page-mapping FTL and on DFTL, including when the active block is itself
+dead.  ``tests/test_flash_equivalence.py`` holds the whole FTL against
+the parent's, after every operation.
 """
 
 import numpy as np
@@ -20,9 +20,10 @@ from repro.flash.constants import FlashConfig
 from repro.flash.ftl_base import _AUDIT_SCORE_CAP
 from repro.flash.ftl_dftl import DFTL
 from repro.flash.ftl_page import PageMappingFTL
-from repro.flash.gc import GreedyVictimPolicy
 from repro.flash.nand import NandArray
 from repro.obs import AuditLog
+
+from ._ftl_reference import greedy_victim
 
 #: 12 blocks x 8 pages with a GC threshold of two: a few dozen page
 #: writes reach foreground GC, and fragments leave live pages to copy.
@@ -40,7 +41,7 @@ def _scanned_choice(ftl, active):
     candidates = mask.nonzero()[0]
     if candidates.size == 0:
         return None
-    return GreedyVictimPolicy().choose(ftl.nand, candidates, 0.0)
+    return greedy_victim(ftl.nand, candidates)
 
 
 def _checked(ftl):

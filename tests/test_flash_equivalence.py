@@ -7,8 +7,7 @@ parent commit's FTL (``tests/_ftl_reference.py``), compared with ``==``.
 scan, the GC candidate mask down to one compare — with the promise that
 nothing observable moves.  Both FTLs are driven with the same random
 sequence of span and scalar operations on a geometry small enough that
-foreground GC with copy-back runs, under every victim policy, and after
-*every* operation the returned latency, both mapping directions, the NAND
+foreground GC with copy-back runs, and after *every* operation the returned latency, both mapping directions, the NAND
 page states and counters, ``FtlStats``, the mapped count and the
 OOB-recovered mapping (what pins the journal change) must be equal.
 """
@@ -22,11 +21,6 @@ from hypothesis import strategies as st
 
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_page import PageMappingFTL
-from repro.flash.gc import (
-    CostBenefitVictimPolicy,
-    GreedyVictimPolicy,
-    RandomVictimPolicy,
-)
 
 from . import _ftl_reference as reference
 
@@ -39,19 +33,12 @@ PPB = CFG.pages_per_block
 NUM_LPNS = CFG.logical_pages
 NUM_LBLOCKS = NUM_LPNS // PPB
 
-POLICIES = {
-    "greedy": GreedyVictimPolicy,
-    "costbenefit": CostBenefitVictimPolicy,
-    "random": lambda: RandomVictimPolicy(seed=5),
-}
-
 SPAN_OPS = ("write_span", "trim_span", "read_span")
 SCALAR_OPS = ("write", "trim", "read")
 
 
-def _pair(policy: str):
-    return (PageMappingFTL(CFG, victim_policy=POLICIES[policy]()),
-            reference.PageMappingFTL(CFG, victim_policy=POLICIES[policy]()))
+def _pair():
+    return PageMappingFTL(CFG), reference.PageMappingFTL(CFG)
 
 
 def _call(ftl, op):
@@ -80,14 +67,10 @@ def _assert_same_state(new, ref, context) -> None:
     assert np.array_equal(new.recover_mapping(), ref.recover_mapping()), context
 
 
-def _drive(policy: str, ops) -> tuple:
+def _drive(ops) -> tuple:
     """Apply ``ops`` to both FTLs in lockstep, comparing after each one."""
-    new, ref = _pair(policy)
+    new, ref = _pair()
     for step, op in enumerate(ops):
-        # Age-based cleaning reads the clock: move it the same way on both.
-        now = 250.0 * (step + 1)
-        new.set_time(now)
-        ref.set_time(now)
         got, want = _call(new, op), _call(ref, op)
         assert got == want, (step, op, got, want)
         _assert_same_state(new, ref, (step, op))
@@ -123,19 +106,17 @@ op_sequences = st.lists(
 )
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
 @settings(max_examples=60, deadline=None)
 @given(ops=op_sequences)
-def test_ftl_matches_parent_after_every_op(policy, ops):
-    _drive(policy, ops)
+def test_ftl_matches_parent_after_every_op(ops):
+    _drive(ops)
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_geometry_reaches_gc_copy_back_and_dead_victims(policy):
+def test_geometry_reaches_gc_copy_back_and_dead_victims():
     """The property's geometry is not vacuous: a seeded mixed sequence
     runs foreground GC both with copy-back (fragmented overwrites) and on
-    dead victims (whole-block overwrites and trims), under each policy,
-    and the two FTLs stay identical through all of it."""
+    dead victims (whole-block overwrites and trims), and the two FTLs
+    stay identical through all of it."""
     rng = random.Random(11)
     ops = []
     for _ in range(700):
@@ -150,7 +131,7 @@ def test_geometry_reaches_gc_copy_back_and_dead_victims(policy):
                         min(rng.randint(1, PPB + 3), NUM_LPNS - lpn)))
         else:
             ops.append((rng.choice(SCALAR_OPS), rng.randrange(NUM_LPNS)))
-    new, _ = _drive(policy, ops)
+    new, _ = _drive(ops)
     assert new.stats.block_erases > 50
     assert new.stats.gc_page_writes > 0            # copy-back ran
     assert new.stats.block_erases * PPB > new.stats.gc_page_writes
@@ -166,7 +147,7 @@ def test_geometry_reaches_gc_copy_back_and_dead_victims(policy):
     (("trim_span", 3, 0), "ok"), (("trim_span", NUM_LPNS + 9, -1), "ok"),
 ])
 def test_edge_spans_behave_like_parent(op, outcome):
-    new, ref = _pair("greedy")
+    new, ref = _pair()
     got, want = _call(new, op), _call(ref, op)
     assert got[0] == outcome
     assert got == want  # same latency, or same exception type and message

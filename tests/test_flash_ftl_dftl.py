@@ -1,9 +1,12 @@
 """DFTL: demand-paged mapping table."""
 
+import numpy as np
 import pytest
 
+from repro.flash.constants import FlashConfig
 from repro.flash.ftl_dftl import DFTL
 from repro.flash.ftl_page import PageMappingFTL
+from repro.flash.nand import PageState
 
 
 @pytest.fixture
@@ -104,3 +107,34 @@ def test_dftl_costs_more_than_ideal_page_mapping(tiny_flash):
         total_d += dftl.write(lpn)
         total_p += page.write(lpn)
     assert total_d > total_p
+
+
+def _assert_mapping_consistent(ftl):
+    """Both maps and the GTD name exactly the VALID pages, each once."""
+    ftl.nand.check_invariants()
+    l2p, p2l = ftl._l2p, ftl._p2l
+    mapped = np.nonzero(l2p != -1)[0]
+    assert (p2l[l2p[mapped]] == mapped).all()
+    for tvpn, ppn in ftl._gtd.items():
+        assert p2l[ppn] == -(tvpn + 2)
+    tagged = np.nonzero(p2l != -1)[0]
+    assert tagged.size == mapped.size + len(ftl._gtd)
+    for ppn in tagged.tolist():
+        assert ftl.nand.state(ppn) == PageState.VALID
+
+
+def test_translation_flush_survives_gc_that_flushes_the_same_page():
+    """A CMT eviction flushes translation page t and needs room; the
+    foreground GC that makes it can relocate an uncached data page of t
+    and flush t itself.  Making room first keeps the GTD entry the flush
+    reads current: the old order invalidated the stale page a second
+    time ("invalidate of non-VALID page") on 26 of these 200 seeds."""
+    cfg = FlashConfig(num_blocks=16, pages_per_block=8, overprovision=0.25,
+                      gc_free_block_threshold=2)
+    for seed in range(200):
+        ftl = DFTL(cfg, cmt_entries=8)
+        rng = np.random.default_rng(seed)
+        for lpn in rng.integers(0, cfg.logical_pages, size=3 * cfg.total_pages):
+            ftl.write(int(lpn))
+        assert ftl.stats.block_erases > 0, seed
+        _assert_mapping_consistent(ftl)

@@ -1,67 +1,40 @@
-"""GC victim-selection policies."""
+"""Greedy GC victim selection: the fewest valid pages, never the active
+block, ties to the lowest block."""
 
-import numpy as np
 import pytest
 
 from repro.flash.constants import FlashConfig
-from repro.flash.gc import (
-    CostBenefitVictimPolicy,
-    GreedyVictimPolicy,
-    RandomVictimPolicy,
-)
-from repro.flash.nand import NandArray
+from repro.flash.ftl_page import PageMappingFTL
 
 
 @pytest.fixture
-def nand_with_utilisation():
-    """Blocks 0..3 with 8, 2, 5, 0 valid pages respectively."""
-    nand = NandArray(FlashConfig(num_blocks=4, overprovision=0.0))
+def ftl_with_utilisation():
+    """Blocks 0..3 with 8, 2, 5, 0 valid pages respectively (and 2, 8, 5,
+    10 invalid ones), programmed on the NAND array directly: the victim
+    decision reads only its per-block counters."""
+    ftl = PageMappingFTL(FlashConfig(num_blocks=4, overprovision=0.0))
     for block, valid in enumerate((8, 2, 5, 0)):
         for i in range(10):
-            ppn = nand.program_page(block)
+            ppn = ftl.nand.program_page(block)
             if i >= valid:
-                nand.invalidate_page(ppn)
-    return nand
+                ftl.nand.invalidate_page(ppn)
+    return ftl
 
 
-def test_greedy_picks_fewest_valid(nand_with_utilisation):
-    policy = GreedyVictimPolicy()
-    victim = policy.choose(nand_with_utilisation, np.array([0, 1, 2, 3]), 0.0)
-    assert victim == 3  # zero valid pages
+def test_greedy_picks_fewest_valid(ftl_with_utilisation):
+    assert ftl_with_utilisation._gc_victim(0, "foreground") == 3  # zero valid
 
 
-def test_greedy_respects_candidate_subset(nand_with_utilisation):
-    policy = GreedyVictimPolicy()
-    assert policy.choose(nand_with_utilisation, np.array([0, 2]), 0.0) == 2
+def test_greedy_respects_candidate_subset(ftl_with_utilisation):
+    # The active block is never a candidate: with block 3 active no block
+    # is dead, and the scan takes the fewest valid pages among the rest.
+    assert ftl_with_utilisation._gc_victim(3, "foreground") == 1
 
 
-def test_greedy_empty_candidates_raise(nand_with_utilisation):
-    with pytest.raises(ValueError):
-        GreedyVictimPolicy().choose(nand_with_utilisation, np.array([], dtype=int), 0.0)
-
-
-def test_cost_benefit_prefers_old_sparse_blocks(nand_with_utilisation):
-    policy = CostBenefitVictimPolicy()
-    policy.note_program(0, 1000.0)   # hot, dense
-    policy.note_program(1, 0.0)      # old, sparse
-    policy.note_program(2, 900.0)
-    policy.note_program(3, 999.0)
-    victim = policy.choose(nand_with_utilisation, np.array([0, 1, 2]), 1000.0)
-    assert victim == 1
-
-
-def test_cost_benefit_empty_candidates_raise(nand_with_utilisation):
-    with pytest.raises(ValueError):
-        CostBenefitVictimPolicy().choose(
-            nand_with_utilisation, np.array([], dtype=int), 0.0
-        )
-
-
-def test_random_is_seeded_and_within_candidates(nand_with_utilisation):
-    a = RandomVictimPolicy(seed=1)
-    b = RandomVictimPolicy(seed=1)
-    cands = np.array([0, 1, 2, 3])
-    picks_a = [a.choose(nand_with_utilisation, cands, 0.0) for _ in range(10)]
-    picks_b = [b.choose(nand_with_utilisation, cands, 0.0) for _ in range(10)]
-    assert picks_a == picks_b
-    assert set(picks_a) <= {0, 1, 2, 3}
+def test_greedy_without_candidates_returns_none():
+    ftl = PageMappingFTL(FlashConfig(num_blocks=4, overprovision=0.0))
+    assert ftl._gc_victim(0, "foreground") is None  # nothing written
+    ftl.nand.invalidate_page(ftl.nand.program_page(0))
+    # The only block with an invalid page is the active one.
+    assert ftl._gc_victim(0, "background") is None
+    assert ftl._gc_victim(1, "background") == 0

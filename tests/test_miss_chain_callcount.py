@@ -12,8 +12,9 @@ Two things are pinned: the count stays under a ceiling (the commit before
 the constant-work pass made 161 210 calls in this window, that pass
 89 144 on Python 3.11, later passes 77 634; greedy GC reading its victim
 off the dead-block index and the SSD front end bumping its write/trim
-counters inline brought it to 69 665; 3.12 inlines comprehensions and
-reads lower), and the simulated outcome of the window equals the values
+counters inline brought it to 69 665, and dropping the FTL clock feed
+(``set_time``, read only by cost-benefit GC) to 68 025; 3.12 inlines
+comprehensions and reads lower), and the simulated outcome of the window equals the values
 recorded from that parent commit — same decisions, fewer frames.
 """
 
@@ -30,9 +31,9 @@ from repro.workloads.sweep import make_log_for
 MB = 1024 * 1024
 WARM, COUNTED = 1000, 500
 
-#: 69 665 measured (Python 3.11) + 2 %; the commit before the
+#: 68 025 measured (Python 3.11) + 2 %; the commit before the
 #: constant-work pass made 161 210.
-CALL_CEILING = 71_058
+CALL_CEILING = 69_385
 
 #: Recorded from the parent commit over the same 1 500 queries.
 PARENT_STATS = {
