@@ -24,7 +24,7 @@ from repro.core.selection import efficiency_value, ssd_cache_blocks
 from repro.core.ssd_region import BlockRegion, ByteRegion
 from repro.flash.constants import SECTOR_BYTES
 from repro.obs.audit import NULL_AUDIT
-from repro.obs.tracer import NULL_TRACER, Span
+from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:
     from repro.core.config import CacheConfig
@@ -114,21 +114,19 @@ class ListCache:
         if not tracer.enabled:
             return self._fetch(term_id, needed, total_bytes, pu)
         # A span at one frame: opened inline (repro.obs.tracer).
-        span = Span()
         stack = tracer.stack
-        span.parent_id = stack[-1]
-        span.span_id = next(tracer.ids)
-        stack.append(span.span_id)
-        span.name = "list.fetch"
-        span.start_us = tracer.clock._now_us
+        parent = stack[-1]
+        sid = next(tracer.ids)
+        stack.append(sid)
+        start = tracer.clock._now_us
         try:
             flags = self._fetch(term_id, needed, total_bytes, pu)
         except BaseException:
-            span.attrs = _FETCH_OPEN((term_id, needed))
-            tracer.close(span)
+            tracer.close(sid, parent, "list.fetch", start,
+                         _FETCH_OPEN((term_id, needed)))
             raise
-        span.attrs = _FETCH((term_id, needed, *flags))
-        tracer.close(span)
+        tracer.close(sid, parent, "list.fetch", start,
+                     _FETCH((term_id, needed, *flags)))
         return flags
 
     def _fetch(

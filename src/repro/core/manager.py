@@ -36,7 +36,7 @@ from repro.core.selection import SelectionPolicy
 from repro.core.stats import CacheStats, Situation, StatsRecorder
 from repro.engine.index import InvertedIndex
 from repro.obs.audit import NULL_AUDIT
-from repro.obs.tracer import NULL_TRACER, Span
+from repro.obs.tracer import NULL_TRACER
 from repro.engine.processor import QueryProcessor
 from repro.engine.query import Query
 from repro.engine.querylog import QueryLog
@@ -231,24 +231,22 @@ class CacheManager:
             tel.record_query(outcome.situation._name_, outcome.response_us,
                              busy0, clock, qid=qid)
             return outcome
-        span = Span()
         stack = tracer.stack
-        span.parent_id = stack[-1]
-        span.span_id = sid = next(tracer.ids)
+        parent = stack[-1]
+        sid = next(tracer.ids)
         stack.append(sid)
-        span.name = "query"
         terms = len(query.key)
-        span.start_us = tracer.clock._now_us
+        start = tracer.clock._now_us
         try:
             outcome = self._process_query(query)
         except BaseException:
-            span.attrs = _QUERY_OPEN((qid, terms))
-            tracer.close(span)
+            tracer.close(sid, parent, "query", start,
+                         _QUERY_OPEN((qid, terms)))
             raise
         # _name_: the member's name without enum's property frame
         situation = outcome.situation._name_
-        span.attrs = _QUERY((qid, terms, situation, outcome.result_hit_level))
-        tracer.close(span)
+        tracer.close(sid, parent, "query", start,
+                     _QUERY((qid, terms, situation, outcome.result_hit_level)))
         tel.record_query(situation, outcome.response_us, busy0, clock,
                          qid=qid, span_id=sid)
         return outcome

@@ -23,7 +23,7 @@ from repro.core.placement import WriteBuffer
 from repro.core.ssd_region import BlockRegion, ByteRegion
 from repro.flash.constants import SECTOR_BYTES
 from repro.obs.audit import NULL_AUDIT
-from repro.obs.tracer import NULL_TRACER, Span
+from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:
     from repro.core.config import CacheConfig
@@ -119,21 +119,17 @@ class ResultCache:
         if not tracer.enabled:
             return self._lookup(key)
         # A span at one frame: opened inline (repro.obs.tracer).
-        span = Span()
         stack = tracer.stack
-        span.parent_id = stack[-1]
-        span.span_id = next(tracer.ids)
-        stack.append(span.span_id)
-        span.name = "result.lookup"
-        span.start_us = tracer.clock._now_us
+        parent = stack[-1]
+        sid = next(tracer.ids)
+        stack.append(sid)
+        start = tracer.clock._now_us
         try:
             level = self._lookup(key)
         except BaseException:
-            span.attrs = _NO_ATTRS(())
-            tracer.close(span)
+            tracer.close(sid, parent, "result.lookup", start, _NO_ATTRS(()))
             raise
-        span.attrs = _LOOKUP((level,))
-        tracer.close(span)
+        tracer.close(sid, parent, "result.lookup", start, _LOOKUP((level,)))
         return level
 
     def _lookup(self, key: tuple[int, ...]) -> int:

@@ -20,7 +20,6 @@ import numpy as np
 from repro._hot import HOT
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_base import FTL
-from repro.flash.nand import PageState
 
 __all__ = ["DFTL"]
 
@@ -57,6 +56,8 @@ class DFTL(FTL):
         self._active_block = self._take_free_block()
         self._mapped = 0
         self._in_gc = False  # suppresses recursive GC from translation flushes
+        #: tvpns flushed by the GC a foreground flush ran to make room
+        self._gc_flushed: set[int] = set()
 
     # -- host operations -----------------------------------------------------
 
@@ -146,9 +147,19 @@ class DFTL(FTL):
         the same translation page (batch update — DFTL's key optimisation).
         Room is made before the old page is read: foreground GC can
         relocate a data page of ``tvpn`` that is not in the CMT and flush
-        ``tvpn`` itself, which moves ``_gtd[tvpn]``.
+        ``tvpn`` itself, which moves ``_gtd[tvpn]``.  That flush wrote
+        the page from the shadow map, the evicted entry included, so the
+        page is current and is not written again.  (GC *relocating* the
+        page copies its old content: that is not a flush.)
         """
-        latency = 0.0 if self._in_gc else self._ensure_space()
+        if self._in_gc:
+            self._gc_flushed.add(tvpn)
+            latency = 0.0
+        else:
+            self._gc_flushed.clear()
+            latency = self._ensure_space()
+            if tvpn in self._gc_flushed:
+                return latency
         old = self._gtd.get(tvpn)
         if old is not None:
             self.nand.read_page(old)

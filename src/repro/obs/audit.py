@@ -33,12 +33,22 @@ shared by every record of its shape: the event mirror (over 99 % of a
 result-hit run's records) builds it from the event's fields, the
 decision sites build theirs and call :meth:`AuditLog.append`, and
 :meth:`AuditLog.record` converts its keywords.
+
+The log keeps its records as machine values, not one tuple each: a
+record's ``t_us`` and its type and kind (codes into the log's string
+table) are one fixed-width packed record in a ``bytearray`` ring, its
+key and data row go to two lists.  A record's ``seq`` is its position:
+the oldest retained record is number ``dropped + 1``.
+:attr:`AuditLog.records` is a read-only sequence over the ring that
+builds an :class:`AuditRecord` per item read.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+from struct import Struct
 from typing import Any, Iterable, NamedTuple
 
 from repro._row import SHAPES, Row, shape
@@ -57,9 +67,9 @@ __all__ = [
 
 
 class AuditRecord(NamedTuple):
-    """One audited decision (or mirrored life-cycle event): a fixed-shape
-    tuple on the serving path, ``data`` a read-only row, and a dict
-    (:meth:`to_dict`) for its readers."""
+    """One audited decision (or mirrored life-cycle event), as
+    :attr:`AuditLog.records` builds it for a reader: a fixed-shape
+    tuple, ``data`` a read-only row, and a dict (:meth:`to_dict`)."""
 
     #: monotonically increasing sequence number (gap-free per log)
     seq: int
@@ -90,31 +100,102 @@ _LIFECYCLE = shape(("level", "nbytes", "reason"))
 _FLUSH = shape(("lba", "nbytes", "entries"))
 _STAGE = shape(("stage",))
 
+# The event mirror's record types, the first codes of every log's
+# string table (types and kinds share it).
+_ADMIT, _EVICT, _FLUSHED, _L2_VICTIM = range(4)
+_MIRRORED = ("admit", "evict", "flush", "l2-victim")
+
+#: A record's fixed-width values, packed: ``t_us``, type code, kind code.
+_RECORD = Struct("=dHH")
+_pack = _RECORD.pack
+
+
+class _Records(Sequence):
+    """A log's retained records, oldest first, read-only: each item read
+    is an :class:`AuditRecord` built from the ring."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: "AuditLog") -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log._data)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # a negative index counts from the end
+        log = self._log
+        return log._built(list(log._codes), i, log._slot(i))
+
+    def __iter__(self):
+        log = self._log
+        names = list(log._codes)
+        for i, j in enumerate(log._slots()):
+            yield log._built(names, i, j)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} audit records>"
+
 
 class AuditLog:
-    """Ring-buffered structured decision log.
+    """Ring-buffered structured decision log, kept as packed records.
 
     :data:`AUDIT_CAPACITY` bounds memory: past it the oldest records are
-    dropped (``dropped`` counts them) — an audit trail is recent history,
-    not an archive.  Bind a clock with :meth:`bind_clock` so records
-    carry virtual-clock timestamps; without one they are stamped 0.0.
+    overwritten (``dropped`` counts them) — an audit trail is recent
+    history, not an archive.  Bind a clock with :meth:`bind_clock` so
+    records carry virtual-clock timestamps; without one they are
+    stamped 0.0.
     """
 
     enabled = True
 
     def __init__(self, clock=None) -> None:
         self.clock = clock
-        self.records: deque[AuditRecord] = deque(maxlen=AUDIT_CAPACITY)
+        self._capacity = AUDIT_CAPACITY
+        #: records appended so far (the newest record's seq)
         self._seq = 0
+        #: the string table: type or kind -> its code in the packed records
+        self._codes: dict[str, int] = dict(zip(_MIRRORED, range(4)))
+        #: the ring: one :data:`_RECORD` per record, and its key and row
+        self._records = bytearray()
+        self._keys: list = []
+        self._data: list = []
         self._unsubscribes: list = []
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._data)
+
+    @property
+    def records(self) -> Sequence:
+        """The retained records, a read-only sequence of
+        :class:`AuditRecord`, oldest first."""
+        return _Records(self)
 
     def bind_clock(self, clock) -> None:
         """Late-bind the virtual clock (managers own their clock)."""
         if self.clock is None:
             self.clock = clock
+
+    # -- the ring ------------------------------------------------------------
+
+    def _slot(self, i: int) -> int:
+        """The ring slot of the ``i``-th oldest retained record."""
+        return (self.dropped + i) % self._capacity
+
+    def _slots(self):
+        """Ring slots of the retained records, oldest first."""
+        head = self._slot(0)
+        return chain(range(head, len(self._data)), range(head))
+
+    def _built(self, names: list, i: int, j: int) -> AuditRecord:
+        """The ``i``-th oldest retained record, kept at slot ``j``."""
+        t_us, type_code, kind_code = _RECORD.unpack_from(
+            self._records, j * _RECORD.size)
+        return tuple.__new__(AuditRecord, (
+            self.dropped + 1 + i, t_us, names[type_code], names[kind_code],
+            self._keys[j], self._data[j]))
 
     # -- recording -----------------------------------------------------------
 
@@ -126,55 +207,101 @@ class AuditLog:
         self.append(type, kind, key,
                     (SHAPES.get(keys) or shape(keys))(data.values()))
 
+    # Each writer below stores one record in its own frame, appending
+    # to the ring; once the ring is full, :meth:`_overwrite` puts it in
+    # the oldest record's place.
+
     def append(self, type: str, kind: str, key: Any, data: Row) -> None:
         """Append one decision record whose inputs are already a row."""
         self._seq = seq = self._seq + 1
         clock = self.clock
-        # tuple.__new__: AuditRecord(...) minus its generated __new__ frame
-        self.records.append(tuple.__new__(AuditRecord, (
-            seq, clock._now_us if clock is not None else 0.0,
-            type, kind, key, data)))
+        t_us = clock._now_us if clock is not None else 0.0
+        codes = self._codes
+        type = codes.setdefault(type, len(codes))
+        kind = codes.setdefault(kind, len(codes))
+        if seq > self._capacity:
+            return self._overwrite(seq, t_us, type, kind, key, data)
+        self._records += _pack(t_us, type, kind)
+        self._keys.append(key)
+        self._data.append(data)
+
+    def _overwrite(self, seq: int, t_us: float, type: int, kind: int,
+                   key: Any, data: Row) -> None:
+        j = (seq - 1) % self._capacity
+        _RECORD.pack_into(self._records, j * _RECORD.size, t_us, type, kind)
+        self._keys[j] = key
+        self._data[j] = data
 
     @property
     def dropped(self) -> int:
         """Records that fell off the ring (each took a sequence number)."""
-        return max(0, self._seq - AUDIT_CAPACITY)
+        return self._seq - len(self._data)
 
     # The event mirror, one body per hook and one frame per event (the
-    # record is appended here, its row built from the event's fields):
+    # record is stored here, its row built from the event's fields):
     # subscribed by observe_events, or called by Telemetry's fused
     # observer (CacheEventMetrics).
 
     def on_admit(self, e) -> None:
         self._seq = seq = self._seq + 1
         clock = self.clock
-        self.records.append(tuple.__new__(AuditRecord, (
-            seq, clock._now_us if clock is not None else 0.0,
-            "admit", e.kind, e.key,
-            _LIFECYCLE((e.level, e.nbytes, e.reason or "insert")))))
+        t_us = clock._now_us if clock is not None else 0.0
+        try:
+            kind = self._codes[e.kind]
+        except KeyError:
+            kind = self._codes[e.kind] = len(self._codes)
+        data = _LIFECYCLE((e.level, e.nbytes, e.reason or "insert"))
+        if seq > self._capacity:
+            return self._overwrite(seq, t_us, _ADMIT, kind, e.key, data)
+        self._records += _pack(t_us, _ADMIT, kind)
+        self._keys.append(e.key)
+        self._data.append(data)
 
     def on_evict(self, e) -> None:
         self._seq = seq = self._seq + 1
         clock = self.clock
-        self.records.append(tuple.__new__(AuditRecord, (
-            seq, clock._now_us if clock is not None else 0.0,
-            "evict", e.kind, e.key,
-            _LIFECYCLE((e.level, e.nbytes, e.reason or "unspecified")))))
+        t_us = clock._now_us if clock is not None else 0.0
+        try:
+            kind = self._codes[e.kind]
+        except KeyError:
+            kind = self._codes[e.kind] = len(self._codes)
+        data = _LIFECYCLE((e.level, e.nbytes, e.reason or "unspecified"))
+        if seq > self._capacity:
+            return self._overwrite(seq, t_us, _EVICT, kind, e.key, data)
+        self._records += _pack(t_us, _EVICT, kind)
+        self._keys.append(e.key)
+        self._data.append(data)
 
     def on_flush(self, e) -> None:
         # A flush writes a block, not a subject: the key is always None.
         self._seq = seq = self._seq + 1
         clock = self.clock
-        self.records.append(tuple.__new__(AuditRecord, (
-            seq, clock._now_us if clock is not None else 0.0,
-            "flush", e.kind, None, _FLUSH((e.lba, e.nbytes, e.entries)))))
+        t_us = clock._now_us if clock is not None else 0.0
+        try:
+            kind = self._codes[e.kind]
+        except KeyError:
+            kind = self._codes[e.kind] = len(self._codes)
+        data = _FLUSH((e.lba, e.nbytes, e.entries))
+        if seq > self._capacity:
+            return self._overwrite(seq, t_us, _FLUSHED, kind, None, data)
+        self._records += _pack(t_us, _FLUSHED, kind)
+        self._keys.append(None)
+        self._data.append(data)
 
     def on_l2_victim(self, e) -> None:
         self._seq = seq = self._seq + 1
         clock = self.clock
-        self.records.append(tuple.__new__(AuditRecord, (
-            seq, clock._now_us if clock is not None else 0.0,
-            "l2-victim", e.kind, e.key, _STAGE((e.stage,)))))
+        t_us = clock._now_us if clock is not None else 0.0
+        try:
+            kind = self._codes[e.kind]
+        except KeyError:
+            kind = self._codes[e.kind] = len(self._codes)
+        data = _STAGE((e.stage,))
+        if seq > self._capacity:
+            return self._overwrite(seq, t_us, _L2_VICTIM, kind, e.key, data)
+        self._records += _pack(t_us, _L2_VICTIM, kind)
+        self._keys.append(e.key)
+        self._data.append(data)
 
     def observe_events(self, events) -> None:
         """Mirror a :class:`~repro.core.events.CacheEvents` bus into the
@@ -196,7 +323,24 @@ class AuditLog:
         """All retained records about one subject, oldest first."""
         if isinstance(key, list):
             key = tuple(key)
-        return [r for r in self.records if r.kind == kind and r.key == key]
+        code = self._codes.get(kind)
+        names = list(self._codes)
+        records, size, keys = self._records, _RECORD.size, self._keys
+        return [self._built(names, i, j)
+                for i, j in enumerate(self._slots())
+                if keys[j] == key
+                and _RECORD.unpack_from(records, j * size)[2] == code]
+
+    def records_between(self, start_us: float,
+                        end_us: float) -> list[AuditRecord]:
+        """The retained records stamped inside ``[start_us, end_us]``,
+        oldest first (only those are built)."""
+        names = list(self._codes)
+        records, size = self._records, _RECORD.size
+        return [self._built(names, i, j)
+                for i, j in enumerate(self._slots())
+                if start_us <= _RECORD.unpack_from(records, j * size)[0]
+                <= end_us]
 
     # -- export --------------------------------------------------------------
 
@@ -228,6 +372,9 @@ class NullAudit:
         pass
 
     def records_for(self, kind: str, key: Any) -> list:
+        return []
+
+    def records_between(self, start_us: float, end_us: float) -> list:
         return []
 
     def export_jsonl(self, path) -> int:

@@ -439,24 +439,55 @@ class QueryBlame:
                    straggler=d.get("straggler"))
 
 
+# A live ring's fixed-shape rows, read by position (C calls, no frames):
+# a serve's (resource, enqueue_us, start_us, end_us), a join's (child,
+# start_us, end_us, wait_us), the task id, a job's wait_us.
+_item = tuple.__getitem__
+_SERVE_READ = slice(2, 6)
+_JOIN_READ = slice(2, 6)
+_TASK = 1
+_JOB_WAIT = 6
+
+
 class _Index:
-    """Record lookups keyed by task id, built once per assembly."""
+    """Record lookups keyed by task id, built once per assembly.  Each
+    record is read once, here: a serve or a join as the tuple
+    :func:`_attribute` unpacks, a job as its admission wait, a task as
+    its dict."""
 
     def __init__(self, records) -> None:
         self.serves: dict[int, list] = {}
         self.joins: dict[int, list] = {}
         self.tasks: dict[int, dict] = {}
-        self.jobs: dict[int, dict] = {}
+        self.jobs: dict[int, float] = {}
         for rec in records:
+            cls = type(rec)
+            if cls is _SERVE:
+                self.serves.setdefault(_item(rec, _TASK), []).append(
+                    _item(rec, _SERVE_READ))
+                continue
+            if cls is _JOIN:
+                self.joins.setdefault(_item(rec, _TASK), []).append(
+                    _item(rec, _JOIN_READ))
+                continue
+            if cls is _JOB:
+                self.jobs[_item(rec, _TASK)] = _item(rec, _JOB_WAIT)
+                continue
+            if cls is not dict:
+                rec = rec.to_dict()
             kind = rec.get("type")
             if kind == "serve":
-                self.serves.setdefault(rec["task"], []).append(rec)
+                self.serves.setdefault(rec["task"], []).append((
+                    rec["resource"], rec["enqueue_us"], rec["start_us"],
+                    rec["end_us"]))
             elif kind == "join":
-                self.joins.setdefault(rec["task"], []).append(rec)
+                self.joins.setdefault(rec["task"], []).append((
+                    rec["child"], rec["start_us"], rec["end_us"],
+                    rec["wait_us"]))
             elif kind == "task":
                 self.tasks[rec["task"]] = rec
             elif kind == "job":
-                self.jobs[rec["task"]] = rec
+                self.jobs[rec["task"]] = rec["wait_us"]
 
 
 def _attribute(idx: _Index, tid: int, lo: float, hi: float,
@@ -468,22 +499,20 @@ def _attribute(idx: _Index, tid: int, lo: float, hi: float,
     child.  Because simulated time only advances while *every* live
     task is blocked, the clipped intervals tile ``[lo, hi]`` exactly.
     """
-    for rec in idx.serves.get(tid, ()):
-        if rec["end_us"] <= lo or rec["enqueue_us"] >= hi:
+    for res, enqueue, start, end in idx.serves.get(tid, ()):
+        if end <= lo or enqueue >= hi:
             continue
-        wait = (min(rec["start_us"], hi) - max(rec["enqueue_us"], lo))
+        wait = (min(start, hi) - max(enqueue, lo))
         if wait > 0:
-            res = rec["resource"]
             waits[res] = waits.get(res, 0.0) + wait
-        service = (min(rec["end_us"], hi) - max(rec["start_us"], lo))
+        service = (min(end, hi) - max(start, lo))
         if service > 0:
-            res = rec["resource"]
             services[res] = services.get(res, 0.0) + service
-    for rec in idx.joins.get(tid, ()):
-        jlo = max(rec["start_us"], lo)
-        jhi = min(rec["end_us"], hi)
+    for child, start, end, _ in idx.joins.get(tid, ()):
+        jlo = max(start, lo)
+        jhi = min(end, hi)
         if jhi > jlo:
-            _attribute(idx, rec["child"], jlo, jhi, waits, services)
+            _attribute(idx, child, jlo, jhi, waits, services)
 
 
 def assemble_queries(records) -> list[QueryBlame]:
@@ -499,17 +528,16 @@ def assemble_queries(records) -> list[QueryBlame]:
     for tid, trec in sorted(idx.tasks.items()):
         if trec.get("parent") is not None:
             continue
-        job = idx.jobs.get(tid)
-        adm_wait = job["wait_us"] if job else 0.0
         q = QueryBlame(task=tid, name=trec["name"], qid=trec.get("qid"),
                        start_us=trec["start_us"], end_us=trec["end_us"],
-                       admission_wait_us=adm_wait)
+                       admission_wait_us=idx.jobs.get(tid, 0.0))
         _attribute(idx, tid, trec["start_us"], trec["end_us"],
                    q.wait_us, q.service_us)
-        joins = [j for j in idx.joins.get(tid, ()) if j["wait_us"] > 0]
+        # joins: (child, start_us, end_us, wait_us)
+        joins = [j for j in idx.joins.get(tid, ()) if j[3] > 0]
         if joins:
-            last = max(joins, key=lambda j: j["end_us"])
-            child = idx.tasks.get(last["child"])
+            last = max(joins, key=lambda j: j[2])
+            child = idx.tasks.get(last[0])
             if child is not None:
                 q.straggler = child["name"]
         out.append(q)

@@ -55,7 +55,7 @@ from repro.obs.blame import (BLAME_SCHEMA, QueryBlame, assemble_queries,
 from repro.obs.slo import (DEFAULT_SLOS, StreamingDetectors,
                            StreamingSloEvaluator)
 from repro.obs.timeline import TIMELINE_SCHEMA, Timeline, load_timeline_jsonl
-from repro.obs.tracer import SpanLog, load_spans_jsonl
+from repro.obs.tracer import SpanLog, load_spans_jsonl, span_dict
 
 __all__ = [
     "INCIDENT_SCHEMA",
@@ -121,8 +121,9 @@ class FlightRecorder:
         self.incidents: list[dict] = []
         self.truncated_incidents = 0
         self._window_ring: deque[dict] = deque(maxlen=PRE_WINDOWS + 1)
-        #: finished Span objects, as the tracer made them; rendered to
-        #: dicts only for the ones an incident dump keeps.
+        #: finished spans' values, as the tracer's sink passes them
+        #: (``span_dict``'s arguments); rendered to dicts only for the
+        #: ones an incident dump keeps.
         self._spans: deque = deque(maxlen=SPAN_RING)
         self._open: dict | None = None
         self._armed = False
@@ -302,26 +303,26 @@ class FlightRecorder:
         # children under the context-manager discipline, so resolve
         # membership in two passes: roots first, then descendants by
         # walking parent links upward.
+        # Each ring entry is (span_id, parent_id, name, start_us, end_us,
+        # attrs).
         spans = list(self._spans)
-        keep_ids = {span.span_id for span in spans
-                    if span.attrs.get("qid") in want}
+        keep_ids = {sid for sid, _, _, _, _, attrs in spans
+                    if attrs.get("qid") in want}
         grew = True
         while grew:
             grew = False
-            for span in spans:
-                if (span.span_id not in keep_ids
-                        and span.parent_id in keep_ids):
-                    keep_ids.add(span.span_id)
+            for sid, parent, *_ in spans:
+                if sid not in keep_ids and parent in keep_ids:
+                    keep_ids.add(sid)
                     grew = True
-        return [span.to_dict() for span in spans if span.span_id in keep_ids]
+        return [span_dict(*span) for span in spans if span[0] in keep_ids]
 
     def _audit_rows(self, start_us: float, end_us: float) -> list[dict]:
         audit = self.telemetry.audit
         if not getattr(audit, "enabled", False):
             return []
-        rows = [r.to_dict() for r in audit.records
-                if start_us <= r.t_us <= end_us]
-        return rows[-MAX_AUDIT_RECORDS:]
+        return [r.to_dict() for r in
+                audit.records_between(start_us, end_us)[-MAX_AUDIT_RECORDS:]]
 
 
 # ---------------------------------------------------------------------------

@@ -16,52 +16,61 @@ The hot path is zero-cost when tracing is off: components hold the
 shared :data:`NULL_TRACER` (or a plain ``None`` device hook), whose
 ``span``/``record`` are constant no-ops that allocate nothing.
 
-Armed, a span costs one frame.  :meth:`Tracer.leaf` (a leaf measured
-outside: every device access) builds and keeps its span in its own
-frame.  A scoped span is finished by :meth:`Tracer.close`; ``with
-tracer.span(...)`` opens it in ``Span.__enter__``, and a span on the
-serving path — the manager's ``query``, the caches' ``result.lookup``
-and ``list.fetch`` — is opened by its caller inline, with the same C
-calls::
+Armed, a span costs one frame, the tracer call that keeps it.
+:meth:`Tracer.leaf` (a leaf measured outside: every device access)
+takes the finished span's values; a scoped span is finished by
+:meth:`Tracer.close`.  ``with tracer.span(...)`` opens one in
+``Span.__enter__``, and a span on the serving path — the manager's
+``query``, the caches' ``result.lookup`` and ``list.fetch`` — is opened
+by its caller inline, its state held in locals::
 
-    span = Span()
     stack = tracer.stack
-    span.parent_id = stack[-1]
-    span.span_id = next(tracer.ids)
-    stack.append(span.span_id)
-    span.name = "result.lookup"
-    span.start_us = tracer.clock._now_us
+    parent = stack[-1]
+    sid = next(tracer.ids)
+    stack.append(sid)
+    start = tracer.clock._now_us
     try:
         level = ...
     except BaseException:
-        span.attrs = _NO_ATTRS(())  # what was known when it opened
-        tracer.close(span)
+        # what was known when it opened
+        tracer.close(sid, parent, "result.lookup", start, _NO_ATTRS(()))
         raise
-    span.attrs = _LOOKUP((level,))
-    tracer.close(span)
+    tracer.close(sid, parent, "result.lookup", start, _LOOKUP((level,)))
 
 Ids are issued in open order and the parent is the innermost span open
-at that moment, exactly as ``with tracer.span(...)`` does it.
+at that moment (0 below the outermost: a root), exactly as ``with
+tracer.span(...)`` does it.
 
-A kept span's ``attrs`` is a :class:`~repro._row.Row`: the values as one
+Finished spans are kept as machine values, not one object each: a
+span's id, parent id, name (a code into the tracer's name table), start
+and end time are one fixed-width packed record appended to a
+``bytearray`` — one C call where per-field arrays took five appends —
+and its ``attrs`` row goes to a list.  :attr:`Tracer.spans` is a
+read-only sequence over them that builds a :class:`Span` per item read;
+the stream writer and :meth:`Tracer.export_jsonl` render dicts straight
+from the values (:func:`span_dict`).
+
+A span's ``attrs`` is a :class:`~repro._row.Row`: the values as one
 tuple under keys shared by every span of its shape, read as a read-only
-mapping and rendered by :meth:`Span.to_dict`.  The serving path's spans
-and the device leaves build their row from the values they hold (the
-shape is a module constant, the leaf's name is formed once per device);
-``tracer.span(...)`` keeps a dict while the span is open, for
-:meth:`Span.set`, and :meth:`Span.__exit__` converts it.
+mapping.  The serving path's spans and the device leaves build their
+row from the values they hold (the shape is a module constant, the
+leaf's name is formed once per device); ``tracer.span(...)`` keeps a
+dict while the span is open, for :meth:`Span.set`, and
+:meth:`Span.__exit__` converts it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
+from struct import Struct
 
 from repro._row import SHAPES, shape
 from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "SpanLog",
-           "load_spans_jsonl"]
+           "load_spans_jsonl", "span_dict"]
 
 _SPAN_FIELDS = {"span_id", "parent_id", "name", "start_us", "end_us",
                 "dur_us", "attrs"}
@@ -69,14 +78,32 @@ _SPAN_FIELDS = {"span_id", "parent_id", "name", "start_us", "end_us",
 #: Spans the in-memory store holds (past it, counted in ``dropped``).
 MAX_SPANS = 1_000_000
 
+#: A kept span's fixed-width values, packed: span id, parent id (0: a
+#: root), name code, start and end time.
+_RECORD = Struct("=qqIdd")
+_pack = _RECORD.pack
+
+
+def span_dict(span_id: int, parent_id: int, name: str, start_us: float,
+              end_us: float, attrs) -> dict:
+    """A finished span's values (parent 0: a root) as its JSONL dict."""
+    return {
+        "span_id": span_id,
+        "parent_id": parent_id or None,
+        "name": name,
+        "start_us": start_us,
+        "end_us": end_us,
+        "dur_us": end_us - start_us,
+        "attrs": attrs.to_dict(),
+    }
+
 
 class Span:
-    """One span: its own context manager while open, the finished record
-    once closed.  There is no constructor: :meth:`Tracer.span`,
-    :meth:`Tracer.leaf` (or :meth:`Tracer.record`) or an inline open
-    (module docstring) fill the slots; :meth:`to_dict` is for whoever reads it — stream writer,
-    export, incident dump.  ``attrs`` is a dict only while a
-    ``tracer.span(...)`` is open; a kept span's is a read-only row.
+    """One span: the context manager ``tracer.span(...)`` hands out, and
+    the object :attr:`Tracer.spans` builds for a finished span it is
+    asked for.  There is no constructor; :meth:`to_dict` is for whoever
+    reads it.  ``attrs`` is a dict only while a ``tracer.span(...)`` is
+    open; a finished span's is a read-only row.
     """
 
     __slots__ = ("_tracer", "span_id", "parent_id", "name", "start_us",
@@ -89,7 +116,7 @@ class Span:
     def __enter__(self) -> "Span":
         t = self._tracer
         stack = t.stack
-        self.parent_id = stack[-1]
+        self.parent_id = stack[-1] or None
         self.span_id = sid = next(t.ids)
         stack.append(sid)
         self.start_us = t.clock._now_us  # the slot: no property frame
@@ -98,8 +125,11 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         attrs = self.attrs
         keys = tuple(attrs)
-        self.attrs = (SHAPES.get(keys) or shape(keys))(attrs.values())
-        self._tracer.close(self)
+        self.attrs = row = (SHAPES.get(keys) or shape(keys))(attrs.values())
+        t = self._tracer
+        self.end_us = t.clock._now_us
+        t.close(self.span_id, self.parent_id or 0, self.name, self.start_us,
+                row)
         return False
 
     @property
@@ -107,15 +137,49 @@ class Span:
         return self.end_us - self.start_us
 
     def to_dict(self) -> dict:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-            "dur_us": self.end_us - self.start_us,
-            "attrs": self.attrs.to_dict(),
-        }
+        return span_dict(self.span_id, self.parent_id, self.name,
+                         self.start_us, self.end_us, self.attrs)
+
+
+def _built(span_id, parent_id, name, start_us, end_us, attrs) -> Span:
+    span = Span()
+    span.span_id = span_id
+    span.parent_id = parent_id or None
+    span.name = name
+    span.start_us = start_us
+    span.end_us = end_us
+    span.attrs = attrs
+    return span
+
+
+class _Spans(Sequence):
+    """A tracer's kept spans, oldest first, read-only: each item read is
+    a :class:`Span` built from the packed records."""
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self._tracer = tracer
+
+    def __len__(self) -> int:
+        return len(self._tracer._attrs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        t = self._tracer
+        i = range(len(self))[i]  # a negative index counts from the end
+        span_id, parent_id, code, start_us, end_us = _RECORD.unpack_from(
+            t._records, i * _RECORD.size)
+        return _built(span_id, parent_id, list(t._codes)[code], start_us,
+                      end_us, t._attrs[i])
+
+    def __iter__(self):
+        for values in self._tracer._values():
+            yield _built(*values)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} spans>"
 
 
 class Tracer:
@@ -136,23 +200,46 @@ class Tracer:
 
     def __init__(self, clock=None) -> None:
         self.clock = clock
-        self.spans: list[Span] = []
         self.dropped = 0
-        #: ids of the open spans, innermost last, above a ``None``
-        #: sentinel: ``stack[-1]`` is the parent of the next span
-        self.stack: list[int | None] = [None]
+        #: ids of the open spans, innermost last, above a 0 sentinel:
+        #: ``stack[-1]`` is the parent of the next span (0: a root)
+        self.stack: list[int] = [0]
         #: span ids, issued in open order
         self.ids = count(1)
+        #: the name table: name -> its code in the packed records
+        self._codes: dict[str, int] = {}
+        self._clear()
         self._sink = None
         #: the open stream's ``write``, or None: spans are stored
         self._write = None
         #: the :class:`JsonlWriter` once streaming (kept after it closes)
         self._stream: JsonlWriter | None = None
 
+    def _clear(self) -> None:
+        """Empty the store of kept spans."""
+        #: the kept spans' fixed-width values, one :data:`_RECORD` each
+        self._records = bytearray()
+        #: their ``attrs`` rows, in the same order
+        self._attrs: list = []
+
+    def _values(self):
+        """The kept spans' values, oldest first, as :func:`span_dict`
+        takes them."""
+        names = list(self._codes)
+        for (span_id, parent_id, code, start_us, end_us), attrs in zip(
+                _RECORD.iter_unpack(self._records), self._attrs):
+            yield span_id, parent_id, names[code], start_us, end_us, attrs
+
+    @property
+    def spans(self) -> Sequence:
+        """The kept spans, a read-only sequence of :class:`Span`."""
+        return _Spans(self)
+
     def set_span_sink(self, sink) -> None:
         """Feed every finished span to ``sink`` *before* storage or
-        streaming — the flight recorder's ring hangs off this, so it
-        sees spans even when streaming mode retains nothing."""
+        streaming, as one tuple of :func:`span_dict`'s arguments — the
+        flight recorder's ring hangs off this, so it sees spans even
+        when streaming mode retains nothing."""
         self._sink = sink
 
     def _route(self) -> None:
@@ -170,17 +257,24 @@ class Tracer:
         span.attrs = attrs
         return span
 
-    def close(self, span: Span) -> None:
+    def close(self, span_id: int, parent_id: int, name: str,
+              start_us: float, attrs) -> None:
         """Finish the innermost open span (see the module docstring) and
         keep it: the sink first, then the stream or the capped store."""
         self.stack.pop()
-        span.end_us = self.clock._now_us
+        end_us = self.clock._now_us
         if self._sink is not None:
-            self._sink(span)
+            self._sink((span_id, parent_id, name, start_us, end_us, attrs))
         if self._write is not None:
-            self._write(span.to_dict())
-        elif len(self.spans) < MAX_SPANS:
-            self.spans.append(span)
+            self._write(span_dict(span_id, parent_id, name, start_us, end_us,
+                                  attrs))
+        elif len(self._attrs) < MAX_SPANS:
+            try:
+                code = self._codes[name]
+            except KeyError:
+                code = self._codes[name] = len(self._codes)
+            self._records += _pack(span_id, parent_id, code, start_us, end_us)
+            self._attrs.append(attrs)
         else:
             self.dropped += 1
 
@@ -195,19 +289,20 @@ class Tracer:
         """Append a leaf span measured externally (every device access),
         ``attrs`` a :class:`~repro._row.Row`; kept as :meth:`close`
         keeps one."""
-        span = Span()
-        span.span_id = next(self.ids)
-        span.parent_id = self.stack[-1]
-        span.name = name
-        span.start_us = start_us
-        span.end_us = end_us
-        span.attrs = attrs
+        span_id = next(self.ids)
+        parent_id = self.stack[-1]
         if self._sink is not None:
-            self._sink(span)
+            self._sink((span_id, parent_id, name, start_us, end_us, attrs))
         if self._write is not None:
-            self._write(span.to_dict())
-        elif len(self.spans) < MAX_SPANS:
-            self.spans.append(span)
+            self._write(span_dict(span_id, parent_id, name, start_us, end_us,
+                                  attrs))
+        elif len(self._attrs) < MAX_SPANS:
+            try:
+                code = self._codes[name]
+            except KeyError:
+                code = self._codes[name] = len(self._codes)
+            self._records += _pack(span_id, parent_id, code, start_us, end_us)
+            self._attrs.append(attrs)
         else:
             self.dropped += 1
 
@@ -218,7 +313,7 @@ class Tracer:
         """Spans recorded so far: streamed to disk plus held in memory
         (spans finishing after :meth:`close_stream` are stored again)."""
         streamed = self._stream.written if self._stream is not None else 0
-        return streamed + len(self.spans)
+        return streamed + len(self._attrs)
 
     def open_stream(self, path) -> None:
         """Start writing finished spans straight to ``path`` as JSONL.
@@ -229,9 +324,9 @@ class Tracer:
         if self._stream is not None:
             raise RuntimeError("tracer is already streaming")
         self._stream = JsonlWriter(path)
-        for span in self.spans:
-            self._stream.write(span.to_dict())
-        self.spans = []
+        for values in self._values():
+            self._stream.write(span_dict(*values))
+        self._clear()
         self._route()
 
     def close_stream(self) -> None:
@@ -253,7 +348,7 @@ class Tracer:
             self._stream.export_to(path)  # closes the writer
             self._route()
             return self._stream.written
-        return write_jsonl(path, (s.to_dict() for s in self.spans))
+        return write_jsonl(path, (span_dict(*v) for v in self._values()))
 
 
 class NullTracer:

@@ -138,3 +138,46 @@ def test_translation_flush_survives_gc_that_flushes_the_same_page():
             ftl.write(int(lpn))
         assert ftl.stats.block_erases > 0, seed
         _assert_mapping_consistent(ftl)
+
+
+class _WatchedDFTL(DFTL):
+    """Counts foreground flushes, and those that programmed ``tvpn``
+    again after the GC making their room had already flushed it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.foreground = self.redundant = 0
+        self.gc_flushes: list[int] = []
+
+    def _flush_translation_page(self, tvpn: int) -> float:
+        if self._in_gc:
+            self.gc_flushes.append(tvpn)
+            return super()._flush_translation_page(tvpn)
+        self.foreground += 1
+        self.gc_flushes = []
+        before = self.stats.translation_page_writes
+        latency = super()._flush_translation_page(tvpn)
+        own = self.stats.translation_page_writes - before - len(self.gc_flushes)
+        if tvpn in self.gc_flushes and own > 0:
+            self.redundant += 1
+        return latency
+
+
+def test_a_flush_skips_the_page_its_own_gc_already_flushed():
+    """The churn above: 26 of its 2 386 foreground flushes used to
+    rewrite a translation page that the GC run to make their room had
+    just flushed from the same shadow map.  None does now, and both maps
+    still name exactly the VALID pages."""
+    cfg = FlashConfig(num_blocks=16, pages_per_block=8, overprovision=0.25,
+                      gc_free_block_threshold=2)
+    foreground = redundant = 0
+    for seed in range(200):
+        ftl = _WatchedDFTL(cfg, cmt_entries=8)
+        rng = np.random.default_rng(seed)
+        for lpn in rng.integers(0, cfg.logical_pages, size=3 * cfg.total_pages):
+            ftl.write(int(lpn))
+        _assert_mapping_consistent(ftl)
+        foreground += ftl.foreground
+        redundant += ftl.redundant
+    assert foreground > 2000
+    assert redundant == 0

@@ -2,36 +2,55 @@
 
 Each case serves N records through the real writer on a fixed stack and
 divides the memory still allocated afterwards by N: the record itself,
-its payload, the numbers only it refers to and its slot in the ring.
+its payload, the numbers only it refers to and its slot in the store.
 Inputs are built before tracing starts, so only what the writer
 allocates and keeps is counted.  The figures repeat exactly for a
 Python version (CPython 3.11 below).
 
-| record | parent (B) | rows (B) | fall |
-|---|---|---|---|
-| audit mirror (``on_admit``) | 319.86 | 207.86 | 35 % |
-| device leaf span (``dram.read``) | 414.29 | 228.29 | 45 % |
-| ``query`` span (an S1 hit) | 363.91 | 259.91 | 29 % |
-| blame ``serve`` record | 328.26 | 168.26 | 49 % |
+| record | parent (B) | rows (B) | packed (B) | fall, rows → packed |
+|---|---|---|---|---|
+| audit mirror (``on_admit``) | 319.86 | 207.86 | 102.65 | 51 % |
+| device leaf span (``dram.read``) | 414.29 | 228.29 | 104.70 | 54 % |
+| ``query`` span (an S1 hit) | 363.91 | 259.91 | 160.31 | 38 % |
+| blame ``serve`` record | 328.26 | 168.26 | 168.26 | — |
 
 The parent kept every payload as a dict (184 B for one to five keys,
 more past that) and formatted each device span's name per access; a row
 is the values as one tuple (``40 + 8n`` B) under keys shared by its
-shape, and the name is formed once per device.
+shape, and the name is formed once per device.  Packed records then
+dropped the per-record envelope: a span was a 7-slot ``Span`` with a
+boxed id, start and end, an audit record a 6-tuple with a boxed
+sequence number and clock reading, each in a list or deque slot.  Now a
+span is one 36 B packed record in a ``bytearray`` (id, parent id, name
+code, start and end) plus its row's list slot, and an audit record a
+12 B packed record (time, type and kind codes) plus two list slots (the
+key and the row); ``seq`` is the position.  Blame records keep their
+rows (a ring of its own).
 
-The victim decisions then kept their candidates as pair columns:
+The victim decisions kept their candidates as pair columns:
 
-| record | lists of pairs (B) | pair column (B) | fall |
+| record | lists of pairs (B) | pair column (B) | packed (B) |
 |---|---|---|---|
-| ``gc.victim`` (16-entry head) | 1567.86 | 415.86 | 73 % |
-| ``list.l1-victim`` (5 candidates) | 735.86 | 351.86 | 52 % |
-| ``rb.victim`` (5 candidates) | 607.86 | 319.86 | 47 % |
+| ``gc.victim`` (16-entry head) | 1567.86 | 415.86 | 310.65 |
+| ``list.l1-victim`` (5 candidates) | 735.86 | 351.86 | 246.65 |
+| ``rb.victim`` (5 candidates) | 607.86 | 319.86 | 214.65 |
 
 Lists of pairs were 16 ``[block, valid]`` lists (72 B each) under a
 184 B list, or five ``(term, ev)`` tuples with their boxed EVs (``(rb,
 iren)`` tuples for an RB walk) under a list; a pair column is one
-``bytes`` object of packed keys then packed values.  Each ceiling is the
-measured figure + 2 %.
+``bytes`` object of packed keys then packed values.
+
+The whole-run envelope prices an armed window per query, spans and
+audit records together: armed minus unobserved bytes retained over a
+window of queries on a warmed stack, traced from before the stack is
+built (so a store that grows counts only its growth):
+
+| window | one object per record (B/query) | packed (B/query) | fall |
+|---|---|---|---|
+| CBSLRU, 1 994 result hits of 2 000 (3.0 spans, 1.3 audit records/query) | 936.63 | 516.79 | 45 % |
+| CBLRU, ``closed_miss``'s stack, 308 misses of 500 (8.1 spans, 15.1 audit records/query) | 5967.26 | 3385.59 | 43 % |
+
+Each ceiling is the measured figure + 2 %.
 """
 
 import gc
@@ -47,15 +66,18 @@ from repro.core.events import AdmitEvent
 from repro.core.lru import LruList
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.core.replacement import Replacement
-from repro.engine.corpus import CorpusConfig
+from repro.engine.corpus import CorpusConfig, build_corpus_stats
 from repro.engine.index import InvertedIndex
+from repro.engine.processor import QueryProcessor
 from repro.engine.query import Query
+from repro.engine.querylog import QueryLogConfig, generate_query_log
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_page import PageMappingFTL
 from repro.obs import AuditLog, BlameRecorder, Telemetry, Tracer
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import VirtualClock
 from repro.storage.device import DramModel
+from repro.workloads.sweep import QUERY_VOCAB, make_log_for
 
 KB = 1024
 MB = 1024 * KB
@@ -66,10 +88,19 @@ N = 20_000
 PARENT = {"audit_admit": 319.86, "device_leaf": 414.29, "query_span": 363.91,
           "blame_serve": 328.26, "gc_victim": 1567.86, "l1_victim": 735.86,
           "rb_victim": 607.86}
+#: bytes per record while each span and audit record was one object
+OBJECTS = {"audit_admit": 207.86, "device_leaf": 228.29, "query_span": 259.91,
+           "blame_serve": 168.26, "gc_victim": 415.86, "l1_victim": 351.86,
+           "rb_victim": 319.86}
 #: bytes per record now; the ceilings are these + 2 %
-MEASURED = {"audit_admit": 207.86, "device_leaf": 228.29, "query_span": 259.91,
-            "blame_serve": 168.26, "gc_victim": 415.86, "l1_victim": 351.86,
-            "rb_victim": 319.86}
+MEASURED = {"audit_admit": 102.65, "device_leaf": 104.70, "query_span": 160.31,
+            "blame_serve": 168.26, "gc_victim": 310.65, "l1_victim": 246.65,
+            "rb_victim": 214.65}
+
+#: armed − unobserved bytes retained per query of a window, one object
+#: per record, and now; the ceilings are these + 2 %
+ENVELOPE_OBJECTS = {"cbslru_hit": 936.63, "cblru_miss": 5967.26}
+ENVELOPE_MEASURED = {"cbslru_hit": 516.79, "cblru_miss": 3385.59}
 
 
 def _retained(serve) -> int:
@@ -230,4 +261,82 @@ def test_bytes_retained_per_record_are_pinned(name):
     ceiling = MEASURED[name] * 1.02
     assert got <= ceiling, (
         f"{name}: {got:.1f} B retained per record, ceiling {ceiling:.1f} "
-        f"(measured {MEASURED[name]}, parent {PARENT[name]})")
+        f"(measured {MEASURED[name]}, one object per record "
+        f"{OBJECTS[name]}, parent {PARENT[name]})")
+
+
+def _window_bytes(config, log, warm: int, telemetry) -> tuple[int, list]:
+    """Bytes still allocated after serving ``log[warm:]`` on a stack
+    warmed with ``log[:warm]``, and the window's hit levels.  Traced from
+    before the stack is built: a store that grows in the window counts
+    its growth, not its whole new block."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = InvertedIndex(_envelope_stats())
+        manager = CacheManager(
+            config, build_hierarchy_for(config, index), index,
+            QueryProcessor(index, top_k=config.top_k, seed=7),
+            telemetry=telemetry)
+        queries = list(log)
+        if config.policy is Policy.CBSLRU:
+            manager.warmup_static(log)
+        for query in queries[:warm]:
+            manager.process_query(query)
+        levels = []
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        process = manager.process_query
+        for query in queries[warm:]:
+            levels.append(process(query).result_hit_level)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, levels
+    finally:
+        tracemalloc.stop()
+
+
+_STATS = []
+
+
+def _envelope_stats():
+    if not _STATS:
+        _STATS.append(build_corpus_stats(
+            CorpusConfig.paper_scale(200_000, seed=42)))
+    return _STATS[0]
+
+
+def _cbslru_hit():
+    """``closed_fit``'s shape: 300 distinct queries on CBSLRU with 4 MB
+    of memory and 64 MB of SSD, 2 000 queries after 3 000 of warm-up."""
+    log = generate_query_log(QueryLogConfig(
+        num_queries=5000, distinct_queries=300, singleton_fraction=0.0,
+        vocab_size=QUERY_VOCAB, seed=7))
+    config = CacheConfig.paper_split(4 * MB, 64 * MB, policy=Policy.CBSLRU)
+    return config, log, 3000, lambda levels: levels.count(0) <= 10
+
+
+def _cblru_miss():
+    """``closed_miss``'s shape (``test_obs_armed_callcount``'s window):
+    CBLRU with 4 MB of memory and 16 MB of SSD, 500 queries after 1 000
+    of warm-up."""
+    log = make_log_for(1500, seed=7)
+    config = CacheConfig.paper_split(4 * MB, 16 * MB, policy=Policy.CBLRU)
+    return config, log, 1000, lambda levels: levels.count(0) >= 250
+
+
+WINDOWS = {"cbslru_hit": _cbslru_hit, "cblru_miss": _cblru_miss}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_bytes_retained_per_armed_query_are_pinned(name):
+    config, log, warm, expected = WINDOWS[name]()
+    off, levels = _window_bytes(config, log, warm, None)
+    armed, armed_levels = _window_bytes(config, log, warm, Telemetry())
+    assert armed_levels == levels and expected(levels)
+    got = (armed - off) / len(levels)
+    ceiling = ENVELOPE_MEASURED[name] * 1.02
+    assert got <= ceiling, (
+        f"{name}: {got:.1f} B retained per armed query (spans and audit "
+        f"records), ceiling {ceiling:.1f} (measured "
+        f"{ENVELOPE_MEASURED[name]}, one object per record "
+        f"{ENVELOPE_OBJECTS[name]})")

@@ -6,6 +6,7 @@ import pytest
 
 import repro.obs.tracer as tracer_module
 from repro.obs import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import span_dict
 from repro.sim.clock import VirtualClock
 
 
@@ -101,18 +102,21 @@ def test_spans_after_a_mid_run_export_are_stored_and_counted(
 
 
 def test_span_store_and_cap_are_read_live(clock, monkeypatch):
-    # spans is a public attribute and MAX_SPANS is read per span:
-    # changing either after construction takes effect on the next span.
+    # spans is a read-only view of the store, current whenever it is
+    # read, and MAX_SPANS is read per span: lowering it after
+    # construction takes effect on the next span.
     tr = Tracer(clock)
+    view = tr.spans
     with tr.span("a"):
         pass
-    tr.spans = fresh = []
-    monkeypatch.setattr(tracer_module, "MAX_SPANS", 1)
+    with pytest.raises(AttributeError):
+        tr.spans = []
+    monkeypatch.setattr(tracer_module, "MAX_SPANS", 2)
     with tr.span("b"):
         pass
     with tr.span("c"):
         pass
-    assert [s.name for s in fresh] == ["b"]
+    assert [s.name for s in view] == ["a", "b"]
     assert tr.dropped == 1
 
 
@@ -123,10 +127,11 @@ def test_span_is_context_manager_and_record_in_one(clock):
     with tr.span("query", qid=1) as open_span:
         clock.advance(2.0)
     tr.record("leaf", 0.5, 1.5, lba=3)
-    # The object handed out by span() *is* the stored record, and the
-    # sink sees the same objects (no copy, no dict) before storage.
-    assert tr.spans[0] is open_span
-    assert seen == tr.spans
+    # The kept span equals the object span() handed out, and the sink
+    # sees each span's values (no object, no dict) before storage.
+    assert tr.spans[0].to_dict() == open_span.to_dict()
+    assert [span_dict(*values) for values in seen] == [
+        s.to_dict() for s in tr.spans]
     assert open_span.to_dict() == {
         "span_id": 1, "parent_id": None, "name": "query",
         "start_us": 0.0, "end_us": 2.0, "dur_us": 2.0, "attrs": {"qid": 1}}
