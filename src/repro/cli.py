@@ -56,6 +56,7 @@ _SIZE = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(float, lambda v: v > 0, "> 0")
 _NON_NEGATIVE = _checked(float, lambda v: v >= 0, ">= 0")
 _FRACTION = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_PERCENTILE = _checked(float, lambda v: 0 < v < 100, "in (0, 100)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-blame-records", type=_COUNT, default=None,
                    metavar="N",
                    help="rotate DIR/blame.jsonl after N streamed records")
-    p.add_argument("--live-port", type=int, default=None, metavar="PORT",
-                   help="serve the live observability plane on PORT "
-                        "while the run executes (/metrics OpenMetrics "
-                        "scrape, /windows stream, /status; requires "
-                        "--timeline)")
     p.add_argument("--no-flight", action="store_true",
                    help="disable the flight recorder (kernel-mode runs "
                         "with --timeline arm it by default)")
@@ -171,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo", action="append", default=None, metavar="SPEC",
                    help="SLO spec like 'p99_response_us < 100000 @ 95%%' "
                         "(repeatable; default: the built-in set)")
-    p.add_argument("--width", type=int, default=60,
+    p.add_argument("--width", type=_COUNT, default=60,
                    help="sparkline width in characters")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero when an SLO is violated or a "
@@ -184,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", type=str,
                    help="telemetry dir (blame.jsonl inside) or a "
                         "blame.jsonl file")
-    p.add_argument("--tail-pct", type=float, default=99.0,
+    p.add_argument("--tail-pct", type=_PERCENTILE, default=99.0,
                    help="percentile cut for the tail cohort (default 99)")
     p.add_argument("--query", type=int, default=None, metavar="QID",
                    help="also print one query's full decomposition "
@@ -216,16 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("top",
                        help="run dashboard: sparklines, SLO status and "
-                            "incidents from a live port or a telemetry "
-                            "dir")
-    p.add_argument("target", type=str,
-                   help="live plane (PORT or HOST:PORT from `repro run "
-                        "--live-port`) or a finished telemetry dir")
+                            "incidents from a telemetry dir, finished or "
+                            "still being written")
+    p.add_argument("dir", type=str,
+                   help="directory written by `repro run --telemetry DIR "
+                        "--timeline`")
     p.add_argument("--once", action="store_true",
                    help="render one frame and exit (CI-friendly)")
-    p.add_argument("--interval", type=float, default=2.0,
+    p.add_argument("--interval", type=_POSITIVE, default=2.0,
                    help="refresh interval in seconds (default 2)")
-    p.add_argument("--width", type=int, default=60,
+    p.add_argument("--width", type=_COUNT, default=60,
                    help="sparkline width in characters")
 
     p = sub.add_parser("incidents",
@@ -382,9 +378,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.timeline and not args.telemetry:
         raise _CliError("--timeline requires --telemetry DIR")
-    if not args.timeline and (args.live_port is not None
-                              or args.max_windows is not None):
-        raise _CliError("--live-port/--max-windows require --timeline")
+    if not args.timeline and args.max_windows is not None:
+        raise _CliError("--max-windows requires --timeline")
     if args.arrival != "closed" and args.rate_qps is None:
         raise _CliError("open-loop arrivals need --rate-qps > 0")
     telemetry = None
@@ -434,24 +429,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "window_ms": args.window_ms,
             },
         ).arm()
-
-    live = None
-    if args.live_port is not None:
-        from repro.obs import LiveServer
-
-        # Started after flight.arm() so the recorder's window callback
-        # runs first and the server can reuse its evaluator state.
-        live = LiveServer(
-            telemetry, port=args.live_port, flight=flight,
-            run_info={"policy": args.policy, "arrival": args.arrival,
-                      "dir": args.telemetry},
-        ).start()
-        print(f"live plane at {live.url()} (/metrics /windows /status)")
-    try:
-        return _run_serve_and_report(args, telemetry, flight)
-    finally:
-        if live is not None:
-            live.close()
+    return _run_serve_and_report(args, telemetry, flight)
 
 
 def _run_serve_and_report(args: argparse.Namespace, telemetry,
@@ -1106,23 +1084,42 @@ def _explain_incident(dir_path: str, n: int) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs import (fetch_status, format_top_frame,
-                           load_telemetry_dir, status_from_dir)
+    from repro.obs import format_top_frame, list_incidents, load_timeline_jsonl
+
+    if not os.path.isdir(args.dir):
+        raise _CliError(f"{args.dir}: not a telemetry directory")
 
     def frame() -> str:
-        if os.path.isdir(args.target):
-            loaded = _load(load_telemetry_dir, args.target)
-            status = _load(lambda _: status_from_dir(loaded), args.target)
-        else:
-            status = _load(fetch_status, args.target)
-        return format_top_frame(status, width=args.width)
+        # Only what the frame draws, so a run still being written (no
+        # metrics.json, no timeline footer yet) reads as well as a
+        # finished one.
+        tl = _load(load_timeline_jsonl,
+                   os.path.join(args.dir, "timeline.jsonl"),
+                   "not a usable timeline",
+                   "; record one with `repro run --telemetry DIR --timeline`")
+        manifests = []
+        for bundle in list_incidents(args.dir):
+            path = os.path.join(bundle, "incident.json")
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    manifests.append(json.load(fh))
+            except ValueError:
+                print(f"note: {path}: skipped a manifest still being "
+                      f"written", file=sys.stderr)
+        return format_top_frame(args.dir, tl.windows, manifests,
+                                width=args.width)
 
     try:
         if args.once:
             print(frame())
             return 0
         while True:
-            body = frame()
+            try:
+                body = frame()
+            except _CliError as exc:
+                # A run not started yet, or a rotation between the reads
+                # of timeline.jsonl.1 and timeline.jsonl: read again.
+                body = f"error: {exc}"
             sys.stdout.write("\x1b[2J\x1b[H" + body + "\n")
             sys.stdout.flush()
             time.sleep(args.interval)

@@ -62,13 +62,6 @@ from repro.obs.flightrecorder import (
     load_incident,
 )
 from repro.obs.kernel_metrics import KernelMetrics
-from repro.obs.live import (
-    LIVE_SCHEMA,
-    LiveServer,
-    fetch_status,
-    format_top_frame,
-    status_from_dir,
-)
 from repro.obs.instruments import (
     DEFAULT_PERCENTILES,
     GAUGE_MERGE_MODES,
@@ -114,6 +107,7 @@ from repro.obs.timeline import (
     ExemplarStore,
     Timeline,
     TimelineRecorder,
+    format_top_frame,
     load_timeline_jsonl,
     merge_windows,
     sparkline,
@@ -188,10 +182,6 @@ __all__ = [
     "list_incidents",
     "load_incident",
     "format_incident",
-    "LIVE_SCHEMA",
-    "LiveServer",
-    "fetch_status",
-    "status_from_dir",
     "format_top_frame",
     "load_spans_jsonl",
     "read_jsonl",

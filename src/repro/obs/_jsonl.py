@@ -68,6 +68,11 @@ class JsonlWriter:
         exemplars, footers: the file's frame, not its records)."""
         self._fh.write(json.dumps(rec) + "\n")
 
+    def flush(self) -> None:
+        """Hand what is written so far to the OS, so a reader in another
+        process (``repro top DIR``) sees every whole line."""
+        self._fh.flush()
+
     def close(self) -> None:
         if not self.closed:
             self.closed = True

@@ -25,8 +25,8 @@ quantized at query granularity — a query's samples land in the window
 containing its completion time — while the sum-over-windows identities
 above hold exactly.  Windows with no activity are skipped (*sparse*);
 retained records live in a bounded ring (:data:`RETAIN_WINDOWS`), and
-streaming mode writes each window to ``timeline.jsonl`` the moment it
-closes.
+streaming mode writes and flushes each window to ``timeline.jsonl``
+the moment it closes, so ``repro top DIR`` can follow a running run.
 
 Timeline JSONL schema (``repro.obs.timeline/v1``), one object per line::
 
@@ -84,6 +84,7 @@ __all__ = [
     "window_series",
     "load_timeline_jsonl",
     "sparkline",
+    "format_top_frame",
 ]
 
 TIMELINE_SCHEMA = "repro.obs.timeline/v1"
@@ -270,6 +271,7 @@ class TimelineRecorder:
             if "derived" not in rec:
                 rec["derived"] = derive_window(rec)
             self._stream.write(rec)
+        self._stream.flush()
 
     # -- window callbacks ----------------------------------------------------
 
@@ -395,7 +397,9 @@ class TimelineRecorder:
             self.dropped_windows += 1
         self.windows.append(rec)
         if stream is not None:
+            # Flushed as it closes: `repro top DIR` follows a running run.
             stream.write(rec)
+            stream.flush()
         for cb in self._callbacks:
             cb(rec)
 
@@ -766,3 +770,56 @@ def sparkline(values, width: int = 60) -> str:
             idx = int((v - lo) / span * (len(_SPARK_CHARS) - 2)) + 1
             out.append(_SPARK_CHARS[min(idx, len(_SPARK_CHARS) - 1)])
     return "".join(out)
+
+
+#: Derived series ``repro top`` draws sparklines for, in display order.
+TOP_SERIES = ("queries", "hit_ratio", "p99_response_us", "write_amp",
+              "queue_depth", "wait_fraction")
+
+
+def format_top_frame(where: str, windows, manifests=(),
+                     width: int = 60) -> str:
+    """One ``repro top`` frame: sparklines over the last 32 of a run's
+    closed ``windows``, SLO verdicts and anomalies over all of them, and
+    the dumped incidents' ``manifests``."""
+    from repro.obs.slo import DEFAULT_SLOS, evaluate_slos, run_detectors
+
+    head = f"repro top — {where}" if where else "repro top"
+    if windows:
+        head += f"  t={windows[-1]['end_us'] / 1e6:.2f}s"
+    lines = [f"{head}  windows={len(windows)}", ""]
+    # An empty derived block is a derived block; only a record that
+    # carries none is derived here.
+    recent = [rec["derived"] if rec.get("derived") is not None
+              else derive_window(rec) for rec in windows[-32:]]
+    for series in TOP_SERIES:
+        pts = [derived.get(series) for derived in recent]
+        present = [v for v in pts if v is not None]
+        if not present:
+            continue
+        last = present[-1]
+        if series in ("hit_ratio", "wait_fraction"):
+            label = f"{last:.1%}"
+        elif series == "p99_response_us":
+            label = (f"{last / 1e3:.1f}ms" if last >= 1e3
+                     else f"{last:.0f}us")
+        else:
+            label = f"{last:g}"
+        lines.append(f"  {series:<16s} {sparkline(pts, width=width)} {label}")
+    lines.append("")
+    for r in evaluate_slos(DEFAULT_SLOS, windows):
+        mark = {"met": "ok  ", "violated": "FAIL"}.get(r.verdict, "?   ")
+        lines.append(f"  {mark} {r.spec.text} "
+                     f"[{r.windows_passed}/{r.windows_evaluated}]")
+    anomalies = run_detectors(windows)
+    critical = sum(1 for a in anomalies if a.severity == "critical")
+    lines += ["", f"  anomalies: {len(anomalies)} ({critical} critical)"]
+    for a in anomalies[-4:]:
+        lines.append(f"    [{a.severity}] {a.detector} "
+                     f"@ {a.window}: {a.detail}")
+    lines += ["", f"  incidents: {len(manifests)} dumped"]
+    for m in manifests[-4:]:
+        t = m["trigger"]
+        lines.append(f"    incident-{m['incident']}: [{t['severity']}] "
+                     f"{t['detector']} @ window {t['window']}")
+    return "\n".join(lines)

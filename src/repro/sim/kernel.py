@@ -59,6 +59,7 @@ a bounded FIFO wait queue behind them, and arrivals beyond both shed
 from __future__ import annotations
 
 import heapq
+import signal
 import threading
 from _thread import allocate_lock, get_ident
 from collections import deque
@@ -75,6 +76,10 @@ __all__ = [
     "AdmissionStats",
     "KernelError",
 ]
+
+
+#: Seconds between the sleeping driver's looks at pending signals.
+_SIGNAL_POLL_S = 0.05
 
 
 class KernelError(RuntimeError):
@@ -402,7 +407,9 @@ class Kernel:
         Raises the first task error encountered, or :class:`KernelError`
         if the heap drains while tasks are still blocked (deadlock).  On
         any error every suspended task stack is unwound before re-raising;
-        either way no worker thread outlives the call.
+        either way no worker thread outlives the call.  Ctrl-C is parked
+        like an error: the run stops at the next yield point and raises
+        ``KeyboardInterrupt``.
         """
         if self._running:
             raise KernelError("kernel is already running")
@@ -410,6 +417,7 @@ class Kernel:
             raise KernelError("Kernel.run cannot be called from a task")
         self._running = True
         self._handled = 0
+        ctrl_c = self._defer_ctrl_c()
         try:
             try:
                 self._pump(self._driver, None)
@@ -429,10 +437,31 @@ class Kernel:
             # Once per run: every reader takes a delta around whole runs.
             HOT.kernel_heap_pops += self._handled
             self._retire()
-            self._failure = None
+            if ctrl_c is not None:
+                signal.signal(signal.SIGINT, ctrl_c)
+            late, self._failure = self._failure, None
             self._running = False
+            if isinstance(late, KeyboardInterrupt):
+                raise late  # parked after the last look: not lost either
 
     # -- internals ---------------------------------------------------------
+
+    def _defer_ctrl_c(self):
+        """On the main thread, swap Python's Ctrl-C handler for one that
+        parks the ``KeyboardInterrupt``; returns the handler to restore.
+
+        The default handler raises at whatever line the main thread runs
+        next, and the main thread is the driver: a raise just after its
+        sleep took a hand-off leaves it sleeping on a wake-up it already
+        used.  Parked, the interrupt stops the run at the next yield point
+        and ``run()`` raises it.
+        """
+        if (threading.current_thread() is not threading.main_thread()
+                or signal.getsignal(signal.SIGINT)
+                is not signal.default_int_handler):
+            return None
+        return signal.signal(signal.SIGINT,
+                             lambda *_: self._park(KeyboardInterrupt()))
 
     def _here(self) -> Task | None:
         """The running task, if the calling thread is the one hosting it."""
@@ -524,13 +553,13 @@ class Kernel:
                 to.wake.release()
                 return None
             to.wake.release()
-            try:
-                me.wake.acquire()
-            except BaseException as exc:
-                # Only a signal on the main thread (Ctrl-C) lands here, and
-                # only the driver can be the main thread.  A worker holds
-                # the baton: stop the run and wait for it to come back.
-                self._park(exc)
+            if me is driver:
+                # A signal that lands just before the acquire blocks runs
+                # its handler only once the acquire returns, so the driver
+                # (the main thread) wakes now and then to run it.
+                while not me.wake.acquire(timeout=_SIGNAL_POLL_S):
+                    pass
+            else:
                 me.wake.acquire()
             if mine is not None and self._failure is None:
                 # A suspended stack is woken by its own task's dispatch,

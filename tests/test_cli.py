@@ -269,6 +269,38 @@ def test_run_rejects_bad_flags_before_touching_disk(tmp_path, capsys, bad):
     assert not out_dir.exists()
 
 
+@pytest.fixture(scope="module")
+def kernel_dir(tmp_path_factory):
+    """A small kernel-mode run with a timeline: every read command's file."""
+    out_dir = tmp_path_factory.mktemp("read") / "tel"
+    assert main(["run", "--policy", "lru", "--docs", "5000", "--queries",
+                 "100", "--mem-mb", "2", "--ssd-mb", "8", *_OPEN,
+                 "--concurrency", "2", "--telemetry", str(out_dir),
+                 "--timeline", "--window-ms", "20"]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("bad", [
+    ["timeline", "--width", "0"],
+    ["top", "--once", "--width", "0"],
+    ["top", "--once", "--interval", "0"],
+    ["top", "--once", "--interval", "-1"],
+    ["blame", "--tail-pct", "0"],
+    ["blame", "--tail-pct", "100"],
+    ["blame", "--tail-pct", "150"],
+    ["blame", "--tail-pct", "-5"],
+], ids=" ".join)
+def test_read_commands_reject_bad_flags(kernel_dir, capsys, bad):
+    try:
+        rc = main([bad[0], str(kernel_dir), *bad[1:]])
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert not captured.out
+
+
 def test_run_timeline_streams_schema_valid_jsonl(tmp_path, capsys):
     from repro.obs import load_telemetry_dir
 

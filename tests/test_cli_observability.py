@@ -1,13 +1,19 @@
 """CLI surface of the observability plane: graceful errors, rotation,
-``top``/``incidents``/``explain --incident``, and the live plane flag."""
+``top`` (on a finished run and following a running one),
+``incidents`` and ``explain --incident``."""
 
+import io
 import json
 import os
+import re
+import shutil
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.obs import list_incidents
+from repro.obs import FlightRecorder, list_incidents
 
 
 _SATURATED = ["run", "--policy", "cbslru", "--docs", "20000",
@@ -152,13 +158,6 @@ def test_incidents_on_missing_dir_is_clean_error(tmp_path, capsys):
 
 # -- run-flag validation -----------------------------------------------------
 
-def test_live_port_requires_timeline(capsys):
-    rc = main(["run", "--live-port", "0"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "--timeline" in err
-
-
 def test_max_windows_requires_timeline(capsys):
     rc = main(["run", "--max-windows", "10"])
     err = capsys.readouterr().err
@@ -227,16 +226,92 @@ def test_run_summary_mentions_incidents(knee_dir, tmp_path, capsys):
     assert "flight recorder: armed, no incidents" in text
 
 
-def test_run_with_live_port_prints_url(tmp_path, capsys):
+def test_top_on_a_port_is_an_error(capsys):
+    rc = main(["top", "8080", "--once"])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert captured.err.startswith("error: 8080: not a telemetry directory")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_top_reads_a_torn_manifest_and_a_torn_timeline_tail(
+        knee_dir, tmp_path, capsys):
     out = tmp_path / "tel"
-    rc = main(["run", "--policy", "lru", "--docs", "2000", "--queries",
-               "60", "--mem-mb", "4", "--ssd-mb", "8", "--arrival",
-               "poisson", "--rate-qps", "100", "--concurrency", "2",
-               "--telemetry", str(out), "--timeline", "--window-ms", "50",
-               "--live-port", "0"])
-    text = capsys.readouterr().out
+    shutil.copytree(knee_dir, out)
+    manifest = out / "incident-1" / "incident.json"
+    manifest.write_text(manifest.read_text()[:40])
+    timeline = out / "timeline.jsonl"
+    timeline.write_bytes(timeline.read_bytes()[:-25])
+    rc = main(["top", str(out), "--once"])
+    captured = capsys.readouterr()
     assert rc == 0
-    assert "live plane at http://127.0.0.1:" in text
+    assert "incidents: 0 dumped" in captured.out
+    assert f"note: {manifest}: skipped a manifest" in captured.err
+    assert f"note: {timeline}: skipped 1 torn trailing record" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_top_keeps_following_until_the_timeline_reads(
+        knee_dir, tmp_path, monkeypatch, capsys):
+    """Follow mode outlives a frame it cannot read yet (the run has not
+    opened timeline.jsonl, or a rotation moved it between two reads)."""
+    import repro.cli
+
+    out = tmp_path / "tel"
+    out.mkdir()
+    naps = []
+
+    def sleep(seconds):
+        naps.append(seconds)
+        if len(naps) == 1:
+            shutil.copy(knee_dir / "timeline.jsonl", out)
+        else:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(repro.cli.time, "sleep", sleep)
+    assert main(["top", str(out), "--interval", "0.5"]) == 0
+    first, second = capsys.readouterr().out.split("\x1b[2J\x1b[H")[1:]
+    assert first.startswith(f"error: {out / 'timeline.jsonl'}: not a usable")
+    assert second.startswith(f"repro top — {out}")
+    assert naps == [0.5, 0.5]
+
+
+def _comparable(frame: str) -> str:
+    """A top frame without its ``t=`` field and incidents-line suffix."""
+    frame = re.sub(r"  t=\S+", "", frame.rstrip("\n"))
+    return re.sub(r"(incidents: \d+ dumped).*", r"\1", frame)
+
+
+def test_top_follows_a_running_run(tmp_path, monkeypatch):
+    """Mid-run, with no metrics.json yet, ``top DIR`` draws from the
+    streamed windows and manifests the frame the HTTP plane served at the
+    same window (recorded from ``LiveServer.status()`` before it was
+    deleted)."""
+    recorded = json.loads((Path(__file__).parent / "fixtures"
+                           / "top_frames_live.json").read_text())["frames"]
+    out = tmp_path / "tel"
+    frames = {}
+    arm = FlightRecorder.arm
+
+    def follow(rec):
+        if str(rec["window"]) in recorded:
+            assert not (out / "metrics.json").exists()
+            with redirect_stdout(io.StringIO()) as text:
+                assert main(["top", str(out), "--once"]) == 0
+            frames[str(rec["window"])] = text.getvalue()
+
+    def arm_then_follow(self):
+        armed = arm(self)
+        self.telemetry.timeline.add_window_callback(follow)
+        return armed
+
+    monkeypatch.setattr(FlightRecorder, "arm", arm_then_follow)
+    with redirect_stdout(io.StringIO()):
+        assert main(_SATURATED + ["--telemetry", str(out)]) == 0
+    assert frames.keys() == recorded.keys()
+    for window, frame in recorded.items():
+        assert (_comparable(frames[window]).replace(str(out), "<DIR>")
+                == _comparable(frame)), window
 
 
 # -- retention/rotation ------------------------------------------------------

@@ -208,6 +208,54 @@ def test_sigint_stops_the_run_at_the_next_yield_point():
     assert k._seq == 2  # the spawn, and that one
 
 
+class _LateSignalWake:
+    """The driver's wake lock, with a Ctrl-C whose handler runs just after
+    the driver's sleep took the hand-off (as a signal that lands before
+    the acquire blocks does).  An untimed sleep that outlasts
+    ``STUCK_S`` is recorded instead of hanging the test."""
+
+    STUCK_S = 5.0
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.armed = True
+        self.stuck = False
+
+    def acquire(self, blocking=True, timeout=-1):
+        if blocking and timeout < 0:
+            got = self.lock.acquire(timeout=self.STUCK_S)
+            self.stuck |= not got
+        else:
+            got = self.lock.acquire(blocking, timeout)
+        if got and self.armed:
+            self.armed = False
+            signal.getsignal(signal.SIGINT)(signal.SIGINT, None)
+        return got
+
+    def release(self):
+        self.lock.release()
+
+
+def test_ctrl_c_handled_after_the_driver_woke_does_not_hang_it():
+    """The hand-off is taken when the interrupt shows: the driver must
+    not sleep again on the wake-up it already used."""
+    if threading.current_thread() is not threading.main_thread():
+        pytest.skip("signals are delivered to the main thread")
+    before = threading.active_count()
+    k = fresh_kernel()
+    k.spawn(lambda: [k.serve("dev", 1.0) for _ in range(3)], name="t")
+    wake = k._driver.wake = _LateSignalWake(k._driver.wake)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            k.run()
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert not wake.armed and not wake.stuck
+    assert threading.active_count() == before
+    assert signal.getsignal(signal.SIGINT) is previous
+
+
 def test_a_parked_failure_stops_inline_serves_at_the_next_one():
     """The same stop, made deterministic: the failure is parked (as the
     interrupted driver parks it) between two serves nothing contends."""
