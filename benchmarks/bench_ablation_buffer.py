@@ -65,10 +65,9 @@ def _run_bplru():
     return raw, buffered_dev, buffered
 
 
-def test_ablation_buffer_management(benchmark):
-    host_rows, (raw, buffered_dev, buffered) = benchmark.pedantic(
-        lambda: (_run_host_policies(), _run_bplru()), rounds=1, iterations=1
-    )
+def test_ablation_buffer_management():
+    host_rows = _run_host_policies()
+    raw, buffered_dev, buffered = _run_bplru()
     print()
     print(format_table(
         ["policy", "hit %", "writebacks", "second chances"],
@@ -95,10 +94,3 @@ def test_ablation_buffer_management(benchmark):
     # BPLRU eliminates most GC copy-back.
     assert (buffered_dev.ftl.stats.gc_page_writes
             < raw.ftl.stats.gc_page_writes / 2)
-
-    benchmark.extra_info.update({
-        "lru_writebacks": by["lru"]["writebacks"],
-        "cflru_writebacks": by["cflru"]["writebacks"],
-        "bplru_gc_copies": buffered_dev.ftl.stats.gc_page_writes,
-        "raw_gc_copies": raw.ftl.stats.gc_page_writes,
-    })

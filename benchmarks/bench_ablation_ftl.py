@@ -51,8 +51,8 @@ def _run():
     return rows
 
 
-def test_ablation_ftl_choice(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_ftl_choice():
+    rows = _run()
     print()
     print(format_table(
         ["FTL", "erases", "write amplification", "mean access us"],
@@ -68,7 +68,3 @@ def test_ablation_ftl_choice(benchmark):
     assert by["dftl"]["mean_us"] >= by["page"]["mean_us"]
     # Block mapping collapses under random overwrites.
     assert by["block"]["wa"] > 2 * by["page"]["wa"]
-
-    benchmark.extra_info.update(
-        {r["ftl"]: {"erases": r["erases"], "wa": round(r["wa"], 2)} for r in rows}
-    )

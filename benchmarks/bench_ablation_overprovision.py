@@ -63,8 +63,8 @@ def _run():
     return rows
 
 
-def test_ablation_overprovision(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_overprovision():
+    rows = _run()
     print()
     print(format_table(
         ["overprovision", "erases", "write amp", "mean access ms",
@@ -82,7 +82,3 @@ def test_ablation_overprovision(benchmark):
     # The captured device stream shows the mixed pattern (between the
     # 20 KB result writes and the 128 KB block flushes).
     assert 20.0 < rows[0]["mean_req_kb"] < 128.0
-
-    benchmark.extra_info.update(
-        {f"op{int(r['op'] * 100)}_wa": round(r["wa"], 3) for r in rows}
-    )

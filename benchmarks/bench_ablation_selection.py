@@ -52,8 +52,8 @@ def _run_static(index):
     return rows
 
 
-def test_ablation_tev_threshold(benchmark, index_1m):
-    rows = benchmark.pedantic(_run_tev, args=(index_1m,), rounds=1, iterations=1)
+def test_ablation_tev_threshold(index_1m):
+    rows = _run_tev(index_1m)
     print()
     print(format_table(
         ["TEV", "list hit %", "SSD list writes", "discarded", "erases"],
@@ -69,15 +69,9 @@ def test_ablation_tev_threshold(benchmark, index_1m):
     # Erases shrink as admission tightens.
     assert rows[-1]["erases"] <= rows[0]["erases"]
 
-    benchmark.extra_info.update(
-        {f"tev{r['tev']}": {"writes": r["writes"], "erases": r["erases"]}
-         for r in rows}
-    )
 
-
-def test_ablation_static_fraction(benchmark, index_1m):
-    rows = benchmark.pedantic(_run_static, args=(index_1m,),
-                              rounds=1, iterations=1)
+def test_ablation_static_fraction(index_1m):
+    rows = _run_static(index_1m)
     print()
     print(format_table(
         ["static fraction", "hit ratio %", "resp ms", "erases"],
@@ -90,7 +84,3 @@ def test_ablation_static_fraction(benchmark, index_1m):
     assert best["frac"] > 0.0
     # ...and pinning reduces erases relative to fully-dynamic.
     assert min(r["erases"] for r in rows[1:]) <= rows[0]["erases"]
-
-    benchmark.extra_info.update(
-        {f"static{r['frac']}": round(r["ms"], 2) for r in rows}
-    )

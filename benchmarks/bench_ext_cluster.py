@@ -53,8 +53,8 @@ def _run():
     return scaling, policies
 
 
-def test_ext_cluster(benchmark):
-    scaling, policies = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ext_cluster():
+    scaling, policies = _run()
     print()
     print(format_table(
         ["shards", "resp ms", "straggler ms", "hit %", "total erases"],
@@ -87,11 +87,3 @@ def test_ext_cluster(benchmark):
     cbs = policies["cbslru"]
     assert cbs.stats.mean_response_us < lru.stats.mean_response_us
     assert cbs.total_ssd_erases() <= lru.total_ssd_erases()
-
-    benchmark.extra_info.update({
-        "one_shard_ms": round(times[0], 2),
-        "eight_shard_ms": round(times[-1], 2),
-        "cluster_cbslru_vs_lru": round(
-            lru.stats.mean_response_us / cbs.stats.mean_response_us, 2
-        ),
-    })

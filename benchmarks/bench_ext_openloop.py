@@ -32,10 +32,8 @@ def _run(index, log):
     return curves, base_capacity
 
 
-def test_ext_open_loop(benchmark, index_1m, standard_log):
-    curves, base_capacity = benchmark.pedantic(
-        _run, args=(index_1m, standard_log), rounds=1, iterations=1
-    )
+def test_ext_open_loop(index_1m, standard_log):
+    curves, base_capacity = _run(index_1m, standard_log)
     rows = []
     for i, frac in enumerate(LOAD_POINTS):
         lru = curves["lru"][i]
@@ -64,5 +62,3 @@ def test_ext_open_loop(benchmark, index_1m, standard_log):
     for i in range(len(LOAD_POINTS)):
         assert (curves["cbslru"][i].mean_response_us
                 < curves["lru"][i].mean_response_us)
-
-    benchmark.extra_info["lru_capacity_qps"] = round(base_capacity, 1)

@@ -58,9 +58,8 @@ def _run(index):
     return two, three
 
 
-def test_ext_three_level(benchmark, index_1m):
-    two, three = benchmark.pedantic(_run, args=(index_1m,),
-                                    rounds=1, iterations=1)
+def test_ext_three_level(index_1m):
+    two, three = _run(index_1m)
     rows = []
     for label, mgr in (("two-level", two), ("three-level", three)):
         stats = mgr.stats
@@ -91,7 +90,3 @@ def test_ext_three_level(benchmark, index_1m):
 
     speedup = two.stats.mean_response_us / three.stats.mean_response_us
     print(f"three-level speedup: {speedup:.3f}x")
-    benchmark.extra_info.update({
-        "speedup": round(speedup, 3),
-        "intersection_hits": inter.hits,
-    })

@@ -21,10 +21,8 @@ def _run(index, log):
     return analyze_trace(umass), analyze_trace(engine), umass, engine
 
 
-def test_fig01_io_patterns(benchmark, index_1m, standard_log):
-    a_umass, a_engine, umass, engine = benchmark.pedantic(
-        _run, args=(index_1m, standard_log), rounds=1, iterations=1
-    )
+def test_fig01_io_patterns(index_1m, standard_log):
+    a_umass, a_engine, umass, engine = _run(index_1m, standard_log)
 
     rows = []
     for a in (a_umass, a_engine):
@@ -50,9 +48,3 @@ def test_fig01_io_patterns(benchmark, index_1m, standard_log):
     assert a_umass.locality_top10 > 0.3
     assert a_engine.random_fraction > 0.3
     assert a_engine.skipped_read_fraction > 0.02
-
-    benchmark.extra_info.update({
-        "umass_read_pct": round(a_umass.read_fraction * 100, 2),
-        "engine_read_pct": round(a_engine.read_fraction * 100, 2),
-        "engine_skipped_pct": round(a_engine.skipped_read_fraction * 100, 2),
-    })

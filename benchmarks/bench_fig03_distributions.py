@@ -24,10 +24,8 @@ def _run(index, log):
     return util, counts, sizes
 
 
-def test_fig03_distributions(benchmark, index_5m, standard_log):
-    util, counts, sizes = benchmark.pedantic(
-        _run, args=(index_5m, standard_log), rounds=1, iterations=1
-    )
+def test_fig03_distributions(index_5m, standard_log):
+    util, counts, sizes = _run(index_5m, standard_log)
 
     deciles = [int(p) for p in range(0, 101, 10)]
     rows = [[f"p{p}", float(np.percentile(util, 100 - p))] for p in deciles]
@@ -58,8 +56,3 @@ def test_fig03_distributions(benchmark, index_5m, standard_log):
     assert 0.3 < s < 2.0           # Zipf-like access frequency
     # Lists of queried terms span orders of magnitude (variable-length).
     assert np.percentile(sizes, 95) > 20 * np.percentile(sizes, 5)
-
-    benchmark.extra_info.update({
-        "zipf_exponent": round(s, 3),
-        "median_list_kb": int(np.median(sizes) / 1024),
-    })

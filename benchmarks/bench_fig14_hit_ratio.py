@@ -58,10 +58,8 @@ def _run_fig14b(index, log):
     return rows
 
 
-def test_fig14a_rc_ic_ric(benchmark, index_1m, standard_log):
-    rows = benchmark.pedantic(
-        _run_fig14a, args=(index_1m, standard_log), rounds=1, iterations=1
-    )
+def test_fig14a_rc_ic_ric(index_1m, standard_log):
+    rows = _run_fig14a(index_1m, standard_log)
     print()
     print(format_table(
         ["mem (MB)", "RC hit%", "IC hit%", "RIC hit%",
@@ -83,13 +81,9 @@ def test_fig14a_rc_ic_ric(benchmark, index_1m, standard_log):
         assert r["RIC"] >= r["RC"] - 0.02
         assert r["RIC"] >= r["IC"] - 0.02
 
-    benchmark.extra_info["ric_final_pct"] = round(rows[-1]["RIC"] * 100, 2)
 
-
-def test_fig14b_policy_hit_ratio(benchmark, index_1m, standard_log):
-    rows = benchmark.pedantic(
-        _run_fig14b, args=(index_1m, standard_log), rounds=1, iterations=1
-    )
+def test_fig14b_policy_hit_ratio(index_1m, standard_log):
+    rows = _run_fig14b(index_1m, standard_log)
     print()
     print(format_table(
         ["mem (MB)", "LRU hit%", "CBLRU hit%", "CBSLRU hit%",
@@ -112,8 +106,3 @@ def test_fig14b_policy_hit_ratio(benchmark, index_1m, standard_log):
     assert mean("cbslru_list") > mean("lru_list")
     assert mean("cbslru") > mean("lru"), "CBSLRU must beat LRU overall"
     assert mean("cblru") >= mean("lru") - 0.005
-
-    benchmark.extra_info.update({
-        "cblru_gain_pts": round(cblru_gain, 2),
-        "cbslru_gain_pts": round(cbslru_gain, 2),
-    })

@@ -54,8 +54,8 @@ def _run():
     return rows
 
 
-def test_fig16_cache_levels(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig16_cache_levels():
+    rows = _run()
     cols = ["1LC(R)-HDD", "1LC(R)-SSD", "2LC(R)-HDD", "2LC(RI)-HDD"]
     print()
     print(format_table(
@@ -73,7 +73,3 @@ def test_fig16_cache_levels(benchmark):
     mean = lambda c: sum(r[c] for r in rows) / len(rows)
     print(f"mean speedup of 2LC(RI) over 1LC(R): "
           f"{mean('1LC(R)-HDD') / mean('2LC(RI)-HDD'):.2f}x")
-
-    benchmark.extra_info["ri_speedup"] = round(
-        mean("1LC(R)-HDD") / mean("2LC(RI)-HDD"), 2
-    )

@@ -29,8 +29,8 @@ def _run():
     return rows
 
 
-def test_fig17_policies(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig17_policies():
+    rows = _run()
     print()
     print(format_table(
         ["docs (M)", "LRU ms", "CBLRU ms", "CBSLRU ms",
@@ -57,10 +57,3 @@ def test_fig17_policies(benchmark):
     assert dt_cblru > 15.0
     assert dt_cbslru > dt_cblru - 2.0
     assert dq_cblru > 15.0
-
-    benchmark.extra_info.update({
-        "cblru_resp_reduction_pct": round(dt_cblru, 1),
-        "cbslru_resp_reduction_pct": round(dt_cbslru, 1),
-        "cblru_qps_gain_pct": round(dq_cblru, 1),
-        "cbslru_qps_gain_pct": round(dq_cbslru, 1),
-    })

@@ -79,8 +79,8 @@ def _run_fig18b(index):
     return rows
 
 
-def test_fig18a_architectures(benchmark):
-    rows = benchmark.pedantic(_run_fig18a, rounds=1, iterations=1)
+def test_fig18a_architectures():
+    rows = _run_fig18a()
     print()
     print(format_table(
         ["docs (M)", "1LC-HDD ms", "1LC-SSD ms", "2LC-HDD ms"],
@@ -95,14 +95,10 @@ def test_fig18a_architectures(benchmark):
     # best performance"), while its storage is far cheaper.
     mean = lambda c: sum(r[c] for r in rows) / len(rows)
     assert mean("2LC-HDD") < mean("1LC-SSD")
-    benchmark.extra_info["2lc_vs_1lc_speedup"] = round(
-        mean("1LC-HDD") / mean("2LC-HDD"), 2
-    )
 
 
-def test_fig18b_memory_ssd_trade(benchmark, index_1m):
-    rows = benchmark.pedantic(_run_fig18b, args=(index_1m,),
-                              rounds=1, iterations=1)
+def test_fig18b_memory_ssd_trade(index_1m):
+    rows = _run_fig18b(index_1m)
     print()
     print(format_table(
         ["configuration", "resp ms", "qps", "storage $ (paper scale)"],
@@ -120,6 +116,3 @@ def test_fig18b_memory_ssd_trade(benchmark, index_1m):
     print(f"2LC(0.1GB+2GB SSD) costs ${small2lc['cost']:.2f} vs "
           f"${big1lc['cost']:.2f} for 1LC(1GB) — "
           f"{big1lc['cost'] / small2lc['cost']:.1f}x cheaper storage")
-    benchmark.extra_info["cost_ratio"] = round(
-        big1lc["cost"] / small2lc["cost"], 2
-    )

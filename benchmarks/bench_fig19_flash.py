@@ -26,10 +26,8 @@ def _run(index, log):
     return series
 
 
-def test_fig19_flash_behaviour(benchmark, index_1m, long_log):
-    series = benchmark.pedantic(
-        _run, args=(index_1m, long_log), rounds=1, iterations=1
-    )
+def test_fig19_flash_behaviour(index_1m, long_log):
+    series = _run(index_1m, long_log)
 
     rows = []
     for i, point in enumerate(SAMPLE_POINTS):
@@ -88,10 +86,3 @@ def test_fig19_flash_behaviour(benchmark, index_1m, long_log):
     # steeply (reads start to dominate writes).
     lru_times = [s["mean_access_us"] for s in series["lru"]]
     assert lru_times[-1] < lru_times[4] * 1.5
-
-    benchmark.extra_info.update({
-        "erase_reduction_cblru_pct": round(e_cblru, 1),
-        "erase_reduction_cbslru_pct": round(e_cbslru, 1),
-        "access_reduction_cblru_pct": round(t_cblru, 1),
-        "access_reduction_cbslru_pct": round(t_cbslru, 1),
-    })

@@ -25,10 +25,8 @@ def _run(index, log):
     return mgr.stats
 
 
-def test_table1_situations(benchmark, index_1m, standard_log):
-    stats = benchmark.pedantic(
-        _run, args=(index_1m, standard_log), rounds=1, iterations=1
-    )
+def test_table1_situations(index_1m, standard_log):
+    stats = _run(index_1m, standard_log)
 
     descriptions = {
         "S1": "result from memory", "S2": "lists from memory",
@@ -59,7 +57,3 @@ def test_table1_situations(benchmark, index_1m, standard_log):
                      if table[s][0] > 0]
     assert populated_hdd, "some queries must still reach the HDD"
     assert table["S1"][1] < min(populated_hdd) / 10
-
-    benchmark.extra_info.update(
-        {name: round(prob, 4) for name, prob, _ in stats.situation_table()}
-    )

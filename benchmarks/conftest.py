@@ -1,10 +1,9 @@
 """Shared benchmark fixtures.
 
-Each ``bench_*`` file regenerates one table or figure of the paper.  The
-pytest-benchmark fixture times the experiment; the experiment itself
-prints a paper-style table (stdout, use ``-s`` to see it live) and stores
-the headline numbers in ``benchmark.extra_info`` so they land in the
-saved benchmark JSON.
+Each ``bench_*`` file regenerates one table or figure of the paper: its
+test runs the experiment once, prints a paper-style table (stdout, use
+``-s`` to see it live) and asserts the figure's shape.  Nothing is
+timed here; host speed is ``hostbench/``'s job.
 
 Scale note: the paper's testbed indexes 1-5 M enwiki documents and plays
 10-100 k AOL queries.  The benches keep the same axes at reduced query

@@ -99,7 +99,9 @@ def compare_benches(
 ) -> list[Regression]:
     """Every gated metric of ``current`` that regressed vs ``baseline``.
 
-    Scenarios present in only one document are skipped (suites may grow).
+    Scenarios present in only one document are skipped (suites may grow),
+    but two documents that share no scenario raise ``ValueError``: a
+    gate that compared nothing must not read "no regressions".
     Within a shared scenario, a gated metric that the baseline recorded
     as nonzero but the current run no longer reports is treated as a
     regression to 0.
@@ -123,6 +125,8 @@ def compare_benches(
             f"cannot compare benches across measurement methodologies: "
             f"{detail}; re-record the baseline with the current harness"
         )
+    if not set(current.get("scenarios", {})) & set(baseline.get("scenarios", {})):
+        raise ValueError("the documents share no scenario: nothing to compare")
     thresholds = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
     out: list[Regression] = []
     for name, base_entry in baseline.get("scenarios", {}).items():

@@ -130,13 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-ms", type=_POSITIVE, default=50.0,
                    help="timeline window width in virtual-clock "
                         "milliseconds (default 50)")
-    p.add_argument("--max-windows", type=_COUNT, default=None, metavar="N",
-                   help="rotate DIR/timeline.jsonl after N streamed "
-                        "windows (bounds on-disk growth; one .1 "
-                        "generation is kept; requires --timeline)")
-    p.add_argument("--max-blame-records", type=_COUNT, default=None,
-                   metavar="N",
-                   help="rotate DIR/blame.jsonl after N streamed records")
     p.add_argument("--no-flight", action="store_true",
                    help="disable the flight recorder (kernel-mode runs "
                         "with --timeline arm it by default)")
@@ -378,8 +371,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.timeline and not args.telemetry:
         raise _CliError("--timeline requires --telemetry DIR")
-    if not args.timeline and args.max_windows is not None:
-        raise _CliError("--max-windows requires --timeline")
     if args.arrival != "closed" and args.rate_qps is None:
         raise _CliError("open-loop arrivals need --rate-qps > 0")
     telemetry = None
@@ -395,15 +386,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Kernel blame records stream the same way once a kernel is
         # observed; closed-loop concurrency-1 runs have no kernel and
         # simply never open the file.
-        telemetry.stream_blame(os.path.join(args.telemetry, "blame.jsonl"),
-                               max_records=args.max_blame_records)
+        telemetry.stream_blame(os.path.join(args.telemetry, "blame.jsonl"))
         if args.timeline:
             # Windows stream the same way: each one is written the
             # moment it closes.
             telemetry.attach_timeline(
                 window_us=args.window_ms * 1000.0,
                 stream_path=os.path.join(args.telemetry, "timeline.jsonl"),
-                max_windows=args.max_windows,
             )
 
     # Kernel-mode runs with a timeline arm the flight recorder: a
@@ -1117,8 +1106,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             try:
                 body = frame()
             except _CliError as exc:
-                # A run not started yet, or a rotation between the reads
-                # of timeline.jsonl.1 and timeline.jsonl: read again.
+                # A run not started yet: read again.
                 body = f"error: {exc}"
             sys.stdout.write("\x1b[2J\x1b[H" + body + "\n")
             sys.stdout.flush()
@@ -1186,9 +1174,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     baseline = None
     if args.against:
-        # Before any scenario runs: a bad baseline must not cost a suite.
+        from repro.bench.scenarios import SUITES
+
+        # Before any scenario runs: a bad baseline must not cost a suite,
+        # and one without this suite's scenarios would gate nothing.
         baseline = _load(load_bench, args.against,
                          "not a usable bench baseline")
+        held = sorted(baseline["scenarios"])
+        if not {s.name for s in SUITES[args.suite]} & set(held):
+            raise _CliError(f"{args.against}: no scenario of suite "
+                            f"{args.suite!r} (it holds {', '.join(held)})")
     doc = run_suite(args.suite,
                     progress=lambda s: print(f"running {s.name} ..."))
     out = args.out or next_bench_path()

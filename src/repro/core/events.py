@@ -22,6 +22,7 @@ shards and ad-hoc observability.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
@@ -158,24 +159,35 @@ class CacheEvents:
         on_flush: Callable[[FlushEvent], None] | None = None,
         on_l2_victim: Callable[[L2VictimEvent], None] | None = None,
     ) -> Callable[[], None]:
-        """Attach any subset of hooks; returns an unsubscribe callable."""
-        attached: list[tuple[list, Callable]] = []
-        for hooks, cb in (
-            (self._on_admit, on_admit),
-            (self._on_evict, on_evict),
-            (self._on_flush, on_flush),
-            (self._on_l2_victim, on_l2_victim),
+        """Attach any subset of hooks; returns an unsubscribe callable.
+
+        The bus owns its subscribers, so the handle holds the bus weakly
+        and each hook by ``id``: a subscriber keeping it forms no cycle.
+        """
+        attached: list[tuple[str, int]] = []
+        for name, cb in (
+            ("_on_admit", on_admit),
+            ("_on_evict", on_evict),
+            ("_on_flush", on_flush),
+            ("_on_l2_victim", on_l2_victim),
         ):
             if cb is not None:
-                hooks.append(cb)
-                attached.append((hooks, cb))
+                getattr(self, name).append(cb)
+                attached.append((name, id(cb)))
         self._bind()
+        bus = weakref.ref(self)
 
         def unsubscribe() -> None:
-            for hooks, cb in attached:
-                if cb in hooks:
-                    hooks.remove(cb)
-            self._bind()
+            events = bus()
+            if events is None:
+                return
+            for name, cb_id in attached:
+                hooks = getattr(events, name)
+                ids = [id(cb) for cb in hooks]
+                if cb_id in ids:
+                    del hooks[ids.index(cb_id)]
+            attached.clear()  # an id is only this hook's while it is held
+            events._bind()
 
         return unsubscribe
 

@@ -65,6 +65,10 @@ class IntersectionCache:
     def used_bytes(self) -> int:
         return self._bytes
 
+    def occupancy(self) -> dict:
+        return {"intersections": len(self),
+                "intersection_bytes": self._bytes}
+
     def lookup(
         self, pair: tuple[int, int], now_us: float = 0.0, ttl_us: float = 0.0
     ) -> IntersectionEntry | None:
@@ -133,6 +137,9 @@ class ThreeLevelCacheManager(CacheManager):
         self.intersections = IntersectionCache(
             intersection_bytes, replace_window=config.replace_window
         )
+        observe_occupancy = getattr(telemetry, "observe_occupancy", None)
+        if observe_occupancy is not None:
+            observe_occupancy(self.intersections.occupancy)
         self.min_pair_freq = min_pair_freq
         self._pair_freq: dict[tuple[int, int], int] = {}
 
@@ -245,6 +252,5 @@ class ThreeLevelCacheManager(CacheManager):
 
     def occupancy(self) -> dict:
         occ = super().occupancy()
-        occ["intersections"] = len(self.intersections)
-        occ["intersection_bytes"] = self.intersections.used_bytes
+        occ.update(self.intersections.occupancy())
         return occ

@@ -159,9 +159,6 @@ class CacheManager:
             observe_stats = getattr(telemetry, "observe_stats", None)
             if observe_stats is not None:
                 observe_stats(self.stats)
-            observe_occupancy = getattr(telemetry, "observe_occupancy", None)
-            if observe_occupancy is not None:
-                observe_occupancy(self.occupancy)
         else:
             self._tracer = NULL_TRACER
             self._audit = NULL_AUDIT
@@ -205,6 +202,12 @@ class CacheManager:
             tracer=self._tracer,
             audit=self._audit,
         )
+        # The telemetry samples the caches, never ``self``: the manager
+        # owns its telemetry, so the pair forms no reference cycle.
+        observe_occupancy = getattr(telemetry, "observe_occupancy", None)
+        if observe_occupancy is not None:
+            observe_occupancy(self.result_cache.occupancy)
+            observe_occupancy(self.list_cache.occupancy)
 
     # ------------------------------------------------------------------
     # Query management (QM)

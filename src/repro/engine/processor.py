@@ -94,14 +94,16 @@ class QueryProcessor:
         self.index = index
         self.costs = costs or ProcessorCosts()
         self.top_k = top_k
-        self._rng = make_rng(seed)
-        #: The endless wobble stream: ``plan`` takes one per term, and
-        #: the stream refills itself a block at a time.
-        self._wobbles = chain.from_iterable(iter(self._draw_wobbles, None))
+        self._rng = rng = make_rng(seed)
 
-    def _draw_wobbles(self) -> list[float]:
-        return self._rng.lognormal(mean=0.0, sigma=0.30,
-                                   size=WOBBLE_BLOCK).tolist()
+        def draw() -> list[float]:
+            return rng.lognormal(mean=0.0, sigma=0.30,
+                                 size=WOBBLE_BLOCK).tolist()
+
+        #: The endless wobble stream: ``plan`` takes one per term, and
+        #: the stream refills itself a block at a time (from the
+        #: generator, not ``self``: the processor holds no cycle).
+        self._wobbles = chain.from_iterable(iter(draw, None))
 
     # -- planning -------------------------------------------------------------
 

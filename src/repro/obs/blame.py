@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro._row import SHAPES, shape
-from repro.obs._jsonl import JsonlWriter, read_generations, write_jsonl
+from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
 
 BLAME_SCHEMA = "repro.obs.blame/v1"
 
@@ -122,32 +122,20 @@ class BlameRecorder:
             self.start_us = kernel.clock.now_us
         return self
 
-    def open_stream(self, path: str, max_records: int | None = None) -> None:
+    def open_stream(self, path: str) -> None:
         """Stream every future record to ``path`` as JSONL (header first).
 
         Records already in the ring are flushed so the file is complete
-        regardless of when streaming started.  ``max_records`` bounds
-        on-disk growth for long live runs: once that many records sit in
-        the file it rotates to ``<path>.1`` (replacing any previous
-        rotation), keeping at most two generations on disk;
-        :func:`load_blame_jsonl` reads the rotation back in order.
+        regardless of when streaming started.
         """
         self.close_stream()
-        if max_records is not None and max_records < 1:
-            raise ValueError("max_records must be >= 1")
-        self._stream = JsonlWriter(path, header={"schema": BLAME_SCHEMA},
-                                   max_records=max_records)
+        self._stream = JsonlWriter(path, header={"schema": BLAME_SCHEMA})
         for rec in self.records:
             self._stream.write(rec.to_dict())
 
     def close_stream(self) -> None:
         if self._stream is not None:
             self._stream.close()
-
-    @property
-    def rotations(self) -> int:
-        """Times the streamed file was rotated (older records left disk)."""
-        return self._stream.rotations if self._stream is not None else 0
 
     # -- hot-path hooks (called by the kernel; keep them lean) -------------
 
@@ -305,8 +293,8 @@ class BlameRecorder:
 
         Calls :meth:`finish` first so resource summaries and the footer
         are present.  A streaming run is already on disk: its file is
-        left in place when it *is* ``path``, else its generation(s) are
-        copied there.  Returns the number of records retained.
+        left in place when it *is* ``path``, else it is copied there.
+        Returns the number of records retained.
         """
         self.finish()
         if self._stream is not None:
@@ -346,35 +334,29 @@ def load_blame_jsonl(path: str) -> BlameLog:
     """Parse and schema-check a blame JSONL file (see :data:`BLAME_SCHEMA`).
 
     Raises :class:`ValueError` on a bad header, an unknown record type,
-    or a record missing a required field.  When the stream was rotated
-    (``open_stream(max_records=...)``), the previous generation lives at
-    ``<path>.1``; it is read first so the returned records stay in
-    emission order across the rotation.
+    or a record missing a required field.
     """
-    log = None
-    parts, torn_total = read_generations(path)
-    for part, records in parts:
-        lines = [rec for _, rec in records]
-        if not lines or lines[0].get("schema") != BLAME_SCHEMA:
-            raise ValueError(f"{part}: not a {BLAME_SCHEMA} file")
-        if log is None:
-            log = BlameLog(path, header=lines[0], torn_tail=torn_total)
-        for rec in lines[1:]:
-            kind = rec.get("type")
-            fields = _RECORD_FIELDS.get(kind)
-            if fields is None:
-                raise ValueError(f"{path}: unknown record type {kind!r}")
-            for name in fields:
-                if name not in rec:
-                    raise ValueError(
-                        f"{path}: {kind} record missing field {name!r}: "
-                        f"{rec}")
-            if kind == "resource":
-                log.resources.append(rec)
-            elif kind == "footer":
-                log.footer = rec
-            else:
-                log.records.append(rec)
+    records, torn = read_jsonl(path)
+    lines = [rec for _, rec in records]
+    if not lines or lines[0].get("schema") != BLAME_SCHEMA:
+        raise ValueError(f"{path}: not a {BLAME_SCHEMA} file")
+    log = BlameLog(path, header=lines[0], torn_tail=torn)
+    for rec in lines[1:]:
+        kind = rec.get("type")
+        fields = _RECORD_FIELDS.get(kind)
+        if fields is None:
+            raise ValueError(f"{path}: unknown record type {kind!r}")
+        for name in fields:
+            if name not in rec:
+                raise ValueError(
+                    f"{path}: {kind} record missing field {name!r}: "
+                    f"{rec}")
+        if kind == "resource":
+            log.resources.append(rec)
+        elif kind == "footer":
+            log.footer = rec
+        else:
+            log.records.append(rec)
     return log
 
 

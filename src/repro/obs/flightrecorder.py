@@ -44,6 +44,7 @@ import hashlib
 import json
 import os
 import re
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -111,7 +112,7 @@ class FlightRecorder:
                  config: dict | None = None) -> None:
         if trigger_severity not in _SEVERITY_RANK:
             raise ValueError("trigger_severity must be 'warn' or 'critical'")
-        self.telemetry = telemetry
+        self._telemetry = weakref.ref(telemetry)
         self.out_dir = out_dir
         self.trigger_severity = trigger_severity
         self.config = config or {}
@@ -129,22 +130,33 @@ class FlightRecorder:
         self._armed = False
         self._finished = False
 
+    @property
+    def telemetry(self):
+        """The bundle hooked, held weakly: an armed recorder is the
+        telemetry's (``telemetry.flight``), not the reverse."""
+        return self._telemetry()
+
     # -- arming --------------------------------------------------------------
 
     def arm(self) -> "FlightRecorder":
         """Hook the telemetry seams; idempotent."""
         if self._armed:
             return self
-        tl = self.telemetry.timeline
+        tel = self.telemetry
+        tl = tel.timeline
         if tl is None:
             raise RuntimeError(
                 "flight recorder needs an attached timeline "
                 "(Telemetry.attach_timeline before arm)")
         tl.add_window_callback(self._on_window)
-        tracer = self.telemetry.tracer
+        tracer = tel.tracer
         if getattr(tracer, "enabled", False):
             tracer.set_span_sink(self._spans.append)
-        self.telemetry.flight = self
+        # What a dump reads, kept here: none of it points back at us.
+        self._window_us = tl.window_us
+        self._exemplars = tel.exemplars
+        self._audit = tel.audit
+        tel.flight = self
         self._armed = True
         return self
 
@@ -210,7 +222,7 @@ class FlightRecorder:
 
         exemplar_qids: set[int] = set()
         exemplar_rows: list[dict] = []
-        store = self.telemetry.exemplars
+        store = self._exemplars
         if store is not None:
             for ex in store.exemplars:
                 if ex.window in window_set and ex.query_id is not None:
@@ -226,7 +238,7 @@ class FlightRecorder:
         audit_rows = self._audit_rows(start_us, end_us)
 
         capacity = None
-        blame = self.telemetry.blame
+        blame = getattr(self.telemetry, "blame", None)
         if blame is not None and blame.kernel is not None:
             adm = blame.admission
             completed = adm.stats.completed if adm is not None else None
@@ -241,7 +253,7 @@ class FlightRecorder:
             "trigger": inc["trigger"].to_dict(),
             "anomalies": [a.to_dict() for a in inc["anomalies"]],
             "slo": [r.to_dict() for r in self.slo.results()],
-            "window_us": self.telemetry.timeline.window_us,
+            "window_us": self._window_us,
             "trigger_window": inc["trigger"].window,
             "windows": window_ids,
             "start_us": start_us,
@@ -268,7 +280,7 @@ class FlightRecorder:
         write_jsonl(os.path.join(bundle, "windows.jsonl"),
                     chain(windows, exemplar_rows, [footer]),
                     header={"type": "header", "schema": TIMELINE_SCHEMA,
-                            "window_us": self.telemetry.timeline.window_us})
+                            "window_us": self._window_us})
         write_jsonl(os.path.join(bundle, "spans.jsonl"), span_rows)
         with open(os.path.join(bundle, "blame.json"), "w") as fh:
             json.dump({"schema": BLAME_SCHEMA,
@@ -282,7 +294,7 @@ class FlightRecorder:
 
     def _blame_queries(self, start_us: float, end_us: float,
                        exemplar_qids: set) -> list[QueryBlame]:
-        blame = self.telemetry.blame
+        blame = getattr(self.telemetry, "blame", None)
         if blame is None:
             return []
         queries = [q for q in assemble_queries(blame.records)
@@ -318,7 +330,7 @@ class FlightRecorder:
         return [span_dict(*span) for span in spans if span[0] in keep_ids]
 
     def _audit_rows(self, start_us: float, end_us: float) -> list[dict]:
-        audit = self.telemetry.audit
+        audit = self._audit
         if not getattr(audit, "enabled", False):
             return []
         return [r.to_dict() for r in

@@ -19,6 +19,8 @@ per-query sum equals the query's response time.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.obs.audit import NULL_AUDIT, AuditLog
 from repro.obs.cache_metrics import CacheEventMetrics, CacheStatsMetrics
 from repro.obs.flash_metrics import FlashDeviceMetrics
@@ -33,8 +35,7 @@ __all__ = ["Telemetry", "stage_of_channel"]
 _UNRESOLVED = object()
 #: ``obs_dropped_total{what=...}``: what the observer itself lost, in the
 #: order :meth:`Telemetry.collect` samples it.
-_LOSSES = ("spans", "audit_records", "windows", "exemplars", "blame_records",
-           "timeline_generations", "blame_generations")
+_LOSSES = ("spans", "audit_records", "windows", "exemplars", "blame_records")
 #: Key of the ``cpu`` residual stage in that cache (no channel is an object).
 _CPU = object()
 
@@ -82,7 +83,6 @@ class Telemetry:
         self._occupancy: list = []
         self.blame = None
         self._blame_stream_path: str | None = None
-        self._blame_stream_max: int | None = None
         #: the armed :class:`~repro.obs.flightrecorder.FlightRecorder`,
         #: if any — flushed by close()/write_telemetry_dir.
         self.flight = None
@@ -108,14 +108,12 @@ class Telemetry:
             self.timeline.clock = clock
 
     def attach_timeline(self, window_us: float = 50_000.0,
-                        stream_path=None,
-                        max_windows: int | None = None) -> TimelineRecorder:
+                        stream_path=None) -> TimelineRecorder:
         """Attach a windowed recorder (and tail-exemplar capture).
 
         ``window_us`` is the fixed window width on the virtual clock;
         ``stream_path`` turns on streaming (each window written to
-        ``timeline.jsonl`` the moment it closes); ``max_windows`` caps
-        the streamed file's growth by rotation.  Call before the run
+        ``timeline.jsonl`` the moment it closes).  Call before the run
         starts; the manager ticks the recorder once per query.
         """
         if self.timeline is not None:
@@ -123,12 +121,15 @@ class Telemetry:
         self.exemplars = ExemplarStore()
         # re-resolved (and registered for exemplars) on their next query
         self._situation_insts.clear()
+        # The telemetry owns its timeline, so the timeline's collect hook
+        # reaches back weakly: the pair forms no reference cycle.
+        owner = weakref.ref(self)
         self.timeline = TimelineRecorder(
             self.registry, window_us, clock=self.clock,
-            collect=self.collect, exemplars=self.exemplars,
+            collect=lambda: owner().collect(), exemplars=self.exemplars,
         )
         if stream_path is not None:
-            self.timeline.open_stream(stream_path, max_windows=max_windows)
+            self.timeline.open_stream(stream_path)
         return self.timeline
 
     def observe_stats(self, stats) -> CacheStatsMetrics:
@@ -139,8 +140,9 @@ class Telemetry:
         return bridge
 
     def observe_occupancy(self, fn) -> None:
-        """Register an occupancy callable (``CacheManager.occupancy``)
-        whose entry/byte counts become sum-merged gauges per collect."""
+        """Register an occupancy callable (the manager registers one over
+        its caches) whose entry/byte counts become sum-merged gauges per
+        collect."""
         self._occupancy.append(fn)
 
     def observe_cache_events(self, events) -> CacheEventMetrics:
@@ -171,23 +173,19 @@ class Telemetry:
 
             self.blame = BlameRecorder(registry=self.registry)
             if self._blame_stream_path is not None:
-                self.blame.open_stream(self._blame_stream_path,
-                                       max_records=self._blame_stream_max)
+                self.blame.open_stream(self._blame_stream_path)
         self.blame.attach(kernel, admission=admission)
         return bridge
 
-    def stream_blame(self, path: str,
-                     max_records: int | None = None) -> None:
+    def stream_blame(self, path: str) -> None:
         """Stream blame records to ``path`` as they are emitted.
 
         May be called before any kernel exists; the stream opens as soon
-        as :meth:`observe_kernel` creates the recorder.  ``max_records``
-        caps the streamed file's growth by rotation.
+        as :meth:`observe_kernel` creates the recorder.
         """
         self._blame_stream_path = path
-        self._blame_stream_max = max_records
         if self.blame is not None:
-            self.blame.open_stream(path, max_records=max_records)
+            self.blame.open_stream(path)
 
     def observe_flash(self, ssd):
         """Register a flash device for wear/GC/WA collection.
@@ -221,15 +219,13 @@ class Telemetry:
                         if slot == "write_buffer" else
                         self.registry.gauge("cache_occupancy", slot=slot))
                 g.set(value)
-        # The observer's own losses: ring drops, and file generations a
-        # second rotation discarded.  A lossless run creates no series.
+        # The observer's own losses: its ring drops.  A lossless run
+        # creates no series.
         tl, blame = self.timeline, self.blame
         losses = (self.tracer.dropped, self.audit.dropped,
                   tl.dropped_windows if tl else 0,
                   self.exemplars.dropped if tl else 0,
-                  blame.dropped if blame else 0,
-                  max(0, tl.rotations - 1) if tl else 0,
-                  max(0, blame.rotations - 1) if blame else 0)
+                  blame.dropped if blame else 0)
         if losses != self._losses:
             self._losses = losses
             for advance, value in zip(self._dropped, losses):

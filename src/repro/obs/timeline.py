@@ -64,7 +64,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from repro.obs._jsonl import JsonlWriter, read_generations, write_jsonl
+from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
 from repro.obs.instruments import Histogram
 from repro.obs.registry import MetricsRegistry
 
@@ -242,31 +242,15 @@ class TimelineRecorder:
 
     # -- streaming -----------------------------------------------------------
 
-    @property
-    def rotations(self) -> int:
-        """Times the streamed file was rotated (older windows left disk)."""
-        return self._stream.rotations if self._stream is not None else 0
-
     def _header(self) -> dict:
         return {"type": "header", "schema": TIMELINE_SCHEMA,
                 "window_us": self.window_us}
 
-    def open_stream(self, path, max_windows: int | None = None) -> None:
-        """Write windows to ``path`` as they close (header first).
-
-        ``max_windows`` bounds on-disk growth for long live runs: once
-        that many windows sit in the file, it is rotated to
-        ``<path>.1`` (replacing any previous rotation) and the stream
-        continues in a fresh file, so at most two generations — about
-        ``2 * max_windows`` windows — are ever on disk.
-        :func:`load_timeline_jsonl` reads the rotation back in order.
-        """
+    def open_stream(self, path) -> None:
+        """Write windows to ``path`` as they close (header first)."""
         if self._stream is not None:
             raise RuntimeError("timeline is already streaming")
-        if max_windows is not None and max_windows < 1:
-            raise ValueError("max_windows must be >= 1")
-        self._stream = JsonlWriter(path, header=self._header(),
-                                   max_records=max_windows)
+        self._stream = JsonlWriter(path, header=self._header())
         for rec in self.windows:
             if "derived" not in rec:
                 rec["derived"] = derive_window(rec)
@@ -317,8 +301,6 @@ class TimelineRecorder:
         """What follows the windows: the exemplars, then the footer."""
         footer = {"type": "footer", "windows": self.emitted,
                   "dropped_windows": self.dropped_windows}
-        if self.rotations:
-            footer["rotated"] = self.rotations
         if self.exemplars is None:
             return [footer]
         footer["exemplars"] = len(self.exemplars.exemplars)
@@ -410,7 +392,7 @@ class TimelineRecorder:
 
         In streaming mode the windows are already on disk: the stream is
         finalized (via :meth:`finish`) and, when ``path`` is another
-        file, the streamed generation(s) are copied there.
+        file, the streamed file is copied there.
         """
         self.finish()
         if self._stream is not None:
@@ -657,73 +639,56 @@ class Timeline:
 def load_timeline_jsonl(path) -> Timeline:
     """Load and schema-check a timeline file.
 
-    When the stream was rotated (``open_stream(max_windows=...)``), the
-    previous generation lives at ``<path>.1``; it is read first so the
-    returned windows stay in order across the rotation boundary.  Beyond
-    record shapes it checks that the footer's window count matches,
-    counter deltas are non-negative and every sub-histogram's count is
-    its buckets' sum.
+    Beyond record shapes it checks that the footer's window count
+    matches the file (a file whose torn tail was skipped may hold
+    fewer), counter deltas are non-negative and every sub-histogram's
+    count is its buckets' sum.
     """
     windows: list[dict] = []
     exemplars: list[dict] = []
     footer = None
-    window_us = None
-    parts, torn_total = read_generations(path)
-    for part, records in parts:
-        if not records:
-            raise ValueError(f"{part}: empty timeline file")
-        for pos, (lineno, rec) in enumerate(records):
-            kind = rec.get("type")
-            if pos == 0:
-                if kind != "header" or rec.get("schema") != TIMELINE_SCHEMA:
-                    raise ValueError(
-                        f"{part}:{lineno}: not a {TIMELINE_SCHEMA} header")
-                if window_us is None:
-                    window_us = rec["window_us"]
-                elif rec["window_us"] != window_us:
-                    raise ValueError(
-                        f"{part}:{lineno}: window_us changed across "
-                        f"rotation")
-            elif kind == "header":
-                raise ValueError(
-                    f"{part}:{lineno}: header after the first record")
-            elif kind == "window":
-                for fld in ("window", "start_us", "end_us", "counters",
-                            "gauges", "histograms"):
-                    if fld not in rec:
-                        raise ValueError(
-                            f"{part}:{lineno}: window missing {fld!r}")
-                if rec["end_us"] <= rec["start_us"]:
-                    raise ValueError(
-                        f"{part}:{lineno}: window ends before it starts")
-                if windows and rec["window"] <= windows[-1]["window"]:
-                    raise ValueError(
-                        f"{part}:{lineno}: window indices must increase")
-                windows.append(rec)
-            elif kind == "exemplar":
-                for fld in ("metric", "value_us", "window"):
-                    if fld not in rec:
-                        raise ValueError(
-                            f"{part}:{lineno}: exemplar missing {fld!r}")
-                exemplars.append(rec)
-            elif kind == "footer":
-                footer = rec
-            else:
-                raise ValueError(
-                    f"{part}:{lineno}: unknown record type {kind!r}")
-    if window_us is None:
+    records, torn = read_jsonl(path)
+    if not records:
         raise ValueError(f"{path}: empty timeline file")
+    for pos, (lineno, rec) in enumerate(records):
+        kind = rec.get("type")
+        if pos == 0:
+            if (kind != "header" or rec.get("schema") != TIMELINE_SCHEMA
+                    or "window_us" not in rec):
+                raise ValueError(
+                    f"{path}:{lineno}: not a {TIMELINE_SCHEMA} header")
+            window_us = rec["window_us"]
+        elif kind == "header":
+            raise ValueError(
+                f"{path}:{lineno}: header after the first record")
+        elif kind == "window":
+            for fld in ("window", "start_us", "end_us", "counters",
+                        "gauges", "histograms"):
+                if fld not in rec:
+                    raise ValueError(
+                        f"{path}:{lineno}: window missing {fld!r}")
+            if rec["end_us"] <= rec["start_us"]:
+                raise ValueError(
+                    f"{path}:{lineno}: window ends before it starts")
+            if windows and rec["window"] <= windows[-1]["window"]:
+                raise ValueError(
+                    f"{path}:{lineno}: window indices must increase")
+            windows.append(rec)
+        elif kind == "exemplar":
+            for fld in ("metric", "value_us", "window"):
+                if fld not in rec:
+                    raise ValueError(
+                        f"{path}:{lineno}: exemplar missing {fld!r}")
+            exemplars.append(rec)
+        elif kind == "footer":
+            footer = rec
+        else:
+            raise ValueError(
+                f"{path}:{lineno}: unknown record type {kind!r}")
     if footer is not None:
         claimed = footer.get("windows")
-        if footer.get("rotated") or torn_total:
-            # Rotation discards generations before <path>.1 and a torn
-            # tail loses its record, so the file can hold fewer windows
-            # than the run emitted — never more.
-            if claimed is not None and len(windows) > claimed:
-                raise ValueError(
-                    f"{path}: footer claims {claimed} windows, file "
-                    f"holds {len(windows)}")
-        elif claimed != len(windows):
+        if claimed != len(windows) and not (
+                torn and claimed is not None and len(windows) < claimed):
             raise ValueError(
                 f"{path}: footer claims {claimed} windows, "
                 f"file holds {len(windows)}")
@@ -738,7 +703,7 @@ def load_timeline_jsonl(path) -> Timeline:
                 raise ValueError(
                     f"{path}: sub-histogram {key} count mismatch in window "
                     f"{rec['window']}")
-    return Timeline(path, window_us, windows, exemplars, footer, torn_total)
+    return Timeline(path, window_us, windows, exemplars, footer, torn)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,8 @@ class Task:
 
     Created via :meth:`Kernel.spawn`; the callable runs on a worker
     thread that only ever executes while it holds the kernel's baton.
-    ``result``/``error`` are populated when ``done``.
+    ``result``/``error`` are populated when ``done``, and ``fn`` is
+    released then.
     """
 
     __slots__ = ("kernel", "fn", "name", "done", "result", "error",
@@ -608,6 +609,7 @@ class Kernel:
                 return
             except BaseException as exc:
                 task.error = exc
+            task.fn = None  # a finished task keeps no closure alive
             task.done = True
             self._finish(task)
         except _Abort:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -125,15 +126,15 @@ class PoissonArrivals:
         if rate_qps <= 0:
             raise ValueError(f"rate_qps must be positive: {rate_qps}")
         self.rate_qps = rate_qps
-        self._mean_gap_us = 1e6 / rate_qps
-        self._rng = make_rng(seed)
-        #: The endless gap stream: one gap per arrival, refilled a block
-        #: at a time.
-        self._gaps = chain.from_iterable(iter(self._draw_gaps, None))
+        self._mean_gap_us = mean_gap_us = 1e6 / rate_qps
+        self._rng = rng = make_rng(seed)
 
-    def _draw_gaps(self) -> list[float]:
-        return self._rng.exponential(self._mean_gap_us,
-                                     size=GAP_BLOCK).tolist()
+        def draw() -> list[float]:
+            return rng.exponential(mean_gap_us, size=GAP_BLOCK).tolist()
+
+        #: The endless gap stream: one gap per arrival, refilled a block
+        #: at a time (from the generator, not ``self``: no cycle).
+        self._gaps = chain.from_iterable(iter(draw, None))
 
     def next_after(self, t_us: float) -> float:
         return t_us + next(self._gaps)
@@ -247,19 +248,30 @@ def schedule_arrivals(kernel: Kernel, arrivals, count: int, submit) -> None:
     next arrival — one event in flight keeps inhomogeneous processes
     (whose rate depends on the current time) exact.
     """
-    remaining = iter(range(count))
-
-    def arrive() -> None:
-        i = next(remaining, None)
-        if i is None:
-            return
-        now = kernel.clock._now_us
-        submit(i, now)
-        if i + 1 < count:
-            kernel.at(arrivals.next_after(now), arrive)
-
     if count > 0:
-        kernel.at(arrivals.next_after(kernel.clock.now_us), arrive)
+        kernel.at(arrivals.next_after(kernel.clock.now_us),
+                  partial(_arrive, kernel, arrivals, count, submit, 0))
+
+
+def _arrive(kernel: Kernel, arrivals, count: int, submit, i: int) -> None:
+    """Arrival ``i``; the next one is a fresh event, so no callback
+    refers to itself and nothing outlives the chain."""
+    now = kernel.clock._now_us
+    submit(i, now)
+    if i + 1 < count:
+        kernel.at(arrivals.next_after(now),
+                  partial(_arrive, kernel, arrivals, count, submit, i + 1))
+
+
+def _next_client_query(clock, pending, submit) -> None:
+    """A closed-loop client takes the next query and, once it completes,
+    comes back as an event: not a call from the finishing task, so the
+    slot is free by then and the new task is a root.  Each comeback is a
+    fresh partial, so no callback refers to itself."""
+    i = next(pending, None)
+    if i is not None:
+        submit(i, clock._now_us,
+               partial(_next_client_query, clock, pending, submit))
 
 
 def drive(
@@ -280,8 +292,9 @@ def drive(
     closed loop: ``concurrency`` clients, each submitting its next query
     through the same admission path the moment its previous one
     completes.  ``observe(kernel, admission)`` is called once before
-    anything is scheduled.  The caller attaches devices to ``kernel``
-    first and unbinds the clock afterwards.
+    anything is scheduled; the blame hooks it sets are cleared when the
+    run ends.  The caller attaches devices to ``kernel`` first and
+    unbinds the clock afterwards.
     """
     clock = kernel.clock
     admission = AdmissionControl(kernel, max_inflight=concurrency,
@@ -292,32 +305,29 @@ def drive(
     responses: list[float] = []
     waits: list[float] = []
 
-    def submit(i: int, arrival_us: float) -> None:
+    def submit(i: int, arrival_us: float, then=None) -> None:
         def body():
             begin = clock._now_us
             serve(i)
             waits.append(begin - arrival_us)
             responses.append(clock._now_us - arrival_us)
-            if arrivals is None:
-                kernel.at(clock._now_us, next_client_query)
+            if then is not None:
+                kernel.at(clock._now_us, then)
 
         admission.submit(body, name=f"q{i}")
 
     if arrivals is None:
-        pending = iter(range(count))
-
-        def next_client_query() -> None:
-            # An event, not a call from the finishing task: the slot is
-            # free by the time it runs and the new task is a root.
-            i = next(pending, None)
-            if i is not None:
-                submit(i, clock._now_us)
-
+        client = partial(_next_client_query, clock, iter(range(count)), submit)
         for _ in range(min(concurrency, count)):
-            kernel.at(start_us, next_client_query)
+            kernel.at(start_us, client)
     else:
         schedule_arrivals(kernel, arrivals, count, submit)
-    kernel.run()
+    try:
+        kernel.run()
+    finally:
+        # The hooks are this run's: an observer keeps the kernel and the
+        # admission control for its report, they do not keep it.
+        kernel.blame = admission.blame = None
     admission.check_invariants()
 
     duration = clock.now_us - start_us

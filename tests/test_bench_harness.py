@@ -265,9 +265,19 @@ def test_vanished_gated_metric_is_a_regression(tiny_entry):
 
 def test_unshared_scenarios_are_skipped(tiny_entry):
     base = make_doc(tiny_entry)
+    cur = make_doc(tiny_entry)
+    renamed = copy.deepcopy(tiny_entry)
+    renamed["metrics"]["mean_response_ms"] *= 10  # nothing to hold it to
+    cur["scenarios"]["renamed"] = renamed
+    assert compare_benches(cur, base) == []
+
+
+def test_documents_sharing_no_scenario_are_refused(tiny_entry):
+    base = make_doc(tiny_entry)
     cur = {"schema": BENCH_SCHEMA, "suite": "tiny",
            "scenarios": {"renamed": copy.deepcopy(tiny_entry)}}
-    assert compare_benches(cur, base) == []
+    with pytest.raises(ValueError, match="share no scenario"):
+        compare_benches(cur, base)
 
 
 def make_open_doc(entry):

@@ -243,11 +243,9 @@ _OPEN = ["--arrival", "poisson", "--rate-qps", "50"]
 @pytest.mark.parametrize("bad", [
     ["--concurrency", "0"],
     ["--arrival", "poisson"],
-    _OPEN + ["--max-blame-records", "0"],
     ["--ttl-ms", "-1"],
     ["--mem-mb", "-1"],
     ["--timeline", "--window-ms", "0"],
-    ["--timeline", "--max-windows", "0"],
     _OPEN + ["--max-queue", "-1"],
     ["--arrival", "diurnal", "--rate-qps", "50", "--diurnal-floor", "0"],
     ["--queries", "0"],
@@ -399,7 +397,7 @@ def _run_open_loop_telemetry(tmp_path):
 
 
 def test_run_open_loop_streams_blame_and_blame_command(tmp_path, capsys):
-    from repro.obs import load_blame_jsonl
+    from repro.obs import assemble_queries, load_blame_jsonl
 
     out_dir = _run_open_loop_telemetry(tmp_path)
     out = capsys.readouterr().out
@@ -409,9 +407,18 @@ def test_run_open_loop_streams_blame_and_blame_command(tmp_path, capsys):
     assert len(tasks) >= 200  # every admitted query left a record
     assert log.footer is not None
 
+    # The streamed file is whole: every completed query decomposes, each
+    # with zero residual up to float rounding of non-dyadic timestamps
+    # (a file missing records leaves residuals of milliseconds).
+    completed = log.footer["completed"]
+    queries = assemble_queries(log.records)
+    assert len(queries) == completed > 0
+    assert max(abs(q.residual_us) for q in queries) < 1e-6
+
     rc = main(["blame", str(out_dir), "--top", "2"])
     out = capsys.readouterr().out
     assert rc == 0
+    assert out.splitlines()[0] == f"blame: {completed} queries"
     assert "capacity model" in out
     assert "Little's-law self-check: ok" in out
     assert "slowest 2 queries" in out
@@ -527,3 +534,22 @@ def test_bench_against_validates_baseline_before_running(tmp_path, capsys):
         assert len(captured.err.strip().splitlines()) == 1
         assert "running" not in captured.out  # no scenario was run
         assert not out.exists()
+
+
+def test_bench_against_a_baseline_without_the_suite_runs_nothing(capsys,
+                                                                tmp_path):
+    """The saturation suite against the smoke baseline would compare
+    zero scenarios: one ``error:`` line, exit 2, before any scenario
+    runs and before anything is written."""
+    import pathlib
+
+    baseline = pathlib.Path(__file__).parent.parent / "BENCH_0007.json"
+    out = tmp_path / "BENCH_out.json"
+    rc = main(["bench", "--suite", "saturation", "--out", str(out),
+               "--against", str(baseline)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    [line] = captured.err.strip().splitlines()
+    assert line.startswith("error: ") and "no scenario of suite" in line
+    assert "running" not in captured.out
+    assert not out.exists()

@@ -1,10 +1,9 @@
-"""CLI surface of the observability plane: graceful errors, rotation,
+"""CLI surface of the observability plane: graceful errors,
 ``top`` (on a finished run and following a running one),
 ``incidents`` and ``explain --incident``."""
 
 import io
 import json
-import os
 import re
 import shutil
 from contextlib import redirect_stdout
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs import FlightRecorder, list_incidents
+from repro.obs import FlightRecorder, list_incidents, load_incident
 
 
 _SATURATED = ["run", "--policy", "cbslru", "--docs", "20000",
@@ -156,15 +155,6 @@ def test_incidents_on_missing_dir_is_clean_error(tmp_path, capsys):
     assert "not a directory" in err
 
 
-# -- run-flag validation -----------------------------------------------------
-
-def test_max_windows_requires_timeline(capsys):
-    rc = main(["run", "--max-windows", "10"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "--timeline" in err
-
-
 # -- the end-to-end plane over one saturated run -----------------------------
 
 def test_incidents_command_lists_and_requires(knee_dir, capsys):
@@ -186,6 +176,26 @@ def test_incidents_command_json(knee_dir, capsys):
     assert doc["valid"] >= 1
     assert doc["bundles"][0]["valid"] is True
     assert doc["bundles"][0]["manifest"]["trigger"]["severity"] == "critical"
+
+
+def test_incident_severity_sets_the_trigger(tmp_path, capsys):
+    """``--incident-severity warn`` opens bundles on warn anomalies (the
+    default run above triggers on critical ones); an unknown severity is
+    a usage error before DIR is created."""
+    out = tmp_path / "tel"
+    assert main(_SATURATED + ["--incident-severity", "warn",
+                              "--telemetry", str(out)]) == 0
+    bundles = list_incidents(out)
+    assert bundles
+    assert {load_incident(b).manifest["trigger"]["severity"]
+            for b in bundles} == {"warn"}
+    bad = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(_SATURATED + ["--incident-severity", "notice",
+                           "--telemetry", str(bad)])
+    assert exc.value.code == 2
+    assert "--incident-severity" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_incidents_command_empty_dir(tmp_path, capsys):
@@ -254,7 +264,7 @@ def test_top_reads_a_torn_manifest_and_a_torn_timeline_tail(
 def test_top_keeps_following_until_the_timeline_reads(
         knee_dir, tmp_path, monkeypatch, capsys):
     """Follow mode outlives a frame it cannot read yet (the run has not
-    opened timeline.jsonl, or a rotation moved it between two reads)."""
+    opened timeline.jsonl)."""
     import repro.cli
 
     out = tmp_path / "tel"
@@ -312,34 +322,3 @@ def test_top_follows_a_running_run(tmp_path, monkeypatch):
     for window, frame in recorded.items():
         assert (_comparable(frames[window]).replace(str(out), "<DIR>")
                 == _comparable(frame)), window
-
-
-# -- retention/rotation ------------------------------------------------------
-
-def test_max_windows_rotates_and_loads(tmp_path, capsys):
-    out = tmp_path / "tel"
-    rc = main(["run", "--policy", "lru", "--docs", "5000", "--queries",
-               "200", "--mem-mb", "2", "--ssd-mb", "8", "--arrival",
-               "poisson", "--rate-qps", "1000", "--concurrency", "2",
-               "--max-queue", "16", "--telemetry", str(out), "--timeline",
-               "--window-ms", "5", "--max-windows", "10",
-               "--max-blame-records", "100", "--no-flight"])
-    capsys.readouterr()
-    assert rc == 0
-    assert os.path.exists(out / "timeline.jsonl.1")
-    assert os.path.exists(out / "blame.jsonl.1")
-
-    from repro.obs import load_blame_jsonl, load_timeline_jsonl
-
-    tl = load_timeline_jsonl(out / "timeline.jsonl")
-    # At most two generations of <= max_windows each survive on disk.
-    assert 0 < len(tl.windows) <= 20
-    windows = [w["window"] for w in tl.windows]
-    assert windows == sorted(windows)
-    blame = load_blame_jsonl(out / "blame.jsonl")
-    assert 0 < len(blame.records) <= 200
-
-    # The downstream tools accept a rotated dir end to end.
-    assert main(["timeline", str(out)]) == 0
-    assert main(["blame", str(out)]) in (0, 1)
-    capsys.readouterr()

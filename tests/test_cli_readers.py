@@ -169,19 +169,36 @@ def test_explain_query_rejects_blame_corrupt_mid_file(kernel_dir, tmp_path,
             _one_error_line(captured)
 
 
-def test_timeline_readers_reject_a_wrong_footer_count(kernel_dir, tmp_path,
-                                                      capsys):
-    out = _copy(kernel_dir, tmp_path)
+def _claim_one_window_more(out, **extra) -> None:
     lines = (out / "timeline.jsonl").read_text().splitlines()
     footer = json.loads(lines[-1])
     footer["windows"] += 1
+    footer.update(extra)
     lines[-1] = json.dumps(footer)
     (out / "timeline.jsonl").write_text("\n".join(lines) + "\n")
+
+
+def test_timeline_readers_reject_a_wrong_footer_count(kernel_dir, tmp_path,
+                                                      capsys):
+    out = _copy(kernel_dir, tmp_path)
+    _claim_one_window_more(out)
     capsys.readouterr()
     for argv in (["timeline", str(out)], ["top", str(out), "--once"],
                  ["compare", str(out)]):
         assert main(argv) == 2
         assert "footer claims" in _one_error_line(capsys.readouterr())
+
+
+def test_timeline_footer_of_an_old_rotated_stream_is_rejected(
+        kernel_dir, tmp_path, capsys):
+    """Streams are whole files: a footer claiming more windows than a
+    file with no torn tail holds is an error, also when it carries the
+    ``rotated`` count that rotating streams once wrote."""
+    out = _copy(kernel_dir, tmp_path)
+    _claim_one_window_more(out, rotated=1)
+    capsys.readouterr()
+    assert main(["timeline", str(out)]) == 2
+    assert "footer claims" in _one_error_line(capsys.readouterr())
 
 
 def test_reader_closing_the_pipe_early_is_not_a_traceback(kernel_dir):

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.obs import read_jsonl
-from repro.obs._jsonl import JsonlWriter, read_generations, write_jsonl
+from repro.obs._jsonl import JsonlWriter, write_jsonl
 from repro.obs.audit import load_audit_jsonl
 from repro.obs.blame import BLAME_SCHEMA, load_blame_jsonl
 from repro.obs.timeline import TIMELINE_SCHEMA, load_timeline_jsonl
@@ -120,43 +120,24 @@ def test_writer_header_records_trailer_and_counts(tmp_path):
     w.write_trailer({"type": "footer"})
     w.close()
     w.close()  # idempotent
-    assert (w.written, w.rotations, w.closed) == (2, 0, True)
+    assert (w.written, w.closed) == (2, True)
     assert path.read_text() == ('{"schema": "s/v1"}\n{"a": 1}\n{"a": 2}\n'
                                 '{"type": "footer"}\n')
     assert write_jsonl(path, ({"a": i} for i in range(3))) == 3
     assert path.read_text() == '{"a": 0}\n{"a": 1}\n{"a": 2}\n'
 
 
-def test_writer_rotates_with_continuation_header(tmp_path):
-    path = tmp_path / "x.jsonl"
-    w = JsonlWriter(path, header={"schema": "s/v1"}, max_records=2)
-    for i in range(5):
-        w.write({"a": i})
-    w.write_trailer({"type": "footer"})  # never rotates, never counts
-    w.close()
-    assert (w.written, w.rotations) == (5, 2)
-    parts, torn = read_generations(path)
-    assert torn == 0
-    assert [part for part, _ in parts] == [str(path) + ".1", path]
-    old, new = ([rec for _, rec in records] for _, records in parts)
-    # Only the last full generation survives next to the live file.
-    assert old == [{"schema": "s/v1", "continuation": True, "rotation": 1},
-                   {"a": 2}, {"a": 3}]
-    assert new == [{"schema": "s/v1", "continuation": True, "rotation": 2},
-                   {"a": 4}, {"type": "footer"}]
-
-
 def test_writer_export_in_place_or_copy(tmp_path):
     path = tmp_path / "x.jsonl"
-    w = JsonlWriter(path, header={"schema": "s/v1"}, max_records=2)
+    w = JsonlWriter(path, header={"schema": "s/v1"})
     for i in range(3):
         w.write({"a": i})
     w.export_to(path)  # its own file: finalised, nothing else happens
-    assert w.closed and sorted(p.name for p in tmp_path.iterdir()) == [
-        "x.jsonl", "x.jsonl.1"]
+    assert w.closed and [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+    assert path.read_text() == ('{"schema": "s/v1"}\n{"a": 0}\n{"a": 1}\n'
+                                '{"a": 2}\n')
     other = tmp_path / "sub" / "y.jsonl"
     other.parent.mkdir()
     w.export_to(other)
     assert other.read_bytes() == path.read_bytes()
-    assert (tmp_path / "sub" / "y.jsonl.1").read_bytes() == \
-        (tmp_path / "x.jsonl.1").read_bytes()
+    assert [p.name for p in other.parent.iterdir()] == ["y.jsonl"]
