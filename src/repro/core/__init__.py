@@ -14,7 +14,7 @@
 * :mod:`repro.core.result_cache` / :mod:`repro.core.list_cache` — the
   layered L1<->L2 flows for results and inverted lists.
 * :mod:`repro.core.events` — the cache life-cycle hook bus (on_admit,
-  on_evict, on_flush, on_l2_victim) for stats and observability.
+  on_evict, on_flush, on_l2_victim) for observers.
 * :mod:`repro.core.manager` — the cache manager of Fig. 2 (selection /
   query / replacement management) orchestrating memory, SSD and HDD.
 """
@@ -31,7 +31,7 @@ from repro.core.events import (
 )
 from repro.core.lru import LruList
 from repro.core.selection import SelectionPolicy, efficiency_value, ssd_cache_blocks
-from repro.core.stats import CacheStats, Situation, StatsRecorder
+from repro.core.stats import CacheStats, Situation
 from repro.core.placement import WriteBuffer
 from repro.core.replacement import Replacement
 from repro.core.result_cache import ResultCache
@@ -73,7 +73,6 @@ __all__ = [
     "L2VictimEvent",
     "CacheEvents",
     "EventCounter",
-    "StatsRecorder",
     "Replacement",
     "ResultCache",
     "ListCache",

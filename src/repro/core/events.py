@@ -15,9 +15,12 @@ reach into their internals.  Four hooks cover the life cycle:
 * ``on_l2_victim`` — a replacement victim was selected on the SSD side,
   tagged with the Fig. 11/13 search stage that produced it.
 
-:class:`repro.core.stats.StatsRecorder` subscribes the query-replay
-counters; :class:`EventCounter` is a ready-made subscriber for cluster
-shards and ad-hoc observability.
+The bus is for observers only.  The caches count their own replacement
+statistics (:class:`~repro.core.stats.CacheStats`) at the sites that
+emit, and build an event only while :attr:`CacheEvents.observed` is
+true, so an unobserved run pays one attribute test per site.
+:class:`EventCounter` is a ready-made subscriber for cluster shards and
+ad-hoc observability.
 """
 
 from __future__ import annotations
@@ -125,18 +128,22 @@ class CacheEvents:
     """Synchronous fan-out of the four cache hooks.
 
     The cache layers emit through ``admit(event)``, ``evict(event)``,
-    ``flush(event)`` and ``l2_victim(event)``.  Each emitter is bound to
-    its subscribers whenever they change (see :func:`_emitter`), never
-    chosen per event.  Subscribers must not mutate cache state; they
-    observe.  A raising subscriber never starves the ones registered
-    after it (see :func:`_dispatch`): all hooks are notified first, then
-    the first exception propagates.
+    ``flush(event)`` and ``l2_victim(event)``, each call guarded by
+    :attr:`observed`.  Each emitter is bound to its subscribers whenever
+    they change (see :func:`_emitter`), never chosen per event.
+    Subscribers must not mutate cache state; they observe.  A raising
+    subscriber never starves the ones registered after it (see
+    :func:`_dispatch`): all hooks are notified first, then the first
+    exception propagates.
     """
 
     admit: Callable[[AdmitEvent], None]
     evict: Callable[[EvictEvent], None]
     flush: Callable[[FlushEvent], None]
     l2_victim: Callable[[L2VictimEvent], None]
+    #: True while any hook has a subscriber: the emit sites build an
+    #: event only then (recomputed with the emitters).
+    observed: bool
 
     def __init__(self) -> None:
         self._on_admit: list[Callable[[AdmitEvent], None]] = []
@@ -150,6 +157,8 @@ class CacheEvents:
         self.evict = _emitter(self._on_evict)
         self.flush = _emitter(self._on_flush)
         self.l2_victim = _emitter(self._on_l2_victim)
+        self.observed = bool(self._on_admit or self._on_evict
+                             or self._on_flush or self._on_l2_victim)
 
     def subscribe(
         self,

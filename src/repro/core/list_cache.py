@@ -8,7 +8,9 @@ tail reads for whatever the caches do not cover.  Admission decisions
 come from the :class:`~repro.core.selection.SelectionPolicy` (Formula 1/2
 plus the TEV filter); victims come from
 :class:`~repro.core.replacement.Replacement` (Figs. 12 and 13); life-cycle
-changes are announced on the :class:`~repro.core.events.CacheEvents` bus.
+changes are announced on the :class:`~repro.core.events.CacheEvents` bus
+while it is observed; SSD writes, avoided rewrites and TEV discards are
+counted into :class:`~repro.core.stats.CacheStats` here, observed or not.
 """
 
 from __future__ import annotations
@@ -139,8 +141,10 @@ class ListCache:
         if l1 is not None and self._expired(l1):
             self.l1.pop(term_id)
             self.l1_bytes -= l1.cached_bytes
-            self.events.evict(EvictEvent(kind="list", key=term_id, level="l1",
-                                         nbytes=l1.cached_bytes, reason="expired"))
+            if self.events.observed:
+                self.events.evict(EvictEvent(kind="list", key=term_id, level="l1",
+                                             nbytes=l1.cached_bytes,
+                                             reason="expired"))
             self.drop_l2(term_id, trim=self.policy.cost_based, reason="expired")
             self.stats.expired_lists += 1
             l1 = None
@@ -276,8 +280,9 @@ class ListCache:
             )
             self.l1.insert(term_id, entry)
             self.l1_bytes += target
-            self.events.admit(AdmitEvent(kind="list", key=term_id, level="l1",
-                                         nbytes=target))
+            if self.events.observed:
+                self.events.admit(AdmitEvent(kind="list", key=term_id, level="l1",
+                                             nbytes=target))
             if cfg.scheme is Scheme.INCLUSIVE and cfg.uses_ssd:
                 self.push_to_l2(entry)
         if self.l1_bytes > cfg.mem_list_bytes:
@@ -291,9 +296,11 @@ class ListCache:
                 break
             victim = self.l1.pop(victim_key)
             self.l1_bytes -= victim.cached_bytes
-            self.events.evict(EvictEvent(kind="list", key=victim_key, level="l1",
-                                         nbytes=victim.cached_bytes,
-                                         reason="capacity"))
+            if self.events.observed:
+                self.events.evict(EvictEvent(kind="list", key=victim_key,
+                                             level="l1",
+                                             nbytes=victim.cached_bytes,
+                                             reason="capacity"))
             self._on_evicted(victim)
 
     def _on_evicted(self, victim: CachedList) -> None:
@@ -321,9 +328,12 @@ class ListCache:
                 decision.sc_blocks, decision.ev, cfg.tev, decision.admit,
                 "admit" if decision.admit else "tev-discard")))
         if not decision.admit:
-            self.events.evict(EvictEvent(kind="list", key=victim.term_id,
-                                         level="l1", nbytes=victim.cached_bytes,
-                                         reason="tev"))
+            self.stats.discarded_by_tev += 1
+            if self.events.observed:
+                self.events.evict(EvictEvent(kind="list", key=victim.term_id,
+                                             level="l1",
+                                             nbytes=victim.cached_bytes,
+                                             reason="tev"))
             return
         existing = self.l2.get(victim.term_id)
         if existing is not None:
@@ -336,10 +346,12 @@ class ListCache:
                 existing.state = EntryState.NORMAL
                 existing.freq = max(existing.freq, victim.freq)
                 self.l2.touch(victim.term_id)
-                self.events.admit(AdmitEvent(kind="list", key=victim.term_id,
-                                             level="l2",
-                                             nbytes=existing.cached_bytes,
-                                             reason="revalidate"))
+                self.stats.ssd_writes_avoided += 1
+                if self.events.observed:
+                    self.events.admit(AdmitEvent(kind="list", key=victim.term_id,
+                                                 level="l2",
+                                                 nbytes=existing.cached_bytes,
+                                                 reason="revalidate"))
                 return
             self.drop_l2(victim.term_id, trim=self.policy.cost_based,
                          reason="replaced")
@@ -373,8 +385,11 @@ class ListCache:
         )
         for b in blocks:
             self.ssd.write(region.lba_of(b), cfg.block_bytes)
-        self.events.flush(FlushEvent(kind="list", lba=region.lba_of(blocks[0]),
-                                     nbytes=cached, entries=len(blocks)))
+        self.stats.ssd_list_writes += 1
+        if self.events.observed:
+            self.events.flush(FlushEvent(kind="list",
+                                         lba=region.lba_of(blocks[0]),
+                                         nbytes=cached, entries=len(blocks)))
         self.l2.insert(victim.term_id, entry)
 
     def _lru_to_ssd(self, victim: CachedList) -> None:
@@ -389,7 +404,9 @@ class ListCache:
         while lba is None and len(self.l2) > 0:
             key, evicted = self.l2.pop_lru()
             region.free(evicted.lba_byte, evicted.cached_bytes)
-            self.events.l2_victim(L2VictimEvent(kind="list", key=key, stage="lru"))
+            if self.events.observed:
+                self.events.l2_victim(L2VictimEvent(kind="list", key=key,
+                                                    stage="lru"))
             lba = region.alloc(nbytes)
         if lba is None:
             return
@@ -403,7 +420,9 @@ class ListCache:
         )
         entry.lba_byte = lba
         self.ssd.write(lba, nbytes)
-        self.events.flush(FlushEvent(kind="list", lba=lba, nbytes=nbytes))
+        self.stats.ssd_list_writes += 1
+        if self.events.observed:
+            self.events.flush(FlushEvent(kind="list", lba=lba, nbytes=nbytes))
         self.l2.insert(victim.term_id, entry)
 
     def drop_l2(self, term_id: int, trim: bool, reason: str = "invalidate") -> None:
@@ -423,8 +442,9 @@ class ListCache:
             if trim:
                 self.ssd.trim(entry.lba_byte, entry.cached_bytes)
             self.byte_region.free(entry.lba_byte, entry.cached_bytes)
-        self.events.evict(EvictEvent(kind="list", key=term_id, level="l2",
-                                     nbytes=entry.cached_bytes, reason=reason))
+        if self.events.observed:
+            self.events.evict(EvictEvent(kind="list", key=term_id, level="l2",
+                                         nbytes=entry.cached_bytes, reason=reason))
 
     # ------------------------------------------------------------------
     # CBSLRU static partition (Section VI.C.2)
@@ -472,8 +492,10 @@ class ListCache:
             )
             for b in blocks:
                 self.ssd.write(self.region.lba_of(b), cfg.block_bytes)
-            self.events.admit(AdmitEvent(kind="list", key=term_id, level="static",
-                                         nbytes=sc * cfg.block_bytes))
+            if self.events.observed:
+                self.events.admit(AdmitEvent(kind="list", key=term_id,
+                                             level="static",
+                                             nbytes=sc * cfg.block_bytes))
             used += sc
             placed += 1
         return {

@@ -11,8 +11,9 @@ composable layers:
   1/2 + TEV) and :class:`repro.core.replacement.Replacement` — the victim
   rules of LRU / CBLRU / CBSLRU, both fixed by ``config.policy``;
 * :class:`repro.core.events.CacheEvents` — the observability seam that
-  :class:`~repro.core.stats.StatsRecorder`, cluster shards and custom
-  subscribers consume instead of reaching into cache internals.
+  telemetry, cluster shards and custom subscribers consume instead of
+  reaching into cache internals (the caches count their own
+  :class:`~repro.core.stats.CacheStats`; the bus is for observers).
 
 ``process_query`` runs the full Table I flow for one query and charges
 every device access to the shared virtual clock, so mean response time,
@@ -33,7 +34,7 @@ from repro.core.list_cache import ListCache
 from repro.core.replacement import Replacement
 from repro.core.result_cache import ResultCache
 from repro.core.selection import SelectionPolicy
-from repro.core.stats import CacheStats, Situation, StatsRecorder
+from repro.core.stats import CacheStats, Situation
 from repro.engine.index import InvertedIndex
 from repro.obs.audit import NULL_AUDIT
 from repro.obs.tracer import NULL_TRACER
@@ -139,7 +140,6 @@ class CacheManager:
         self.store = hierarchy.index_store
         self.stats = CacheStats()
         self.events = CacheEvents()
-        self._stats_recorder = StatsRecorder(self.stats, self.events)
         # Observability: the telemetry bundle (repro.obs) is optional and
         # must never perturb the simulation — the tracer and registry only
         # observe clock time and events the run produces anyway.

@@ -163,15 +163,18 @@ class Replacement:
         # re-reads it after a drop and nowhere else.
         if region.free_count >= sc_needed:
             return
+        stats = cache.stats
+        events = cache.events
         # Stage 1: replaceable entries in the RFR are free wins.
         rfr = cache.l2.replace_first_region()
         dropped = False
         for key, entry in rfr:
             if entry.state is EntryState.REPLACEABLE:
                 cache.drop_l2(key, trim=True, reason="capacity")
-                cache.events.l2_victim(
-                    L2VictimEvent(kind="list", key=key, stage="replaceable")
-                )
+                stats.evict_stage_replaceable += 1
+                if events.observed:
+                    events.l2_victim(L2VictimEvent(kind="list", key=key,
+                                                   stage="replaceable"))
                 if region.free_count >= sc_needed:
                     return
                 dropped = True
@@ -182,24 +185,27 @@ class Replacement:
         for key, entry in rfr:
             if len(entry.blocks) == deficit:
                 cache.drop_l2(key, trim=True, reason="capacity")
-                cache.events.l2_victim(
-                    L2VictimEvent(kind="list", key=key, stage="size-match")
-                )
+                stats.evict_stage_size_match += 1
+                if events.observed:
+                    events.l2_victim(L2VictimEvent(kind="list", key=key,
+                                                   stage="size-match"))
                 return
         # Stage 3: assemble several RFR entries (stage 2 dropped nothing,
         # so its window is still the window).
         for key, _ in rfr:
             cache.drop_l2(key, trim=True, reason="capacity")
-            cache.events.l2_victim(
-                L2VictimEvent(kind="list", key=key, stage="assemble")
-            )
+            stats.evict_stage_assemble += 1
+            if events.observed:
+                events.l2_victim(L2VictimEvent(kind="list", key=key,
+                                               stage="assemble"))
             if region.free_count >= sc_needed:
                 return
         # Stage 4: widen to the whole LRU list (the paper's worst case).
         for key, _ in list(cache.l2.items_lru_order()):
             cache.drop_l2(key, trim=True, reason="capacity")
-            cache.events.l2_victim(
-                L2VictimEvent(kind="list", key=key, stage="fallback")
-            )
+            stats.evict_stage_fallback += 1
+            if events.observed:
+                events.l2_victim(L2VictimEvent(kind="list", key=key,
+                                               stage="fallback"))
             if region.free_count >= sc_needed:
                 return

@@ -7,7 +7,8 @@ cost-based policies, byte-granular extents for the LRU baseline), and
 CBSLRU's pinned static results.  Result-block victims come from
 :class:`~repro.core.replacement.Replacement` (Fig. 11); life-cycle
 changes are announced on the :class:`~repro.core.events.CacheEvents`
-bus.
+bus while it is observed; SSD writes and avoided rewrites are counted
+into :class:`~repro.core.stats.CacheStats` here, observed or not.
 """
 
 from __future__ import annotations
@@ -142,8 +143,10 @@ class ResultCache:
             if ttl > 0 and clock._now_us - entry.created_us > ttl:
                 self.l1.pop(key)
                 self.l1_bytes -= entry.nbytes
-                self.events.evict(EvictEvent(kind="result", key=key, level="l1",
-                                             nbytes=entry.nbytes, reason="expired"))
+                if self.events.observed:
+                    self.events.evict(EvictEvent(kind="result", key=key, level="l1",
+                                                 nbytes=entry.nbytes,
+                                                 reason="expired"))
                 self.drop_l2(key, trim=True, reason="expired")
                 self.stats.expired_results += 1
             else:
@@ -234,14 +237,16 @@ class ResultCache:
         while self.l1_bytes + nbytes > budget:
             _, victim = self.l1.pop_lru()
             self.l1_bytes -= victim.nbytes
-            events.evict(EvictEvent(kind="result", key=victim.query_key,
-                                    level="l1", nbytes=victim.nbytes,
-                                    reason="capacity"))
+            if events.observed:
+                events.evict(EvictEvent(kind="result", key=victim.query_key,
+                                        level="l1", nbytes=victim.nbytes,
+                                        reason="capacity"))
             self._on_evicted(victim)
         self.l1.insert(entry.query_key, entry)
         self.l1_bytes += nbytes
-        events.admit(AdmitEvent(kind="result", key=entry.query_key,
-                                level="l1", nbytes=nbytes))
+        if events.observed:
+            events.admit(AdmitEvent(kind="result", key=entry.query_key,
+                                    level="l1", nbytes=nbytes))
         if self._inclusive and not from_lower and self.config.uses_ssd:
             # Write-through: an inclusive L2 always holds what L1 holds.
             self.push_to_l2(entry)
@@ -262,9 +267,11 @@ class ResultCache:
             entry.freq = max(entry.freq, victim.freq)
             if entry.rb_id is not None:
                 self.rb_map[entry.rb_id].set_valid(entry.slot, key)
-            self.events.admit(AdmitEvent(kind="result", key=key,
-                                         level="l2", nbytes=entry.nbytes,
-                                         reason="revalidate"))
+            self.stats.ssd_writes_avoided += 1
+            if self.events.observed:
+                self.events.admit(AdmitEvent(kind="result", key=key,
+                                             level="l2", nbytes=entry.nbytes,
+                                             reason="revalidate"))
             self.write_buffer.dropped_replaceable += 1
             return
         batch = self.write_buffer.add(victim, already_on_ssd=False)
@@ -309,8 +316,11 @@ class ResultCache:
             rb.set_valid(slot, entry.query_key)
             self.l2_map[entry.query_key] = entry
         self.ssd.write(rb.lba, cfg.block_bytes)
-        self.events.flush(FlushEvent(kind="result", lba=rb.lba,
-                                     nbytes=cfg.block_bytes, entries=len(batch)))
+        self.stats.ssd_result_writes += 1
+        if self.events.observed:
+            self.events.flush(FlushEvent(kind="result", lba=rb.lba,
+                                         nbytes=cfg.block_bytes,
+                                         entries=len(batch)))
         self.rb_lru.insert(rb.rb_id, rb)
 
     def _take_block(self) -> ResultBlock | None:
@@ -332,8 +342,9 @@ class ResultCache:
             return rb
         victim_id = self.policy.pick_rb_victim(self.rb_lru)
         rb = self.rb_lru.pop(victim_id)
-        self.events.l2_victim(L2VictimEvent(kind="result", key=victim_id,
-                                            stage="rb-iren"))
+        if self.events.observed:
+            self.events.l2_victim(L2VictimEvent(kind="result", key=victim_id,
+                                                stage="rb-iren"))
         for slot in range(rb.num_slots):
             key = rb.entries[slot]
             if key is not None:
@@ -359,7 +370,9 @@ class ResultCache:
             key, evicted = self.l2_lru.pop_lru()
             self.l2_map.pop(key, None)
             region.free(evicted.lba, evicted.nbytes)
-            self.events.l2_victim(L2VictimEvent(kind="result", key=key, stage="lru"))
+            if self.events.observed:
+                self.events.l2_victim(L2VictimEvent(kind="result", key=key,
+                                                    stage="lru"))
             lba = region.alloc(victim.nbytes)
         if lba is None:
             return
@@ -368,7 +381,10 @@ class ResultCache:
         victim.slot = None
         victim.state = EntryState.NORMAL
         self.ssd.write(lba, victim.nbytes)
-        self.events.flush(FlushEvent(kind="result", lba=lba, nbytes=victim.nbytes))
+        self.stats.ssd_result_writes += 1
+        if self.events.observed:
+            self.events.flush(FlushEvent(kind="result", lba=lba,
+                                         nbytes=victim.nbytes))
         self.l2_map[victim.query_key] = victim
         self.l2_lru.insert(victim.query_key, victim)
 
@@ -388,8 +404,9 @@ class ResultCache:
                 self.l2_lru.pop(key)
         if trim and entry.lba is not None:
             self.ssd.trim(entry.lba, entry.nbytes)
-        self.events.evict(EvictEvent(kind="result", key=key, level="l2",
-                                     nbytes=entry.nbytes, reason=reason))
+        if self.events.observed:
+            self.events.evict(EvictEvent(kind="result", key=key, level="l2",
+                                         nbytes=entry.nbytes, reason=reason))
 
     # ------------------------------------------------------------------
     # CBSLRU static partition (Section VI.C.2)
@@ -421,8 +438,10 @@ class ResultCache:
                     static=True,
                     created_us=self.clock.now_us,
                 )
-                self.events.admit(AdmitEvent(kind="result", key=key, level="static",
-                                             nbytes=cfg.result_entry_bytes))
+                if self.events.observed:
+                    self.events.admit(AdmitEvent(
+                        kind="result", key=key, level="static",
+                        nbytes=cfg.result_entry_bytes))
                 placed += 1
                 wrote_any = True
             if wrote_any:

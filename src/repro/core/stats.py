@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-__all__ = ["Situation", "CacheStats", "StatsRecorder"]
+__all__ = ["Situation", "CacheStats"]
 
 
 class Situation(enum.Enum):
@@ -162,51 +162,3 @@ class CacheStats:
         """Zero everything (used after warm-up phases)."""
         self.__init__()
 
-
-class StatsRecorder:
-    """Routes cache events into :class:`CacheStats` replacement counters.
-
-    The layered caches announce SSD writes, avoided rewrites, TEV
-    discards and victim-search stages on the
-    :class:`~repro.core.events.CacheEvents` bus; this subscriber turns
-    them into the counters the analysis layer reads, so the caches never
-    update replacement statistics directly.
-    """
-
-    _STAGE_FIELDS = {
-        "replaceable": "evict_stage_replaceable",
-        "size-match": "evict_stage_size_match",
-        "assemble": "evict_stage_assemble",
-        "fallback": "evict_stage_fallback",
-    }
-
-    def __init__(self, stats: CacheStats, events) -> None:
-        self.stats = stats
-        self._unsubscribe = events.subscribe(
-            on_admit=self._on_admit,
-            on_evict=self._on_evict,
-            on_flush=self._on_flush,
-            on_l2_victim=self._on_l2_victim,
-        )
-
-    def _on_admit(self, event) -> None:
-        if event.reason == "revalidate":
-            self.stats.ssd_writes_avoided += 1
-
-    def _on_evict(self, event) -> None:
-        if event.reason == "tev":
-            self.stats.discarded_by_tev += 1
-
-    def _on_flush(self, event) -> None:
-        if event.kind == "result":
-            self.stats.ssd_result_writes += 1
-        else:
-            self.stats.ssd_list_writes += 1
-
-    def _on_l2_victim(self, event) -> None:
-        field_name = self._STAGE_FIELDS.get(event.stage)
-        if field_name is not None:
-            setattr(self.stats, field_name, getattr(self.stats, field_name) + 1)
-
-    def close(self) -> None:
-        self._unsubscribe()

@@ -7,6 +7,10 @@ collection relocates the valid pages of the victim block and erases it.
 
 The mapping tables are flat numpy arrays (l2p and p2l), so lookups are O(1)
 and the memory layout matches what a real controller's SRAM table would be.
+As in :mod:`repro.flash.nand`, a span that maps to one contiguous
+physical run (or to nothing) is tested and updated through
+``memoryview`` objects over those arrays; a scattered span keeps the
+numpy path.
 """
 
 from __future__ import annotations
@@ -46,6 +50,18 @@ class PageMappingFTL(FTL):
         # (smaller) logical space.  Span paths compare against / store
         # from slices of it instead of building an np.arange per call.
         self._ramp = self.nand.page_ramp
+        # The per-call views (module docstring).  ``_unmapped[:n]`` is n
+        # unmapped entries and ``_zero_block`` one erased block's sequence
+        # numbers: the sources of every run clear.
+        self._l2p_v = memoryview(self._l2p)
+        self._p2l_v = memoryview(self._p2l)
+        self._oob_lpn_v = memoryview(self._oob_lpn)
+        self._oob_seq_v = memoryview(self._oob_seq)
+        self._ramp_v = memoryview(self._ramp)
+        self._unmapped = memoryview(
+            np.full(config.total_pages, _UNMAPPED, dtype=np.int64))
+        self._zero_block = memoryview(
+            np.zeros(config.pages_per_block, dtype=np.int64))
 
     # -- host operations ---------------------------------------------------
 
@@ -109,8 +125,16 @@ class PageMappingFTL(FTL):
             self._check_lpn(lpn_start)
             self._check_lpn(end - 1)
         HOT.ftl_map_lookups += count
-        ppns = self._l2p[lpn_start:end]
-        self.nand.read_pages(ppns[ppns != _UNMAPPED])
+        l2p = self._l2p_v
+        p0 = l2p[lpn_start]
+        if p0 != _UNMAPPED and l2p[end - 1] - p0 == count - 1 and (
+            count == 1 or l2p[lpn_start:end] == self._ramp_v[p0:p0 + count]
+        ):
+            # One contiguous physical run (every whole-block placement).
+            self.nand.read_run(p0, count)
+        else:
+            ppns = self._l2p[lpn_start:end]
+            self.nand.read_pages(ppns[ppns != _UNMAPPED])
         self.stats.host_page_reads += count
         # Multi-channel striping: N pages finish in ceil(N/C) page times.
         return -(-count // self.config.channels) * self.config.read_us
@@ -130,28 +154,32 @@ class PageMappingFTL(FTL):
             self._check_lpn(lpn_start)
             self._check_lpn(end - 1)
         HOT.ftl_map_lookups += count
-        l2p = self._l2p
-        p2l = self._p2l
-        ramp = self._ramp
+        l2p = self._l2p_v
+        p2l = self._p2l_v
+        ramp = self._ramp_v
+        unmapped = self._unmapped
         nand = self.nand
-        old = l2p[lpn_start:end]
-        p0 = int(old[0])
+        p0 = l2p[lpn_start]
         # A mapped span is one contiguous physical run iff it equals the
-        # ramp slice starting at its first ppn; int64 arrays are equal
-        # exactly when their bytes are, and one bytes compare costs a
-        # tenth of an elementwise compare plus reduction.
-        if p0 != _UNMAPPED and int(old[-1]) - p0 == count - 1 and (
-            count == 1 or old.tobytes() == ramp[p0:p0 + count].tobytes()
+        # ramp slice starting at its first ppn.
+        if p0 != _UNMAPPED and l2p[end - 1] - p0 == count - 1 and (
+            count == 1 or l2p[lpn_start:end] == ramp[p0:p0 + count]
         ):
             # Fully-mapped contiguous span (the shape every whole-block
             # placement produces): the reverse-map clear is a slice store.
             nand.invalidate_run(p0, count)
-            p2l[p0:p0 + count] = _UNMAPPED
+            p2l[p0:p0 + count] = unmapped[:count]
+        elif p0 == _UNMAPPED and l2p[end - 1] == _UNMAPPED and (
+            count == 1 or l2p[lpn_start:end] == unmapped[:count]
+        ):
+            # Fully-unmapped span (what a TRIM of the same placement left).
+            self._mapped += count
         else:
+            old = self._l2p[lpn_start:end]
             live = old[old != _UNMAPPED]
             if live.size:
                 nand.invalidate_pages(live)
-                p2l[live] = _UNMAPPED
+                self._p2l[live] = _UNMAPPED
             self._mapped += int(count - live.size)
 
         config = self.config
@@ -172,9 +200,9 @@ class PageMappingFTL(FTL):
             lpns = ramp[s:s + take]
             p2l[p0:p1] = lpns
             l2p[s:s + take] = ramp[p0:p1]
-            self._oob_lpn[p0:p1] = lpns
+            self._oob_lpn_v[p0:p1] = lpns
             seq = self._write_seq
-            np.add(ramp[:take], seq + 1, out=self._oob_seq[p0:p1])
+            np.add(self._ramp[:take], seq + 1, out=self._oob_seq[p0:p1])
             self._write_seq = seq + take
             done += take
         self.stats.host_page_writes += count
@@ -189,22 +217,23 @@ class PageMappingFTL(FTL):
             self._check_lpn(lpn_start)
             self._check_lpn(end - 1)
         HOT.ftl_map_lookups += count
-        old = self._l2p[lpn_start:end]
-        p0 = int(old[0])
-        if p0 != _UNMAPPED and int(old[-1]) - p0 == count - 1 and (
-            count == 1
-            or old.tobytes() == self._ramp[p0:p0 + count].tobytes()
+        l2p = self._l2p_v
+        p0 = l2p[lpn_start]
+        if p0 != _UNMAPPED and l2p[end - 1] - p0 == count - 1 and (
+            count == 1 or l2p[lpn_start:end] == self._ramp_v[p0:p0 + count]
         ):
             # Fully-mapped contiguous span: slice stores on both mapping
             # directions and on the journal.
             self.nand.invalidate_run(p0, count)
-            self._p2l[p0:p0 + count] = _UNMAPPED
-            old[:] = _UNMAPPED  # writes through the l2p view
+            unmapped = self._unmapped[:count]
+            self._p2l_v[p0:p0 + count] = unmapped
+            l2p[lpn_start:end] = unmapped
             self._mapped -= count
             self.stats.trimmed_pages += count
             self._write_seq += 1
             self._trim_seq[lpn_start:end] = self._write_seq
             return 0.0
+        old = self._l2p[lpn_start:end]
         live_mask = old != _UNMAPPED
         live = old[live_mask]
         if live.size:
@@ -301,10 +330,11 @@ class PageMappingFTL(FTL):
                 done += take
             self.stats.gc_page_writes += n
         self.nand.erase_block(victim)
-        lo = victim * self.config.pages_per_block
-        hi = lo + self.config.pages_per_block
-        self._oob_lpn[lo:hi] = _UNMAPPED  # erase wipes OOB metadata too
-        self._oob_seq[lo:hi] = 0
+        ppb = self.config.pages_per_block
+        lo = victim * ppb
+        # Erase wipes the block's OOB metadata too.
+        self._oob_lpn_v[lo:lo + ppb] = self._unmapped[:ppb]
+        self._oob_seq_v[lo:lo + ppb] = self._zero_block
         self._release_block(victim)
         self.stats.block_erases += 1
         latency += self.config.erase_us

@@ -11,6 +11,13 @@ arrays so garbage-collection victim scans stay O(num_blocks) vectorised
 operations instead of Python loops, and keeps the set of *dead* blocks
 (no valid page, some invalid page) current at every count change, so the
 greedy victim — a dead block whenever one exists — needs no scan at all.
+
+Per-call work — one page, one block's counters, one contiguous run — goes
+through ``memoryview`` objects over those same arrays: an item or a slice
+of a view costs a fraction of a numpy scalar index or a numpy slice, and
+a view shares its array's buffer, so every numpy reader (GC copy-back,
+:meth:`NandArray.check_invariants`, the wear gauges) sees each write.
+Numpy stays for bulk work over scattered pages and whole-array scans.
 """
 
 from __future__ import annotations
@@ -39,10 +46,10 @@ class PageState(IntEnum):
 _FREE = int(PageState.FREE)
 _VALID = int(PageState.VALID)
 _INVALID = int(PageState.INVALID)
-# Page-state tests over a run are bytes compares on the uint8 state array:
-# ``states.tobytes() == _VALID_BYTE * n`` says "all VALID" and
-# ``_FREE_BYTE in states.tobytes()`` says "any FREE" at a tenth of the
-# cost of an elementwise compare plus ``.any()`` reduction.
+# Page-state tests over a scattered page set are bytes tests on the
+# gathered uint8 states: ``states.tobytes() == _VALID_BYTE * n`` says "all
+# VALID" and ``_FREE_BYTE in states.tobytes()`` says "any FREE" at a tenth
+# of the cost of an elementwise compare plus ``.any()`` reduction.
 _VALID_BYTE = bytes([_VALID])
 _FREE_BYTE = bytes([_FREE])
 
@@ -81,6 +88,16 @@ class NandArray:
         #: call.
         self.page_ramp = np.arange(self._total_pages, dtype=np.int64)
         self.page_ramp.flags.writeable = False
+        # The per-call views (module docstring).  ``_runs[s][:n]`` is n
+        # pages in state ``s``: the source of every run store and the
+        # operand of every run compare.
+        self._sv = memoryview(self._state)
+        self._wp = memoryview(self._write_ptr)
+        self._vc = memoryview(self._valid_count)
+        self._ic = memoryview(self._invalid_count)
+        self._ec = memoryview(self.erase_counts)
+        self._runs = tuple(memoryview(bytes([s]) * self._total_pages)
+                           for s in (_FREE, _VALID, _INVALID))
         self.programs = 0
         self.reads = 0
         self.erases = 0
@@ -109,20 +126,20 @@ class NandArray:
 
     def state(self, ppn: int) -> PageState:
         self._check_ppn(ppn)
-        return PageState(self._state[ppn])
+        return PageState(self._sv[ppn])
 
     def valid_count(self, block: int) -> int:
-        return int(self._valid_count[block])
+        return self._vc[block]
 
     def invalid_count(self, block: int) -> int:
-        return int(self._invalid_count[block])
+        return self._ic[block]
 
     def free_pages_in(self, block: int) -> int:
-        return self._ppb - int(self._write_ptr[block])
+        return self._ppb - self._wp[block]
 
     def is_block_free(self, block: int) -> bool:
         """True when the block has never been programmed since its last erase."""
-        return self._write_ptr[block] == 0
+        return self._wp[block] == 0
 
     @property
     def valid_counts(self) -> np.ndarray:
@@ -142,9 +159,17 @@ class NandArray:
     def read_page(self, ppn: int) -> None:
         """Read a page.  Reading FREE pages is rejected — it indicates an FTL bug."""
         self._check_ppn(ppn)
-        if self._state[ppn] == _FREE:
+        if self._sv[ppn] == _FREE:
             raise RuntimeError(f"read of unwritten (FREE) page ppn={ppn}")
         self.reads += 1
+
+    def read_run(self, start: int, count: int) -> None:
+        """Read ``count`` contiguous pages starting at ``start`` (the
+        contiguous-run form of :meth:`read_pages`: one test over a state
+        slice, no gather).  The caller has range-checked the run."""
+        if not all(self._sv[start:start + count]):  # FREE is the only 0
+            raise RuntimeError("read of unwritten (FREE) page in span")
+        self.reads += count
 
     def program_page(self, block: int) -> int:
         """Program the next sequential page of ``block``; return its ppn.
@@ -152,14 +177,14 @@ class NandArray:
         Raises if the block is full — callers must allocate a new active
         block instead.
         """
-        ptr = int(self._write_ptr[block])
-        if ptr >= self.config.pages_per_block:
+        ptr = self._wp[block]
+        if ptr >= self._ppb:
             raise RuntimeError(f"program on full block {block}")
-        ppn = block * self.config.pages_per_block + ptr
-        assert self._state[ppn] == _FREE, "sequential-program invariant broken"
-        self._state[ppn] = _VALID
-        self._write_ptr[block] = ptr + 1
-        self._valid_count[block] += 1
+        ppn = block * self._ppb + ptr
+        assert self._sv[ppn] == _FREE, "sequential-program invariant broken"
+        self._sv[ppn] = _VALID
+        self._wp[block] = ptr + 1
+        self._vc[block] += 1
         self.dead.discard(block)
         self.programs += 1
         return ppn
@@ -173,14 +198,14 @@ class NandArray:
         this call ``_write_ptr`` counts *programmed pages*, so a block must
         not mix :meth:`program_page` and :meth:`program_page_at`.
         """
-        if not 0 <= offset < self.config.pages_per_block:
+        if not 0 <= offset < self._ppb:
             raise IndexError(f"offset {offset} out of range")
-        ppn = block * self.config.pages_per_block + offset
-        if self._state[ppn] != _FREE:
+        ppn = block * self._ppb + offset
+        if self._sv[ppn] != _FREE:
             raise RuntimeError(f"program of non-FREE page ppn={ppn}")
-        self._state[ppn] = _VALID
-        self._write_ptr[block] += 1
-        self._valid_count[block] += 1
+        self._sv[ppn] = _VALID
+        self._wp[block] += 1
+        self._vc[block] += 1
         self.dead.discard(block)
         self.programs += 1
         return ppn
@@ -194,13 +219,13 @@ class NandArray:
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        ptr = int(self._write_ptr[block])
+        ptr = self._wp[block]
         if ptr + count > self._ppb:
             raise RuntimeError(f"program_run overflows block {block}")
         lo = block * self._ppb + ptr
-        self._state[lo:lo + count] = _VALID
-        self._write_ptr[block] = ptr + count
-        self._valid_count[block] += count
+        self._sv[lo:lo + count] = self._runs[_VALID][:count]
+        self._wp[block] = ptr + count
+        self._vc[block] += count
         self.dead.discard(block)
         self.programs += count
         return lo
@@ -226,18 +251,19 @@ class NandArray:
         end = start + count - 1
         if not (0 <= start and end < self._total_pages):
             raise IndexError(f"run [{start}, {end}] out of range")
-        sl = self._state[start:start + count]
-        if sl.tobytes() != _VALID_BYTE * count:
+        runs = self._runs
+        sv = self._sv
+        if sv[start:start + count] != runs[_VALID][:count]:
             raise RuntimeError("invalidate_run on non-VALID page(s)")
-        sl[:] = _INVALID
+        sv[start:start + count] = runs[_INVALID][:count]
         ppb = self._ppb
-        valid = self._valid_count
+        valid = self._vc
         first_b = start // ppb
         last_b = end // ppb
         if first_b == last_b:
             left = valid[first_b] - count
             valid[first_b] = left
-            self._invalid_count[first_b] += count
+            self._ic[first_b] += count
             if not left:
                 self.dead.add(first_b)
             return
@@ -247,7 +273,7 @@ class NandArray:
             n = hi - lo
             left = valid[blk] - n
             valid[blk] = left
-            self._invalid_count[blk] += n
+            self._ic[blk] += n
             if not left:
                 self.dead.add(blk)
 
@@ -289,16 +315,17 @@ class NandArray:
     def invalidate_page(self, ppn: int) -> None:
         """Mark a VALID page INVALID (e.g. its logical page was overwritten)."""
         self._check_ppn(ppn)
-        if self._state[ppn] != _VALID:
+        sv = self._sv
+        if sv[ppn] != _VALID:
             raise RuntimeError(f"invalidate of non-VALID page ppn={ppn} "
-                               f"(state={PageState(self._state[ppn]).name})")
-        block = self.block_of(ppn)
-        self._state[ppn] = _INVALID
-        left = self._valid_count[block] - 1
-        self._valid_count[block] = left
-        self._invalid_count[block] += 1
+                               f"(state={PageState(sv[ppn]).name})")
+        block = int(ppn) // self._ppb
+        sv[ppn] = _INVALID
+        left = self._vc[block] - 1
+        self._vc[block] = left
+        self._ic[block] += 1
         if not left:
-            self.dead.add(int(block))
+            self.dead.add(block)
 
     def erase_block(self, block: int) -> None:
         """Erase a whole block: all pages return to FREE, wear count +1.
@@ -308,17 +335,16 @@ class NandArray:
         """
         if not 0 <= block < self.config.num_blocks:
             raise IndexError(f"block {block} out of range")
-        if self._valid_count[block] != 0:
+        if self._vc[block] != 0:
             raise RuntimeError(
-                f"erase of block {block} with {self._valid_count[block]} valid pages"
+                f"erase of block {block} with {self._vc[block]} valid pages"
             )
         lo = block * self._ppb
-        hi = lo + self._ppb
-        self._state[lo:hi] = _FREE
-        self._write_ptr[block] = 0
-        self._invalid_count[block] = 0
+        self._sv[lo:lo + self._ppb] = self._runs[_FREE][:self._ppb]
+        self._wp[block] = 0
+        self._ic[block] = 0
         self.dead.discard(block)
-        self.erase_counts[block] += 1
+        self._ec[block] += 1
         self.erases += 1
 
     def valid_ppns_in(self, block: int) -> list[int]:

@@ -8,7 +8,8 @@ gap-free, by its blocked intervals, so end-to-end latency decomposes as
 
     admission wait + sum(per-resource queue wait) + sum(service time)
 
-with zero residual (see :func:`assemble_queries`).  Fan-out joins are
+with zero residual in exact arithmetic (see :func:`assemble_queries`;
+in floats, :attr:`QueryBlame.residual_us` is rounding).  Fan-out joins are
 followed recursively: a join window ``[t0, t1]`` is re-attributed to
 the *child's* blocked intervals clipped to that window, so a straggler
 shard's SSD queue shows up by name in the parent query's bill.
@@ -388,13 +389,22 @@ class QueryBlame:
 
     @property
     def components_us(self) -> float:
-        """Sum of every attributed component (== total_us, exactly)."""
+        """Sum of every attributed component (``total_us`` up to float
+        rounding; see :attr:`residual_us`)."""
         return (self.admission_wait_us + sum(self.wait_us.values())
                 + sum(self.service_us.values()))
 
     @property
     def residual_us(self) -> float:
-        """Unattributed time; zero up to float rounding by construction."""
+        """Unattributed time: ``total_us - components_us``.
+
+        Zero in exact arithmetic, since the blocked intervals tile the
+        lifetime.  In floats the two sums round differently: exactly 0.0
+        when every timestamp is representable (dyadic durations), else a
+        few ulps of the timestamps (about 1e-11 us at second-scale
+        simulated times).  A missing record leaves a residual of its
+        whole interval instead.
+        """
         return self.total_us - self.components_us
 
     def to_dict(self) -> dict:

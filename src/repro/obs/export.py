@@ -182,8 +182,8 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
                "audit_records": audit_records}
     timeline = getattr(telemetry, "timeline", None)
     if timeline is not None:
-        timeline.export_jsonl(os.path.join(out_dir, "timeline.jsonl"))
-        summary["timeline_windows"] = timeline.emitted
+        summary["timeline_windows"] = timeline.export_jsonl(
+            os.path.join(out_dir, "timeline.jsonl"))
     blame = getattr(telemetry, "blame", None)
     if blame is not None:
         summary["blame_records"] = blame.export_jsonl(

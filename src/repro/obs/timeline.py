@@ -293,13 +293,15 @@ class TimelineRecorder:
             if "derived" not in rec:
                 rec["derived"] = derive_window(rec)
         if self._stream is not None:
-            for rec in self._trailer():
+            for rec in self._trailer(self._stream.written):
                 self._stream.write_trailer(rec)
             self._stream.close()
 
-    def _trailer(self) -> list[dict]:
-        """What follows the windows: the exemplars, then the footer."""
-        footer = {"type": "footer", "windows": self.emitted,
+    def _trailer(self, windows: int) -> list[dict]:
+        """What follows the ``windows`` window records of a file: the
+        exemplars, then the footer.  ``dropped_windows`` counts the
+        windows that fell off the retained ring."""
+        footer = {"type": "footer", "windows": windows,
                   "dropped_windows": self.dropped_windows}
         if self.exemplars is None:
             return [footer]
@@ -388,17 +390,20 @@ class TimelineRecorder:
     # -- export --------------------------------------------------------------
 
     def export_jsonl(self, path) -> int:
-        """Write the timeline to ``path``; returns the window count.
+        """Write the timeline to ``path``; returns the number of windows
+        the file holds.
 
         In streaming mode the windows are already on disk: the stream is
         finalized (via :meth:`finish`) and, when ``path`` is another
-        file, the streamed file is copied there.
+        file, the streamed file is copied there.  Otherwise the file
+        holds the retained ring (:data:`RETAIN_WINDOWS`), and its footer
+        says how many windows fell off it.
         """
         self.finish()
         if self._stream is not None:
             self._stream.export_to(path)
-            return self.emitted
-        write_jsonl(path, chain(self.windows, self._trailer()),
+            return self._stream.written
+        write_jsonl(path, chain(self.windows, self._trailer(len(self.windows))),
                     header=self._header())
         return len(self.windows)
 

@@ -1,14 +1,17 @@
-"""The cache event-hook seam: subscription mechanics and stats wiring."""
+"""The cache event-hook seam: subscription mechanics, the observed gate,
+and the replacement counters the caches keep without any subscriber."""
 
 import pytest
 
+from repro.core import events as core_events
+from repro.core import list_cache, replacement, result_cache
 from repro.core.config import CacheConfig, Policy, Scheme
 from repro.core.events import AdmitEvent, CacheEvents, EventCounter, FlushEvent
 from repro.core.manager import CacheManager, build_hierarchy_for
-from repro.core.stats import CacheStats, StatsRecorder
-from repro.engine.corpus import CorpusConfig
+from repro.engine.corpus import CorpusConfig, build_corpus_stats
 from repro.engine.index import InvertedIndex
 from repro.engine.query import Query
+from repro.workloads.sweep import make_log_for
 
 KB = 1024
 
@@ -44,6 +47,20 @@ def test_subscribe_and_unsubscribe():
     unsubscribe()
     events.admit(event)
     assert len(seen) == 1
+
+
+def test_observed_follows_subscriptions_and_one_hook_is_bound_directly():
+    def hook(event):
+        pass
+
+    events = CacheEvents()
+    assert events.observed is False
+    unsubscribe = events.subscribe(on_flush=hook)
+    assert events.observed is True
+    # A lone subscriber is the emitter itself: no dispatch frame.
+    assert events.flush is hook
+    unsubscribe()
+    assert events.observed is False
 
 
 def test_partial_subscription_only_receives_requested_hooks():
@@ -148,21 +165,6 @@ def test_victim_stage_events_match_stage_counters(index):
     assert counted == staged
 
 
-def test_stats_recorder_is_reusable_on_a_bare_bus():
-    events = CacheEvents()
-    stats = CacheStats()
-    recorder = StatsRecorder(stats, events)
-    events.flush(FlushEvent(kind="result", lba=0, nbytes=1))
-    events.flush(FlushEvent(kind="list", lba=0, nbytes=1))
-    events.admit(AdmitEvent(kind="list", key=3, level="l2", reason="revalidate"))
-    assert stats.ssd_result_writes == 1
-    assert stats.ssd_list_writes == 1
-    assert stats.ssd_writes_avoided == 1
-    recorder.close()
-    events.flush(FlushEvent(kind="result", lba=0, nbytes=1))
-    assert stats.ssd_result_writes == 1
-
-
 def test_observers_cannot_break_parity(index):
     """Subscribing observers must not change cache behaviour."""
     def replay(with_observer):
@@ -176,3 +178,81 @@ def test_observers_cannot_break_parity(index):
         return outcomes, mgr.occupancy()
 
     assert replay(False) == replay(True)
+
+
+# -- the caches count without the bus ----------------------------------------
+
+def test_an_unobserved_bus_builds_no_event_object(index, monkeypatch):
+    built = []
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls(*args, **kwargs))
+            return built[-1]
+        return build
+
+    for module in (result_cache, list_cache, replacement):
+        for name in ("AdmitEvent", "EvictEvent", "FlushEvent", "L2VictimEvent"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(getattr(core_events, name)))
+
+    def replay(mgr):
+        for i in range(300):
+            mgr.process_query(Query(i, (1 + i % 30, 31 + i % 25)))
+
+    mgr = make_manager(index, ssd_list_bytes=512 * KB)
+    assert mgr.events.observed is False
+    replay(mgr)
+    assert built == []
+    stats = mgr.stats
+    assert stats.ssd_result_writes and stats.ssd_list_writes
+    assert stats.evict_stage_replaceable + stats.evict_stage_size_match > 0
+
+    # The patch is live: the same run, observed, builds one object per
+    # delivered event and counts the same.
+    watched = make_manager(index, ssd_list_bytes=512 * KB)
+    counter = EventCounter(watched.events)
+    replay(watched)
+    assert len(built) == sum(counter.counts.values()) > 0
+    assert watched.stats == stats
+
+
+#: The replacement counters of a 600-query run, recorded from the commit
+#: whose caches still counted them through a bus subscriber.  Fallback is
+#: the paper's worst case; no run this small reaches it.
+REPLACEMENT_COUNTERS = (
+    "ssd_result_writes", "ssd_list_writes", "ssd_writes_avoided",
+    "discarded_by_tev", "evict_stage_replaceable", "evict_stage_size_match",
+    "evict_stage_assemble", "evict_stage_fallback",
+)
+PARENT_RUNS = {
+    "cblru": (Policy.CBLRU, 4, (76, 965, 78, 9, 3, 934, 6, 0),
+              10505267.118875727),
+    "cbslru": (Policy.CBSLRU, 8, (47, 635, 36, 9, 5, 597, 10, 0),
+               6959459.186328826),
+}
+
+
+@pytest.fixture(scope="module")
+def paper_stats():
+    return build_corpus_stats(CorpusConfig.paper_scale(50_000, seed=42))
+
+
+@pytest.mark.parametrize("observed", [False, True])
+@pytest.mark.parametrize("run", sorted(PARENT_RUNS))
+def test_replacement_counters_equal_the_parents(paper_stats, run, observed):
+    policy, ssd_mb, counters, clock_us = PARENT_RUNS[run]
+    index = InvertedIndex(paper_stats)
+    cfg = CacheConfig.paper_split(1024 * KB, ssd_mb * 1024 * KB, policy=policy)
+    mgr = CacheManager(cfg, build_hierarchy_for(cfg, index), index)
+    if observed:
+        EventCounter(mgr.events)
+    log = make_log_for(600, seed=7)
+    if policy is Policy.CBSLRU:
+        mgr.warmup_static(log)
+    for query in log:
+        mgr.process_query(query)
+    mgr.check_invariants()
+    assert tuple(getattr(mgr.stats, n) for n in REPLACEMENT_COUNTERS) == counters
+    assert mgr.clock.now_us == clock_us

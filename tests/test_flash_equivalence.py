@@ -10,6 +10,13 @@ sequence of span and scalar operations on a geometry small enough that
 foreground GC with copy-back runs, and after *every* operation the returned latency, both mapping directions, the NAND
 page states and counters, ``FtlStats``, the mapped count and the
 OOB-recovered mapping (what pins the journal change) must be equal.
+
+The span paths test a span's shape on ``memoryview`` objects: one
+contiguous physical run (read, rewrite, TRIM), a span TRIM left fully
+unmapped (write), anything else through numpy.  The mix therefore also
+trims a span and writes it straight back, and the seeded tests below
+check that every shape — runs crossing a block boundary included — is
+reached, and that a contiguous read of a FREE page fails as before.
 """
 
 import random
@@ -21,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_page import PageMappingFTL
+from repro.flash.nand import NandArray, PageState
 
 from . import _ftl_reference as reference
 
@@ -100,10 +108,18 @@ out_of_range = st.one_of(
     st.tuples(st.sampled_from(SCALAR_OPS),
               st.sampled_from((-1, NUM_LPNS, NUM_LPNS + 7))),
 )
-op_sequences = st.lists(
-    st.one_of(aligned, fragments, fragments, scalars, out_of_range),
-    min_size=1, max_size=120,
+#: a TRIM and the write that refills the span it unmapped
+rewrites = st.builds(
+    lambda lpn, n: [("trim_span", lpn, min(n, NUM_LPNS - lpn)),
+                    ("write_span", lpn, min(n, NUM_LPNS - lpn))],
+    st.integers(0, NUM_LPNS - 1), st.integers(1, 2 * PPB + 3),
 )
+op_sequences = st.lists(
+    st.one_of(*(shape.map(lambda op: [op]) for shape in
+                (aligned, fragments, fragments, scalars, out_of_range)),
+              rewrites),
+    min_size=1, max_size=80,
+).map(lambda groups: [op for group in groups for op in group])
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,3 +168,92 @@ def test_edge_spans_behave_like_parent(op, outcome):
     assert got[0] == outcome
     assert got == want  # same latency, or same exception type and message
     _assert_same_state(new, ref, op)
+
+
+def _lay_out_across_a_block_boundary(ftl) -> None:
+    """lpns 0..11 -> ppns 0..11: the second write fills block 0 and runs
+    on into block 1, so lpns 4..11 are one physical run over two blocks."""
+    ftl.write_span(0, 4)
+    ftl.write_span(4, 8)
+    assert [ftl.ppn_of(lpn) for lpn in range(12)] == list(range(12))
+
+
+@pytest.mark.parametrize("lpn, count", [
+    (2, 8),    # contiguous run, across the boundary
+    (5, 1),    # one page
+    (4, 8),    # contiguous run starting at the FREE page's block
+    (3, 12),   # runs into unmapped lpns: the scattered path
+])
+def test_contiguous_read_of_a_free_page_fails_like_parent(lpn, count):
+    new, ref = _pair()
+    for ftl in (new, ref):
+        _lay_out_across_a_block_boundary(ftl)
+        # A mapped page that reads FREE is an FTL bug the read must catch.
+        ftl.nand._state[5] = PageState.FREE
+    got = _call(new, ("read_span", lpn, count))
+    assert got == _call(ref, ("read_span", lpn, count))
+    assert got == ("raised", RuntimeError,
+                   "read of unwritten (FREE) page in span")
+    _assert_same_state(new, ref, (lpn, count))
+
+
+def test_runs_across_a_block_boundary_match_parent():
+    ops = [("read_span", 2, 8), ("read_span", 4, 8), ("write_span", 3, 6),
+           ("trim_span", 6, 4), ("write_span", 6, 4), ("read_span", 0, 12),
+           ("trim_span", 0, 12), ("write_span", 0, 12), ("read_span", 1, 10)]
+    new, ref = _pair()
+    for ftl in (new, ref):
+        _lay_out_across_a_block_boundary(ftl)
+    for step, op in enumerate(ops):
+        got, want = _call(new, op), _call(ref, op)
+        assert got == want, (step, op, got, want)
+        _assert_same_state(new, ref, (step, op))
+    new.nand.check_invariants()
+
+
+def test_seeded_mix_reaches_every_span_shape(monkeypatch):
+    """The shapes the span paths tell apart all occur in a seeded mix —
+    contiguous reads and invalidations within one block and across two,
+    writes into a fully unmapped span — and both FTLs stay identical."""
+    seen = dict.fromkeys(("read_run", "read_run_across",
+                          "invalidate_run_across", "unmapped_write"), 0)
+    real_read_run = NandArray.read_run
+    real_invalidate_run = NandArray.invalidate_run
+    real_write_span = PageMappingFTL.write_span
+
+    def read_run(nand, start, count):
+        seen["read_run"] += 1
+        seen["read_run_across"] += start // PPB != (start + count - 1) // PPB
+        return real_read_run(nand, start, count)
+
+    def invalidate_run(nand, start, count):
+        seen["invalidate_run_across"] += (
+            count > 0 and start // PPB != (start + count - 1) // PPB)
+        return real_invalidate_run(nand, start, count)
+
+    def write_span(ftl, lpn, count):
+        seen["unmapped_write"] += bool(
+            count > 0 and 0 <= lpn and lpn + count <= NUM_LPNS
+            and (ftl._l2p[lpn:lpn + count] == -1).all())
+        return real_write_span(ftl, lpn, count)
+
+    monkeypatch.setattr(NandArray, "read_run", read_run)
+    monkeypatch.setattr(NandArray, "invalidate_run", invalidate_run)
+    monkeypatch.setattr(PageMappingFTL, "write_span", write_span)
+    rng = random.Random(5)
+    ops = []
+    for _ in range(400):
+        lpn = rng.randrange(NUM_LPNS)
+        n = min(rng.randint(1, 2 * PPB + 3), NUM_LPNS - lpn)
+        shape = rng.random()
+        if shape < 0.3:
+            ops += [("trim_span", lpn, n), ("write_span", lpn, n)]
+        elif shape < 0.6:
+            ops += [("write_span", lpn, n), ("read_span", lpn, n)]
+        elif shape < 0.9:
+            ops.append((rng.choice(SPAN_OPS), lpn, n))
+        else:
+            ops.append((rng.choice(SCALAR_OPS), lpn))
+    new, _ = _drive(ops)
+    assert all(seen.values()), seen
+    assert new.stats.gc_page_writes > 0

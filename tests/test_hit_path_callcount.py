@@ -15,9 +15,11 @@ are not counted):
   hit or a first-touch miss).
 
 The L1-hit ceiling is 70 % of what the commit before the fixed-path pass
-made (Python 3.11); the other three are what the path made once the SSD
-front end stopped feeding the FTL a clock (20 and 21 frames, 12 334 calls)
-+ 2 %, rounded down.  Every simulated outcome — the ``QueryOutcome`` stream,
+made (Python 3.11); the other three are what the path made once the
+caches counted their own replacement statistics and built events only
+for an observed bus (18 and 18 frames, 11 329 calls; 20, 21 and 12 334
+before, each cache event paying the stats recorder's frame) + 2 %,
+rounded down.  Every simulated outcome — the ``QueryOutcome`` stream,
 ``CacheStats``, the clock — equals the values recorded from that commit:
 same decisions, fewer frames.
 
@@ -54,15 +56,15 @@ PARENT_L1_HIT_CALLS = 23
 PARENT_L1_HIT_US = 2.2479999999995925
 PARENT_L2_HIT_US = 98.17500000000018
 L1_HIT_CEILING = PARENT_L1_HIT_CALLS * 70 // 100
-#: Measured (Python 3.11) + 2 %: 20 and 21 frames (39 and 42 before the
+#: Measured (Python 3.11) + 2 %: 18 and 18 frames (39 and 42 before the
 #: fixed-path pass).
-L2_STAGE_CEILING = 20 * 102 // 100
-L2_REVALIDATE_CEILING = 21 * 102 // 100
+L2_STAGE_CEILING = 18 * 102 // 100
+L2_REVALIDATE_CEILING = 18 * 102 // 100
 
 WARM, COUNTED = 1000, 500
-#: 12 334 calls over the 500-query window (Python 3.11) + 2 %; the commit
+#: 11 329 calls over the 500-query window (Python 3.11) + 2 %; the commit
 #: before the fixed-path pass made 20 850.
-WINDOW_CEILING = 12_334 * 102 // 100
+WINDOW_CEILING = 11_329 * 102 // 100
 
 #: Recorded from the parent commit.
 PARENT_WINDOW_STATS = {

@@ -130,10 +130,13 @@ def test_cache_event_metrics_agree_with_event_counter(small_index):
 def test_one_fused_observer_per_hook_metrics_then_audit(small_index):
     tel = Telemetry()
     mgr = make_manager(small_index, telemetry=tel)
-    # The stats recorder plus one observer doing metrics and audit.
-    for hooks in (mgr.events._on_admit, mgr.events._on_evict,
-                  mgr.events._on_flush, mgr.events._on_l2_victim):
-        assert len(hooks) == 2
+    # One observer doing metrics and audit, bound as the emitter itself:
+    # the caches count their own statistics, so nothing else subscribes.
+    for hooks, emitter in ((mgr.events._on_admit, mgr.events.admit),
+                           (mgr.events._on_evict, mgr.events.evict),
+                           (mgr.events._on_flush, mgr.events.flush),
+                           (mgr.events._on_l2_victim, mgr.events.l2_victim)):
+        assert len(hooks) == 1 and emitter is hooks[0]
     replay(mgr)
     mirrored = {"admit": "cache_admits_total", "evict": "cache_evicts_total",
                 "flush": "cache_flushes_total",
@@ -143,8 +146,8 @@ def test_one_fused_observer_per_hook_metrics_then_audit(small_index):
                       if name == metric)
         assert counted == sum(r.type == rtype for r in tel.audit.records) > 0
     tel.close()
-    assert all(len(h) == 1 for h in (mgr.events._on_admit,
-                                     mgr.events._on_flush))
+    assert not (mgr.events._on_admit or mgr.events._on_flush)
+    assert mgr.events.observed is False
 
 
 def test_fused_observer_still_audits_when_the_metrics_half_raises():

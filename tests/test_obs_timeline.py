@@ -421,6 +421,26 @@ def test_streaming_run_exported_to_another_dir_keeps_its_timeline(
     assert len(loaded.timeline.windows) == written["timeline_windows"] > 0
 
 
+def test_export_without_a_stream_counts_the_windows_it_writes(
+        small_index, tmp_path, monkeypatch):
+    # The retained ring keeps the last RETAIN_WINDOWS windows; the footer
+    # used to claim every window ever emitted, so the exported file
+    # failed its own loader ("footer claims 301 windows, file holds 3").
+    monkeypatch.setattr(timeline_module, "RETAIN_WINDOWS", 3)
+    tel = Telemetry()
+    tel.attach_timeline(window_us=2_000.0)
+    replay(make_manager(small_index, telemetry=tel), n=300)
+    written = write_telemetry_dir(tel, tmp_path)
+    emitted = tel.timeline.emitted
+    assert emitted > 3
+    tl = load_timeline_jsonl(tmp_path / "timeline.jsonl")
+    assert [w["window"] for w in tl.windows] == \
+        [w["window"] for w in tel.timeline.windows]
+    assert tl.footer["windows"] == len(tl.windows) == 3
+    assert tl.footer["dropped_windows"] == emitted - 3
+    assert written["timeline_windows"] == 3
+
+
 def test_validate_timeline_rejects_corruption(tmp_path):
     path = tmp_path / "timeline.jsonl"
     for header in ({"type": "header", "schema": "nope"},
