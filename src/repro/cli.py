@@ -377,23 +377,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.telemetry:
         from repro.obs import Telemetry
 
-        telemetry = Telemetry()
-        # Stream spans to disk as they finish instead of accumulating
-        # them in memory — an arbitrarily long run holds zero spans.
-        os.makedirs(args.telemetry, exist_ok=True)
-        telemetry.tracer.open_stream(os.path.join(args.telemetry,
-                                                  "spans.jsonl"))
-        # Kernel blame records stream the same way once a kernel is
-        # observed; closed-loop concurrency-1 runs have no kernel and
-        # simply never open the file.
-        telemetry.stream_blame(os.path.join(args.telemetry, "blame.jsonl"))
+        # Spans, windows and (once a kernel is observed) blame records
+        # stream into the directory as they finish: an arbitrarily long
+        # run holds none of them resident.
+        telemetry = Telemetry(out_dir=args.telemetry)
         if args.timeline:
-            # Windows stream the same way: each one is written the
-            # moment it closes.
-            telemetry.attach_timeline(
-                window_us=args.window_ms * 1000.0,
-                stream_path=os.path.join(args.telemetry, "timeline.jsonl"),
-            )
+            telemetry.attach_timeline(window_us=args.window_ms * 1000.0)
 
     # Kernel-mode runs with a timeline arm the flight recorder: a
     # black-box ring over the run that dumps incident-<n>/ bundles when

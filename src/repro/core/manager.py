@@ -368,45 +368,9 @@ class CacheManager:
         }
 
     # ------------------------------------------------------------------
-    # Compatibility accessors into the layered caches
+    # Compatibility accessor into the layered caches
     # ------------------------------------------------------------------
-
-    @property
-    def l1_results(self):
-        return self.result_cache.l1
 
     @property
     def l1_lists(self):
         return self.list_cache.l1
-
-    @property
-    def l2_result_map(self):
-        return self.result_cache.l2_map
-
-    @property
-    def l2_lists(self):
-        return self.list_cache.l2
-
-    @property
-    def rb_map(self):
-        return self.result_cache.rb_map
-
-    @property
-    def rb_lru(self):
-        return self.result_cache.rb_lru
-
-    @property
-    def static_results(self):
-        return self.result_cache.static
-
-    @property
-    def static_lists(self):
-        return self.list_cache.static
-
-    @property
-    def write_buffer(self):
-        return self.result_cache.write_buffer
-
-    @property
-    def list_region(self):
-        return self.list_cache.region

@@ -104,12 +104,6 @@ class NandArray:
 
     # -- geometry helpers --------------------------------------------------
 
-    def block_of(self, ppn: int) -> int:
-        return ppn // self.config.pages_per_block
-
-    def offset_of(self, ppn: int) -> int:
-        return ppn % self.config.pages_per_block
-
     def channel_of(self, block: int) -> int:
         """Flash channel serving ``block`` (blocks stripe round-robin)."""
         return block % self.config.channels

@@ -3,10 +3,10 @@
 Every streamed telemetry file (``spans.jsonl``, ``timeline.jsonl``,
 ``blame.jsonl``, ``audit.jsonl``) is written by :class:`JsonlWriter`:
 an optional header line, one complete record per line, optional
-trailer lines (exemplars, a footer), and one rule for exporting a
-streamed file (:meth:`JsonlWriter.export_to`).  A stream is one whole
-file; the observer's memory is bounded by its rings, not by cutting
-the file.
+trailer lines (exemplars, a footer).  A stream is one whole file,
+opened in the telemetry directory when the telemetry is built and
+finalised there (:meth:`JsonlWriter.finish`); it is never cut, moved or
+copied, and the observer's memory is bounded by its rings.
 
 Lines are written whole, so the only malformed line a reader should
 ever meet is the *last* one — a live run cut mid-record (crash, SIGKILL, disk full).
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 
 __all__ = ["JsonlWriter", "write_jsonl", "read_jsonl"]
 
@@ -61,12 +60,15 @@ class JsonlWriter:
             self.closed = True
             self._fh.close()
 
-    def export_to(self, path) -> None:
-        """Finalise the stream.  Exporting to the stream's own path
-        leaves the file in place; exporting elsewhere copies it there."""
+    def finish(self, path) -> int:
+        """Close the file, which is ``path``: a stream is finalised where
+        it was opened, so any other ``path`` raises ``ValueError``.
+        Returns the record count."""
+        if os.path.abspath(path) != os.path.abspath(self.path):
+            raise ValueError(f"{self.path} is streamed in place; it cannot "
+                             f"be exported to {path}")
         self.close()
-        if os.path.abspath(str(path)) != os.path.abspath(str(self.path)):
-            shutil.copyfile(self.path, path)
+        return self.written
 
 
 def write_jsonl(path, records, header: dict | None = None) -> int:

@@ -81,7 +81,8 @@ class BlameRecorder:
     Attach with :meth:`attach`; the kernel and admission controller call
     the ``on_*`` hooks (all no-ops on the simulated schedule).  Records
     live in a bounded ring (oldest dropped first, ``dropped`` counts
-    losses) and can be streamed to JSONL via :meth:`open_stream`.
+    losses); the recorder of a ``Telemetry(out_dir=DIR)`` also writes
+    each one to ``DIR/blame.jsonl`` as it is emitted.
     Per-resource wait/service aggregates are kept separately so
     :meth:`capacity` and the timeline's ``wait_fraction`` series stay
     exact even when the ring overflows.
@@ -98,7 +99,7 @@ class BlameRecorder:
         #: name -> [count, wait_us_sum, service_us_sum]; survives ring drops.
         self.totals: dict[str, list] = {}
         self.shed_count = 0
-        #: the :class:`JsonlWriter` once streaming (kept after it closes)
+        #: the blame file's :class:`JsonlWriter` when streaming, else None
         self._stream: JsonlWriter | None = None
         self._next_tid = 0
         # id(task) -> meta dict (holds a strong ref to the task so CPython
@@ -123,20 +124,10 @@ class BlameRecorder:
             self.start_us = kernel.clock.now_us
         return self
 
-    def open_stream(self, path: str) -> None:
-        """Stream every future record to ``path`` as JSONL (header first).
-
-        Records already in the ring are flushed so the file is complete
-        regardless of when streaming started.
-        """
-        self.close_stream()
+    def _stream_into(self, path) -> None:
+        """Write every record to ``path`` as well (header first); called
+        by ``Telemetry(out_dir=)`` as it builds the recorder."""
         self._stream = JsonlWriter(path, header={"schema": BLAME_SCHEMA})
-        for rec in self.records:
-            self._stream.write(rec.to_dict())
-
-    def close_stream(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
 
     # -- hot-path hooks (called by the kernel; keep them lean) -------------
 
@@ -149,7 +140,7 @@ class BlameRecorder:
         if len(self.records) == RING_CAPACITY:
             self.dropped += 1
         self.records.append(rec)
-        if self._stream is not None and not self._stream.closed:
+        if self._stream is not None:
             self._stream.write(rec.to_dict())
 
     def _tid(self, task) -> int:
@@ -287,23 +278,22 @@ class BlameRecorder:
             footer["completed"] = adm.stats.completed
             footer["rejected"] = adm.stats.rejected
         self._emit(footer)
-        self.close_stream()
+        if self._stream is not None:
+            self._stream.close()
 
     def export_jsonl(self, path: str) -> int:
         """Write header plus every retained record to ``path``.
 
         Calls :meth:`finish` first so resource summaries and the footer
-        are present.  A streaming run is already on disk: its file is
-        left in place when it *is* ``path``, else it is copied there.
-        Returns the number of records retained.
+        are present.  A streaming recorder's file already is ``path``
+        and is finalised there.  Returns the number of records the file
+        holds.
         """
         self.finish()
         if self._stream is not None:
-            self._stream.export_to(path)
-        else:
-            write_jsonl(path, (rec.to_dict() for rec in self.records),
-                        header={"schema": BLAME_SCHEMA})
-        return len(self.records)
+            return self._stream.finish(path)
+        return write_jsonl(path, (rec.to_dict() for rec in self.records),
+                           header={"schema": BLAME_SCHEMA})
 
     def capacity(self, completed: int | None = None) -> dict:
         """Operational capacity model over the live kernel state."""

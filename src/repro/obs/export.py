@@ -161,10 +161,15 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
     (plus timeline.jsonl / blame.jsonl when recorded).
 
     Flash-device bridges are sampled first (so wear/GC/WA gauges are
-    current).  A recorder streaming into ``out_dir`` is finalized in
-    place; one streaming elsewhere has its file(s) copied here.
+    current).  A telemetry built with ``Telemetry(out_dir=DIR)`` has its
+    streamed files finalised in place, and ``out_dir`` must be ``DIR``:
+    any other directory raises ``ValueError`` before anything is written.
     Returns a summary dict.
     """
+    own = getattr(telemetry, "out_dir", None)
+    if own is not None and os.path.abspath(own) != os.path.abspath(out_dir):
+        raise ValueError(f"this telemetry streams into {own}; it cannot be "
+                         f"written to {out_dir}")
     os.makedirs(out_dir, exist_ok=True)
     collect = getattr(telemetry, "collect", None)
     if collect is not None:

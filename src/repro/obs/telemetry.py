@@ -8,6 +8,13 @@ CacheManager` (or an :class:`~repro.cluster.shard.IndexShard`)::
     ... run queries ...
     write_telemetry_dir(tel, "out/")
 
+``Telemetry(out_dir="out/")`` chooses the directory up front instead:
+spans, timeline windows and blame records are then written to
+``spans.jsonl``, ``timeline.jsonl`` and ``blame.jsonl`` as they finish,
+and :func:`~repro.obs.export.write_telemetry_dir` finalises that
+directory and no other.  Without ``out_dir`` they are retained in
+bounded rings and written in one go.
+
 The manager binds the tracer to its virtual clock, subscribes the
 registry to its :class:`~repro.core.events.CacheEvents` bus, hooks the
 hierarchy's devices, and calls :meth:`Telemetry.record_query` after each
@@ -19,6 +26,7 @@ per-query sum equals the query's response time.
 
 from __future__ import annotations
 
+import os
 import weakref
 
 from repro.obs.audit import NULL_AUDIT, AuditLog
@@ -67,11 +75,18 @@ class Telemetry:
     breakdown) but records no spans — the cheap mode for long sweeps.
     ``audit=False`` likewise disables the decision log, leaving the
     shared :data:`~repro.obs.audit.NULL_AUDIT` on every decision site.
+    ``out_dir`` streams into that directory (see the module docstring).
     """
 
-    def __init__(self, trace: bool = True, audit: bool = True) -> None:
+    def __init__(self, trace: bool = True, audit: bool = True,
+                 out_dir=None) -> None:
+        self.out_dir = out_dir
         self.registry = MetricsRegistry()
         self.tracer = Tracer() if trace else NULL_TRACER
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            if trace:
+                self.tracer._stream_into(os.path.join(out_dir, "spans.jsonl"))
         self.audit = AuditLog() if audit else NULL_AUDIT
         #: the manager's clock, once :meth:`bind_clock` hands it over
         self.clock = None
@@ -82,7 +97,6 @@ class Telemetry:
         self._collectors: list = []
         self._occupancy: list = []
         self.blame = None
-        self._blame_stream_path: str | None = None
         #: the armed :class:`~repro.obs.flightrecorder.FlightRecorder`,
         #: if any — flushed by close()/write_telemetry_dir.
         self.flight = None
@@ -107,14 +121,13 @@ class Telemetry:
         if self.timeline is not None and self.timeline.clock is None:
             self.timeline.clock = clock
 
-    def attach_timeline(self, window_us: float = 50_000.0,
-                        stream_path=None) -> TimelineRecorder:
+    def attach_timeline(self, window_us: float = 50_000.0) -> TimelineRecorder:
         """Attach a windowed recorder (and tail-exemplar capture).
 
-        ``window_us`` is the fixed window width on the virtual clock;
-        ``stream_path`` turns on streaming (each window written to
-        ``timeline.jsonl`` the moment it closes).  Call before the run
-        starts; the manager ticks the recorder once per query.
+        ``window_us`` is the fixed window width on the virtual clock.
+        With ``out_dir``, each window is written to ``timeline.jsonl``
+        the moment it closes.  Call before the run starts; the manager
+        ticks the recorder once per query.
         """
         if self.timeline is not None:
             raise RuntimeError("a timeline is already attached")
@@ -128,8 +141,9 @@ class Telemetry:
             self.registry, window_us, clock=self.clock,
             collect=lambda: owner().collect(), exemplars=self.exemplars,
         )
-        if stream_path is not None:
-            self.timeline.open_stream(stream_path)
+        if self.out_dir is not None:
+            self.timeline._stream_into(
+                os.path.join(self.out_dir, "timeline.jsonl"))
         return self.timeline
 
     def observe_stats(self, stats) -> CacheStatsMetrics:
@@ -172,20 +186,11 @@ class Telemetry:
             from repro.obs.blame import BlameRecorder
 
             self.blame = BlameRecorder(registry=self.registry)
-            if self._blame_stream_path is not None:
-                self.blame.open_stream(self._blame_stream_path)
+            if self.out_dir is not None:
+                self.blame._stream_into(
+                    os.path.join(self.out_dir, "blame.jsonl"))
         self.blame.attach(kernel, admission=admission)
         return bridge
-
-    def stream_blame(self, path: str) -> None:
-        """Stream blame records to ``path`` as they are emitted.
-
-        May be called before any kernel exists; the stream opens as soon
-        as :meth:`observe_kernel` creates the recorder.
-        """
-        self._blame_stream_path = path
-        if self.blame is not None:
-            self.blame.open_stream(path)
 
     def observe_flash(self, ssd):
         """Register a flash device for wear/GC/WA collection.
@@ -295,7 +300,9 @@ class Telemetry:
         insts[1].value += 1
 
     def close(self) -> None:
-        """Detach every event-bus subscription and finish the timeline."""
+        """Detach every event-bus subscription and finish the timeline
+        and blame recorder (an ``out_dir``'s ``spans.jsonl`` is closed by
+        :func:`~repro.obs.export.write_telemetry_dir`)."""
         for bridge in self._bridges:
             bridge.close()
         self._bridges.clear()
@@ -308,4 +315,3 @@ class Telemetry:
             # have fired before any open incident is flushed.
             self.flight.finish()
         self.audit.close()
-        self.tracer.close_stream()

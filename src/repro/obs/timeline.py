@@ -25,8 +25,9 @@ quantized at query granularity — a query's samples land in the window
 containing its completion time — while the sum-over-windows identities
 above hold exactly.  Windows with no activity are skipped (*sparse*);
 retained records live in a bounded ring (:data:`RETAIN_WINDOWS`), and
-streaming mode writes and flushes each window to ``timeline.jsonl``
-the moment it closes, so ``repro top DIR`` can follow a running run.
+the recorder of a ``Telemetry(out_dir=DIR)`` also writes and flushes
+each window to ``DIR/timeline.jsonl`` the moment it closes, so ``repro
+top DIR`` can follow a running run.
 
 Timeline JSONL schema (``repro.obs.timeline/v1``), one object per line::
 
@@ -232,7 +233,7 @@ class TimelineRecorder:
         self.emitted = 0
         self._open = 0
         self._finished = False
-        #: the :class:`JsonlWriter` once streaming (kept after it closes)
+        #: the timeline file's :class:`JsonlWriter` when streaming, else None
         self._stream: JsonlWriter | None = None
         self._callbacks: list = []
         # [series key, instrument, value at last close] rows per kind, in
@@ -246,15 +247,10 @@ class TimelineRecorder:
         return {"type": "header", "schema": TIMELINE_SCHEMA,
                 "window_us": self.window_us}
 
-    def open_stream(self, path) -> None:
-        """Write windows to ``path`` as they close (header first)."""
-        if self._stream is not None:
-            raise RuntimeError("timeline is already streaming")
+    def _stream_into(self, path) -> None:
+        """Write each window to ``path`` as it closes (header first);
+        called by ``Telemetry(out_dir=)`` in ``attach_timeline``."""
         self._stream = JsonlWriter(path, header=self._header())
-        for rec in self.windows:
-            if "derived" not in rec:
-                rec["derived"] = derive_window(rec)
-            self._stream.write(rec)
         self._stream.flush()
 
     # -- window callbacks ----------------------------------------------------
@@ -367,8 +363,6 @@ class TimelineRecorder:
             "histograms": hists,
         }
         stream = self._stream
-        if stream is not None and stream.closed:
-            stream = None  # finished: later windows are only retained
         if stream is not None or self._callbacks:
             # Streamed records leave the process now (and callbacks see
             # them now), so they must carry their derived block; retained
@@ -393,16 +387,14 @@ class TimelineRecorder:
         """Write the timeline to ``path``; returns the number of windows
         the file holds.
 
-        In streaming mode the windows are already on disk: the stream is
-        finalized (via :meth:`finish`) and, when ``path`` is another
-        file, the streamed file is copied there.  Otherwise the file
-        holds the retained ring (:data:`RETAIN_WINDOWS`), and its footer
-        says how many windows fell off it.
+        A streaming recorder's windows are already in ``path``, its own
+        file, finalised by :meth:`finish`.  Otherwise the file holds the
+        retained ring (:data:`RETAIN_WINDOWS`), and its footer says how
+        many windows fell off it.
         """
         self.finish()
         if self._stream is not None:
-            self._stream.export_to(path)
-            return self._stream.written
+            return self._stream.finish(path)
         write_jsonl(path, chain(self.windows, self._trailer(len(self.windows))),
                     header=self._header())
         return len(self.windows)

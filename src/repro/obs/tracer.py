@@ -47,8 +47,10 @@ and end time are one fixed-width packed record appended to a
 ``bytearray`` — one C call where per-field arrays took five appends —
 and its ``attrs`` row goes to a list.  :attr:`Tracer.spans` is a
 read-only sequence over them that builds a :class:`Span` per item read;
-the stream writer and :meth:`Tracer.export_jsonl` render dicts straight
-from the values (:func:`span_dict`).
+:meth:`Tracer.export_jsonl` renders dicts straight from the values
+(:func:`span_dict`).  A telemetry that streams into a directory
+(``Telemetry(out_dir=DIR)``) has its tracer write each finished span to
+``DIR/spans.jsonl`` instead, keeping none.
 
 A span's ``attrs`` is a :class:`~repro._row.Row`: the values as one
 tuple under keys shared by every span of its shape, read as a read-only
@@ -189,11 +191,11 @@ class Tracer:
     are counted in :attr:`dropped` instead of stored (open-span nesting
     keeps working, so parent ids stay correct for what is kept).
 
-    :meth:`open_stream` switches the tracer to **streaming mode**: each
-    finished span is written to a JSONL file immediately instead of
-    accumulating in memory, so an arbitrarily long ``repro run
-    --telemetry`` holds zero spans resident.  The cap does not apply
-    while streaming (nothing is stored, nothing is dropped).
+    A tracer built by ``Telemetry(out_dir=DIR)`` streams: each finished
+    span is written to ``DIR/spans.jsonl`` at once, so an arbitrarily
+    long ``repro run --telemetry`` holds zero spans resident and the cap
+    does not apply.  The file is chosen before the first span and
+    finalised by :meth:`export_jsonl`; a span after that raises.
     """
 
     enabled = True
@@ -208,19 +210,15 @@ class Tracer:
         self.ids = count(1)
         #: the name table: name -> its code in the packed records
         self._codes: dict[str, int] = {}
-        self._clear()
-        self._sink = None
-        #: the open stream's ``write``, or None: spans are stored
-        self._write = None
-        #: the :class:`JsonlWriter` once streaming (kept after it closes)
-        self._stream: JsonlWriter | None = None
-
-    def _clear(self) -> None:
-        """Empty the store of kept spans."""
         #: the kept spans' fixed-width values, one :data:`_RECORD` each
         self._records = bytearray()
         #: their ``attrs`` rows, in the same order
         self._attrs: list = []
+        self._sink = None
+        #: the span file's :class:`JsonlWriter` when streaming, else None
+        self._stream: JsonlWriter | None = None
+        #: its ``write``, bound once, or None: spans are stored
+        self._write = None
 
     def _values(self):
         """The kept spans' values, oldest first, as :func:`span_dict`
@@ -235,19 +233,18 @@ class Tracer:
         """The kept spans, a read-only sequence of :class:`Span`."""
         return _Spans(self)
 
+    def _stream_into(self, path) -> None:
+        """Write every span to ``path`` instead of keeping it; called by
+        ``Telemetry(out_dir=)`` as it builds the tracer."""
+        self._stream = JsonlWriter(path)
+        self._write = self._stream.write
+
     def set_span_sink(self, sink) -> None:
         """Feed every finished span to ``sink`` *before* storage or
         streaming, as one tuple of :func:`span_dict`'s arguments — the
         flight recorder's ring hangs off this, so it sees spans even
         when streaming mode retains nothing."""
         self._sink = sink
-
-    def _route(self) -> None:
-        """Bind :attr:`_write` when the stream opens or closes, not per
-        span (the store and :data:`MAX_SPANS` are read per span)."""
-        stream = self._stream
-        self._write = (stream.write if stream is not None
-                       and not stream.closed else None)
 
     def span(self, name: str, **attrs) -> Span:
         """Open a nested span: ``with tracer.span("query", qid=7) as sp:``."""
@@ -306,48 +303,17 @@ class Tracer:
         else:
             self.dropped += 1
 
-    # -- streaming -----------------------------------------------------------
-
-    @property
-    def span_count(self) -> int:
-        """Spans recorded so far: streamed to disk plus held in memory
-        (spans finishing after :meth:`close_stream` are stored again)."""
-        streamed = self._stream.written if self._stream is not None else 0
-        return streamed + len(self._attrs)
-
-    def open_stream(self, path) -> None:
-        """Start writing finished spans straight to ``path`` as JSONL.
-
-        Spans already held in memory are flushed to the file first, so
-        switching mid-run loses nothing.
-        """
-        if self._stream is not None:
-            raise RuntimeError("tracer is already streaming")
-        self._stream = JsonlWriter(path)
-        for values in self._values():
-            self._stream.write(span_dict(*values))
-        self._clear()
-        self._route()
-
-    def close_stream(self) -> None:
-        """Flush and close the streaming file (path/count stay queryable)."""
-        if self._stream is not None:
-            self._stream.close()
-            self._route()
-
     # -- export --------------------------------------------------------------
 
     def export_jsonl(self, path) -> int:
         """Write one JSON object per span; returns the span count.
 
-        In streaming mode the spans are already on disk: exporting to
-        the stream's own path just finalizes the file; exporting to a
-        different path copies the streamed file there.
+        A streaming tracer's spans are already in ``path``, its own
+        file: the file is finalised there (see
+        :meth:`~repro.obs._jsonl.JsonlWriter.finish`).
         """
         if self._stream is not None:
-            self._stream.export_to(path)  # closes the writer
-            self._route()
-            return self._stream.written
+            return self._stream.finish(path)
         return write_jsonl(path, (span_dict(*v) for v in self._values()))
 
 
@@ -371,7 +337,6 @@ class NullTracer:
     _SPAN = _NullSpan()
     spans: tuple = ()
     dropped = 0
-    span_count = 0
 
     def span(self, name: str, **attrs):
         return self._SPAN
@@ -380,9 +345,6 @@ class NullTracer:
         pass
 
     def leaf(self, name: str, start_us: float, end_us: float, attrs) -> None:
-        pass
-
-    def close_stream(self) -> None:
         pass
 
     def export_jsonl(self, path) -> int:

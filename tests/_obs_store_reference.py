@@ -16,7 +16,7 @@ from itertools import count
 from typing import Any
 
 from repro._row import SHAPES, Row, shape
-from repro.obs._jsonl import JsonlWriter, write_jsonl
+from repro.obs._jsonl import write_jsonl
 from repro.obs.audit import AuditRecord
 
 __all__ = ["Span", "Tracer", "AuditLog", "MAX_SPANS", "AUDIT_CAPACITY"]
@@ -79,16 +79,9 @@ class Tracer:
         self.stack: list[int | None] = [None]
         self.ids = count(1)
         self._sink = None
-        self._write = None
-        self._stream: JsonlWriter | None = None
 
     def set_span_sink(self, sink) -> None:
         self._sink = sink
-
-    def _route(self) -> None:
-        stream = self._stream
-        self._write = (stream.write if stream is not None
-                       and not stream.closed else None)
 
     def span(self, name: str, **attrs) -> Span:
         span = Span()
@@ -102,9 +95,7 @@ class Tracer:
         span.end_us = self.clock._now_us
         if self._sink is not None:
             self._sink(span)
-        if self._write is not None:
-            self._write(span.to_dict())
-        elif len(self.spans) < MAX_SPANS:
+        if len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:
             self.dropped += 1
@@ -119,37 +110,12 @@ class Tracer:
         span.attrs = attrs
         if self._sink is not None:
             self._sink(span)
-        if self._write is not None:
-            self._write(span.to_dict())
-        elif len(self.spans) < MAX_SPANS:
+        if len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:
             self.dropped += 1
 
-    @property
-    def span_count(self) -> int:
-        streamed = self._stream.written if self._stream is not None else 0
-        return streamed + len(self.spans)
-
-    def open_stream(self, path) -> None:
-        if self._stream is not None:
-            raise RuntimeError("tracer is already streaming")
-        self._stream = JsonlWriter(path)
-        for span in self.spans:
-            self._stream.write(span.to_dict())
-        self.spans = []
-        self._route()
-
-    def close_stream(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._route()
-
     def export_jsonl(self, path) -> int:
-        if self._stream is not None:
-            self._stream.export_to(path)
-            self._route()
-            return self._stream.written
         return write_jsonl(path, (s.to_dict() for s in self.spans))
 
 

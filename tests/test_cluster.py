@@ -192,7 +192,7 @@ def test_cbslru_cluster_warmup(log):
                           cache_config=cache_cfg(Policy.CBSLRU))
     broker.warmup_static(log, analyze_queries=150)
     for shard in broker.shards:
-        assert shard.manager.static_results or shard.manager.static_lists
+        assert shard.manager.result_cache.static or shard.manager.list_cache.static
     for q in log.head(30):
         broker.process_query(q)
     assert broker.total_ssd_erases() >= 0

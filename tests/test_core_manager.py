@@ -66,7 +66,7 @@ def test_result_eviction_cascades_to_ssd_via_write_buffer(index):
     for i in range(2 + n_flush):
         mgr.process_query(q(i, 1 + i % 10))
     assert mgr.stats.ssd_result_writes >= 1
-    assert len(mgr.l2_result_map) >= n_flush
+    assert len(mgr.result_cache.l2_map) >= n_flush
 
 
 def test_staged_write_buffer_entry_counts_as_memory_hit(index):
@@ -74,10 +74,10 @@ def test_staged_write_buffer_entry_counts_as_memory_hit(index):
     mgr.process_query(q(0, 3))
     mgr.process_query(q(1, 4))
     mgr.process_query(q(2, 5))  # evicts query 0 into the write buffer
-    assert (3,) in mgr.write_buffer
+    assert (3,) in mgr.result_cache.write_buffer
     out = mgr.process_query(q(0, 3))
     assert out.situation is Situation.S1
-    assert (3,) not in mgr.write_buffer  # pulled back into L1
+    assert (3,) not in mgr.result_cache.write_buffer  # pulled back into L1
 
 
 def test_l2_result_hit_marks_replaceable_and_skips_rewrite(index):
@@ -86,17 +86,17 @@ def test_l2_result_hit_marks_replaceable_and_skips_rewrite(index):
     for i in range(2 + n_flush):
         mgr.process_query(q(i, 1 + i % 10))
     # One of the flushed entries is on SSD: hit it.
-    key = next(iter(mgr.l2_result_map))
+    key = next(iter(mgr.result_cache.l2_map))
     out = mgr.process_query(Query(99, key))
     assert out.situation is Situation.S3
-    entry = mgr.l2_result_map[key]
+    entry = mgr.result_cache.l2_map[key]
     assert entry.state is EntryState.REPLACEABLE
     writes_before = mgr.stats.ssd_result_writes
     # Evict it from L1 again: the SSD copy is reused, no rewrite needed.
     for i in range(100, 100 + 2 + n_flush):
         mgr.process_query(q(i, 1 + i % 10))
     assert mgr.stats.ssd_writes_avoided >= 1
-    assert mgr.l2_result_map[key].state is EntryState.NORMAL
+    assert mgr.result_cache.l2_map[key].state is EntryState.NORMAL
 
 
 def test_rb_victim_is_max_iren_in_replace_first_region(index):
@@ -105,7 +105,7 @@ def test_rb_victim_is_max_iren_in_replace_first_region(index):
     # Many distinct queries (more than 3 RBs hold) force RB overwrites.
     for i in range(2 + n_flush * 8):
         mgr.process_query(q(i, 1 + i % 10, 20 + i % 40))
-    assert len(mgr.rb_map) <= 3
+    assert len(mgr.result_cache.rb_map) <= 3
     assert mgr.stats.ssd_result_writes > 3  # overwrites happened
 
 
@@ -115,15 +115,15 @@ def test_lru_policy_writes_entries_individually(index):
         mgr.process_query(q(i, 1 + i % 10))
     # Baseline writes one entry at a time (no RB assembly).
     assert mgr.stats.ssd_result_writes >= 4
-    assert len(mgr.rb_map) == 0
-    assert all(e.rb_id is None for e in mgr.l2_result_map.values())
+    assert len(mgr.result_cache.rb_map) == 0
+    assert all(e.rb_id is None for e in mgr.result_cache.l2_map.values())
 
 
 def test_lru_l2_result_hit_and_reeviction_rewrites(index):
     mgr = make_manager(index, policy=Policy.LRU, mem_rc=1)
     mgr.process_query(q(0, 3))
     mgr.process_query(q(1, 4))  # evicts q0 to SSD
-    assert (3,) in mgr.l2_result_map
+    assert (3,) in mgr.result_cache.l2_map
     out = mgr.process_query(q(0, 3))  # L2 hit
     assert out.situation is Situation.S3
     writes = mgr.stats.ssd_result_writes
@@ -147,10 +147,10 @@ def test_list_eviction_lands_on_ssd_and_hits(index):
     terms = list(range(10, 22))
     for i, t in enumerate(terms):
         mgr.process_query(q(i, t))
-    assert len(mgr.l2_lists) >= 1
+    assert len(mgr.list_cache.l2) >= 1
     # Query a term whose list sits on SSD only (with a fresh second term
     # so the result cache cannot satisfy the query).
-    ssd_terms = [t for t in mgr.l2_lists.keys() if mgr.l1_lists.get(t) is None]
+    ssd_terms = [t for t in mgr.list_cache.l2.keys() if mgr.l1_lists.get(t) is None]
     assert ssd_terms
     out = mgr.process_query(Query(100, (ssd_terms[0], 79)))
     assert mgr.stats.list_l2_hits + mgr.stats.list_partial_hits >= 1
@@ -161,10 +161,10 @@ def test_l2_list_hit_marks_replaceable(index):
     mgr = make_manager(index, mem_lc_bytes=256 * KB, ssd_lc_blocks=32)
     for i, t in enumerate(range(10, 22)):
         mgr.process_query(q(i, t))
-    ssd_terms = [t for t in mgr.l2_lists.keys() if mgr.l1_lists.get(t) is None]
+    ssd_terms = [t for t in mgr.list_cache.l2.keys() if mgr.l1_lists.get(t) is None]
     t0 = ssd_terms[0]
     mgr.process_query(Query(100, (t0, 79)))
-    entry = mgr.l2_lists.get(t0)
+    entry = mgr.list_cache.l2.get(t0)
     assert entry is not None
     assert entry.state is EntryState.REPLACEABLE
 
@@ -174,14 +174,14 @@ def test_tev_discards_low_value_lists(index):
     for i, t in enumerate(range(10, 30)):
         mgr.process_query(q(i, t))
     assert mgr.stats.discarded_by_tev > 0
-    assert len(mgr.l2_lists) == 0
+    assert len(mgr.list_cache.l2) == 0
 
 
 def test_block_region_allocation_is_whole_blocks(index):
     mgr = make_manager(index, mem_lc_bytes=256 * KB, ssd_lc_blocks=32)
     for i, t in enumerate(range(10, 26)):
         mgr.process_query(q(i, t))
-    for entry in (mgr.l2_lists.get(k) for k in mgr.l2_lists.keys()):
+    for entry in (mgr.list_cache.l2.get(k) for k in mgr.list_cache.l2.keys()):
         assert entry.blocks  # placed as whole blocks
         assert entry.lba_byte is None
 
@@ -190,7 +190,7 @@ def test_lru_list_placement_is_byte_granular(index):
     mgr = make_manager(index, policy=Policy.LRU, mem_lc_bytes=256 * KB)
     for i, t in enumerate(range(10, 26)):
         mgr.process_query(q(i, t))
-    placed = [mgr.l2_lists.get(k) for k in mgr.l2_lists.keys()]
+    placed = [mgr.list_cache.l2.get(k) for k in mgr.list_cache.l2.keys()]
     assert placed
     for entry in placed:
         assert not entry.blocks
@@ -202,7 +202,7 @@ def test_l2_list_replacement_under_pressure(index):
     mgr = make_manager(index, mem_lc_bytes=256 * KB, ssd_lc_blocks=4)
     for i, t in enumerate(range(10, 60)):
         mgr.process_query(q(i, t))
-    used = sum(len(mgr.l2_lists.get(k).blocks) for k in mgr.l2_lists.keys())
+    used = sum(len(mgr.list_cache.l2.get(k).blocks) for k in mgr.list_cache.l2.keys())
     assert used <= 4
     stages = (mgr.stats.evict_stage_replaceable + mgr.stats.evict_stage_size_match
               + mgr.stats.evict_stage_assemble + mgr.stats.evict_stage_fallback)
@@ -216,10 +216,10 @@ def test_exclusive_scheme_drops_l2_copy_on_hit(index):
                        mem_lc_bytes=256 * KB, ssd_lc_blocks=32)
     for i, t in enumerate(range(10, 22)):
         mgr.process_query(q(i, t))
-    ssd_terms = [t for t in mgr.l2_lists.keys() if mgr.l1_lists.get(t) is None]
+    ssd_terms = [t for t in mgr.list_cache.l2.keys() if mgr.l1_lists.get(t) is None]
     t0 = ssd_terms[0]
     mgr.process_query(Query(100, (t0, 79)))
-    assert mgr.l2_lists.get(t0) is None  # removed after read-back
+    assert mgr.list_cache.l2.get(t0) is None  # removed after read-back
 
 
 def test_inclusive_scheme_writes_through(index):
@@ -228,8 +228,8 @@ def test_inclusive_scheme_writes_through(index):
         mgr.process_query(q(i, 1 + i))
     # Entries were pushed to the write buffer at insert time, before any
     # eviction happened.
-    assert len(mgr.l1_results) <= 4
-    assert mgr.write_buffer.flushes + len(mgr.write_buffer) > 0
+    assert len(mgr.result_cache.l1) <= 4
+    assert mgr.result_cache.write_buffer.flushes + len(mgr.result_cache.write_buffer) > 0
 
 
 # -- accounting / wiring -------------------------------------------------------------
@@ -310,11 +310,11 @@ def test_warmup_static_places_and_pins(index, small_log=None):
     assert info["static_lists"] > 0
     assert info["static_list_blocks"] <= info["static_list_blocks_budget"]
     # Static entries serve hits and are never evicted.
-    static_key = next(iter(mgr.static_results))
+    static_key = next(iter(mgr.result_cache.static))
     out = mgr.process_query(Query(999, static_key))
     assert out.situation is Situation.S3
     # Run pressure; static entries must survive.
     for i in range(60):
         mgr.process_query(q(i, 1 + i % 30))
-    assert static_key in mgr.static_results
-    assert len(mgr.static_lists) == info["static_lists"]
+    assert static_key in mgr.result_cache.static
+    assert len(mgr.list_cache.static) == info["static_lists"]

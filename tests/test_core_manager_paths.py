@@ -41,10 +41,10 @@ def test_exclusive_list_reeviction_rewrites(index):
     for i, t in enumerate(range(10, 22)):
         mgr.process_query(Query(i, (t,)))
     writes_before = mgr.stats.ssd_list_writes
-    ssd_terms = [t for t in mgr.l2_lists.keys() if mgr.l1_lists.get(t) is None]
+    ssd_terms = [t for t in mgr.list_cache.l2.keys() if mgr.l1_lists.get(t) is None]
     t0 = ssd_terms[0]
     mgr.process_query(Query(100, (t0, 79)))        # promote: SSD copy removed
-    assert mgr.l2_lists.get(t0) is None
+    assert mgr.list_cache.l2.get(t0) is None
     for i, t in enumerate(range(30, 42)):           # force t0 out of L1 again
         mgr.process_query(Query(200 + i, (t,)))
     assert mgr.stats.ssd_list_writes > writes_before
@@ -57,15 +57,15 @@ def test_hybrid_list_reeviction_skips_rewrite(index):
     mgr = build(index, mem_list_bytes=256 * KB)
     for i, t in enumerate(range(10, 22)):
         mgr.process_query(Query(i, (t,)))
-    ssd_terms = [t for t in mgr.l2_lists.keys() if mgr.l1_lists.get(t) is None]
+    ssd_terms = [t for t in mgr.list_cache.l2.keys() if mgr.l1_lists.get(t) is None]
     t0 = ssd_terms[0]
     mgr.process_query(Query(100, (t0, 79)))
-    entry = mgr.l2_lists.get(t0)
+    entry = mgr.list_cache.l2.get(t0)
     assert entry is not None and entry.state is EntryState.REPLACEABLE
     avoided_before = mgr.stats.ssd_writes_avoided
     for i, t in enumerate(range(30, 42)):
         mgr.process_query(Query(200 + i, (t,)))
-    if mgr.l2_lists.get(t0) is not None:  # unless evicted by pressure
+    if mgr.list_cache.l2.get(t0) is not None:  # unless evicted by pressure
         assert mgr.stats.ssd_writes_avoided >= avoided_before
     mgr.check_invariants()
 
@@ -81,7 +81,7 @@ def test_warmup_static_respects_block_budget(index):
     rc_blocks_used = -(-info["static_results"] * 20 * KB // (128 * KB))
     assert rc_blocks_used <= info["static_result_blocks_budget"] + 1
     # Dynamic region kept the remaining blocks.
-    assert mgr.list_region.free_count >= (
+    assert mgr.list_cache.region.free_count >= (
         mgr.config.ssd_list_blocks - info["static_list_blocks_budget"]
     ) - 1
     mgr.check_invariants()
@@ -96,7 +96,7 @@ def test_warmup_static_never_pins_singletons(index):
         singleton_fraction=1.0, query_zipf_s=0.01, seed=7))
     mgr = build(index, policy=Policy.CBSLRU)
     mgr.warmup_static(log, analyze_queries=150)
-    for entry in mgr.static_results.values():
+    for entry in mgr.result_cache.static.values():
         assert entry.freq >= 2
 
 
@@ -158,8 +158,8 @@ def test_write_buffer_drain_after_run(index):
     mgr = build(index, mem_result_bytes=40 * KB)
     for i in range(10):
         mgr.process_query(Query(i, (1 + i,)))
-    staged = mgr.write_buffer.drain()
-    assert len(mgr.write_buffer) == 0
+    staged = mgr.result_cache.write_buffer.drain()
+    assert len(mgr.result_cache.write_buffer) == 0
     for entry in staged:
         assert entry.nbytes == mgr.config.result_entry_bytes
 

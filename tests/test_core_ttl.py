@@ -80,7 +80,7 @@ def test_expired_l2_result_dropped(index):
     mgr.process_query(q(2, 5))
     # Ensure something made it to the SSD result map or the write buffer.
     mgr.clock.advance(2 * TTL)
-    keys_before = set(mgr.l2_result_map)
+    keys_before = set(mgr.result_cache.l2_map)
     for key in list(keys_before):
         out = mgr.process_query(Query(50, key))
         assert out.result_hit_level == 0
@@ -109,12 +109,12 @@ def test_static_entries_refresh_in_place(index):
     mgr = make_manager(index, policy=Policy.CBSLRU,
                        ssd_result_bytes=1024 * KB)
     mgr.warmup_static(log, analyze_queries=300)
-    assert mgr.static_results
-    key = next(iter(mgr.static_results))
+    assert mgr.result_cache.static
+    key = next(iter(mgr.result_cache.static))
     mgr.clock.advance(2 * TTL)
     mgr.process_query(Query(500, key))  # stale -> recompute -> refresh
     assert mgr.stats.static_refreshes >= 1
-    assert key in mgr.static_results  # still pinned
+    assert key in mgr.result_cache.static  # still pinned
     out = mgr.process_query(Query(501, key))
     assert out.situation is Situation.S1  # fresh L1 copy from the recompute
 

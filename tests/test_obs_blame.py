@@ -280,9 +280,10 @@ def test_blame_profiles_empty_and_admission():
 
 # -- ring, stream, schema ----------------------------------------------------
 
-def _synthetic_run(rec, jobs=20, service=10.0):
-    k = Kernel(VirtualClock())
-    rec.attach(k)
+def _synthetic_run(rec, jobs=20, service=10.0, k=None):
+    if k is None:
+        k = Kernel(VirtualClock())
+        rec.attach(k)
     for i in range(jobs):
         k.at(float(i), lambda i=i: k.spawn(
             lambda: k.serve("dev", service), name=f"q{i}"))
@@ -303,9 +304,11 @@ def test_ring_drops_oldest_but_totals_survive(monkeypatch):
 
 def test_jsonl_stream_roundtrip_and_validation(tmp_path):
     path = str(tmp_path / "blame.jsonl")
-    rec = BlameRecorder()
-    rec.open_stream(path)
-    _synthetic_run(rec, jobs=5)
+    tel = Telemetry(trace=False, audit=False, out_dir=tmp_path)
+    k = Kernel(VirtualClock())
+    tel.observe_kernel(k)
+    rec = tel.blame
+    _synthetic_run(rec, jobs=5, k=k)
     rec.finish()
     log = load_blame_jsonl(path)
     kinds = [r["type"] for r in log.records]
@@ -314,12 +317,26 @@ def test_jsonl_stream_roundtrip_and_validation(tmp_path):
     assert len(log.resources) == 1
     assert log.header["schema"] == BLAME_SCHEMA
     assert log.footer["dropped"] == 0
-    # Re-export to the streamed path is a no-op; a fresh path round-trips.
+    # Re-export to the streamed path finalises it; no other path will do.
     assert rec.export_jsonl(path) == len(rec.records)
-    other = str(tmp_path / "copy.jsonl")
-    rec.export_jsonl(other)
+    with pytest.raises(ValueError, match="streamed in place"):
+        rec.export_jsonl(str(tmp_path / "copy.jsonl"))
     assert [q.residual_us for q in
-            assemble_queries(load_blame_jsonl(other).records)] == [0.0] * 5
+            assemble_queries(log.records)] == [0.0] * 5
+
+
+def test_streamed_file_holds_what_the_ring_dropped(tmp_path, monkeypatch):
+    monkeypatch.setattr(blame_module, "RING_CAPACITY", 8)
+    path = tmp_path / "blame.jsonl"
+    tel = Telemetry(trace=False, audit=False, out_dir=tmp_path)
+    k = Kernel(VirtualClock())
+    tel.observe_kernel(k)
+    _synthetic_run(tel.blame, jobs=20, k=k)
+    written = tel.blame.export_jsonl(str(path))
+    # every line but the header is a record; the ring kept only 8
+    assert written == len(path.read_text().splitlines()) - 1 > 8
+    assert len(tel.blame.records) == 8
+    assert load_blame_jsonl(str(path)).footer["dropped"] > 0
 
 
 def test_validate_rejects_bad_files(tmp_path):

@@ -183,8 +183,7 @@ def test_obs_dropped_total_counts_what_the_observer_lost(small_index,
     monkeypatch.setattr(audit_module, "AUDIT_CAPACITY", 40)
     monkeypatch.setattr(timeline_module, "RETAIN_WINDOWS", 3)
     tel = Telemetry()
-    tel.attach_timeline(window_us=2_000.0,
-                        stream_path=tmp_path / "timeline.jsonl")
+    tel.attach_timeline(window_us=2_000.0)
     mgr = make_manager(small_index, telemetry=tel)
     replay(mgr, n=300)
     tel.collect()

@@ -127,17 +127,18 @@ def test_writer_header_records_trailer_and_counts(tmp_path):
     assert path.read_text() == '{"a": 0}\n{"a": 1}\n{"a": 2}\n'
 
 
-def test_writer_export_in_place_or_copy(tmp_path):
+def test_writer_finishes_in_place_and_refuses_another_path(tmp_path):
     path = tmp_path / "x.jsonl"
     w = JsonlWriter(path, header={"schema": "s/v1"})
     for i in range(3):
         w.write({"a": i})
-    w.export_to(path)  # its own file: finalised, nothing else happens
-    assert w.closed and [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
-    assert path.read_text() == ('{"schema": "s/v1"}\n{"a": 0}\n{"a": 1}\n'
-                                '{"a": 2}\n')
     other = tmp_path / "sub" / "y.jsonl"
     other.parent.mkdir()
-    w.export_to(other)
-    assert other.read_bytes() == path.read_bytes()
-    assert [p.name for p in other.parent.iterdir()] == ["y.jsonl"]
+    with pytest.raises(ValueError, match="streamed in place"):
+        w.finish(other)
+    assert not w.closed and not list(other.parent.iterdir())
+    assert w.finish(path) == 3  # its own file: finalised, nothing else
+    assert w.closed and sorted(p.name for p in tmp_path.iterdir()) == [
+        "sub", "x.jsonl"]
+    assert path.read_text() == ('{"schema": "s/v1"}\n{"a": 0}\n{"a": 1}\n'
+                                '{"a": 2}\n')

@@ -34,8 +34,8 @@ def test_format_top_frame_renders_all_sections():
 def test_status_from_dir_matches_live_shape(tmp_path):
     """The streamed file draws the frame the run's own windows draw."""
     path = tmp_path / "timeline.jsonl"
-    tel = Telemetry()
-    tel.attach_timeline(window_us=20_000.0, stream_path=path)
+    tel = Telemetry(out_dir=tmp_path)
+    tel.attach_timeline(window_us=20_000.0)
     index = make_scaled_index(20_000)
     log = make_log_for(300, seed=7)
     cfg = CacheConfig.paper_split(2 * MB, 8 * MB, policy=Policy.CBLRU)

@@ -5,10 +5,9 @@ its records as packed machine values; ``tests/_obs_store_reference.py``
 keeps the implementation that held one object per record.  Hypothesis
 drives both through the same random program — scoped spans (some
 bodies raise), serving-path inline opens, device leaves, a span sink, a
-stream opened and closed mid-run, a small ``MAX_SPANS`` cap, audit
-appends and mirrored events past a small ``AUDIT_CAPACITY`` — and every
-rendered span and record, its order, ``seq``, ``dropped``,
-``span_count`` and every written file must agree.
+small ``MAX_SPANS`` cap, audit appends and mirrored events past a small
+``AUDIT_CAPACITY`` — and every rendered span and record, its order,
+``seq``, ``dropped`` and every written file must agree.
 """
 
 import os
@@ -79,7 +78,7 @@ _EVENTS = {
 }
 
 
-def _run(ops, tracer, audit, clock, inline, stream_path):
+def _run(ops, tracer, audit, clock, inline):
     for op in ops:
         what = op[0]
         if what == "advance":
@@ -87,11 +86,6 @@ def _run(ops, tracer, audit, clock, inline, stream_path):
         elif what == "leaf":
             _, name, dur, attrs = op
             tracer.leaf(name, clock.now_us - dur, clock.now_us, row_of(attrs))
-        elif what == "stream":
-            if not os.path.exists(stream_path):
-                tracer.open_stream(stream_path)
-        elif what == "close_stream":
-            tracer.close_stream()
         elif what == "audit":
             _, type_, kind, key, data = op
             audit.append(type_, kind, key, row_of(data))
@@ -102,7 +96,7 @@ def _run(ops, tracer, audit, clock, inline, stream_path):
             _, name, attrs, children, raises = op
 
             def body(children=children, raises=raises):
-                _run(children, tracer, audit, clock, inline, stream_path)
+                _run(children, tracer, audit, clock, inline)
                 clock.advance(1.5)
                 if raises:
                     raise _Boom
@@ -127,8 +121,6 @@ _keys = st.one_of(st.none(), st.integers(0, 5),
 _base = st.one_of(
     st.tuples(st.just("advance"), st.integers(0, 40).map(lambda n: n / 4)),
     st.tuples(st.just("leaf"), _names, st.integers(0, 8).map(float), _attrs),
-    st.just(("stream",)),
-    st.just(("close_stream",)),
     st.tuples(st.just("audit"),
               st.sampled_from(["list.select", "gc.victim", "admit"]),
               st.sampled_from(["list", "result", "gc"]), _keys,
@@ -148,8 +140,6 @@ _ops = st.recursive(
 
 
 def _read(path):
-    if not os.path.exists(path):
-        return None
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -174,19 +164,17 @@ def test_packed_stores_match_the_object_per_record_oracle(
             seen = []
             if sink:
                 tracer.set_span_sink(seen.append)
-            stream = os.path.join(tmp, f"stream-{side}.jsonl")
-            _run(program, tracer, audit, clock, inline, stream)
-            runs.append((tracer, audit, seen, stream))
+            _run(program, tracer, audit, clock, inline)
+            runs.append((tracer, audit, seen))
             assert tracer.stack in ([0], [None])  # every span closed
 
-        (new, new_audit, new_seen, new_stream), \
-            (ref, ref_audit, ref_seen, ref_stream) = runs
+        (new, new_audit, new_seen), (ref, ref_audit, ref_seen) = runs
         assert ([s.to_dict() for s in new.spans]
                 == [s.to_dict() for s in ref.spans])
         assert len(new.spans) == len(ref.spans)
         if ref.spans:
             assert new.spans[-1].to_dict() == ref.spans[-1].to_dict()
-        assert (new.dropped, new.span_count) == (ref.dropped, ref.span_count)
+        assert new.dropped == ref.dropped
         assert ([span_dict(*values) for values in new_seen]
                 == [s.to_dict() for s in ref_seen])
 
@@ -202,8 +190,7 @@ def test_packed_stores_match_the_object_per_record_oracle(
             assert (new_audit.records_for(first.kind, first.key)
                     == ref_audit.records_for(first.kind, first.key))
 
-        assert _read(new_stream) == _read(ref_stream)
-        for side, (tracer, audit, _, _) in enumerate(runs):
+        for side, (tracer, audit, _) in enumerate(runs):
             tracer.export_jsonl(os.path.join(tmp, f"spans-{side}.jsonl"))
             audit.export_jsonl(os.path.join(tmp, f"audit-{side}.jsonl"))
         for name in ("spans", "audit"):

@@ -27,10 +27,14 @@ from repro.obs import (
     write_telemetry_dir,
 )
 from repro.obs.timeline import derive_window
+from repro.sim.kernel import Kernel
 from repro.workloads.openloop import PoissonArrivals, run_open_loop
+from repro.workloads.retrieval import prepare_cached_manager, run_cached
+from repro.workloads.sweep import make_log_for, make_scaled_index
 from tests._obs_reference import derive_window_reference
 
 KB = 1024
+MB = 1024 * KB
 
 
 class FakeClock:
@@ -388,37 +392,67 @@ def test_timeline_export_load_validate_roundtrip(small_index, tmp_path):
     assert total == mgr.stats.queries
 
 
-def test_streaming_timeline_matches_retained(small_index, tmp_path):
-    path = tmp_path / "timeline.jsonl"
-    tel = Telemetry(trace=False, audit=False)
-    tel.attach_timeline(window_us=5_000.0, stream_path=path)
+def _cblru_run(tel, poisson: bool) -> None:
+    """A seeded closed CBLRU run, or the same served by the kernel:
+    Poisson arrivals at 120 q/s, 4 in flight."""
+    index = make_scaled_index(20_000)
+    log = make_log_for(600, seed=7)
+    cfg = CacheConfig.paper_split(2 * MB, 8 * MB, policy=Policy.CBLRU)
+    manager = prepare_cached_manager(index, log, cfg, telemetry=tel)
+    if poisson:
+        run_open_loop(manager, log, PoissonArrivals(120.0, seed=7),
+                      concurrency=4)
+    else:
+        run_cached(index, log, cfg, manager=manager)
+
+
+def test_streaming_timeline_matches_retained(tmp_path):
+    """One run, two write modes, the same bytes: streamed into
+    ``Telemetry(out_dir=)`` as it runs, or retained and written by
+    ``write_telemetry_dir`` at the end."""
+    for poisson in (False, True):
+        files = ["audit.jsonl", "metrics.json", "metrics.prom", "spans.jsonl",
+                 "timeline.jsonl"] + (["blame.jsonl"] if poisson else [])
+        streamed = tmp_path / f"poisson-{poisson}" / "streamed"
+        retained = tmp_path / f"poisson-{poisson}" / "retained"
+        for out_dir in (streamed, None):
+            tel = Telemetry(out_dir=out_dir)
+            tel.attach_timeline()
+            _cblru_run(tel, poisson)
+            write_telemetry_dir(tel, out_dir or retained)
+            if out_dir is not None:
+                # the streamed file holds every window the recorder kept
+                assert (load_timeline_jsonl(streamed / "timeline.jsonl")
+                        .windows == list(tel.timeline.windows))
+        assert sorted(p.name for p in streamed.iterdir()) == sorted(files)
+        assert sorted(p.name for p in retained.iterdir()) == sorted(files)
+        for name in files:
+            assert ((streamed / name).read_bytes()
+                    == (retained / name).read_bytes()), (poisson, name)
+
+
+def test_a_streamed_directory_is_finalised_once_and_in_place(small_index,
+                                                             tmp_path):
+    tel = Telemetry(out_dir=tmp_path)
+    tel.attach_timeline(window_us=5_000.0)
     mgr = make_manager(small_index, telemetry=tel)
-    replay(mgr)
-    tel.timeline.finish()
-    tl = load_timeline_jsonl(path)
-    assert [w["window"] for w in tl.windows] == \
-        [w["window"] for w in tel.timeline.windows]
-    assert tl.windows == list(tel.timeline.windows)
-
-
-def test_streaming_run_exported_to_another_dir_keeps_its_timeline(
-        small_index, tmp_path):
-    # One rule for every streamed file: exporting to the stream's own
-    # path finalises in place, exporting elsewhere copies it.  The
-    # timeline used to return early and leave the second dir without one.
-    a, b = tmp_path / "t_a", tmp_path / "t_b"
-    a.mkdir()
-    tel = Telemetry()
-    tel.tracer.open_stream(a / "spans.jsonl")
-    tel.attach_timeline(window_us=5_000.0, stream_path=a / "timeline.jsonl")
-    replay(make_manager(small_index, telemetry=tel))
-    written = write_telemetry_dir(tel, b)
-    for name in ("timeline.jsonl", "spans.jsonl"):
-        assert (b / name).read_bytes() == (a / name).read_bytes()
-    # The copy validates with the summary's window count.
-    loaded = load_telemetry_dir(b)
-    assert len(loaded.spans.spans) == written["spans"]
-    assert len(loaded.timeline.windows) == written["timeline_windows"] > 0
+    tel.observe_kernel(Kernel(mgr.clock))
+    replay(mgr, n=50)
+    elsewhere = tmp_path / "elsewhere"
+    with pytest.raises(ValueError, match="streams into"):
+        write_telemetry_dir(tel, elsewhere)
+    assert not elsewhere.exists()
+    write_telemetry_dir(tel, tmp_path)
+    load_telemetry_dir(tmp_path)
+    # A span, window or blame record after that raises: the files are whole.
+    with pytest.raises(ValueError):
+        tel.tracer.record("late", 0.0, 1.0)
+    with pytest.raises(ValueError):
+        tel.blame.on_shed("late", mgr.clock.now_us)
+    tel.registry.counter("late_total").inc()
+    mgr.clock.advance(10_000.0)
+    with pytest.raises(ValueError):
+        tel.timeline.tick()
 
 
 def test_export_without_a_stream_counts_the_windows_it_writes(

@@ -63,44 +63,6 @@ def test_max_spans_cap_counts_drops(clock, monkeypatch):
     assert tr.dropped == 3
 
 
-def test_span_count_counts_spans_stored_after_the_stream_closed(tmp_path, clock):
-    # Regression: once close_stream() ran, late spans fall back to the
-    # in-memory list but span_count kept returning the stream's total.
-    tr = Tracer(clock)
-    tr.open_stream(tmp_path / "spans.jsonl")
-    for _ in range(3):
-        with tr.span("streamed"):
-            pass
-    assert (tr.span_count, len(tr.spans)) == (3, 0)
-    tr.close_stream()
-    with tr.span("late"):
-        pass
-    tr.record("late-leaf", 0.0, 1.0)
-    assert [s.name for s in tr.spans] == ["late", "late-leaf"]
-    assert tr.span_count == 5
-    assert len((tmp_path / "spans.jsonl").read_text().splitlines()) == 3
-
-
-@pytest.mark.parametrize("elsewhere", [False, True])
-def test_spans_after_a_mid_run_export_are_stored_and_counted(
-        tmp_path, clock, elsewhere):
-    # Regression: export_jsonl() on a streaming tracer closes the writer
-    # (write_telemetry_dir always takes this path); the next span must
-    # fall back to the in-memory list, not write to the closed file.
-    tr = Tracer(clock)
-    tr.open_stream(tmp_path / "spans.jsonl")
-    with tr.span("streamed"):
-        pass
-    target = tmp_path / ("copy.jsonl" if elsewhere else "spans.jsonl")
-    assert tr.export_jsonl(target) == 1
-    with tr.span("late"):
-        pass
-    tr.record("late-leaf", 0.0, 1.0)
-    assert [s.name for s in tr.spans] == ["late", "late-leaf"]
-    assert tr.span_count == 3
-    assert len(target.read_text().splitlines()) == 1
-
-
 def test_span_store_and_cap_are_read_live(clock, monkeypatch):
     # spans is a read-only view of the store, current whenever it is
     # read, and MAX_SPANS is read per span: lowering it after
