@@ -18,8 +18,9 @@ cache, replays a query stream, and shows every exposition surface:
 * kernel blame: per-query critical-path decomposition under open-loop
   load, differential tail blame, and the capacity model (`repro blame`),
 * the flight recorder: streaming SLO/anomaly verdicts over each window
-  as it closes, and the self-contained incident bundle a past-the-knee
-  overload dumps (`repro incidents` / `repro explain --incident`).
+  as it closes, and the incident manifest a past-the-knee overload
+  appends to incidents.jsonl, its evidence read back out of the same
+  directory (`repro incidents` / `repro explain --incident`).
 
 Run:  python examples/telemetry_tour.py
 """
@@ -47,8 +48,7 @@ from repro.obs import (
     format_explanation,
     format_query_blame,
     format_stage_breakdown,
-    list_incidents,
-    load_incident,
+    load_incidents,
     run_detectors,
     sparkline,
     steady_state_window,
@@ -222,25 +222,26 @@ def main() -> None:
           f"qps, Little's-law self-check {check}")
 
     # 13. Flight recorder: arm the black box, push the system past the
-    # knee, and an incident bundle falls out — trigger verdict, the
-    # surrounding windows, span trees, blame critical paths, audit
-    # trail, capacity snapshot, config fingerprint — self-contained and
-    # schema-valid (`repro incidents DIR`, `repro explain --incident N`).
-    fr_tel = Telemetry(trace=False, audit=False)
-    fr_tel.attach_timeline(window_us=10_000.0)
-    fr_mgr = CacheManager(cfg, build_hierarchy_for(cfg, index), index,
-                          telemetry=fr_tel)
+    # knee, and an incident's manifest is appended to incidents.jsonl —
+    # trigger verdict, window indices, affected qids and resources,
+    # capacity snapshot, config fingerprint.  Its evidence (windows, span
+    # trees, blame critical paths, audit trail) is what the directory's
+    # own files already hold; load_incidents slices it back out and
+    # cross-checks it (`repro incidents DIR`, `repro explain --incident N`).
     with tempfile.TemporaryDirectory() as out:
-        flight = FlightRecorder(fr_tel, out_dir=out,
-                                config={"tour": "past-knee"}).arm()
+        fr_tel = Telemetry(trace=False, audit=False, out_dir=out)
+        fr_tel.attach_timeline(window_us=10_000.0)
+        fr_mgr = CacheManager(cfg, build_hierarchy_for(cfg, index), index,
+                              telemetry=fr_tel)
+        FlightRecorder(fr_tel, out_dir=out,
+                       config={"tour": "past-knee"}).arm()
         run_open_loop(fr_mgr, list(open_log),
                       PoissonArrivals(3000.0, seed=5),
                       concurrency=2, max_queue=64, label="overload")
-        fr_tel.timeline.finish()
-        n = flight.finish()
+        n = write_telemetry_dir(fr_tel, out)["incidents"]
         print(f"\nflight recorder: {n} incident(s) under overload")
-        for bundle, man in zip(list_incidents(out), flight.incidents):
-            counts = load_incident(bundle).counts  # raises if not valid
+        for inc in load_incidents(out).incidents:  # raises if not valid
+            man, counts = inc.manifest, inc.counts
             print(f"  trigger [{man['trigger']['severity']}] "
                   f"{man['trigger']['detector']} @ window "
                   f"{man['trigger_window']}: {man['trigger']['detail']}")

@@ -12,6 +12,8 @@ The subcommands cover the common standalone uses of the library::
     repro timeline out/                           # sparklines + SLO verdicts
     repro explain  out/ --term 123                # why is term 123 (not) on SSD?
     repro explain  out/ --query 17                # trace a tail latency exemplar
+    repro incidents out/                          # the incidents in incidents.jsonl
+    repro explain  out/ --incident 1              # walk incident 1 end to end
     repro compare  --queries 5000                 # all policies side by side
     repro compare  out-a/ out-b/                  # compare saved telemetry dirs
     repro bench    --suite smoke                  # deterministic benchmark run
@@ -68,12 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("corpus", help="generate and summarise a synthetic corpus")
-    p.add_argument("--docs", type=int, default=1_000_000)
-    p.add_argument("--vocab", type=int, default=50_000)
+    p.add_argument("--docs", type=_COUNT, default=1_000_000)
+    p.add_argument("--vocab", type=_COUNT, default=50_000)
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("trace", help="generate a synthetic web-search trace")
-    p.add_argument("--requests", type=int, default=50_000)
+    p.add_argument("--requests", type=_COUNT, default=50_000)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--out", type=str, default=None,
                    help="write the trace (format by extension: .spc, .csv "
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="collect telemetry and write it to DIR "
                         "(spans.jsonl, metrics.json, metrics.prom, "
                         "audit.jsonl; timeline.jsonl with --timeline; "
-                        "blame.jsonl and incident-<n>/ in kernel modes)")
+                        "blame.jsonl and incidents.jsonl in kernel modes)")
     p.add_argument("--timeline", action="store_true",
                    help="stream windowed time series to DIR/timeline.jsonl "
                         "(requires --telemetry)")
@@ -135,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with --timeline arm it by default)")
     p.add_argument("--incident-severity", choices=("warn", "critical"),
                    default="critical",
-                   help="anomaly severity that opens an incident bundle "
+                   help="anomaly severity that opens an incident "
                         "(default critical)")
 
     p = sub.add_parser("report",
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", type=int, default=None, metavar="QID",
                    help="also print one query's full decomposition "
                         "(by qid tag, falling back to task name q<QID>)")
-    p.add_argument("--top", type=int, default=5,
+    p.add_argument("--top", type=_SIZE, default=5,
                    help="slowest queries to list individually (default 5)")
 
     p = sub.add_parser("explain",
@@ -198,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace a tail-latency exemplar for this query id "
                         "(needs a dir written with --timeline)")
     g.add_argument("--incident", type=int, default=None, metavar="N",
-                   help="walk flight-recorder incident bundle N end to "
-                        "end (trigger, SLO state, blame, evidence)")
+                   help="walk flight-recorder incident N end to end "
+                        "(trigger, SLO state, blame, evidence)")
     p.add_argument("--at-us", type=float, default=None,
                    help="reconstruct state as of this virtual-clock time")
 
@@ -218,11 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sparkline width in characters")
 
     p = sub.add_parser("incidents",
-                       help="list and validate flight-recorder incident "
-                            "bundles under a telemetry dir")
+                       help="list and validate the flight-recorder "
+                            "incidents of a telemetry dir")
     p.add_argument("dir", type=str)
-    p.add_argument("--require", type=int, default=None, metavar="N",
-                   help="exit non-zero unless at least N valid bundles "
+    p.add_argument("--require", type=_SIZE, default=None, metavar="N",
+                   help="exit non-zero unless at least N valid incidents "
                         "are present")
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON document")
@@ -233,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dirs", nargs="*", default=[],
                    help="telemetry dirs to compare instead of running "
                         "the policies")
-    p.add_argument("--docs", type=int, default=1_000_000)
-    p.add_argument("--queries", type=int, default=4_000)
-    p.add_argument("--mem-mb", type=int, default=16)
-    p.add_argument("--ssd-mb", type=int, default=64)
+    p.add_argument("--docs", type=_COUNT, default=1_000_000)
+    p.add_argument("--queries", type=_COUNT, default=4_000)
+    p.add_argument("--mem-mb", type=_SIZE, default=16)
+    p.add_argument("--ssd-mb", type=_SIZE, default=64)
     p.add_argument("--out", type=str, default=None,
                    help="write the report to a file")
     p.add_argument("--json", action="store_true",
@@ -384,9 +386,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.timeline:
             telemetry.attach_timeline(window_us=args.window_ms * 1000.0)
 
-    # Kernel-mode runs with a timeline arm the flight recorder: a
-    # black-box ring over the run that dumps incident-<n>/ bundles when
-    # a streaming detector fires at trigger severity.
+    # Kernel-mode runs with a timeline arm the flight recorder: it
+    # appends an incident's manifest to DIR/incidents.jsonl when a
+    # streaming detector fires at trigger severity.
     flight = None
     kernel_mode = args.arrival != "closed" or args.concurrency > 1
     if (telemetry is not None and args.timeline and kernel_mode
@@ -531,8 +533,8 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
             n = flight.finish()  # idempotent; write_telemetry_dir flushed
             if n:
                 trig = flight.incidents[-1]["trigger"]
-                print(f"flight recorder: {n} incident bundle(s) -> "
-                      f"{args.telemetry}/incident-*/ (latest trigger "
+                print(f"flight recorder: {n} incident(s) -> "
+                      f"{args.telemetry}/incidents.jsonl (latest trigger "
                       f"[{trig['severity']}] {trig['detector']}; see "
                       f"`repro incidents {args.telemetry}`)")
             else:
@@ -604,6 +606,11 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     )
     from repro.obs.timeline import DERIVED_SERIES
 
+    try:
+        slos = [parse_slo(s) for s in args.slo] if args.slo \
+            else list(DEFAULT_SLOS)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     path = _telemetry_file(args.path, "timeline.jsonl")
     tl = _load(load_timeline_jsonl, path, "not a usable timeline",
                "; record one with `repro run --telemetry DIR --timeline`")
@@ -637,11 +644,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
               f"min {min(vals):g}  max {max(vals):g}  last {vals[-1]:g}")
     print()
 
-    try:
-        slos = [parse_slo(s) for s in args.slo] if args.slo \
-            else list(DEFAULT_SLOS)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
     results = evaluate_slos(slos, tl.windows)
     print("SLOs:")
     for res in results:
@@ -1044,47 +1046,42 @@ def _explain_query(dir_path: str, query_id: int) -> int:
 
 
 def _explain_incident(dir_path: str, n: int) -> int:
-    """Walk one flight-recorder incident bundle end to end."""
-    from repro.obs import format_incident, list_incidents, load_incident
+    """Walk one flight-recorder incident end to end."""
+    from repro.obs import format_incident, load_incidents
 
     if not os.path.isdir(dir_path):
         raise _CliError(f"{dir_path}: --incident needs a telemetry directory "
                         f"(written by a kernel-mode `repro run --telemetry "
                         f"DIR --timeline`)")
-    bundles = list_incidents(dir_path)
-    want = os.path.join(dir_path, f"incident-{n}")
-    if want not in bundles:
-        have = ", ".join(os.path.basename(b) for b in bundles) or "none"
+    incidents = _load(load_incidents, dir_path,
+                      "unreadable incidents").incidents
+    found = [inc for inc in incidents if inc.manifest["incident"] == n]
+    if not found:
+        have = ", ".join(f"incident-{inc.manifest['incident']}"
+                         for inc in incidents) or "none"
         raise _CliError(f"no incident-{n} under {dir_path} (have: {have})")
-    print(format_incident(
-        _load(load_incident, want, "unreadable incident bundle")))
+    print(format_incident(found[0]))
     return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs import format_top_frame, list_incidents, load_timeline_jsonl
+    from repro.obs import format_top_frame, load_incidents
 
     if not os.path.isdir(args.dir):
         raise _CliError(f"{args.dir}: not a telemetry directory")
+    path = os.path.join(args.dir, "timeline.jsonl")
 
     def frame() -> str:
-        # Only what the frame draws, so a run still being written (no
-        # metrics.json, no timeline footer yet) reads as well as a
-        # finished one.
-        tl = _load(load_timeline_jsonl,
-                   os.path.join(args.dir, "timeline.jsonl"),
-                   "not a usable timeline",
-                   "; record one with `repro run --telemetry DIR --timeline`")
-        manifests = []
-        for bundle in list_incidents(args.dir):
-            path = os.path.join(bundle, "incident.json")
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    manifests.append(json.load(fh))
-            except ValueError:
-                print(f"note: {path}: skipped a manifest still being "
-                      f"written", file=sys.stderr)
-        return format_top_frame(args.dir, tl.windows, manifests,
+        # Needs no metrics.json, no footer and no audit.jsonl, so a run
+        # still being written reads as well as a finished one.
+        if not os.path.exists(path):
+            raise _CliError(f"{path}: not a usable timeline (no such file); "
+                            f"record one with `repro run --telemetry DIR "
+                            f"--timeline`")
+        log = _load(load_incidents, args.dir,
+                    "not a usable telemetry directory")
+        return format_top_frame(args.dir, log.timeline.windows,
+                                [inc.manifest for inc in log.incidents],
                                 width=args.width)
 
     try:
@@ -1105,25 +1102,16 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_incidents(args: argparse.Namespace) -> int:
-    from repro.obs import list_incidents, load_incident
+    from repro.obs import load_incidents
 
     if not os.path.isdir(args.dir):
         raise _CliError(f"{args.dir}: not a directory")
     rows = []
     docs = []
-    valid = 0
-    for bundle in list_incidents(args.dir):
-        name = os.path.basename(bundle)
-        try:
-            incident = load_incident(bundle)
-        except (ValueError, OSError) as exc:
-            rows.append([name, f"INVALID: {exc}", "-", "-", "-"])
-            docs.append({"bundle": name, "valid": False,
-                         "error": str(exc)})
-            continue
-        _note_torn(incident)
-        valid += 1
+    for incident in _load(load_incidents, args.dir,
+                          "unreadable incidents").incidents:
         manifest, counts = incident.manifest, incident.counts
+        name = f"incident-{manifest['incident']}"
         trig = manifest["trigger"]
         rows.append([
             name,
@@ -1135,6 +1123,7 @@ def _cmd_incidents(args: argparse.Namespace) -> int:
         ])
         docs.append({"bundle": name, "valid": True, "manifest": manifest,
                      "counts": counts})
+    valid = len(docs)
     if args.json:
         print(json.dumps({"dir": args.dir, "valid": valid,
                           "bundles": docs}, indent=1))

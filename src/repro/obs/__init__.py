@@ -57,9 +57,9 @@ from repro.obs.flightrecorder import (
     INCIDENT_SCHEMA,
     FlightRecorder,
     Incident,
+    IncidentLog,
     format_incident,
-    list_incidents,
-    load_incident,
+    load_incidents,
 )
 from repro.obs.kernel_metrics import KernelMetrics
 from repro.obs.instruments import (
@@ -179,8 +179,8 @@ __all__ = [
     "INCIDENT_SCHEMA",
     "FlightRecorder",
     "Incident",
-    "list_incidents",
-    "load_incident",
+    "IncidentLog",
+    "load_incidents",
     "format_incident",
     "format_top_frame",
     "load_spans_jsonl",

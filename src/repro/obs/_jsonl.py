@@ -52,8 +52,10 @@ class JsonlWriter:
 
     def flush(self) -> None:
         """Hand what is written so far to the OS, so a reader in another
-        process (``repro top DIR``) sees every whole line."""
-        self._fh.flush()
+        process (``repro top DIR``) sees every whole line; a no-op once
+        the file is closed."""
+        if not self.closed:
+            self._fh.flush()
 
     def close(self) -> None:
         if not self.closed:

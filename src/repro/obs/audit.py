@@ -331,17 +331,6 @@ class AuditLog:
                 if keys[j] == key
                 and _RECORD.unpack_from(records, j * size)[2] == code]
 
-    def records_between(self, start_us: float,
-                        end_us: float) -> list[AuditRecord]:
-        """The retained records stamped inside ``[start_us, end_us]``,
-        oldest first (only those are built)."""
-        names = list(self._codes)
-        records, size = self._records, _RECORD.size
-        return [self._built(names, i, j)
-                for i, j in enumerate(self._slots())
-                if start_us <= _RECORD.unpack_from(records, j * size)[0]
-                <= end_us]
-
     # -- export --------------------------------------------------------------
 
     def export_jsonl(self, path) -> int:
@@ -372,9 +361,6 @@ class NullAudit:
         pass
 
     def records_for(self, kind: str, key: Any) -> list:
-        return []
-
-    def records_between(self, start_us: float, end_us: float) -> list:
         return []
 
     def export_jsonl(self, path) -> int:

@@ -10,8 +10,9 @@ A telemetry directory (``repro run --telemetry DIR``) holds::
                     attached; schema repro.obs.timeline/v1)
     blame.jsonl     per-request kernel blame records (present for runs
                     under the concurrency kernel; repro.obs.blame/v1)
-    incident-<n>/   flight-recorder incident bundles (present when the
-                    recorder triggered; schema repro.obs.incident/v1)
+    incidents.jsonl flight-recorder incident manifests (present when the
+                    recorder triggered; schema repro.obs.incident/v2),
+                    whose evidence is sliced out of the files above
 
 :func:`load_telemetry_dir` parses every one of them once, through the
 one loader of each kind, and is what every reader of a directory uses.
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 from repro.obs.audit import AuditTrail, load_audit_jsonl
 from repro.obs.blame import BlameLog, load_blame_jsonl
-from repro.obs.flightrecorder import list_incidents, load_incident
+from repro.obs.flightrecorder import (INCIDENTS_FILE, Incident, IncidentLog,
+                                      _incident_log)
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import Timeline, load_timeline_jsonl
 from repro.obs.tracer import SpanLog, load_spans_jsonl
@@ -205,8 +207,8 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
 class TelemetryDir:
     """Every artifact of one telemetry directory, each parsed once.
 
-    ``audit``, ``timeline`` and ``blame`` are None when the run wrote no
-    such file; ``incidents`` holds every ``incident-<n>/`` bundle.
+    ``audit``, ``timeline``, ``blame`` and ``incident_log`` are None
+    when the run wrote no such file.
     """
 
     path: str
@@ -215,14 +217,19 @@ class TelemetryDir:
     audit: AuditTrail | None
     timeline: Timeline | None
     blame: BlameLog | None
-    incidents: list
+    incident_log: IncidentLog | None
+
+    @property
+    def incidents(self) -> list[Incident]:
+        """Every incident, its evidence sliced out of the files above."""
+        return [] if self.incident_log is None else self.incident_log.incidents
 
     @property
     def parts(self) -> list:
-        """The JSONL-backed artifacts, incident evidence included."""
-        own = [self.spans, self.audit, self.timeline, self.blame]
-        return ([p for p in own if p is not None]
-                + [p for inc in self.incidents for p in inc.parts])
+        """The JSONL-backed artifacts."""
+        own = [self.spans, self.audit, self.timeline, self.blame,
+               self.incident_log]
+        return [p for p in own if p is not None]
 
     @property
     def torn_tail(self) -> int:
@@ -256,7 +263,8 @@ def load_telemetry_dir(out_dir) -> TelemetryDir:
     timeline = optional("timeline.jsonl", load_timeline_jsonl)
     if timeline is not None and not timeline.windows:
         raise ValueError(f"{timeline.path}: no windows recorded")
-    return TelemetryDir(
-        out_dir, spans, metrics, audit, timeline,
-        optional("blame.jsonl", load_blame_jsonl),
-        [load_incident(b) for b in list_incidents(out_dir)])
+    blame = optional("blame.jsonl", load_blame_jsonl)
+    incident_log = optional(INCIDENTS_FILE, lambda p: _incident_log(
+        p, timeline, spans, blame, audit))
+    return TelemetryDir(out_dir, spans, metrics, audit, timeline, blame,
+                        incident_log)

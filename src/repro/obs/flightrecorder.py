@@ -1,41 +1,38 @@
 """The flight recorder: in-run incident capture over the live seams.
 
 A :class:`FlightRecorder` is the black box riding along a kernel-mode
-serve.  It arms three observation seams that already exist for other
-consumers — the timeline's window callback, the tracer's span sink, and
-the blame recorder's ring — and keeps bounded rings over each.  Every
-closed window is fed to the *streaming* SLO evaluator and anomaly
-detectors (:mod:`repro.obs.slo`), whose verdicts provably match the
-post-hoc ``run_detectors``/``evaluate_slos`` over the saved timeline;
-when a fresh anomaly at or above the trigger severity fires, the
-recorder opens an **incident**: it snapshots the :data:`PRE_WINDOWS`
-windows before the trigger, waits :data:`POST_WINDOWS` more closes
-(re-triggering resets the countdown, so one sustained overload is one
-incident, not dozens), then dumps a self-contained bundle::
+serve.  It hangs off the timeline's window callback: every closed window
+is fed to the *streaming* SLO evaluator and anomaly detectors
+(:mod:`repro.obs.slo`), whose verdicts provably match the post-hoc
+``run_detectors``/``evaluate_slos`` over the saved timeline.  When a
+fresh anomaly at or above the trigger severity fires, the recorder opens
+an **incident**: it takes the :data:`PRE_WINDOWS` windows before the
+trigger, waits :data:`POST_WINDOWS` more closes (re-triggering resets
+the countdown, so one sustained overload is one incident, not dozens),
+then dumps the incident's manifest (schema ``repro.obs.incident/v2``:
+trigger verdict, anomaly list, SLO state at capture, window indices and
+bounds, affected qids and resources, capacity-model snapshot, run config
+with fingerprint) as one line of ``DIR/incidents.jsonl``.
 
-    incident-<n>/
-        incident.json   the manifest (schema repro.obs.incident/v1):
-                        trigger verdict, anomaly list, SLO state at
-                        capture, window indices, affected qids and
-                        resources, capacity-model snapshot, run config
-                        with fingerprint, per-file counts
-        windows.jsonl   the captured windows as a valid (truncated)
-                        repro.obs.timeline/v1 file — exact deltas,
-                        loadable by every timeline tool
-        spans.jsonl     span trees for the affected qids (roots plus
-                        all descendants, from the span ring)
-        blame.json      per-query critical-path decompositions
-                        (QueryBlame dicts) for the affected qids and
-                        the heaviest queries ending inside the capture
-        audit.jsonl     decision records timestamped inside the capture
+The manifest is all an incident writes: its evidence is already in the
+same directory, and :func:`load_incidents` slices it back out of the
+files a reader parses anyway::
 
-Everything is observe-never-perturb: the recorder reads rings the
-telemetry layer populates anyway, computes on the host clock only at
-window close, and writes only when an incident actually dumps.  With
-``out_dir=None`` it runs in *counting mode* — incidents are detected
-and manifests kept in memory, nothing touches disk — which is how the
-bench harness reports incident counts on saturation entries without
-perturbing the measured run.
+    windows   timeline.jsonl, by the manifest's window indices
+    spans     spans.jsonl, the trees of the spans tagged with its qids
+    blame     blame.jsonl, its qids' decompositions ending inside the
+              capture, heaviest first
+    audit     audit.jsonl, the records stamped inside the capture
+
+A manifest line is flushed after the span and blame streams, so a reader
+following a running run finds the evidence of every manifest it reads.
+
+Everything is observe-never-perturb: the recorder computes on the host
+clock only at window close and writes only when an incident dumps.  With
+``out_dir=None`` it runs in *counting mode* — incidents are detected and
+manifests kept in memory, nothing touches disk — which is how the bench
+harness reports incident counts on saturation entries without perturbing
+the measured run.
 """
 
 from __future__ import annotations
@@ -43,45 +40,41 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
-from repro.obs._jsonl import write_jsonl
+from repro.obs._jsonl import JsonlWriter, read_jsonl
 from repro.obs.audit import AuditTrail, load_audit_jsonl
-from repro.obs.blame import (BLAME_SCHEMA, QueryBlame, assemble_queries,
-                             format_query_blame)
+from repro.obs.blame import (BlameLog, QueryBlame, assemble_queries,
+                             format_query_blame, load_blame_jsonl)
 from repro.obs.slo import (DEFAULT_SLOS, StreamingDetectors,
                            StreamingSloEvaluator)
-from repro.obs.timeline import TIMELINE_SCHEMA, Timeline, load_timeline_jsonl
-from repro.obs.tracer import SpanLog, load_spans_jsonl, span_dict
+from repro.obs.timeline import Timeline, load_timeline_jsonl
+from repro.obs.tracer import SpanLog, load_spans_jsonl
 
 __all__ = [
     "INCIDENT_SCHEMA",
     "FlightRecorder",
     "Incident",
-    "list_incidents",
-    "load_incident",
+    "IncidentLog",
+    "load_incidents",
     "format_incident",
 ]
 
-INCIDENT_SCHEMA = "repro.obs.incident/v1"
+INCIDENT_SCHEMA = "repro.obs.incident/v2"
+#: the incident log's file name in a telemetry directory
+INCIDENTS_FILE = "incidents.jsonl"
 
 _SEVERITY_RANK = {"warn": 0, "critical": 1}
 
 # An incident's context (windows before the trigger, quiet windows
-# before it closes), the bundles per run, the span ring, and a bundle's
-# heaviest blame queries (exemplar qids join them) and latest audit rows.
+# before it closes), the incidents per run, and an incident's heaviest
+# blame queries (exemplar qids join them).
 PRE_WINDOWS = 4
 POST_WINDOWS = 2
 MAX_INCIDENTS = 16
-SPAN_RING = 4096
 MAX_QIDS = 8
-MAX_AUDIT_RECORDS = 512
-
-_INCIDENT_DIR_RE = re.compile(r"^incident-(\d+)$")
 
 
 class FlightRecorder:
@@ -93,14 +86,17 @@ class FlightRecorder:
         The :class:`~repro.obs.telemetry.Telemetry` bundle of the run;
         a timeline must be attached before :meth:`arm`.
     out_dir:
-        Directory receiving ``incident-<n>/`` bundles; None switches to
-        counting mode (manifests kept in memory, nothing written).
+        None switches to counting mode (manifests kept in memory, nothing
+        written); otherwise the telemetry's own ``out_dir``, whose
+        ``incidents.jsonl`` receives the manifests.  Any other directory
+        raises ``ValueError``: an incident's evidence is that directory's
+        files.
     trigger_severity:
         "warn" opens incidents on any anomaly; "critical" (default)
         only on critical ones.
     config:
         The run's configuration dict, embedded in each manifest under a
-        SHA-256 fingerprint so a bundle is attributable to the exact
+        SHA-256 fingerprint so an incident is attributable to the exact
         run that produced it.
 
     The :data:`~repro.obs.slo.DEFAULT_SLOS` are evaluated incrementally
@@ -112,6 +108,12 @@ class FlightRecorder:
                  config: dict | None = None) -> None:
         if trigger_severity not in _SEVERITY_RANK:
             raise ValueError("trigger_severity must be 'warn' or 'critical'")
+        own = telemetry.out_dir
+        if out_dir is not None and (
+                own is None
+                or os.path.abspath(own) != os.path.abspath(out_dir)):
+            raise ValueError(f"incidents go to the telemetry's own out_dir "
+                             f"({own}), not to {out_dir}")
         self._telemetry = weakref.ref(telemetry)
         self.out_dir = out_dir
         self.trigger_severity = trigger_severity
@@ -121,12 +123,11 @@ class FlightRecorder:
         #: manifests of dumped incidents, in trigger order.
         self.incidents: list[dict] = []
         self.truncated_incidents = 0
-        self._window_ring: deque[dict] = deque(maxlen=PRE_WINDOWS + 1)
-        #: finished spans' values, as the tracer's sink passes them
-        #: (``span_dict``'s arguments); rendered to dicts only for the
-        #: ones an incident dump keeps.
-        self._spans: deque = deque(maxlen=SPAN_RING)
+        #: ``(index, start_us, end_us)`` of the latest windows
+        self._window_ring: deque[tuple] = deque(maxlen=PRE_WINDOWS + 1)
         self._open: dict | None = None
+        #: ``incidents.jsonl``'s writer, opened by the first dump
+        self._writer: JsonlWriter | None = None
         self._armed = False
         self._finished = False
 
@@ -139,7 +140,7 @@ class FlightRecorder:
     # -- arming --------------------------------------------------------------
 
     def arm(self) -> "FlightRecorder":
-        """Hook the telemetry seams; idempotent."""
+        """Hook the timeline's window callback; idempotent."""
         if self._armed:
             return self
         tel = self.telemetry
@@ -149,13 +150,9 @@ class FlightRecorder:
                 "flight recorder needs an attached timeline "
                 "(Telemetry.attach_timeline before arm)")
         tl.add_window_callback(self._on_window)
-        tracer = tel.tracer
-        if getattr(tracer, "enabled", False):
-            tracer.set_span_sink(self._spans.append)
         # What a dump reads, kept here: none of it points back at us.
         self._window_us = tl.window_us
         self._exemplars = tel.exemplars
-        self._audit = tel.audit
         tel.flight = self
         self._armed = True
         return self
@@ -165,7 +162,8 @@ class FlightRecorder:
     def _on_window(self, rec: dict) -> None:
         self.slo.update(rec)
         new = self.detectors.update(rec)
-        self._window_ring.append(rec)
+        bounds = (rec["window"], rec["start_us"], rec["end_us"])
+        self._window_ring.append(bounds)
         triggers = [a for a in new
                     if _SEVERITY_RANK[a.severity]
                     >= _SEVERITY_RANK[self.trigger_severity]]
@@ -183,7 +181,7 @@ class FlightRecorder:
                 "post_remaining": POST_WINDOWS,
             }
             return
-        inc["windows"].append(rec)
+        inc["windows"].append(bounds)
         inc["anomalies"].extend(new)
         if triggers:
             # Still hot: restart the post-trigger countdown so one
@@ -198,7 +196,8 @@ class FlightRecorder:
     # -- lifecycle -----------------------------------------------------------
 
     def finish(self) -> int:
-        """Flush any open incident; returns the incident count.
+        """Flush any open incident and write the incident log's footer;
+        returns the incident count.
 
         Idempotent — safe to call from both ``Telemetry.close`` and
         ``write_telemetry_dir``.
@@ -208,37 +207,44 @@ class FlightRecorder:
             if self._open is not None:
                 self._dump(self._open)
                 self._open = None
+            if self._writer is not None:
+                self._writer.write_trailer({
+                    "type": "footer", "incidents": len(self.incidents),
+                    "truncated_incidents": self.truncated_incidents})
+                self._writer.close()
         return len(self.incidents)
 
-    # -- bundle assembly -----------------------------------------------------
+    # -- the manifest --------------------------------------------------------
 
     def _dump(self, inc: dict) -> None:
-        n = len(self.incidents) + 1
         windows = inc["windows"]
-        window_ids = [rec["window"] for rec in windows]
-        start_us = windows[0]["start_us"]
-        end_us = windows[-1]["end_us"]
+        window_ids = [w for w, _, _ in windows]
+        start_us = windows[0][1]
+        end_us = windows[-1][2]
         window_set = set(window_ids)
 
         exemplar_qids: set[int] = set()
-        exemplar_rows: list[dict] = []
         store = self._exemplars
         if store is not None:
             for ex in store.exemplars:
                 if ex.window in window_set and ex.query_id is not None:
                     exemplar_qids.add(ex.query_id)
-                    exemplar_rows.append(ex.to_dict())
 
-        blame_queries = self._blame_queries(start_us, end_us, exemplar_qids)
-        qids = sorted(exemplar_qids
-                      | {q.qid for q in blame_queries if q.qid is not None})
-        resources = sorted({res for q in blame_queries
-                            for res in (set(q.wait_us) | set(q.service_us))})
-        span_rows = self._span_trees(qids)
-        audit_rows = self._audit_rows(start_us, end_us)
+        tel = self.telemetry
+        blame = tel.blame
+        queries = [] if blame is None else sorted(
+            (q for q in assemble_queries(blame.records)
+             if start_us <= q.end_us <= end_us), key=lambda q: -q.total_us)
+        # The heaviest queries and the tail exemplars name the qids; the
+        # resources are those of every decomposition of a named qid in
+        # the capture, the ones load_incidents reads back.
+        qids = sorted(exemplar_qids | {q.qid for q in queries[:MAX_QIDS]
+                                       if q.qid is not None})
+        want = set(qids)
+        resources = sorted({res for q in queries if q.qid in want
+                            for res in (*q.wait_us, *q.service_us)})
 
         capacity = None
-        blame = getattr(self.telemetry, "blame", None)
         if blame is not None and blame.kernel is not None:
             adm = blame.admission
             completed = adm.stats.completed if adm is not None else None
@@ -249,7 +255,7 @@ class FlightRecorder:
         ).hexdigest()[:16]
         manifest = {
             "schema": INCIDENT_SCHEMA,
-            "incident": n,
+            "incident": len(self.incidents) + 1,
             "trigger": inc["trigger"].to_dict(),
             "anomalies": [a.to_dict() for a in inc["anomalies"]],
             "slo": [r.to_dict() for r in self.slo.results()],
@@ -262,208 +268,200 @@ class FlightRecorder:
             "resources": resources,
             "capacity": capacity,
             "config": {"fingerprint": fingerprint, **self.config},
-            "counts": {
-                "windows": len(windows),
-                "spans": len(span_rows),
-                "blame_queries": len(blame_queries),
-                "audit_records": len(audit_rows),
-                "exemplars": len(exemplar_rows),
-            },
         }
         self.incidents.append(manifest)
         if self.out_dir is None:
             return
-        bundle = os.path.join(self.out_dir, f"incident-{n}")
-        os.makedirs(bundle, exist_ok=True)
-        footer = {"type": "footer", "windows": len(windows),
-                  "dropped_windows": 0}
-        write_jsonl(os.path.join(bundle, "windows.jsonl"),
-                    chain(windows, exemplar_rows, [footer]),
-                    header={"type": "header", "schema": TIMELINE_SCHEMA,
-                            "window_us": self._window_us})
-        write_jsonl(os.path.join(bundle, "spans.jsonl"), span_rows)
-        with open(os.path.join(bundle, "blame.json"), "w") as fh:
-            json.dump({"schema": BLAME_SCHEMA,
-                       "queries": [q.to_dict() for q in blame_queries]},
-                      fh, indent=1)
-            fh.write("\n")
-        write_jsonl(os.path.join(bundle, "audit.jsonl"), audit_rows)
-        with open(os.path.join(bundle, "incident.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
-
-    def _blame_queries(self, start_us: float, end_us: float,
-                       exemplar_qids: set) -> list[QueryBlame]:
-        blame = getattr(self.telemetry, "blame", None)
-        if blame is None:
-            return []
-        queries = [q for q in assemble_queries(blame.records)
-                   if start_us <= q.end_us <= end_us]
-        queries.sort(key=lambda q: -q.total_us)
-        kept = queries[:MAX_QIDS]
-        for q in queries[MAX_QIDS:]:
-            if q.qid is not None and q.qid in exemplar_qids:
-                kept.append(q)
-        return kept
-
-    def _span_trees(self, qids: list) -> list[dict]:
-        """Roots whose ``attrs.qid`` is affected, plus all descendants."""
-        if not qids:
-            return []
-        want = set(qids)
-        # The ring is append-ordered and parents finish *after* their
-        # children under the context-manager discipline, so resolve
-        # membership in two passes: roots first, then descendants by
-        # walking parent links upward.
-        # Each ring entry is (span_id, parent_id, name, start_us, end_us,
-        # attrs).
-        spans = list(self._spans)
-        keep_ids = {sid for sid, _, _, _, _, attrs in spans
-                    if attrs.get("qid") in want}
-        grew = True
-        while grew:
-            grew = False
-            for sid, parent, *_ in spans:
-                if sid not in keep_ids and parent in keep_ids:
-                    keep_ids.add(sid)
-                    grew = True
-        return [span_dict(*span) for span in spans if span[0] in keep_ids]
-
-    def _audit_rows(self, start_us: float, end_us: float) -> list[dict]:
-        audit = self._audit
-        if not getattr(audit, "enabled", False):
-            return []
-        return [r.to_dict() for r in
-                audit.records_between(start_us, end_us)[-MAX_AUDIT_RECORDS:]]
+        # The evidence first: whoever reads this manifest finds the spans
+        # and blame records it names already on disk.
+        for stream in (getattr(tel.tracer, "_stream", None),
+                       getattr(blame, "_stream", None)):
+            if stream is not None:
+                stream.flush()
+        if self._writer is None:
+            self._writer = JsonlWriter(
+                os.path.join(self.out_dir, INCIDENTS_FILE))
+        self._writer.write(manifest)
+        self._writer.flush()
 
 
 # ---------------------------------------------------------------------------
-# Reading bundles back
+# Reading incidents back
 # ---------------------------------------------------------------------------
-
-def list_incidents(telemetry_dir) -> list[str]:
-    """Paths of ``incident-<n>/`` bundles under a telemetry dir, by n."""
-    if not os.path.isdir(telemetry_dir):
-        return []
-    found = []
-    for name in os.listdir(telemetry_dir):
-        m = _INCIDENT_DIR_RE.match(name)
-        if m is None:
-            continue
-        path = os.path.join(telemetry_dir, name)
-        if os.path.isfile(os.path.join(path, "incident.json")):
-            found.append((int(m.group(1)), path))
-    return [path for _, path in sorted(found)]
-
 
 _MANIFEST_FIELDS = ("schema", "incident", "trigger", "anomalies", "slo",
                     "window_us", "trigger_window", "windows", "start_us",
-                    "end_us", "qids", "resources", "config", "counts")
+                    "end_us", "qids", "resources", "config")
 
 
 @dataclass
 class Incident:
-    """One parsed ``incident-<n>/`` bundle: the manifest plus its
-    evidence files, each parsed once."""
+    """One incident: its manifest and the evidence sliced for it out of
+    the telemetry directory's own files (empty where a file is absent)."""
 
-    dir: str
     manifest: dict
-    timeline: Timeline
-    spans: SpanLog
-    blame: dict
-    audit: AuditTrail
-
-    @property
-    def parts(self) -> list:
-        """The bundle's JSONL-backed artifacts."""
-        return [self.timeline, self.spans, self.audit]
-
-    @property
-    def torn_tail(self) -> int:
-        """Trailing records skipped over the bundle's JSONL files."""
-        return sum(p.torn_tail for p in self.parts)
+    windows: list[dict]
+    spans: list[dict]
+    blame: list[QueryBlame]
+    audit: list[dict]
 
     @property
     def counts(self) -> dict:
-        """Evidence per file, as ``repro incidents`` lists it."""
+        """Evidence per kind, as ``repro incidents`` lists it."""
         return {
-            "windows": len(self.timeline.windows),
-            "spans": len(self.spans.spans),
-            "blame_queries": len(self.blame.get("queries", [])),
-            "audit_records": len(self.audit.records),
+            "windows": len(self.windows),
+            "spans": len(self.spans),
+            "blame_queries": len(self.blame),
+            "audit_records": len(self.audit),
             "qids": len(self.manifest["qids"]),
         }
 
 
-def load_incident(bundle_dir) -> Incident:
-    """Load and cross-check one bundle; raises ValueError.
+@dataclass
+class IncidentLog:
+    """A parsed ``incidents.jsonl`` and the evidence files its incidents
+    were sliced from (None: absent); ``torn_tail`` counts a cut final
+    line skipped (a manifest still being written)."""
 
-    Beyond field presence this checks the *cross-references* that make
-    a bundle self-contained evidence: the captured windows are exactly
-    the manifest's indices (and contain the trigger window), every
-    affected qid appears in the span trees or the blame decompositions,
-    each blame decomposition is residual-free, and the manifest's
-    resource list is the union over the blame queries' resources.
+    path: str
+    incidents: list[Incident]
+    torn_tail: int = 0
+    timeline: Timeline | None = None
+    spans: SpanLog | None = None
+    blame: BlameLog | None = None
+    audit: AuditTrail | None = None
+
+    @property
+    def parts(self) -> list:
+        """The log and every evidence file it parsed."""
+        return [p for p in (self, self.timeline, self.spans, self.blame,
+                            self.audit) if p is not None]
+
+
+def load_incidents(telemetry_dir) -> IncidentLog:
+    """Load ``incidents.jsonl`` under a telemetry dir, slicing each
+    incident's evidence out of the directory's other files; raises
+    ValueError (see :func:`_incident_log`).
+
+    ``timeline.jsonl`` is parsed whenever present (``repro top`` draws
+    it); the span, blame and audit files only when there is an incident
+    log to slice them for.  No log at all is no incidents.
     """
-    with open(os.path.join(bundle_dir, "incident.json")) as fh:
-        manifest = json.load(fh)
+    def optional(name, loader):
+        path = os.path.join(telemetry_dir, name)
+        return loader(path) if os.path.exists(path) else None
+
+    path = os.path.join(telemetry_dir, INCIDENTS_FILE)
+    timeline = optional("timeline.jsonl", load_timeline_jsonl)
+    if not os.path.exists(path):
+        return IncidentLog(path, [], timeline=timeline)
+    return _incident_log(path, timeline,
+                        optional("spans.jsonl", load_spans_jsonl),
+                        optional("blame.jsonl", load_blame_jsonl),
+                        optional("audit.jsonl", load_audit_jsonl))
+
+
+def _incident_log(path, timeline: Timeline | None, spans: SpanLog | None,
+                  blame: BlameLog | None,
+                  audit: AuditTrail | None) -> IncidentLog:
+    """Parse the incident log at ``path`` against already-parsed evidence
+    files (None: absent, contributing no evidence); raises ValueError.
+
+    Beyond each manifest's fields this checks what makes an incident
+    evidence, against the files present: the trigger window is among
+    the captured ones and every captured window is in the timeline;
+    every affected qid resolves to a span or a blame decomposition;
+    each decomposition is residual-free; and the manifest's resources
+    are the union over them.
+    """
+    records, torn = read_jsonl(path)
+    manifests, footer = [], None
+    for lineno, rec in records:
+        if rec.get("type") == "footer":
+            footer = rec
+        else:
+            manifests.append(_checked_manifest(f"{path}:{lineno}", rec))
+    if footer is not None and footer.get("incidents") != len(manifests):
+        raise ValueError(f"{path}: footer claims {footer.get('incidents')} "
+                         f"incidents, the file holds {len(manifests)}")
+    by_window = (None if timeline is None
+                 else {rec["window"]: rec for rec in timeline.windows})
+    children: dict = {}
+    for span in spans.spans if spans is not None else ():
+        children.setdefault(span["parent_id"], []).append(span)
+    queries = assemble_queries(blame.records) if blame is not None else []
+    incidents = []
+    for man in manifests:
+        where = f"{path}: incident {man['incident']}"
+        if man["trigger_window"] not in man["windows"]:
+            raise ValueError(f"{where}: trigger window "
+                             f"{man['trigger_window']} not captured")
+        windows = []
+        if by_window is not None:
+            missing = [w for w in man["windows"] if w not in by_window]
+            if missing:
+                raise ValueError(f"{where}: windows {missing} are not in "
+                                 f"{timeline.path}")
+            windows = [by_window[w] for w in man["windows"]]
+        start, end = man["start_us"], man["end_us"]
+        want = set(man["qids"])
+        tree = ([] if spans is None
+                else _tagged_trees(spans.spans, children, want))
+        picked = sorted((q for q in queries if q.qid in want
+                         and start <= q.end_us <= end),
+                        key=lambda q: -q.total_us)
+        for q in picked:
+            if abs(q.residual_us) > 1e-6:
+                raise ValueError(f"{where}: blame for task {q.task} has "
+                                 f"residual {q.residual_us:.3f} us")
+        if spans is not None or blame is not None:
+            found = ({s["attrs"].get("qid") for s in tree}
+                     | {q.qid for q in picked})
+            lost = sorted(want - found)
+            if lost:
+                raise ValueError(f"{where}: qids {lost} are in neither "
+                                 f"spans.jsonl nor blame.jsonl")
+        if blame is not None:
+            resources = sorted({res for q in picked
+                                for res in (*q.wait_us, *q.service_us)})
+            if resources != man["resources"]:
+                raise ValueError(f"{where}: blame resources {resources} != "
+                                 f"manifest {man['resources']}")
+        inside = ([r for r in audit.records if start <= r["t_us"] <= end]
+                  if audit is not None else [])
+        incidents.append(Incident(man, windows, tree, picked, inside))
+    return IncidentLog(path, incidents, torn, timeline, spans, blame, audit)
+
+
+def _checked_manifest(where: str, manifest: dict) -> dict:
     if manifest.get("schema") != INCIDENT_SCHEMA:
-        raise ValueError(f"{bundle_dir}: not a {INCIDENT_SCHEMA} bundle")
+        raise ValueError(f"{where}: not a {INCIDENT_SCHEMA} manifest")
     for fld in _MANIFEST_FIELDS:
         if fld not in manifest:
-            raise ValueError(f"{bundle_dir}: manifest missing {fld!r}")
+            raise ValueError(f"{where}: manifest missing {fld!r}")
     for fld in ("detector", "window", "severity", "detail"):
         if fld not in manifest["trigger"]:
-            raise ValueError(
-                f"{bundle_dir}: trigger missing {fld!r}")
+            raise ValueError(f"{where}: trigger missing {fld!r}")
     if "fingerprint" not in manifest["config"]:
-        raise ValueError(f"{bundle_dir}: config missing fingerprint")
+        raise ValueError(f"{where}: config missing fingerprint")
+    return manifest
 
-    tl = load_timeline_jsonl(os.path.join(bundle_dir, "windows.jsonl"))
-    indices = [rec["window"] for rec in tl.windows]
-    if indices != manifest["windows"]:
-        raise ValueError(
-            f"{bundle_dir}: windows.jsonl holds {indices}, manifest "
-            f"claims {manifest['windows']}")
-    if manifest["trigger_window"] not in indices:
-        raise ValueError(
-            f"{bundle_dir}: trigger window {manifest['trigger_window']} "
-            f"not captured")
 
-    spans = load_spans_jsonl(os.path.join(bundle_dir, "spans.jsonl"))
-    span_qids = {s["attrs"].get("qid") for s in spans.spans}
-    with open(os.path.join(bundle_dir, "blame.json")) as fh:
-        blame_doc = json.load(fh)
-    if blame_doc.get("schema") != BLAME_SCHEMA:
-        raise ValueError(f"{bundle_dir}: blame.json schema mismatch")
-    blame_qids = set()
-    for row in blame_doc.get("queries", []):
-        q = QueryBlame.from_dict(row)
-        if abs(q.residual_us) > 1e-6:
-            raise ValueError(
-                f"{bundle_dir}: blame for task {q.task} has residual "
-                f"{q.residual_us:.3f} us")
-        if q.qid is not None:
-            blame_qids.add(q.qid)
-    for qid in manifest["qids"]:
-        if qid not in span_qids and qid not in blame_qids:
-            raise ValueError(
-                f"{bundle_dir}: qid {qid} in manifest but in neither "
-                f"spans.jsonl nor blame.json")
-    resources = sorted({res for row in blame_doc.get("queries", [])
-                        for res in (set(row.get("wait_us", {}))
-                                    | set(row.get("service_us", {})))})
-    if resources != manifest["resources"]:
-        raise ValueError(
-            f"{bundle_dir}: blame resources {resources} != manifest "
-            f"{manifest['resources']}")
-
-    audit = load_audit_jsonl(os.path.join(bundle_dir, "audit.jsonl"))
-    return Incident(bundle_dir, manifest, tl, spans, blame_doc, audit)
+def _tagged_trees(spans: list[dict], children: dict, qids: set) -> list[dict]:
+    """The spans tagged with one of ``qids`` and all their descendants,
+    in file order."""
+    todo = [s["span_id"] for s in spans if s["attrs"].get("qid") in qids]
+    keep: set = set()
+    while todo:
+        sid = todo.pop()
+        if sid not in keep:
+            keep.add(sid)
+            todo.extend(child["span_id"] for child in children.get(sid, ()))
+    return [s for s in spans if s["span_id"] in keep]
 
 
 def format_incident(incident: Incident) -> str:
-    """Render a loaded bundle as the ``repro explain --incident`` walk."""
+    """Render a loaded incident as the ``repro explain --incident`` walk."""
     man = incident.manifest
     trig = man["trigger"]
     lines = [
@@ -500,10 +498,10 @@ def format_incident(incident: Incident) -> str:
     if man["resources"]:
         lines.append(f"  resources on the critical paths: "
                      f"{man['resources']}")
-    for row in incident.blame.get("queries", [])[:3]:
+    for q in incident.blame[:3]:
         lines.append("")
-        lines.append(format_query_blame(QueryBlame.from_dict(row)))
-    counts = man["counts"]
+        lines.append(format_query_blame(q))
+    counts = incident.counts
     lines.append("")
     lines.append(
         f"  evidence: {counts['windows']} windows, {counts['spans']} "

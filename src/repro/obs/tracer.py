@@ -214,7 +214,6 @@ class Tracer:
         self._records = bytearray()
         #: their ``attrs`` rows, in the same order
         self._attrs: list = []
-        self._sink = None
         #: the span file's :class:`JsonlWriter` when streaming, else None
         self._stream: JsonlWriter | None = None
         #: its ``write``, bound once, or None: spans are stored
@@ -239,13 +238,6 @@ class Tracer:
         self._stream = JsonlWriter(path)
         self._write = self._stream.write
 
-    def set_span_sink(self, sink) -> None:
-        """Feed every finished span to ``sink`` *before* storage or
-        streaming, as one tuple of :func:`span_dict`'s arguments — the
-        flight recorder's ring hangs off this, so it sees spans even
-        when streaming mode retains nothing."""
-        self._sink = sink
-
     def span(self, name: str, **attrs) -> Span:
         """Open a nested span: ``with tracer.span("query", qid=7) as sp:``."""
         span = Span()
@@ -257,11 +249,9 @@ class Tracer:
     def close(self, span_id: int, parent_id: int, name: str,
               start_us: float, attrs) -> None:
         """Finish the innermost open span (see the module docstring) and
-        keep it: the sink first, then the stream or the capped store."""
+        keep it: in the stream or the capped store."""
         self.stack.pop()
         end_us = self.clock._now_us
-        if self._sink is not None:
-            self._sink((span_id, parent_id, name, start_us, end_us, attrs))
         if self._write is not None:
             self._write(span_dict(span_id, parent_id, name, start_us, end_us,
                                   attrs))
@@ -288,8 +278,6 @@ class Tracer:
         keeps one."""
         span_id = next(self.ids)
         parent_id = self.stack[-1]
-        if self._sink is not None:
-            self._sink((span_id, parent_id, name, start_us, end_us, attrs))
         if self._write is not None:
             self._write(span_dict(span_id, parent_id, name, start_us, end_us,
                                   attrs))

@@ -78,10 +78,6 @@ class Tracer:
         self.dropped = 0
         self.stack: list[int | None] = [None]
         self.ids = count(1)
-        self._sink = None
-
-    def set_span_sink(self, sink) -> None:
-        self._sink = sink
 
     def span(self, name: str, **attrs) -> Span:
         span = Span()
@@ -93,8 +89,6 @@ class Tracer:
     def close(self, span: Span) -> None:
         self.stack.pop()
         span.end_us = self.clock._now_us
-        if self._sink is not None:
-            self._sink(span)
         if len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:
@@ -108,8 +102,6 @@ class Tracer:
         span.start_us = start_us
         span.end_us = end_us
         span.attrs = attrs
-        if self._sink is not None:
-            self._sink(span)
         if len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:

@@ -299,6 +299,41 @@ def test_read_commands_reject_bad_flags(kernel_dir, capsys, bad):
     assert not captured.out
 
 
+@pytest.mark.parametrize("bad", [
+    ["compare", "--queries", "0"],
+    ["compare", "--queries", "-3"],
+    ["compare", "--docs", "0"],
+    ["compare", "--mem-mb", "-1"],
+    ["compare", "--ssd-mb", "-1"],
+    ["corpus", "--docs", "0"],
+    ["corpus", "--docs", "-1"],
+    ["corpus", "--vocab", "0"],
+    ["trace", "--requests", "0"],
+    ["trace", "--requests", "-5"],
+    ["blame", ".", "--top", "-1"],
+    ["incidents", ".", "--require", "-1"],
+], ids=" ".join)
+def test_sizes_are_checked_before_anything_runs(capsys, bad):
+    """A count below 1 (a size below 0) is a usage error, exit 2, not a
+    ``ValueError`` traceback from deep inside the command."""
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert not captured.out
+    assert "Traceback" not in captured.err
+    assert f"argument {bad[-2]}: must be" in captured.err
+
+
+def test_timeline_bad_slo_prints_nothing_before_the_error(kernel_dir,
+                                                         capsys):
+    rc = main(["timeline", str(kernel_dir), "--slo", "bogus"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert not captured.out
+    assert captured.err.startswith("error: bad SLO spec")
+
+
 def test_run_timeline_streams_schema_valid_jsonl(tmp_path, capsys):
     from repro.obs import load_telemetry_dir
 

@@ -1,6 +1,7 @@
 """CLI surface of the observability plane: graceful errors,
 ``top`` (on a finished run and following a running one),
-``incidents`` and ``explain --incident``."""
+``incidents`` and ``explain --incident`` (their output pinned to what
+the per-incident bundles printed)."""
 
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs import FlightRecorder, list_incidents, load_incident
+from repro.obs import FlightRecorder, load_incidents
 
 
 _SATURATED = ["run", "--policy", "cbslru", "--docs", "20000",
@@ -26,7 +27,7 @@ _SATURATED = ["run", "--policy", "cbslru", "--docs", "20000",
 def knee_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("knee") / "tel"
     assert main(_SATURATED + ["--telemetry", str(out)]) == 0
-    assert list_incidents(out)
+    assert load_incidents(out).incidents
     return out
 
 
@@ -179,16 +180,16 @@ def test_incidents_command_json(knee_dir, capsys):
 
 
 def test_incident_severity_sets_the_trigger(tmp_path, capsys):
-    """``--incident-severity warn`` opens bundles on warn anomalies (the
+    """``--incident-severity warn`` opens incidents on warn anomalies (the
     default run above triggers on critical ones); an unknown severity is
     a usage error before DIR is created."""
     out = tmp_path / "tel"
     assert main(_SATURATED + ["--incident-severity", "warn",
                               "--telemetry", str(out)]) == 0
-    bundles = list_incidents(out)
-    assert bundles
-    assert {load_incident(b).manifest["trigger"]["severity"]
-            for b in bundles} == {"warn"}
+    incidents = load_incidents(out).incidents
+    assert incidents
+    assert {inc.manifest["trigger"]["severity"]
+            for inc in incidents} == {"warn"}
     bad = tmp_path / "bad"
     with pytest.raises(SystemExit) as exc:
         main(_SATURATED + ["--incident-severity", "notice",
@@ -203,6 +204,32 @@ def test_incidents_command_empty_dir(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "no incident bundles" in out
+
+
+def _recorded() -> dict:
+    return json.loads((Path(__file__).parent / "fixtures"
+                       / "incidents_knee.json").read_text())
+
+
+def test_incident_readers_print_what_the_bundles_printed(knee_dir, capsys):
+    """``incidents`` and ``explain --incident 1`` print, byte for byte,
+    what they printed when each incident was a directory of copies; the
+    JSON differs only in the manifest's schema and its dropped counts."""
+    recorded = _recorded()
+
+    def run(*argv):
+        assert main([argv[0], str(knee_dir), *argv[1:]]) == 0
+        return capsys.readouterr().out.replace(str(knee_dir), "<DIR>")
+
+    assert run("incidents") == recorded["incidents"]
+    assert run("explain", "--incident", "1") == \
+        recorded["explain_incident_1"]
+    assert "12w/50s/8q/191a" in recorded["incidents"]
+    parent = json.loads(recorded["incidents_json"])
+    for bundle in parent["bundles"]:
+        bundle["manifest"]["schema"] = "repro.obs.incident/v2"
+        del bundle["manifest"]["counts"]
+    assert run("incidents", "--json") == json.dumps(parent, indent=1) + "\n"
 
 
 def test_explain_incident_walks_bundle(knee_dir, capsys):
@@ -248,7 +275,8 @@ def test_top_reads_a_torn_manifest_and_a_torn_timeline_tail(
         knee_dir, tmp_path, capsys):
     out = tmp_path / "tel"
     shutil.copytree(knee_dir, out)
-    manifest = out / "incident-1" / "incident.json"
+    # The run was cut while writing its first manifest.
+    manifest = out / "incidents.jsonl"
     manifest.write_text(manifest.read_text()[:40])
     timeline = out / "timeline.jsonl"
     timeline.write_bytes(timeline.read_bytes()[:-25])
@@ -256,7 +284,8 @@ def test_top_reads_a_torn_manifest_and_a_torn_timeline_tail(
     captured = capsys.readouterr()
     assert rc == 0
     assert "incidents: 0 dumped" in captured.out
-    assert f"note: {manifest}: skipped a manifest" in captured.err
+    assert (f"note: {manifest}: skipped 1 torn trailing record"
+            in captured.err)
     assert f"note: {timeline}: skipped 1 torn trailing record" in captured.err
     assert "Traceback" not in captured.err
 

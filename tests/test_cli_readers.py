@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.obs import list_incidents, load_blame_jsonl
+from repro.obs import load_blame_jsonl, load_incidents
 
 _KERNEL_RUN = ["run", "--policy", "cblru", "--docs", "20000",
                "--queries", "200", "--mem-mb", "2", "--ssd-mb", "8",
@@ -28,7 +28,7 @@ _KNEE_RUN = ["run", "--policy", "cbslru", "--docs", "20000",
 
 @pytest.fixture(scope="module")
 def kernel_dir(tmp_path_factory):
-    """spans, metrics, audit, timeline and blame; no incident bundle."""
+    """spans, metrics, audit, timeline and blame; no incident."""
     out = tmp_path_factory.mktemp("kernel") / "tel"
     assert main(_KERNEL_RUN + ["--no-flight", "--telemetry", str(out)]) == 0
     return out
@@ -36,10 +36,10 @@ def kernel_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def knee_dir(tmp_path_factory):
-    """Every artifact kind, incident bundles included."""
+    """Every artifact kind, incidents.jsonl included."""
     out = tmp_path_factory.mktemp("knee") / "tel"
     assert main(_KNEE_RUN + ["--telemetry", str(out)]) == 0
-    assert list_incidents(out)
+    assert load_incidents(out).incidents
     return out
 
 
@@ -139,18 +139,39 @@ def test_each_artifact_is_parsed_once(argv, knee_dir, monkeypatch, capsys):
 def test_explain_incident_with_a_bad_manifest_is_an_error_not_a_crash(
         knee_dir, tmp_path, capsys):
     out = _copy(knee_dir, tmp_path)
-    manifest_path = out / "incident-1" / "incident.json"
-    manifest = json.loads(manifest_path.read_text())
-    del manifest["counts"]
-    manifest_path.write_text(json.dumps(manifest))
+    log = out / "incidents.jsonl"
+    manifest, footer = log.read_text().splitlines()
+    manifest = json.loads(manifest)
+    del manifest["resources"]
+    log.write_text(json.dumps(manifest) + "\n" + footer + "\n")
     capsys.readouterr()
 
-    assert main(["incidents", str(out)]) == 0
-    assert "INVALID:" in capsys.readouterr().out
-    assert main(["explain", str(out), "--incident", "1"]) == 2
+    for argv in (["incidents", str(out)], ["explain", str(out), "--incident",
+                                           "1"], ["report", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "manifest missing 'resources'" in _one_error_line(captured)
+
+
+@pytest.mark.parametrize("argv", [
+    ["incidents"], ["explain", "--incident", "1"], ["top", "--once"],
+    ["report"],
+], ids=" ".join)
+def test_a_torn_manifest_is_skipped_and_noted(argv, knee_dir, tmp_path,
+                                              capsys):
+    """A run cut while appending its second manifest: every reader of the
+    incident log skips that line, notes it, and reads the first."""
+    out = _copy(knee_dir, tmp_path)
+    log = out / "incidents.jsonl"
+    manifest = log.read_text().splitlines()[0]
+    log.write_text(manifest + "\n" + manifest[: len(manifest) // 2])
+    capsys.readouterr()
+    assert main(argv[:1] + [str(out)] + argv[1:]) == 0
     captured = capsys.readouterr()
-    assert not captured.out
-    assert "manifest missing 'counts'" in _one_error_line(captured)
+    assert (f"note: {log}: skipped 1 torn trailing record(s)"
+            in captured.err)
+    assert "wait_dominated" in captured.out or argv == ["report"]
 
 
 def test_explain_query_rejects_blame_corrupt_mid_file(kernel_dir, tmp_path,

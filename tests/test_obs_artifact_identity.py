@@ -4,8 +4,8 @@
 scenario below is a seeded run whose telemetry directory is hashed file
 by file (SHA-256) and compared with the digests recorded from the commit
 *before* the armed path was rewritten (PR 21's tree): spans, audit,
-timeline, blame, ``metrics.json``, ``metrics.prom`` and every file of
-every ``incident-<n>/`` bundle.
+timeline, blame, ``metrics.json``, ``metrics.prom`` and the incident
+log, ``incidents.jsonl``.
 
 * ``closed_retained`` — the library path: a closed CBLRU run with spans,
   audit and a retained (non-streamed) timeline, dumped in one go by
@@ -13,7 +13,7 @@ every ``incident-<n>/`` bundle.
 * ``closed_streamed`` — the same shape through ``repro run --telemetry
   DIR --timeline`` (spans and windows streamed as they finish);
 * ``knee_kernel`` — a past-knee kernel-mode Poisson run that arms the
-  flight recorder and dumps at least one incident bundle.
+  flight recorder and dumps at least one incident.
 
 A digest that moves means a reader of those files sees something else:
 either fix the change or, when the format is *meant* to move, re-record
@@ -28,7 +28,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import CacheConfig, Policy
-from repro.obs import (Telemetry, list_incidents, load_telemetry_dir,
+from repro.obs import (Telemetry, load_incidents, load_telemetry_dir,
                        write_telemetry_dir)
 from repro.workloads.retrieval import prepare_cached_manager, run_cached
 from repro.workloads.sweep import make_log_for, make_scaled_index
@@ -62,7 +62,8 @@ def _knee_kernel(out: str) -> None:
                  "--concurrency", "2", "--max-queue", "64",
                  "--timeline", "--window-ms", "10",
                  "--telemetry", out]) == 0
-    assert list_incidents(out), "the past-knee run must dump an incident"
+    assert load_incidents(out).incidents, \
+        "the past-knee run must dump an incident"
 
 
 SCENARIOS = {
@@ -89,7 +90,10 @@ def digest_dir(root: str) -> dict[str, str]:
 #: ``windows.jsonl``), re-recorded when every non-sparse window began to
 #: carry each depth gauge behind the derived ``queue_depth``, and the
 #: audit, metrics and timeline files, re-recorded when the Fig. 13
-#: victims' evictions took the reason ``capacity``.
+#: victims' evictions took the reason ``capacity``, and the incident
+#: entries, re-recorded when an incident became one manifest line in
+#: ``incidents.jsonl`` over the directory's own files (the five
+#: ``incident-1/*`` copies are gone).
 PARENT_DIGESTS: dict[str, dict[str, str]] = {
     "closed_retained": {
         "audit.jsonl":
@@ -120,16 +124,8 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
             "fb3952b367e68590e16a125d8b3c937d43638967409ed3441b407b8798a66a0a",
         "blame.jsonl":
             "575ba5f74f9da2531a76b7d603f202d8a49bef5bc4798a12b2aea136fee3110e",
-        "incident-1/audit.jsonl":
-            "d0db8f1000316d7c1c29db27ab5f1aa541a2d5ddaaee2f80738105b69ea5acbd",
-        "incident-1/blame.json":
-            "a2a41b349940d04968abc0f8bb38f2911aa0a627ec61c89c140b2695214286f7",
-        "incident-1/incident.json":
-            "ad62b6dac9d947b04c766890a1e952d45afe1d83135602a93988a5946ef7a34b",
-        "incident-1/spans.jsonl":
-            "d6e326dbf0b6db8a6fca4573357a263199aac1dcabd2d4ec4772f033add8c35d",
-        "incident-1/windows.jsonl":
-            "97fd2ef924f3fc0c944c9a9227a095fbf1373aecceda44d58f14a3b6b72cdbc9",
+        "incidents.jsonl":
+            "0b36b60718ec0ecc2bb6dd04e22e64e850913a01ed878428c018cd82d73bcdf6",
         "metrics.json":
             "08c95b0f81c36c4d4940c71aa0702802e64440809e25d6f9280658de35a96240",
         "metrics.prom":

@@ -1,9 +1,11 @@
 """Following a live run through its telemetry directory: the ``repro top``
-frame, drawn straight from timeline windows and incident manifests."""
+frame, drawn straight from timeline windows and the manifests of
+``incidents.jsonl``."""
 
 from repro.cli import main
 from repro.core.config import CacheConfig, Policy
-from repro.obs import Telemetry, format_top_frame, load_timeline_jsonl
+from repro.obs import (FlightRecorder, Telemetry, format_top_frame,
+                       load_timeline_jsonl)
 from repro.obs import timeline as timeline_module
 from repro.workloads.retrieval import prepare_cached_manager, run_cached
 from repro.workloads.sweep import make_log_for, make_scaled_index
@@ -47,6 +49,25 @@ def test_status_from_dir_matches_live_shape(tmp_path):
     assert len(live) > 1
     assert (format_top_frame("run", load_timeline_jsonl(path).windows)
             == format_top_frame("run", live))
+
+
+def test_frame_reads_the_manifests_of_a_running_run(tmp_path, capsys):
+    """Mid-run (no footer, no metrics.json) ``top DIR`` lists the
+    manifests appended to incidents.jsonl so far, as the recorder holds
+    them."""
+    tel = Telemetry(trace=False, audit=False, out_dir=tmp_path)
+    timeline = tel.attach_timeline(window_us=100.0)
+    flight = FlightRecorder(tel, out_dir=tmp_path).arm()
+    windows = [_window(i, queue_depth=float(i if i < 8 else 0))
+               for i in range(12)]
+    for rec in windows:  # as the timeline closes a window
+        timeline._stream.write(rec)
+        timeline._stream.flush()
+        flight._on_window(rec)
+    assert len(flight.incidents) == 1
+    assert main(["top", str(tmp_path), "--once"]) == 0
+    assert capsys.readouterr().out == format_top_frame(
+        str(tmp_path), windows, flight.incidents) + "\n"
 
 
 def test_status_from_dir_without_timeline(tmp_path, capsys):

@@ -4,7 +4,7 @@
 its records as packed machine values; ``tests/_obs_store_reference.py``
 keeps the implementation that held one object per record.  Hypothesis
 drives both through the same random program — scoped spans (some
-bodies raise), serving-path inline opens, device leaves, a span sink, a
+bodies raise), serving-path inline opens, device leaves, a
 small ``MAX_SPANS`` cap, audit appends and mirrored events past a small
 ``AUDIT_CAPACITY`` — and every rendered span and record, its order,
 ``seq``, ``dropped`` and every written file must agree.
@@ -23,7 +23,6 @@ import tests._obs_store_reference as reference
 from repro._row import row_of
 from repro.core.events import AdmitEvent, EvictEvent, FlushEvent, L2VictimEvent
 from repro.obs import AuditLog, Tracer
-from repro.obs.tracer import span_dict
 from repro.sim.clock import VirtualClock
 
 
@@ -145,10 +144,10 @@ def _read(path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(program=st.lists(_ops, max_size=20), sink=st.booleans(),
+@given(program=st.lists(_ops, max_size=20),
        max_spans=st.integers(1, 25), capacity=st.integers(1, 12))
 def test_packed_stores_match_the_object_per_record_oracle(
-        program, sink, max_spans, capacity):
+        program, max_spans, capacity):
     with pytest.MonkeyPatch.context() as mp, \
             tempfile.TemporaryDirectory() as tmp:
         for module in (tracer_module, reference):
@@ -161,22 +160,17 @@ def test_packed_stores_match_the_object_per_record_oracle(
                 (reference.Tracer, reference.AuditLog, _inline_reference))):
             clock = VirtualClock()
             tracer, audit = tracer_cls(clock), audit_cls(clock)
-            seen = []
-            if sink:
-                tracer.set_span_sink(seen.append)
             _run(program, tracer, audit, clock, inline)
-            runs.append((tracer, audit, seen))
+            runs.append((tracer, audit))
             assert tracer.stack in ([0], [None])  # every span closed
 
-        (new, new_audit, new_seen), (ref, ref_audit, ref_seen) = runs
+        (new, new_audit), (ref, ref_audit) = runs
         assert ([s.to_dict() for s in new.spans]
                 == [s.to_dict() for s in ref.spans])
         assert len(new.spans) == len(ref.spans)
         if ref.spans:
             assert new.spans[-1].to_dict() == ref.spans[-1].to_dict()
         assert new.dropped == ref.dropped
-        assert ([span_dict(*values) for values in new_seen]
-                == [s.to_dict() for s in ref_seen])
 
         assert list(new_audit.records) == list(ref_audit.records)
         assert ([r.to_dict() for r in new_audit.records]
@@ -190,7 +184,7 @@ def test_packed_stores_match_the_object_per_record_oracle(
             assert (new_audit.records_for(first.kind, first.key)
                     == ref_audit.records_for(first.kind, first.key))
 
-        for side, (tracer, audit, _) in enumerate(runs):
+        for side, (tracer, audit) in enumerate(runs):
             tracer.export_jsonl(os.path.join(tmp, f"spans-{side}.jsonl"))
             audit.export_jsonl(os.path.join(tmp, f"audit-{side}.jsonl"))
         for name in ("spans", "audit"):

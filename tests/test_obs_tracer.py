@@ -6,7 +6,6 @@ import pytest
 
 import repro.obs.tracer as tracer_module
 from repro.obs import NULL_TRACER, NullTracer, Tracer
-from repro.obs.tracer import span_dict
 from repro.sim.clock import VirtualClock
 
 
@@ -84,16 +83,11 @@ def test_span_store_and_cap_are_read_live(clock, monkeypatch):
 
 def test_span_is_context_manager_and_record_in_one(clock):
     tr = Tracer(clock)
-    seen = []
-    tr.set_span_sink(seen.append)
     with tr.span("query", qid=1) as open_span:
         clock.advance(2.0)
     tr.record("leaf", 0.5, 1.5, lba=3)
-    # The kept span equals the object span() handed out, and the sink
-    # sees each span's values (no object, no dict) before storage.
+    # The kept span equals the object span() handed out.
     assert tr.spans[0].to_dict() == open_span.to_dict()
-    assert [span_dict(*values) for values in seen] == [
-        s.to_dict() for s in tr.spans]
     assert open_span.to_dict() == {
         "span_id": 1, "parent_id": None, "name": "query",
         "start_us": 0.0, "end_us": 2.0, "dur_us": 2.0, "attrs": {"qid": 1}}
