@@ -8,23 +8,35 @@ buckets.  Percentile extraction interpolates within the bucket holding
 the requested order statistic, so estimates land within one bucket width
 of the exact ``np.percentile`` value (property-tested in
 ``tests/test_obs_instruments.py``).
+
+Recording a sample is an append to the histogram's pending buffer;
+:meth:`Histogram.fold`, which every reader calls first, moves the
+buffer into the buckets.  This module is the only one that touches a
+histogram's buckets, bucket deltas or pending samples.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from bisect import bisect_right
+from functools import reduce
+from operator import add
 
 from repro._hot import HOT
 
 __all__ = ["Counter", "Gauge", "Histogram", "DEFAULT_PERCENTILES",
-           "GAUGE_MERGE_MODES"]
+           "GAUGE_MERGE_MODES", "PENDING_CAP", "take_window_deltas"]
 
 #: The percentile set every latency summary reports.
 DEFAULT_PERCENTILES = (50.0, 90.0, 95.0, 99.0, 99.9)
 
-#: The exemplar gate of a histogram nothing captures from.
-_CLOSED_GATE = (math.inf, math.inf)
+#: Samples a histogram holds pending before recording folds them in.
+PENDING_CAP = 256
+#: A fold of this many samples or more tallies them by value first.
+_TALLY_FROM = 32
+
+_INF = math.inf
 
 #: One exact boundary table per bucket layout ``(lo, growth)``, shared by
 #: every histogram of that layout: extending it is deterministic, so a
@@ -115,11 +127,17 @@ class Histogram:
     dict, so the value range is unbounded at O(observed buckets) memory.
     ``growth=1.04`` keeps every bucket within 4% relative width — more
     than enough for latency percentiles, where run-to-run noise dwarfs it.
+
+    Recording a sample appends it to a pending buffer; :meth:`fold`
+    moves the buffer into the buckets, ``count``, ``sum``, ``min`` and
+    ``max`` in sample order, and every reader folds first, so a reader
+    sees exactly what recording each sample on arrival would have left.
+    The fold is the only path that updates buckets.
     """
 
     __slots__ = ("lo", "growth", "_log_growth", "_bounds", "_counts",
-                 "count", "sum", "min", "max", "exemplar_sink",
-                 "exemplar_gate", "_pending")
+                 "_pending", "_samples", "_count", "_sum", "_min", "_max",
+                 "_room", "_refresh_at", "_threshold", "exemplar_sink")
 
     kind = "histogram"
 
@@ -141,16 +159,22 @@ class Histogram:
         # lets the timeline recorder emit per-window sub-histograms in
         # O(changed buckets) instead of re-diffing the whole dict.
         self._pending: dict[int, int] = {}
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        #: samples recorded since the last fold, in arrival order
+        self._samples: list[float] = []
+        self._count = 0
+        self._sum = 0.0
+        self._min = math.inf
+        self._max = -math.inf
         #: Optional tail-exemplar capture, set by repro.obs.timeline.
-        #: ExemplarStore.register: the sink, and the gate ``(count,
-        #: value)`` a sample must reach (either) to be offered to it —
-        #: closed by default, so the hot path is two compares.
+        #: ExemplarStore.register: the sink a sample passing
+        #: :attr:`exemplar_gate` is offered to.
         self.exemplar_sink = None
-        self.exemplar_gate = _CLOSED_GATE
+        # The gate, closed by default; _room is how many more samples the
+        # buffer takes before record() must fold (the cap, or the count
+        # at which the gate wants a refresh).
+        self._refresh_at = math.inf
+        self._threshold = math.inf
+        self._room = PENDING_CAP
 
     # -- recording -----------------------------------------------------------
 
@@ -212,29 +236,130 @@ class Histogram:
         return hi - lo
 
     def record(self, value: float) -> None:
-        # ``not >=`` also rejects NaN (an arbitrary bucket, a NaN ``sum``).
-        if not value >= 0:
-            raise ValueError(f"histogram samples must be non-negative, got {value}")
+        # ``not`` also rejects NaN (an arbitrary bucket, a NaN ``sum``).
+        if not 0.0 <= value < _INF:
+            raise ValueError(
+                f"histogram samples must be finite and non-negative, got {value}")
         HOT.histogram_records += 1
-        bounds = self._bounds
-        # bucket_index, minus its frame when the table already covers value
-        b = (bisect_right(bounds, value) if value < bounds[-1]
-             else self.bucket_index(value))
-        self._counts[b] = self._counts.get(b, 0) + 1
-        self._pending[b] = self._pending.get(b, 0) + 1
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        gate = self.exemplar_gate
-        if self.count >= gate[0] or value >= gate[1]:
+        samples = self._samples
+        samples.append(value)
+        if len(samples) >= self._room or value >= self._threshold:
+            self._spill(value)
+
+    def _spill(self, value: float) -> None:
+        """``record``'s slow path: fold, then offer ``value`` (the newest
+        sample) to the exemplar sink if it passed the gate."""
+        self.fold()
+        if self._count >= self._refresh_at or value >= self._threshold:
             self.exemplar_sink.offer(self, value)
 
     def record_many(self, values) -> None:
         for v in values:
             self.record(v)
+
+    def appender(self):
+        """The pending buffer's ``append``: a sample recorded without a
+        Python frame.
+
+        For an ungated histogram (no exemplar sink) only, and a caller
+        that passes finite non-negative samples, counts them in
+        ``HOT.histogram_records`` and calls :meth:`fold` before more
+        than :data:`PENDING_CAP` of them are pending.
+        """
+        return self._samples.append
+
+    def fold(self) -> None:
+        """Move the pending samples into the buckets (and the drain's
+        bucket deltas), ``count``, ``sum``, ``min`` and ``max``.
+
+        In sample order: buckets keep first-seen insertion order and
+        ``sum`` is plain in-order float addition (not the builtin
+        ``sum``, which compensates on 3.12, nor numpy's pairwise
+        reduce), so the result is bit for bit what recording each sample
+        on arrival gave.  A few samples are bucketed one by one; from
+        :data:`_TALLY_FROM` on, once per distinct value.
+        """
+        samples = self._samples
+        if not samples:
+            return
+        bounds = self._bounds
+        counts, deltas = self._counts, self._pending
+        low, high = self._min, self._max
+        n = len(samples)
+        if n < _TALLY_FROM:
+            # A window close every few queries: sample by sample.
+            total = self._sum
+            for v in samples:
+                if v >= bounds[-1]:
+                    self.bucket_index(v)  # extends the table first
+                b = bisect_right(bounds, v)
+                counts[b] = counts.get(b, 0) + 1
+                deltas[b] = deltas.get(b, 0) + 1
+                total += v
+                if v < low:
+                    low = v
+                if v > high:
+                    high = v
+        else:
+            # A full buffer: simulated latencies repeat exactly (a
+            # situation's device costs are fixed sums), so the work is
+            # per distinct value, in first-seen order (min and max keep
+            # the first of equal values, as the compares above do).
+            tally = collections.Counter(samples)
+            top = max(tally)
+            if top >= bounds[-1]:
+                self.bucket_index(top)  # extends the table first
+            for v, k in tally.items():
+                b = bisect_right(bounds, v)
+                counts[b] = counts.get(b, 0) + k
+                deltas[b] = deltas.get(b, 0) + k
+            total = reduce(add, samples, self._sum)
+            first = min(tally)
+            if first < low:
+                low = first
+            if top > high:
+                high = top
+        self._sum, self._min, self._max = total, low, high
+        count = self._count = self._count + n
+        samples.clear()
+        room = self._refresh_at - count
+        self._room = room if room < PENDING_CAP else PENDING_CAP
+
+    @property
+    def exemplar_gate(self) -> tuple[float, float]:
+        """``(count, value)``: a sample is offered to :attr:`exemplar_sink`
+        once the histogram's count reaches the first, or when it reaches
+        the second.  ``(inf, inf)`` (closed) by default."""
+        return (self._refresh_at, self._threshold)
+
+    @exemplar_gate.setter
+    def exemplar_gate(self, gate: tuple[float, float]) -> None:
+        self._refresh_at, self._threshold = gate
+        self._room = min(PENDING_CAP, self._refresh_at - self._count)
+
+    @property
+    def count(self) -> int:
+        if self._samples:
+            self.fold()
+        return self._count
+
+    @property
+    def sum(self) -> float:
+        if self._samples:
+            self.fold()
+        return self._sum
+
+    @property
+    def min(self) -> float:
+        if self._samples:
+            self.fold()
+        return self._min
+
+    @property
+    def max(self) -> float:
+        if self._samples:
+            self.fold()
+        return self._max
 
     # -- percentile extraction -----------------------------------------------
 
@@ -251,7 +376,7 @@ class Histogram:
                 frac = (remaining + 0.5) / c
                 return lo + frac * (hi - lo)
             remaining -= c
-        return self.max
+        return self._max
 
     def percentile(self, q: float, *,
                    _items: list[tuple[int, int]] | None = None) -> float:
@@ -264,17 +389,20 @@ class Histogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if self.count == 0:
+        if self._samples:
+            self.fold()
+        if self._count == 0:
             raise ValueError("empty histogram has no percentiles")
-        rank = q / 100.0 * (self.count - 1)
+        rank = q / 100.0 * (self._count - 1)
         i0 = math.floor(rank)
         i1 = math.ceil(rank)
         items = sorted(self._counts.items()) if _items is None else _items
         v0 = self._order_stat(i0, items)
         v = v0 if i1 == i0 else v0 + (rank - i0) * (self._order_stat(i1, items) - v0)
-        return min(max(v, self.min), self.max)
+        return min(max(v, self._min), self._max)
 
     def percentiles(self, qs=DEFAULT_PERCENTILES) -> tuple[float, ...]:
+        self.fold()
         items = sorted(self._counts.items())
         return tuple(self.percentile(q, _items=items) for q in qs)
 
@@ -284,6 +412,26 @@ class Histogram:
 
     # -- aggregation ---------------------------------------------------------
 
+    @classmethod
+    def from_buckets(cls, buckets: dict, count: int, total: float,
+                     lo: float = 0.5, growth: float = 1.04) -> "Histogram":
+        """A histogram of ``count`` samples summing to ``total``, held in
+        ``buckets`` (bucket index, as an int or its string, → samples),
+        in their order.
+
+        ``min``/``max`` are the occupied buckets' outer bounds, the
+        closest the buckets know; the bucket deltas start empty.
+        """
+        h = cls(lo=lo, growth=growth)
+        h._counts = {int(b): c for b, c in buckets.items()}
+        h._count = count
+        h._sum = total
+        if h._counts:
+            h._min = h.bucket_bounds(min(h._counts))[0]
+            h._max = h.bucket_bounds(max(h._counts))[1]
+        h._room = min(PENDING_CAP, h._refresh_at - count)
+        return h
+
     def merge(self, other: "Histogram") -> None:
         """Bucket-wise sum; both histograms must share a bucket layout."""
         if (self.lo, self.growth) != (other.lo, other.growth):
@@ -292,13 +440,16 @@ class Histogram:
                 f"(lo={self.lo}, growth={self.growth}) vs "
                 f"(lo={other.lo}, growth={other.growth})"
             )
+        self.fold()
+        other.fold()
         for b, c in other._counts.items():
             self._counts[b] = self._counts.get(b, 0) + c
             self._pending[b] = self._pending.get(b, 0) + c
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
+        self._count += other._count
+        self._sum += other._sum
+        self._min = min(self._min, other._min)
+        self._max = max(self._max, other._max)
+        self._room = min(PENDING_CAP, self._refresh_at - self._count)
 
     def take_bucket_deltas(self) -> dict[int, int]:
         """Drain the bucket increments since the previous drain.
@@ -307,21 +458,42 @@ class Histogram:
         per registry) owns the drain.  Increments accumulate from
         construction, so the first drain equals the full bucket dict.
         """
+        if self._samples:
+            self.fold()
         out = self._pending
         self._pending = {}
         return out
 
     def snapshot(self) -> dict:
+        self.fold()
         out = {
             "lo": self.lo,
             "growth": self.growth,
-            "count": self.count,
-            "sum": self.sum,
+            "count": self._count,
+            "sum": self._sum,
             "buckets": {str(b): c for b, c in sorted(self._counts.items())},
         }
-        if self.count:
-            out["min"] = self.min
-            out["max"] = self.max
+        if self._count:
+            out["min"] = self._min
+            out["max"] = self._max
             for q, v in zip(DEFAULT_PERCENTILES, self.percentiles()):
                 out[f"p{q:g}".replace(".", "")] = v
         return out
+
+
+def take_window_deltas(hists) -> list[tuple[int, int, float, dict[int, int]]]:
+    """:meth:`Histogram.take_bucket_deltas` over many histograms in one
+    call: ``(i, count, sum, deltas)`` for each ``hists[i]`` recorded into
+    since the previous drain (none other), after its fold.
+
+    How the timeline closes a window: a histogram's count moved exactly
+    when its drain is non-empty, so the unchanged ones cost no call.
+    """
+    out = []
+    for i, h in enumerate(hists):
+        if h._samples:
+            h.fold()
+        if h._pending:
+            out.append((i, h._count, h._sum, h._pending))
+            h._pending = {}
+    return out

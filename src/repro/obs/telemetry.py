@@ -29,9 +29,11 @@ from __future__ import annotations
 import os
 import weakref
 
+from repro._hot import HOT
 from repro.obs.audit import NULL_AUDIT, AuditLog
 from repro.obs.cache_metrics import CacheEventMetrics, CacheStatsMetrics
 from repro.obs.flash_metrics import FlashDeviceMetrics
+from repro.obs.instruments import PENDING_CAP
 from repro.obs.registry import MetricsRegistry, delta_counter
 from repro.obs.timeline import ExemplarStore, TimelineRecorder, series_key
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -101,10 +103,14 @@ class Telemetry:
         #: if any — flushed by close()/write_telemetry_dir.
         self.flight = None
         # Hot-path instrument caches: record_query runs once per query,
-        # so each busy channel's stage histogram (None for background
-        # channels) and the per-situation instruments are resolved once
-        # instead of going through the registry's (name, tags) lookup.
-        self._channel_hists: dict = {}
+        # so each busy channel's stage histogram (its sample buffer's
+        # append; None for background channels) and the per-situation
+        # instruments are resolved once instead of going through the
+        # registry's (name, tags) lookup.
+        self._stage_appends: dict = {}
+        self._stage_hists: list = []
+        #: stage samples appended since the stage histograms last folded
+        self._stage_pending = 0
         self._situation_insts: dict = {}
         self._occupancy_gauges: dict = {}
         self._dropped = [delta_counter(self.registry, "obs_dropped_total",
@@ -260,32 +266,41 @@ class Telemetry:
         absorbs queueing wait.  End-to-end ``query_latency_us`` stays
         exact either way.
         """
-        store = self.exemplars
-        if self.timeline is not None:
+        tl = self.timeline
+        if tl is not None:
+            now = clock._now_us
+            if now >= tl.edge_us:
+                tl.tick()
             # Registered histograms are recorded only below, so the
             # context is stamped per query and never needs clearing.
-            store.context = (qid, span_id, self.timeline.tick(), clock._now_us)
-        hists = self._channel_hists
+            self.exemplars.context = (qid, span_id, tl.open_window, now)
+        appends = self._stage_appends
         devices = 0.0
+        stages = 0
         for ch, busy in clock._busy_us.items():
             delta = busy - busy_before.get(ch, 0.0)
             if delta > 0.0:
-                h = hists.get(ch, _UNRESOLVED)
-                if h is _UNRESOLVED:
-                    stage = stage_of_channel(ch)
-                    h = hists[ch] = None if stage is None else (
-                        self.registry.histogram("stage_latency_us",
-                                                stage=stage))
-                if h is not None:
-                    h.record(delta)
+                append = appends.get(ch, _UNRESOLVED)
+                if append is _UNRESOLVED:
+                    append = self._stage_append(ch, stage_of_channel(ch))
+                if append is not None:
+                    append(delta)
                     devices += delta
+                    stages += 1
         cpu = response_us - devices
         if cpu > 1e-9:
-            h = hists.get(_CPU)
-            if h is None:
-                h = hists[_CPU] = self.registry.histogram(
-                    "stage_latency_us", stage="cpu")
-            h.record(cpu)
+            append = appends.get(_CPU)
+            if append is None:
+                append = self._stage_append(_CPU, "cpu")
+            append(cpu)
+            stages += 1
+        HOT.histogram_records += stages
+        pending = self._stage_pending + stages
+        if pending >= PENDING_CAP:
+            for h in self._stage_hists:
+                h.fold()
+            pending = 0
+        self._stage_pending = pending
         insts = self._situation_insts.get(situation)
         if insts is None:
             insts = self._situation_insts[situation] = (
@@ -293,11 +308,23 @@ class Telemetry:
                                         situation=situation),
                 self.registry.counter("queries_total", situation=situation),
             )
-            if store is not None:
-                store.register(insts[0], series_key(
+            if tl is not None:
+                self.exemplars.register(insts[0], series_key(
                     "query_latency_us", {"situation": situation}))
         insts[0].record(response_us)
         insts[1].value += 1
+
+    def _stage_append(self, key, stage: str | None):
+        """Resolve (once) the sample append of the ``stage_latency_us``
+        histogram behind a busy channel (or the cpu residual)."""
+        append = None
+        if stage is not None:
+            h = self.registry.histogram("stage_latency_us", stage=stage)
+            append = h.appender()
+            if h not in self._stage_hists:
+                self._stage_hists.append(h)
+        self._stage_appends[key] = append
+        return append
 
     def close(self) -> None:
         """Detach every event-bus subscription and finish the timeline

@@ -17,10 +17,11 @@ time series from the same counters the end-of-run report uses:
   the depth gauges behind the derived ``queue_depth`` are recorded in
   every non-sparse window, so that sum is exact from the record alone).
 
-Windows are closed *lazily*: the recorder checks the clock at each
-:meth:`tick` (the cache manager ticks once per query) and closes every
-window whose right edge has passed, attributing everything recorded
-since the previous close to the closing window.  Activity is therefore
+Windows are closed *lazily*: :meth:`tick` closes every window whose
+right edge the clock has passed (``record_query`` calls it once a
+query completes at or past :attr:`TimelineRecorder.edge_us`),
+attributing everything recorded since the previous close to the
+closing window.  Activity is therefore
 quantized at query granularity — a query's samples land in the window
 containing its completion time — while the sum-over-windows identities
 above hold exactly.  Windows with no activity are skipped (*sparse*);
@@ -59,6 +60,7 @@ measurements.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,7 +68,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from repro.obs._jsonl import JsonlWriter, read_jsonl, write_jsonl
-from repro.obs.instruments import Histogram
+from repro.obs.instruments import Histogram, take_window_deltas
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -202,6 +204,25 @@ class ExemplarStore:
 # The recorder
 # ---------------------------------------------------------------------------
 
+def _right_edge(window: int, window_us: float) -> float:
+    """The smallest float ``t`` with ``int(t // window_us) > window``.
+
+    Starts at the analytic ``(window + 1) * window_us`` and walks by
+    ulps (``math.nextafter``) to the exact float where floor division
+    first passes ``window``, as the histogram's boundary table does, so
+    ``now >= edge`` and :meth:`TimelineRecorder.tick`'s own test agree
+    on every clock reading.
+    """
+    t = (window + 1) * window_us
+    if t // window_us > window:
+        while (p := math.nextafter(t, -math.inf)) // window_us > window:
+            t = p
+    else:
+        while not t // window_us > window:
+            t = math.nextafter(t, math.inf)
+    return t
+
+
 #: Closed windows held in memory (drop-oldest, counted in ``dropped_windows``).
 RETAIN_WINDOWS = 4096
 
@@ -231,7 +252,10 @@ class TimelineRecorder:
         self.windows: deque[dict] = deque(maxlen=RETAIN_WINDOWS)
         self.dropped_windows = 0
         self.emitted = 0
-        self._open = 0
+        #: the open window's index, and the first clock reading past its
+        #: right edge: a query completing before ``edge_us`` needs no tick
+        self.open_window = 0
+        self.edge_us = _right_edge(0, self.window_us)
         self._finished = False
         #: the timeline file's :class:`JsonlWriter` when streaming, else None
         self._stream: JsonlWriter | None = None
@@ -239,6 +263,7 @@ class TimelineRecorder:
         # [series key, instrument, value at last close] rows per kind, in
         # registry order; rebuilt when the append-only registry has grown.
         self._by_kind: tuple[list, list, list] = ([], [], [])
+        self._hists: list[Histogram] = []
         self._planned = 0
 
     # -- streaming -----------------------------------------------------------
@@ -274,9 +299,10 @@ class TimelineRecorder:
         """Close every window whose right edge the clock has passed;
         returns the index of the window the clock is in."""
         idx = int(self.clock.now_us // self.window_us)
-        if idx > self._open:
+        if idx > self.open_window:
             self._close_open_window()
-            self._open = idx
+            self.open_window = idx
+            self.edge_us = _right_edge(idx, self.window_us)
         return idx
 
     def finish(self) -> None:
@@ -319,6 +345,7 @@ class TimelineRecorder:
                     for name, tags, inst in self.registry.items()]
             self._by_kind = tuple([row for row in rows if row[1].kind == kind]
                                   for kind in start)
+            self._hists = [row[1] for row in self._by_kind[2]]
             self._planned = len(rows)
         # Only series that moved since the previous close are recorded,
         # and the depth gauges (derive_window sums all of them).
@@ -338,26 +365,25 @@ class TimelineRecorder:
                 moved = True
             elif row[3]:
                 gauges[row[0]] = value
-        for row in self._by_kind[2]:
-            inst = row[1]
+        hist_rows = self._by_kind[2]
+        for i, count, total, delta_b in take_window_deltas(self._hists):
+            row = hist_rows[i]
             prev_c, prev_s = row[2]
-            if inst.count != prev_c:
-                delta_b = inst.take_bucket_deltas()
-                hists[row[0]] = {
-                    "count": inst.count - prev_c,
-                    "sum": inst.sum - prev_s,
-                    "lo": inst.lo,
-                    "growth": inst.growth,
-                    "buckets": {str(b): delta_b[b] for b in sorted(delta_b)},
-                }
-                row[2] = (inst.count, inst.sum)
+            hists[row[0]] = {
+                "count": count - prev_c,
+                "sum": total - prev_s,
+                "lo": row[1].lo,
+                "growth": row[1].growth,
+                "buckets": {str(b): delta_b[b] for b in sorted(delta_b)},
+            }
+            row[2] = (count, total)
         if not (counters or moved or hists):
             return  # sparse: nothing happened in this window
         rec = {
             "type": "window",
-            "window": self._open,
-            "start_us": self._open * self.window_us,
-            "end_us": (self._open + 1) * self.window_us,
+            "window": self.open_window,
+            "start_us": self.open_window * self.window_us,
+            "end_us": (self.open_window + 1) * self.window_us,
             "counters": counters,
             "gauges": gauges,
             "histograms": hists,
@@ -411,15 +437,9 @@ def sub_histogram(entry: dict) -> Histogram:
     so percentile estimates stay within one bucket width of the values
     a live per-window histogram would have produced.
     """
-    h = Histogram(lo=entry.get("lo", 0.5), growth=entry.get("growth", 1.04))
-    buckets = {int(b): c for b, c in entry["buckets"].items()}
-    h._counts = buckets
-    h.count = entry["count"]
-    h.sum = entry["sum"]
-    if buckets:
-        h.min = h.bucket_bounds(min(buckets))[0]
-        h.max = h.bucket_bounds(max(buckets))[1]
-    return h
+    return Histogram.from_buckets(
+        entry["buckets"], entry["count"], entry["sum"],
+        lo=entry.get("lo", 0.5), growth=entry.get("growth", 1.04))
 
 
 #: The gauges the derived ``queue_depth`` sums (every one, every window).

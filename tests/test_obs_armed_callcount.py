@@ -28,9 +28,13 @@ from the event's fields instead of a ``record(**data)`` call, brought it
 to 39 153 (78.3), under a ceiling of 74 % of 53 973.  The caches
 counting their own replacement statistics and building events only for
 an observed bus took the stats recorder's frame off both runs and the
-bus's dispatch frame off the armed one: 34 859 (69.7); the ceiling is
-now 66 % of 53 973.  The armed stack must also land on the same
-simulated outcome as the unobserved one (observe, never perturb).
+bus's dispatch frame off the armed one: 34 859 (69.7), under 66 % of
+53 973.  Recording a query's samples as appends that the histograms
+fold when read (no ``tick`` frame before the open window's right edge,
+no frame per stage sample, one batched drain per window close) brought
+it to 33 352 (66.7); the ceiling is now 62 % of 53 973.  The armed
+stack must also land on the same simulated outcome as the unobserved
+one (observe, never perturb).
 
 The second test prices one armed result hit exactly, frame by frame.
 """
@@ -51,7 +55,7 @@ WARM, COUNTED = 1000, 500
 
 #: Extra calls of the armed pass at the parent commit (Python 3.11).
 PARENT_EXTRA_CALLS = 53_973
-EXTRA_CALL_CEILING = PARENT_EXTRA_CALLS * 66 // 100
+EXTRA_CALL_CEILING = PARENT_EXTRA_CALLS * 62 // 100
 
 
 def _armed_telemetry(window_us: float = 100_000.0) -> Telemetry:
@@ -102,7 +106,7 @@ def test_armed_pass_extra_calls_are_pinned():
     assert extra <= EXTRA_CALL_CEILING, (
         f"{extra} extra Python calls inside repro/ for {COUNTED} armed "
         f"steady-state queries ({extra / COUNTED:.1f}/query); ceiling "
-        f"{EXTRA_CALL_CEILING} = 66 % of the parent's {PARENT_EXTRA_CALLS}"
+        f"{EXTRA_CALL_CEILING} = 62 % of the parent's {PARENT_EXTRA_CALLS}"
     )
 
 
@@ -126,14 +130,15 @@ def test_an_armed_hit_pays_one_frame_per_span():
     its ``result.lookup`` and the device read) + two per cache event
     (the metrics observer, bound as the emitter itself, and
     ``AuditLog.on_*``, which appends its record itself; the unobserved
-    run builds no event at all) + five for the query record
-    (``record_query``, the timeline's ``tick`` and its clock read, two
-    ``Histogram.record``).
+    run builds no event at all) + two for the query record
+    (``record_query`` and the gated ``query_latency_us`` histogram's
+    ``record``: a stage sample is a frameless append, and the timeline
+    ticks only once the clock passes the open window's right edge).
     """
     off, k = _hit_stack(None)
     # A window that never closes: what is priced is the per-query path.
     armed, _ = _hit_stack(_armed_telemetry(window_us=1e15))
-    spans, record = 3, 5
+    spans, record = 3, 2
     # k2 back from SSD: its L1 victim's evict, the victim's REPLACEABLE
     # SSD copy re-validated (an L2 admit) and k2's own L1 admit.  Then k8
     # from memory: no event.
