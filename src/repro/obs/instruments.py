@@ -243,14 +243,14 @@ class Histogram:
         HOT.histogram_records += 1
         samples = self._samples
         samples.append(value)
-        if len(samples) >= self._room or value >= self._threshold:
+        if len(samples) >= self._room or value > self._threshold:
             self._spill(value)
 
     def _spill(self, value: float) -> None:
         """``record``'s slow path: fold, then offer ``value`` (the newest
         sample) to the exemplar sink if it passed the gate."""
         self.fold()
-        if self._count >= self._refresh_at or value >= self._threshold:
+        if self._count >= self._refresh_at or value > self._threshold:
             self.exemplar_sink.offer(self, value)
 
     def record_many(self, values) -> None:
@@ -328,8 +328,8 @@ class Histogram:
     @property
     def exemplar_gate(self) -> tuple[float, float]:
         """``(count, value)``: a sample is offered to :attr:`exemplar_sink`
-        once the histogram's count reaches the first, or when it reaches
-        the second.  ``(inf, inf)`` (closed) by default."""
+        once the histogram's count reaches the first, or when it exceeds
+        the second (a tie is not a tail).  ``(inf, inf)`` (closed) by default."""
         return (self._refresh_at, self._threshold)
 
     @exemplar_gate.setter

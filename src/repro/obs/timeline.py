@@ -149,9 +149,11 @@ class ExemplarStore:
 
     A histogram registered via :meth:`register` gets this store as its
     ``exemplar_sink``: every :meth:`~repro.obs.instruments.Histogram.
-    record` at or above the :data:`EXEMPLAR_Q`-th percentile of *that*
-    histogram captures the ambient :attr:`context` (query id, span id,
-    timeline window, time) its owner assigns.  The percentile threshold
+    record` strictly above the :data:`EXEMPLAR_Q`-th percentile of
+    *that* histogram captures the ambient :attr:`context` (query id,
+    span id, timeline window, time) its owner assigns.  Strictly: a
+    histogram of one repeated value has its percentile at that value,
+    and none of its samples is a tail.  The percentile threshold
     lives in the histogram's ``exemplar_gate`` with the count at which it
     is refreshed next, so ``record`` offers only a tail sample or a due
     refresh; the store itself is a bounded ring
@@ -176,13 +178,14 @@ class ExemplarStore:
     def offer(self, hist: Histogram, value: float) -> None:
         """Called by ``Histogram.record`` for a sample that passed the
         histogram's gate: refreshes the threshold once the count reaches
-        the gate's, then captures the sample if it is in the tail."""
+        the gate's, then captures the sample if it is above the
+        threshold."""
         count = hist.count
         refresh_at, threshold = hist.exemplar_gate
         if count >= refresh_at:
             threshold = hist.percentile(EXEMPLAR_Q)
             hist.exemplar_gate = (count + max(64, count // 2), threshold)
-        if value < threshold:
+        if value <= threshold:
             return
         qid, span_id, window, t_us = self.context
         if len(self.exemplars) == self.exemplars.maxlen:

@@ -11,8 +11,10 @@
 * :class:`ReferenceHistogram` — ``repro.obs.instruments.Histogram`` as
   it was before recording became an append folded on read: every sample
   updates its bucket, ``count``, ``sum``, ``min``, ``max`` and the
-  exemplar gate as it arrives.  ``tests/test_obs_histogram_fold.py``
-  holds the folding histogram equal to it field for field.
+  exemplar gate as it arrives (the gate strict, as it is now: a sample
+  equal to the threshold is not offered).
+  ``tests/test_obs_histogram_fold.py`` holds the folding histogram
+  equal to it field for field.
 """
 
 import math
@@ -186,7 +188,8 @@ class ReferenceHistogram:
         self.max = -math.inf
         #: Optional tail-exemplar capture, set by repro.obs.timeline.
         #: ExemplarStore.register: the sink, and the gate ``(count,
-        #: value)`` a sample must reach (either) to be offered to it —
+        #: value)`` the count must reach or a sample exceed to be
+        #: offered to it —
         #: closed by default, so the hot path is two compares.
         self.exemplar_sink = None
         self.exemplar_gate = _CLOSED_GATE
@@ -268,7 +271,7 @@ class ReferenceHistogram:
         if value > self.max:
             self.max = value
         gate = self.exemplar_gate
-        if self.count >= gate[0] or value >= gate[1]:
+        if self.count >= gate[0] or value > gate[1]:
             self.exemplar_sink.offer(self, value)
 
     def record_many(self, values) -> None:

@@ -93,7 +93,9 @@ def digest_dir(root: str) -> dict[str, str]:
 #: victims' evictions took the reason ``capacity``, and the incident
 #: entries, re-recorded when an incident became one manifest line in
 #: ``incidents.jsonl`` over the directory's own files (the five
-#: ``incident-1/*`` copies are gone).
+#: ``incident-1/*`` copies are gone), and the closed runs'
+#: ``timeline.jsonl``, re-recorded when the exemplar gate became strict
+#: (a sample equal to its histogram's p99 is no longer a tail exemplar).
 PARENT_DIGESTS: dict[str, dict[str, str]] = {
     "closed_retained": {
         "audit.jsonl":
@@ -105,7 +107,7 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
         "spans.jsonl":
             "3401d26694d609ea6d71e12fdc93e3a366c352294ac5d837d7fa69b4165011c3",
         "timeline.jsonl":
-            "9b7e327ed2d4a22c7c3152131b74ed000cc231470a1042e8d069b68f8827162d",
+            "01a95b9f41150b2ac75cdc67032407cf0458b76f9843182ef1fcf8b2f3968844",
     },
     "closed_streamed": {
         "audit.jsonl":
@@ -117,7 +119,7 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
         "spans.jsonl":
             "3401d26694d609ea6d71e12fdc93e3a366c352294ac5d837d7fa69b4165011c3",
         "timeline.jsonl":
-            "1b83e7d938625cd05374da1d64901d13b2cec6c43719443a75e8f862ccc7f382",
+            "9f68172937285c2453ee6730c999d61f85fb7c6ef95ceb917bf894ffe6dfbd6d",
     },
     "knee_kernel": {
         "audit.jsonl":

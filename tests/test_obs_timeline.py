@@ -230,6 +230,22 @@ def test_exemplar_store_captures_tail_samples_with_context():
         assert ex.span_id == 1000 + ex.query_id
 
 
+def test_a_repeated_value_is_not_a_tail():
+    """A histogram of one value has its p99 at that value (clamped to
+    the max), so no repeat of it is captured; a later, larger sample
+    is."""
+    store = ExemplarStore()
+    h = Histogram()
+    store.register(h, "lat")
+    for i in range(1, 1001):
+        store.context = (i, 1000 + i, 0, float(i))
+        h.record(2.248)
+    assert list(store.exemplars) == [] and store.dropped == 0
+    store.context = (1001, 2001, 1, 1001.0)
+    h.record(3.0)
+    assert [(e.value_us, e.query_id) for e in store.exemplars] == [(3.0, 1001)]
+
+
 def test_exemplar_traceable_to_span_and_audit(small_index):
     """The acceptance chain: histogram sample -> span -> audit records."""
     tel = Telemetry()  # tracing and audit on
