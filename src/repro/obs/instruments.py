@@ -329,7 +329,8 @@ class Histogram:
     def exemplar_gate(self) -> tuple[float, float]:
         """``(count, value)``: a sample is offered to :attr:`exemplar_sink`
         once the histogram's count reaches the first, or when it exceeds
-        the second (a tie is not a tail).  ``(inf, inf)`` (closed) by default."""
+        the second (a tie is not a tail).  Closed, ``(inf, inf)``, by
+        default."""
         return (self._refresh_at, self._threshold)
 
     @exemplar_gate.setter
@@ -429,7 +430,6 @@ class Histogram:
         if h._counts:
             h._min = h.bucket_bounds(min(h._counts))[0]
             h._max = h.bucket_bounds(max(h._counts))[1]
-        h._room = min(PENDING_CAP, h._refresh_at - count)
         return h
 
     def merge(self, other: "Histogram") -> None:

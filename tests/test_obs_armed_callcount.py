@@ -32,7 +32,7 @@ bus's dispatch frame off the armed one: 34 859 (69.7), under 66 % of
 53 973.  Recording a query's samples as appends that the histograms
 fold when read (no ``tick`` frame before the open window's right edge,
 no frame per stage sample, one batched drain per window close) brought
-it to 33 352 (66.7); the ceiling is now 62 % of 53 973.  The armed
+it to 33 360 (66.7); the ceiling is now 62 % of 53 973.  The armed
 stack must also land on the same simulated outcome as the unobserved
 one (observe, never perturb).
 
