@@ -17,11 +17,8 @@ histogram's buckets, bucket deltas or pending samples.
 
 from __future__ import annotations
 
-import collections
 import math
 from bisect import bisect_right
-from functools import reduce
-from operator import add
 
 from repro._hot import HOT
 
@@ -33,8 +30,6 @@ DEFAULT_PERCENTILES = (50.0, 90.0, 95.0, 99.0, 99.9)
 
 #: Samples a histogram holds pending before recording folds them in.
 PENDING_CAP = 256
-#: A fold of this many samples or more tallies them by value first.
-_TALLY_FROM = 32
 
 _INF = math.inf
 
@@ -276,51 +271,27 @@ class Histogram:
         ``sum`` is plain in-order float addition (not the builtin
         ``sum``, which compensates on 3.12, nor numpy's pairwise
         reduce), so the result is bit for bit what recording each sample
-        on arrival gave.  A few samples are bucketed one by one; from
-        :data:`_TALLY_FROM` on, once per distinct value.
+        on arrival gave.
         """
         samples = self._samples
         if not samples:
             return
         bounds = self._bounds
         counts, deltas = self._counts, self._pending
-        low, high = self._min, self._max
-        n = len(samples)
-        if n < _TALLY_FROM:
-            # A window close every few queries: sample by sample.
-            total = self._sum
-            for v in samples:
-                if v >= bounds[-1]:
-                    self.bucket_index(v)  # extends the table first
-                b = bisect_right(bounds, v)
-                counts[b] = counts.get(b, 0) + 1
-                deltas[b] = deltas.get(b, 0) + 1
-                total += v
-                if v < low:
-                    low = v
-                if v > high:
-                    high = v
-        else:
-            # A full buffer: simulated latencies repeat exactly (a
-            # situation's device costs are fixed sums), so the work is
-            # per distinct value, in first-seen order (min and max keep
-            # the first of equal values, as the compares above do).
-            tally = collections.Counter(samples)
-            top = max(tally)
-            if top >= bounds[-1]:
-                self.bucket_index(top)  # extends the table first
-            for v, k in tally.items():
-                b = bisect_right(bounds, v)
-                counts[b] = counts.get(b, 0) + k
-                deltas[b] = deltas.get(b, 0) + k
-            total = reduce(add, samples, self._sum)
-            first = min(tally)
-            if first < low:
-                low = first
-            if top > high:
-                high = top
+        total, low, high = self._sum, self._min, self._max
+        for v in samples:
+            if v >= bounds[-1]:
+                self._extend_bounds(v)
+            b = bisect_right(bounds, v)
+            counts[b] = counts.get(b, 0) + 1
+            deltas[b] = deltas.get(b, 0) + 1
+            total += v
+            if v < low:
+                low = v
+            if v > high:
+                high = v
         self._sum, self._min, self._max = total, low, high
-        count = self._count = self._count + n
+        count = self._count = self._count + len(samples)
         samples.clear()
         room = self._refresh_at - count
         self._room = room if room < PENDING_CAP else PENDING_CAP
@@ -458,11 +429,8 @@ class Histogram:
         per registry) owns the drain.  Increments accumulate from
         construction, so the first drain equals the full bucket dict.
         """
-        if self._samples:
-            self.fold()
-        out = self._pending
-        self._pending = {}
-        return out
+        drained = take_window_deltas((self,))
+        return drained[0][3] if drained else {}
 
     def snapshot(self) -> dict:
         self.fold()
@@ -482,12 +450,14 @@ class Histogram:
 
 
 def take_window_deltas(hists) -> list[tuple[int, int, float, dict[int, int]]]:
-    """:meth:`Histogram.take_bucket_deltas` over many histograms in one
-    call: ``(i, count, sum, deltas)`` for each ``hists[i]`` recorded into
+    """Drain the bucket increments of many histograms in one call:
+    ``(i, count, sum, deltas)`` for each ``hists[i]`` recorded into
     since the previous drain (none other), after its fold.
 
-    How the timeline closes a window: a histogram's count moved exactly
-    when its drain is non-empty, so the unchanged ones cost no call.
+    The one drain: :meth:`Histogram.take_bucket_deltas` is this over one
+    histogram.  How the timeline closes a window: a histogram's count
+    moved exactly when its drain is non-empty, so the unchanged ones
+    cost no call.
     """
     out = []
     for i, h in enumerate(hists):

@@ -26,6 +26,7 @@ per-query sum equals the query's response time.
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
 
@@ -48,6 +49,7 @@ _UNRESOLVED = object()
 _LOSSES = ("spans", "audit_records", "windows", "exemplars", "blame_records")
 #: Key of the ``cpu`` residual stage in that cache (no channel is an object).
 _CPU = object()
+_INF = math.inf
 
 
 def stage_of_channel(channel: str) -> str | None:
@@ -266,6 +268,11 @@ class Telemetry:
         absorbs queueing wait.  End-to-end ``query_latency_us`` stays
         exact either way.
         """
+        # Before anything is appended: a rejected query leaves no sample.
+        if not 0.0 <= response_us < _INF:
+            raise ValueError(
+                f"response time must be finite and non-negative, "
+                f"got {response_us}")
         tl = self.timeline
         if tl is not None:
             now = clock._now_us

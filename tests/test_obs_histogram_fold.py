@@ -215,3 +215,24 @@ def test_a_query_record_counts_its_samples_and_stays_bounded(monkeypatch):
     hists = [inst for name, _, inst in tel.registry.items()
              if inst.kind == "histogram"]
     assert recorded == sum(h.count for h in hists) == 400
+
+
+def test_a_rejected_query_record_leaves_every_histogram_readable():
+    """A response time that cannot be bucketed is refused before any
+    stage sample is appended, so no buffer holds it for a later fold."""
+    clock = VirtualClock()
+    tel = Telemetry(trace=False, audit=False)
+    tel.bind_clock(clock)
+    busy0 = tel.busy_snapshot(clock)
+    clock.consume("ssd-cache", 30.0)
+    tel.record_query("S3", 40.0, busy0, clock, qid=0)
+    before = tel.registry.snapshot()
+    for bad in (math.inf, math.nan, -1.0):
+        busy0 = tel.busy_snapshot(clock)
+        clock.consume("ssd-cache", 30.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            tel.record_query("S3", bad, busy0, clock, qid=1)
+    hists = [inst for name, _, inst in tel.registry.items()
+             if inst.kind == "histogram"]
+    assert all(not h._samples for h in hists)
+    assert tel.registry.snapshot() == before
