@@ -219,7 +219,7 @@ def _run_open_scenario(scenario: BenchScenario, index, log, cfg) -> dict:
     )
     timeline.finish()
     incidents = flight.finish()
-    rec = getattr(tel, "blame", None)
+    rec = tel.blame
     blame_block = None
     if rec is not None and rec.admission is not None:
         # Conservation must hold once the kernel has drained; a broken

@@ -251,16 +251,6 @@ class Broker:
     def total_ssd_erases(self) -> int:
         return sum(s.ssd_erase_count for s in self.shards)
 
-    def cache_event_totals(self):
-        """Cluster-wide cache-event counts: the key-wise sum of every
-        shard's :class:`~repro.core.events.EventCounter`."""
-        from repro.core.events import EventCounter
-
-        total = EventCounter()
-        for shard in self.shards:
-            total.merge(shard.cache_events)
-        return total
-
     def aggregated_registry(self):
         """One merged :class:`~repro.obs.MetricsRegistry` over all shards
         that carry telemetry (counters/histograms sum across shards)."""
@@ -281,10 +271,9 @@ class Broker:
         out = {}
         for shard in self.shards:
             tel = shard.telemetry
-            timeline = getattr(tel, "timeline", None) if tel else None
-            if timeline is not None:
-                timeline.finish()
-                out[shard.shard_id] = list(timeline.windows)
+            if tel is not None and tel.timeline is not None:
+                tel.timeline.finish()
+                out[shard.shard_id] = list(tel.timeline.windows)
         return out
 
     def detect_skew(self, series: str = "hit_ratio",

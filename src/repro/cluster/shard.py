@@ -9,7 +9,6 @@ the regime the paper's per-server cache operates in.
 from __future__ import annotations
 
 from repro.core.config import CacheConfig
-from repro.core.events import EventCounter
 from repro.core.manager import CacheManager, QueryOutcome, build_hierarchy_for
 from repro.engine.corpus import CorpusConfig, CorpusStats, build_corpus_stats
 from repro.engine.index import InvertedIndex
@@ -74,9 +73,6 @@ class IndexShard:
         self.telemetry = telemetry
         self.manager = CacheManager(cache_config, hierarchy, self.index,
                                     telemetry=telemetry)
-        # Per-shard cache observability via the event-hook seam instead of
-        # reaching into the manager's cache internals.
-        self.cache_events = EventCounter(self.manager.events)
         self._seed = seed + shard_id
 
     def warmup_static(self, log: QueryLog, analyze_queries: int | None = None):
@@ -95,12 +91,6 @@ class IndexShard:
     @property
     def ssd_erase_count(self) -> int:
         return self.manager.ssd.erase_count if self.manager.ssd else 0
-
-    @property
-    def ssd_flush_count(self) -> int:
-        """SSD cache-file writes observed via the event hooks."""
-        return (self.cache_events.get("flush", "result")
-                + self.cache_events.get("flush", "list"))
 
     def describe(self) -> str:
         return (

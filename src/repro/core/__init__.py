@@ -13,8 +13,8 @@
   ``CacheConfig.uses_static``).
 * :mod:`repro.core.result_cache` / :mod:`repro.core.list_cache` — the
   layered L1<->L2 flows for results and inverted lists.
-* :mod:`repro.core.events` — the cache life-cycle hook bus (on_admit,
-  on_evict, on_flush, on_l2_victim) for observers.
+* :mod:`repro.core.events` — the cache life-cycle hooks (on_admit,
+  on_evict, on_flush, on_l2_victim), delivered to one observer.
 * :mod:`repro.core.manager` — the cache manager of Fig. 2 (selection /
   query / replacement management) orchestrating memory, SSD and HDD.
 """
@@ -24,7 +24,6 @@ from repro.core.entries import CachedList, CachedResult, EntryState, ResultBlock
 from repro.core.events import (
     AdmitEvent,
     CacheEvents,
-    EventCounter,
     EvictEvent,
     FlushEvent,
     L2VictimEvent,
@@ -72,7 +71,6 @@ __all__ = [
     "FlushEvent",
     "L2VictimEvent",
     "CacheEvents",
-    "EventCounter",
     "Replacement",
     "ResultCache",
     "ListCache",

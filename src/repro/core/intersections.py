@@ -137,9 +137,8 @@ class ThreeLevelCacheManager(CacheManager):
         self.intersections = IntersectionCache(
             intersection_bytes, replace_window=config.replace_window
         )
-        observe_occupancy = getattr(telemetry, "observe_occupancy", None)
-        if observe_occupancy is not None:
-            observe_occupancy(self.intersections.occupancy)
+        if telemetry is not None:
+            telemetry.observe_occupancy(self.intersections.occupancy)
         self.min_pair_freq = min_pair_freq
         self._pair_freq: dict[tuple[int, int], int] = {}
 

@@ -10,10 +10,10 @@ composable layers:
 * :class:`repro.core.selection.SelectionPolicy` — admission (Formula
   1/2 + TEV) and :class:`repro.core.replacement.Replacement` — the victim
   rules of LRU / CBLRU / CBSLRU, both fixed by ``config.policy``;
-* :class:`repro.core.events.CacheEvents` — the observability seam that
-  telemetry, cluster shards and custom subscribers consume instead of
-  reaching into cache internals (the caches count their own
-  :class:`~repro.core.stats.CacheStats`; the bus is for observers).
+* :class:`repro.core.events.CacheEvents` — the observability seam: one
+  observer (the telemetry, or any object with the four hooks) sees the
+  cache life cycle instead of reaching into cache internals (the caches
+  count their own :class:`~repro.core.stats.CacheStats`).
 
 ``process_query`` runs the full Table I flow for one query and charges
 every device access to the shared virtual clock, so mean response time,
@@ -149,16 +149,12 @@ class CacheManager:
             telemetry.observe_cache_events(self.events)
             self._tracer = telemetry.tracer
             hierarchy.attach_tracer(self._tracer)
-            self._audit = getattr(telemetry, "audit", NULL_AUDIT)
+            self._audit = telemetry.audit
             hierarchy.attach_audit(self._audit)
-            observe_flash = getattr(telemetry, "observe_flash", None)
-            if observe_flash is not None:
-                observe_flash(self.ssd)
-                if hasattr(self.store, "ftl") and self.store is not self.ssd:
-                    observe_flash(self.store)
-            observe_stats = getattr(telemetry, "observe_stats", None)
-            if observe_stats is not None:
-                observe_stats(self.stats)
+            telemetry.observe_flash(self.ssd)
+            if hasattr(self.store, "ftl") and self.store is not self.ssd:
+                telemetry.observe_flash(self.store)
+            telemetry.observe_stats(self.stats)
         else:
             self._tracer = NULL_TRACER
             self._audit = NULL_AUDIT
@@ -204,10 +200,9 @@ class CacheManager:
         )
         # The telemetry samples the caches, never ``self``: the manager
         # owns its telemetry, so the pair forms no reference cycle.
-        observe_occupancy = getattr(telemetry, "observe_occupancy", None)
-        if observe_occupancy is not None:
-            observe_occupancy(self.result_cache.occupancy)
-            observe_occupancy(self.list_cache.occupancy)
+        if telemetry is not None:
+            telemetry.observe_occupancy(self.result_cache.occupancy)
+            telemetry.observe_occupancy(self.list_cache.occupancy)
 
     # ------------------------------------------------------------------
     # Query management (QM)

@@ -162,7 +162,6 @@ class AuditLog:
         self._records = bytearray()
         self._keys: list = []
         self._data: list = []
-        self._unsubscribes: list = []
 
     def __len__(self) -> int:
         return len(self._data)
@@ -238,9 +237,9 @@ class AuditLog:
         return self._seq - len(self._data)
 
     # The event mirror, one body per hook and one frame per event (the
-    # record is stored here, its row built from the event's fields):
-    # subscribed by observe_events, or called by Telemetry's fused
-    # observer (CacheEventMetrics).
+    # record is stored here, its row built from the event's fields): the
+    # log is itself a cache-event observer (``events.observe(log)``), and
+    # Telemetry's fused observer (CacheEventMetrics) calls these hooks.
 
     def on_admit(self, e) -> None:
         self._seq = seq = self._seq + 1
@@ -303,20 +302,6 @@ class AuditLog:
         self._keys.append(e.key)
         self._data.append(data)
 
-    def observe_events(self, events) -> None:
-        """Mirror a :class:`~repro.core.events.CacheEvents` bus into the
-        trail, so decision records sit in a complete admit/evict/flush
-        timeline."""
-        self._unsubscribes.append(events.subscribe(
-            on_admit=self.on_admit, on_evict=self.on_evict,
-            on_flush=self.on_flush, on_l2_victim=self.on_l2_victim))
-
-    def close(self) -> None:
-        """Detach every event-bus subscription."""
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes.clear()
-
     # -- querying ------------------------------------------------------------
 
     def records_for(self, kind: str, key: Any) -> list[AuditRecord]:
@@ -355,9 +340,6 @@ class NullAudit:
         pass
 
     def append(self, type: str, kind: str, key: Any, data) -> None:
-        pass
-
-    def close(self) -> None:
         pass
 
     def records_for(self, kind: str, key: Any) -> list:

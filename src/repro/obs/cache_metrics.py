@@ -1,4 +1,4 @@
-"""CacheEvents-bus subscriber that feeds a metrics registry.
+"""The cache-event observer that feeds a metrics registry.
 
 Turns every admit/evict/flush/victim event into registry counters tagged
 by tier, kind and reason, so policy behaviour — CBLRU window churn, TEV
@@ -8,14 +8,17 @@ quantifiable without touching cache internals.
 
 from __future__ import annotations
 
-from repro.core.events import CacheEvents
 from repro.obs.registry import MetricsRegistry, delta_counter
 
 __all__ = ["CacheEventMetrics", "CacheStatsMetrics"]
 
 
 class CacheEventMetrics:
-    """Subscribes a registry to a :class:`~repro.core.events.CacheEvents` bus.
+    """Counts a :class:`~repro.core.events.CacheEvents` bus into a registry.
+
+    It is the bus's observer (``events.observe(bridge)``, which
+    :meth:`~repro.obs.telemetry.Telemetry.observe_cache_events` does):
+    its four ``on_*`` hooks are the bus's emitters.
 
     Emitted series (all counters):
 
@@ -30,25 +33,20 @@ class CacheEventMetrics:
       stages.
     """
 
-    def __init__(self, registry: MetricsRegistry, events: CacheEvents,
-                 audit=None) -> None:
+    def __init__(self, registry: MetricsRegistry, audit=None) -> None:
         self.registry = registry
         #: an enabled AuditLog mirrored right after each bump: one
-        #: subscriber per hook does metrics, then audit (``finally``:
-        #: on the bus a failing observer never starves the next).
+        #: observer per hook does metrics, then audit (``finally``: a
+        #: failing bump still leaves its record in the trail).
         self.audit = audit
         # Counter refs cached per tag combination (flushes and victims
         # here, admits/evicts inside their observer): the (name, tags)
         # registry lookup is paid once per series, not per event.
         self._counters: dict[tuple, object] = {}
-        self._unsubscribe = events.subscribe(
-            on_admit=self._lifecycle("cache_admits_total", "insert",
-                                     "on_admit"),
-            on_evict=self._lifecycle("cache_evicts_total", "unspecified",
-                                     "on_evict"),
-            on_flush=self._on_flush,
-            on_l2_victim=self._on_l2_victim,
-        )
+        self.on_admit = self._lifecycle("cache_admits_total", "insert",
+                                        "on_admit")
+        self.on_evict = self._lifecycle("cache_evicts_total", "unspecified",
+                                        "on_evict")
 
     def _lifecycle(self, metric: str, no_reason: str, hook: str):
         """The admit/evict observer: ``metric{kind, level, reason}``."""
@@ -71,7 +69,7 @@ class CacheEventMetrics:
                     mirror(event)
         return observe
 
-    def _on_flush(self, event) -> None:
+    def on_flush(self, event) -> None:
         try:
             pair = self._counters.get(event.kind)
             if pair is None:
@@ -87,7 +85,7 @@ class CacheEventMetrics:
             if self.audit is not None:
                 self.audit.on_flush(event)
 
-    def _on_l2_victim(self, event) -> None:
+    def on_l2_victim(self, event) -> None:
         try:
             key = (event.kind, event.stage)
             c = self._counters.get(key)
@@ -99,9 +97,6 @@ class CacheEventMetrics:
         finally:
             if self.audit is not None:
                 self.audit.on_l2_victim(event)
-
-    def close(self) -> None:
-        self._unsubscribe()
 
 
 class CacheStatsMetrics:

@@ -162,40 +162,36 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
     """Write spans.jsonl / metrics.json / metrics.prom / audit.jsonl
     (plus timeline.jsonl / blame.jsonl when recorded).
 
-    Flash-device bridges are sampled first (so wear/GC/WA gauges are
-    current).  A telemetry built with ``Telemetry(out_dir=DIR)`` has its
+    ``telemetry`` is a :class:`~repro.obs.telemetry.Telemetry`; its
+    bridges are sampled first (so wear/GC/WA gauges are current).  A telemetry built with ``Telemetry(out_dir=DIR)`` has its
     streamed files finalised in place, and ``out_dir`` must be ``DIR``:
     any other directory raises ``ValueError`` before anything is written.
     Returns a summary dict.
     """
-    own = getattr(telemetry, "out_dir", None)
+    own = telemetry.out_dir
     if own is not None and os.path.abspath(own) != os.path.abspath(out_dir):
         raise ValueError(f"this telemetry streams into {own}; it cannot be "
                          f"written to {out_dir}")
     os.makedirs(out_dir, exist_ok=True)
-    collect = getattr(telemetry, "collect", None)
-    if collect is not None:
-        collect()
+    telemetry.collect()
     spans = telemetry.tracer.export_jsonl(os.path.join(out_dir, "spans.jsonl"))
     write_metrics_json(telemetry.registry, os.path.join(out_dir, "metrics.json"))
     with open(os.path.join(out_dir, "metrics.prom"), "w") as fh:
         fh.write(openmetrics_text(telemetry.registry))
-    audit = getattr(telemetry, "audit", None)
     audit_records = 0
-    if audit is not None and audit.enabled:
-        audit_records = audit.export_jsonl(os.path.join(out_dir, "audit.jsonl"))
+    if telemetry.audit.enabled:
+        audit_records = telemetry.audit.export_jsonl(
+            os.path.join(out_dir, "audit.jsonl"))
     summary = {"spans": spans, "metrics": len(telemetry.registry),
                "dropped_spans": telemetry.tracer.dropped,
                "audit_records": audit_records}
-    timeline = getattr(telemetry, "timeline", None)
-    if timeline is not None:
-        summary["timeline_windows"] = timeline.export_jsonl(
+    if telemetry.timeline is not None:
+        summary["timeline_windows"] = telemetry.timeline.export_jsonl(
             os.path.join(out_dir, "timeline.jsonl"))
-    blame = getattr(telemetry, "blame", None)
-    if blame is not None:
-        summary["blame_records"] = blame.export_jsonl(
+    if telemetry.blame is not None:
+        summary["blame_records"] = telemetry.blame.export_jsonl(
             os.path.join(out_dir, "blame.jsonl"))
-    flight = getattr(telemetry, "flight", None)
+    flight = telemetry.flight
     if flight is not None:
         # After the timeline export above: finishing the timeline closes
         # the final window, whose callbacks may open/extend an incident.

@@ -274,8 +274,8 @@ class FlightRecorder:
             return
         # The evidence first: whoever reads this manifest finds the spans
         # and blame records it names already on disk.
-        for stream in (getattr(tel.tracer, "_stream", None),
-                       getattr(blame, "_stream", None)):
+        for stream in (tel.tracer._stream,
+                       blame._stream if blame is not None else None):
             if stream is not None:
                 stream.flush()
         if self._writer is None:

@@ -15,8 +15,8 @@ and :func:`~repro.obs.export.write_telemetry_dir` finalises that
 directory and no other.  Without ``out_dir`` they are retained in
 bounded rings and written in one go.
 
-The manager binds the tracer to its virtual clock, subscribes the
-registry to its :class:`~repro.core.events.CacheEvents` bus, hooks the
+The manager binds the tracer to its virtual clock, makes the registry
+the observer of its :class:`~repro.core.events.CacheEvents` bus, hooks the
 hierarchy's devices, and calls :meth:`Telemetry.record_query` after each
 query with the per-channel busy-time deltas — which is where the
 per-stage latency histograms (``stage_latency_us{stage=l1|l2|hdd|cpu}``)
@@ -96,7 +96,9 @@ class Telemetry:
         self.clock = None
         self.timeline: TimelineRecorder | None = None
         self.exemplars: ExemplarStore | None = None
-        self._bridges: list[CacheEventMetrics] = []
+        #: the cache-event buses observed, held weakly (the manager owns
+        #: its bus and its telemetry: a strong ref here would be a cycle)
+        self._buses: list = []
         #: flash / kernel / cache-stats bridges, sampled by collect()
         self._collectors: list = []
         self._occupancy: list = []
@@ -168,13 +170,13 @@ class Telemetry:
         self._occupancy.append(fn)
 
     def observe_cache_events(self, events) -> CacheEventMetrics:
-        """Subscribe the registry (and the audit timeline) to a
-        cache-event bus: one observer per hook bumps the counter, then
-        mirrors the event into the audit trail."""
+        """Observe a cache-event bus with the registry (and the audit
+        trail): each hook bumps the counter, then mirrors the event into
+        the audit trail."""
         bridge = CacheEventMetrics(
-            self.registry, events,
-            audit=self.audit if self.audit.enabled else None)
-        self._bridges.append(bridge)
+            self.registry, audit=self.audit if self.audit.enabled else None)
+        events.observe(bridge)
+        self._buses.append(weakref.ref(events))
         return bridge
 
     def observe_kernel(self, kernel, admission=None):
@@ -334,12 +336,14 @@ class Telemetry:
         return append
 
     def close(self) -> None:
-        """Detach every event-bus subscription and finish the timeline
-        and blame recorder (an ``out_dir``'s ``spans.jsonl`` is closed by
+        """Detach from every cache-event bus and finish the timeline and
+        blame recorder (an ``out_dir``'s ``spans.jsonl`` is closed by
         :func:`~repro.obs.export.write_telemetry_dir`)."""
-        for bridge in self._bridges:
-            bridge.close()
-        self._bridges.clear()
+        for bus in self._buses:
+            events = bus()
+            if events is not None:
+                events.observe(None)
+        self._buses.clear()
         if self.timeline is not None:
             self.timeline.finish()
         if self.blame is not None:
@@ -348,4 +352,3 @@ class Telemetry:
             # After timeline.finish() so the final window's callbacks
             # have fired before any open incident is flushed.
             self.flight.finish()
-        self.audit.close()

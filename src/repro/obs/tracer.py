@@ -325,6 +325,7 @@ class NullTracer:
     _SPAN = _NullSpan()
     spans: tuple = ()
     dropped = 0
+    _stream = None
 
     def span(self, name: str, **attrs):
         return self._SPAN

@@ -400,9 +400,9 @@ def run_open_loop(
 
     def observe(kernel, admission) -> None:
         nonlocal blame
-        if hasattr(tel, "observe_kernel"):
+        if tel is not None:
             tel.observe_kernel(kernel, admission)
-        blame = getattr(tel, "blame", None)
+            blame = tel.blame
 
     def serve(i: int) -> None:
         if blame is not None:

@@ -8,6 +8,8 @@ from repro.core.config import CacheConfig, Policy
 from repro.engine.corpus import CorpusConfig
 from repro.engine.query import Query
 from repro.engine.querylog import QueryLogConfig, generate_query_log
+from repro.obs import Telemetry
+from tests._recording_observer import count_built_events
 
 KB = 1024
 BASE = CorpusConfig(num_docs=8000, vocab_size=120, seed=19)
@@ -64,16 +66,54 @@ def test_shard_validation():
         IndexShard(-1, partition_corpus(BASE, 2)[0], cache_cfg())
 
 
+def _flushes(registry, kind):
+    c = registry.get("cache_flushes_total", kind=kind)
+    return c.value if c is not None else 0
+
+
 def test_shard_observes_cache_activity_via_events(log):
-    """Shards consume the event-hook seam instead of manager internals."""
-    shard = IndexShard(0, partition_corpus(BASE, 2)[0], cache_cfg())
+    """A shard's telemetry sees the cache life cycle through the bus."""
+    shard = IndexShard(0, partition_corpus(BASE, 2)[0], cache_cfg(),
+                       telemetry=Telemetry(trace=False))
     for query in log.head(200):
         shard.process_query(query)
-    assert shard.ssd_flush_count == (shard.stats.ssd_result_writes
-                                     + shard.stats.ssd_list_writes)
-    assert shard.ssd_flush_count > 0
-    assert shard.cache_events.get("admit", "result") > 0
-    assert shard.cache_events.get("evict", "list") > 0
+    registry = shard.telemetry.registry
+    assert _flushes(registry, "result") == shard.stats.ssd_result_writes > 0
+    assert _flushes(registry, "list") == shard.stats.ssd_list_writes > 0
+    totals = {}
+    for name, tags, inst in registry.items():
+        if name in ("cache_admits_total", "cache_evicts_total"):
+            key = (name, tags["kind"])
+            totals[key] = totals.get(key, 0) + inst.value
+    assert totals[("cache_admits_total", "result")] > 0
+    assert totals[("cache_evicts_total", "list")] > 0
+
+
+def test_a_shard_without_telemetry_builds_no_event_object(log, monkeypatch):
+    built = count_built_events(monkeypatch)
+    shard = IndexShard(0, partition_corpus(BASE, 2)[0], cache_cfg())
+    broker = Broker.build(BASE, num_shards=2, cache_config=cache_cfg())
+    for query in log.head(150):
+        shard.process_query(query)
+        broker.process_query(query)
+    assert built == []
+    for s in (shard, *broker.shards):
+        assert s.manager.events.observed is False
+        assert s.stats.ssd_result_writes + s.stats.ssd_list_writes > 0
+
+    # With telemetry, the shard's own observer is bound as each emitter
+    # (and the patch is live: the same replay now builds events).
+    watched = Broker.build(BASE, num_shards=2, cache_config=cache_cfg(),
+                           telemetry=True)
+    for s in watched.shards:
+        observer = s.manager.events.observer
+        assert observer.registry is s.telemetry.registry
+        for hook in ("admit", "evict", "flush", "l2_victim"):
+            assert (getattr(s.manager.events, hook)
+                    == getattr(observer, "on_" + hook))
+    for query in log.head(150):
+        watched.process_query(query)
+    assert built
 
 
 # -- broker ------------------------------------------------------------------------
@@ -200,19 +240,16 @@ def test_cbslru_cluster_warmup(log):
 
 # -- cluster-wide observability ----------------------------------------------
 
-def test_broker_event_totals_equal_sum_of_shard_counts(log):
-    broker = Broker.build(BASE, num_shards=3, cache_config=cache_cfg())
+def test_broker_aggregated_flushes_equal_the_shards_ssd_writes(log):
+    broker = Broker.build(BASE, num_shards=3, cache_config=cache_cfg(),
+                          telemetry=True)
     for q in log.head(150):
         broker.process_query(q)
-    total = broker.cache_event_totals()
-    keys = set(total.counts)
-    for shard in broker.shards:
-        keys |= set(shard.cache_events.counts)
-    assert keys, "no cache events observed"
-    for key in keys:
-        assert total.counts.get(key, 0) == sum(
-            s.cache_events.counts.get(key, 0) for s in broker.shards
-        )
+    merged = broker.aggregated_registry()
+    results = sum(s.stats.ssd_result_writes for s in broker.shards)
+    lists = sum(s.stats.ssd_list_writes for s in broker.shards)
+    assert _flushes(merged, "result") == results > 0
+    assert _flushes(merged, "list") == lists > 0
 
 
 def test_broker_aggregated_registry_sums_shard_registries(log):

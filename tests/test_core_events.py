@@ -1,17 +1,16 @@
-"""The cache event-hook seam: subscription mechanics, the observed gate,
-and the replacement counters the caches keep without any subscriber."""
+"""The cache event-hook seam: the observer slot, the observed gate, and
+the replacement counters the caches keep without any observer."""
 
 import pytest
 
-from repro.core import events as core_events
-from repro.core import list_cache, replacement, result_cache
 from repro.core.config import CacheConfig, Policy, Scheme
-from repro.core.events import AdmitEvent, CacheEvents, EventCounter, FlushEvent
+from repro.core.events import AdmitEvent, CacheEvents
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.corpus import CorpusConfig, build_corpus_stats
 from repro.engine.index import InvertedIndex
 from repro.engine.query import Query
 from repro.workloads.sweep import make_log_for
+from tests._recording_observer import Recorder, count_built_events
 
 KB = 1024
 
@@ -35,117 +34,72 @@ def make_manager(index, policy=Policy.CBLRU, scheme=Scheme.HYBRID, **overrides):
     return CacheManager(cfg, build_hierarchy_for(cfg, index), index)
 
 
-# -- bus mechanics -----------------------------------------------------------
+# -- the observer slot --------------------------------------------------------
 
-def test_subscribe_and_unsubscribe():
+def test_observe_and_detach():
     events = CacheEvents()
-    seen = []
-    unsubscribe = events.subscribe(on_admit=seen.append)
+    recorder = Recorder()
+    events.observe(recorder)
     event = AdmitEvent(kind="result", key=(1,), level="l1", nbytes=10)
     events.admit(event)
-    assert seen == [event]
-    unsubscribe()
+    assert recorder.events == [("admit", event)]
+    events.observe(None)
     events.admit(event)
-    assert len(seen) == 1
+    assert len(recorder.events) == 1
 
 
-def test_observed_follows_subscriptions_and_one_hook_is_bound_directly():
-    def hook(event):
-        pass
-
+def test_observed_follows_the_slot_and_the_hooks_are_the_emitters():
     events = CacheEvents()
-    assert events.observed is False
-    unsubscribe = events.subscribe(on_flush=hook)
-    assert events.observed is True
-    # A lone subscriber is the emitter itself: no dispatch frame.
-    assert events.flush is hook
-    unsubscribe()
-    assert events.observed is False
+    assert events.observed is False and events.observer is None
+    recorder = Recorder()
+    events.observe(recorder)
+    assert events.observed is True and events.observer is recorder
+    # The observer's hooks are the emitters themselves: no dispatch frame.
+    for hook in ("admit", "evict", "flush", "l2_victim"):
+        assert getattr(events, hook) == getattr(recorder, "on_" + hook)
+    # One slot: a second observer is refused until the first detaches.
+    with pytest.raises(RuntimeError, match="already has an observer"):
+        events.observe(Recorder())
+    assert events.observer is recorder
+    events.observe(None)
+    assert events.observed is False and events.observer is None
 
 
-def test_partial_subscription_only_receives_requested_hooks():
-    events = CacheEvents()
-    flushes = []
-    events.subscribe(on_flush=flushes.append)
-    events.admit(AdmitEvent(kind="result", key=(1,), level="l1"))
-    events.flush(FlushEvent(kind="list", lba=0, nbytes=128 * KB))
-    assert len(flushes) == 1 and flushes[0].kind == "list"
+def test_an_observers_exception_propagates_out_of_the_emit_site(index):
+    class Broken(Recorder):
+        def on_flush(self, event):
+            raise RuntimeError("observer bug")
 
-
-def test_failing_subscriber_does_not_starve_later_subscribers():
-    """Dispatch contract: every hook runs, then the first error surfaces."""
-    events = CacheEvents()
-    calls = []
-
-    def boom(event):
-        calls.append("boom")
-        raise RuntimeError("observer bug")
-
-    events.subscribe(on_admit=boom)
-    events.subscribe(on_admit=lambda e: calls.append("late"))
+    mgr = make_manager(index)
+    mgr.events.observe(Broken())
     with pytest.raises(RuntimeError, match="observer bug"):
-        events.admit(AdmitEvent(kind="result", key=(1,), level="l1"))
-    assert calls == ["boom", "late"]
-
-
-def test_first_of_several_exceptions_is_reraised():
-    events = CacheEvents()
-    events.subscribe(on_flush=lambda e: (_ for _ in ()).throw(ValueError("first")))
-    events.subscribe(on_flush=lambda e: (_ for _ in ()).throw(KeyError("second")))
-    with pytest.raises(ValueError, match="first"):
-        events.flush(FlushEvent(kind="result", lba=0, nbytes=1))
-
-
-def test_event_counter_merge_sums_key_wise():
-    a_bus, b_bus = CacheEvents(), CacheEvents()
-    a, b = EventCounter(a_bus), EventCounter(b_bus)
-    a_bus.flush(FlushEvent(kind="result", lba=0, nbytes=1))
-    b_bus.flush(FlushEvent(kind="result", lba=0, nbytes=1))
-    b_bus.flush(FlushEvent(kind="list", lba=0, nbytes=1))  # key a never saw
-    total = EventCounter()  # detached aggregator, no bus
-    assert total.merge(a).merge(b) is total
-    assert total.get("flush", "result") == 2
-    assert total.get("flush", "list") == 1
-    assert a.get("flush", "result") == 1  # merge does not mutate sources
-
-
-def test_event_counter_counts_by_hook_and_kind():
-    events = CacheEvents()
-    counter = EventCounter(events)
-    events.flush(FlushEvent(kind="result", lba=0, nbytes=1))
-    events.flush(FlushEvent(kind="result", lba=0, nbytes=1))
-    events.flush(FlushEvent(kind="list", lba=0, nbytes=1))
-    assert counter.get("flush", "result") == 2
-    assert counter.get("flush", "list") == 1
-    assert counter.get("evict", "result") == 0
-    counter.close()
-    events.flush(FlushEvent(kind="result", lba=0, nbytes=1))
-    assert counter.get("flush", "result") == 2
+        for i in range(250):
+            mgr.process_query(Query(i % 60, (1 + i % 25, 26 + i % 20)))
 
 
 # -- the manager emits a faithful event stream -------------------------------
 
 def test_flush_events_match_ssd_write_counters(index):
     mgr = make_manager(index)
-    counter = EventCounter(mgr.events)
+    recorder = Recorder()
+    mgr.events.observe(recorder)
     for i in range(250):
         mgr.process_query(Query(i % 60, (1 + i % 25, 26 + i % 20)))
     assert mgr.stats.ssd_result_writes > 0
     assert mgr.stats.ssd_list_writes > 0
-    assert counter.get("flush", "result") == mgr.stats.ssd_result_writes
-    assert counter.get("flush", "list") == mgr.stats.ssd_list_writes
+    assert recorder.count("flush", "result") == mgr.stats.ssd_result_writes
+    assert recorder.count("flush", "list") == mgr.stats.ssd_list_writes
 
 
 def test_tev_discards_and_revalidations_flow_through_events(index):
     mgr = make_manager(index, tev=2.0)
-    tev_discards = []
-    revalidations = []
-    mgr.events.subscribe(
-        on_evict=lambda e: tev_discards.append(e) if e.reason == "tev" else None,
-        on_admit=lambda e: revalidations.append(e) if e.reason == "revalidate" else None,
-    )
+    recorder = Recorder()
+    mgr.events.observe(recorder)
     for i in range(250):
         mgr.process_query(Query(i % 60, (1 + i % 25, 26 + i % 20)))
+    tev_discards = [e for e in recorder.of("evict") if e.reason == "tev"]
+    revalidations = [e for e in recorder.of("admit")
+                     if e.reason == "revalidate"]
     assert len(tev_discards) == mgr.stats.discarded_by_tev
     assert len(revalidations) == mgr.stats.ssd_writes_avoided
     assert mgr.stats.discarded_by_tev > 0
@@ -153,10 +107,11 @@ def test_tev_discards_and_revalidations_flow_through_events(index):
 
 def test_victim_stage_events_match_stage_counters(index):
     mgr = make_manager(index, ssd_list_bytes=512 * KB)  # tight region forces victims
-    stages = []
-    mgr.events.subscribe(on_l2_victim=lambda e: stages.append(e.stage))
+    recorder = Recorder()
+    mgr.events.observe(recorder)
     for i in range(300):
         mgr.process_query(Query(i, (1 + i % 30, 31 + i % 25)))
+    stages = [e.stage for e in recorder.of("l2_victim")]
     staged = (mgr.stats.evict_stage_replaceable + mgr.stats.evict_stage_size_match
               + mgr.stats.evict_stage_assemble + mgr.stats.evict_stage_fallback)
     counted = sum(1 for s in stages
@@ -166,11 +121,11 @@ def test_victim_stage_events_match_stage_counters(index):
 
 
 def test_observers_cannot_break_parity(index):
-    """Subscribing observers must not change cache behaviour."""
+    """An observer must not change cache behaviour."""
     def replay(with_observer):
         mgr = make_manager(index, policy=Policy.CBSLRU)
         if with_observer:
-            EventCounter(mgr.events)
+            mgr.events.observe(Recorder())
         outcomes = []
         for i in range(150):
             out = mgr.process_query(Query(i % 40, (1 + i % 25, 26 + i % 20)))
@@ -183,19 +138,7 @@ def test_observers_cannot_break_parity(index):
 # -- the caches count without the bus ----------------------------------------
 
 def test_an_unobserved_bus_builds_no_event_object(index, monkeypatch):
-    built = []
-
-    def counting(cls):
-        def build(*args, **kwargs):
-            built.append(cls(*args, **kwargs))
-            return built[-1]
-        return build
-
-    for module in (result_cache, list_cache, replacement):
-        for name in ("AdmitEvent", "EvictEvent", "FlushEvent", "L2VictimEvent"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counting(getattr(core_events, name)))
+    built = count_built_events(monkeypatch)
 
     def replay(mgr):
         for i in range(300):
@@ -212,9 +155,10 @@ def test_an_unobserved_bus_builds_no_event_object(index, monkeypatch):
     # The patch is live: the same run, observed, builds one object per
     # delivered event and counts the same.
     watched = make_manager(index, ssd_list_bytes=512 * KB)
-    counter = EventCounter(watched.events)
+    recorder = Recorder()
+    watched.events.observe(recorder)
     replay(watched)
-    assert len(built) == sum(counter.counts.values()) > 0
+    assert len(built) == len(recorder.events) > 0
     assert watched.stats == stats
 
 
@@ -247,7 +191,7 @@ def test_replacement_counters_equal_the_parents(paper_stats, run, observed):
     cfg = CacheConfig.paper_split(1024 * KB, ssd_mb * 1024 * KB, policy=policy)
     mgr = CacheManager(cfg, build_hierarchy_for(cfg, index), index)
     if observed:
-        EventCounter(mgr.events)
+        mgr.events.observe(Recorder())
     log = make_log_for(600, seed=7)
     if policy is Policy.CBSLRU:
         mgr.warmup_static(log)

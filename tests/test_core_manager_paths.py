@@ -11,6 +11,7 @@ from repro.engine.index import InvertedIndex
 from repro.engine.query import Query
 from repro.engine.querylog import QueryLogConfig, generate_query_log
 from repro.flash.constants import FlashConfig
+from tests._recording_observer import Recorder
 
 KB = 1024
 
@@ -197,8 +198,8 @@ def test_drop_l2_of_an_unplaced_entry_touches_no_device(index, monkeypatch):
     cache = mgr.list_cache
     cache.l2.insert(5, CachedList(term_id=5, cached_bytes=4096,
                                   total_bytes=8192, pu=0.5))
-    evicted = []
-    mgr.events.subscribe(on_evict=evicted.append)
+    recorder = Recorder()
+    mgr.events.observe(recorder)
     device_calls = []
     for name in ("read", "write", "trim"):
         monkeypatch.setattr(
@@ -210,5 +211,6 @@ def test_drop_l2_of_an_unplaced_entry_touches_no_device(index, monkeypatch):
     assert device_calls == []
     assert cache.byte_region.free_sectors == free_before
     assert cache.l2.get(5) is None
-    assert [(e.kind, e.key, e.level, e.nbytes, e.reason) for e in evicted] == [
+    assert [(e.kind, e.key, e.level, e.nbytes, e.reason)
+            for e in recorder.of("evict")] == [
         ("list", 5, "l2", 4096, "invalidate")]

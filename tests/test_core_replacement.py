@@ -15,6 +15,7 @@ from repro.core.replacement import Replacement
 from repro.engine.corpus import CorpusConfig
 from repro.engine.index import InvertedIndex
 from repro.obs import Telemetry
+from tests._recording_observer import Recorder
 
 KB = 1024
 
@@ -89,7 +90,7 @@ def test_lru_victim_is_the_recency_tail_despite_a_lower_ev_in_the_window():
 
 def _plant_l2(mgr, entries):
     """Fill the SSD list region with ``(term, blocks, state)``, least
-    recent first, and record each victim's Fig. 13 stage."""
+    recent first."""
     lc = mgr.list_cache
     for term_id, nblocks, state in entries:
         lc.l2.insert(term_id, CachedList(
@@ -97,19 +98,25 @@ def _plant_l2(mgr, entries):
             total_bytes=nblocks * mgr.config.block_bytes, pu=1.0,
             blocks=lc.region.alloc(nblocks), state=state))
     assert lc.region.free_count == 0
-    stages = []
-    mgr.events.subscribe(on_l2_victim=lambda e: stages.append((e.key, e.stage)))
-    return lc, stages
+    return lc
+
+
+def _victims(mgr, lc, needed):
+    """Run the Fig. 13 search for ``needed`` blocks; each victim's
+    ``(term, stage)``."""
+    recorder = Recorder()
+    mgr.events.observe(recorder)
+    mgr.policy.free_list_space(lc, needed)
+    return [(e.key, e.stage) for e in recorder.of("l2_victim")]
 
 
 def test_fig13_drops_a_replaceable_entry_before_a_size_matched_normal_one(index):
     mgr = make_manager(index, Policy.CBLRU, ssd_list_bytes=4 * 128 * KB)
     # LRU first: term 1 is NORMAL and exactly the size needed; term 2 is
     # REPLACEABLE (its data already has a memory copy).
-    lc, stages = _plant_l2(mgr, [(1, 2, EntryState.NORMAL),
-                                 (2, 2, EntryState.REPLACEABLE)])
-    mgr.policy.free_list_space(lc, 2)
-    assert stages == [(2, "replaceable")]
+    lc = _plant_l2(mgr, [(1, 2, EntryState.NORMAL),
+                         (2, 2, EntryState.REPLACEABLE)])
+    assert _victims(mgr, lc, 2) == [(2, "replaceable")]
     assert 1 in lc.l2 and 2 not in lc.l2
     assert lc.region.free_count == 2
 
@@ -118,11 +125,10 @@ def test_fig13_takes_a_size_match_before_assembling(index):
     mgr = make_manager(index, Policy.CBLRU, ssd_list_bytes=4 * 128 * KB)
     # Terms 1 and 2 could be assembled into the two blocks needed, but
     # term 3 matches the deficit on its own.
-    lc, stages = _plant_l2(mgr, [(1, 1, EntryState.NORMAL),
-                                 (2, 1, EntryState.NORMAL),
-                                 (3, 2, EntryState.NORMAL)])
-    mgr.policy.free_list_space(lc, 2)
-    assert stages == [(3, "size-match")]
+    lc = _plant_l2(mgr, [(1, 1, EntryState.NORMAL),
+                         (2, 1, EntryState.NORMAL),
+                         (3, 2, EntryState.NORMAL)])
+    assert _victims(mgr, lc, 2) == [(3, "size-match")]
     assert 1 in lc.l2 and 2 in lc.l2
     assert lc.region.free_count == 2
 
@@ -146,10 +152,13 @@ def test_fig13_victims_are_capacity_evictions(index, entries, needed, stage):
                       policy=Policy.CBLRU)
     mgr = CacheManager(cfg, build_hierarchy_for(cfg, index), index,
                        telemetry=tel)
-    lc, stages = _plant_l2(mgr, entries)
-    evicts = []
-    mgr.events.subscribe(on_evict=lambda e: evicts.append((e.key, e.reason)))
+    lc = _plant_l2(mgr, entries)
     mgr.policy.free_list_space(lc, needed)
+    # The bus's one observer is the telemetry: read the audit trail.
+    records = tel.audit.records
+    stages = [(r.key, r.data["stage"]) for r in records
+              if r.type == "l2-victim"]
+    evicts = [(r.key, r.data["reason"]) for r in records if r.type == "evict"]
     assert stage in {s for _, s in stages}
     assert evicts == [(key, "capacity") for key, _ in stages]
     counts = {tuple(sorted(tags.items())): c.value

@@ -45,6 +45,7 @@ from repro.engine.processor import QueryProcessor
 from repro.engine.query import Query
 from repro.engine.querylog import QueryLogConfig, generate_query_log
 from repro.workloads.sweep import QUERY_VOCAB
+from tests._recording_observer import Recorder
 from tests.test_miss_chain_callcount import _count_repro_calls
 
 KB = 1024
@@ -225,15 +226,16 @@ def _ttl_replay(observed: bool):
         singleton_fraction=0.1, seed=5))
     manager = CacheManager(config, build_hierarchy_for(config, index), index)
     manager.warmup_static(log)
-    expired: dict = {}
+    recorder = Recorder()
     if observed:
-        def on_evict(event):
-            if event.reason == "expired":
-                where = (event.kind, event.level)
-                expired[where] = expired.get(where, 0) + 1
-        manager.events.subscribe(on_evict=on_evict)
+        manager.events.observe(recorder)
     outcomes = [manager.process_query(query) for query in log]
     manager.check_invariants()
+    expired: dict = {}
+    for event in recorder.of("evict"):
+        if event.reason == "expired":
+            where = (event.kind, event.level)
+            expired[where] = expired.get(where, 0) + 1
     return manager, outcomes, expired
 
 

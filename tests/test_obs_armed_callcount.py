@@ -99,8 +99,9 @@ def test_armed_pass_extra_calls_are_pinned():
     assert tel.timeline.emitted > 0
     hooks = armed.events
     assert hooks.observed and not off.events.observed
-    for name in ("_on_admit", "_on_evict", "_on_flush", "_on_l2_victim"):
-        assert len(getattr(hooks, name)) == 1, f"{name}: one fused observer"
+    for name in ("admit", "evict", "flush", "l2_victim"):
+        assert getattr(hooks, name) == getattr(hooks.observer, "on_" + name), (
+            f"{name}: one fused observer")
     # ... and cost a bounded number of frames.
     extra = armed_calls - off_calls
     assert extra <= EXTRA_CALL_CEILING, (

@@ -58,7 +58,7 @@ def test_event_mirror_standalone_and_flush_key_is_none():
 
     events = CacheEvents()
     log = AuditLog()
-    log.observe_events(events)
+    events.observe(log)  # the log is itself a cache-event observer
     events.admit(AdmitEvent(kind="list", key=7, level="l2", nbytes=4096))
     events.evict(EvictEvent(kind="result", key=(1, 2), level="l1"))
     events.flush(FlushEvent(kind="list", lba=64, nbytes=131072, entries=2))
@@ -74,7 +74,7 @@ def test_event_mirror_standalone_and_flush_key_is_none():
         {"seq": 4, "t_us": 0.0, "type": "l2-victim", "kind": "list",
          "key": 7, "data": {"stage": "size-match"}},
     ]
-    log.close()
+    events.observe(None)
     events.admit(AdmitEvent(kind="list", key=8, level="l1"))
     assert len(log) == 4  # detached
 

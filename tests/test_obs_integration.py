@@ -8,7 +8,6 @@ import repro.obs.audit as audit_module
 import repro.obs.timeline as timeline_module
 import repro.obs.tracer as tracer_module
 from repro.core.config import CacheConfig, Policy
-from repro.core.events import EventCounter
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.query import Query
 from repro.obs import (
@@ -19,6 +18,7 @@ from repro.obs import (
     stage_summary,
     write_telemetry_dir,
 )
+from tests._recording_observer import Recorder
 
 KB = 1024
 
@@ -112,31 +112,35 @@ def test_query_span_durations_match_response_times(small_index):
 
 # -- cache events become registry counters -----------------------------------
 
-def test_cache_event_metrics_agree_with_event_counter(small_index):
+def test_cache_event_metrics_agree_with_a_recorded_replay(small_index):
     tel = Telemetry()
-    mgr = make_manager(small_index, telemetry=tel)
-    counter = EventCounter(mgr.events)
-    replay(mgr)
-    for kind in ("result", "list"):
-        flushes = tel.registry.get("cache_flushes_total", kind=kind)
-        assert (flushes.value if flushes else 0) == counter.get("flush", kind)
-        admits = sum(
-            inst.value for name, tags, inst in tel.registry.items()
-            if name == "cache_admits_total" and tags["kind"] == kind
-        )
-        assert admits == counter.get("admit", kind)
+    replay(make_manager(small_index, telemetry=tel))
+    # The same replay watched by a recorder instead: the runs are
+    # deterministic, so the counts must agree hook by hook.
+    recorded = make_manager(small_index)
+    recorder = Recorder()
+    recorded.events.observe(recorder)
+    replay(recorded)
+    series = {"admit": "cache_admits_total", "evict": "cache_evicts_total",
+              "flush": "cache_flushes_total",
+              "l2_victim": "cache_l2_victims_total"}
+    for hook, metric in series.items():
+        for kind in ("result", "list"):
+            counted = sum(inst.value for name, tags, inst in tel.registry.items()
+                          if name == metric and tags["kind"] == kind)
+            assert counted == recorder.count(hook, kind)
+    assert recorder.count("flush", "result") and recorder.count("admit", "list")
 
 
 def test_one_fused_observer_per_hook_metrics_then_audit(small_index):
     tel = Telemetry()
     mgr = make_manager(small_index, telemetry=tel)
-    # One observer doing metrics and audit, bound as the emitter itself:
-    # the caches count their own statistics, so nothing else subscribes.
-    for hooks, emitter in ((mgr.events._on_admit, mgr.events.admit),
-                           (mgr.events._on_evict, mgr.events.evict),
-                           (mgr.events._on_flush, mgr.events.flush),
-                           (mgr.events._on_l2_victim, mgr.events.l2_victim)):
-        assert len(hooks) == 1 and emitter is hooks[0]
+    # One observer doing metrics and audit, its hooks bound as the
+    # emitters themselves: the caches count their own statistics.
+    observer = mgr.events.observer
+    assert observer.registry is tel.registry and observer.audit is tel.audit
+    for hook in ("admit", "evict", "flush", "l2_victim"):
+        assert getattr(mgr.events, hook) == getattr(observer, "on_" + hook)
     replay(mgr)
     mirrored = {"admit": "cache_admits_total", "evict": "cache_evicts_total",
                 "flush": "cache_flushes_total",
@@ -146,8 +150,7 @@ def test_one_fused_observer_per_hook_metrics_then_audit(small_index):
                       if name == metric)
         assert counted == sum(r.type == rtype for r in tel.audit.records) > 0
     tel.close()
-    assert not (mgr.events._on_admit or mgr.events._on_flush)
-    assert mgr.events.observed is False
+    assert mgr.events.observer is None and mgr.events.observed is False
 
 
 def test_fused_observer_still_audits_when_the_metrics_half_raises():
