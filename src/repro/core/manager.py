@@ -139,6 +139,10 @@ class CacheManager:
         self.ssd = hierarchy.ssd
         self.store = hierarchy.index_store
         self.stats = CacheStats()
+        #: the qid the next query takes in telemetry (spans, exemplars,
+        #: blame): counted at entry, so queries in flight together differ,
+        #: and not by ``stats``, so a reset after warm-up does not reuse one
+        self.next_qid = 0
         self.events = CacheEvents()
         # Observability: the telemetry bundle (repro.obs) is optional and
         # must never perturb the simulation — the tracer and registry only
@@ -222,7 +226,8 @@ class CacheManager:
             return self._process_query(query)
         clock = self.clock
         busy0 = dict(clock._busy_us)  # busy_snapshot(), minus its frame
-        qid = self.stats.queries
+        qid = self.next_qid
+        self.next_qid = qid + 1
         tracer = self._tracer
         if not tracer.enabled:
             outcome = self._process_query(query)

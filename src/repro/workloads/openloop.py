@@ -407,9 +407,9 @@ def run_open_loop(
     def serve(i: int) -> None:
         if blame is not None:
             # No yield point between here and process_query's own
-            # stats read (strict handoff), so this qid is exactly
+            # read of next_qid (strict handoff), so this qid is exactly
             # the one the query's spans and exemplars will carry.
-            blame.tag_current(qid=manager.stats.queries)
+            blame.tag_current(qid=manager.next_qid)
         manager.process_query(queries[i])
 
     try:

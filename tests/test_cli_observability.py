@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs import FlightRecorder, load_incidents
+from repro.obs import FlightRecorder, load_blame_jsonl, load_incidents
 
 
 _SATURATED = ["run", "--policy", "cbslru", "--docs", "20000",
@@ -29,6 +29,16 @@ def knee_dir(tmp_path_factory):
     assert main(_SATURATED + ["--telemetry", str(out)]) == 0
     assert load_incidents(out).incidents
     return out
+
+
+def test_every_knee_query_has_its_own_qid(knee_dir):
+    """Queries in flight together take different qids: the past-knee
+    run's blame file holds as many distinct qids as top-level tasks."""
+    tasks = [r for r in load_blame_jsonl(str(knee_dir / "blame.jsonl")).records
+             if r["type"] == "task" and r["parent"] is None]
+    qids = {r["qid"] for r in tasks}
+    assert None not in qids
+    assert len(qids) == len(tasks) > 0
 
 
 # -- graceful errors on missing/partial telemetry dirs -----------------------

@@ -95,7 +95,10 @@ def digest_dir(root: str) -> dict[str, str]:
 #: ``incidents.jsonl`` over the directory's own files (the five
 #: ``incident-1/*`` copies are gone), and the closed runs'
 #: ``timeline.jsonl``, re-recorded when the exemplar gate became strict
-#: (a sample equal to its histogram's p99 is no longer a tail exemplar).
+#: (a sample equal to its histogram's p99 is no longer a tail exemplar),
+#: and the knee run's spans, blame and incident log, re-recorded when a
+#: query's qid became the manager's entry count (two queries in flight
+#: had shared the completed-query count).
 PARENT_DIGESTS: dict[str, dict[str, str]] = {
     "closed_retained": {
         "audit.jsonl":
@@ -125,15 +128,15 @@ PARENT_DIGESTS: dict[str, dict[str, str]] = {
         "audit.jsonl":
             "fb3952b367e68590e16a125d8b3c937d43638967409ed3441b407b8798a66a0a",
         "blame.jsonl":
-            "575ba5f74f9da2531a76b7d603f202d8a49bef5bc4798a12b2aea136fee3110e",
+            "6fdbbf9939c0ffe72a1fdb436edd4b53f7ad40e48b4f72f0d604858360c0fa3f",
         "incidents.jsonl":
-            "0b36b60718ec0ecc2bb6dd04e22e64e850913a01ed878428c018cd82d73bcdf6",
+            "39e3f38d5c2ed281832b750351af5b72d9a3f88209f51260c331044931bedb50",
         "metrics.json":
             "08c95b0f81c36c4d4940c71aa0702802e64440809e25d6f9280658de35a96240",
         "metrics.prom":
             "f3210065bee29b0fa3043688acbbad09538b186031c54266c1df224fc6524997",
         "spans.jsonl":
-            "be78f701bca0484703998261277cb338cd95f7c63f15aac9be12757f42201c57",
+            "88eec1d983ca54cbc168fb6d4aa9cfb5f9043a6162baa8d8dae0d9dec550e401",
         "timeline.jsonl":
             "32cfd5f9deb665d3b536b452853b4d7e659d9b41b67b4d5e3d91ad768db5d5ba",
     },

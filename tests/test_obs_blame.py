@@ -77,17 +77,28 @@ def test_open_loop_reconciles_exactly(index, log):
         assert q.total_us > 0
         assert q.admission_wait_us >= 0.0
         assert q.service_us, "every query must consume some resource"
-    # Every query carries a qid tag with the manager's semantics (queries
-    # completed before this one started): in range, and shared by at most
-    # the inflight limit when starts overlap.
-    qids = [q.qid for q in queries]
-    assert all(qid is not None and 0 <= qid < len(log) for qid in qids)
-    assert max(qids.count(v) for v in set(qids)) <= result.concurrency
+    # Every query carries its own qid, the manager's count of queries
+    # started before it, also when starts overlap.
+    assert sorted(q.qid for q in queries) == list(range(len(log)))
     # The aggregate ledger agrees with the per-query decomposition.
     total_wait = sum(sum(q.wait_us.values()) for q in queries)
     ledger_wait = sum(t[1] for name, t in rec.totals.items()
                       if name != ADMISSION)
     assert total_wait == pytest.approx(ledger_wait, rel=1e-9)
+
+
+def test_qids_survive_a_stats_reset(index, log):
+    """A warm-up's ``stats.reset()`` does not restart the qids."""
+    tel = Telemetry(trace=False, audit=False)
+    manager = make_manager(index, telemetry=tel)
+    queries = list(log)
+    for query in queries[:10]:
+        manager.process_query(query)
+    manager.stats.reset()
+    run_open_loop(manager, queries[10:], PoissonArrivals(60.0, seed=2),
+                  concurrency=4, max_queue=64)
+    qids = sorted(q.qid for q in assemble_queries(tel.blame.records))
+    assert qids == list(range(10, len(queries)))
 
 
 def test_blame_recording_never_perturbs(index, log):
