@@ -49,7 +49,7 @@ def _run(index):
     two = CacheManager(cfg, build_hierarchy_for(cfg, index), index)
     three = ThreeLevelCacheManager(
         cfg, build_hierarchy_for(cfg, index), index,
-        intersection_bytes=8 * MB, min_pair_freq=2,
+        intersection_bytes=8 * MB,
     )
     for query in log:
         two.process_query(query)

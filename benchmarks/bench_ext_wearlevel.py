@@ -35,9 +35,7 @@ def _cache_traffic(ssd: SimulatedSSD, ops: int, seed: int) -> None:
 def _run():
     cfg = FlashConfig(num_blocks=512, overprovision=0.12)
     plain = SimulatedSSD(cfg, ftl=PageMappingFTL(cfg))
-    level = SimulatedSSD(
-        cfg, ftl=WearLevelingFTL(cfg, wear_delta_threshold=4, check_interval=128)
-    )
+    level = SimulatedSSD(cfg, ftl=WearLevelingFTL(cfg))
     _cache_traffic(plain, ops=3_000, seed=5)
     _cache_traffic(level, ops=3_000, seed=5)
     return plain, level
@@ -47,7 +45,7 @@ def test_ext_wear_leveling():
     plain, level = _run()
     rows = []
     for label, ssd in (("greedy GC only", plain), ("+ static wear leveling", level)):
-        report = ssd.wear(endurance_cycles=5000)
+        report = ssd.wear()
         rows.append([
             label,
             report.total_erases,

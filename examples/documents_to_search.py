@@ -49,8 +49,7 @@ def main() -> None:
     )
     manager = ThreeLevelCacheManager(
         cfg, build_hierarchy_for(cfg, index), index,
-        intersection_bytes=1 * MB, min_pair_freq=2,
-        materialize_results=True,
+        intersection_bytes=1 * MB, materialize_results=True,
     )
     for query in queries:
         outcome = manager.process_query(query)

@@ -73,7 +73,7 @@ def main() -> None:
     ssd = SimulatedSSD(FlashConfig(num_blocks=256, overprovision=0.12))
     rng = np.random.default_rng(3)
     scattered_workload(ssd, 400, rng)
-    report = ssd.wear(endurance_cycles=5000)
+    report = ssd.wear()
     # Pretend this workload was one day of traffic.
     days_left = report.remaining_lifetime_days(elapsed_days=1.0)
     print(f"  total erases {report.total_erases}, "

@@ -11,6 +11,10 @@ from repro.workloads.retrieval import RunResult
 
 __all__ = ["policy_comparison_report"]
 
+#: The policy the relative columns compare against (the paper reports
+#: everything relative to LRU).
+BASELINE = "lru"
+
 
 def _pct(new: float, base: float) -> str:
     if base == 0:
@@ -21,25 +25,23 @@ def _pct(new: float, base: float) -> str:
 
 def policy_comparison_report(
     results: dict[str, RunResult],
-    baseline: str = "lru",
     title: str = "Cache policy comparison",
 ) -> str:
     """Render a markdown comparison of runs keyed by policy name.
 
-    The ``baseline`` row anchors the relative columns (the paper reports
-    everything relative to LRU).
+    The ``BASELINE`` row anchors the relative columns.
     """
     if not results:
         raise ValueError("results must be non-empty")
-    if baseline not in results:
-        raise ValueError(f"baseline {baseline!r} missing from results")
-    base = results[baseline]
+    if BASELINE not in results:
+        raise ValueError(f"baseline {BASELINE!r} missing from results")
+    base = results[BASELINE]
 
     lines = [
         f"# {title}",
         "",
         f"{base.queries} queries per run; relative columns vs "
-        f"`{baseline}`.",
+        f"`{BASELINE}`.",
         "",
         "| policy | hit ratio | response (ms) | Δ resp | qps | Δ qps "
         "| SSD erases | Δ erases |",

@@ -10,12 +10,14 @@ from typing import Sequence
 
 __all__ = ["format_table"]
 
+#: How a float cell is rendered.
+FLOAT_FMT = "{:.2f}"
+
 
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     title: str | None = None,
-    float_fmt: str = "{:.2f}",
 ) -> str:
     """Render rows as an aligned monospace table."""
     if not headers:
@@ -23,7 +25,7 @@ def format_table(
 
     def render(cell: object) -> str:
         if isinstance(cell, float):
-            return float_fmt.format(cell)
+            return FLOAT_FMT.format(cell)
         return str(cell)
 
     str_rows = [[render(c) for c in row] for row in rows]

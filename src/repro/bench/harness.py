@@ -324,11 +324,12 @@ def load_bench(path) -> dict:
     return doc
 
 
-def next_bench_path(directory=".") -> str:
-    """The next free ``BENCH_<n>.json`` path (max existing + 1)."""
+def next_bench_path() -> str:
+    """The next free ``BENCH_<n>.json`` path in the working directory
+    (max existing + 1)."""
     highest = -1
-    for fname in os.listdir(directory):
+    for fname in os.listdir("."):
         m = _BENCH_RE.match(fname)
         if m:
             highest = max(highest, int(m.group(1)))
-    return os.path.join(directory, f"BENCH_{highest + 1:04d}.json")
+    return os.path.join(".", f"BENCH_{highest + 1:04d}.json")

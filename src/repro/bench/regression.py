@@ -81,12 +81,11 @@ BLAME_THRESHOLDS: dict[str, Threshold] = {
 }
 
 
-def _threshold_for(metric: str,
-                   thresholds: dict[str, Threshold]) -> Threshold | None:
-    t = thresholds.get(metric)
+def _threshold_for(metric: str) -> Threshold | None:
+    t = DEFAULT_THRESHOLDS.get(metric)
     if t is not None:
         return t
-    for prefix, t in thresholds.items():
+    for prefix, t in DEFAULT_THRESHOLDS.items():
         if prefix.endswith("_") and metric.startswith(prefix):
             return t
     return None
@@ -95,9 +94,9 @@ def _threshold_for(metric: str,
 def compare_benches(
     current: dict,
     baseline: dict,
-    thresholds: dict[str, Threshold] | None = None,
 ) -> list[Regression]:
-    """Every gated metric of ``current`` that regressed vs ``baseline``.
+    """Every gated metric of ``current`` that regressed vs ``baseline``
+    past its ``DEFAULT_THRESHOLDS`` entry.
 
     Scenarios present in only one document are skipped (suites may grow),
     but two documents that share no scenario raise ``ValueError``: a
@@ -127,7 +126,6 @@ def compare_benches(
         )
     if not set(current.get("scenarios", {})) & set(baseline.get("scenarios", {})):
         raise ValueError("the documents share no scenario: nothing to compare")
-    thresholds = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
     out: list[Regression] = []
     for name, base_entry in baseline.get("scenarios", {}).items():
         cur_entry = current.get("scenarios", {}).get(name)
@@ -136,7 +134,7 @@ def compare_benches(
         base_metrics = base_entry["metrics"]
         cur_metrics = cur_entry["metrics"]
         for metric, base_val in base_metrics.items():
-            t = _threshold_for(metric, thresholds)
+            t = _threshold_for(metric)
             if t is None:
                 continue
             cur_val = cur_metrics.get(metric)

@@ -11,12 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.shard import IndexShard
-from repro.core.config import CacheConfig, Policy
+from repro.core.config import CacheConfig
 from repro.engine.corpus import CorpusConfig
 from repro.engine.query import Query
 from repro.engine.querylog import QueryLog
 
 __all__ = ["ClusterOutcome", "BrokerStats", "Broker"]
+
+#: The broker's cost of merging the shards' top-k lists, per query.
+MERGE_OVERHEAD_US = 200.0
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,6 @@ class BrokerStats:
     #: sum over queries of (max shard time - mean shard time): the price
     #: of waiting for stragglers
     straggler_us: float = 0.0
-    #: queries answered from the broker's own merged-result cache
-    broker_cache_hits: int = 0
     per_shard_busy_us: list[float] = field(default_factory=list)
 
     @property
@@ -59,38 +60,15 @@ class BrokerStats:
 
 
 class Broker:
-    """Fans queries out to shards and accounts fan-out latency.
+    """Fans queries out to shards and accounts fan-out latency."""
 
-    ``result_cache_entries`` > 0 enables a broker-level cache of merged
-    results (the natural cluster extension of result caching [16][17]):
-    a broker hit answers in ``broker_hit_us`` without touching any shard.
-    """
-
-    def __init__(
-        self,
-        shards: list[IndexShard],
-        merge_overhead_us: float = 200.0,
-        result_cache_entries: int = 0,
-        broker_hit_us: float = 50.0,
-    ) -> None:
+    def __init__(self, shards: list[IndexShard]) -> None:
         if not shards:
             raise ValueError("a cluster needs at least one shard")
         ids = [s.shard_id for s in shards]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate shard ids")
-        if merge_overhead_us < 0:
-            raise ValueError("merge_overhead_us cannot be negative")
-        if result_cache_entries < 0:
-            raise ValueError("result_cache_entries cannot be negative")
-        if broker_hit_us < 0:
-            raise ValueError("broker_hit_us cannot be negative")
         self.shards = shards
-        self.merge_overhead_us = merge_overhead_us
-        self.result_cache_entries = result_cache_entries
-        self.broker_hit_us = broker_hit_us
-        from repro.core.lru import LruList
-
-        self._result_cache: LruList[tuple[int, ...], bool] = LruList()
         self.stats = BrokerStats(per_shard_busy_us=[0.0] * len(shards))
 
     @classmethod
@@ -99,9 +77,7 @@ class Broker:
         corpus: CorpusConfig,
         num_shards: int,
         cache_config: CacheConfig,
-        merge_overhead_us: float = 200.0,
         telemetry: bool = False,
-        timeline_window_us: float | None = None,
         shared_clock: bool = False,
     ) -> "Broker":
         """Partition ``corpus`` and assemble a cluster of cached shards.
@@ -109,15 +85,12 @@ class Broker:
         ``telemetry=True`` gives every shard its own
         :class:`~repro.obs.Telemetry` (registry only, no spans — span
         volume across a whole cluster would swamp memory); aggregate the
-        registries with :meth:`aggregated_registry`.
-        ``timeline_window_us`` additionally attaches a windowed recorder
-        per shard (implies telemetry), enabling :meth:`shard_timelines`
-        and :meth:`detect_skew`.  ``shared_clock=True`` puts every shard
-        on one simulated timeline (device names gain ``#<shard>``
-        suffixes) — required for :meth:`run_open_loop`'s concurrent
-        fan-out, incompatible with the sequential :meth:`process_query`
-        accounting (which sums per-shard times instead of overlapping
-        them).
+        registries with :meth:`aggregated_registry`.  ``shared_clock=True``
+        puts every shard on one simulated timeline (device names gain
+        ``#<shard>`` suffixes) — required for :meth:`run_open_loop`'s
+        concurrent fan-out, incompatible with the sequential
+        :meth:`process_query` accounting (which sums per-shard times
+        instead of overlapping them).
         """
         from repro.cluster.shard import partition_corpus
 
@@ -130,15 +103,13 @@ class Broker:
         shards = []
         for i, stats in enumerate(partitions):
             tel = None
-            if telemetry or timeline_window_us is not None:
+            if telemetry:
                 from repro.obs import Telemetry
 
                 tel = Telemetry(trace=False)
-                if timeline_window_us is not None:
-                    tel.attach_timeline(window_us=timeline_window_us)
             shards.append(IndexShard(i, stats, cache_config, telemetry=tel,
                                      clock=clock))
-        return cls(shards, merge_overhead_us=merge_overhead_us)
+        return cls(shards)
 
     def warmup_static(self, log: QueryLog, analyze_queries: int | None = None) -> None:
         for shard in self.shards:
@@ -146,17 +117,6 @@ class Broker:
 
     def process_query(self, query: Query) -> ClusterOutcome:
         """Broadcast one query; latency is max over shards + merge."""
-        if self.result_cache_entries > 0 and self._result_cache.get(query.key):
-            self._result_cache.touch(query.key)
-            self.stats.queries += 1
-            self.stats.total_response_us += self.broker_hit_us
-            self.stats.broker_cache_hits += 1
-            return ClusterOutcome(
-                query=query,
-                response_us=self.broker_hit_us,
-                shard_times_us=(),
-                shard_result_hits=0,
-            )
         times: list[float] = []
         hits = 0
         for i, shard in enumerate(self.shards):
@@ -166,14 +126,10 @@ class Broker:
             if outcome.result_hit_level > 0:
                 hits += 1
         slowest = max(times)
-        response = slowest + self.merge_overhead_us
+        response = slowest + MERGE_OVERHEAD_US
         self.stats.queries += 1
         self.stats.total_response_us += response
         self.stats.straggler_us += slowest - sum(times) / len(times)
-        if self.result_cache_entries > 0:
-            self._result_cache.insert(query.key, True)
-            while len(self._result_cache) > self.result_cache_entries:
-                self._result_cache.pop_lru()
         return ClusterOutcome(
             query=query,
             response_us=response,
@@ -232,7 +188,7 @@ class Broker:
             ]
             for t in subtasks:
                 t.join()
-            clock.consume("broker", self.merge_overhead_us)
+            clock.consume("broker", MERGE_OVERHEAD_US)
 
         try:
             return drive(kernel, len(queries), arrivals, serve,
@@ -261,28 +217,6 @@ class Broker:
             if shard.telemetry is not None:
                 merged.merge(shard.telemetry.registry)
         return merged
-
-    def shard_timelines(self) -> dict:
-        """Per-shard window records (shard id -> list of windows).
-
-        Finalizes each shard's recorder first, so the last partial
-        window is included.
-        """
-        out = {}
-        for shard in self.shards:
-            tel = shard.telemetry
-            if tel is not None and tel.timeline is not None:
-                tel.timeline.finish()
-                out[shard.shard_id] = list(tel.timeline.windows)
-        return out
-
-    def detect_skew(self, series: str = "hit_ratio",
-                    rel_tol: float = 0.25):
-        """Cross-shard skew anomalies over one windowed series."""
-        from repro.obs import detect_shard_skew
-
-        return detect_shard_skew(self.shard_timelines(), series=series,
-                                 rel_tol=rel_tol)
 
     def combined_hit_ratio(self) -> float:
         """Request-weighted hit ratio across all shards."""

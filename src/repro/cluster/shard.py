@@ -53,7 +53,6 @@ class IndexShard:
         shard_id: int,
         stats: CorpusStats,
         cache_config: CacheConfig,
-        seed: int = 1234,
         telemetry=None,
         clock=None,
     ) -> None:
@@ -73,7 +72,6 @@ class IndexShard:
         self.telemetry = telemetry
         self.manager = CacheManager(cache_config, hierarchy, self.index,
                                     telemetry=telemetry)
-        self._seed = seed + shard_id
 
     def warmup_static(self, log: QueryLog, analyze_queries: int | None = None):
         """Provision the static partition when the policy supports one."""

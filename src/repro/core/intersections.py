@@ -9,7 +9,7 @@ replaces two large prefix reads with one small memory read.
 
 :class:`ThreeLevelCacheManager` extends the paper's two-level manager
 with a memory-resident intersection cache: pairs seen at least
-``min_pair_freq`` times are admitted after being computed once, and later
+``MIN_PAIR_FREQ`` times are admitted after being computed once, and later
 queries containing a cached pair skip fetching both member lists.
 """
 
@@ -26,6 +26,9 @@ from repro.engine.postings import POSTING_BYTES
 from repro.engine.query import Query
 
 __all__ = ["IntersectionEntry", "IntersectionCache", "ThreeLevelCacheManager"]
+
+#: Occurrences of a term pair before its intersection is admitted.
+MIN_PAIR_FREQ = 2
 
 
 @dataclass
@@ -125,21 +128,17 @@ class ThreeLevelCacheManager(CacheManager):
         index,
         processor=None,
         intersection_bytes: int = 8 * 1024 * 1024,
-        min_pair_freq: int = 2,
         materialize_results: bool = False,
         telemetry=None,
     ) -> None:
         super().__init__(config, hierarchy, index, processor,
                          materialize_results=materialize_results,
                          telemetry=telemetry)
-        if min_pair_freq < 1:
-            raise ValueError("min_pair_freq must be >= 1")
         self.intersections = IntersectionCache(
             intersection_bytes, replace_window=config.replace_window
         )
         if telemetry is not None:
             telemetry.observe_occupancy(self.intersections.occupancy)
-        self.min_pair_freq = min_pair_freq
         self._pair_freq: dict[tuple[int, int], int] = {}
 
     # -- helpers ---------------------------------------------------------
@@ -237,7 +236,7 @@ class ThreeLevelCacheManager(CacheManager):
                 continue  # no fresh lists were traversed for these
             freq = self._pair_freq.get(pair, 0) + 1
             self._pair_freq[pair] = freq
-            if freq < self.min_pair_freq:
+            if freq < MIN_PAIR_FREQ:
                 continue
             if self.intersections._lru.get(pair) is not None:
                 continue

@@ -24,6 +24,7 @@ from repro.core.events import AdmitEvent, CacheEvents, EvictEvent, FlushEvent, L
 from repro.core.lru import LruList
 from repro.core.selection import efficiency_value, ssd_cache_blocks
 from repro.core.ssd_region import BlockRegion, ByteRegion
+from repro.engine.layout import CHUNK_BYTES
 from repro.flash.constants import SECTOR_BYTES
 from repro.obs.audit import NULL_AUDIT
 from repro.obs.tracer import NULL_TRACER
@@ -252,7 +253,7 @@ class ListCache:
     ) -> None:
         """Insert/grow a list entry in the memory list cache."""
         cfg = self.config
-        chunk = self.index.layout.chunk_bytes
+        chunk = CHUNK_BYTES
         target = min(total_bytes, -(-needed // chunk) * chunk)
         if target > cfg.mem_list_bytes:
             # A single list larger than the whole cache is clamped to the
@@ -455,7 +456,7 @@ class ListCache:
         cfg = self.config
         placed = 0
         budget = int(cfg.ssd_list_blocks * cfg.static_fraction)
-        chunk = self.index.layout.chunk_bytes
+        chunk = CHUNK_BYTES
         ranked: list[tuple[float, int, int, int]] = []
         for term_id, freq in term_freqs.items():
             if freq < 2:

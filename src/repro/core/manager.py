@@ -52,6 +52,8 @@ _S3 = Situation.S3
 # The ``query`` span's attributes (repro._row): closed, or raised out of.
 _QUERY = shape(("qid", "terms", "situation", "hit_level"))
 _QUERY_OPEN = shape(("qid", "terms"))
+#: Spare share of a built SSD's blocks (~12 %) over the cache file.
+OVERPROVISION = 0.12
 
 
 class QueryOutcome(NamedTuple):
@@ -68,36 +70,33 @@ def build_hierarchy_for(
     cache_config: CacheConfig,
     index: InvertedIndex | None = None,
     index_on: str = "hdd",
-    memory_bytes: int | None = None,
-    flash_overrides: dict | None = None,
-    seed: int = 0,
     clock=None,
     device_suffix: str = "",
 ) -> StorageHierarchy:
     """Build a storage hierarchy sized for a cache configuration.
 
     The SSD's flash geometry is derived from the cache-file size plus
-    ~12 % over-provisioning, so garbage collection has realistic headroom
-    regardless of the experiment's cache capacity.  ``clock`` and
+    ``OVERPROVISION`` spare blocks, so garbage collection has realistic
+    headroom regardless of the experiment's cache capacity.  ``clock`` and
     ``device_suffix`` let several hierarchies (cluster shards under the
     concurrency kernel) share one simulated timeline with distinct
     device/channel names.
     """
-    overrides = dict(flash_overrides or {})
-    op = overrides.pop("overprovision", 0.12)
-    base = FlashConfig(**overrides) if overrides else FlashConfig()
+    base = FlashConfig()
     cache_blocks = max(1, cache_config.ssd_cache_bytes // base.block_bytes)
-    num_blocks = int(cache_blocks / (1.0 - op)) + 4
-    ssd_cfg = replace(base, num_blocks=num_blocks, overprovision=op)
-    mem = memory_bytes or max(
+    num_blocks = int(cache_blocks / (1.0 - OVERPROVISION)) + 4
+    ssd_cfg = replace(base, num_blocks=num_blocks, overprovision=OVERPROVISION)
+    mem = max(
         64 * 1024 * 1024,
         2 * (cache_config.mem_result_bytes + cache_config.mem_list_bytes),
     )
     index_ssd_cfg = None
     if index_on == "ssd":
         index_bytes = index.index_bytes if index is not None else 2**30
-        idx_blocks = int((index_bytes // base.block_bytes + 1) / (1.0 - op)) + 4
-        index_ssd_cfg = replace(base, num_blocks=idx_blocks, overprovision=op)
+        idx_blocks = (int((index_bytes // base.block_bytes + 1)
+                          / (1.0 - OVERPROVISION)) + 4)
+        index_ssd_cfg = replace(base, num_blocks=idx_blocks,
+                                overprovision=OVERPROVISION)
     return StorageHierarchy(
         HierarchyConfig(
             memory_bytes=mem,
@@ -106,7 +105,6 @@ def build_hierarchy_for(
             index_on=index_on,
             index_ssd_config=index_ssd_cfg,
         ),
-        seed=seed,
         clock=clock,
         device_suffix=device_suffix,
     )

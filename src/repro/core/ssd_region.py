@@ -121,14 +121,14 @@ class ByteRegion:
 
     def _coalesce_around(self, i: int) -> None:
         if i + 1 < len(self._free):
-            s, l = self._free[i]
+            s, n = self._free[i]
             ns, nl = self._free[i + 1]
-            if s + l == ns:
-                self._free[i] = (s, l + nl)
+            if s + n == ns:
+                self._free[i] = (s, n + nl)
                 del self._free[i + 1]
         if i > 0:
             ps, pl = self._free[i - 1]
-            s, l = self._free[i]
+            s, n = self._free[i]
             if ps + pl == s:
-                self._free[i - 1] = (ps, pl + l)
+                self._free[i - 1] = (ps, pl + n)
                 del self._free[i]

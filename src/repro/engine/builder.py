@@ -22,6 +22,11 @@ from repro.engine.postings import DOC_ID_DTYPE, TF_DTYPE, PostingList
 
 __all__ = ["MaterializedIndex", "build_index"]
 
+#: Seed of the synthesised per-term utilization rates.
+UTILIZATION_SEED = 0
+#: Built indexes lay out raw postings; True sizes them varbyte-compressed.
+COMPRESSED = False
+
 
 class MaterializedIndex:
     """An inverted index whose posting lists are held fully in memory.
@@ -34,13 +39,11 @@ class MaterializedIndex:
         self,
         stats: CorpusStats,
         postings: dict[int, PostingList],
-        chunk_bytes: int = 128 * 1024,
-        compressed: bool = False,
     ) -> None:
         self.stats = stats
-        self.compressed = compressed
+        self.compressed = COMPRESSED
         sizes = None
-        if compressed:
+        if COMPRESSED:
             from repro.engine.codec import encoded_size
 
             sizes = np.maximum(1, np.array(
@@ -49,8 +52,7 @@ class MaterializedIndex:
                 dtype=np.int64,
             ))
         self.lexicon = Lexicon(stats, list_sizes=sizes)
-        self.layout = IndexLayout(stats, chunk_bytes=chunk_bytes,
-                                  sizes_bytes=sizes)
+        self.layout = IndexLayout(stats, sizes_bytes=sizes)
         self._postings = postings
 
     @property
@@ -89,9 +91,6 @@ class MaterializedIndex:
 def build_index(
     store: DocumentStore,
     vocab_size: int | None = None,
-    utilization_seed: int = 0,
-    chunk_bytes: int = 128 * 1024,
-    compressed: bool = False,
 ) -> MaterializedIndex:
     """Build an exact inverted index from a document store.
 
@@ -143,7 +142,7 @@ def build_index(
     probs = coll_freqs / coll_freqs.sum()
 
     # Utilization: same behavioural model as build_corpus_stats.
-    rng = np.random.default_rng(utilization_seed)
+    rng = np.random.default_rng(UTILIZATION_SEED)
     length_rank = np.argsort(np.argsort(-doc_freqs))
     frac = length_rank / max(1, vocab_size - 1)
     mean_u = 0.22 + 0.68 * frac
@@ -157,7 +156,7 @@ def build_index(
         num_docs=max_doc_id + 1,
         vocab_size=vocab_size,
         avg_doc_len=max(1, total_tokens // num_docs),
-        seed=utilization_seed,
+        seed=UTILIZATION_SEED,
     )
     stats = CorpusStats(
         config=config,
@@ -166,5 +165,4 @@ def build_index(
         coll_freqs=coll_freqs,
         utilization=utilization,
     )
-    return MaterializedIndex(stats, postings, chunk_bytes=chunk_bytes,
-                             compressed=compressed)
+    return MaterializedIndex(stats, postings)

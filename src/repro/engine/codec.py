@@ -49,6 +49,9 @@ _MAX_VECTOR_RUN = 9
 _DOC_ID_MAX = int(np.iinfo(DOC_ID_DTYPE).max)
 _TF_MAX = int(np.iinfo(TF_DTYPE).max)
 
+#: Mean tf the size estimate assumes for a statistical index's postings.
+MEAN_TF = 2.2
+
 
 # ---------------------------------------------------------------------------
 # Scalar reference implementations (retained: property tests pin the
@@ -260,14 +263,14 @@ def decode_posting_list(data: bytes) -> PostingList:
 
 
 def estimate_compressed_list_bytes(
-    doc_freqs: np.ndarray, num_docs: int, mean_tf: float = 2.2
+    doc_freqs: np.ndarray, num_docs: int
 ) -> np.ndarray:
     """Analytic per-term compressed sizes for a statistical index.
 
     Mean doc-gap within a list of df postings is ~num_docs/df, so the
     gap field costs ``ceil(bits(num_docs/df)/7)`` bytes and the tf field
-    ~1 byte (tf is small).  Matches :func:`encoded_size` to within a few
-    percent on generated lists.
+    ~1 byte (tf is small, ``MEAN_TF`` on average).  Matches
+    :func:`encoded_size` to within a few percent on generated lists.
     """
     if num_docs <= 0:
         raise ValueError("num_docs must be positive")
@@ -276,7 +279,7 @@ def estimate_compressed_list_bytes(
         raise ValueError("doc_freqs must be >= 1")
     mean_gap = np.maximum(1.0, num_docs / df)
     gap_bytes = np.floor(np.log2(mean_gap)) // 7 + 1
-    tf_bytes = np.floor(np.log2(max(1.0, mean_tf))) // 7 + 1
+    tf_bytes = np.floor(np.log2(max(1.0, MEAN_TF))) // 7 + 1
     return (df * (gap_bytes + tf_bytes)).astype(np.int64) + 2  # +2 header
 
 

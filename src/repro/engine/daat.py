@@ -18,7 +18,7 @@ import numpy as np
 
 from repro._hot import HOT
 from repro.engine.index import InvertedIndex
-from repro.engine.postings import POSTING_BYTES, SKIP_INTERVAL
+from repro.engine.postings import SKIP_INTERVAL
 from repro.engine.processor import ListDemand, ProcessorCosts, QueryPlan
 from repro.engine.query import Query
 from repro.engine.results import DEFAULT_TOP_K, ResultEntry, SearchResult

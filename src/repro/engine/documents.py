@@ -20,6 +20,11 @@ from repro.sim.rng import make_rng
 
 __all__ = ["Document", "DocumentStore", "generate_documents"]
 
+#: Zipf-Mandelbrot token distribution of generated documents (the
+#: statistical path's ``CorpusConfig`` defaults).
+ZIPF_S = 1.0
+ZIPF_Q = 2.7
+
 
 @dataclass(frozen=True)
 class Document:
@@ -79,15 +84,13 @@ def generate_documents(
     num_docs: int,
     vocab_size: int,
     avg_doc_len: int = 200,
-    zipf_s: float = 1.0,
-    zipf_q: float = 2.7,
     seed: int = 0,
 ) -> DocumentStore:
     """Generate Zipf-token documents with log-normal length variation."""
     if num_docs <= 0 or vocab_size <= 0 or avg_doc_len <= 0:
         raise ValueError("num_docs, vocab_size and avg_doc_len must be positive")
     rng = make_rng(seed)
-    probs = zipf_mandelbrot_probs(vocab_size, zipf_s, zipf_q)
+    probs = zipf_mandelbrot_probs(vocab_size, ZIPF_S, ZIPF_Q)
     lengths = np.maximum(
         1, rng.lognormal(mean=np.log(avg_doc_len), sigma=0.4, size=num_docs)
     ).astype(np.int64)

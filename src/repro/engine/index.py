@@ -20,6 +20,9 @@ from repro.engine.postings import PostingList, generate_posting_list
 
 __all__ = ["InvertedIndex"]
 
+#: Posting lists kept materialised, least recently used evicted first.
+POSTINGS_CACHE_SIZE = 512
+
 
 class InvertedIndex:
     """A queryable synthetic inverted index."""
@@ -27,8 +30,6 @@ class InvertedIndex:
     def __init__(
         self,
         corpus: CorpusConfig | CorpusStats | None = None,
-        chunk_bytes: int = 128 * 1024,
-        postings_cache_size: int = 512,
         compressed: bool = False,
     ) -> None:
         if corpus is None:
@@ -45,12 +46,8 @@ class InvertedIndex:
                 corpus.doc_freqs, corpus.config.num_docs
             )
         self.lexicon = Lexicon(corpus, list_sizes=sizes)
-        self.layout = IndexLayout(corpus, chunk_bytes=chunk_bytes,
-                                  sizes_bytes=sizes)
-        if postings_cache_size < 1:
-            raise ValueError("postings_cache_size must be >= 1")
+        self.layout = IndexLayout(corpus, sizes_bytes=sizes)
         self._postings_cache: OrderedDict[int, PostingList] = OrderedDict()
-        self._postings_cache_size = postings_cache_size
 
     @property
     def num_docs(self) -> int:
@@ -78,7 +75,7 @@ class InvertedIndex:
             term_id, df, self.num_docs, seed=self.stats.config.seed
         )
         self._postings_cache[term_id] = plist
-        if len(self._postings_cache) > self._postings_cache_size:
+        if len(self._postings_cache) > POSTINGS_CACHE_SIZE:
             self._postings_cache.popitem(last=False)
         return plist
 

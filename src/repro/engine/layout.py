@@ -19,6 +19,9 @@ from repro.engine.postings import POSTING_BYTES
 __all__ = ["TermExtent", "IndexLayout"]
 
 SECTOR_BYTES = 512
+#: I/O granularity for partial list reads; the paper divides lists at
+#: flash-block granularity (128 KB).
+CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -41,24 +44,12 @@ class IndexLayout:
     ----------
     stats:
         Corpus statistics providing per-term list sizes.
-    base_lba:
-        First sector of the index region (lets the same device host
-        several segments).
-    chunk_bytes:
-        I/O granularity for partial list reads; the paper divides lists
-        at flash-block granularity (128 KB).
+
+    The index region starts at sector 0, and lists are read in
+    ``CHUNK_BYTES`` chunks.
     """
 
-    def __init__(
-        self,
-        stats: CorpusStats,
-        base_lba: int = 0,
-        chunk_bytes: int = 128 * 1024,
-        sizes_bytes=None,
-    ) -> None:
-        if chunk_bytes <= 0 or chunk_bytes % SECTOR_BYTES:
-            raise ValueError("chunk_bytes must be a positive multiple of 512")
-        self.chunk_bytes = chunk_bytes
+    def __init__(self, stats: CorpusStats, sizes_bytes=None) -> None:
         if sizes_bytes is None:
             sizes = stats.doc_freqs * POSTING_BYTES
         else:
@@ -68,11 +59,10 @@ class IndexLayout:
             if (sizes <= 0).any():
                 raise ValueError("sizes_bytes must be positive")
         sectors = -(-sizes // SECTOR_BYTES)
-        starts = np.concatenate([[0], np.cumsum(sectors)[:-1]]) + base_lba
+        starts = np.concatenate([[0], np.cumsum(sectors)[:-1]])
         self._lbas = starts.astype(np.int64)
         self._sizes = sizes.astype(np.int64)
         self.total_sectors = int(sectors.sum())
-        self.base_lba = base_lba
 
     def __len__(self) -> int:
         return int(self._lbas.size)
@@ -87,20 +77,20 @@ class IndexLayout:
             raise KeyError(f"term id {term_id} out of range")
         return TermExtent(term_id, int(self._lbas[term_id]), int(self._sizes[term_id]))
 
-    def chunk_reads(self, term_id: int, needed_bytes: int, skip: bool = True) -> list[tuple[int, int]]:
+    def chunk_reads(self, term_id: int, needed_bytes: int) -> list[tuple[int, int]]:
         """The (lba, nbytes) device reads for the traversed part of a list.
 
         A traversal that needs ``needed_bytes`` of the frequency-sorted
-        prefix reads whole chunks.  With ``skip=True`` the accesses mimic
-        Lucene's skip-list behaviour: the first chunk is always read, and
-        later chunks are issued as separate (non-coalesced) requests —
-        producing the "skipped reads" of Section III.
+        prefix reads whole chunks.  The accesses mimic Lucene's skip-list
+        behaviour: the first chunk is always read, and later chunks are
+        issued as separate (non-coalesced) requests — producing the
+        "skipped reads" of Section III.
         """
         if not 0 <= term_id < self._lbas.size:
             self.extent(term_id)  # raises
         base = int(self._lbas[term_id])
         nbytes = int(self._sizes[term_id])
-        chunk = self.chunk_bytes
+        chunk = CHUNK_BYTES
         needed = max(1, min(needed_bytes, nbytes))
         n_chunks = -(-needed // chunk)
         reads: list[tuple[int, int]] = []
@@ -110,8 +100,4 @@ class IndexLayout:
             if size <= 0:
                 break
             reads.append((base + off // SECTOR_BYTES, size))
-        if not skip and len(reads) > 1:
-            # Coalesce into one sequential read.
-            total = sum(sz for _, sz in reads)
-            reads = [(base, total)]
         return reads

@@ -14,15 +14,15 @@ from repro.engine.query import Query
 
 __all__ = ["QueryParser"]
 
+#: Terms kept per query; later terms are dropped.
+MAX_TERMS = 16
+
 
 class QueryParser:
     """Turns query strings into term-id queries against a lexicon."""
 
-    def __init__(self, lexicon: Lexicon, max_terms: int = 16) -> None:
-        if max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+    def __init__(self, lexicon: Lexicon) -> None:
         self.lexicon = lexicon
-        self.max_terms = max_terms
         self._next_id = itertools.count()
 
     def parse(self, text: str, query_id: int | None = None) -> Query:
@@ -40,7 +40,7 @@ class QueryParser:
             if term_id not in seen:
                 seen.add(term_id)
                 terms.append(term_id)
-            if len(terms) >= self.max_terms:
+            if len(terms) >= MAX_TERMS:
                 break
         if not terms:
             raise ValueError(f"no known terms in query {text!r}")

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro._hot import HOT
 from repro.engine.index import InvertedIndex
-from repro.engine.postings import POSTING_BYTES
 from repro.engine.query import Query
 from repro.engine.results import DEFAULT_TOP_K, ResultEntry, SearchResult
 from repro.sim.rng import make_rng
@@ -44,6 +43,10 @@ class ProcessorCosts:
     per_posting_us: float = 0.05
     #: assembling one result summary (snippet generation etc.)
     per_result_us: float = 2.0
+
+
+#: The CPU costs every processor charges.
+COSTS = ProcessorCosts()
 
 
 class ListDemand(NamedTuple):
@@ -85,14 +88,13 @@ class QueryProcessor:
     def __init__(
         self,
         index: InvertedIndex,
-        costs: ProcessorCosts | None = None,
         top_k: int = DEFAULT_TOP_K,
         seed: int = 1234,
     ) -> None:
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         self.index = index
-        self.costs = costs or ProcessorCosts()
+        self.costs = COSTS
         self.top_k = top_k
         self._rng = rng = make_rng(seed)
 

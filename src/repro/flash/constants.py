@@ -119,15 +119,14 @@ class FlashConfig:
     # -- presets -----------------------------------------------------------
 
     @classmethod
-    def table3(cls, num_blocks: int = 1024, **overrides) -> "FlashConfig":
+    def table3(cls, **overrides) -> "FlashConfig":
         """The paper's Table III simulation parameters."""
-        return cls(num_blocks=num_blocks, name="table3", **overrides)
+        return cls(name="table3", **overrides)
 
     @classmethod
-    def section6(cls, num_blocks: int = 1024, **overrides) -> "FlashConfig":
+    def section6(cls, **overrides) -> "FlashConfig":
         """The round 20/250 us figures quoted in Section VI."""
         return cls(
-            num_blocks=num_blocks,
             read_us=20.0,
             write_us=250.0,
             erase_us=1500.0,

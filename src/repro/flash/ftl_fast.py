@@ -31,11 +31,7 @@ _UNMAPPED = -1
 class FastFTL(FTL):
     """Fully-associative sector translation (simplified FAST)."""
 
-    def __init__(
-        self,
-        config: FlashConfig,
-        num_log_blocks: int | None = None,
-    ) -> None:
+    def __init__(self, config: FlashConfig) -> None:
         super().__init__(config)
         ppb = config.pages_per_block
         self.num_lblocks = self.num_lpns // ppb
@@ -45,11 +41,7 @@ class FastFTL(FTL):
                 "FastFTL needs at least 3 spare blocks beyond logical capacity "
                 f"(have {spare}); increase overprovision or num_blocks"
             )
-        if num_log_blocks is None:
-            num_log_blocks = max(2, spare - 2)
-        if num_log_blocks < 1 or num_log_blocks > spare - 1:
-            raise ValueError(f"num_log_blocks must be in [1, {spare - 1}]")
-        self.num_log_blocks = num_log_blocks
+        self.num_log_blocks = max(2, spare - 2)
         self._l2b = np.full(self.num_lblocks, _UNMAPPED, dtype=np.int64)
         # lpn -> ppn of the live copy in the log area (page-level map)
         self._log_map: OrderedDict[int, int] = OrderedDict()

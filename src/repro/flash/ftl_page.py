@@ -340,22 +340,19 @@ class PageMappingFTL(FTL):
         latency += self.config.erase_us
         return latency
 
-    def background_collect(
-        self, budget_us: float, target_free_blocks: int | None = None
-    ) -> float:
+    def background_collect(self, budget_us: float) -> float:
         """Idle-time garbage collection (Chen et al. [5]: background ops
         vs foreground jobs).
 
         Reclaims blocks while the device is idle so later foreground
         writes find a stocked free pool instead of paying GC inline.
         Only blocks with invalid pages are touched; stops when the pool
-        reaches ``target_free_blocks`` (default 4x the GC threshold) or
-        the time budget runs out.  Returns the idle time consumed.
+        reaches 4x the GC threshold or the time budget runs out.  Returns
+        the idle time consumed.
         """
         if budget_us < 0:
             raise ValueError("budget_us cannot be negative")
-        if target_free_blocks is None:
-            target_free_blocks = 4 * self.config.gc_free_block_threshold
+        target_free_blocks = 4 * self.config.gc_free_block_threshold
         used = 0.0
         while used < budget_us and self.free_block_count < target_free_blocks:
             victim = self._gc_victim(self._active_block, "background")

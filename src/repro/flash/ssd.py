@@ -18,7 +18,7 @@ from repro.flash.ftl_block import BlockMappingFTL
 from repro.flash.ftl_dftl import DFTL
 from repro.flash.ftl_fast import FastFTL
 from repro.flash.ftl_page import PageMappingFTL
-from repro.flash.wear import WearReport, wear_report
+from repro.flash.wear import DEFAULT_ENDURANCE_CYCLES, WearReport, wear_report
 from repro.sim.clock import VirtualClock
 from repro.sim.counters import CounterSet
 
@@ -276,8 +276,10 @@ class SimulatedSSD:
         """Mean service time per host op so far (Fig. 19b's y-axis)."""
         return self.counters["access_time_us"].mean
 
-    def wear(self, endurance_cycles: int = 5000) -> WearReport:
-        return wear_report(self.ftl.nand.erase_counts, endurance_cycles)
+    def wear(self) -> WearReport:
+        """Wear over the rated ``DEFAULT_ENDURANCE_CYCLES``."""
+        return wear_report(self.ftl.nand.erase_counts,
+                           DEFAULT_ENDURANCE_CYCLES)
 
     def reset_counters(self) -> None:
         """Zero host-op counters (erase counts and mappings persist)."""

@@ -18,40 +18,26 @@ from repro.flash.ftl_page import PageMappingFTL
 
 __all__ = ["WearLevelingFTL"]
 
+#: Migrate when ``max(erase) - min(erase among data blocks)`` exceeds
+#: this.  Smaller = more even wear, more migration overhead.
+WEAR_DELTA_THRESHOLD = 4
+#: Host writes between imbalance checks (checks scan per-block arrays,
+#: so they are cheap but not free).
+CHECK_INTERVAL = 128
+
 
 class WearLevelingFTL(PageMappingFTL):
-    """Page-mapping FTL with threshold-triggered static wear leveling.
+    """Page-mapping FTL with threshold-triggered static wear leveling."""
 
-    Parameters
-    ----------
-    wear_delta_threshold:
-        Migrate when ``max(erase) - min(erase among data blocks)`` exceeds
-        this value.  Smaller = more even wear, more migration overhead.
-    check_interval:
-        Host writes between imbalance checks (checks scan per-block
-        arrays, so they are cheap but not free).
-    """
-
-    def __init__(
-        self,
-        config: FlashConfig,
-        wear_delta_threshold: int = 8,
-        check_interval: int = 64,
-    ) -> None:
+    def __init__(self, config: FlashConfig) -> None:
         super().__init__(config)
-        if wear_delta_threshold < 1:
-            raise ValueError("wear_delta_threshold must be >= 1")
-        if check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
-        self.wear_delta_threshold = wear_delta_threshold
-        self.check_interval = check_interval
         self._writes_since_check = 0
         self.migrations = 0
 
     def write(self, lpn: int) -> float:
         latency = super().write(lpn)
         self._writes_since_check += 1
-        if self._writes_since_check >= self.check_interval:
+        if self._writes_since_check >= CHECK_INTERVAL:
             self._writes_since_check = 0
             latency += self._maybe_level()
         return latency
@@ -59,7 +45,7 @@ class WearLevelingFTL(PageMappingFTL):
     def write_span(self, lpn_start: int, count: int) -> float:
         latency = super().write_span(lpn_start, count)
         self._writes_since_check += count
-        if self._writes_since_check >= self.check_interval:
+        if self._writes_since_check >= CHECK_INTERVAL:
             self._writes_since_check = 0
             latency += self._maybe_level()
         return latency
@@ -77,7 +63,7 @@ class WearLevelingFTL(PageMappingFTL):
             return 0.0
         data_blocks = np.nonzero(data_mask)[0]
         coldest = int(data_blocks[np.argmin(counts[data_blocks])])
-        if int(counts.max()) - int(counts[coldest]) <= self.wear_delta_threshold:
+        if int(counts.max()) - int(counts[coldest]) <= WEAR_DELTA_THRESHOLD:
             return 0.0
         # Relocate the cold data; the freed block rejoins the pool and
         # will absorb hot writes.

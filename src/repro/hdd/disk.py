@@ -1,14 +1,11 @@
 """Sector-addressed HDD device model.
 
 Tracks head position so that sequential requests stream while random
-requests pay seek + rotational latency.  Deterministic by default (expected
-half-rotation); pass an ``rng`` for sampled rotational delays when latency
-*distributions* matter (e.g. trace studies).
+requests pay seek + rotational latency.  Deterministic: a seek waits the
+expected half-rotation.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro._row import shape
 from repro.hdd.geometry import SECTOR_BYTES, DiskGeometry
@@ -37,12 +34,10 @@ class SimulatedHDD:
         self,
         geometry: DiskGeometry | None = None,
         clock: VirtualClock | None = None,
-        rng: np.random.Generator | None = None,
         name: str = "hdd",
     ) -> None:
         self.geometry = geometry or DiskGeometry()
         self.clock = clock or VirtualClock()
-        self.rng = rng
         self.name = name
         self.counters = CounterSet()
         #: Optional span tracer (repro.obs); None keeps the hot path bare.
@@ -83,10 +78,7 @@ class SimulatedHDD:
         latency = geo.controller_overhead_us
         if distance > _SEQUENTIAL_SLACK_SECTORS:
             latency += geo.seek_time_us(distance)
-            if self.rng is None:
-                latency += geo.mean_rotational_latency_us
-            else:
-                latency += float(self.rng.uniform(0.0, geo.rotation_period_us))
+            latency += geo.mean_rotational_latency_us
             ctr = self._seek_ctr
             if ctr is None:
                 ctr = self._seek_ctr = self.counters["seeks"]

@@ -92,9 +92,7 @@ from repro.obs.slo import (
     SloResult,
     SloSpec,
     StreamingDetectors,
-    StreamingShardSkew,
     StreamingSloEvaluator,
-    detect_shard_skew,
     evaluate_slo,
     evaluate_slos,
     parse_slo,
@@ -170,11 +168,9 @@ __all__ = [
     "evaluate_slo",
     "evaluate_slos",
     "run_detectors",
-    "detect_shard_skew",
     "DEFAULT_SLOS",
     "window_point",
     "StreamingDetectors",
-    "StreamingShardSkew",
     "StreamingSloEvaluator",
     "INCIDENT_SCHEMA",
     "FlightRecorder",

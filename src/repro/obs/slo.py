@@ -18,16 +18,14 @@ no data are skipped, not failed.
 The anomaly detectors are the monitoring playbook the paper's own
 evaluation implies: hit-ratio drift (warmup regression or working-set
 shift), write-amplification spikes (Fig. 13 staged victim search
-degrading to multi-victim assembly), queue buildup (flush path not
-keeping up), and — at the broker level — cross-shard skew (one shard's
-windowed series diverging from the fleet's).
+degrading to multi-victim assembly) and queue buildup (flush path not
+keeping up).
 
 Every state machine exists once, as a ``Streaming*`` class fed one
 closed window at a time — what the flight recorder runs in-run.  The
-post-hoc functions (``evaluate_slos``, ``run_detectors``,
-``detect_shard_skew``) feed the saved windows through the same classes,
-so an in-run trigger and the verdict CI later re-derives from the file
-cannot disagree.  One detector's anomalies are ``run_detectors``'
+post-hoc functions (``evaluate_slos``, ``run_detectors``) feed the
+saved windows through the same classes, so an in-run trigger and the
+verdict CI later re-derives from the file cannot disagree.  One detector's anomalies are ``run_detectors``'
 filtered by :attr:`Anomaly.detector`.
 """
 
@@ -46,7 +44,6 @@ __all__ = [
     "parse_slo",
     "evaluate_slo",
     "evaluate_slos",
-    "detect_shard_skew",
     "run_detectors",
     "DEFAULT_SLOS",
     "StreamingHitRatioDrift",
@@ -54,7 +51,6 @@ __all__ = [
     "StreamingQueueBuildup",
     "StreamingWaitDominated",
     "StreamingDetectors",
-    "StreamingShardSkew",
     "StreamingSloEvaluator",
 ]
 
@@ -357,50 +353,6 @@ class StreamingDetectors:
         return batch
 
 
-class StreamingShardSkew:
-    """Cross-shard skew: one shard's windowed mean diverging from the fleet.
-
-    Feed every shard's closed windows through :meth:`update`.  A shard
-    is skewed when its mean over ``series`` differs from the *median*
-    of all shard means by more than ``rel_tol`` (relative) — the median,
-    not the mean, so a single lagging shard doesn't drag the reference
-    down and flag every healthy shard with it.
-    """
-
-    def __init__(self, series: str = "hit_ratio",
-                 rel_tol: float = 0.25) -> None:
-        self.series = series
-        self.rel_tol = rel_tol
-        self._sums: dict = {}
-
-    def update(self, shard_id, rec: dict) -> None:
-        pt = window_point(rec, self.series)
-        if pt is None:
-            return
-        acc = self._sums.get(shard_id)
-        if acc is None:
-            acc = self._sums[shard_id] = [0.0, 0]
-        acc[0] += pt[1]
-        acc[1] += 1
-
-    def anomalies(self) -> list[Anomaly]:
-        means = {sid: s / n for sid, (s, n) in self._sums.items() if n}
-        if len(means) < 2:
-            return []
-        ranked = sorted(means.values())
-        mid = len(ranked) // 2
-        fleet = (ranked[mid] if len(ranked) % 2
-                 else (ranked[mid - 1] + ranked[mid]) / 2.0)
-        out = []
-        for sid, m in sorted(means.items()):
-            if fleet != 0 and abs(m - fleet) / abs(fleet) > self.rel_tol:
-                out.append(Anomaly(
-                    "shard_skew", -1, "warn",
-                    f"shard {sid} mean {self.series} {m:.3f} vs fleet "
-                    f"median {fleet:.3f} ({(m - fleet) / fleet:+.0%})"))
-        return out
-
-
 class StreamingSloEvaluator:
     """SLO evaluation, one closed window at a time.
 
@@ -471,13 +423,3 @@ def run_detectors(windows) -> list[Anomaly]:
     for rec in windows:
         detectors.update(rec)
     return detectors.anomalies
-
-
-def detect_shard_skew(shard_windows: dict, series: str = "hit_ratio",
-                      rel_tol: float = 0.25) -> list[Anomaly]:
-    """:class:`StreamingShardSkew` over ``{shard id: window records}``."""
-    skew = StreamingShardSkew(series, rel_tol)
-    for sid, windows in shard_windows.items():
-        for rec in windows:
-            skew.update(sid, rec)
-    return skew.anomalies()

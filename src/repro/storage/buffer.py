@@ -28,6 +28,9 @@ from repro.storage.device import BlockDevice
 
 __all__ = ["BufferPolicy", "BufferStats", "HostPageBuffer", "BplruBuffer"]
 
+#: CFLRU's clean-first region: this share of the buffer, at the LRU end.
+CLEAN_FIRST_FRACTION = 0.25
+
 
 class BufferPolicy(str, enum.Enum):
     LRU = "lru"
@@ -71,19 +74,15 @@ class HostPageBuffer:
         capacity_pages: int,
         page_bytes: int = 2048,
         policy: BufferPolicy = BufferPolicy.LRU,
-        clean_first_fraction: float = 0.25,
     ) -> None:
         if capacity_pages < 1:
             raise ValueError("capacity_pages must be >= 1")
         if page_bytes <= 0 or page_bytes % SECTOR_BYTES:
             raise ValueError("page_bytes must be a positive multiple of 512")
-        if not 0.0 < clean_first_fraction <= 1.0:
-            raise ValueError("clean_first_fraction must be in (0, 1]")
         self.device = device
         self.capacity_pages = capacity_pages
         self.page_bytes = page_bytes
         self.policy = BufferPolicy(policy)
-        self.clean_first_fraction = clean_first_fraction
         self._pages: OrderedDict[int, _Page] = OrderedDict()
         self.stats = BufferStats()
 
@@ -179,7 +178,7 @@ class HostPageBuffer:
 
     def _cflru_victim(self) -> int:
         """First clean page within the clean-first region, else plain LRU."""
-        window = max(1, int(self.capacity_pages * self.clean_first_fraction))
+        window = max(1, int(self.capacity_pages * CLEAN_FIRST_FRACTION))
         for i, (page_no, page) in enumerate(self._pages.items()):
             if i >= window:
                 break

@@ -18,6 +18,10 @@ __all__ = ["BlockDevice", "DramModel", "NullDevice"]
 # A DRAM access's leaf-span attributes (repro._row).
 _NBYTES = shape(("nbytes",))
 
+#: DRAM access cost: fixed software overhead (us) plus a bandwidth term.
+ACCESS_OVERHEAD_US = 0.2
+BANDWIDTH_GB_S = 10.0
+
 
 @runtime_checkable
 class BlockDevice(Protocol):
@@ -47,18 +51,12 @@ class DramModel:
     def __init__(
         self,
         capacity_bytes: int = 2 * 1024**3,
-        access_overhead_us: float = 0.2,
-        bandwidth_gb_s: float = 10.0,
         clock: VirtualClock | None = None,
         name: str = "dram",
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if bandwidth_gb_s <= 0:
-            raise ValueError("bandwidth_gb_s must be positive")
         self._capacity = capacity_bytes
-        self.access_overhead_us = access_overhead_us
-        self.bandwidth_gb_s = bandwidth_gb_s
         self.clock = clock or VirtualClock()
         self.name = name
         self.counters = CounterSet()
@@ -79,12 +77,12 @@ class DramModel:
         """The validating form: ``read`` inlines this and calls it to raise."""
         if nbytes < 0:
             raise ValueError("nbytes cannot be negative")
-        return self.access_overhead_us + nbytes / (self.bandwidth_gb_s * 1e3)
+        return ACCESS_OVERHEAD_US + nbytes / (BANDWIDTH_GB_S * 1e3)
 
     def read(self, lba: int, nbytes: int) -> float:
         if nbytes < 0:
             self._cost_us(nbytes)  # raises
-        latency = self.access_overhead_us + nbytes / (self.bandwidth_gb_s * 1e3)
+        latency = ACCESS_OVERHEAD_US + nbytes / (BANDWIDTH_GB_S * 1e3)
         ctrs = self._read_ctrs
         if ctrs is None:
             ctrs = self._read_ctrs = (self.counters["read_ops"],
@@ -119,15 +117,12 @@ class DramModel:
 class NullDevice:
     """A zero-latency, infinite device — useful as a test double."""
 
-    def __init__(self, name: str = "null", capacity_bytes: int = 2**62) -> None:
-        self.name = name
-        self._capacity = capacity_bytes
+    name = "null"
+    capacity_bytes = 2**62
+
+    def __init__(self) -> None:
         self.counters = CounterSet()
         self.tracer = None
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self._capacity
 
     def read(self, lba: int, nbytes: int) -> float:
         self.counters.add("read_ops", nbytes)

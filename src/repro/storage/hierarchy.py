@@ -57,7 +57,6 @@ class StorageHierarchy:
     def __init__(
         self,
         config: HierarchyConfig | None = None,
-        seed: int = 0,
         clock: VirtualClock | None = None,
         device_suffix: str = "",
     ) -> None:

@@ -43,23 +43,22 @@ class ServerConfig:
             raise ValueError("capacities cannot be negative")
 
 
-def server_cost_usd(config: ServerConfig, prices: PriceList | None = None) -> float:
+#: The paper's 2012 prices, which every configuration is costed at.
+PRICES = PriceList()
+
+
+def server_cost_usd(config: ServerConfig) -> float:
     """Storage cost of one server configuration."""
-    prices = prices or PriceList()
     return (
-        config.dram_bytes / GB * prices.dram_per_gb
-        + config.ssd_bytes / GB * prices.ssd_per_gb
-        + config.hdd_bytes / GB * prices.hdd_per_gb
+        config.dram_bytes / GB * PRICES.dram_per_gb
+        + config.ssd_bytes / GB * PRICES.ssd_per_gb
+        + config.hdd_bytes / GB * PRICES.hdd_per_gb
     )
 
 
-def cost_performance(
-    config: ServerConfig,
-    throughput_qps: float,
-    prices: PriceList | None = None,
-) -> float:
+def cost_performance(config: ServerConfig, throughput_qps: float) -> float:
     """Queries per second per storage dollar (higher is better)."""
-    cost = server_cost_usd(config, prices)
+    cost = server_cost_usd(config)
     if cost <= 0:
         raise ValueError("configuration has zero storage cost")
     return throughput_qps / cost

@@ -371,7 +371,6 @@ def run_open_loop(
     max_queue: int = 64,
     cpu_lanes: int = 1,
     label: str = "open-loop",
-    kernel: Kernel | None = None,
 ) -> OpenLoopResult:
     """Serve ``queries`` through the live ``manager`` on the kernel.
 
@@ -391,9 +390,7 @@ def run_open_loop(
     if not queries:
         raise ValueError("no queries to serve")
     clock = manager.clock
-    own_kernel = kernel is None
-    if kernel is None:
-        kernel = Kernel(clock)
+    kernel = Kernel(clock)
     manager.hierarchy.attach_kernel(kernel, cpu_lanes=cpu_lanes)
     tel = manager.telemetry
     blame = None
@@ -417,5 +414,4 @@ def run_open_loop(
                      concurrency=concurrency, max_queue=max_queue,
                      label=label, observe=observe)
     finally:
-        if own_kernel:
-            clock.bind_kernel(None)
+        clock.bind_kernel(None)

@@ -53,7 +53,6 @@ def run_uncached(
     log: QueryLog,
     index_on: str = "hdd",
     max_queries: int | None = None,
-    seed: int = 1234,
 ) -> RunResult:
     """Replay a query log with no cache at all (Fig. 15)."""
     cache_cfg = CacheConfig(
@@ -61,7 +60,7 @@ def run_uncached(
         ssd_result_bytes=0, ssd_list_bytes=0,
     )
     hierarchy = build_hierarchy_for(cache_cfg, index, index_on=index_on)
-    processor = QueryProcessor(index, seed=seed)
+    processor = QueryProcessor(index)
     clock = hierarchy.clock
     store = hierarchy.index_store
     n = 0
@@ -178,9 +177,7 @@ def sample_flash_series(
     log: QueryLog,
     cache_config: CacheConfig,
     sample_points: list[int],
-    index_on: str = "hdd",
     static_analyze_queries: int | None = None,
-    seed: int = 1234,
 ) -> list[dict]:
     """Fig. 19's series: (queries, erase count, flash mean access time).
 
@@ -192,8 +189,8 @@ def sample_flash_series(
     if sorted(sample_points) != list(sample_points):
         raise ValueError("sample_points must be increasing")
     mgr = prepare_cached_manager(
-        index, log, cache_config, index_on=index_on,
-        static_analyze_queries=static_analyze_queries, seed=seed)
+        index, log, cache_config,
+        static_analyze_queries=static_analyze_queries)
     if mgr.ssd is None:
         raise ValueError("flash series needs an SSD tier")
     # Fig. 19 counts flash activity during the measured workload only.

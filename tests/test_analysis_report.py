@@ -38,8 +38,7 @@ def test_report_validation():
     with pytest.raises(ValueError):
         policy_comparison_report({})
     with pytest.raises(ValueError):
-        policy_comparison_report({"cblru": fake_result("c", 1, 1, 1)},
-                                 baseline="lru")
+        policy_comparison_report({"cblru": fake_result("c", 1, 1, 1)})
 
 
 def test_report_zero_baseline_erases():

@@ -16,6 +16,7 @@ from repro.bench import (
     next_bench_path,
     write_bench,
 )
+from repro.bench import regression
 from repro.bench.harness import run_scenario
 from repro.bench.regression import Threshold
 
@@ -169,12 +170,13 @@ def test_load_rejects_bad_documents(tmp_path):
             load_bench(path)
 
 
-def test_next_bench_path_numbering(tmp_path):
-    assert next_bench_path(tmp_path).endswith("BENCH_0000.json")
+def test_next_bench_path_numbering(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert next_bench_path().endswith("BENCH_0000.json")
     (tmp_path / "BENCH_0003.json").write_text("{}")
     (tmp_path / "BENCH_0001.json").write_text("{}")
     (tmp_path / "not-a-bench.json").write_text("{}")
-    assert next_bench_path(tmp_path).endswith("BENCH_0004.json")
+    assert next_bench_path().endswith("BENCH_0004.json")
 
 
 # -- the gate ----------------------------------------------------------------
@@ -319,10 +321,11 @@ def test_pre_blame_baseline_skips_blame_gate(tiny_open_entry):
                 if r.metric.startswith("blame.")]
 
 
-def test_custom_thresholds_override_defaults(tiny_entry):
+def test_custom_thresholds_override_defaults(tiny_entry, monkeypatch):
     base = make_doc(tiny_entry)
     cur = make_doc(tiny_entry)
     cur["scenarios"]["tiny"]["metrics"]["mean_response_ms"] *= 1.5
     lax = dict(DEFAULT_THRESHOLDS)
     lax["mean_response_ms"] = Threshold("up", rel_tol=1.0)
-    assert compare_benches(cur, base, thresholds=lax) == []
+    monkeypatch.setattr(regression, "DEFAULT_THRESHOLDS", lax)
+    assert compare_benches(cur, base) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import broker as broker_module
 from repro.cluster.broker import Broker
 from repro.cluster.shard import IndexShard, partition_corpus
 from repro.core.config import CacheConfig, Policy
@@ -125,7 +126,7 @@ def test_broker_build_and_fanout(log):
     assert len(out.shard_times_us) == 3
     # Fan-out latency = slowest shard + merge overhead.
     assert out.response_us == pytest.approx(
-        max(out.shard_times_us) + broker.merge_overhead_us
+        max(out.shard_times_us) + broker_module.MERGE_OVERHEAD_US
     )
 
 
@@ -135,8 +136,6 @@ def test_broker_validation():
     shard = IndexShard(0, partition_corpus(BASE, 2)[0], cache_cfg())
     with pytest.raises(ValueError):
         Broker([shard, shard])  # duplicate ids
-    with pytest.raises(ValueError):
-        Broker([shard], merge_overhead_us=-1.0)
 
 
 def test_broker_stats_accumulate(log):
@@ -178,53 +177,6 @@ def test_sharding_reduces_per_query_latency(log):
             broker.process_query(q)
         results[n] = broker.stats.mean_response_us
     assert results[4] < results[1]
-
-
-def test_broker_result_cache_hits_skip_fanout(log):
-    broker = Broker.build(BASE, num_shards=2, cache_config=cache_cfg())
-    broker.result_cache_entries = 64
-    q = log[0]
-    first = broker.process_query(q)
-    assert first.shard_times_us  # fan-out happened
-    second = broker.process_query(q)
-    assert second.shard_times_us == ()  # answered at the broker
-    assert second.response_us == pytest.approx(broker.broker_hit_us)
-    assert broker.stats.broker_cache_hits == 1
-    # Shards never saw the second query.
-    for shard in broker.shards:
-        assert shard.stats.queries == 1
-
-
-def test_broker_result_cache_evicts_lru():
-    broker = Broker.build(BASE, num_shards=1, cache_config=cache_cfg(),
-                          )
-    broker.result_cache_entries = 2
-    qs = [Query(i, (1 + i,)) for i in range(3)]
-    for q in qs:
-        broker.process_query(q)
-    broker.process_query(qs[0])  # evicted: full fan-out again
-    assert broker.stats.broker_cache_hits == 0
-    broker.process_query(qs[2])  # still cached
-    assert broker.stats.broker_cache_hits == 1
-
-
-def test_broker_cache_validation():
-    shard = IndexShard(0, partition_corpus(BASE, 2)[0], cache_cfg())
-    with pytest.raises(ValueError):
-        Broker([shard], result_cache_entries=-1)
-    with pytest.raises(ValueError):
-        Broker([shard], broker_hit_us=-1.0)
-
-
-def test_broker_cache_lowers_mean_response(log):
-    plain = Broker.build(BASE, num_shards=2, cache_config=cache_cfg())
-    cached = Broker.build(BASE, num_shards=2, cache_config=cache_cfg())
-    cached.result_cache_entries = 256
-    for q in log.head(120):
-        plain.process_query(q)
-        cached.process_query(q)
-    assert cached.stats.mean_response_us < plain.stats.mean_response_us
-    assert cached.stats.broker_cache_hits > 0
 
 
 def test_cbslru_cluster_warmup(log):
@@ -279,7 +231,6 @@ def test_broker_without_telemetry_aggregates_empty_registry(log):
     for q in log.head(20):
         broker.process_query(q)
     assert len(broker.aggregated_registry()) == 0
-    assert broker.shard_timelines() == {}
 
 
 def _gauges(registry, name):
@@ -328,28 +279,6 @@ def test_broker_gauge_merge_modes_across_shards(log):
     assert mode == "max"
     assert merged_wear == max(worst)
 
-
-def test_broker_shard_timelines_and_skew(log):
-    broker = Broker.build(BASE, num_shards=2, cache_config=cache_cfg(),
-                          timeline_window_us=5_000.0)
-    for q in log.head(200):
-        broker.process_query(q)
-    timelines = broker.shard_timelines()
-    assert set(timelines) == {0, 1}
-    for windows in timelines.values():
-        assert len(windows) > 1
-        # Every shard sees every query, and windowed deltas account
-        # for each one exactly.
-        assert sum(w["derived"].get("queries", 0) for w in windows) == 200
-    # shard_timelines is stable across calls (finish is idempotent).
-    again = broker.shard_timelines()
-    assert {sid: len(w) for sid, w in again.items()} == \
-        {sid: len(w) for sid, w in timelines.items()}
-    # Document-partitioned twins see the same query stream: no skew.
-    assert broker.detect_skew() == []
-    # A generous tolerance never fires; a zero tolerance flags any
-    # difference at all (shards hold different partitions).
-    assert broker.detect_skew(rel_tol=10.0) == []
 
 
 # -- the shared kernel-mode driver -----------------------------------------------

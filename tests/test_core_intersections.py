@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import intersections
 from repro.core.config import CacheConfig, Policy
 from repro.core.intersections import (
     IntersectionCache,
@@ -20,6 +21,12 @@ KB = 1024
 @pytest.fixture(scope="module")
 def index():
     return InvertedIndex(CorpusConfig(num_docs=4000, vocab_size=80, seed=13))
+
+
+@pytest.fixture
+def every_pair(monkeypatch):
+    """Admit a pair's intersection the first time the pair is seen."""
+    monkeypatch.setattr(intersections, "MIN_PAIR_FREQ", 1)
 
 
 def make_manager(index, intersection_bytes=2 * 1024 * KB, **kwargs):
@@ -99,15 +106,15 @@ def test_estimate():
 # -- ThreeLevelCacheManager -------------------------------------------------------
 
 def test_pair_must_recur_before_admission(index):
-    mgr = make_manager(index, min_pair_freq=2)
+    mgr = make_manager(index)
     mgr.process_query(Query(0, (5, 9)))
     assert len(mgr.intersections) == 0  # seen once
     mgr.process_query(Query(1, (5, 9, 14)))  # same pair again, new key
     assert len(mgr.intersections) >= 1
 
 
-def test_intersection_hit_serves_pair_from_memory(index):
-    mgr = make_manager(index, min_pair_freq=1)
+def test_intersection_hit_serves_pair_from_memory(index, every_pair):
+    mgr = make_manager(index)
     mgr.process_query(Query(0, (5, 9)))     # admits (5, 9)
     assert len(mgr.intersections) == 1
     out = mgr.process_query(Query(1, (5, 9, 23)))
@@ -116,7 +123,7 @@ def test_intersection_hit_serves_pair_from_memory(index):
     assert out.situation.name in ("S2", "S4", "S6", "S9")
 
 
-def test_three_level_reduces_work_on_recurring_pairs(index):
+def test_three_level_reduces_work_on_recurring_pairs(index, every_pair):
     stream = [Query(i, (5, 9, 10 + i % 25)) for i in range(50)]
     cfg = CacheConfig(
         mem_result_bytes=100 * KB, mem_list_bytes=512 * KB,
@@ -124,7 +131,7 @@ def test_three_level_reduces_work_on_recurring_pairs(index):
         policy=Policy.CBLRU,
     )
     two = CacheManager(cfg, build_hierarchy_for(cfg, index), index)
-    three = make_manager(index, min_pair_freq=1)
+    three = make_manager(index)
     for query in stream:
         two.process_query(query)
     for query in stream:
@@ -133,7 +140,7 @@ def test_three_level_reduces_work_on_recurring_pairs(index):
     assert (three.stats.mean_response_us < two.stats.mean_response_us)
 
 
-def test_ttl_expires_intersections(index):
+def test_ttl_expires_intersections(index, every_pair):
     cfg = CacheConfig(
         mem_result_bytes=100 * KB, mem_list_bytes=512 * KB,
         ssd_result_bytes=512 * KB, ssd_list_bytes=4 * 1024 * KB,
@@ -141,7 +148,7 @@ def test_ttl_expires_intersections(index):
     )
     mgr = ThreeLevelCacheManager(
         cfg, build_hierarchy_for(cfg, index), index,
-        intersection_bytes=1024 * KB, min_pair_freq=1,
+        intersection_bytes=1024 * KB,
     )
     mgr.process_query(Query(0, (5, 9)))
     assert len(mgr.intersections) == 1
@@ -151,21 +158,16 @@ def test_ttl_expires_intersections(index):
     assert mgr.intersections.hits == 0
 
 
-def test_min_pair_freq_validation(index):
-    with pytest.raises(ValueError):
-        make_manager(index, min_pair_freq=0)
-
-
-def test_occupancy_reports_intersections(index):
-    mgr = make_manager(index, min_pair_freq=1)
+def test_occupancy_reports_intersections(index, every_pair):
+    mgr = make_manager(index)
     mgr.process_query(Query(0, (5, 9)))
     occ = mgr.occupancy()
     assert occ["intersections"] == 1
     assert occ["intersection_bytes"] > 0
 
 
-def test_single_term_queries_unaffected(index):
-    mgr = make_manager(index, min_pair_freq=1)
+def test_single_term_queries_unaffected(index, every_pair):
+    mgr = make_manager(index)
     out = mgr.process_query(Query(0, (7,)))
     assert out.situation.name in ("S6", "S8")
     assert len(mgr.intersections) == 0

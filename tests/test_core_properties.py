@@ -117,7 +117,7 @@ def test_byte_region_no_overlap(requests, data):
         held.append((lba, nbytes))
         # Overlap check over sector spans.
         spans = sorted(
-            (l, l + -(-n // 512)) for l, n in held
+            (start, start + -(-n // 512)) for start, n in held
         )
         for (s1, e1), (s2, _) in zip(spans, spans[1:]):
             assert e1 <= s2

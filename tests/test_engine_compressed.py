@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import CacheConfig
 from repro.core.manager import CacheManager, build_hierarchy_for
+from repro.engine import builder
 from repro.engine.builder import build_index
 from repro.engine.codec import encoded_size, estimate_compressed_list_bytes
 from repro.engine.corpus import CorpusConfig, build_corpus_stats
@@ -90,11 +91,11 @@ def test_compressed_reduces_uncached_io(raw_index, compressed_index):
     assert comp.mean_response_ms < raw.mean_response_ms
 
 
-def test_built_index_compressed_exact_sizes():
+def test_built_index_compressed_exact_sizes(monkeypatch):
+    monkeypatch.setattr(builder, "COMPRESSED", True)
     store = generate_documents(num_docs=400, vocab_size=150,
                                avg_doc_len=80, seed=12)
-    built = build_index(store, vocab_size=150, compressed=True)
-    from repro.engine.postings import PostingList
+    built = build_index(store, vocab_size=150)
 
     for term in range(0, 150, 11):
         plist = built.postings(term)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine import parser as parser_module
 from repro.engine.builder import build_index
 from repro.engine.documents import Document, DocumentStore, generate_documents
 from repro.engine.parser import QueryParser
@@ -166,8 +167,9 @@ def test_parser_rejects_fully_unknown(built):
         parser.parse("completely unknown words")
 
 
-def test_parser_max_terms(built):
-    parser = QueryParser(built.lexicon, max_terms=2)
+def test_parser_max_terms(built, monkeypatch):
+    monkeypatch.setattr(parser_module, "MAX_TERMS", 2)
+    parser = QueryParser(built.lexicon)
     q = parser.parse("term00001 term00002 term00003")
     assert len(q.terms) == 2
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import index as index_module
 from repro.engine.corpus import CorpusConfig
 from repro.engine.index import InvertedIndex
 from repro.engine.layout import SECTOR_BYTES, IndexLayout
@@ -62,14 +63,8 @@ def test_layout_total_bytes(small_corpus):
     assert layout.total_bytes == int(small_corpus.doc_freqs.sum()) * POSTING_BYTES
 
 
-def test_layout_base_lba_offset(small_corpus):
-    base = 10_000
-    layout = IndexLayout(small_corpus, base_lba=base)
-    assert layout.extent(0).lba == base
-
-
 def test_layout_chunk_reads_cover_needed(small_corpus):
-    layout = IndexLayout(small_corpus, chunk_bytes=128 * 1024)
+    layout = IndexLayout(small_corpus)
     term = int(np.argmax(small_corpus.doc_freqs))
     ext = layout.extent(term)
     needed = min(ext.nbytes, 300 * 1024)
@@ -89,20 +84,7 @@ def test_layout_chunk_reads_clamped_to_list(small_corpus):
     assert sum(nb for _, nb in reads) == ext.nbytes
 
 
-def test_layout_no_skip_coalesces(small_corpus):
-    layout = IndexLayout(small_corpus, chunk_bytes=64 * 1024)
-    term = int(np.argmax(small_corpus.doc_freqs))
-    needed = min(layout.extent(term).nbytes, 200 * 1024)
-    skip = layout.chunk_reads(term, needed, skip=True)
-    merged = layout.chunk_reads(term, needed, skip=False)
-    if len(skip) > 1:
-        assert len(merged) == 1
-        assert merged[0][1] == sum(nb for _, nb in skip)
-
-
 def test_layout_validation(small_corpus):
-    with pytest.raises(ValueError):
-        IndexLayout(small_corpus, chunk_bytes=1000)  # not sector multiple
     layout = IndexLayout(small_corpus)
     with pytest.raises(KeyError):
         layout.extent(small_corpus.num_terms)
@@ -124,10 +106,9 @@ def test_index_postings_lazy_and_memoised(small_index):
     assert len(a) == small_index.stats.doc_freqs[5]
 
 
-def test_index_postings_cache_bounded():
-    index = InvertedIndex(
-        CorpusConfig(num_docs=1000, vocab_size=50, seed=1), postings_cache_size=4
-    )
+def test_index_postings_cache_bounded(monkeypatch):
+    monkeypatch.setattr(index_module, "POSTINGS_CACHE_SIZE", 4)
+    index = InvertedIndex(CorpusConfig(num_docs=1000, vocab_size=50, seed=1))
     for t in range(10):
         index.postings(t)
     assert len(index._postings_cache) <= 4

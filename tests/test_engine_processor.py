@@ -78,9 +78,10 @@ def test_top_k_validation(small_index):
         QueryProcessor(small_index, top_k=0)
 
 
-def test_custom_costs(small_index):
+def test_custom_costs(small_index, monkeypatch):
     costs = ProcessorCosts(fixed_us=0.0, per_posting_us=1.0, per_result_us=0.0)
-    proc = QueryProcessor(small_index, costs=costs, seed=2)
+    monkeypatch.setattr(processor_module, "COSTS", costs)
+    proc = QueryProcessor(small_index, seed=2)
     plan = proc.plan(Query(0, (0,)))
     assert proc.cpu_time_us(plan) == pytest.approx(plan.total_postings)
 

@@ -163,7 +163,7 @@ def test_ftl_valid_counts_reconcile_with_stats(ops):
 def test_invalidate_run_matches_pagewise_invalidation():
     """The slice-store fast path flips exactly the pages the scalar
     per-page loop would."""
-    from repro.flash.nand import NandArray, PageState
+    from repro.flash.nand import NandArray
 
     cfg = FlashConfig(pages_per_block=8, num_blocks=8)
     a = NandArray(cfg)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import CacheConfig, Policy
-from repro.flash.constants import FlashConfig
 from repro.flash.ftl_block import BlockMappingFTL
 from repro.flash.ftl_page import PageMappingFTL
 from repro.flash.ssd import SimulatedSSD

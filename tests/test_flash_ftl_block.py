@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.flash.constants import FlashConfig
 from repro.flash.ftl_block import BlockMappingFTL
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_fast import FastFTL
-from repro.flash.ftl_page import PageMappingFTL
 
 
 @pytest.fixture
@@ -15,11 +14,6 @@ def ftl(tiny_flash):
 def test_needs_spare_blocks():
     with pytest.raises(ValueError):
         FastFTL(FlashConfig(num_blocks=16, overprovision=0.0))
-
-
-def test_log_block_count_validation(tiny_flash):
-    with pytest.raises(ValueError):
-        FastFTL(tiny_flash, num_log_blocks=10**6)
 
 
 def test_bulk_load_uses_data_blocks(ftl):

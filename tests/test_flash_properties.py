@@ -5,7 +5,6 @@ mapping semantics (a written lpn stays mapped until trimmed), NAND state
 consistency, and bounded physical usage.
 """
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

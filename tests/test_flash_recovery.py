@@ -1,7 +1,6 @@
 """Power-loss mapping recovery from OOB metadata."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

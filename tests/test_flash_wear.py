@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.flash.ssd as ssd_module
 import repro.obs.flash_metrics as flash_metrics
 from repro.flash.ssd import SimulatedSSD
 from repro.flash.wear import wear_projection, wear_report
@@ -74,8 +75,9 @@ def test_flash_gauges_publish_the_report_s_wear_figures(tiny_flash,
     assert ssd.erase_count > 0
     registry = MetricsRegistry()
     monkeypatch.setattr(flash_metrics, "DEFAULT_ENDURANCE_CYCLES", 50)
+    monkeypatch.setattr(ssd_module, "DEFAULT_ENDURANCE_CYCLES", 50)
     FlashDeviceMetrics(registry, ssd).collect()
-    wear = ssd.wear(50)
+    wear = ssd.wear()
     gauges = {name: inst.value for name, _, inst in registry.items()
               if name.startswith(("flash_wear", "flash_lifetime"))}
     assert gauges == {"flash_wear_max_erases": wear.max_erases,

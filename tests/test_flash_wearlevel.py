@@ -5,6 +5,7 @@ import pytest
 
 from repro.flash.constants import FlashConfig
 from repro.flash.ftl_page import PageMappingFTL
+from repro.flash import wearlevel
 from repro.flash.wear import wear_report
 from repro.flash.wearlevel import WearLevelingFTL
 
@@ -23,16 +24,16 @@ def _hot_cold_workload(ftl, rng, rounds=3):
         ftl.write(int(rng.integers(0, hot)))
 
 
-def test_validation(cfg):
-    with pytest.raises(ValueError):
-        WearLevelingFTL(cfg, wear_delta_threshold=0)
-    with pytest.raises(ValueError):
-        WearLevelingFTL(cfg, check_interval=0)
+def leveller(monkeypatch, cfg, threshold, interval):
+    """A wear-leveling FTL built under the given trigger constants."""
+    monkeypatch.setattr(wearlevel, "WEAR_DELTA_THRESHOLD", threshold)
+    monkeypatch.setattr(wearlevel, "CHECK_INTERVAL", interval)
+    return WearLevelingFTL(cfg)
 
 
-def test_levelling_reduces_skew(cfg):
+def test_levelling_reduces_skew(cfg, monkeypatch):
     plain = PageMappingFTL(cfg)
-    wl = WearLevelingFTL(cfg, wear_delta_threshold=5, check_interval=32)
+    wl = leveller(monkeypatch, cfg, 5, 32)
     _hot_cold_workload(plain, np.random.default_rng(0))
     _hot_cold_workload(wl, np.random.default_rng(0))
     rp = wear_report(plain.nand.erase_counts)
@@ -42,8 +43,8 @@ def test_levelling_reduces_skew(cfg):
     assert wl.migrations > 0
 
 
-def test_levelling_preserves_mapping(cfg):
-    wl = WearLevelingFTL(cfg, wear_delta_threshold=4, check_interval=16)
+def test_levelling_preserves_mapping(cfg, monkeypatch):
+    wl = leveller(monkeypatch, cfg, 4, 16)
     _hot_cold_workload(wl, np.random.default_rng(1), rounds=2)
     wl.nand.check_invariants()
     assert wl.mapped_lpn_count() == wl.num_lpns
@@ -52,17 +53,17 @@ def test_levelling_preserves_mapping(cfg):
         wl.read(lpn)
 
 
-def test_no_migration_under_even_wear(cfg):
+def test_no_migration_under_even_wear(cfg, monkeypatch):
     """Uniform random traffic wears evenly: the trigger must stay quiet."""
-    wl = WearLevelingFTL(cfg, wear_delta_threshold=50, check_interval=16)
+    wl = leveller(monkeypatch, cfg, 50, 16)
     rng = np.random.default_rng(2)
     for _ in range(cfg.total_pages * 2):
         wl.write(int(rng.integers(0, wl.num_lpns)))
     assert wl.migrations == 0
 
 
-def test_span_writes_also_trigger_checks(cfg):
-    wl = WearLevelingFTL(cfg, wear_delta_threshold=3, check_interval=64)
+def test_span_writes_also_trigger_checks(cfg, monkeypatch):
+    wl = leveller(monkeypatch, cfg, 3, 64)
     # Cold fill via spans, then hot span overwrites.
     ppb = cfg.pages_per_block
     for start in range(0, wl.num_lpns - ppb, ppb):
@@ -73,8 +74,8 @@ def test_span_writes_also_trigger_checks(cfg):
     wl.nand.check_invariants()
 
 
-def test_migration_charges_latency(cfg):
-    wl = WearLevelingFTL(cfg, wear_delta_threshold=2, check_interval=8)
+def test_migration_charges_latency(cfg, monkeypatch):
+    wl = leveller(monkeypatch, cfg, 2, 8)
     rng = np.random.default_rng(3)
     total = 0.0
     for lpn in range(wl.num_lpns):

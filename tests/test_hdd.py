@@ -1,6 +1,5 @@
 """HDD geometry and device model."""
 
-import numpy as np
 import pytest
 
 from repro.hdd.disk import SimulatedHDD
@@ -62,13 +61,6 @@ def test_random_read_pays_seek_and_rotation():
     hdd.read(0, 4096)
     t_far = hdd.read(hdd.num_sectors // 2, 4096)
     assert t_far > hdd.geometry.mean_rotational_latency_us
-
-
-def test_sampled_rotational_latency_is_seeded():
-    a = SimulatedHDD(rng=np.random.default_rng(3))
-    b = SimulatedHDD(rng=np.random.default_rng(3))
-    for lba in (10**6, 10**7, 5 * 10**6):
-        assert a.read(lba, 4096) == pytest.approx(b.read(lba, 4096))
 
 
 def test_write_and_read_symmetric_model():

@@ -33,6 +33,7 @@ from repro.engine.corpus import CorpusConfig, build_corpus_stats
 from repro.engine.index import InvertedIndex
 from repro.engine.processor import QueryProcessor
 from repro.sim.kernel import Kernel
+from repro.workloads import openloop
 from repro.workloads.openloop import PoissonArrivals, run_open_loop
 from repro.workloads.retrieval import run_cached
 from repro.workloads.sweep import make_log_for
@@ -79,7 +80,7 @@ def _warm_stack(stats, queries) -> CacheManager:
     return manager
 
 
-def test_kernel_path_costs_few_frames_more_than_the_closed_loop():
+def test_kernel_path_costs_few_frames_more_than_the_closed_loop(monkeypatch):
     stats = build_corpus_stats(CorpusConfig.paper_scale(200_000, seed=42))
     queries = list(make_log_for(WARM + COUNTED, seed=SEED))
     tail = queries[WARM:]
@@ -89,15 +90,19 @@ def test_kernel_path_costs_few_frames_more_than_the_closed_loop():
         closed.index, tail, closed.config, seed=SEED, manager=closed))
 
     opened = _warm_stack(stats, queries)
-    kernel = Kernel(opened.clock)
+    kernels = []
+
+    def kernel_of(clock):
+        kernels.append(Kernel(clock))
+        return kernels[-1]
+
+    monkeypatch.setattr(openloop, "Kernel", kernel_of)
     pops = HOT.kernel_heap_pops
-    try:
-        open_calls = _count_repro_calls(lambda: run_open_loop(
-            opened, tail, PoissonArrivals(20.0, seed=SEED), concurrency=1,
-            max_queue=32, kernel=kernel))
-    finally:
-        opened.clock.bind_kernel(None)
+    open_calls = _count_repro_calls(lambda: run_open_loop(
+        opened, tail, PoissonArrivals(20.0, seed=SEED), concurrency=1,
+        max_queue=32))
     handled = HOT.kernel_heap_pops - pops
+    kernel, = kernels
 
     # One in flight: the same decisions either way ...
     assert opened.stats.queries == closed.stats.queries == COUNTED

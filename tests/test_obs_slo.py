@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs import (
-    detect_shard_skew,
     evaluate_slo,
     evaluate_slos,
     parse_slo,
@@ -165,17 +164,3 @@ def test_run_detectors_orders_by_window():
     assert [a.window for a in anomalies] == sorted(a.window for a in anomalies)
     assert {a.detector for a in anomalies} == {"hit_ratio_drift",
                                                "queue_buildup"}
-
-
-def test_detect_shard_skew():
-    balanced = {0: windows({"hit_ratio": [0.7] * 4}),
-                1: windows({"hit_ratio": [0.68] * 4})}
-    assert not detect_shard_skew(balanced)
-    skewed = {0: windows({"hit_ratio": [0.7] * 4}),
-              1: windows({"hit_ratio": [0.7] * 4}),
-              2: windows({"hit_ratio": [0.1] * 4})}
-    hits = detect_shard_skew(skewed)
-    assert len(hits) == 1
-    assert "shard 2" in hits[0].detail
-    # One shard (or none with data) can't be skewed against anything.
-    assert not detect_shard_skew({0: windows({"hit_ratio": [0.9]})})

@@ -1,7 +1,7 @@
 """The streaming SLO/detector classes' own contract.
 
-The post-hoc functions (``run_detectors``, ``evaluate_slos``,
-``detect_shard_skew``) are folds of these classes over saved windows, so
+The post-hoc functions (``run_detectors``, ``evaluate_slos``) are folds
+of these classes over saved windows, so
 the flight recorder's in-run triggers and the verdicts re-derived from
 the file are one implementation; ``tests/test_obs_slo.py`` holds the
 hand-written expectations for every detector.

@@ -7,6 +7,7 @@ from repro.flash.ssd import SimulatedSSD
 from repro.hdd.disk import SimulatedHDD
 from repro.sim.clock import VirtualClock
 from repro.sim.kernel import Kernel
+from repro.storage import device
 from repro.storage.device import BlockDevice, DramModel, NullDevice
 from repro.storage.hierarchy import HierarchyConfig, StorageHierarchy
 
@@ -18,9 +19,11 @@ def test_devices_satisfy_protocol(tiny_flash):
     assert isinstance(SimulatedHDD(), BlockDevice)
 
 
-def test_dram_cost_model():
+def test_dram_cost_model(monkeypatch):
+    monkeypatch.setattr(device, "ACCESS_OVERHEAD_US", 0.5)
+    monkeypatch.setattr(device, "BANDWIDTH_GB_S", 10.0)
     clock = VirtualClock()
-    dram = DramModel(access_overhead_us=0.5, bandwidth_gb_s=10.0, clock=clock)
+    dram = DramModel(clock=clock)
     t = dram.read(0, 10_000_000)  # 10 MB at 10 GB/s = 1000 us + overhead
     assert t == pytest.approx(0.5 + 1000.0)
     assert clock.now_us == pytest.approx(t)
@@ -29,8 +32,6 @@ def test_dram_cost_model():
 def test_dram_validation():
     with pytest.raises(ValueError):
         DramModel(capacity_bytes=0)
-    with pytest.raises(ValueError):
-        DramModel(bandwidth_gb_s=0)
     with pytest.raises(ValueError):
         DramModel().read(0, -1)
 

@@ -28,8 +28,6 @@ def test_validation():
     with pytest.raises(ValueError):
         HostPageBuffer(NullDevice(), capacity_pages=4, page_bytes=1000)
     with pytest.raises(ValueError):
-        HostPageBuffer(NullDevice(), capacity_pages=4, clean_first_fraction=0.0)
-    with pytest.raises(ValueError):
         make_buffer().read(-1, 10)
 
 

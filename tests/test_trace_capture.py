@@ -1,6 +1,5 @@
 """Device-level trace capture (the paper's 'DiskMon inside the SSD')."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import CacheConfig, Policy
@@ -8,7 +7,6 @@ from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.corpus import CorpusConfig
 from repro.engine.index import InvertedIndex
 from repro.engine.query import Query
-from repro.flash.constants import FlashConfig
 from repro.flash.ssd import SimulatedSSD
 from repro.storage.device import NullDevice
 from repro.trace.analyzer import analyze_trace

@@ -5,7 +5,6 @@ import pytest
 
 from repro.trace.diskmon import parse_diskmon, write_diskmon
 from repro.trace.generator import WebSearchTraceConfig, generate_websearch_trace
-from repro.trace.record import Trace
 from repro.trace.umass import parse_spc, write_spc
 
 

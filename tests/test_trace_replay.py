@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.flash.constants import FlashConfig
 from repro.flash.ssd import SimulatedSSD
 from repro.hdd.disk import SimulatedHDD
 from repro.storage.device import NullDevice
