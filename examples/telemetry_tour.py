@@ -79,7 +79,7 @@ def main() -> None:
         manager.process_query(query)
 
     # 1. Per-stage breakdown: stage sums reconcile with total response.
-    print(format_stage_breakdown(tel.registry))
+    print(format_stage_breakdown(tel.registry.snapshot()))
     staged = sum(inst.sum for name, tags, inst in tel.registry.items()
                  if name == "stage_latency_us")
     print(f"\nstage sum {staged / 1e3:.1f} ms vs total response "

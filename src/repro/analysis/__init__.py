@@ -5,7 +5,6 @@ from repro.analysis.metrics import (
     term_access_frequency_series,
     utilization_rate_series,
 )
-from repro.analysis.report import policy_comparison_report
 from repro.analysis.tables import format_table
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "term_access_frequency_series",
     "utilization_rate_series",
     "format_table",
-    "policy_comparison_report",
 ]

@@ -14,7 +14,6 @@ The subcommands cover the common standalone uses of the library::
     repro explain  out/ --query 17                # trace a tail latency exemplar
     repro incidents out/                          # the incidents in incidents.jsonl
     repro explain  out/ --incident 1              # walk incident 1 end to end
-    repro compare  --queries 5000                 # all policies side by side
     repro compare  out-a/ out-b/                  # compare saved telemetry dirs
     repro bench    --suite smoke                  # deterministic benchmark run
     repro bench    --suite smoke --against BENCH_0007.json  # regression gate
@@ -230,21 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a machine-readable JSON document")
 
     p = sub.add_parser("compare",
-                       help="run all three policies and emit a markdown "
-                            "report (or compare saved telemetry dirs)")
-    p.add_argument("dirs", nargs="*", default=[],
-                   help="telemetry dirs to compare instead of running "
-                        "the policies")
-    p.add_argument("--docs", type=_COUNT, default=1_000_000)
-    p.add_argument("--queries", type=_COUNT, default=4_000)
-    p.add_argument("--mem-mb", type=_SIZE, default=16)
-    p.add_argument("--ssd-mb", type=_SIZE, default=64)
-    p.add_argument("--out", type=str, default=None,
-                   help="write the report to a file")
-    p.add_argument("--json", action="store_true",
-                   help="emit a machine-readable JSON document instead of "
-                        "markdown")
-    p.add_argument("--seed", type=int, default=7)
+                       help="compare saved telemetry dirs side by side")
+    p.add_argument("dirs", nargs="+", help="telemetry dirs to compare")
 
     p = sub.add_parser("bench",
                        help="run a deterministic benchmark suite and emit "
@@ -498,17 +484,15 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
     if telemetry is not None:
         from repro.obs import format_stage_breakdown, write_telemetry_dir
 
-        print()
-        print(format_stage_breakdown(telemetry.registry,
-                                     title="per-stage latency"))
         written = write_telemetry_dir(telemetry, args.telemetry)
-        flash_rows = _flash_rows(telemetry.registry)
+        snapshot = telemetry.registry.snapshot()
+        print()
+        print(format_stage_breakdown(snapshot, title="per-stage latency"))
+        flash_rows = _flash_rows(snapshot)
         if flash_rows:
             print()
-            print(format_table(
-                ["device", "erases", "WA", "free blocks", "wear skew",
-                 "life used"],
-                flash_rows, title="flash devices"))
+            print(format_table(_FLASH_COLUMNS, flash_rows,
+                               title="flash devices"))
         print(f"\nwrote {written['spans']} spans, {written['metrics']} "
               f"metrics and {written['audit_records']} audit records "
               f"to {args.telemetry}/")
@@ -542,25 +526,27 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
     return 0
 
 
-def _flash_rows(registry) -> list[list]:
-    """One table row per flash device seen in the registry."""
-    devices = sorted({
-        tags["device"] for name, tags, _ in registry.items()
-        if name == "flash_erases_total"
-    })
-    rows = []
-    for dev in devices:
-        def val(metric: str, default=0.0):
-            inst = registry.get(metric, device=dev)
-            return inst.value if inst is not None else default
+_FLASH_COLUMNS = ["device", "erases", "WA", "free blocks", "wear skew",
+                  "life used"]
 
+
+def _flash_rows(snapshot: dict) -> list[list]:
+    """One table row per flash device in a metrics snapshot."""
+    devices: dict[str, dict] = {}
+    for m in snapshot["metrics"]:
+        if m["name"].startswith("flash_") and "value" in m:
+            devices.setdefault(m["tags"]["device"], {})[m["name"]] = m["value"]
+    rows = []
+    for dev in sorted(d for d, v in devices.items()
+                      if "flash_erases_total" in v):
+        v = devices[dev]
         rows.append([
             dev,
-            int(val("flash_erases_total")),
-            f"{val('flash_write_amplification'):.2f}",
-            int(val("flash_free_blocks")),
-            f"{val('flash_wear_skew'):.2f}",
-            f"{val('flash_lifetime_consumed'):.2%}",
+            int(v["flash_erases_total"]),
+            f"{v.get('flash_write_amplification', 0.0):.2f}",
+            int(v.get("flash_free_blocks", 0.0)),
+            f"{v.get('flash_wear_skew', 0.0):.2f}",
+            f"{v.get('flash_lifetime_consumed', 0.0):.2%}",
         ])
     return rows
 
@@ -742,125 +728,9 @@ def _cmd_blame(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.report import policy_comparison_report
-    from repro.core.config import CacheConfig, Policy
-    from repro.obs import Telemetry, format_stage_comparison
-    from repro.workloads.retrieval import run_cached
-    from repro.workloads.sweep import make_log_for, make_scaled_index
-
-    if args.dirs:
-        return _compare_dirs(args)
-
-    from repro.obs import HOT
-
-    index = make_scaled_index(args.docs)
-    log = make_log_for(args.queries, seed=args.seed)
-    results = {}
-    registries = {}
-    timelines = {}
-    host = {}
-    for policy in (Policy.LRU, Policy.CBLRU, Policy.CBSLRU):
-        cfg = CacheConfig.paper_split(args.mem_mb * MB, args.ssd_mb * MB,
-                                      policy=policy)
-        tel = Telemetry(trace=False, audit=False)
-        timeline = tel.attach_timeline(window_us=50_000.0)
-        hot_before = HOT.snapshot()
-        results[policy.value] = run_cached(
-            index, log, cfg, static_analyze_queries=args.queries // 2,
-            telemetry=tel,
-        )
-        host[policy.value] = {"hot_ops": HOT.delta(hot_before)}
-        timeline.finish()  # also samples the flash bridges (collect)
-        registries[policy.value] = tel.registry
-        timelines[policy.value] = list(timeline.windows)
-
-    if args.json:
-        payload = _compare_payload(results, registries)
-        payload["timeline"] = _compare_timelines(timelines)
-        payload["host"] = host
-        report = json.dumps(payload, indent=1, sort_keys=True)
-    else:
-        report = policy_comparison_report(
-            results, title=f"Policy comparison on {args.docs:,} docs"
-        )
-        report += "\n\n" + format_stage_comparison(
-            registries, title="per-stage latency by policy"
-        )
-        report += "\n\n" + _hot_ops_table(host)
-        flash_rows = [
-            [policy] + row[1:]
-            for policy, registry in registries.items()
-            for row in _flash_rows(registry)
-            if row[0] == "ssd-cache"
-        ]
-        if flash_rows:
-            report += "\n\n" + format_table(
-                ["policy", "erases", "WA", "free blocks", "wear skew",
-                 "life used"],
-                flash_rows, title="flash telemetry (ssd-cache)")
-        report += "\n\n" + _timeline_table(timelines)
-    print(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-            fh.write("\n")
-        print(f"wrote report to {args.out}")
-    return 0
-
-
-def _hot_ops_table(host: dict) -> str:
-    """Exact hot-path operation counts per policy (host work, not time)."""
-    rows = [
-        [policy,
-         f"{h['hot_ops']['ftl_map_lookups']:,}",
-         f"{h['hot_ops']['lru_node_moves']:,}",
-         f"{h['hot_ops']['postings_decoded']:,}"]
-        for policy, h in host.items()
-    ]
-    return format_table(
-        ["policy", "ftl lookups", "lru moves", "postings"],
-        rows, title="hot-path operations (host time: see hostbench/)")
-
-
-def _compare_timelines(timelines: dict) -> dict:
-    """The per-policy timeline section of the compare JSON payload."""
-    from repro.obs import steady_state_window, window_series
-
-    out = {}
-    for policy, windows in timelines.items():
-        out[policy] = {
-            "windows": len(windows),
-            "steady_window": steady_state_window(windows),
-            "hit_ratio": [v for _, v in window_series(windows, "hit_ratio")],
-            "p99_response_us": [
-                v for _, v in window_series(windows, "p99_response_us")],
-        }
-    return out
-
-
-def _timeline_table(timelines: dict) -> str:
-    """Warmup columns: hit-ratio trajectory and steady-state onset."""
-    from repro.obs import sparkline, steady_state_window, window_series
-
-    rows = []
-    for policy, windows in timelines.items():
-        pts = window_series(windows, "hit_ratio")
-        steady = steady_state_window(windows)
-        rows.append([
-            policy,
-            len(windows),
-            steady if steady is not None else "-",
-            sparkline([v for _, v in pts], width=30) or "-",
-            f"{pts[-1][1]:.1%}" if pts else "-",
-        ])
-    return format_table(
-        ["policy", "windows", "steady@", "hit ratio over time", "final"],
-        rows, title="timeline (50 ms windows)")
-
-
-def _compare_dirs(args: argparse.Namespace) -> int:
-    """Compare previously-written telemetry dirs side by side."""
+    """Compare saved telemetry dirs side by side."""
     from repro.obs import (
+        format_stage_comparison,
         load_telemetry_dir,
         sparkline,
         steady_state_window,
@@ -869,10 +739,11 @@ def _compare_dirs(args: argparse.Namespace) -> int:
     )
 
     rows = []
+    snapshots = {}
     for d in args.dirs:
         loaded = _load(load_telemetry_dir, d,
                        "not a usable telemetry directory")
-        snapshot = loaded.metrics
+        snapshot = snapshots[d] = loaded.metrics
         queries = sum(
             m["value"] for m in snapshot["metrics"]
             if m["name"] == "queries_total")
@@ -904,41 +775,15 @@ def _compare_dirs(args: argparse.Namespace) -> int:
     print(format_table(
         ["dir", "queries", "mean ms", "p99 ms", "steady@", "hit ratio"],
         rows, title="telemetry dirs"))
+    print()
+    print(format_stage_comparison(snapshots, title="per-stage latency by dir"))
+    flash_rows = [[d, *row] for d, snapshot in snapshots.items()
+                  for row in _flash_rows(snapshot)]
+    if flash_rows:
+        print()
+        print(format_table(["dir", *_FLASH_COLUMNS], flash_rows,
+                           title="flash devices"))
     return 0
-
-
-def _compare_payload(results: dict, registries: dict) -> dict:
-    """The `repro compare --json` document (schema repro.compare/v1)."""
-    payload: dict = {"schema": "repro.compare/v1", "policies": {}}
-    for policy, result in results.items():
-        registry = registries[policy]
-        stats = result.stats
-        stages = {}
-        for name, tags, inst in registry.items():
-            if name == "stage_latency_us" and inst.kind == "histogram" \
-                    and inst.count:
-                stages[tags["stage"]] = {
-                    "p50_us": inst.percentile(50.0),
-                    "p99_us": inst.percentile(99.0),
-                    "mean_us": inst.mean,
-                    "count": inst.count,
-                }
-        flash = {}
-        for name, tags, inst in registry.items():
-            if name.startswith("flash_"):
-                flash.setdefault(tags["device"], {})[name] = inst.value
-        payload["policies"][policy] = {
-            "queries": result.queries,
-            "mean_response_ms": result.mean_response_ms,
-            "throughput_qps": result.throughput_qps,
-            "result_hit_ratio": stats.result_hit_ratio,
-            "list_hit_ratio": stats.list_hit_ratio,
-            "combined_hit_ratio": stats.combined_hit_ratio,
-            "ssd_erases": result.ssd_erases,
-            "stage_latency_us": stages,
-            "flash": flash,
-        }
-    return payload
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:

@@ -78,27 +78,16 @@ class Broker:
         num_shards: int,
         cache_config: CacheConfig,
         telemetry: bool = False,
-        shared_clock: bool = False,
     ) -> "Broker":
         """Partition ``corpus`` and assemble a cluster of cached shards.
 
         ``telemetry=True`` gives every shard its own
         :class:`~repro.obs.Telemetry` (registry only, no spans — span
         volume across a whole cluster would swamp memory); aggregate the
-        registries with :meth:`aggregated_registry`.  ``shared_clock=True``
-        puts every shard on one simulated timeline (device names gain
-        ``#<shard>`` suffixes) — required for :meth:`run_open_loop`'s
-        concurrent fan-out, incompatible with the sequential
-        :meth:`process_query` accounting (which sums per-shard times
-        instead of overlapping them).
+        registries with :meth:`aggregated_registry`.
         """
         from repro.cluster.shard import partition_corpus
 
-        clock = None
-        if shared_clock:
-            from repro.sim.clock import VirtualClock
-
-            clock = VirtualClock()
         partitions = partition_corpus(corpus, num_shards)
         shards = []
         for i, stats in enumerate(partitions):
@@ -107,8 +96,7 @@ class Broker:
                 from repro.obs import Telemetry
 
                 tel = Telemetry(trace=False)
-            shards.append(IndexShard(i, stats, cache_config, telemetry=tel,
-                                     clock=clock))
+            shards.append(IndexShard(i, stats, cache_config, telemetry=tel))
         return cls(shards)
 
     def warmup_static(self, log: QueryLog, analyze_queries: int | None = None) -> None:
@@ -136,67 +124,6 @@ class Broker:
             shard_times_us=tuple(times),
             shard_result_hits=hits,
         )
-
-    def run_open_loop(
-        self,
-        queries,
-        arrivals,
-        concurrency: int = 4,
-        max_queue: int = 64,
-        cpu_lanes: int = 1,
-        label: str = "cluster",
-        blame=None,
-    ):
-        """Serve ``queries`` open-loop with concurrent shard fan-out.
-
-        Requires a cluster built with ``shared_clock=True``.  Each
-        admitted query spawns one kernel subtask per shard, joins them
-        (fan-out max emerges from the join, stragglers and all), then
-        pays the merge cost on a ``broker`` CPU resource.  Returns an
-        :class:`~repro.workloads.openloop.OpenLoopResult`.
-
-        ``blame`` optionally takes a
-        :class:`~repro.obs.blame.BlameRecorder`; it is attached to the
-        fan-out kernel and admission control, so per-query critical
-        paths cross the join into the straggler shard's resources.
-        """
-        from repro.sim.kernel import Kernel
-        from repro.workloads.openloop import drive
-
-        queries = list(queries)
-        if not queries:
-            raise ValueError("no queries to serve")
-        clock = self.shards[0].manager.clock
-        for shard in self.shards[1:]:
-            if shard.manager.clock is not clock:
-                raise ValueError(
-                    "open-loop fan-out needs Broker.build(shared_clock=True)"
-                )
-        kernel = Kernel(clock)
-        for shard in self.shards:
-            shard.manager.hierarchy.attach_kernel(kernel, cpu_lanes=cpu_lanes)
-        kernel.add_resource("broker", lanes=cpu_lanes)
-
-        def serve(i: int) -> None:
-            query = queries[i]
-            subtasks = [
-                kernel.spawn(
-                    lambda s=shard: s.process_query(query),
-                    name=f"q{i}s{shard.shard_id}",
-                )
-                for shard in self.shards
-            ]
-            for t in subtasks:
-                t.join()
-            clock.consume("broker", MERGE_OVERHEAD_US)
-
-        try:
-            return drive(kernel, len(queries), arrivals, serve,
-                         concurrency=concurrency, max_queue=max_queue,
-                         label=label,
-                         observe=blame.attach if blame is not None else None)
-        finally:
-            clock.bind_kernel(None)
 
     # -- reporting ---------------------------------------------------------
 

@@ -54,19 +54,13 @@ class IndexShard:
         stats: CorpusStats,
         cache_config: CacheConfig,
         telemetry=None,
-        clock=None,
     ) -> None:
         if shard_id < 0:
             raise ValueError("shard_id cannot be negative")
         self.shard_id = shard_id
         self.index = InvertedIndex(stats)
         self.cache_config = cache_config
-        # A shared cluster clock needs per-shard device names; private
-        # clocks keep the seed's bare names (golden-parity fixtures).
-        hierarchy = build_hierarchy_for(
-            cache_config, self.index, clock=clock,
-            device_suffix=f"#{shard_id}" if clock is not None else "",
-        )
+        hierarchy = build_hierarchy_for(cache_config, self.index)
         # Per-shard telemetry (repro.obs): each server owns its registry
         # and tracer; the broker aggregates registries across shards.
         self.telemetry = telemetry

@@ -70,17 +70,12 @@ def build_hierarchy_for(
     cache_config: CacheConfig,
     index: InvertedIndex | None = None,
     index_on: str = "hdd",
-    clock=None,
-    device_suffix: str = "",
 ) -> StorageHierarchy:
     """Build a storage hierarchy sized for a cache configuration.
 
     The SSD's flash geometry is derived from the cache-file size plus
     ``OVERPROVISION`` spare blocks, so garbage collection has realistic
-    headroom regardless of the experiment's cache capacity.  ``clock`` and
-    ``device_suffix`` let several hierarchies (cluster shards under the
-    concurrency kernel) share one simulated timeline with distinct
-    device/channel names.
+    headroom regardless of the experiment's cache capacity.
     """
     base = FlashConfig()
     cache_blocks = max(1, cache_config.ssd_cache_bytes // base.block_bytes)
@@ -105,8 +100,6 @@ def build_hierarchy_for(
             index_on=index_on,
             index_ssd_config=index_ssd_cfg,
         ),
-        clock=clock,
-        device_suffix=device_suffix,
     )
 
 

@@ -18,7 +18,8 @@ from repro.flash.ftl_block import BlockMappingFTL
 from repro.flash.ftl_dftl import DFTL
 from repro.flash.ftl_fast import FastFTL
 from repro.flash.ftl_page import PageMappingFTL
-from repro.flash.wear import DEFAULT_ENDURANCE_CYCLES, WearReport, wear_report
+from repro.flash import wear as flash_wear
+from repro.flash.wear import WearReport, wear_report
 from repro.sim.clock import VirtualClock
 from repro.sim.counters import CounterSet
 
@@ -277,9 +278,10 @@ class SimulatedSSD:
         return self.counters["access_time_us"].mean
 
     def wear(self) -> WearReport:
-        """Wear over the rated ``DEFAULT_ENDURANCE_CYCLES``."""
+        """Wear over the rated ``repro.flash.wear.DEFAULT_ENDURANCE_CYCLES``
+        (read when called)."""
         return wear_report(self.ftl.nand.erase_counts,
-                           DEFAULT_ENDURANCE_CYCLES)
+                           flash_wear.DEFAULT_ENDURANCE_CYCLES)
 
     def reset_counters(self) -> None:
         """Zero host-op counters (erase counts and mappings persist)."""

@@ -4,7 +4,7 @@ A telemetry directory (``repro run --telemetry DIR``) holds::
 
     spans.jsonl     one span object per line (see repro.obs.tracer)
     metrics.json    MetricsRegistry.snapshot() (schema repro.obs.metrics/v1)
-    metrics.prom    the same registry as OpenMetrics text exposition
+    metrics.prom    the same snapshot as OpenMetrics text exposition
     audit.jsonl     the decision audit trail (present when auditing is on)
     timeline.jsonl  windowed time series (present when a timeline is
                     attached; schema repro.obs.timeline/v1)
@@ -28,7 +28,6 @@ from repro.obs.audit import AuditTrail, load_audit_jsonl
 from repro.obs.blame import BlameLog, load_blame_jsonl
 from repro.obs.flightrecorder import (INCIDENTS_FILE, Incident, IncidentLog,
                                       _incident_log)
-from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import Timeline, load_timeline_jsonl
 from repro.obs.tracer import SpanLog, load_spans_jsonl
 
@@ -66,26 +65,16 @@ def _om_labels(tags: dict, extra: dict | None = None) -> str:
     return "{" + body + "}"
 
 
-def _om_rows(source):
-    """Normalize a registry or a metrics.json snapshot to exposition rows.
+def _om_rows(snapshot: dict):
+    """A metrics.json snapshot as exposition rows.
 
     Yields ``(name, tags, kind, data)`` where ``data`` is the scalar
     value for counters/gauges and a ``{count, sum, quantiles}`` dict for
     histograms.
     """
-    if isinstance(source, MetricsRegistry):
-        for name, tags, inst in source.items():
-            if inst.kind == "histogram":
-                qs = (dict(zip(_OM_QUANTILES, inst.percentiles()))
-                      if inst.count else {})
-                yield name, tags, "histogram", {
-                    "count": inst.count, "sum": inst.sum, "quantiles": qs}
-            else:
-                yield name, tags, inst.kind, inst.value
-        return
-    if source.get("schema") != "repro.obs.metrics/v1":
+    if snapshot.get("schema") != "repro.obs.metrics/v1":
         raise ValueError("openmetrics_text: not a repro.obs metrics snapshot")
-    for m in source.get("metrics", []):
+    for m in snapshot.get("metrics", []):
         if m["kind"] == "histogram":
             qs = (dict(zip(_OM_QUANTILES,
                            (m["p50"], m["p90"], m["p95"], m["p99"],
@@ -98,8 +87,8 @@ def _om_rows(source):
             yield m["name"], m["tags"], m["kind"], m["value"]
 
 
-def openmetrics_text(source) -> str:
-    """Render a registry *or* a metrics.json snapshot as OpenMetrics text.
+def openmetrics_text(snapshot: dict) -> str:
+    """Render a metrics.json snapshot as OpenMetrics text.
 
     Follows the OpenMetrics 1.0 exposition rules that differ from the
     legacy Prometheus format: counter metric families drop their
@@ -111,7 +100,7 @@ def openmetrics_text(source) -> str:
     """
     lines: list[str] = []
     typed: set[str] = set()
-    for name, tags, kind, data in _om_rows(source):
+    for name, tags, kind, data in _om_rows(snapshot):
         pname = _prom_name(name)
         if kind == "counter":
             family = pname[:-6] if pname.endswith("_total") else pname
@@ -137,9 +126,9 @@ def openmetrics_text(source) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_metrics_json(registry: MetricsRegistry, path) -> None:
+def write_metrics_json(snapshot: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(registry.snapshot(), fh, indent=1)
+        json.dump(snapshot, fh, indent=1)
         fh.write("\n")
 
 
@@ -175,14 +164,15 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     telemetry.collect()
     spans = telemetry.tracer.export_jsonl(os.path.join(out_dir, "spans.jsonl"))
-    write_metrics_json(telemetry.registry, os.path.join(out_dir, "metrics.json"))
+    snapshot = telemetry.registry.snapshot()
+    write_metrics_json(snapshot, os.path.join(out_dir, "metrics.json"))
     with open(os.path.join(out_dir, "metrics.prom"), "w") as fh:
-        fh.write(openmetrics_text(telemetry.registry))
+        fh.write(openmetrics_text(snapshot))
     audit_records = 0
     if telemetry.audit.enabled:
         audit_records = telemetry.audit.export_jsonl(
             os.path.join(out_dir, "audit.jsonl"))
-    summary = {"spans": spans, "metrics": len(telemetry.registry),
+    summary = {"spans": spans, "metrics": len(snapshot["metrics"]),
                "dropped_spans": telemetry.tracer.dropped,
                "audit_records": audit_records}
     if telemetry.timeline is not None:

@@ -32,7 +32,7 @@ sum correctly across shards.
 
 from __future__ import annotations
 
-from repro.flash.wear import DEFAULT_ENDURANCE_CYCLES, wear_projection
+from repro.flash import wear as flash_wear
 from repro.obs.registry import MetricsRegistry, delta_counter
 
 __all__ = ["FlashDeviceMetrics"]
@@ -56,8 +56,9 @@ class FlashDeviceMetrics:
 
     Purely observational: reading the counters never touches the device
     clock or NAND state, so attaching the bridge cannot perturb a run.
-    The wear projections assume :data:`~repro.flash.wear.
-    DEFAULT_ENDURANCE_CYCLES`, as ``SimulatedSSD.wear()`` does.
+    The wear projections read :data:`~repro.flash.wear.
+    DEFAULT_ENDURANCE_CYCLES` when they run, as ``SimulatedSSD.wear()``
+    does, so patching that one attribute moves both.
     """
 
     def __init__(self, registry: MetricsRegistry, ssd) -> None:
@@ -98,9 +99,9 @@ class FlashDeviceMetrics:
         if nand.erase_counts.size and nand.erases != self._wear_erases:
             self._wear_erases = nand.erases
             max_erases = int(nand.erase_counts.max())
-            skew, consumed = wear_projection(
+            skew, consumed = flash_wear.wear_projection(
                 max_erases, nand.erases / nand.erase_counts.size,
-                DEFAULT_ENDURANCE_CYCLES)
+                flash_wear.DEFAULT_ENDURANCE_CYCLES)
             self._gauge("flash_wear_max_erases", "max").set(max_erases)
             self._gauge("flash_wear_skew", "last").set(skew)
             self._gauge("flash_lifetime_consumed", "max").set(consumed)

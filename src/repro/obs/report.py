@@ -1,14 +1,12 @@
 """Per-stage latency breakdown tables from metrics snapshots.
 
-Consumes the ``stage_latency_us`` histograms a :class:`~repro.obs.
-telemetry.Telemetry` collects and renders the tables ``repro run
---telemetry`` / ``repro report`` / ``repro compare`` print — where each
-query's microseconds went, per tier.
+Reads the ``stage_latency_us`` histograms of a ``metrics.json``
+snapshot (``MetricsRegistry.snapshot()``) and renders the tables
+``repro run --telemetry`` / ``repro report`` / ``repro compare`` print —
+where each query's microseconds went, per tier.
 """
 
 from __future__ import annotations
-
-from repro.obs.registry import MetricsRegistry
 
 __all__ = ["stage_summary", "format_stage_breakdown", "format_stage_comparison"]
 
@@ -16,20 +14,13 @@ __all__ = ["stage_summary", "format_stage_breakdown", "format_stage_comparison"]
 STAGE_ORDER = ("l1", "l2", "hdd", "store-ssd", "cpu")
 
 
-def _as_snapshot(source: MetricsRegistry | dict) -> dict:
-    if isinstance(source, MetricsRegistry):
-        return source.snapshot()
-    return source
-
-
 def _ordered(stages) -> list[str]:
     known = [s for s in STAGE_ORDER if s in stages]
     return known + sorted(s for s in stages if s not in STAGE_ORDER)
 
 
-def stage_summary(source: MetricsRegistry | dict) -> dict[str, dict]:
-    """Stage -> summary dict from a registry or a metrics.json snapshot."""
-    snapshot = _as_snapshot(source)
+def stage_summary(snapshot: dict) -> dict[str, dict]:
+    """Stage -> summary dict from a metrics.json snapshot."""
     out: dict[str, dict] = {}
     for m in snapshot.get("metrics", []):
         if (m.get("name") != "stage_latency_us" or m.get("kind") != "histogram"
@@ -49,14 +40,14 @@ def stage_summary(source: MetricsRegistry | dict) -> dict[str, dict]:
     return out
 
 
-def format_stage_breakdown(source: MetricsRegistry | dict,
+def format_stage_breakdown(snapshot: dict,
                            title: str = "per-stage latency breakdown") -> str:
     """One run's breakdown: where the total response time went."""
     # Imported lazily: repro.analysis pulls in the workloads package,
     # whose cache modules themselves import repro.obs.
     from repro.analysis.tables import format_table
 
-    summary = stage_summary(source)
+    summary = stage_summary(snapshot)
     if not summary:
         return f"{title}\n(no stage telemetry recorded)"
     total_us = sum(d["sum_us"] for d in summary.values())
@@ -81,14 +72,15 @@ def format_stage_breakdown(source: MetricsRegistry | dict,
     )
 
 
-def format_stage_comparison(sources: dict[str, MetricsRegistry | dict],
-                            title: str = "per-stage breakdown by policy") -> str:
-    """Side-by-side stage totals for several runs (e.g. one per policy)."""
+def format_stage_comparison(snapshots: dict[str, dict],
+                            title: str = "per-stage breakdown by run") -> str:
+    """Side-by-side stage totals for several runs' snapshots."""
     from repro.analysis.tables import format_table
 
-    if not sources:
-        raise ValueError("sources must be non-empty")
-    summaries = {label: stage_summary(src) for label, src in sources.items()}
+    if not snapshots:
+        raise ValueError("snapshots must be non-empty")
+    summaries = {label: stage_summary(snap)
+                 for label, snap in snapshots.items()}
     stages = _ordered({s for summary in summaries.values() for s in summary})
     if not stages:
         return f"{title}\n(no stage telemetry recorded)"

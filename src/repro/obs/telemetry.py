@@ -56,20 +56,16 @@ def stage_of_channel(channel: str) -> str | None:
     """Map a clock busy channel to a query stage.
 
     Background channels (``*-bg``, overlapped GC) are not part of any
-    query's response time and map to None.  Cluster shards on a shared
-    clock suffix their devices with ``#<shard>`` (``dram#2``); the
-    suffix is stripped so every shard's channels land on the same
-    stages.
+    query's response time and map to None.
     """
     if channel.endswith("-bg"):
         return None
-    base = channel.split("#", 1)[0]
     return {
         "dram": "l1",
         "ssd-cache": "l2",
         "index-hdd": "hdd",
         "index-ssd": "store-ssd",
-    }.get(base, base)
+    }.get(channel, channel)
 
 
 class Telemetry:

@@ -8,6 +8,6 @@ laptop sweep the paper's parameter space in seconds.
 
 from repro.sim.clock import VirtualClock
 from repro.sim.counters import Counter, CounterSet
-from repro.sim.rng import make_rng, spawn_rngs
+from repro.sim.rng import make_rng
 
-__all__ = ["VirtualClock", "Counter", "CounterSet", "make_rng", "spawn_rngs"]
+__all__ = ["VirtualClock", "Counter", "CounterSet", "make_rng"]

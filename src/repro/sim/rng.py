@@ -1,16 +1,14 @@
 """Seeded random number generation helpers.
 
 Every stochastic component takes an explicit ``numpy.random.Generator`` so
-that whole experiments are reproducible from a single integer seed, and so
-independent subsystems (corpus, query log, trace noise) can draw from
-independent streams derived from that seed.
+that whole experiments are reproducible from a single integer seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
@@ -23,15 +21,3 @@ def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent generators from one integer seed.
-
-    Uses ``SeedSequence.spawn`` so the streams are statistically independent
-    regardless of how many draws each consumer makes.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of rngs: {n}")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]

@@ -46,48 +46,36 @@ class HierarchyConfig:
 
 
 class StorageHierarchy:
-    """Devices of one index server sharing a virtual clock.
+    """Devices of one index server sharing a virtual clock."""
 
-    Pass an external ``clock`` to let several hierarchies (e.g. the
-    shards of a concurrent cluster) share one simulated timeline, and a
-    ``device_suffix`` (e.g. ``"#2"``) so their busy channels and kernel
-    resources stay distinguishable.
-    """
-
-    def __init__(
-        self,
-        config: HierarchyConfig | None = None,
-        clock: VirtualClock | None = None,
-        device_suffix: str = "",
-    ) -> None:
+    def __init__(self, config: HierarchyConfig | None = None) -> None:
         self.config = config or HierarchyConfig()
-        self.clock = clock if clock is not None else VirtualClock()
-        self.device_suffix = device_suffix
+        self.clock = VirtualClock()
         self.memory = DramModel(
             capacity_bytes=self.config.memory_bytes, clock=self.clock,
-            name=f"dram{device_suffix}",
+            name="dram",
         )
         #: Channel CPU work is consumed on (scoring/merging in
         #: core.manager); charged nowhere — CPU attribution stays the
         #: response-time residual — but under a kernel it becomes a real
         #: contended resource.
-        self.cpu_channel = f"cpu{device_suffix}"
+        self.cpu_channel = "cpu"
         self.ssd: SimulatedSSD | None = None
         if self.config.ssd_cache:
             self.ssd = SimulatedSSD(
                 config=self.config.ssd_config, clock=self.clock,
-                name=f"ssd-cache{device_suffix}",
+                name="ssd-cache",
             )
         if self.config.index_on == "hdd":
             self.index_store: BlockDevice = SimulatedHDD(
                 geometry=self.config.hdd_geometry, clock=self.clock,
-                name=f"index-hdd{device_suffix}",
+                name="index-hdd",
             )
         else:
             index_cfg = self.config.index_ssd_config or self.config.ssd_config
             self.index_store = SimulatedSSD(
                 config=index_cfg, clock=self.clock,
-                name=f"index-ssd{device_suffix}", ftl="page",
+                name="index-ssd", ftl="page",
             )
 
     def attach_kernel(self, kernel, cpu_lanes: int = 1) -> None:
@@ -96,7 +84,7 @@ class StorageHierarchy:
         Lane counts come from the devices themselves (``service_lanes``:
         NAND channels x planes for SSDs, 1 for the HDD's single actuator);
         DRAM gets ``cpu_lanes`` since a memory access occupies the core
-        issuing it.  Also binds the kernel to the shared clock so device
+        issuing it.  Also binds the kernel to the hierarchy's clock so device
         ``consume`` calls route through it inside tasks.
         """
         kernel.add_resource(self.memory.name, lanes=cpu_lanes)

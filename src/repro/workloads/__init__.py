@@ -17,7 +17,7 @@ from repro.workloads.cost import (
     cost_performance,
     server_cost_usd,
 )
-from repro.workloads.sweep import document_sweep, make_scaled_index, make_log_for
+from repro.workloads.sweep import make_scaled_index, make_log_for
 
 __all__ = [
     "RunResult",
@@ -28,7 +28,6 @@ __all__ = [
     "ServerConfig",
     "cost_performance",
     "server_cost_usd",
-    "document_sweep",
     "make_scaled_index",
     "make_log_for",
 ]

@@ -12,8 +12,7 @@ Two generations of load analysis live here:
   (or ``None``: closed-loop clients) feed :func:`drive`, which admits
   every query as its own task on the discrete-event kernel
   (:mod:`repro.sim.kernel`) and runs up to N concurrently —
-  :func:`run_open_loop` through the live cache manager,
-  ``Broker.run_open_loop`` through a shard fan-out.  Queueing delay,
+  :func:`run_open_loop` through the live cache manager.  Queueing delay,
   saturation, and tail growth emerge from per-device contention, and the
   cache state evolves under the same interleaving that produced the
   latencies.
@@ -229,16 +228,6 @@ class OpenLoopResult:
     @property
     def reject_fraction(self) -> float:
         return self.rejected / self.arrived if self.arrived else 0.0
-
-    def row(self) -> str:
-        """One printable table row for the CLI sweep output."""
-        return (
-            f"{self.offered_qps:>9.1f} {self.throughput_qps:>9.1f} "
-            f"{self.mean_response_us / 1000.0:>9.2f} "
-            f"{self.p99_us / 1000.0:>9.2f} {self.p999_us / 1000.0:>9.2f} "
-            f"{self.mean_wait_us / 1000.0:>9.2f} "
-            f"{self.rejected:>7d} {max(self.peak_resource_depth.values(), default=0):>6d}"
-        )
 
 
 def schedule_arrivals(kernel: Kernel, arrivals, count: int, submit) -> None:

@@ -40,13 +40,6 @@ class RunResult:
     ssd_mean_access_us: float = 0.0
     busy_us: dict = field(default_factory=dict)
 
-    def row(self) -> str:
-        """One printable table row."""
-        return (
-            f"{self.label:<28s} {self.queries:>7d} "
-            f"{self.mean_response_ms:>10.2f} {self.throughput_qps:>10.1f}"
-        )
-
 
 def run_uncached(
     index: InvertedIndex,

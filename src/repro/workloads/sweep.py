@@ -1,20 +1,18 @@
 """Parameter-sweep helpers shared by the benchmarks.
 
 The paper's x-axes are (a) total document count 1-5 M (Figs. 15-18) and
-(b) query count 10-100 k (Fig. 19).  ``document_sweep`` builds one scaled
-index per document count — memoised, because index construction is the
-expensive step — and runs a caller-supplied experiment on each.
+(b) query count 10-100 k (Fig. 19).  ``make_scaled_index`` builds one
+scaled index per document count — memoised, because index construction
+is the expensive step — and ``make_log_for`` the matching query log.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.engine.corpus import CorpusConfig
 from repro.engine.index import InvertedIndex
 from repro.engine.querylog import QueryLog, QueryLogConfig, generate_query_log
 
-__all__ = ["make_scaled_index", "make_log_for", "document_sweep"]
+__all__ = ["make_scaled_index", "make_log_for"]
 
 _INDEX_CACHE: dict[tuple, InvertedIndex] = {}
 
@@ -53,22 +51,3 @@ def make_log_for(
             seed=seed,
         )
     )
-
-
-def document_sweep(
-    doc_counts: list[int],
-    experiment: Callable[[InvertedIndex, int], dict],
-    seed: int = 42,
-) -> list[dict]:
-    """Run ``experiment(index, num_docs)`` for each document count.
-
-    Returns the experiment dicts with ``num_docs`` added — the row format
-    the benches print.
-    """
-    rows = []
-    for num_docs in doc_counts:
-        index = make_scaled_index(num_docs, seed=seed)
-        row = experiment(index, num_docs)
-        row.setdefault("num_docs", num_docs)
-        rows.append(row)
-    return rows

@@ -132,44 +132,33 @@ def test_compare_dirs_fails_cleanly_on_bad_dir(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
-def test_compare_command_prints_stage_breakdown(capsys):
-    rc = main(["compare", "--docs", "100000", "--queries", "150",
-               "--mem-mb", "2", "--ssd-mb", "8"])
+def test_compare_tabulates_one_telemetry_dir_per_policy(tmp_path, capsys):
+    dirs = []
+    for policy in ("lru", "cblru", "cbslru"):
+        out_dir = str(tmp_path / policy)
+        assert main(["run", "--policy", policy, "--docs", "100000",
+                     "--queries", "150", "--mem-mb", "2", "--ssd-mb", "8",
+                     "--telemetry", out_dir, "--timeline"]) == 0
+        dirs.append(out_dir)
+    capsys.readouterr()
+    assert main(["compare", *dirs]) == 0
     out = capsys.readouterr().out
-    assert rc == 0
-    assert "per-stage latency by policy" in out
-    stage_section = out.split("per-stage latency by policy", 1)[1]
-    for stage in ("l1", "l2", "hdd"):
-        assert stage in stage_section
-    assert "hit ratio over time" in out  # the per-policy timeline table
-
-
-def test_compare_command_json_payload(capsys):
-    import json
-
-    argv = ["compare", "--json", "--docs", "100000", "--queries", "150",
-            "--mem-mb", "2", "--ssd-mb", "8"]
-    rc = main(argv)
-    out = capsys.readouterr().out
-    assert rc == 0
-    # Nothing host-timed is in the payload: a second run prints the
-    # same text byte for byte.
-    assert main(argv) == 0
+    table, stages, flash = out.rstrip("\n").split("\n\n")
+    assert table.startswith("telemetry dirs")
+    assert all(d in table for d in dirs)
+    assert stages.startswith("per-stage latency by dir")
+    stage_names = {line.split()[0] for line in stages.splitlines()[3:]}
+    assert {"l1", "l2", "hdd"} <= stage_names
+    assert flash.startswith("flash devices")
+    assert [line.split()[1] for line in flash.splitlines()[3:]] == [
+        "ssd-cache"] * 3
+    # Nothing host-timed is printed: a second call prints the same text
+    # byte for byte.
+    assert main(["compare", *dirs]) == 0
     assert capsys.readouterr().out == out
-    payload = json.loads(out.split("wrote report", 1)[0])
-    assert payload["schema"] == "repro.compare/v1"
-    assert set(payload["policies"]) == {"lru", "cblru", "cbslru"}
-    for entry in payload["policies"].values():
-        assert entry["queries"] == 150
-        assert "stage_latency_us" in entry
-        assert "ssd-cache" in entry["flash"]
-        assert entry["flash"]["ssd-cache"]["flash_erases_total"] >= 0
-    for entry in payload["host"].values():
-        assert set(entry) == {"hot_ops"}
-    assert set(payload["timeline"]) == {"lru", "cblru", "cbslru"}
-    for entry in payload["timeline"].values():
-        assert entry["windows"] > 0
-        assert entry["hit_ratio"] and entry["p99_response_us"]
+    with pytest.raises(SystemExit) as exc:
+        main(["compare"])
+    assert exc.value.code == 2
 
 
 def test_run_telemetry_reports_flash_and_streams_spans(tmp_path, capsys):
@@ -300,11 +289,6 @@ def test_read_commands_reject_bad_flags(kernel_dir, capsys, bad):
 
 
 @pytest.mark.parametrize("bad", [
-    ["compare", "--queries", "0"],
-    ["compare", "--queries", "-3"],
-    ["compare", "--docs", "0"],
-    ["compare", "--mem-mb", "-1"],
-    ["compare", "--ssd-mb", "-1"],
     ["corpus", "--docs", "0"],
     ["corpus", "--docs", "-1"],
     ["corpus", "--vocab", "0"],

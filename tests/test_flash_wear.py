@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-import repro.flash.ssd as ssd_module
-import repro.obs.flash_metrics as flash_metrics
+import repro.flash.wear as wear_module
 from repro.flash.ssd import SimulatedSSD
 from repro.flash.wear import wear_projection, wear_report
 from repro.obs.flash_metrics import FlashDeviceMetrics
@@ -74,8 +73,7 @@ def test_flash_gauges_publish_the_report_s_wear_figures(tiny_flash,
         ssd.write(0, ssd.capacity_bytes // 2)
     assert ssd.erase_count > 0
     registry = MetricsRegistry()
-    monkeypatch.setattr(flash_metrics, "DEFAULT_ENDURANCE_CYCLES", 50)
-    monkeypatch.setattr(ssd_module, "DEFAULT_ENDURANCE_CYCLES", 50)
+    monkeypatch.setattr(wear_module, "DEFAULT_ENDURANCE_CYCLES", 50)
     FlashDeviceMetrics(registry, ssd).collect()
     wear = ssd.wear()
     gauges = {name: inst.value for name, _, inst in registry.items()
@@ -83,6 +81,6 @@ def test_flash_gauges_publish_the_report_s_wear_figures(tiny_flash,
     assert gauges == {"flash_wear_max_erases": wear.max_erases,
                       "flash_wear_skew": wear.skew,
                       "flash_lifetime_consumed": wear.lifetime_consumed}
-    monkeypatch.setattr(flash_metrics, "DEFAULT_ENDURANCE_CYCLES", 0)
+    monkeypatch.setattr(wear_module, "DEFAULT_ENDURANCE_CYCLES", 0)
     with pytest.raises(ValueError):
         FlashDeviceMetrics(MetricsRegistry(), ssd).collect()

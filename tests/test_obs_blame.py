@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.broker import Broker
 from repro.core.config import CacheConfig, Policy
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.corpus import CorpusConfig
@@ -114,37 +113,6 @@ def test_blame_recording_never_perturbs(index, log):
     assert bare == observed
 
 
-def test_cluster_fanout_reconciles_and_blames_straggler(log):
-    base = CorpusConfig(num_docs=6000, vocab_size=120, seed=19)
-    cfg = CacheConfig(
-        mem_result_bytes=100 * KB, mem_list_bytes=256 * KB,
-        ssd_result_bytes=512 * KB, ssd_list_bytes=2048 * KB,
-        policy=Policy.CBLRU,
-    )
-    broker = Broker.build(base, num_shards=2, cache_config=cfg,
-                          shared_clock=True)
-    rec = BlameRecorder()
-    queries = list(log)[:60]
-    result = broker.run_open_loop(queries, PoissonArrivals(80.0, seed=3),
-                                  concurrency=4, max_queue=32, blame=rec)
-    blamed = assemble_queries(rec.records)
-    assert len(blamed) == result.completed
-    billed = set()
-    for q in blamed:
-        # Join windows recurse into shard subtasks; clipping at the join
-        # bounds can leave float-rounding dust, but nothing structural.
-        assert abs(q.residual_us) < 1e-6
-        billed.update(q.wait_us)
-        billed.update(q.service_us)
-    # Per-shard suffixed resources show up in parent queries' bills.
-    assert any(name.endswith("#0") for name in billed)
-    assert any(name.endswith("#1") for name in billed)
-    # At least some queries fanned out and name their straggler shard task.
-    stragglers = [q.straggler for q in blamed if q.straggler]
-    assert stragglers
-    assert all(s.startswith("q") for s in stragglers)
-
-
 # -- the property, on a synthetic kernel -------------------------------------
 
 # Dyadic durations keep every timestamp exactly representable, so the
@@ -186,6 +154,10 @@ def test_component_sums_equal_end_to_end(jobs):
     for q in queries:
         assert q.total_us == q.components_us  # exactly, no tolerance
         assert q.residual_us == 0.0
+    # A job that fanned out names its joined child as the straggler.
+    fanned = {f"q{i}": f"q{i}s0" for i, (_, _, fan) in enumerate(jobs) if fan}
+    assert {q.name: q.straggler for q in queries
+            if q.straggler is not None} == fanned
 
 
 # -- Little's law and the capacity model -------------------------------------

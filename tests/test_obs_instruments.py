@@ -246,7 +246,7 @@ def test_openmetrics_text_renders_all_kinds():
     reg.counter("hits_total", level="l1").inc(4)
     reg.gauge("occupancy").set(0.75)
     reg.histogram("latency_us").record_many([10.0, 20.0])
-    text = openmetrics_text(reg)
+    text = openmetrics_text(reg.snapshot())
     # Counter families drop the _total suffix in TYPE; samples keep it.
     assert "# TYPE hits counter" in text
     assert 'hits_total{level="l1"} 4' in text
@@ -262,7 +262,15 @@ def test_openmetrics_accepts_snapshot_and_matches_registry():
     reg.counter("ops_total", kind="read").inc(7)
     reg.gauge("depth", resource="ssd").set(3.0)
     reg.histogram("wait_us").record_many([5.0, 15.0, 25.0])
-    assert openmetrics_text(reg.snapshot()) == openmetrics_text(reg)
+    # The snapshot carries the registry's own figures, quantiles included.
+    quantiles = zip(("0.5", "0.9", "0.95", "0.99", "0.999"),
+                    reg.get("wait_us").percentiles())
+    assert openmetrics_text(reg.snapshot()) == "\n".join([
+        "# TYPE depth gauge", 'depth{resource="ssd"} 3.0',
+        "# TYPE ops counter", 'ops_total{kind="read"} 7',
+        "# TYPE wait_us summary",
+        *(f'wait_us{{quantile="{q}"}} {v}' for q, v in quantiles),
+        "wait_us_sum 45.0", "wait_us_count 3", "# EOF", ""])
     with pytest.raises(ValueError, match="snapshot"):
         openmetrics_text({"schema": "other/v1"})
 
@@ -285,7 +293,7 @@ def test_openmetrics_label_escaping_round_trips():
     hostile = 'sla="p99<5ms"\nback\\slash'
     reg = MetricsRegistry()
     reg.counter("evil_total", note=hostile).inc(1)
-    text = openmetrics_text(reg)
+    text = openmetrics_text(reg.snapshot())
     line = next(ln for ln in text.splitlines()
                 if ln.startswith("evil_total{"))
     # The exposition line is one physical line with a quoted label value.

@@ -1,9 +1,8 @@
 """Seeded RNG helpers."""
 
 import numpy as np
-import pytest
 
-from repro.sim.rng import make_rng, spawn_rngs
+from repro.sim.rng import make_rng
 
 
 def test_same_seed_same_stream():
@@ -23,22 +22,3 @@ def test_existing_generator_passes_through():
 
 def test_none_seed_gives_generator():
     assert isinstance(make_rng(None), np.random.Generator)
-
-
-def test_spawn_rngs_independent_and_deterministic():
-    streams_a = [g.random(4) for g in spawn_rngs(7, 3)]
-    streams_b = [g.random(4) for g in spawn_rngs(7, 3)]
-    for a, b in zip(streams_a, streams_b):
-        assert np.array_equal(a, b)
-    # Streams must differ from each other.
-    assert not np.array_equal(streams_a[0], streams_a[1])
-
-
-def test_spawn_rngs_count():
-    assert len(spawn_rngs(0, 5)) == 5
-    assert spawn_rngs(0, 0) == []
-
-
-def test_spawn_rngs_negative_rejected():
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)

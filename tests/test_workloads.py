@@ -12,7 +12,7 @@ from repro.workloads.cost import (
 )
 from repro.workloads.retrieval import (prepare_cached_manager, run_cached,
                                        run_uncached, sample_flash_series)
-from repro.workloads.sweep import document_sweep, make_log_for, make_scaled_index
+from repro.workloads.sweep import make_log_for, make_scaled_index
 
 MB = 1024 * 1024
 
@@ -156,13 +156,3 @@ def test_make_log_defaults():
     log = make_log_for(400)
     assert len(log) == 400
     assert log.config.distinct_queries == 100
-
-
-def test_document_sweep_runs_experiment():
-    rows = document_sweep(
-        [50_000, 100_000],
-        lambda index, n: {"bytes": index.index_bytes},
-    )
-    assert len(rows) == 2
-    assert rows[0]["num_docs"] == 50_000
-    assert rows[1]["bytes"] > rows[0]["bytes"]

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.broker import Broker
 from repro.core.config import CacheConfig, Policy
 from repro.core.manager import CacheManager, build_hierarchy_for
 from repro.engine.corpus import CorpusConfig
@@ -266,38 +265,3 @@ def test_telemetry_observe_kernel_collects_gauges(index, log):
     # Every hierarchy device became a kernel resource with a depth gauge.
     assert tel.registry.get("queue_depth", resource="admission") is not None
     assert tel.registry.get("queue_depth", resource="index-hdd") is not None
-
-
-# -- cluster fan-out ---------------------------------------------------------
-
-BASE = CorpusConfig(num_docs=6000, vocab_size=120, seed=19)
-
-
-def cluster_cfg():
-    return CacheConfig(
-        mem_result_bytes=100 * KB, mem_list_bytes=256 * KB,
-        ssd_result_bytes=512 * KB, ssd_list_bytes=2048 * KB,
-        policy=Policy.CBLRU,
-    )
-
-
-def test_broker_open_loop_requires_shared_clock(log):
-    broker = Broker.build(BASE, num_shards=2, cache_config=cluster_cfg())
-    with pytest.raises(ValueError, match="shared_clock"):
-        broker.run_open_loop(list(log)[:10], PoissonArrivals(50.0, seed=1))
-
-
-def test_broker_open_loop_fans_out_concurrently(log):
-    broker = Broker.build(BASE, num_shards=2, cache_config=cluster_cfg(),
-                          shared_clock=True)
-    queries = list(log)[:60]
-    result = broker.run_open_loop(queries, PoissonArrivals(80.0, seed=3),
-                                  concurrency=4, max_queue=32)
-    assert result.completed + result.rejected == result.arrived == len(queries)
-    assert result.completed > 0
-    names = set(result.peak_resource_depth)
-    assert "broker" in names
-    # Per-shard devices carry the #<shard> suffix on the shared timeline.
-    assert any(n.endswith("#0") for n in names)
-    assert any(n.endswith("#1") for n in names)
-    assert result.mean_response_us > 0
