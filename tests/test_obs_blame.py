@@ -113,6 +113,48 @@ def test_blame_recording_never_perturbs(index, log):
     assert bare == observed
 
 
+def test_cluster_fanout_reconciles_and_blames_straggler():
+    """A query fanned out to two shard tasks is billed through both joins.
+
+    Each query spawns one task per shard, each serving its own
+    ``ssd#<shard>`` resource, and joins them in shard order; shard 1 is
+    the slower one, so it is the straggler of every query.  Queries
+    overlap, so the shard resources queue as well as serve.
+    """
+    k = Kernel(VirtualClock())
+    rec = BlameRecorder().attach(k)
+    shard_us = (2.0, 6.0)
+    n = 8
+
+    def query(i):
+        k.serve("cpu", 1.0)
+        children = [
+            k.spawn(lambda s=s: k.serve(f"ssd#{s}", shard_us[s]),
+                    name=f"q{i}s{s}")
+            for s in range(len(shard_us))
+        ]
+        for child in children:
+            child.join()
+
+    for i in range(n):
+        k.at(i * 1.5, lambda i=i: k.spawn(lambda: query(i), name=f"q{i}"))
+    k.run()
+    blamed = assemble_queries(rec.records)
+    assert len(blamed) == n
+    billed = set()
+    for q in blamed:
+        assert q.total_us == q.components_us  # dyadic times: exact
+        assert q.residual_us == 0.0
+        billed.update(q.wait_us)
+        billed.update(q.service_us)
+    # Per-shard resources show up in the parent queries' bills.
+    assert {"ssd#0", "ssd#1"} <= billed
+    # Shard 1 queues behind earlier queries' shard-1 work: a real wait.
+    assert any(q.wait_us.get("ssd#1", 0.0) > 0 for q in blamed)
+    assert {q.name: q.straggler for q in blamed} == {
+        f"q{i}": f"q{i}s1" for i in range(n)}
+
+
 # -- the property, on a synthetic kernel -------------------------------------
 
 # Dyadic durations keep every timestamp exactly representable, so the
