@@ -24,8 +24,6 @@ Quickstart::
     print(mgr.stats.combined_hit_ratio, mgr.ssd.erase_count)
 """
 
-from repro.cluster.broker import Broker
-from repro.cluster.shard import IndexShard
 from repro.core.config import CacheConfig, Policy, Scheme
 from repro.core.intersections import ThreeLevelCacheManager
 from repro.core.manager import CacheManager, QueryOutcome, build_hierarchy_for
@@ -45,8 +43,6 @@ from repro.workloads.retrieval import RunResult, run_cached, run_uncached
 __version__ = "1.0.0"
 
 __all__ = [
-    "Broker",
-    "IndexShard",
     "CacheConfig",
     "Policy",
     "Scheme",

@@ -77,12 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=_COUNT, default=50_000)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--out", type=str, default=None,
-                   help="write the trace (format by extension: .spc, .csv "
-                        "(MSR), .dmn (DiskMon))")
+                   help="write the trace (format by extension: .spc, "
+                        ".dmn (DiskMon))")
 
     p = sub.add_parser("analyze", help="analyze an I/O trace file")
     p.add_argument("path", type=str)
-    p.add_argument("--format", choices=("spc", "msr", "diskmon"), default="spc")
+    p.add_argument("--format", choices=("spc", "diskmon"), default="spc")
 
     p = sub.add_parser("run", help="run a cached retrieval experiment")
     p.add_argument("--policy", choices=("lru", "cblru", "cbslru"),
@@ -330,27 +330,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _write_by_extension(trace, path: str) -> None:
     from repro.trace.diskmon import write_diskmon
-    from repro.trace.msr import write_msr
     from repro.trace.umass import write_spc
 
     if path.endswith(".spc"):
         write_spc(trace, path)
-    elif path.endswith(".csv"):
-        write_msr(trace, path)
     elif path.endswith(".dmn"):
         write_diskmon(trace, path)
     else:
         raise SystemExit(f"unknown trace extension on {path!r} "
-                         "(want .spc, .csv or .dmn)")
+                         "(want .spc or .dmn)")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.trace.analyzer import analyze_trace
     from repro.trace.diskmon import parse_diskmon
-    from repro.trace.msr import parse_msr
     from repro.trace.umass import parse_spc
 
-    parsers = {"spc": parse_spc, "msr": parse_msr, "diskmon": parse_diskmon}
+    parsers = {"spc": parse_spc, "diskmon": parse_diskmon}
     trace = parsers[args.format](args.path)
     print(analyze_trace(trace).summary())
     return 0
@@ -485,7 +481,7 @@ def _run_serve_and_report(args: argparse.Namespace, telemetry,
         from repro.obs import format_stage_breakdown, write_telemetry_dir
 
         written = write_telemetry_dir(telemetry, args.telemetry)
-        snapshot = telemetry.registry.snapshot()
+        snapshot = written["snapshot"]
         print()
         print(format_stage_breakdown(snapshot, title="per-stage latency"))
         flash_rows = _flash_rows(snapshot)

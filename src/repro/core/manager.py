@@ -274,7 +274,7 @@ class CacheManager:
 
         # charge=False: CPU attribution stays the response-time residual
         # (stage histograms derive it), but under a kernel the scoring
-        # work still contends for the shard's CPU lanes.
+        # work still contends for the server's CPU lanes.
         self.clock.consume(self.hierarchy.cpu_channel,
                            self.processor.cpu_time_us(plan), charge=False)
         if self.materialize_results:

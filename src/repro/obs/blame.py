@@ -12,7 +12,7 @@ with zero residual in exact arithmetic (see :func:`assemble_queries`;
 in floats, :attr:`QueryBlame.residual_us` is rounding).  Fan-out joins are
 followed recursively: a join window ``[t0, t1]`` is re-attributed to
 the *child's* blocked intervals clipped to that window, so a straggler
-shard's SSD queue shows up by name in the parent query's bill.
+child's SSD queue shows up by name in the parent query's bill.
 
 Three consumers sit on top of the raw records:
 

@@ -152,10 +152,12 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
     (plus timeline.jsonl / blame.jsonl when recorded).
 
     ``telemetry`` is a :class:`~repro.obs.telemetry.Telemetry`; its
-    bridges are sampled first (so wear/GC/WA gauges are current).  A telemetry built with ``Telemetry(out_dir=DIR)`` has its
-    streamed files finalised in place, and ``out_dir`` must be ``DIR``:
-    any other directory raises ``ValueError`` before anything is written.
-    Returns a summary dict.
+    bridges are sampled first (so wear/GC/WA gauges are current).  A
+    telemetry built with ``Telemetry(out_dir=DIR)`` has its streamed
+    files finalised in place, and ``out_dir`` must be ``DIR``: any other
+    directory raises ``ValueError`` before anything is written.
+    Returns a summary dict; its ``snapshot`` is the registry snapshot
+    written to ``metrics.json``.
     """
     own = telemetry.out_dir
     if own is not None and os.path.abspath(own) != os.path.abspath(out_dir):
@@ -172,7 +174,8 @@ def write_telemetry_dir(telemetry, out_dir) -> dict:
     if telemetry.audit.enabled:
         audit_records = telemetry.audit.export_jsonl(
             os.path.join(out_dir, "audit.jsonl"))
-    summary = {"spans": spans, "metrics": len(snapshot["metrics"]),
+    summary = {"snapshot": snapshot, "spans": spans,
+               "metrics": len(snapshot["metrics"]),
                "dropped_spans": telemetry.tracer.dropped,
                "audit_records": audit_records}
     if telemetry.timeline is not None:

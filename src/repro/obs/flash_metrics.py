@@ -26,8 +26,7 @@ metric                                    kind    source
 ========================================= ======= ===========================
 
 Counters are advanced by *delta* on every :meth:`collect`, so sampling
-any number of times still yields cumulative totals and cluster merges
-sum correctly across shards.
+any number of times still yields cumulative totals.
 """
 
 from __future__ import annotations
@@ -85,9 +84,9 @@ class FlashDeviceMetrics:
         stats = self.ssd.ftl.stats
         for fld, advance in self._counters:
             advance(getattr(stats, fld, 0))
-        # Ratio/projection gauges have no natural cross-shard sum, so
-        # they declare their cluster-merge mode; free_blocks is
-        # occupancy-style and keeps the "sum" default.
+        # Ratio/projection gauges have no natural sum, so they declare
+        # their merge mode; free_blocks is occupancy-style and keeps the
+        # "sum" default.
         self._gauge("flash_write_amplification", "last").set(
             stats.write_amplification)
         self._gauge("flash_free_blocks").set(self.ssd.ftl.free_block_count)

@@ -54,27 +54,24 @@ class Counter:
             raise ValueError(f"counters only go up, got {n}")
         self.value += n
 
-    def merge(self, other: "Counter") -> None:
-        """Key-wise aggregation: counts from another registry add up."""
-        self.value += other.value
-
     def snapshot(self) -> dict:
         return {"value": self.value}
 
 
-#: Valid :class:`Gauge` cluster-merge modes.
+#: Valid :class:`Gauge` merge modes.
 GAUGE_MERGE_MODES = ("sum", "last", "max", "min")
 
 
 class Gauge:
     """A point-in-time value (occupancy, utilization, queue depth).
 
-    ``merge_mode`` decides what a cluster-level merge means for this
-    gauge.  Occupancy-style gauges (bytes held, queue depth, free
-    blocks) add up across shards, so ``"sum"`` is the default.  Ratio
-    or projection gauges (write amplification, wear skew) have no
-    natural sum; they opt into ``"last"`` (the merged-in reading wins),
-    ``"max"`` or ``"min"``.
+    ``merge_mode`` declares how two readings of this gauge would
+    combine; it is validated and written into every snapshot
+    (``metrics.json``), and nothing in the package merges gauges.
+    Occupancy-style gauges (bytes held, queue depth, free blocks) would
+    add up, so ``"sum"`` is the default.  Ratio or projection gauges
+    (write amplification, wear skew) have no natural sum; they declare
+    ``"last"``, ``"max"`` or ``"min"``.
     """
 
     __slots__ = ("value", "merge_mode")
@@ -98,17 +95,6 @@ class Gauge:
 
     def dec(self, n: float = 1.0) -> None:
         self.value -= n
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another shard's reading in, per this gauge's merge mode."""
-        if self.merge_mode == "sum":
-            self.value += other.value
-        elif self.merge_mode == "last":
-            self.value = other.value
-        elif self.merge_mode == "max":
-            self.value = max(self.value, other.value)
-        else:  # "min"
-            self.value = min(self.value, other.value)
 
     def snapshot(self) -> dict:
         return {"value": self.value, "merge_mode": self.merge_mode}

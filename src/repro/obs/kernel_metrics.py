@@ -29,7 +29,7 @@ The ``queue_depth`` gauges matter most: the timeline recorder's derived
 queue-buildup detector (:class:`repro.obs.slo.StreamingQueueBuildup`)
 watches *emergent* backlogs instead of a model.  Counters advance by
 delta per :meth:`collect`, matching the other bridges, so repeated
-sampling and cluster merges stay correct.
+sampling stays correct.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""The metrics registry: named, tagged instruments with aggregation.
+"""The metrics registry: named, tagged instruments.
 
-One registry per observed component (a cache manager, an index shard);
-:meth:`MetricsRegistry.merge` folds many registries into a cluster-level
-view (the broker sums its shards').  Instruments are identified by
-``(name, tags)``; asking for the same identity twice returns the same
-instrument, so hot paths can keep a reference and skip the lookup.
+One registry per observed component (a cache manager).  Instruments
+are identified by ``(name, tags)``; asking for the same identity twice
+returns the same instrument, so hot paths can keep a reference and skip
+the lookup.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ class MetricsRegistry:
     def gauge(self, name: str, merge_mode: str | None = None, **tags) -> Gauge:
         """A gauge at this identity.
 
-        ``merge_mode`` fixes the cluster-merge semantics at creation
+        ``merge_mode`` fixes the gauge's declared merge mode at creation
         ("sum" when omitted; see :class:`~repro.obs.instruments.Gauge`).
         Asking again with a conflicting mode raises.
         """
@@ -105,24 +104,6 @@ class MetricsRegistry:
             entry.update(inst.snapshot())
             metrics.append(entry)
         return {"schema": "repro.obs.metrics/v1", "metrics": metrics}
-
-    # -- aggregation ---------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (counters/histograms sum,
-        gauges follow their per-gauge merge mode — "sum" unless they
-        opted into "last"/"max"/"min").  Returns self for chaining."""
-        for (name, tag_key), inst in other._metrics.items():
-            tags = dict(tag_key)
-            if inst.kind == "counter":
-                mine = self.counter(name, **tags)
-            elif inst.kind == "gauge":
-                mine = self.gauge(name, merge_mode=inst.merge_mode, **tags)
-            else:
-                mine = self.histogram(name, lo=inst.lo, growth=inst.growth,
-                                      **tags)
-            mine.merge(inst)
-        return self
 
 
 def delta_counter(registry: MetricsRegistry, name: str, **tags):

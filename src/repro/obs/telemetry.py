@@ -1,7 +1,7 @@
 """The telemetry bundle: one registry + one tracer, attached as a unit.
 
 ``Telemetry()`` is what users hand to a :class:`~repro.core.manager.
-CacheManager` (or an :class:`~repro.cluster.shard.IndexShard`)::
+CacheManager`::
 
     tel = Telemetry()
     manager = CacheManager(cfg, hierarchy, index, telemetry=tel)

@@ -12,7 +12,6 @@ from repro.trace.record import Trace, TraceRecord
 from repro.trace.generator import WebSearchTraceConfig, generate_websearch_trace, trace_from_engine
 from repro.trace.umass import parse_spc, write_spc
 from repro.trace.diskmon import parse_diskmon, write_diskmon
-from repro.trace.msr import parse_msr, write_msr
 from repro.trace.analyzer import TraceAnalysis, analyze_trace, figure1_series
 from repro.trace.capture import TracingDevice
 from repro.trace.replay import ReplayResult, replay_trace
@@ -27,8 +26,6 @@ __all__ = [
     "write_spc",
     "parse_diskmon",
     "write_diskmon",
-    "parse_msr",
-    "write_msr",
     "TraceAnalysis",
     "analyze_trace",
     "figure1_series",

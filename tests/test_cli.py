@@ -27,12 +27,17 @@ def test_trace_command_writes_spc(tmp_path, capsys):
     assert "reads=" in out
 
 
-def test_trace_command_writes_msr_and_diskmon(tmp_path, capsys):
-    for ext in ("csv", "dmn"):
+def test_trace_command_writes_spc_and_diskmon_not_csv(tmp_path, capsys):
+    for ext in ("spc", "dmn"):
         path = tmp_path / f"t.{ext}"
         assert main(["trace", "--requests", "200", "--out", str(path)]) == 0
         assert path.exists()
     capsys.readouterr()
+    # .csv was the MSR Cambridge format, which is gone.
+    path = tmp_path / "t.csv"
+    with pytest.raises(SystemExit, match="unknown trace extension"):
+        main(["trace", "--requests", "200", "--out", str(path)])
+    assert not path.exists()
 
 
 def test_trace_command_rejects_unknown_extension(tmp_path):
@@ -42,10 +47,9 @@ def test_trace_command_rejects_unknown_extension(tmp_path):
 
 def test_analyze_command_all_formats(tmp_path, capsys):
     main(["trace", "--requests", "300", "--out", str(tmp_path / "t.spc")])
-    main(["trace", "--requests", "300", "--out", str(tmp_path / "t.csv")])
     main(["trace", "--requests", "300", "--out", str(tmp_path / "t.dmn")])
     capsys.readouterr()
-    for fmt, ext in (("spc", "spc"), ("msr", "csv"), ("diskmon", "dmn")):
+    for fmt, ext in (("spc", "spc"), ("diskmon", "dmn")):
         rc = main(["analyze", str(tmp_path / f"t.{ext}"), "--format", fmt])
         out = capsys.readouterr().out
         assert rc == 0

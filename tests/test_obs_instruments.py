@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.obs import (
     DEFAULT_PERCENTILES,
+    GAUGE_MERGE_MODES,
     Counter,
     Gauge,
     Histogram,
@@ -25,39 +26,19 @@ def test_counter_increments_and_rejects_negative():
         c.inc(-1)
 
 
-def test_counter_merge_sums():
-    a, b = Counter(), Counter()
-    a.inc(3)
-    b.inc(4)
-    a.merge(b)
-    assert a.value == 7
-    assert b.value == 4
-
-
-def test_gauge_set_inc_dec_and_merge():
+def test_gauge_set_inc_dec():
     g = Gauge()
     g.set(10.0)
     g.inc(2.0)
     g.dec(5.0)
     assert g.value == 7.0
-    other = Gauge()
-    other.set(99.0)
-    g.merge(other)  # occupancy-style gauges sum across shards
-    assert g.value == 106.0
 
 
 def test_gauge_merge_modes():
-    def pair(mode, a, b):
-        x, y = Gauge(merge_mode=mode), Gauge(merge_mode=mode)
-        x.set(a)
-        y.set(b)
-        x.merge(y)
-        return x.value
-
-    assert pair("sum", 7.0, 99.0) == 106.0
-    assert pair("last", 7.0, 99.0) == 99.0  # merged-in reading wins
-    assert pair("max", 7.0, 99.0) == 99.0
-    assert pair("min", 7.0, 99.0) == 7.0
+    for mode in GAUGE_MERGE_MODES:
+        assert Gauge(merge_mode=mode).snapshot() == {"value": 0.0,
+                                                     "merge_mode": mode}
+    assert Gauge().merge_mode == "sum"
     with pytest.raises(ValueError):
         Gauge(merge_mode="average")
 
@@ -68,13 +49,10 @@ def test_registry_gauge_merge_mode_conflict_and_propagation():
     assert reg.gauge("wa").merge_mode == "last"  # omitted mode: no conflict
     with pytest.raises(ValueError):
         reg.gauge("wa", merge_mode="sum")
-    # Registry merge preserves the source gauge's mode on first sight.
-    other = MetricsRegistry()
-    other.gauge("skew", merge_mode="max").set(3.0)
-    reg.merge(other)
-    assert reg.get("skew").merge_mode == "max"
-    assert reg.get("skew").value == 3.0
+    # The declared mode reaches the snapshot (metrics.json).
     assert reg.get("wa").snapshot() == {"value": 1.5, "merge_mode": "last"}
+    entry, = reg.snapshot()["metrics"]
+    assert entry["merge_mode"] == "last"
 
 
 # -- histogram mechanics -----------------------------------------------------
@@ -222,21 +200,6 @@ def test_registry_snapshot_schema():
     assert snap["schema"] == "repro.obs.metrics/v1"
     kinds = {m["name"]: m["kind"] for m in snap["metrics"]}
     assert kinds == {"queries": "counter", "lat": "histogram"}
-
-
-def test_registry_merge_sums_counters_and_histograms():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("n", shard="0").inc(2)
-    b.counter("n", shard="0").inc(3)
-    b.counter("n", shard="1").inc(7)  # key only the other registry saw
-    a.histogram("lat").record_many([1.0, 2.0])
-    b.histogram("lat").record_many([3.0])
-    b.gauge("occ").set(0.5)
-    a.merge(b)
-    assert a.get("n", shard="0").value == 5
-    assert a.get("n", shard="1").value == 7
-    assert a.get("lat").count == 3
-    assert a.get("occ").value == 0.5
 
 
 # -- openmetrics text exposition ---------------------------------------------

@@ -304,7 +304,7 @@ def test_callback_on_a_blocked_tasks_thread_is_not_that_task():
 
     def job():
         blame.tag_current(who="job")
-        # The cluster broker's fan-out: children spawned by a live task.
+        # A fan-out: children spawned by a live task.
         for child in [k.spawn(shard, name=f"shard{i}") for i in range(2)]:
             child.join()
 
